@@ -31,6 +31,8 @@ type BatchScratch struct {
 	z *tensor.Matrix
 	// logits holds the dense outputs, one row per stream.
 	logits *tensor.Matrix
+	// pack is the GEMM kernel's packing buffer (16·(H+3) values).
+	pack []float64
 	// states is the *State gather buffer used by ObserveBatch.
 	states []*State
 }
@@ -74,7 +76,7 @@ func (l *LSTM) StepBatch(states []*State, xs []int, s *BatchScratch) {
 	if l.WhQ != nil {
 		tensor.MatMulNTQ(s.z, s.h, l.WhQ)
 	} else {
-		tensor.MatMulNT(s.z, s.h, l.Wh.W)
+		tensor.MatMulNTBuf(s.z, s.h, l.Wh.W, &s.pack)
 	}
 	bias := l.B.W.Data
 	for i, st := range states {
@@ -146,7 +148,7 @@ func (n *LanguageNetwork) ObserveBatch(streams []*StreamState, actions []int, li
 	if n.dense.WQ != nil {
 		tensor.MatMulNTQ(s.logits, s.h, n.dense.WQ)
 	} else {
-		tensor.MatMulNT(s.logits, s.h, n.dense.W.W)
+		tensor.MatMulNTBuf(s.logits, s.h, n.dense.W.W, &s.pack)
 	}
 	tensor.AddBiasRows(s.logits, tensor.Vector(n.dense.B.W.Data))
 	for i, st := range streams {
