@@ -13,7 +13,6 @@
 //	misusectl experiment -id fig5 [-scale test] [-seed 42]  (or -id all)
 //	misusectl inspect    -model ./model
 //	misusectl eval       [-source corpus|sim] [-backends lstm,ngram,hmm | -model ./model] [-fpr 0.05] [-min-auc 0.6] [-thresholds out.json] [-json] [-addr host:port]
-//	misusectl bench      [-backends lstm,ngram,hmm] [-shards 1,4] [-events 20000] [-json] [-addr host:port]
 //	misusectl status     -addr 127.0.0.1:7074
 //	misusectl reload     -addr 127.0.0.1:7074
 //	misusectl drift      -addr 127.0.0.1:7074
@@ -40,7 +39,6 @@ var subcommands = map[string]func([]string) error{
 	"experiment": cmdExperiment,
 	"inspect":    cmdInspect,
 	"eval":       cmdEval,
-	"bench":      cmdBench,
 	"status":     cmdStatus,
 	"reload":     cmdReload,
 	"drift":      cmdDrift,
@@ -95,7 +93,6 @@ subcommands:
   experiment  regenerate a paper figure (fig3 fig4 fig5 fig6 fig7 fig8-9 fig10 fig11-12 top20 ablation-* extension-*) or 'all'
   inspect     describe a saved model directory
   eval        replay labeled traffic end to end and report detection quality (AUC, TPR@FPR, time-to-detection) per backend, with threshold calibration; -addr measures a live daemon at the wire level
-  bench       measure serving latency percentiles and events/sec across backends and shard counts; -addr load-tests a live daemon over TCP
   status      query a running misused daemon for its engine counters (backend, model version, ...)
   reload      hot-swap a running misused daemon onto its re-trained model directory
   drift       inspect a daemon's drift detectors and adaptation pipeline (requires misused -adapt)

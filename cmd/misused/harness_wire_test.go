@@ -70,35 +70,3 @@ func TestHarnessReplayWire(t *testing.T) {
 		}
 	}
 }
-
-// TestHarnessBenchWire measures wire-to-scored throughput against the
-// live daemon and sanity-checks the latency distribution.
-func TestHarnessBenchWire(t *testing.T) {
-	srv, tr, shutdown := corpusServer(t)
-	defer shutdown()
-
-	results, err := harness.BenchWire(srv.Addr(), tr, harness.BenchOptions{Events: 1500, BatchSizes: []int{1, 32}}, 60*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d wire bench results, want one per batch size", len(results))
-	}
-	for i, res := range results {
-		if res.Mode != "wire" || res.Backend != baseline.BackendNGram || res.Shards != 3 {
-			t.Fatalf("wire bench identity %+v", res)
-		}
-		if res.Batch != []int{1, 32}[i] {
-			t.Fatalf("wire bench batch = %d, want %d", res.Batch, []int{1, 32}[i])
-		}
-		if res.Events != 1500 || res.Sessions == 0 {
-			t.Fatalf("wire bench load %+v", res)
-		}
-		if res.EventsPerSec <= 0 || res.WallSeconds <= 0 {
-			t.Fatalf("wire bench throughput %+v", res)
-		}
-		if res.Ingest.P50 <= 0 || res.Ingest.P50 > res.Ingest.P99+1e-9 {
-			t.Fatalf("wire bench ingest latency %+v", res.Ingest)
-		}
-	}
-}

@@ -33,7 +33,7 @@
 // (misusectl reload), with the active backend and model version in the
 // status counters.
 //
-// The end-to-end evaluation and load harness (internal/harness) replays
+// The end-to-end evaluation harness (internal/harness) replays
 // labeled traffic — the embedded corpus or fresh simulator runs with
 // injected misuse — through the serving stack in-process and at the
 // wire level against a live daemon, reporting AUC, TPR at an FPR
@@ -42,13 +42,10 @@
 // budget on held-out normal sessions and writes them as a JSON fragment
 // the daemon loads with -monitor. `misusectl eval` runs an evaluation
 // (add -addr to measure a live daemon; -thresholds to emit the
-// calibrated fragment; -min-auc as a CI gate), `misusectl bench`
-// measures serving latency percentiles (p50/p95/p99 ingest and
-// per-action scoring), events/sec, and allocations per event across
-// backends, shard counts, and submission batch sizes (-batch), adding
-// wire-level rows against a live daemon with -addr; -json emits the
-// BENCH_ingest.json report CI archives, and -min-batch-speedup gates
-// the wire batch/single throughput ratio.
+// calibrated fragment; -min-auc as a CI gate). Performance is measured
+// by one program, `go run ./bench`: simulated traffic on a socket into
+// a freshly built misused, alarms read back off it, checked against a
+// serial replay, across four workloads (see bench/README.md).
 //
 // Ingestion is batched and token-based end to end: the daemon accepts
 // {"batch":[...]} frames beside single-event lines, interns each action
@@ -82,7 +79,8 @@
 //   - internal/drift, internal/pipeline: online drift detection and
 //     the automated retrain/hot-swap adaptation loop
 //   - internal/corpus: the embedded labeled evaluation corpus
-//   - internal/harness: end-to-end evaluation and load benching
+//   - internal/harness: end-to-end evaluation
+//   - bench: the benchmark, event on the socket to alarm on the socket
 //   - internal/experiments: regenerates every figure of the paper
 //   - cmd/misusectl: command-line interface (including `status` against
 //     a running daemon)

@@ -8,9 +8,7 @@ import (
 
 // ParseByteSize parses a human byte-size string — "512m", "1.5g",
 // "268435456", with optional B/KB/MB/GB/TB suffixes in either case —
-// into bytes (powers of 1024). It is the shared parser behind the
-// misused -mem-budget flag and the misusectl bench -soak-ceiling flag,
-// so operators size budgets and gates in the same notation.
+// into bytes (powers of 1024). It parses the misused -mem-budget flag.
 func ParseByteSize(s string) (int64, error) {
 	t := strings.TrimSpace(strings.ToLower(s))
 	if t == "" {

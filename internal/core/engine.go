@@ -928,8 +928,8 @@ func (e *Engine) Flush() {
 // until all shards have done so. Sessions still inside their routing
 // vote (and backends without compaction support) stay live. Because
 // shards consume FIFO, every event submitted before the Compact is
-// scored first; the soak bench uses this to measure resting memory
-// deterministically.
+// scored first; the memory census tests use this to measure resting
+// memory deterministically.
 func (e *Engine) Compact() {
 	e.mu.RLock()
 	if e.closed {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -406,8 +407,8 @@ func TestEngineAlarmSendTimeout(t *testing.T) {
 	}
 }
 
-// TestParseByteSize round-trips the operator notation shared by misused
-// -mem-budget and misusectl bench -soak-ceiling.
+// TestParseByteSize round-trips the operator notation of misused
+// -mem-budget.
 func TestParseByteSize(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -443,5 +444,235 @@ func TestParseByteSize(t *testing.T) {
 		if err != nil || (n >= 1<<10 && back == 0) {
 			t.Fatalf("FormatByteSize(%d) = %q does not parse back: %v", n, s, err)
 		}
+	}
+}
+
+// censusDetector trains the small model the census tests drive: LSTM-16
+// on the embedded corpus, with the routing vote cut to 5 actions so
+// short sessions freeze their route — the compaction precondition —
+// within their lives. Shared across tests (training under -race is the
+// expensive part).
+var (
+	censusDetOnce sync.Once
+	censusDet     *Detector
+	censusDetErr  error
+)
+
+func censusDetector(t *testing.T) *Detector {
+	t.Helper()
+	censusDetOnce.Do(func() {
+		c, err := corpus.Load()
+		if err != nil {
+			censusDetErr = err
+			return
+		}
+		vocab, err := actionlog.NewVocabulary(logsim.ActionNames())
+		if err != nil {
+			censusDetErr = err
+			return
+		}
+		cfg := ScaledConfig(vocab.Size(), 13, 16, 1, 0)
+		cfg.LM.Trainer.LearningRate = 0.01
+		cfg.LM.Network.DropoutRate = 0
+		cfg.RouteVoteActions = 5
+		censusDet, censusDetErr = TrainDetector(cfg, vocab, c.ByCluster(), nil)
+	})
+	if censusDetErr != nil {
+		t.Fatalf("train census detector: %v", censusDetErr)
+	}
+	return censusDet
+}
+
+// censusScripts returns the action scripts of the corpus sessions of
+// one kind, each cycled or cut to exactly n actions.
+func censusScripts(t *testing.T, kind string, n int) [][]string {
+	t.Helper()
+	c, err := corpus.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]string
+	for _, s := range c.Sessions {
+		if s.Kind != kind || len(s.Actions) == 0 {
+			continue
+		}
+		script := make([]string, n)
+		for k := range script {
+			script[k] = s.Actions[k%len(s.Actions)]
+		}
+		out = append(out, script)
+	}
+	if len(out) == 0 {
+		t.Fatalf("corpus has no %s sessions", kind)
+	}
+	return out
+}
+
+// censusFeeder submits round-robin session traffic in SubmitBatch
+// chunks with monotonically increasing event times.
+type censusFeeder struct {
+	t     *testing.T
+	eng   *Engine
+	ctx   context.Context
+	batch []actionlog.Event
+	seq   int
+}
+
+// play submits sessions prefix-[from,to): action k of every session
+// before action k+1 of any, session i playing scripts[i mod len].
+func (f *censusFeeder) play(prefix string, from, to int, scripts [][]string) {
+	f.t.Helper()
+	base := time.Date(2019, 4, 1, 0, 0, 0, 0, time.UTC)
+	for k := range scripts[0] {
+		for i := from; i < to; i++ {
+			id := fmt.Sprintf("%s-%07d", prefix, i)
+			f.batch = append(f.batch, actionlog.Event{
+				Time: base.Add(time.Duration(f.seq) * time.Millisecond), User: id, SessionID: id,
+				Action: scripts[i%len(scripts)][k],
+			})
+			f.seq++
+			if len(f.batch) == 256 {
+				f.flush()
+			}
+		}
+	}
+	f.flush()
+	if err := f.eng.Drain(f.ctx); err != nil {
+		f.t.Fatal(err)
+	}
+}
+
+func (f *censusFeeder) flush() {
+	f.t.Helper()
+	if len(f.batch) == 0 {
+		return
+	}
+	if err := f.eng.SubmitBatch(f.ctx, f.batch, nil); err != nil {
+		f.t.Fatal(err)
+	}
+	f.batch = f.batch[:0]
+}
+
+// touch submits one more action to every stride-th session of
+// prefix-[0,n) and returns how many sessions it touched.
+func (f *censusFeeder) touch(prefix string, n, stride int, scripts [][]string) int {
+	f.t.Helper()
+	touched := 0
+	for i := 0; i < n; i += stride {
+		f.play(prefix, i, i+1, [][]string{scripts[i%len(scripts)][:1]})
+		touched++
+	}
+	return touched
+}
+
+// TestEngineFlashCrowdShedAtCap fills an engine to exactly MaxSessions
+// with compacted sessions, then drives a surge of brand-new sessions
+// replaying the corpus's benign flash-crowd traffic. Every surge event
+// must be refused at admission, no alarm may be raised during the
+// surge or attributed to shedding, and the residents must keep
+// serving: touched afterwards, each one rehydrates. The floor alarms on
+// every scored action, so a surge event that got past admission would
+// also show up as an alarm.
+func TestEngineFlashCrowdShedAtCap(t *testing.T) {
+	const residents, actions, surge = 600, 8, 300
+	mcfg := DefaultMonitorConfig()
+	mcfg.LikelihoodFloor = 1.0
+	mcfg.WarmupActions = 1
+	eng, err := NewEngine(censusDetector(t), EngineConfig{Shards: 2, MaxSessions: residents, Monitor: mcfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	f := &censusFeeder{t: t, eng: eng, ctx: ctx}
+	normal := censusScripts(t, corpus.KindProfile, actions)
+	f.play("res", 0, residents, normal)
+	eng.Compact()
+	before := eng.Stats()
+	if before.SessionsLive != residents || before.SessionsCompacted != residents || before.ShedEvents != 0 {
+		t.Fatalf("fill: %d resident, %d compacted, %d shed events; want %d, %d, 0",
+			before.SessionsLive, before.SessionsCompacted, before.ShedEvents, residents, residents)
+	}
+	if before.AlarmsRaised == 0 {
+		t.Fatal("the fill raised no alarms: the floor is not live, so the surge's zero alarms would prove nothing")
+	}
+
+	flash := censusScripts(t, corpus.KindFlashCrowd, actions)
+	f.play("flash", 0, surge, flash)
+	after := eng.Stats()
+	if shed, want := after.ShedEvents-before.ShedEvents, uint64(surge*actions); shed != want {
+		t.Fatalf("shed %d surge events, want all %d refused at the cap", shed, want)
+	}
+	if alarms := after.AlarmsRaised - before.AlarmsRaised; alarms != 0 {
+		t.Fatalf("the surge raised %d alarms, want 0: refused sessions are never scored", alarms)
+	}
+	if after.AlarmsShed != 0 {
+		t.Fatalf("%d alarms attributed to shedding, want 0", after.AlarmsShed)
+	}
+	if after.SessionsLive != residents {
+		t.Fatalf("%d resident sessions after the surge, want the %d residents", after.SessionsLive, residents)
+	}
+
+	touched := f.touch("res", residents, 10, normal)
+	if got := eng.Stats().Rehydrations - after.Rehydrations; got != uint64(touched) {
+		t.Fatalf("touched %d residents after the surge, %d rehydrated", touched, got)
+	}
+}
+
+// settledHeap returns the live heap after two forced collections, so
+// garbage awaiting the next cycle is not counted.
+func settledHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestEngineCompactedCensusHeapCeiling holds a census of short LSTM-16
+// sessions, compacted between cohorts, and bounds what each one costs
+// on the settled heap. No session may be shed under the (roomy) memory
+// budget, every session must end compacted, and every touched session
+// must rehydrate.
+//
+// The ceiling: a 1M-session run of the same shape settled at 826 B per
+// session; this 10k census measures 944 B per session (linux/amd64,
+// Go 1.24, with and without -race: the engine's fixed cost is spread
+// over fewer sessions), and the 2 KiB ceiling leaves ~2x headroom.
+func TestEngineCompactedCensusHeapCeiling(t *testing.T) {
+	const sessions, actions, cohort = 10000, 8, 2048
+	const ceiling = 2048 // bytes per session
+	det := censusDetector(t)
+	scripts := censusScripts(t, corpus.KindProfile, actions)
+	heap0 := settledHeap()
+	eng, err := NewEngine(det, EngineConfig{Shards: 2, MemBudget: 256 << 20, Monitor: DefaultMonitorConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	f := &censusFeeder{t: t, eng: eng, ctx: ctx}
+	for off := 0; off < sessions; off += cohort {
+		f.play("census", off, min(off+cohort, sessions), scripts)
+		eng.Compact()
+	}
+	st := eng.Stats()
+	perSession := float64(settledHeap()-heap0) / sessions
+	t.Logf("settled heap %.0f B/session over %d compacted sessions (engine accounts %d B/session)",
+		perSession, st.SessionsCompacted, st.MemBytes/sessions)
+	if st.SessionsLive != sessions || st.SessionsCompacted != sessions {
+		t.Fatalf("%d resident, %d compacted; want all %d", st.SessionsLive, st.SessionsCompacted, sessions)
+	}
+	if shed := st.ShedSessions + st.ShedEvents + st.ShedEvictions + st.AlarmsShed; shed != 0 {
+		t.Fatalf("shed %d under a roomy budget, want 0: %+v", shed, st)
+	}
+	if perSession > ceiling {
+		t.Fatalf("settled heap %.0f B per compacted session, over the %d B ceiling", perSession, ceiling)
+	}
+	touched := f.touch("census", sessions, 100, scripts)
+	if got := eng.Stats().Rehydrations; got != uint64(touched) {
+		t.Fatalf("touched %d compacted sessions, %d rehydrated", touched, got)
 	}
 }

@@ -1,4 +1,4 @@
-// Package harness is the end-to-end evaluation and load subsystem: it
+// Package harness is the end-to-end evaluation subsystem: it
 // replays labeled traffic — the embedded internal/corpus plus freshly
 // simulated logsim corpora with injected misuse — through the serving
 // stack and turns what comes back into regression-checkable numbers.
@@ -25,9 +25,9 @@
 // (core.CalibrateMonitorPerCluster) and reports them as a
 // core.MonitorConfig fragment that misused loads via -monitor.
 //
-// misusectl eval and misusectl bench are the CLI surface; the CI smoke
-// step runs eval on the embedded corpus and fails the build when a
-// backend's AUC drops below the sanity floor.
+// misusectl eval is the CLI surface; the CI smoke step runs it on the
+// embedded corpus and fails the build when a backend's AUC drops below
+// the sanity floor.
 package harness
 
 import (

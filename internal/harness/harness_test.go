@@ -263,50 +263,3 @@ func TestEvalValidation(t *testing.T) {
 		t.Fatal("unknown backend must fail")
 	}
 }
-
-// TestBenchEngine smoke-tests the in-process load bench: sane
-// throughput, ordered percentiles, and one result per shard count.
-func TestBenchEngine(t *testing.T) {
-	tr, err := CorpusTraffic(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A traffic without an evaluation split must error, not spin forever
-	// trying to replicate zero events up to the target volume.
-	if _, err := BenchEngine(&Traffic{Source: "x", Vocab: tr.Vocab, Train: tr.Train}, BenchOptions{
-		Backend: baseline.BackendNGram, Events: 100, Seed: 11,
-	}); err == nil {
-		t.Fatal("bench on empty traffic must fail")
-	}
-	results, err := BenchEngine(tr, BenchOptions{
-		Backend:     baseline.BackendNGram,
-		ShardCounts: []int{1, 2},
-		Events:      3000,
-		Seed:        11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("%d results, want 2", len(results))
-	}
-	for i, r := range results {
-		if r.Mode != "engine" || r.Backend != baseline.BackendNGram {
-			t.Fatalf("result %d identity %+v", i, r)
-		}
-		if r.Shards != []int{1, 2}[i] {
-			t.Fatalf("result %d shards %d", i, r.Shards)
-		}
-		if r.Events != 3000 || r.Sessions == 0 {
-			t.Fatalf("result %d load %+v", i, r)
-		}
-		if r.EventsPerSec <= 0 || r.WallSeconds <= 0 {
-			t.Fatalf("result %d throughput %+v", i, r)
-		}
-		for _, d := range []LatencyDist{r.Ingest, r.Score} {
-			if d.P50 <= 0 || d.P50 > d.P95+1e-9 || d.P95 > d.P99+1e-9 || d.P99 > d.Max+1e-9 {
-				t.Fatalf("result %d latency percentiles out of order: %+v", i, d)
-			}
-		}
-	}
-}

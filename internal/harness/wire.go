@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
-	"misusedetect/internal/actionlog"
 	"misusedetect/internal/core"
 )
 
@@ -223,118 +221,5 @@ func ReplayWire(addr string, labeled []LabeledSession, timeout time.Duration) (*
 		Events:         len(stream),
 		AlarmsReceived: len(settled),
 		Detection:      foldAlarms(settled, labeled),
-	}, nil
-}
-
-// batchFrame is the wire batch frame: {"batch":[event,...]}, at most
-// the daemon's documented maximum batch length per line.
-type batchFrame struct {
-	Batch []actionlog.Event `json:"batch"`
-}
-
-// BenchWire measures the wire-level serving path of a live daemon: for
-// every configured batch size it streams the replicated evaluation
-// traffic at full rate over one TCP connection — one JSON line per event
-// at batch 1, one {"batch":[...]} frame per batch otherwise — timing
-// every write (ingest latency including TCP backpressure), and stops the
-// clock when the daemon's processed counter has caught up with
-// everything sent. EventsPerSec is therefore wire-to-scored throughput,
-// not just socket-write throughput; diffing the batch>1 rows against the
-// batch-1 row measures what frame batching actually buys. The serial
-// Score distribution is not measurable from outside the daemon and is
-// zero in wire results.
-func BenchWire(addr string, tr *Traffic, opt BenchOptions, timeout time.Duration) ([]BenchResult, error) {
-	opt.setDefaults()
-	if timeout <= 0 {
-		timeout = 2 * time.Minute
-	}
-	var results []BenchResult
-	for _, batch := range opt.BatchSizes {
-		res, err := benchWireRun(addr, tr, opt, batch, timeout)
-		if err != nil {
-			return nil, fmt.Errorf("harness: wire bench batch %d: %w", batch, err)
-		}
-		results = append(results, *res)
-	}
-	return results, nil
-}
-
-func benchWireRun(addr string, tr *Traffic, opt BenchOptions, batch int, timeout time.Duration) (*BenchResult, error) {
-	if batch < 1 {
-		batch = 1
-	}
-	c, err := dialWire(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer c.close()
-	base, err := c.statusRoundTrip()
-	if err != nil {
-		return nil, err
-	}
-	// The per-run salt keeps replicated sessions cold on a long-lived
-	// daemon (see saltLabeled).
-	stream, sessions, err := benchStream(tr, opt.Events, fmt.Sprintf(".%x", time.Now().UnixNano()))
-	if err != nil {
-		return nil, err
-	}
-	var lines [][]byte
-	if batch == 1 {
-		lines = make([][]byte, 0, len(stream))
-		for i := range stream {
-			data, err := json.Marshal(&stream[i])
-			if err != nil {
-				return nil, err
-			}
-			lines = append(lines, append(data, '\n'))
-		}
-	} else {
-		lines = make([][]byte, 0, len(stream)/batch+1)
-		for off := 0; off < len(stream); off += batch {
-			end := off + batch
-			if end > len(stream) {
-				end = len(stream)
-			}
-			data, err := json.Marshal(&batchFrame{Batch: stream[off:end]})
-			if err != nil {
-				return nil, err
-			}
-			lines = append(lines, append(data, '\n'))
-		}
-	}
-	ingest := make([]time.Duration, 0, len(lines))
-	// Collect the marshaling garbage (and anything an in-process engine
-	// sweep left behind) before the clock starts: on a shared CPU a GC
-	// pause inside the timed window would be charged to the daemon.
-	runtime.GC()
-	t0 := time.Now()
-	for i, line := range lines {
-		if i%1024 == 0 {
-			c.extend()
-		}
-		s0 := time.Now()
-		if _, err := c.conn.Write(line); err != nil {
-			return nil, fmt.Errorf("harness: wire bench write: %w", err)
-		}
-		ingest = append(ingest, time.Since(s0))
-	}
-	st, err := c.awaitProcessed(base.EventsProcessed+uint64(len(stream)), time.Now().Add(timeout))
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(t0)
-	return &BenchResult{
-		Mode:         "wire",
-		Backend:      st.Backend,
-		Shards:       st.Shards,
-		Batch:        batch,
-		Events:       len(stream),
-		Sessions:     sessions,
-		WallSeconds:  wall.Seconds(),
-		EventsPerSec: float64(len(stream)) / wall.Seconds(),
-		Ingest:       percentiles(ingest),
-		// Delta against the pre-run counter: a long-lived daemon's
-		// cumulative total would otherwise leak into this run's result.
-		Alarms: st.AlarmsRaised - base.AlarmsRaised,
 	}, nil
 }

@@ -24,13 +24,6 @@ type LSTM struct {
 	// B is the 1 x 4H bias; the forget-gate slice is initialized to 1,
 	// the standard trick to preserve memory early in training.
 	B *Param
-	// WxQ and WhQ, when non-nil, are the int8 forms of Wx and Wh: the
-	// layer is inference-only and every forward kernel reads the int8
-	// payload instead of the float64 weights (which then hold the
-	// dequantized values for introspection only). See
-	// LanguageNetwork.Quantize.
-	WxQ *tensor.QuantizedMatrix
-	WhQ *tensor.QuantizedMatrix
 }
 
 // NewLSTM allocates and initializes an LSTM layer.
@@ -83,22 +76,13 @@ type stepCache struct {
 }
 
 // preactivate computes the gate pre-activations z = b + Wx[:, x] + Wh*h
-// (x < 0 encodes a zero/padded input, skipping the one-hot column), using
-// the int8 weights when the layer is quantized. Every step variant —
+// (x < 0 encodes a zero/padded input, skipping the one-hot column). Every
+// step variant —
 // Step, StepReuse, and the per-row pre-activation of StepBatch — must
 // accumulate in exactly this order so serial and batched inference stay
 // bit-identical.
 func (l *LSTM) preactivate(z tensor.Vector, x int, h tensor.Vector) {
 	copy(z, l.B.W.Data)
-	if l.WhQ != nil {
-		if x >= 0 {
-			for r := 0; r < 4*l.HiddenSize; r++ {
-				z[r] += l.WxQ.At(r, x)
-			}
-		}
-		l.WhQ.MulVecAdd(z, h)
-		return
-	}
 	if x >= 0 {
 		// One-hot input: add column x of Wx.
 		for r := 0; r < 4*l.HiddenSize; r++ {

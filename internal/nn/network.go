@@ -47,9 +47,6 @@ type LanguageNetwork struct {
 	lstm  *LSTM
 	dense *Dense
 	rng   *rand.Rand
-	// quant is the weight precision; anything but QuantNone makes the
-	// network inference-only. See Quantize.
-	quant Quantization
 }
 
 // NewLanguageNetwork builds and initializes the network.
@@ -215,9 +212,6 @@ func (n *LanguageNetwork) TrainSequence(seq []int) (float64, int, error) {
 	if len(seq) < 2 {
 		return 0, 0, fmt.Errorf("nn: training sequence needs >= 2 actions, got %d", len(seq))
 	}
-	if n.quant != QuantNone {
-		return 0, 0, fmt.Errorf("nn: cannot train a %s-quantized network", n.quant)
-	}
 	if err := n.validateSeq(seq); err != nil {
 		return 0, 0, err
 	}
@@ -271,9 +265,6 @@ func (n *LanguageNetwork) TrainSequence(seq []int) (float64, int, error) {
 func (n *LanguageNetwork) TrainWindow(input []int, target int) (float64, error) {
 	if len(input) == 0 {
 		return 0, fmt.Errorf("nn: empty window input")
-	}
-	if n.quant != QuantNone {
-		return 0, fmt.Errorf("nn: cannot train a %s-quantized network", n.quant)
 	}
 	if err := n.validateSeq(input); err != nil {
 		return 0, err

@@ -4,102 +4,39 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-
-	"misusedetect/internal/tensor"
 )
 
-// serializedParam is the gob wire form of one parameter. Exactly one of
-// the payload fields is populated: Data for float64 parameters (all
-// biases, and every weight of an unquantized network), F16 for binary16
-// weights, Q+Scales for int8 weights. Gob tolerates absent fields, so
-// pre-quantization files (Data only, no Quant tag) load unchanged.
+// serializedParam is the gob wire form of one parameter.
 type serializedParam struct {
 	Name string
 	Rows int
 	Cols int
 	Data []float64
-	// F16 holds IEEE binary16 bit patterns, row-major.
-	F16 []uint16
-	// Q holds int8 codes (as bytes, row-major) and Scales one absmax
-	// scale per row; together they reproduce the QuantizedMatrix exactly,
-	// so a reloaded int8 model scores bit-identically.
-	Q      []byte
-	Scales []float64
 }
 
 // serializedNetwork is the gob wire form of a LanguageNetwork.
 type serializedNetwork struct {
 	Config NetworkConfig
 	Params []serializedParam
-	// Quant tags the stored weight precision ("" and "f64" mean full
-	// precision; "f16"; "int8").
+	// Quant is set only in files written by an earlier reduced-precision
+	// ("f16", "int8") serving path; such files carry no float64 weights
+	// and are refused on load. Full-precision files leave it empty.
 	Quant string
 }
 
 // Save writes the network weights and configuration to w with gob.
-// Quantized networks write their quantized payload (the int8 codes and
-// scales, or the f16 bit patterns), so the round trip reproduces the
-// serving weights exactly rather than re-quantizing a float copy.
 func (n *LanguageNetwork) Save(w io.Writer) error {
 	s := serializedNetwork{Config: n.cfg}
-	if n.quant != QuantNone {
-		s.Quant = n.quant.String()
-	}
 	for _, p := range n.Params() {
-		sp := serializedParam{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols}
-		switch q := n.quantizedMatrix(p.Name); {
-		case q != nil:
-			sp.Q = make([]byte, len(q.Data))
-			for i, c := range q.Data {
-				sp.Q[i] = byte(c)
-			}
-			sp.Scales = append([]float64(nil), q.Scales...)
-		case n.quant == QuantF16 && isWeightParam(p.Name):
-			sp.F16 = make([]uint16, len(p.W.Data))
-			for i, x := range p.W.Data {
-				sp.F16[i] = tensor.F16Bits(x)
-			}
-		default:
-			sp.Data = append([]float64(nil), p.W.Data...)
-		}
-		s.Params = append(s.Params, sp)
+		s.Params = append(s.Params, serializedParam{
+			Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols,
+			Data: append([]float64(nil), p.W.Data...),
+		})
 	}
 	if err := gob.NewEncoder(w).Encode(&s); err != nil {
 		return fmt.Errorf("nn: save network: %w", err)
 	}
 	return nil
-}
-
-// isWeightParam reports whether name is one of the three weight matrices
-// that quantization applies to (biases always stay float64).
-func isWeightParam(name string) bool {
-	return name == "lstm.wx" || name == "lstm.wh" || name == "dense.w"
-}
-
-// quantizedMatrix returns the int8 form of the named parameter, or nil.
-func (n *LanguageNetwork) quantizedMatrix(name string) *tensor.QuantizedMatrix {
-	switch name {
-	case "lstm.wx":
-		return n.lstm.WxQ
-	case "lstm.wh":
-		return n.lstm.WhQ
-	case "dense.w":
-		return n.dense.WQ
-	}
-	return nil
-}
-
-// setQuantizedMatrix installs the int8 form of the named parameter and
-// mirrors the dequantized values into the float64 storage.
-func (n *LanguageNetwork) setQuantizedMatrix(name string, q *tensor.QuantizedMatrix) {
-	switch name {
-	case "lstm.wx":
-		n.lstm.WxQ, n.lstm.Wx.W = q, q.Dequantize()
-	case "lstm.wh":
-		n.lstm.WhQ, n.lstm.Wh.W = q, q.Dequantize()
-	case "dense.w":
-		n.dense.WQ, n.dense.W.W = q, q.Dequantize()
-	}
 }
 
 // maxLoadDim and maxLoadCells bound the network dimensions accepted
@@ -133,9 +70,9 @@ func LoadLanguageNetwork(r io.Reader) (*LanguageNetwork, error) {
 		return nil, fmt.Errorf("nn: load network: dimensions %dx%d exceed the load limits (corrupted file?)",
 			in, hidden)
 	}
-	quant, err := ParseQuantization(s.Quant)
-	if err != nil {
-		return nil, fmt.Errorf("nn: load network: %w", err)
+	if s.Quant != "" {
+		return nil, fmt.Errorf("nn: load network: weights stored at %q precision are no longer supported; re-save the model at f64",
+			s.Quant)
 	}
 	n, err := NewLanguageNetwork(s.Config)
 	if err != nil {
@@ -151,47 +88,11 @@ func LoadLanguageNetwork(r io.Reader) (*LanguageNetwork, error) {
 			return nil, fmt.Errorf("nn: load network: param %d is %s %dx%d, want %s %dx%d",
 				i, sp.Name, sp.Rows, sp.Cols, p.Name, p.W.Rows, p.W.Cols)
 		}
-		cells := sp.Rows * sp.Cols
-		wantQuant := quant != QuantNone && isWeightParam(sp.Name)
-		switch {
-		case sp.Data != nil:
-			if wantQuant {
-				return nil, fmt.Errorf("nn: load network: param %s carries float64 data in a %s file",
-					sp.Name, quant)
-			}
-			if len(sp.Data) != cells {
-				return nil, fmt.Errorf("nn: load network: param %s has %d values for %dx%d",
-					sp.Name, len(sp.Data), sp.Rows, sp.Cols)
-			}
-			copy(p.W.Data, sp.Data)
-		case quant == QuantF16 && sp.F16 != nil:
-			if len(sp.F16) != cells {
-				return nil, fmt.Errorf("nn: load network: param %s has %d f16 values for %dx%d",
-					sp.Name, len(sp.F16), sp.Rows, sp.Cols)
-			}
-			for j, b := range sp.F16 {
-				p.W.Data[j] = tensor.F16FromBits(b)
-			}
-		case quant == QuantInt8 && sp.Q != nil:
-			if len(sp.Q) != cells || len(sp.Scales) != sp.Rows {
-				return nil, fmt.Errorf("nn: load network: param %s has %d codes/%d scales for %dx%d",
-					sp.Name, len(sp.Q), len(sp.Scales), sp.Rows, sp.Cols)
-			}
-			q := &tensor.QuantizedMatrix{
-				Rows:   sp.Rows,
-				Cols:   sp.Cols,
-				Data:   make([]int8, cells),
-				Scales: append([]float64(nil), sp.Scales...),
-			}
-			for j, b := range sp.Q {
-				q.Data[j] = int8(b)
-			}
-			n.setQuantizedMatrix(sp.Name, q)
-		default:
-			return nil, fmt.Errorf("nn: load network: param %s has no payload for quantization %s",
-				sp.Name, quant)
+		if len(sp.Data) != sp.Rows*sp.Cols {
+			return nil, fmt.Errorf("nn: load network: param %s has %d values for %dx%d",
+				sp.Name, len(sp.Data), sp.Rows, sp.Cols)
 		}
+		copy(p.W.Data, sp.Data)
 	}
-	n.quant = quant
 	return n, nil
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"strings"
 	"testing"
 )
 
@@ -60,6 +61,42 @@ func TestNetworkSaveLoadRoundTrip(t *testing.T) {
 			if a[i][j] != b[i][j] {
 				t.Fatalf("step %d output %d changed across save/load", i, j)
 			}
+		}
+	}
+}
+
+// TestLoadRejectsReducedPrecisionFiles: files written by the former f16
+// and int8 serving path carry their weights in payload fields this
+// package no longer reads. Loading one must fail with an error naming
+// the precision tag, not panic or come back with zeroed weights.
+func TestLoadRejectsReducedPrecisionFiles(t *testing.T) {
+	// legacyParam mirrors the old wire form, payload fields included.
+	type legacyParam struct {
+		Name       string
+		Rows, Cols int
+		F16        []uint16
+		Q          []byte
+		Scales     []float64
+	}
+	type legacyNetwork struct {
+		Config NetworkConfig
+		Params []legacyParam
+		Quant  string
+	}
+	for _, tag := range []string{"f16", "int8"} {
+		legacy := legacyNetwork{Config: NetworkConfig{InputSize: 3, HiddenSize: 2}, Quant: tag}
+		legacy.Params = []legacyParam{{Name: "lstm.wx", Rows: 8, Cols: 3, F16: make([]uint16, 24),
+			Q: make([]byte, 24), Scales: make([]float64, 8)}}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadLanguageNetwork(&buf)
+		if err == nil {
+			t.Fatalf("%s file loaded", tag)
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"`+tag+`"`) || !strings.Contains(msg, "re-save") {
+			t.Fatalf("%s file: error %q does not name the tag and the remedy", tag, msg)
 		}
 	}
 }
