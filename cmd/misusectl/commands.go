@@ -365,7 +365,6 @@ type reloadReply struct {
 		Clusters int     `json:"clusters"`
 		Canary   bool    `json:"canary"`
 		Fraction float64 `json:"fraction"`
-		Legacy   bool    `json:"legacy"`
 	} `json:"reload"`
 }
 
@@ -465,9 +464,6 @@ func cmdReload(args []string) error {
 	} else {
 		fmt.Printf("misused at %s reloaded: model version %d, backend %s, %d clusters\n",
 			*addr, reply.Reload.Version, reply.Reload.Backend, reply.Reload.Clusters)
-	}
-	if reply.Reload.Legacy {
-		fmt.Printf("warning: model directory predates artifact checksums; loaded unverified\n")
 	}
 	return nil
 }

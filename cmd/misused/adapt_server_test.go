@@ -80,15 +80,17 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(nil, ServerConfig{
-		Listen:         "127.0.0.1:0",
-		IdleExpiry:     time.Minute,
-		Shards:         2,
-		Monitor:        quiet,
-		Registry:       reg,
-		Adapter:        adapter,
-		OnSessionEnd:   adapter.OnSessionEnd,
-		RecordSessions: true,
-		Logf:           t.Logf,
+		Listen: "127.0.0.1:0",
+		Engine: core.EngineConfig{
+			IdleExpiry:     time.Minute,
+			Shards:         2,
+			Monitor:        quiet,
+			OnSessionEnd:   adapter.OnSessionEnd,
+			RecordSessions: true,
+			Logf:           t.Logf,
+		},
+		Registry: reg,
+		Adapter:  adapter,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,9 +181,8 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 func TestServerAdaptDisabled(t *testing.T) {
 	det, _ := ngramDetector(t)
 	srv, err := NewServer(det, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		IdleExpiry: time.Minute,
-		Monitor:    core.DefaultMonitorConfig(),
+		Listen: "127.0.0.1:0",
+		Engine: core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)

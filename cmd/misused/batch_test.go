@@ -48,10 +48,8 @@ func collectAlarms(t *testing.T, sc *bufio.Scanner, conn net.Conn, session strin
 func TestServerBatchFrames(t *testing.T) {
 	det, sessions := tinyDetector(t)
 	srv, err := NewServer(det, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		IdleExpiry: time.Minute,
-		Shards:     3,
-		Monitor:    core.DefaultMonitorConfig(),
+		Listen: "127.0.0.1:0",
+		Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: 3, Monitor: core.DefaultMonitorConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)

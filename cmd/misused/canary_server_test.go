@@ -50,14 +50,16 @@ func TestServerCanaryCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(det, ServerConfig{
-		Listen:       "127.0.0.1:0",
-		ModelDir:     dir,
-		IdleExpiry:   time.Minute,
-		Monitor:      core.DefaultMonitorConfig(),
-		Registry:     reg,
-		Canary:       ctrl,
-		OnSessionEnd: ctrl.OnSessionEnd,
-		Logf:         t.Logf,
+		Listen:   "127.0.0.1:0",
+		ModelDir: dir,
+		Engine: core.EngineConfig{
+			IdleExpiry:   time.Minute,
+			Monitor:      core.DefaultMonitorConfig(),
+			OnSessionEnd: ctrl.OnSessionEnd,
+			Logf:         t.Logf,
+		},
+		Registry: reg,
+		Canary:   ctrl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,9 +141,8 @@ func TestServerCanaryCommands(t *testing.T) {
 func TestServerCanaryDisabled(t *testing.T) {
 	det, _ := tinyDetector(t)
 	srv, err := NewServer(det, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		IdleExpiry: time.Minute,
-		Monitor:    core.DefaultMonitorConfig(),
+		Listen: "127.0.0.1:0",
+		Engine: core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)

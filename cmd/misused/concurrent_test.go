@@ -85,11 +85,8 @@ func TestConcurrentClientsAlarmsExactlyOnce(t *testing.T) {
 	}
 
 	srv, err := NewServer(det, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		IdleExpiry: time.Minute,
-		Shards:     4,
-		QueueDepth: 32,
-		Monitor:    mcfg,
+		Listen: "127.0.0.1:0",
+		Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: 4, QueueDepth: 32, Monitor: mcfg},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,10 +25,8 @@ func corpusServer(t *testing.T) (*Server, *harness.Traffic, func()) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(det, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		IdleExpiry: time.Minute,
-		Shards:     3,
-		Monitor:    core.DefaultMonitorConfig(),
+		Listen: "127.0.0.1:0",
+		Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: 3, Monitor: core.DefaultMonitorConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)

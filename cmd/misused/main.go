@@ -56,8 +56,7 @@
 // Model directories are verified before any weight is decoded — at
 // startup and on every reload (internal/rollout): the manifest carries
 // per-file SHA-256 checksums, so torn, truncated, or tampered artifacts
-// are refused with a descriptive error. Directories saved before
-// checksums existed load with a logged warning.
+// are refused with a descriptive error.
 //
 // With -adapt the daemon runs the online adaptation pipeline
 // (internal/pipeline): per-cluster drift detectors over the live
@@ -91,168 +90,108 @@ import (
 )
 
 func main() {
+	var (
+		// Engine and server flags bind straight into the ServerConfig
+		// field they set; the rest configure what run builds around it.
+		scfg        ServerConfig
+		monitorPath string
+		adapt       bool
+		acfg        = pipeline.Config{Drift: drift.DefaultConfig(), AutoCycle: true}
+		ccfg        rollout.Config
+	)
 	fs := flag.NewFlagSet("misused", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
-	modelDir := fs.String("model", "./model", "trained model directory")
-	listen := fs.String("listen", "127.0.0.1:7074", "TCP listen address")
-	idle := fs.Duration("idle", 30*time.Minute, "session idle expiry")
-	shards := fs.Int("shards", 0, "scoring engine shard count (0 = default)")
-	queue := fs.Int("queue", 0, "per-shard event queue depth (0 = default)")
-	monitorPath := fs.String("monitor", "", "calibrated monitor-threshold fragment (JSON, from misusectl eval -thresholds); empty uses defaults")
-	compactAfter := fs.Duration("compact-after", 5*time.Minute, "compact sessions idle this long into small snapshots (0 disables compaction)")
-	maxSessions := fs.Int("max-sessions", 0, "resident session cap; events for new sessions past it are shed (0 = uncapped)")
-	memBudget := fs.String("mem-budget", "", "session memory budget as a byte size (e.g. 512m, 2g); past it new sessions are refused and oldest-idle sessions evicted (empty = unbounded)")
-	alarmTimeout := fs.Duration("alarm-timeout", 0, "bound on waiting for a slow alarm consumer before dropping the alarm (0 = lossless blocking send)")
-	adapt := fs.Bool("adapt", false, "enable the online drift-detection and retrain/hot-swap pipeline")
-	adaptRoot := fs.String("adapt-root", "", "directory receiving one versioned model dir per adapted generation (empty = keep generations in memory only)")
-	adaptMinSessions := fs.Int("adapt-min-sessions", 60, "alarm-free sessions buffered before a retrain cycle may run")
-	adaptWindow := fs.Int("adapt-window", 40, "drift window: KS reference/sliding window and unknown-rate window, in sessions")
-	adaptSensitivity := fs.Float64("adapt-sensitivity", 1, "Page-Hinkley alarm threshold (lambda); lower = more sensitive, earlier retrains")
-	adaptGuardrail := fs.Float64("adapt-guardrail", 0.05, "tolerated held-out AUC regression of a retrained generation before the swap is refused")
-	adaptFPR := fs.Float64("adapt-fpr", 0.05, "false-positive budget for recalibrating per-cluster alarm floors")
-	canaryFrac := fs.Float64("canary-frac", 0, "fraction of new sessions pinned to a published canary candidate (0 disables staged rollouts; reload then swaps directly)")
-	canaryMin := fs.Int("canary-min-sessions", 50, "finished sessions each rollout arm needs before the comparator promotes or rolls back")
+	fs.StringVar(&scfg.ModelDir, "model", "./model", "trained model directory")
+	fs.StringVar(&scfg.Listen, "listen", "127.0.0.1:7074", "TCP listen address")
+	fs.DurationVar(&scfg.Engine.IdleExpiry, "idle", 30*time.Minute, "session idle expiry")
+	fs.IntVar(&scfg.Engine.Shards, "shards", 0, "scoring engine shard count (0 = default)")
+	fs.IntVar(&scfg.Engine.QueueDepth, "queue", 0, "per-shard event queue depth (0 = default)")
+	fs.StringVar(&monitorPath, "monitor", "", "calibrated monitor-threshold fragment (JSON, from misusectl eval -thresholds); empty uses defaults")
+	fs.DurationVar(&scfg.Engine.CompactAfter, "compact-after", 5*time.Minute, "compact sessions idle this long into small snapshots (0 disables compaction)")
+	fs.IntVar(&scfg.Engine.MaxSessions, "max-sessions", 0, "resident session cap; events for new sessions past it are shed (0 = uncapped)")
+	fs.Func("mem-budget", "session memory budget as a byte size (e.g. 512m, 2g); past it new sessions are refused and oldest-idle sessions evicted (empty = unbounded)", func(v string) (err error) {
+		if v != "" {
+			scfg.Engine.MemBudget, err = core.ParseByteSize(v)
+		}
+		return err
+	})
+	fs.DurationVar(&scfg.Engine.AlarmSendTimeout, "alarm-timeout", 0, "bound on waiting for a slow alarm consumer before dropping the alarm (0 = lossless blocking send)")
+	fs.BoolVar(&adapt, "adapt", false, "enable the online drift-detection and retrain/hot-swap pipeline")
+	fs.StringVar(&acfg.ModelRoot, "adapt-root", "", "directory receiving one versioned model dir per adapted generation (empty = keep generations in memory only)")
+	fs.IntVar(&acfg.MinSessions, "adapt-min-sessions", 60, "alarm-free sessions buffered before a retrain cycle may run")
+	fs.IntVar(&acfg.Drift.KS.Window, "adapt-window", 40, "drift window: KS reference/sliding window and unknown-rate window, in sessions")
+	fs.Float64Var(&acfg.Drift.PageHinkley.Lambda, "adapt-sensitivity", 1, "Page-Hinkley alarm threshold (lambda); lower = more sensitive, earlier retrains")
+	fs.Float64Var(&acfg.GuardrailDelta, "adapt-guardrail", 0.05, "tolerated held-out AUC regression of a retrained generation before the swap is refused")
+	fs.Float64Var(&acfg.FPRBudget, "adapt-fpr", 0.05, "false-positive budget for recalibrating per-cluster alarm floors")
+	fs.Float64Var(&ccfg.Fraction, "canary-frac", 0, "fraction of new sessions pinned to a published canary candidate (0 disables staged rollouts; reload then swaps directly)")
+	fs.IntVar(&ccfg.MinSessions, "canary-min-sessions", 50, "finished sessions each rollout arm needs before the comparator promotes or rolls back")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
-	var budget int64
-	if *memBudget != "" {
-		var err error
-		if budget, err = core.ParseByteSize(*memBudget); err != nil {
-			fmt.Fprintln(os.Stderr, "misused: -mem-budget:", err)
-			os.Exit(2)
-		}
-	}
-	cfg := daemonConfig{
-		modelDir:     *modelDir,
-		listen:       *listen,
-		monitorPath:  *monitorPath,
-		idle:         *idle,
-		compactAfter: *compactAfter,
-		maxSessions:  *maxSessions,
-		memBudget:    budget,
-		alarmTimeout: *alarmTimeout,
-		shards:       *shards,
-		queue:        *queue,
-		adapt:        *adapt,
-		adaptRoot:    *adaptRoot,
-		minSessions:  *adaptMinSessions,
-		window:       *adaptWindow,
-		sensitivity:  *adaptSensitivity,
-		guardrail:    *adaptGuardrail,
-		fpr:          *adaptFPR,
-		canaryFrac:   *canaryFrac,
-		canaryMin:    *canaryMin,
-	}
-	if err := run(cfg); err != nil {
+	acfg.Drift.Unknown.Window = acfg.Drift.KS.Window
+	if err := run(scfg, monitorPath, adapt, acfg, ccfg); err != nil {
 		fmt.Fprintln(os.Stderr, "misused:", err)
 		os.Exit(1)
 	}
 }
 
-// daemonConfig carries the parsed flags.
-type daemonConfig struct {
-	modelDir, listen, monitorPath string
-	idle                          time.Duration
-	compactAfter, alarmTimeout    time.Duration
-	maxSessions                   int
-	memBudget                     int64
-	shards, queue                 int
-	adapt                         bool
-	adaptRoot                     string
-	minSessions, window           int
-	sensitivity, guardrail, fpr   float64
-	canaryFrac                    float64
-	canaryMin                     int
-}
-
-func run(cfg daemonConfig) error {
-	// Integrity gate before any weight is decoded: a torn, truncated, or
-	// tampered model directory is refused at startup exactly like at
-	// reload. Directories saved before checksums existed load with a
-	// warning (migration path).
-	rep, err := rollout.Verify(cfg.modelDir)
-	if err != nil {
+// run loads and verifies the model, wires the optional canary controller
+// (ccfg.Fraction > 0) and adaptation pipeline (adapt) into scfg, and
+// serves until SIGINT or SIGTERM.
+func run(scfg ServerConfig, monitorPath string, adapt bool, acfg pipeline.Config, ccfg rollout.Config) error {
+	// Integrity gate before any weight is decoded: a torn, truncated,
+	// tampered, or checksum-less model directory is refused at startup
+	// exactly like at reload.
+	if _, err := rollout.Verify(scfg.ModelDir); err != nil {
 		return fmt.Errorf("verify model: %w", err)
 	}
-	if rep.Legacy {
-		fmt.Printf("warning: model directory %s predates artifact checksums; loading unverified (re-save the model to add them)\n", cfg.modelDir)
-	}
-	det, err := core.LoadDetector(cfg.modelDir)
+	det, err := core.LoadDetector(scfg.ModelDir)
 	if err != nil {
 		return fmt.Errorf("load model: %w", err)
 	}
 	monitor := core.DefaultMonitorConfig()
-	if cfg.monitorPath != "" {
-		if monitor, err = core.LoadMonitorConfig(cfg.monitorPath); err != nil {
+	if monitorPath != "" {
+		if monitor, err = core.LoadMonitorConfig(monitorPath); err != nil {
 			return fmt.Errorf("load monitor thresholds: %w", err)
 		}
 		fmt.Printf("loaded calibrated thresholds from %s (global floor %.5f, %d cluster floors)\n",
-			cfg.monitorPath, monitor.LikelihoodFloor, len(monitor.ClusterFloors))
+			monitorPath, monitor.LikelihoodFloor, len(monitor.ClusterFloors))
 	}
 	logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 	reg, err := core.NewRegistry(det)
 	if err != nil {
 		return err
 	}
-	scfg := ServerConfig{
-		Listen:           cfg.listen,
-		ModelDir:         cfg.modelDir,
-		IdleExpiry:       cfg.idle,
-		CompactAfter:     cfg.compactAfter,
-		MaxSessions:      cfg.maxSessions,
-		MemBudget:        cfg.memBudget,
-		AlarmSendTimeout: cfg.alarmTimeout,
-		Shards:           cfg.shards,
-		QueueDepth:       cfg.queue,
-		Monitor:          monitor,
-		Registry:         reg,
-		Logf:             logf,
-	}
+	scfg.Engine.Monitor = monitor
+	scfg.Engine.Logf = logf
+	scfg.Registry = reg
 	var canary *rollout.Controller
-	if cfg.canaryFrac > 0 {
-		canary, err = rollout.NewController(reg, rollout.Config{
-			Fraction:    cfg.canaryFrac,
-			MinSessions: cfg.canaryMin,
-			Logf:        logf,
-		})
-		if err != nil {
+	if ccfg.Fraction > 0 {
+		ccfg.Logf = logf
+		if canary, err = rollout.NewController(reg, ccfg); err != nil {
 			return fmt.Errorf("start canary controller: %w", err)
 		}
 		scfg.Canary = canary
-		scfg.OnSessionEnd = canary.OnSessionEnd
+		scfg.Engine.OnSessionEnd = canary.OnSessionEnd
 	}
-	if cfg.adapt {
-		dcfg := drift.DefaultConfig()
-		dcfg.PageHinkley.Lambda = cfg.sensitivity
-		dcfg.KS.Window = cfg.window
-		dcfg.Unknown.Window = cfg.window
-		adapter, err := pipeline.New(reg, pipeline.Config{
-			Drift:          dcfg,
-			Monitor:        monitor,
-			MinSessions:    cfg.minSessions,
-			GuardrailDelta: cfg.guardrail,
-			FPRBudget:      cfg.fpr,
-			ModelRoot:      cfg.adaptRoot,
-			AutoCycle:      true,
-			Canary:         canary,
-			Logf:           logf,
-		})
+	if adapt {
+		acfg.Monitor, acfg.Canary, acfg.Logf = monitor, canary, logf
+		adapter, err := pipeline.New(reg, acfg)
 		if err != nil {
 			return fmt.Errorf("start adaptation pipeline: %w", err)
 		}
 		scfg.Adapter = adapter
-		scfg.RecordSessions = true
+		scfg.Engine.RecordSessions = true
 		if canary != nil {
 			// Both consumers feed off every finished session: the rollout
 			// comparator first (cheap counters), then the drift/retrain
 			// pipeline.
-			scfg.OnSessionEnd = func(sum core.SessionSummary) {
+			scfg.Engine.OnSessionEnd = func(sum core.SessionSummary) {
 				canary.OnSessionEnd(sum)
 				adapter.OnSessionEnd(sum)
 			}
 		} else {
-			scfg.OnSessionEnd = adapter.OnSessionEnd
+			scfg.Engine.OnSessionEnd = adapter.OnSessionEnd
 		}
 	}
 	srv, err := NewServer(det, scfg)
@@ -262,6 +201,6 @@ func run(cfg daemonConfig) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Printf("misused listening on %s (model %s, backend %s, %d clusters, %d shards, adapt %v)\n",
-		srv.Addr(), cfg.modelDir, det.Backend(), det.ClusterCount(), srv.Stats().Shards, cfg.adapt)
+		srv.Addr(), scfg.ModelDir, det.Backend(), det.ClusterCount(), srv.Stats().Shards, adapt)
 	return srv.Serve(ctx)
 }

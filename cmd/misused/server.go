@@ -22,29 +22,10 @@ type ServerConfig struct {
 	// ModelDir is the model directory re-read by the {"cmd":"reload"}
 	// control command; empty disables reload.
 	ModelDir string
-	// IdleExpiry evicts session monitors that have not seen an event
-	// for this long.
-	IdleExpiry time.Duration
-	// CompactAfter collapses sessions idle this long into small
-	// snapshots (0 disables compaction); see core.EngineConfig.
-	CompactAfter time.Duration
-	// MaxSessions caps resident sessions; 0 = uncapped. Events for new
-	// sessions past the cap are shed and counted.
-	MaxSessions int
-	// MemBudget bounds the engine's accounted session memory in bytes;
-	// 0 = unbounded. Past it, new sessions are refused and the
-	// oldest-idle resident sessions are evicted.
-	MemBudget int64
-	// AlarmSendTimeout bounds how long a scoring shard waits on a slow
-	// alarm consumer before dropping the alarm (counted in AlarmsShed);
-	// 0 keeps the lossless blocking send.
-	AlarmSendTimeout time.Duration
-	// Shards is the scoring-engine shard count (0 = engine default).
-	Shards int
-	// QueueDepth is the per-shard event buffer (0 = engine default).
-	QueueDepth int
-	// Monitor is the per-session alarm configuration.
-	Monitor core.MonitorConfig
+	// Engine configures the scoring engine. Its IdleExpiry must be
+	// positive: a daemon never keeps sessions forever. Engine.Logf also
+	// receives the daemon's own operational log lines.
+	Engine core.EngineConfig
 	// Registry optionally supplies the model registry the engine reads
 	// (the detector argument of NewServer is then ignored); nil wraps
 	// the detector in a fresh single-generation registry. The adaptation
@@ -60,12 +41,6 @@ type ServerConfig struct {
 	// "canary-promote", and "canary-rollback" control commands inspect
 	// and decide the pending rollout. Nil keeps the direct-swap reload.
 	Canary *rollout.Controller
-	// OnSessionEnd and RecordSessions are passed through to the engine
-	// (the adapter's feed).
-	OnSessionEnd   func(core.SessionSummary)
-	RecordSessions bool
-	// Logf receives operational log lines; nil silences them.
-	Logf func(format string, args ...any)
 }
 
 // writeTimeout bounds every outbound write so a client that stops
@@ -98,9 +73,6 @@ type ReloadStatus struct {
 	Clusters int     `json:"clusters"`
 	Canary   bool    `json:"canary,omitempty"`
 	Fraction float64 `json:"fraction,omitempty"`
-	// Legacy warns that the directory predates artifact checksums and
-	// loaded unverified.
-	Legacy bool `json:"legacy,omitempty"`
 }
 
 // CanaryReply is the JSON line written back for a canary-status request.
@@ -287,28 +259,15 @@ type Server struct {
 
 // NewServer binds the listen address and starts the scoring engine.
 func NewServer(det *core.Detector, cfg ServerConfig) (*Server, error) {
-	if cfg.IdleExpiry <= 0 {
-		return nil, fmt.Errorf("misused: IdleExpiry must be positive, got %v", cfg.IdleExpiry)
-	}
-	ecfg := core.EngineConfig{
-		Shards:           cfg.Shards,
-		QueueDepth:       cfg.QueueDepth,
-		IdleExpiry:       cfg.IdleExpiry,
-		CompactAfter:     cfg.CompactAfter,
-		MaxSessions:      cfg.MaxSessions,
-		MemBudget:        cfg.MemBudget,
-		AlarmSendTimeout: cfg.AlarmSendTimeout,
-		Monitor:          cfg.Monitor,
-		OnSessionEnd:     cfg.OnSessionEnd,
-		RecordSessions:   cfg.RecordSessions,
-		Logf:             cfg.Logf,
+	if cfg.Engine.IdleExpiry <= 0 {
+		return nil, fmt.Errorf("misused: IdleExpiry must be positive, got %v", cfg.Engine.IdleExpiry)
 	}
 	var engine *core.Engine
 	var err error
 	if cfg.Registry != nil {
-		engine, err = core.NewEngineRegistry(cfg.Registry, ecfg)
+		engine, err = core.NewEngineRegistry(cfg.Registry, cfg.Engine)
 	} else {
-		engine, err = core.NewEngine(det, ecfg)
+		engine, err = core.NewEngine(det, cfg.Engine)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("misused: start engine: %w", err)
@@ -326,9 +285,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Stats snapshots the scoring-engine counters.
 func (s *Server) Stats() core.EngineStats { return s.engine.Stats() }
-
-// SessionCount reports the number of live session monitors.
-func (s *Server) SessionCount() int { return int(s.engine.Stats().SessionsLive) }
 
 // Serve accepts connections until the context is canceled, then closes
 // the listener, waits for every connection handler to finish, and drains
@@ -365,8 +321,8 @@ func (s *Server) Serve(ctx context.Context) error {
 }
 
 func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
+	if s.cfg.Engine.Logf != nil {
+		s.cfg.Engine.Logf(format, args...)
 	}
 }
 
@@ -528,17 +484,13 @@ func (s *Server) handleReload(enc *json.Encoder, writeMu *sync.Mutex, conn net.C
 		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: "reload unavailable: server started without a model directory"})
 		return
 	}
-	rep, err := rollout.Verify(s.cfg.ModelDir)
-	if err != nil {
+	if _, err := rollout.Verify(s.cfg.ModelDir); err != nil {
 		s.logf("reload %s: %v", s.cfg.ModelDir, err)
 		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: fmt.Sprintf("reload: %v", err)})
 		return
 	}
-	if rep.Legacy {
-		s.logf("reload %s: manifest predates artifact checksums; loading unverified (re-save the model to add them)", s.cfg.ModelDir)
-	}
 	if s.cfg.Canary != nil {
-		s.handleCanaryReload(enc, writeMu, conn, rep.Legacy)
+		s.handleCanaryReload(enc, writeMu, conn)
 		return
 	}
 	mv, err := s.engine.Registry().LoadFrom(s.cfg.ModelDir)
@@ -553,14 +505,13 @@ func (s *Server) handleReload(enc *json.Encoder, writeMu *sync.Mutex, conn net.C
 		Version:  mv.Version,
 		Backend:  mv.Det.Backend(),
 		Clusters: mv.Det.ClusterCount(),
-		Legacy:   rep.Legacy,
 	}})
 }
 
 // handleCanaryReload publishes the model directory as the canary
 // candidate: a fraction of new sessions pins to it while the comparator
 // gathers evidence; promotion (or quarantine) comes later.
-func (s *Server) handleCanaryReload(enc *json.Encoder, writeMu *sync.Mutex, conn net.Conn, legacy bool) {
+func (s *Server) handleCanaryReload(enc *json.Encoder, writeMu *sync.Mutex, conn net.Conn) {
 	det, monitor, err := core.LoadGeneration(s.cfg.ModelDir)
 	if err != nil {
 		s.logf("reload %s: %v", s.cfg.ModelDir, err)
@@ -579,7 +530,6 @@ func (s *Server) handleCanaryReload(enc *json.Encoder, writeMu *sync.Mutex, conn
 		Clusters: mv.Det.ClusterCount(),
 		Canary:   true,
 		Fraction: s.cfg.Canary.Fraction(),
-		Legacy:   legacy,
 	}})
 }
 

@@ -76,13 +76,13 @@ func startServer(t *testing.T, srv *Server) func() {
 
 func TestServerConfigValidation(t *testing.T) {
 	det, _ := tinyDetector(t)
-	if _, err := NewServer(det, ServerConfig{Listen: "127.0.0.1:0", IdleExpiry: 0}); err == nil {
+	if _, err := NewServer(det, ServerConfig{Listen: "127.0.0.1:0"}); err == nil {
 		t.Fatal("zero IdleExpiry must fail")
 	}
-	if _, err := NewServer(det, ServerConfig{Listen: "256.0.0.1:bad", IdleExpiry: time.Minute}); err == nil {
+	if _, err := NewServer(det, ServerConfig{Listen: "256.0.0.1:bad", Engine: core.EngineConfig{IdleExpiry: time.Minute}}); err == nil {
 		t.Fatal("bad listen address must fail")
 	}
-	if _, err := NewServer(det, ServerConfig{Listen: "127.0.0.1:0", IdleExpiry: time.Minute, Shards: -3}); err == nil {
+	if _, err := NewServer(det, ServerConfig{Listen: "127.0.0.1:0", Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: -3}}); err == nil {
 		t.Fatal("negative shard count must fail")
 	}
 }
@@ -90,10 +90,8 @@ func TestServerConfigValidation(t *testing.T) {
 func TestServerDetectsAnomalousStream(t *testing.T) {
 	det, sessions := tinyDetector(t)
 	srv, err := NewServer(det, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		IdleExpiry: time.Minute,
-		Shards:     3,
-		Monitor:    core.DefaultMonitorConfig(),
+		Listen: "127.0.0.1:0",
+		Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: 3, Monitor: core.DefaultMonitorConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +152,9 @@ func TestServerDetectsAnomalousStream(t *testing.T) {
 	// Both sessions live in the engine once their events are scored; the
 	// normal session's shard may still be draining, so poll.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.SessionCount() != 2 {
+	for srv.Stats().SessionsLive != 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("server tracks %d sessions, want 2", srv.SessionCount())
+			t.Fatalf("server tracks %d sessions, want 2", srv.Stats().SessionsLive)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -165,9 +163,8 @@ func TestServerDetectsAnomalousStream(t *testing.T) {
 func TestServerIgnoresMalformedEvents(t *testing.T) {
 	det, _ := tinyDetector(t)
 	srv, err := NewServer(det, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		IdleExpiry: time.Minute,
-		Monitor:    core.DefaultMonitorConfig(),
+		Listen: "127.0.0.1:0",
+		Engine: core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +187,7 @@ func TestServerIgnoresMalformedEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.SessionCount() == 0 {
+	for srv.Stats().SessionsLive == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("valid event after garbage was not processed")
 		}
@@ -201,9 +198,8 @@ func TestServerIgnoresMalformedEvents(t *testing.T) {
 func TestServerExpiresIdleSessions(t *testing.T) {
 	det, _ := tinyDetector(t)
 	srv, err := NewServer(det, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		IdleExpiry: 20 * time.Millisecond,
-		Monitor:    core.DefaultMonitorConfig(),
+		Listen: "127.0.0.1:0",
+		Engine: core.EngineConfig{IdleExpiry: 20 * time.Millisecond, Monitor: core.DefaultMonitorConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +218,7 @@ func TestServerExpiresIdleSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.SessionCount() != 1 {
+	for srv.Stats().SessionsLive != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("session never tracked")
 		}
@@ -273,11 +269,9 @@ func TestServerNGramBackendEndToEnd(t *testing.T) {
 	}
 
 	srv, err := NewServer(loaded, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		ModelDir:   dir,
-		IdleExpiry: time.Minute,
-		Shards:     3,
-		Monitor:    core.DefaultMonitorConfig(),
+		Listen:   "127.0.0.1:0",
+		ModelDir: dir,
+		Engine:   core.EngineConfig{IdleExpiry: time.Minute, Shards: 3, Monitor: core.DefaultMonitorConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,10 +325,9 @@ func TestServerReloadCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(det, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		ModelDir:   dir,
-		IdleExpiry: time.Minute,
-		Monitor:    core.DefaultMonitorConfig(),
+		Listen:   "127.0.0.1:0",
+		ModelDir: dir,
+		Engine:   core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -379,9 +372,8 @@ func TestServerReloadCommand(t *testing.T) {
 func TestServerCommandErrors(t *testing.T) {
 	det, _ := tinyDetector(t)
 	srv, err := NewServer(det, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		IdleExpiry: time.Minute,
-		Monitor:    core.DefaultMonitorConfig(),
+		Listen: "127.0.0.1:0",
+		Engine: core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -418,10 +410,8 @@ func TestServerCommandErrors(t *testing.T) {
 func TestServerStatusCommand(t *testing.T) {
 	det, _ := tinyDetector(t)
 	srv, err := NewServer(det, ServerConfig{
-		Listen:     "127.0.0.1:0",
-		IdleExpiry: time.Minute,
-		Shards:     2,
-		Monitor:    core.DefaultMonitorConfig(),
+		Listen: "127.0.0.1:0",
+		Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: 2, Monitor: core.DefaultMonitorConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)

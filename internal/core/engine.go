@@ -181,16 +181,6 @@ func (s *SessionSummary) Session() *actionlog.Session {
 	}
 }
 
-// DefaultEngineConfig returns production-leaning engine settings.
-func DefaultEngineConfig() EngineConfig {
-	return EngineConfig{
-		Shards:     4,
-		QueueDepth: 256,
-		IdleExpiry: 30 * time.Minute,
-		Monitor:    DefaultMonitorConfig(),
-	}
-}
-
 func (c *EngineConfig) setDefaults() {
 	if c.Shards == 0 {
 		c.Shards = 4
@@ -263,8 +253,10 @@ type EngineStats struct {
 	EventsSubmitted uint64 `json:"events_submitted"`
 	EventsProcessed uint64 `json:"events_processed"`
 	EventsInFlight  uint64 `json:"events_in_flight"`
-	// BatchesSubmitted counts SubmitBatch/SubmitTokens shard enqueues:
-	// EventsSubmitted over it is the realized amortization factor.
+	// BatchesSubmitted counts every shard enqueue of events (every event
+	// enters a shard inside a batch, so a one-event line or Submit call
+	// counts one): EventsSubmitted over it is the realized amortization
+	// factor.
 	BatchesSubmitted uint64 `json:"batches_submitted"`
 	// InternedActions is the size of the edge interner's pool;
 	// LearnedActions is how many of those were learned from live traffic
@@ -335,19 +327,10 @@ type tokEvent struct {
 	tok       int32
 }
 
-// unknownAction returns the action name to carry for a token the
-// interner could not issue, and "" otherwise (the hot path never
-// retains the string).
-func unknownAction(tok int32, action string) string {
-	if tok < 0 {
-		return action
-	}
-	return ""
-}
-
 // eventBatch is one pooled unit of batched shard work: all events were
-// submitted in one SubmitBatch/SubmitTokens call and hash to the same
-// shard, so the shard pays a single channel receive for all of them.
+// submitted in one submission call and hash to the same shard, so the
+// shard pays a single channel receive for all of them; sink is the
+// alarm sink they were submitted with.
 type eventBatch struct {
 	evs  []tokEvent
 	sink chan<- Alarm
@@ -372,22 +355,12 @@ func releaseBatch(b *eventBatch) {
 	batchPool.Put(b)
 }
 
-// shardMsg is one unit of shard work: a single event, a batch of events,
-// or a control message — detach non-nil asks the shard to forget a sink,
-// flush asks it to evict every live session now, compact asks it to
-// collapse every eligible idle session, and examined non-nil asks it to
-// run one maintenance sweep as of sweepAt and report how many sessions
-// it examined (the amortization probe used by tests).
+// shardMsg is one unit of shard work: exactly one of batch (events to
+// stage) and ctl (a control func run on the shard goroutine, see
+// Engine.broadcast) is set.
 type shardMsg struct {
-	ev       tokEvent
-	sink     chan<- Alarm
-	batch    *eventBatch
-	detach   chan<- Alarm
-	flush    bool
-	compact  bool
-	sweepAt  time.Time
-	examined chan<- int
-	ack      chan<- struct{}
+	batch *eventBatch
+	ctl   func(*engineShard)
 }
 
 // remapTable translates interner tokens into one model generation's
@@ -582,7 +555,9 @@ type engineShard struct {
 // carry int32 tokens, and each shard remaps tokens to its sessions'
 // pinned model-generation vocabularies through cached index tables —
 // after the edge, an event is one interned int moving through a batched
-// queue.
+// queue. Every event enters its shard inside a batch (Submit is a batch
+// of one); everything else a shard does on request arrives as a control
+// func on the same queue.
 //
 // Ordering guarantees: events of one session are scored in submission
 // order (one session maps to one shard, and a shard consumes its queue
@@ -596,9 +571,10 @@ type Engine struct {
 	shards   []*engineShard
 	wg       sync.WaitGroup
 
-	// mu guards closed against Submit/Close races: Submit holds the read
-	// lock across its channel send, Close flips closed under the write
-	// lock, so no send can land on a closed channel.
+	// mu guards closed against send/Close races: submitters and
+	// broadcast hold the read lock across their channel sends, Close
+	// flips closed under the write lock, so no send can land on a closed
+	// channel.
 	mu     sync.RWMutex
 	closed bool
 
@@ -671,9 +647,6 @@ func NewEngineRegistry(reg *Registry, cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// Config returns the engine configuration (with defaults applied).
-func (e *Engine) Config() EngineConfig { return e.cfg }
-
 // Registry returns the engine's model registry.
 func (e *Engine) Registry() *Registry { return e.reg }
 
@@ -725,59 +698,26 @@ func (e *Engine) shardIndex(sessionID string) int {
 	return int(h) % len(e.shards)
 }
 
-// Submit routes one event to its session's shard, interning the action
-// name at this edge. It blocks when the shard's queue is full
-// (bounded-channel backpressure) until the queue drains, the context is
-// canceled, or the engine is closed. In streaming mode alarms raised by
-// the event are sent to sink (a nil sink counts alarms without delivering
-// them); the session's sink is updated on every event, so the latest
-// submitting connection receives the alarms.
-//
-// Sink contract: alarm sends block, so the caller must keep draining a
-// non-nil sink until Detach(sink) has returned — abandoning it can stall
-// the session's shard and everything queued behind it.
+// Submit submits one event: a SubmitBatch of one.
 func (e *Engine) Submit(ctx context.Context, ev actionlog.Event, sink chan<- Alarm) error {
-	if ev.SessionID == "" || ev.Action == "" {
-		return fmt.Errorf("core: engine: event missing session_id or action")
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return fmt.Errorf("core: engine: closed")
-	}
-	return e.sendOne(ctx, &ev, e.interner.Intern(ev.Action), sink)
-}
-
-// sendOne enqueues one tokenized event on its shard. The caller holds
-// the closed-guard read lock.
-func (e *Engine) sendOne(ctx context.Context, ev *actionlog.Event, tok int32, sink chan<- Alarm) error {
-	msg := shardMsg{
-		ev: tokEvent{
-			seq:       e.seq.Add(1),
-			time:      ev.Time,
-			sessionID: ev.SessionID,
-			user:      ev.User,
-			action:    unknownAction(tok, ev.Action),
-			tok:       tok,
-		},
-		sink: sink,
-	}
-	select {
-	case e.shards[e.shardIndex(ev.SessionID)].in <- msg:
-		e.submitted.Add(1)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return e.SubmitBatch(ctx, []actionlog.Event{ev}, sink)
 }
 
 // SubmitBatch interns and submits a batch of events in one pass: events
 // are grouped by owning shard into pooled batches, and each shard pays a
 // single channel receive for its whole group. Per-session submission
-// order is preserved. A full shard queue blocks (the same backpressure
-// contract as Submit); on context cancellation a prefix of the batch may
+// order is preserved. A full shard queue blocks (bounded-channel
+// backpressure) until the queue drains, the context is canceled, or the
+// engine is closed; on context cancellation a prefix of the batch may
 // already have been submitted — the error reports how many events were
-// not.
+// not. In streaming mode alarms raised by the events are sent to sink (a
+// nil sink counts alarms without delivering them); a session's sink is
+// updated on every event, so the latest submitting connection receives
+// the alarms.
+//
+// Sink contract: alarm sends block, so the caller must keep draining a
+// non-nil sink until Detach(sink) has returned — abandoning it can stall
+// the session's shard and everything queued behind it.
 func (e *Engine) SubmitBatch(ctx context.Context, evs []actionlog.Event, sink chan<- Alarm) error {
 	for i := range evs {
 		if evs[i].SessionID == "" || evs[i].Action == "" {
@@ -816,14 +756,6 @@ func (e *Engine) submitTokenized(ctx context.Context, n int, at func(int) (*acti
 	if e.closed {
 		return fmt.Errorf("core: engine: closed")
 	}
-	if n == 1 {
-		// Single-event fast path: no pooled batch, one inline message.
-		ev, tok := at(0)
-		if err := e.sendOne(ctx, ev, tok, sink); err != nil {
-			return fmt.Errorf("core: engine: batch submit: 1 of 1 events not submitted: %w", err)
-		}
-		return nil
-	}
 	batches := make([]*eventBatch, len(e.shards))
 	for i := 0; i < n; i++ {
 		ev, tok := at(i)
@@ -833,14 +765,13 @@ func (e *Engine) submitTokenized(ctx context.Context, n int, at func(int) (*acti
 			b = newEventBatch(sink)
 			batches[si] = b
 		}
-		b.evs = append(b.evs, tokEvent{
-			seq:       e.seq.Add(1),
-			time:      ev.Time,
-			sessionID: ev.SessionID,
-			user:      ev.User,
-			action:    unknownAction(tok, ev.Action),
-			tok:       tok,
-		})
+		te := tokEvent{seq: e.seq.Add(1), time: ev.Time, sessionID: ev.SessionID, user: ev.User, tok: tok}
+		if tok < 0 {
+			// Only an event the interner could not tokenize keeps its
+			// action name (see tokEvent).
+			te.action = ev.Action
+		}
+		b.evs = append(b.evs, te)
 	}
 	dropped := 0
 	var cause error
@@ -872,100 +803,70 @@ func (e *Engine) submitTokenized(ctx context.Context, n int, at func(int) (*acti
 	return nil
 }
 
-// Detach tells every shard to forget the given sink and blocks until all
-// shards have acknowledged. Because each shard consumes its queue FIFO,
-// every event submitted with that sink before the Detach has been scored
-// by the time Detach returns: afterwards the engine never sends to the
-// sink again and the caller may close it. The caller must keep draining
-// the sink until Detach returns — a shard blocked sending to an
-// abandoned sink can never reach the detach control message.
-func (e *Engine) Detach(sink chan<- Alarm) {
+// broadcast enqueues fn behind everything already queued on every shard
+// and blocks until every shard has run it; each shard flushes its staged
+// wave first, so every event submitted before the broadcast is fully
+// scored when fn runs. Once the engine is closing the shard queues may
+// already be closed, so fn is not run: broadcast waits for the shards to
+// finish draining instead — they end every session on the way out, and
+// afterwards nothing can send to any sink.
+func (e *Engine) broadcast(fn func(*engineShard)) {
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
-		// Closing: the shard queues may already be closed, so the
-		// control message cannot be enqueued. Wait for the shards to
-		// finish draining instead — afterwards nothing can send to the
-		// sink either, which preserves Detach's contract.
 		e.wg.Wait()
 		return
 	}
 	ack := make(chan struct{}, len(e.shards))
+	ctl := func(s *engineShard) {
+		fn(s)
+		ack <- struct{}{}
+	}
 	for _, sh := range e.shards {
-		sh.in <- shardMsg{detach: sink, ack: ack}
+		sh.in <- shardMsg{ctl: ctl}
 	}
 	e.mu.RUnlock()
 	for range e.shards {
 		<-ack
 	}
+}
+
+// Detach tells every shard to forget the given sink and blocks until all
+// shards have done so. Every event submitted with that sink before the
+// Detach has been scored by the time Detach returns: afterwards the
+// engine never sends to the sink again and the caller may close it. The
+// caller must keep draining the sink until Detach returns — a shard
+// blocked sending to an abandoned sink can never reach the detach.
+func (e *Engine) Detach(sink chan<- Alarm) {
+	e.broadcast(func(s *engineShard) {
+		for _, sess := range s.sessions {
+			if sess.sink == sink {
+				sess.sink = nil
+			}
+		}
+	})
 }
 
 // Flush ends every live session on every shard now — emitting a
-// SessionSummary per session when the hook is set — and blocks until all
-// shards have done so. Because shards consume FIFO, every event submitted
-// before the Flush is scored first. Replay-style adaptation (and tests)
-// use it where production serving relies on idle eviction.
-func (e *Engine) Flush() {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		// Closing already ends every session; wait for that instead.
-		e.wg.Wait()
-		return
-	}
-	ack := make(chan struct{}, len(e.shards))
-	for _, sh := range e.shards {
-		sh.in <- shardMsg{flush: true, ack: ack}
-	}
-	e.mu.RUnlock()
-	for range e.shards {
-		<-ack
-	}
-}
+// SessionSummary per session when the hook is set — after scoring every
+// event submitted before it. Replay-style adaptation (and tests) use it
+// where production serving relies on idle eviction.
+func (e *Engine) Flush() { e.broadcast((*engineShard).evictAll) }
 
 // Compact collapses every eligible idle session on every shard into its
-// dormant snapshot now, without waiting for CompactAfter, and blocks
-// until all shards have done so. Sessions still inside their routing
-// vote (and backends without compaction support) stay live. Because
-// shards consume FIFO, every event submitted before the Compact is
-// scored first; the memory census tests use this to measure resting
-// memory deterministically.
-func (e *Engine) Compact() {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		e.wg.Wait()
-		return
-	}
-	ack := make(chan struct{}, len(e.shards))
-	for _, sh := range e.shards {
-		sh.in <- shardMsg{compact: true, ack: ack}
-	}
-	e.mu.RUnlock()
-	for range e.shards {
-		<-ack
-	}
-}
+// dormant snapshot now, without waiting for CompactAfter, after scoring
+// every event submitted before it. Sessions still inside their routing
+// vote (and backends without compaction support) stay live; the memory
+// census tests use this to measure resting memory deterministically.
+func (e *Engine) Compact() { e.broadcast((*engineShard).compactAll) }
 
 // sweepNow runs one maintenance sweep on every shard as of now and
 // returns the total number of sessions the sweeps examined — the
 // amortization probe the eviction tests pin against.
 func (e *Engine) sweepNow(now time.Time) int {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return 0
-	}
-	out := make(chan int, len(e.shards))
-	for _, sh := range e.shards {
-		sh.in <- shardMsg{sweepAt: now, examined: out}
-	}
-	e.mu.RUnlock()
-	total := 0
-	for range e.shards {
-		total += <-out
-	}
-	return total
+	var total atomic.Int64
+	e.broadcast(func(s *engineShard) { total.Add(int64(s.sweep(now))) })
+	return int(total.Load())
 }
 
 // Stats snapshots the engine counters.
@@ -1130,7 +1031,7 @@ func (s *engineShard) run() {
 					s.evictAll()
 					return
 				}
-				s.dispatch(msg)
+				s.step(msg)
 				if burst >= drainBurst {
 					break
 				}
@@ -1142,47 +1043,28 @@ func (s *engineShard) run() {
 				break
 			}
 			s.flushWave()
-		case <-tick:
-			s.sweep(time.Now())
+		case now := <-tick:
+			s.sweep(now)
 		}
 	}
 }
 
-// dispatch routes one queue message: control, batch, or single event.
-// Control messages flush the staged wave first, so the FIFO contract of
-// Detach and Flush (everything submitted before them is fully scored)
-// holds with staging in play. Event batches are released as soon as
-// their events are staged — staging copies each tokEvent by value.
-func (s *engineShard) dispatch(msg shardMsg) {
-	switch {
-	case msg.detach != nil:
+// step handles one queue message. A control func runs only after the
+// staged wave is flushed, so the FIFO contract of broadcast (everything
+// submitted before it is fully scored) holds with staging in play. An
+// event batch is released as soon as its events are staged — staging
+// copies each tokEvent by value.
+func (s *engineShard) step(msg shardMsg) {
+	if msg.ctl != nil {
 		s.flushWave()
-		for _, sess := range s.sessions {
-			if sess.sink == msg.detach {
-				sess.sink = nil
-			}
-		}
-		msg.ack <- struct{}{}
-	case msg.flush:
-		s.flushWave()
-		s.evictAll()
-		msg.ack <- struct{}{}
-	case msg.compact:
-		s.flushWave()
-		s.compactAll()
-		msg.ack <- struct{}{}
-	case msg.examined != nil:
-		s.flushWave()
-		msg.examined <- s.sweep(msg.sweepAt)
-	case msg.batch != nil:
-		now := time.Now()
-		for i := range msg.batch.evs {
-			s.stageEvent(&msg.batch.evs[i], msg.batch.sink, now)
-		}
-		releaseBatch(msg.batch)
-	default:
-		s.stageEvent(&msg.ev, msg.sink, time.Now())
+		msg.ctl(s)
+		return
 	}
+	now := time.Now()
+	for i := range msg.batch.evs {
+		s.stageEvent(&msg.batch.evs[i], msg.batch.sink, now)
+	}
+	releaseBatch(msg.batch)
 }
 
 // maxShardRemaps caps a shard's remap cache; crossing it triggers a

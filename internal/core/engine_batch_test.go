@@ -85,9 +85,14 @@ func TestEngineBatchSingleEquivalenceProperty(t *testing.T) {
 			}
 		}
 		refAlarms, err := ref.DrainAlarms(ctx)
+		refStats := ref.Stats()
 		ref.Close()
 		if err != nil {
 			t.Fatal(err)
+		}
+		// One way into a shard: every per-event Submit is a batch of one.
+		if refStats.BatchesSubmitted != refStats.EventsSubmitted {
+			t.Fatalf("%s: per-event path counted %d batches for %d events", b.name, refStats.BatchesSubmitted, refStats.EventsSubmitted)
 		}
 		if len(refAlarms) == 0 {
 			t.Fatalf("%s: reference path raised no alarms; the property would be vacuous", b.name)

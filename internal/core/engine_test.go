@@ -181,12 +181,9 @@ func TestEngineAlarmsFlagAnomalies(t *testing.T) {
 // idle-eviction clock.
 func TestEngineStatsAndEviction(t *testing.T) {
 	det := corpusDetector(t)
-	// IdleExpiry must comfortably exceed the submit+drain phase (which
-	// is slow under -race), or sessions get evicted before the
-	// live-session assertion.
 	eng, err := NewEngine(det, EngineConfig{
 		Shards:     2,
-		IdleExpiry: 500 * time.Millisecond,
+		IdleExpiry: time.Hour,
 		Monitor:    DefaultMonitorConfig(),
 	})
 	if err != nil {
@@ -222,16 +219,11 @@ func TestEngineStatsAndEviction(t *testing.T) {
 	if st.Shards != 2 {
 		t.Fatalf("shards = %d, want 2", st.Shards)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st = eng.Stats()
-		if st.SessionsLive == 0 && st.Evictions == uint64(len(sessions)) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("idle sessions not evicted: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// A sweep as of two hours from now finds every session idle past
+	// the hour.
+	eng.sweepNow(time.Now().Add(2 * time.Hour))
+	if st = eng.Stats(); st.SessionsLive != 0 || st.Evictions != uint64(len(sessions)) {
+		t.Fatalf("idle sessions not evicted: %+v", st)
 	}
 }
 

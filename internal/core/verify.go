@@ -23,20 +23,16 @@ type VerifyReport struct {
 	// their summed size.
 	Files      int   `json:"files"`
 	TotalBytes int64 `json:"total_bytes"`
-	// Legacy marks a manifest written before per-file checksums
-	// existed: nothing could be verified. Callers should log a warning
-	// and may proceed (migration path for pre-checksum model dirs).
-	Legacy bool `json:"legacy,omitempty"`
 }
 
 // VerifyArtifact checks a saved model directory against the checksums
 // its manifest carries: every listed file must exist, the sizes must
 // sum to the manifest's total, and every SHA-256 digest must match.
-// A torn write, a truncated file, or a tampered byte all fail with an
-// error naming the file and the mismatch; only a manifest predating
-// checksums passes unverified (Report.Legacy). Registry.LoadFrom, the
-// daemon's reload, and the adaptation pipeline all run this before
-// touching weights; rollout.Verify is the public wrapper.
+// A torn write, a truncated file, a tampered byte, or a manifest with no
+// checksums at all fails with an error naming the problem.
+// Registry.LoadFrom, the daemon's reload, and the adaptation pipeline
+// all run this before touching weights; rollout.Verify is the public
+// wrapper.
 func VerifyArtifact(dir string) (*VerifyReport, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -50,11 +46,10 @@ func VerifyArtifact(dir string) (*VerifyReport, error) {
 		return nil, fmt.Errorf("core: verify %s: manifest has format version %d; this build reads version %d",
 			dir, man.FormatVersion, storeFormatVersion)
 	}
-	rep := &VerifyReport{FormatVersion: man.FormatVersion, Backend: man.Backend}
 	if len(man.Checksums) == 0 {
-		rep.Legacy = true
-		return rep, nil
+		return nil, fmt.Errorf("core: verify %s: manifest carries no checksums; re-save the model", dir)
 	}
+	rep := &VerifyReport{FormatVersion: man.FormatVersion, Backend: man.Backend}
 	// Deterministic file order so repeated failures report the same
 	// file first.
 	names := make([]string, 0, len(man.Checksums))

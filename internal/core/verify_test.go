@@ -18,9 +18,6 @@ func TestVerifyArtifactHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Legacy {
-		t.Fatal("fresh save reported as legacy manifest")
-	}
 	// Two clusters, a router and a model envelope each.
 	if rep.Files != 4 || rep.TotalBytes <= 0 {
 		t.Fatalf("verify report = %+v, want 4 files and positive size", rep)
@@ -30,36 +27,13 @@ func TestVerifyArtifactHappyPath(t *testing.T) {
 	}
 }
 
-func TestVerifyArtifactLegacyManifest(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "model")
-	saveTestModel(t, dir)
-	rewriteManifest(t, dir, func(man map[string]any) {
-		delete(man, "checksums")
-		delete(man, "total_bytes")
-	})
-	rep, err := VerifyArtifact(dir)
-	if err != nil {
-		t.Fatalf("legacy manifest must verify (with a warning flag): %v", err)
-	}
-	if !rep.Legacy || rep.Files != 0 {
-		t.Fatalf("legacy report = %+v", rep)
-	}
-	// The migration path: a pre-checksum directory still loads.
-	reg, err := NewRegistry(smallNGramDetector(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.LoadFrom(dir); err != nil {
-		t.Fatalf("legacy directory refused by LoadFrom: %v", err)
-	}
-}
-
 // TestVerifyArtifactRefusesTornDirectories is the torn-directory matrix
-// of the verified-artifact path: a missing manifest, a missing cluster
-// file, a truncated envelope, a flipped byte, a padded file, a lying
-// byte total, and a path-traversing manifest entry must each be refused
-// by VerifyArtifact AND by Registry.LoadFrom — with an error naming the
-// problem, and without advancing the serving generation.
+// of the verified-artifact path: a missing manifest, a manifest with its
+// checksums stripped, a missing cluster file, a truncated envelope, a
+// flipped byte, a padded file, a lying byte total, and a path-traversing
+// manifest entry must each be refused by VerifyArtifact AND by
+// Registry.LoadFrom — with an error naming the problem, and without
+// advancing the serving generation.
 func TestVerifyArtifactRefusesTornDirectories(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -74,6 +48,16 @@ func TestVerifyArtifactRefusesTornDirectories(t *testing.T) {
 				}
 			},
 			want: "read manifest",
+		},
+		{
+			name: "manifest without checksums",
+			corrupt: func(t *testing.T, dir string) {
+				rewriteManifest(t, dir, func(man map[string]any) {
+					delete(man, "checksums")
+					delete(man, "total_bytes")
+				})
+			},
+			want: "manifest carries no checksums",
 		},
 		{
 			name: "cluster model file missing",

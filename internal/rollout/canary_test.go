@@ -361,7 +361,7 @@ func TestVerifyWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Legacy || rep.Files == 0 {
+	if rep.Files == 0 {
 		t.Fatalf("verify report = %+v", rep)
 	}
 	path := filepath.Join(dir, "cluster-00-model.bin")

@@ -30,10 +30,9 @@ type Report = core.VerifyReport
 // Verify checks a saved model directory against the per-file SHA-256
 // checksums and total size its manifest carries, refusing torn,
 // truncated, or tampered directories with an error naming the file and
-// the mismatch. Directories written before checksums existed (no
-// checksums in the manifest) return a report with Legacy set and must be
-// warned about by the caller. Registry.LoadFrom, the daemon's reload,
-// and the adaptation pipeline all run this before touching weights.
+// the mismatch; a manifest without checksums is refused too.
+// Registry.LoadFrom, the daemon's reload, and the adaptation pipeline
+// all run this before touching weights.
 func Verify(dir string) (*Report, error) {
 	return core.VerifyArtifact(dir)
 }
