@@ -8,9 +8,9 @@ import (
 
 // Idle-session compaction: once the routing vote has frozen (position >=
 // RouteVoteActions), a SessionMonitor's observable behavior depends only
-// on the selected cluster's stream plus a handful of scalars — the
-// featurizer, the vote tallies, the prefix buffer, and every other
-// cluster's lazy stream slot are never touched again. SessionSnapshot
+// on the selected cluster's stream plus a handful of scalars — the vote
+// tallies, the prefix buffer, and every other cluster's lazy stream
+// slot are never touched again. SessionSnapshot
 // captures exactly that residue; Rehydrate rebuilds a monitor that
 // continues with byte-identical scores and alarms (the stream-level
 // byte-identity is each backend's StreamCompactor contract).
@@ -23,14 +23,12 @@ const monitorStructOverhead = 256
 const snapshotStructOverhead = 128
 
 // MemSize estimates the resident heap bytes of this monitor's
-// session-local state — featurizer, per-cluster streams, vote and trend
-// buffers — excluding the shared detector. The engine sums this per
-// shard and compares the total against EngineConfig.MemBudget.
+// session-local state — route state (until the vote freezes),
+// per-cluster streams, vote and trend buffers — excluding the shared
+// detector. The engine sums this per shard and compares the total
+// against EngineConfig.MemBudget.
 func (m *SessionMonitor) MemSize() int {
-	n := monitorStructOverhead
-	if m.features != nil {
-		n += m.features.MemSize()
-	}
+	n := monitorStructOverhead + cap(m.route)*4
 	for _, st := range m.streams {
 		n += scorer.StreamMemSize(st)
 	}
@@ -116,7 +114,7 @@ func (m *SessionMonitor) Compact() (*SessionSnapshot, error) {
 // of the snapshot's buffers: the snapshot must not be reused. The
 // rebuilt monitor continues the session with byte-identical scores —
 // post-freeze the vote branch of StageToken never runs, so the absent
-// featurizer, vote tallies, and prefix buffer are unreachable state.
+// route state, vote tallies, and prefix buffer are unreachable state.
 func (s *SessionSnapshot) Rehydrate() (*SessionMonitor, error) {
 	compactor, ok := s.d.clusters[s.cluster].Model.(scorer.StreamCompactor)
 	if !ok {

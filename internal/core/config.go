@@ -26,8 +26,6 @@ type Config struct {
 	Expert expert.Options
 	// OCSVM configures the per-cluster one-class SVMs.
 	OCSVM ocsvm.Config
-	// FeatureMode selects the OC-SVM session featurization.
-	FeatureMode ocsvm.FeatureMode
 	// Backend selects the per-cluster sequence-model family:
 	// lm.BackendLSTM (the paper's model, the default when empty),
 	// baseline.BackendNGram, or baseline.BackendHMM.
@@ -59,7 +57,6 @@ func PaperConfig(vocab int, seed int64) Config {
 		Ensemble:         lda.DefaultEnsembleConfig(seed),
 		Expert:           expert.DefaultOptions(seed + 1),
 		OCSVM:            ocsvm.DefaultConfig(seed + 2),
-		FeatureMode:      ocsvm.FeatureCounts,
 		Backend:          lm.BackendLSTM,
 		LM:               lm.PaperConfig(vocab, seed+3),
 		NGram:            baseline.DefaultNGramConfig(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"misusedetect/internal/actionlog"
+	"misusedetect/internal/corpus"
 	"misusedetect/internal/logsim"
 )
 
@@ -214,6 +216,81 @@ func TestRouteByVoteMatchesBehavior(t *testing.T) {
 	if _, err := d.RouteByVote(nil); err == nil {
 		t.Fatal("empty session must fail")
 	}
+}
+
+// TestRouteByVoteMatchesMonitor pins the one vote implementation: for
+// every corpus session, RouteByVote equals the cluster a SessionMonitor
+// fed the session holds after its vote window, and both equal the vote
+// recomputed from PrefixStream and ScoreSparse, the floating-point
+// routing the table-driven router must reproduce exactly.
+func TestRouteByVoteMatchesMonitor(t *testing.T) {
+	d := trainCorpusNGram(t, 11)
+	c, err := corpus.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := make(map[int]int)
+	for _, s := range c.ActionSessions() {
+		encoded, err := d.Vocabulary().Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.RouteByVote(encoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon, err := d.NewSessionMonitor(DefaultMonitorConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range encoded {
+			if _, err := mon.ObserveToken(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mon.Cluster() != got {
+			t.Fatalf("session %s: RouteByVote %d, monitor cluster %d", s.ID, got, mon.Cluster())
+		}
+		if want := scoreSparseVote(t, d, encoded); got != want {
+			t.Fatalf("session %s: RouteByVote %d, ScoreSparse vote %d", s.ID, got, want)
+		}
+		routed[got]++
+	}
+	if len(routed) < 2 {
+		t.Fatalf("every session routed to one cluster (%v): the comparison is vacuous", routed)
+	}
+}
+
+// scoreSparseVote is the first-K vote over PrefixStream and
+// ScoreSparse, the reference for the router-driven vote.
+func scoreSparseVote(t *testing.T, d *Detector, encoded []int) int {
+	t.Helper()
+	stream := d.Featurizer().Stream()
+	votes := make([]int, d.ClusterCount())
+	for _, a := range encoded[:min(len(encoded), d.Config().RouteVoteActions)] {
+		x, err := stream.Observe(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, bestS := 0, math.Inf(-1)
+		for i, cm := range d.Clusters() {
+			s, err := cm.Router.ScoreSparse(x, stream.Support())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s > bestS {
+				best, bestS = i, s
+			}
+		}
+		votes[best]++
+	}
+	best, bestV := 0, -1
+	for i, v := range votes {
+		if v > bestV {
+			best, bestV = i, v
+		}
+	}
+	return best
 }
 
 func TestScoreSessionNormalVsRandom(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"misusedetect/internal/actionlog"
@@ -41,6 +40,27 @@ type Detector struct {
 	vocab      *actionlog.Vocabulary
 	featurizer *ocsvm.Featurizer
 	clusters   []ClusterModel
+	// router holds every cluster's OC-SVM in the form the first-K vote
+	// runs on.
+	router *ocsvm.Router
+}
+
+// newDetector assembles a detector from its clusters and builds the
+// routing vote's table over their OC-SVMs: every constructor (train,
+// retrain, load) ends here.
+func newDetector(cfg Config, vocab *actionlog.Vocabulary, feat *ocsvm.Featurizer, clusters []ClusterModel) (*Detector, error) {
+	models := make([]*ocsvm.Model, len(clusters))
+	for i := range clusters {
+		if got := clusters[i].Router.Dim(); got != vocab.Size() {
+			return nil, fmt.Errorf("core: cluster %d OC-SVM takes %d features, vocabulary has %d actions", i, got, vocab.Size())
+		}
+		models[i] = clusters[i].Router
+	}
+	router, err := ocsvm.NewRouter(models, cfg.RouteVoteActions)
+	if err != nil {
+		return nil, fmt.Errorf("core: build router: %w", err)
+	}
+	return &Detector{cfg: cfg, vocab: vocab, featurizer: feat, clusters: clusters, router: router}, nil
 }
 
 // TrainDetector fits one OC-SVM and one sequence model (of the
@@ -56,19 +76,19 @@ func TrainDetector(cfg Config, vocab *actionlog.Vocabulary, clusterTrain [][]*ac
 		return nil, fmt.Errorf("core: no clusters to train on")
 	}
 	cfg.Backend = cfg.backend()
-	feat, err := ocsvm.NewFeaturizer(vocab.Size(), cfg.FeatureMode)
+	feat, err := ocsvm.NewFeaturizer(vocab.Size())
 	if err != nil {
 		return nil, fmt.Errorf("core: build featurizer: %w", err)
 	}
-	d := &Detector{cfg: cfg, vocab: vocab, featurizer: feat}
+	clusters := make([]ClusterModel, 0, len(clusterTrain))
 	for ci, sessions := range clusterTrain {
 		cm, err := trainCluster(&cfg, vocab, feat, sessions, ci, progress)
 		if err != nil {
 			return nil, err
 		}
-		d.clusters = append(d.clusters, cm)
+		clusters = append(clusters, cm)
 	}
-	return d, nil
+	return newDetector(cfg, vocab, feat, clusters)
 }
 
 // trainCluster fits one cluster's OC-SVM router and sequence model: the
@@ -215,37 +235,43 @@ func (d *Detector) RouteByVote(encoded []int) (int, error) {
 	if len(encoded) == 0 {
 		return 0, fmt.Errorf("core: empty session")
 	}
-	stream := d.featurizer.Stream()
+	dist := d.router.Start()
 	votes := make([]int, len(d.clusters))
-	limit := d.cfg.RouteVoteActions
-	if limit > len(encoded) {
-		limit = len(encoded)
-	}
-	for t := 0; t < limit; t++ {
-		x, err := stream.Observe(encoded[t])
+	cluster := 0
+	for t, a := range encoded[:min(len(encoded), d.cfg.RouteVoteActions)] {
+		c, err := d.vote(dist, votes, encoded[:t], a)
 		if err != nil {
-			return 0, fmt.Errorf("core: vote featurize: %w", err)
+			return 0, err
 		}
-		support := stream.Support()
-		best, bestS := 0, math.Inf(-1)
-		for i := range d.clusters {
-			s, err := d.clusters[i].Router.ScoreSparse(x, support)
-			if err != nil {
-				return 0, fmt.Errorf("core: vote score cluster %d: %w", i, err)
-			}
-			if s > bestS {
-				best, bestS = i, s
-			}
-		}
-		votes[best]++
+		cluster = c
 	}
-	best, bestV := 0, -1
+	return cluster, nil
+}
+
+// vote is one step of the routing vote, shared by RouteByVote and
+// SessionMonitor: it folds action into the route state dist of the
+// vote-window prefix seen so far, gives the action's vote to the cluster
+// whose OC-SVM scores the extended prefix highest, and returns the
+// cluster leading the tally (the lowest index among ties).
+func (d *Detector) vote(dist []int32, votes, prefix []int, action int) (int, error) {
+	prior := 0
+	for _, a := range prefix {
+		if a == action {
+			prior++
+		}
+	}
+	best, err := d.router.Observe(dist, action, prior)
+	if err != nil {
+		return 0, fmt.Errorf("core: vote: %w", err)
+	}
+	votes[best]++
+	leader, top := 0, -1
 	for i, v := range votes {
-		if v > bestV {
-			best, bestV = i, v
+		if v > top {
+			leader, top = i, v
 		}
 	}
-	return best, nil
+	return leader, nil
 }
 
 // SessionReport is the scored outcome for one session.

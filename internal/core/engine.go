@@ -47,7 +47,7 @@ type EngineConfig struct {
 	IdleExpiry time.Duration
 	// CompactAfter collapses sessions that have not seen an event for
 	// this long into compact snapshots (LSTM hidden/cell state plus the
-	// monitor scalars — no scratch, no featurizer, no lazy per-cluster
+	// monitor scalars — no scratch, no route state, no lazy per-cluster
 	// streams), transparently rehydrated on their next event with
 	// byte-identical scores. 0 disables background compaction;
 	// Engine.Compact compacts on demand regardless. Only sessions past

@@ -107,7 +107,9 @@ func TestMonitorCompactionByteIdenticalHMM(t *testing.T) {
 // sharded engine with a forced Compact between every few batches and
 // requires the alarm stream to stay byte-identical to the serial
 // monitor's — compaction interleaved with live scoring must be
-// invisible in the scores, across shard counts.
+// invisible in the scores, across shard counts. After every batch the
+// memory gauge must equal a recount of the resident sessions, some of
+// them still voting, some frozen and some compacted.
 func TestEngineDeterminismWithCompaction(t *testing.T) {
 	det := corpusDetector(t)
 	c, err := corpus.Load()
@@ -140,6 +142,7 @@ func TestEngineDeterminismWithCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		const chunk = 64
+		mixed := false
 		for off, batches := 0, 0; off < len(events); off += chunk {
 			end := off + chunk
 			if end > len(events) {
@@ -148,9 +151,14 @@ func TestEngineDeterminismWithCompaction(t *testing.T) {
 			if err := eng.SubmitBatch(ctx, events[off:end], nil); err != nil {
 				t.Fatal(err)
 			}
+			voting, frozen, compacted := memRecount(t, eng)
+			mixed = mixed || voting > 0 && frozen > 0 && compacted > 0
 			if batches++; batches%3 == 0 {
 				eng.Compact()
 			}
+		}
+		if !mixed {
+			t.Fatalf("shards=%d: no recount saw voting, frozen live and compacted sessions at once", shards)
 		}
 		got, err := eng.DrainAlarms(ctx)
 		if err != nil {
@@ -173,6 +181,46 @@ func TestEngineDeterminismWithCompaction(t *testing.T) {
 				shards, len(serial), len(got))
 		}
 	}
+}
+
+// memRecount recounts every resident session's footprint on its shard —
+// live monitors' MemSize, snapshots' MemSize, and the session overhead
+// resize adds — and requires Engine.MemBytes to equal the sum. Sessions
+// still voting must carry route state and live ones past the vote
+// freeze must have released it. It returns how many sessions of each
+// kind it counted.
+func memRecount(t *testing.T, eng *Engine) (voting, frozen, compacted int) {
+	t.Helper()
+	var mu sync.Mutex
+	var total int64
+	eng.broadcast(func(s *engineShard) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, sess := range s.sessions {
+			total += int64(sessionOverhead + len(sess.id) + cap(sess.tokens)*4)
+			switch {
+			case sess.snap != nil:
+				total += int64(sess.snap.MemSize())
+				compacted++
+			case sess.mon.voting():
+				total += int64(sess.mon.MemSize())
+				if len(sess.mon.route) == 0 {
+					t.Errorf("session %s is voting without route state", sess.id)
+				}
+				voting++
+			default:
+				total += int64(sess.mon.MemSize())
+				if sess.mon.route != nil {
+					t.Errorf("session %s kept its route state past the vote freeze", sess.id)
+				}
+				frozen++
+			}
+		}
+	})
+	if got := eng.MemBytes(); got != total {
+		t.Fatalf("MemBytes %d, recount %d (%d voting, %d frozen live, %d compacted sessions)", got, total, voting, frozen, compacted)
+	}
+	return voting, frozen, compacted
 }
 
 // memplaneEvents builds n single-action session starts, one session per

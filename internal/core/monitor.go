@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 
-	"misusedetect/internal/ocsvm"
 	"misusedetect/internal/scorer"
 )
 
@@ -192,10 +191,12 @@ type MonitorStep struct {
 // a string. Unknown-action handling lives with the caller — a token
 // outside the detector's vocabulary never reaches ObserveToken.
 type SessionMonitor struct {
-	d        *Detector
-	mcfg     MonitorConfig
-	features *ocsvm.PrefixStream
-	streams  []scorer.Stream
+	d    *Detector
+	mcfg MonitorConfig
+	// route is the routing vote's per-support-vector distance state
+	// (ocsvm.Router), released on the action that freezes the vote.
+	route   []int32
+	streams []scorer.Stream
 	// advanced[i] is how many actions streams[i] has observed; prefix
 	// buffers the vote-window actions so a stream is caught up lazily
 	// when its cluster first wins the vote. Only the selected cluster's
@@ -226,9 +227,9 @@ func (d *Detector) NewSessionMonitor(mcfg MonitorConfig) (*SessionMonitor, error
 		return nil, err
 	}
 	m := &SessionMonitor{
-		d:        d,
-		mcfg:     mcfg,
-		features: d.featurizer.Stream(),
+		d:     d,
+		mcfg:  mcfg,
+		route: d.router.Start(),
 		// streams entries stay nil until a cluster first wins the vote:
 		// most sessions only ever route to one or two clusters, and a
 		// stream (with its preallocated scoring scratch) is by far the
@@ -276,34 +277,19 @@ func (m *SessionMonitor) ObserveToken(action int) (MonitorStep, error) {
 // stream-position bookkeeping ahead of the stream and the session
 // unusable.
 func (m *SessionMonitor) StageToken(action int) (scorer.Scorer, scorer.Stream, error) {
-	// Update the routing vote during the first RouteVoteActions actions.
-	// The sparse score path exploits that an early prefix touches only a
-	// handful of vocabulary coordinates, so the per-action routing cost
-	// scales with the distinct actions seen, not the vocabulary size.
+	// Update the routing vote during the first RouteVoteActions actions,
+	// buffering the vote-window prefix, and drop the route state on the
+	// action that freezes the vote: nothing reads it afterwards.
 	if m.position < m.d.cfg.RouteVoteActions {
-		x, err := m.features.Observe(action)
+		cluster, err := m.d.vote(m.route, m.votes, m.prefix, action)
 		if err != nil {
 			return nil, nil, err
 		}
-		support := m.features.Support()
-		best, bestS := 0, math.Inf(-1)
-		for i := range m.d.clusters {
-			s, err := m.d.clusters[i].Router.ScoreSparse(x, support)
-			if err != nil {
-				return nil, nil, err
-			}
-			if s > bestS {
-				best, bestS = i, s
-			}
+		m.cluster = cluster
+		m.prefix = append(m.prefix, action)
+		if len(m.prefix) == m.d.cfg.RouteVoteActions {
+			m.route = nil
 		}
-		m.votes[best]++
-		bestC, bestV := 0, -1
-		for i, v := range m.votes {
-			if v > bestV {
-				bestC, bestV = i, v
-			}
-		}
-		m.cluster = bestC
 	}
 
 	// Advance only the selected cluster's stream, catching it up on the
@@ -315,9 +301,6 @@ func (m *SessionMonitor) StageToken(action int) (scorer.Scorer, scorer.Stream, e
 	// advances per action). The likelihood-only path spares the
 	// classical backends the predictive distribution the monitor never
 	// reads.
-	if m.position < m.d.cfg.RouteVoteActions {
-		m.prefix = append(m.prefix, action)
-	}
 	st := m.streams[m.cluster]
 	if st == nil {
 		st = m.d.clusters[m.cluster].Model.NewStream()

@@ -13,8 +13,8 @@ type RetrainStats struct {
 	// Retrained lists the clusters refit on fresh live sessions.
 	Retrained []int `json:"retrained"`
 	// Reused lists the clusters that kept the old generation's models
-	// verbatim (possible only when vocabulary, featurization, and
-	// backend are unchanged).
+	// verbatim (possible only when vocabulary and backend are
+	// unchanged).
 	Reused []int `json:"reused,omitempty"`
 	// Distilled lists the clusters refit on sessions sampled from their
 	// own stale model: starved clusters under a grown vocabulary carry
@@ -59,12 +59,12 @@ func retrainPrelude(old *Detector, cfg *Config, vocab *actionlog.Vocabulary, gro
 			vocab.Size(), old.vocab.Size())
 	}
 	// Stale-model reuse needs index- and format-compatible clusters:
-	// identical vocabulary, featurization, and backend tag (the saved
-	// manifest records one backend for the whole detector).
-	reusable = sameVocab && cfg.FeatureMode == old.cfg.FeatureMode && cfg.Backend == old.Backend()
+	// identical vocabulary and backend tag (the saved manifest records
+	// one backend for the whole detector).
+	reusable = sameVocab && cfg.Backend == old.Backend()
 	feat = old.featurizer
 	if !sameVocab {
-		feat, err = ocsvm.NewFeaturizer(vocab.Size(), cfg.FeatureMode)
+		feat, err = ocsvm.NewFeaturizer(vocab.Size())
 		if err != nil {
 			return false, nil, fmt.Errorf("core: retrain: build featurizer: %w", err)
 		}
@@ -78,8 +78,8 @@ func retrainPrelude(old *Detector, cfg *Config, vocab *actionlog.Vocabulary, gro
 // routed cluster of the buffered live sessions). Clusters with at least
 // minPerCluster trainable sessions are retrained — router and sequence
 // model both — on the fresh data. Starved clusters keep the old
-// generation's models when they are still compatible (same vocabulary,
-// featurization, and backend); when the vocabulary grew or the backend
+// generation's models when they are still compatible (same vocabulary
+// and backend); when the vocabulary grew or the backend
 // changed, they are refit on sessions sampled from their own stale model
 // instead (distillation), so one quiet behavior cluster never blocks
 // adapting the busy ones.
@@ -95,7 +95,7 @@ func RetrainDetector(old *Detector, cfg Config, vocab *actionlog.Vocabulary, clu
 	if minPerCluster < 1 {
 		minPerCluster = 1
 	}
-	d := &Detector{cfg: cfg, vocab: vocab, featurizer: feat}
+	clusters := make([]ClusterModel, 0, len(clusterTrain))
 	for ci, sessions := range clusterTrain {
 		trainable := actionlog.FilterMinLength(sessions, cfg.MinSessionLength)
 		switch {
@@ -104,25 +104,29 @@ func RetrainDetector(old *Detector, cfg Config, vocab *actionlog.Vocabulary, clu
 			if err != nil {
 				return nil, stats, fmt.Errorf("core: retrain: %w", err)
 			}
-			d.clusters = append(d.clusters, cm)
+			clusters = append(clusters, cm)
 			stats.Retrained = append(stats.Retrained, ci)
 		case reusable:
 			// Keep the old generation's models for this cluster:
 			// ClusterModel is immutable after training, so sharing it
 			// across detectors is safe.
-			d.clusters = append(d.clusters, old.clusters[ci])
+			clusters = append(clusters, old.clusters[ci])
 			stats.Reused = append(stats.Reused, ci)
 		default:
 			cm, err := distillCluster(&cfg, old, vocab, feat, ci)
 			if err != nil {
 				return nil, stats, err
 			}
-			d.clusters = append(d.clusters, cm)
+			clusters = append(clusters, cm)
 			stats.Distilled = append(stats.Distilled, ci)
 		}
 	}
 	if len(stats.Retrained) == 0 {
 		return nil, stats, fmt.Errorf("core: retrain: no cluster reached %d trainable sessions", minPerCluster)
+	}
+	d, err := newDetector(cfg, vocab, feat, clusters)
+	if err != nil {
+		return nil, stats, fmt.Errorf("core: retrain: %w", err)
 	}
 	return d, stats, nil
 }
@@ -142,7 +146,7 @@ func RetrainDetectorEncoded(old *Detector, cfg Config, vocab *actionlog.Vocabula
 	if minPerCluster < 1 {
 		minPerCluster = 1
 	}
-	d := &Detector{cfg: cfg, vocab: vocab, featurizer: feat}
+	clusters := make([]ClusterModel, 0, len(clusterTrain))
 	for ci, sessions := range clusterTrain {
 		var trainable []EncodedSession
 		for _, s := range sessions {
@@ -160,22 +164,26 @@ func RetrainDetectorEncoded(old *Detector, cfg Config, vocab *actionlog.Vocabula
 			if err != nil {
 				return nil, stats, fmt.Errorf("core: retrain: %w", err)
 			}
-			d.clusters = append(d.clusters, cm)
+			clusters = append(clusters, cm)
 			stats.Retrained = append(stats.Retrained, ci)
 		case reusable:
-			d.clusters = append(d.clusters, old.clusters[ci])
+			clusters = append(clusters, old.clusters[ci])
 			stats.Reused = append(stats.Reused, ci)
 		default:
 			cm, err := distillCluster(&cfg, old, vocab, feat, ci)
 			if err != nil {
 				return nil, stats, err
 			}
-			d.clusters = append(d.clusters, cm)
+			clusters = append(clusters, cm)
 			stats.Distilled = append(stats.Distilled, ci)
 		}
 	}
 	if len(stats.Retrained) == 0 {
 		return nil, stats, fmt.Errorf("core: retrain: no cluster reached %d trainable sessions", minPerCluster)
+	}
+	d, err := newDetector(cfg, vocab, feat, clusters)
+	if err != nil {
+		return nil, stats, fmt.Errorf("core: retrain: %w", err)
 	}
 	return d, stats, nil
 }

@@ -20,15 +20,21 @@ import (
 // in place of the LSTM-only gob files.
 const storeFormatVersion = 2
 
+// featureModeCounts is the manifest's feature_mode for count features,
+// the only featurization. Save still writes it, so older builds (which
+// require the field) load the directory; LoadDetector refuses any other
+// present value (2 was length-normalized frequencies).
+const featureModeCounts = 1
+
 // storeManifest is the on-disk description of a saved detector.
 type storeManifest struct {
-	FormatVersion    int               `json:"format_version"`
-	Backend          string            `json:"backend"`
-	Actions          []string          `json:"actions"`
-	ClusterSizes     []int             `json:"cluster_sizes"`
-	FeatureMode      ocsvm.FeatureMode `json:"feature_mode"`
-	MinSessionLength int               `json:"min_session_length"`
-	RouteVoteActions int               `json:"route_vote_actions"`
+	FormatVersion    int      `json:"format_version"`
+	Backend          string   `json:"backend"`
+	Actions          []string `json:"actions"`
+	ClusterSizes     []int    `json:"cluster_sizes"`
+	FeatureMode      int      `json:"feature_mode,omitempty"`
+	MinSessionLength int      `json:"min_session_length"`
+	RouteVoteActions int      `json:"route_vote_actions"`
 	// Checksums maps every artifact file of the directory (relative
 	// name, manifest.json excluded) to its SHA-256 hex digest, and
 	// TotalBytes sums their sizes. Save fills both; VerifyArtifact
@@ -91,7 +97,7 @@ func (d *Detector) writeArtifact(dir string) error {
 		FormatVersion:    storeFormatVersion,
 		Backend:          d.Backend(),
 		Actions:          d.vocab.Actions(),
-		FeatureMode:      d.cfg.FeatureMode,
+		FeatureMode:      featureModeCounts,
 		MinSessionLength: d.cfg.MinSessionLength,
 		RouteVoteActions: d.cfg.RouteVoteActions,
 		Checksums:        make(map[string]string, 2*len(d.clusters)),
@@ -180,7 +186,11 @@ func LoadDetector(dir string) (*Detector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuild vocabulary: %w", err)
 	}
-	feat, err := ocsvm.NewFeaturizer(vocab.Size(), man.FeatureMode)
+	if man.FeatureMode != 0 && man.FeatureMode != featureModeCounts {
+		return nil, fmt.Errorf("core: manifest feature_mode %d: only count features (feature_mode %d) are supported; retrain the model",
+			man.FeatureMode, featureModeCounts)
+	}
+	feat, err := ocsvm.NewFeaturizer(vocab.Size())
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuild featurizer: %w", err)
 	}
@@ -188,7 +198,6 @@ func LoadDetector(dir string) (*Detector, error) {
 		man.Backend = lm.BackendLSTM
 	}
 	cfg := PaperConfig(vocab.Size(), 0)
-	cfg.FeatureMode = man.FeatureMode
 	cfg.Backend = man.Backend
 	if err := cfg.validate(); err != nil {
 		return nil, fmt.Errorf("core: manifest: %w", err)
@@ -199,18 +208,18 @@ func LoadDetector(dir string) (*Detector, error) {
 	if man.RouteVoteActions >= 1 {
 		cfg.RouteVoteActions = man.RouteVoteActions
 	}
-	d := &Detector{cfg: cfg, vocab: vocab, featurizer: feat}
+	if len(man.ClusterSizes) == 0 {
+		return nil, fmt.Errorf("core: saved detector has no clusters")
+	}
+	clusters := make([]ClusterModel, 0, len(man.ClusterSizes))
 	for i := range man.ClusterSizes {
 		cm, err := loadCluster(dir, i, &man, vocab.Size())
 		if err != nil {
 			return nil, err
 		}
-		d.clusters = append(d.clusters, cm)
+		clusters = append(clusters, cm)
 	}
-	if len(d.clusters) == 0 {
-		return nil, fmt.Errorf("core: saved detector has no clusters")
-	}
-	return d, nil
+	return newDetector(cfg, vocab, feat, clusters)
 }
 
 func loadCluster(dir string, i int, man *storeManifest, vocabSize int) (ClusterModel, error) {

@@ -241,6 +241,13 @@ func TestLoadDetectorEnvelopeErrors(t *testing.T) {
 			want: `backend "ngram", manifest says "hmm"`,
 		},
 		{
+			name: "manifest feature mode other than counts",
+			corrupt: func(t *testing.T, dir string) {
+				rewriteManifest(t, dir, func(man map[string]any) { man["feature_mode"] = 2 })
+			},
+			want: "feature_mode 2",
+		},
+		{
 			name: "manifest backend unknown",
 			corrupt: func(t *testing.T, dir string) {
 				rewriteManifest(t, dir, func(man map[string]any) { man["backend"] = "bogus" })

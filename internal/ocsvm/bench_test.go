@@ -36,8 +36,7 @@ func BenchmarkTrainClusterSized(b *testing.B) {
 	}
 }
 
-// BenchmarkScore measures one routing decision (the per-action cost of
-// the online cluster vote is 13x this).
+// BenchmarkScore measures one dense decision value.
 func BenchmarkScore(b *testing.B) {
 	xs := benchTrainingSet(500, 3)
 	m, err := Train(xs, DefaultConfig(4))
@@ -54,9 +53,50 @@ func BenchmarkScore(b *testing.B) {
 	}
 }
 
+// BenchmarkRouterObserve measures one step of the online cluster vote:
+// one action folded into the route state of 13 cluster-sized OC-SVMs,
+// every cluster scored, over 15-action vote windows.
+func BenchmarkRouterObserve(b *testing.B) {
+	models := make([]*Model, 13)
+	for c := range models {
+		m, err := Train(benchTrainingSet(200, int64(10+c)), DefaultConfig(int64(c)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		models[c] = m
+	}
+	r, err := NewRouter(models, 15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	session := make([]int, 15)
+	prior := make([]int, 15)
+	for i := range session {
+		session[i] = rng.Intn(20)
+		for _, a := range session[:i] {
+			if a == session[i] {
+				prior[i]++
+			}
+		}
+	}
+	dist := r.Start()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := i % len(session)
+		if t == 0 {
+			copy(dist, r.norm)
+		}
+		if _, err := r.Observe(dist, session[t], prior[t]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFeaturizeSession measures the bag-of-actions featurizer.
 func BenchmarkFeaturizeSession(b *testing.B) {
-	f, err := NewFeaturizer(300, FeatureCounts)
+	f, err := NewFeaturizer(300)
 	if err != nil {
 		b.Fatal(err)
 	}

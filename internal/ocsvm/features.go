@@ -2,40 +2,23 @@ package ocsvm
 
 import "fmt"
 
-// FeatureMode selects how sessions become feature vectors.
-type FeatureMode int
-
-// Feature modes.
-const (
-	// FeatureCounts uses raw action counts. This is the default and
-	// deliberately length-sensitive: long sessions drift away from the
-	// training distribution in RBF space, which reproduces the paper's
-	// Figure 6 observation that "all the sessions longer than the
-	// average length are considered to be outliers by all the OC-SVMs".
-	FeatureCounts FeatureMode = iota + 1
-	// FeatureFrequencies normalizes counts by session length, an
-	// ablation that removes the length sensitivity.
-	FeatureFrequencies
-)
-
 // Featurizer converts encoded sessions (action-index slices) into the
-// fixed-length vectors the OC-SVMs consume.
+// fixed-length vectors the OC-SVMs consume: raw action counts. Counts
+// are deliberately length-sensitive: long sessions drift away from the
+// training distribution in RBF space, which reproduces the paper's
+// Figure 6 observation that "all the sessions longer than the average
+// length are considered to be outliers by all the OC-SVMs". They are
+// also integers, which is what lets Router route on exact distances.
 type Featurizer struct {
 	vocabSize int
-	mode      FeatureMode
 }
 
 // NewFeaturizer builds a featurizer over a vocabulary of the given size.
-func NewFeaturizer(vocabSize int, mode FeatureMode) (*Featurizer, error) {
+func NewFeaturizer(vocabSize int) (*Featurizer, error) {
 	if vocabSize < 1 {
 		return nil, fmt.Errorf("ocsvm: vocabSize must be >= 1, got %d", vocabSize)
 	}
-	switch mode {
-	case FeatureCounts, FeatureFrequencies:
-	default:
-		return nil, fmt.Errorf("ocsvm: unknown feature mode %d", mode)
-	}
-	return &Featurizer{vocabSize: vocabSize, mode: mode}, nil
+	return &Featurizer{vocabSize: vocabSize}, nil
 }
 
 // Dim returns the feature dimension.
@@ -49,12 +32,6 @@ func (f *Featurizer) Session(encoded []int) ([]float64, error) {
 			return nil, fmt.Errorf("ocsvm: position %d action %d outside vocab %d", i, a, f.vocabSize)
 		}
 		x[a]++
-	}
-	if f.mode == FeatureFrequencies && len(encoded) > 0 {
-		inv := 1 / float64(len(encoded))
-		for i := range x {
-			x[i] *= inv
-		}
 	}
 	return x, nil
 }
@@ -73,40 +50,32 @@ func (f *Featurizer) Corpus(encoded [][]int) ([][]float64, error) {
 }
 
 // PrefixStream incrementally featurizes a growing session, one action at a
-// time, for the online regime: Observe returns the feature vector of the
-// prefix seen so far without rebuilding it.
+// time: Observe returns the feature vector of the prefix seen so far
+// without rebuilding it. With Model.ScoreSparse it scores every prefix
+// of a session against one OC-SVM: the per-action figures (6 and 7),
+// the tests and the bench's replica of the vote use it. The serving
+// vote runs on Router instead (see its memory note).
 type PrefixStream struct {
 	f       *Featurizer
 	x       []float64
-	out     []float64
 	nonzero []int
-	count   int
 }
 
 // Stream returns a new incremental featurizer. All scratch is allocated
-// once here, so the per-action Observe path is allocation-free — the
-// routing vote runs on every early action of every live session, which
-// makes this part of the serving hot path.
+// once here, so the per-action Observe path is allocation-free.
 func (f *Featurizer) Stream() *PrefixStream {
-	s := &PrefixStream{f: f, x: make([]float64, f.vocabSize), nonzero: make([]int, 0, f.vocabSize)}
-	if f.mode == FeatureFrequencies {
-		s.out = make([]float64, f.vocabSize)
-	}
-	return s
+	return &PrefixStream{f: f, x: make([]float64, f.vocabSize), nonzero: make([]int, 0, f.vocabSize)}
 }
 
 // MemSize estimates the resident heap bytes of this stream's buffers —
-// three vocab-proportional slices — for the engine's per-session memory
-// accounting. The routing featurizer is the dominant per-session cost
-// after the scoring stream itself, which is why compacted sessions drop
-// it entirely (the route is frozen once the vote window has passed).
+// two vocab-proportional slices.
 func (s *PrefixStream) MemSize() int {
-	return (len(s.x)+len(s.out)+cap(s.nonzero))*8 + 64
+	return (len(s.x)+cap(s.nonzero))*8 + 64
 }
 
 // Observe adds one action and returns the current prefix features. The
-// returned slice is reused by the next Observe call in every mode;
-// callers must not retain it.
+// returned slice is reused by the next Observe call; callers must not
+// retain it.
 func (s *PrefixStream) Observe(action int) ([]float64, error) {
 	if action < 0 || action >= s.f.vocabSize {
 		return nil, fmt.Errorf("ocsvm: stream action %d outside vocab %d", action, s.f.vocabSize)
@@ -115,15 +84,6 @@ func (s *PrefixStream) Observe(action int) ([]float64, error) {
 		s.nonzero = append(s.nonzero, action)
 	}
 	s.x[action]++
-	s.count++
-	if s.f.mode == FeatureFrequencies {
-		// Only the seen coordinates can be nonzero; refresh just those.
-		inv := 1 / float64(s.count)
-		for _, i := range s.nonzero {
-			s.out[i] = s.x[i] * inv
-		}
-		return s.out, nil
-	}
 	return s.x, nil
 }
 

@@ -242,9 +242,10 @@ func (m *Model) Score(x []float64) (float64, error) {
 // must be zero). Expanding ||sv-x||^2 = ||sv||^2 - 2<sv,x> + ||x||^2
 // against the precomputed support-vector norms shrinks the
 // per-support-vector work from the full feature dimension to the number
-// of distinct actions seen — the routing vote runs this on every early
-// action of every live session, where a prefix touches a handful of the
-// vocabulary. Equal to Score up to floating-point summation order.
+// of distinct actions seen. Equal to Score up to floating-point
+// summation order, and bit-identical on count features. The per-action
+// figures, the tests and the bench's replica of the vote score prefixes
+// with it; the serving vote runs on Router, which returns the same bits.
 func (m *Model) ScoreSparse(x []float64, nonzero []int) (float64, error) {
 	if len(x) != m.dim {
 		return 0, fmt.Errorf("ocsvm: sample has %d features, want %d", len(x), m.dim)

@@ -191,16 +191,13 @@ func TestRBFKernelProperties(t *testing.T) {
 }
 
 func TestFeaturizerValidation(t *testing.T) {
-	if _, err := NewFeaturizer(0, FeatureCounts); err == nil {
+	if _, err := NewFeaturizer(0); err == nil {
 		t.Fatal("zero vocab must fail")
-	}
-	if _, err := NewFeaturizer(5, FeatureMode(0)); err == nil {
-		t.Fatal("unknown mode must fail")
 	}
 }
 
 func TestFeaturizerCounts(t *testing.T) {
-	f, err := NewFeaturizer(4, FeatureCounts)
+	f, err := NewFeaturizer(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,26 +219,8 @@ func TestFeaturizerCounts(t *testing.T) {
 	}
 }
 
-func TestFeaturizerFrequencies(t *testing.T) {
-	f, _ := NewFeaturizer(3, FeatureFrequencies)
-	x, err := f.Session([]int{0, 1, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range x {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("frequencies sum to %v", sum)
-	}
-	if math.Abs(x[1]-0.5) > 1e-12 {
-		t.Fatalf("freq[1] = %v, want 0.5", x[1])
-	}
-}
-
 func TestFeaturizerCorpus(t *testing.T) {
-	f, _ := NewFeaturizer(3, FeatureCounts)
+	f, _ := NewFeaturizer(3)
 	xs, err := f.Corpus([][]int{{0}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -255,9 +234,10 @@ func TestFeaturizerCorpus(t *testing.T) {
 }
 
 func TestPrefixStreamMatchesBatch(t *testing.T) {
-	f, _ := NewFeaturizer(4, FeatureCounts)
+	f, _ := NewFeaturizer(4)
 	session := []int{0, 3, 3, 1, 0}
 	stream := f.Stream()
+	var first []float64
 	for i, a := range session {
 		got, err := stream.Observe(a)
 		if err != nil {
@@ -269,38 +249,27 @@ func TestPrefixStreamMatchesBatch(t *testing.T) {
 				t.Fatalf("prefix %d: stream %v, batch %v", i, got, want)
 			}
 		}
+		// The returned vector is stream-owned scratch, reused between
+		// calls so the per-action path allocates nothing: successive
+		// observations alias one buffer.
+		if first == nil {
+			first = got
+		} else if &first[0] != &got[0] {
+			t.Fatal("stream must reuse its output buffer")
+		}
+	}
+	if got := stream.Support(); len(got) != 3 || got[0] != 0 || got[1] != 3 || got[2] != 1 {
+		t.Fatalf("support = %v, want [0 3 1] (first-seen order)", got)
 	}
 	if _, err := stream.Observe(9); err == nil {
 		t.Fatal("bad action must fail")
 	}
 }
 
-func TestPrefixStreamFrequencies(t *testing.T) {
-	f, _ := NewFeaturizer(2, FeatureFrequencies)
-	stream := f.Stream()
-	x1, _ := stream.Observe(0)
-	if x1[0] != 1 {
-		t.Fatalf("first prefix = %v", x1)
-	}
-	x2, _ := stream.Observe(1)
-	if math.Abs(x2[0]-0.5) > 1e-12 || math.Abs(x2[1]-0.5) > 1e-12 {
-		t.Fatalf("second prefix = %v", x2)
-	}
-	// The returned vector is stream-owned scratch, reused between calls
-	// so the per-action path allocates nothing: successive observations
-	// alias one buffer, and callers must consume it before the next.
-	if &x1[0] != &x2[0] {
-		t.Fatal("frequency stream must reuse its output buffer")
-	}
-	if got := stream.Support(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("support = %v, want [0 1]", got)
-	}
-}
-
 // The length-sensitivity that drives the paper's Figure 6: with count
 // features, prefixes far longer than the training sessions score lower.
 func TestCountFeaturesAreLengthSensitive(t *testing.T) {
-	f, _ := NewFeaturizer(5, FeatureCounts)
+	f, _ := NewFeaturizer(5)
 	rng := rand.New(rand.NewSource(12))
 	var train [][]float64
 	for i := 0; i < 150; i++ {

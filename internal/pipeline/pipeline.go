@@ -701,7 +701,6 @@ func (a *Adapter) trainConfig(old *core.Detector, vocab *actionlog.Vocabulary, s
 	}
 	c.LM.Trainer.LearningRate = 0.01
 	c.LM.Network.DropoutRate = 0
-	c.FeatureMode = oldCfg.FeatureMode
 	c.MinSessionLength = oldCfg.MinSessionLength
 	c.RouteVoteActions = oldCfg.RouteVoteActions
 	return c
