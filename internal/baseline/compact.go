@@ -8,13 +8,14 @@ import (
 )
 
 // Memory accounting and idle-state compaction for the classical
-// backends. Both streams carry one large derived buffer — the
-// vocab-sized predictive distribution (plus the HMM's prediction
-// scratch) — that a dormant session does not need: the n-gram stream is
-// fully described by its trailing context window and action count, the
-// HMM stream by its filtering distribution. Rehydration reallocates the
-// scratch; the recurrence state transfers, so scores continue
-// byte-identically.
+// backends. The n-gram stream is fully described by its trailing context
+// window and action count, the HMM stream by its filtering distribution;
+// a snapshot keeps exactly that. The vocab-sized predictive distribution
+// exists only once a caller has asked for it through Observe (the
+// serving path never does), so a snapshot drops it and a rehydrated
+// stream starts without it, as a new one does. Rehydration reallocates
+// only the HMM's states-sized prediction scratch; the recurrence state
+// transfers, so scores continue byte-identically.
 var (
 	_ scorer.StreamCompactor = (*NGram)(nil)
 	_ scorer.StreamCompactor = (*HMM)(nil)
@@ -66,12 +67,7 @@ func (m *NGram) RehydrateStream(snap scorer.StreamSnapshot) (scorer.Stream, erro
 		copy(grown, ctx)
 		ctx = grown
 	}
-	return &ngramStream{
-		m:    m,
-		ctx:  ctx,
-		dist: tensor.NewVector(m.vocab),
-		seen: ss.seen,
-	}, nil
+	return &ngramStream{m: m, ctx: ctx, seen: ss.seen}, nil
 }
 
 // MemSize estimates the resident heap bytes of one HMM stream.
@@ -113,7 +109,6 @@ func (m *HMM) RehydrateStream(snap scorer.StreamSnapshot) (scorer.Stream, error)
 		m:       m,
 		alpha:   ss.alpha,
 		pred:    tensor.NewVector(m.states),
-		dist:    tensor.NewVector(m.vocab),
 		started: ss.started,
 	}, nil
 }

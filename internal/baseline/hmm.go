@@ -260,14 +260,15 @@ func (m *HMM) ScoreSession(session []int) (scorer.Score, error) {
 
 // NewStream returns an incremental scorer carrying the forward-algorithm
 // step state: the normalized filtering distribution over hidden states.
-// All buffers are preallocated, so steady-state streaming performs no
-// per-action allocations.
+// The states-sized buffers are preallocated and the vocab-sized
+// predictive distribution is built by the first Observe, so
+// steady-state streaming performs no per-action allocations and a
+// likelihood-only stream never holds the distribution.
 func (m *HMM) NewStream() scorer.Stream {
 	return &hmmStream{
 		m:     m,
 		alpha: tensor.NewVector(m.states),
 		pred:  tensor.NewVector(m.states),
-		dist:  tensor.NewVector(m.vocab),
 	}
 }
 
@@ -281,8 +282,9 @@ type hmmStream struct {
 	alpha tensor.Vector
 	// pred is the one-step state prediction scratch buffer.
 	pred tensor.Vector
-	// dist is the predictive observation distribution, materialized only
-	// by Observe (ObserveLikelihood skips it); reused each step.
+	// dist is the predictive observation distribution, allocated by the
+	// first Observe and reused by every later one (ObserveLikelihood
+	// skips it).
 	dist tensor.Vector
 	// started flags that the first action has initialized alpha.
 	started bool
@@ -300,6 +302,9 @@ func (s *hmmStream) Observe(action int) (float64, tensor.Vector, error) {
 	// Predictive distribution over the next observation:
 	// p(o) = sum_j [sum_i alpha_i trans(i,j)] emit(j, o).
 	m := s.m
+	if s.dist == nil {
+		s.dist = tensor.NewVector(m.vocab)
+	}
 	for i := range s.dist {
 		s.dist[i] = 0
 	}

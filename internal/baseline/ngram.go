@@ -167,12 +167,10 @@ func (m *NGram) ScoreSession(session []int) (scorer.Score, error) {
 // NewStream returns an incremental per-action scorer: it keeps the last
 // Order-1 actions as context and reuses its distribution and key
 // buffers, so steady-state streaming performs no per-action allocations.
+// The vocab-sized distribution is built by the first Observe: a stream
+// driven only through ObserveLikelihood never allocates it.
 func (m *NGram) NewStream() scorer.Stream {
-	return &ngramStream{
-		m:    m,
-		ctx:  make([]int, 0, m.cfg.Order-1),
-		dist: tensor.NewVector(m.vocab),
-	}
+	return &ngramStream{m: m, ctx: make([]int, 0, m.cfg.Order-1)}
 }
 
 // ngramStream is the online adapter over NGram: the same interpolated
@@ -183,8 +181,9 @@ type ngramStream struct {
 	m *NGram
 	// ctx holds the last Order-1 observed actions.
 	ctx []int
-	// dist is the prediction for the upcoming action, materialized only
-	// by Observe (ObserveLikelihood skips it); reused each step.
+	// dist is the prediction for the upcoming action, allocated by the
+	// first Observe and reused by every later one (ObserveLikelihood
+	// skips it).
 	dist tensor.Vector
 	// keyBuf is the reusable context-key buffer for count lookups.
 	keyBuf []byte
@@ -199,6 +198,9 @@ func (s *ngramStream) Observe(action int) (float64, tensor.Vector, error) {
 	lik, err := s.ObserveLikelihood(action)
 	if err != nil {
 		return 0, nil, err
+	}
+	if s.dist == nil {
+		s.dist = tensor.NewVector(s.m.vocab)
 	}
 	s.keyBuf = s.m.nextDist(s.ctx, s.dist, s.keyBuf)
 	return lik, s.dist, nil

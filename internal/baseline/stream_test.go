@@ -146,7 +146,11 @@ func TestHMMStreamValidation(t *testing.T) {
 
 // TestLikelihoodFastPathMatchesObserve pins the likelihood-only fast
 // path to the full Observe for both classical backends, including mixed
-// calls on one stream.
+// calls on one stream. It also pins the lazy predictive buffer: new and
+// rehydrated streams do not hold the vocab-sized distribution, a stream
+// that first calls Observe after k likelihood-only steps predicts
+// exactly what a stream that called Observe throughout does, and once
+// built the buffer is reused without allocating.
 func TestLikelihoodFastPathMatchesObserve(t *testing.T) {
 	sessions := cycleSessions(10, 16, 6)
 	session := []int{0, 1, 2, 3, 4, 5, 0, 1, 2, 0, 5, 4}
@@ -162,11 +166,14 @@ func TestLikelihoodFastPathMatchesObserve(t *testing.T) {
 		full := m.NewStream()
 		fast := m.NewStream().(scorer.LikelihoodStream)
 		mixed := m.NewStream()
+		fresh := scorer.StreamMemSize(m.NewStream())
+		dists := make([][]float64, len(session))
 		for i, a := range session {
-			want, _, err := full.Observe(a)
+			want, dist, err := full.Observe(a)
 			if err != nil {
 				t.Fatal(err)
 			}
+			dists[i] = append([]float64(nil), dist...)
 			got, err := fast.ObserveLikelihood(a)
 			if err != nil {
 				t.Fatal(err)
@@ -191,6 +198,54 @@ func TestLikelihoodFastPathMatchesObserve(t *testing.T) {
 		}
 		if _, err := fast.ObserveLikelihood(99); err == nil {
 			t.Fatalf("%s: out-of-vocab action must fail on the fast path", m.Backend())
+		}
+
+		// full holds the predictive buffer; a new stream, and one
+		// rehydrated from full's snapshot, must not.
+		distBytes := 8 * m.VocabSize()
+		built := scorer.StreamMemSize(full)
+		compactor := m.(scorer.StreamCompactor)
+		snap, err := compactor.CompactStream(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		woken, err := compactor.RehydrateStream(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, size := range map[string]int{"new": fresh, "rehydrated": scorer.StreamMemSize(woken)} {
+			if built-size < distBytes {
+				t.Fatalf("%s: %s stream accounts %d B, within %d B of one holding the %d B predictive buffer",
+					m.Backend(), name, size, built-size, distBytes)
+			}
+		}
+
+		for k := range session {
+			lazy := m.NewStream()
+			for _, a := range session[:k] {
+				if _, err := scorer.ObserveLikelihood(lazy, a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, dist, err := lazy.Observe(session[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for o := range dists[k] {
+				if math.Float64bits(dist[o]) != math.Float64bits(dists[k][o]) {
+					t.Fatalf("%s: first Observe after %d likelihood-only steps: P(%d) = %v, want %v",
+						m.Backend(), k, o, dist[o], dists[k][o])
+				}
+			}
+			next := k
+			if allocs := testing.AllocsPerRun(20, func() {
+				next = (next + 1) % len(session)
+				if _, _, err := lazy.Observe(session[next]); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Fatalf("%s: Observe after the buffer is built allocates %.1f times per call", m.Backend(), allocs)
+			}
 		}
 	}
 }

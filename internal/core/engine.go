@@ -46,9 +46,9 @@ type EngineConfig struct {
 	// long; 0 disables eviction (replay and tests).
 	IdleExpiry time.Duration
 	// CompactAfter collapses sessions that have not seen an event for
-	// this long into compact snapshots (LSTM hidden/cell state plus the
-	// monitor scalars — no scratch, no route state, no lazy per-cluster
-	// streams), transparently rehydrated on their next event with
+	// this long into compact snapshots (the monitor scalars plus the
+	// routed stream's recurrence state, e.g. LSTM hidden/cell — no
+	// scratch), transparently rehydrated on their next event with
 	// byte-identical scores. 0 disables background compaction;
 	// Engine.Compact compacts on demand regardless. Only sessions past
 	// the routing-vote freeze are eligible — younger ones stay live
@@ -1207,9 +1207,10 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 	}
 	// Re-account the session while its footprint can still change: on
 	// creation and rehydration, while the routing vote may lazily build
-	// streams and grow the prefix buffer, and when the recorded-token
-	// buffer reallocates. Past the vote freeze a live session's size is
-	// constant, so the steady-state hot path skips the walk.
+	// streams (and on the action whose freeze releases the vote state),
+	// and when the recorded-token buffer reallocates. Past the vote
+	// freeze a live session's size is constant, so the steady-state hot
+	// path skips the walk.
 	grew = grew || cap(sess.tokens) != tokCap || sess.mon.voting()
 	idx := sess.remap.lookup(s.e.interner, ev.tok)
 	if idx < 0 && ev.action != "" {
@@ -1255,7 +1256,7 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 	}
 	if grew {
 		// After StageToken: the vote may just have created this
-		// cluster's stream, the dominant per-session allocation.
+		// cluster's stream, or frozen and released its state.
 		s.resize(sess)
 	}
 	sess.waveMark = s.waveID
@@ -1566,17 +1567,14 @@ func (s *engineShard) end(id string, sess *engineSession) {
 		Tokens:       sess.tokens,
 		Snap:         snap,
 	}
+	var st *sessionState
 	if sess.snap != nil {
-		sum.Cluster = sess.snap.Cluster()
-		sum.Observed = sess.snap.Position()
-		sum.MinSmoothed = sess.snap.MinSmoothed()
-		sum.LastSmoothed = sess.snap.Smoothed()
+		st = &sess.snap.sessionState
 	} else {
-		sum.Cluster = sess.mon.Cluster()
-		sum.Observed = sess.mon.Position()
-		sum.MinSmoothed = sess.mon.MinSmoothed()
-		sum.LastSmoothed = sess.mon.Smoothed()
+		st = &sess.mon.sessionState
 	}
+	sum.Cluster, sum.Observed = st.cluster, st.position
+	sum.MinSmoothed, sum.LastSmoothed = st.warmMin, st.smoothed
 	s.e.cfg.OnSessionEnd(sum)
 }
 

@@ -186,9 +186,10 @@ func TestEngineDeterminismWithCompaction(t *testing.T) {
 // memRecount recounts every resident session's footprint on its shard —
 // live monitors' MemSize, snapshots' MemSize, and the session overhead
 // resize adds — and requires Engine.MemBytes to equal the sum. Sessions
-// still voting must carry route state and live ones past the vote
-// freeze must have released it. It returns how many sessions of each
-// kind it counted.
+// still voting must carry vote state and no routed stream yet; live
+// ones past the vote freeze (voting reports whether the vote state is
+// still held) must have kept the winner's stream. It returns how many
+// sessions of each kind it counted.
 func memRecount(t *testing.T, eng *Engine) (voting, frozen, compacted int) {
 	t.Helper()
 	var mu sync.Mutex
@@ -204,14 +205,14 @@ func memRecount(t *testing.T, eng *Engine) (voting, frozen, compacted int) {
 				compacted++
 			case sess.mon.voting():
 				total += int64(sess.mon.MemSize())
-				if len(sess.mon.route) == 0 {
-					t.Errorf("session %s is voting without route state", sess.id)
+				if len(sess.mon.vote.route) == 0 || sess.mon.stream != nil {
+					t.Errorf("session %s is voting without route state, or with a routed stream", sess.id)
 				}
 				voting++
 			default:
 				total += int64(sess.mon.MemSize())
-				if sess.mon.route != nil {
-					t.Errorf("session %s kept its route state past the vote freeze", sess.id)
+				if sess.mon.stream == nil {
+					t.Errorf("session %s froze its vote without keeping the winner's stream", sess.id)
 				}
 				frozen++
 			}
@@ -722,5 +723,59 @@ func TestEngineCompactedCensusHeapCeiling(t *testing.T) {
 	touched := f.touch("census", sessions, 100, scripts)
 	if got := eng.Stats().Rehydrations; got != uint64(touched) {
 		t.Fatalf("touched %d compacted sessions, %d rehydrated", touched, got)
+	}
+}
+
+// TestEngineLiveCensusHeapCeiling holds a census of live n-gram sessions,
+// never compacted, once mid-vote (8 actions) and once past the vote
+// freeze (20 actions), and bounds what each costs on the settled heap
+// and in the engine's accounting. A voting session holds its vote state
+// and the streams of the clusters that led the vote; a frozen one only
+// the winner's stream.
+//
+// The ceiling: 10k sessions measure ~1,630 B (voting) and ~680 B
+// (frozen) per session on the settled heap (linux/amd64, Go 1.24).
+// Streams that allocate their vocab-sized predictive buffer up front
+// (the likelihood-only serving path never reads it), with monitors that
+// keep their vote state past the freeze, measured 6,706 and 7,301 B;
+// the 2 KiB ceiling fails either.
+func TestEngineLiveCensusHeapCeiling(t *testing.T) {
+	const sessions = 10000
+	const ceiling = 2048 // bytes per session
+	det := trainCorpusNGram(t, 11)
+	for _, c := range []struct {
+		name    string
+		actions int
+	}{{"voting", 8}, {"frozen", 20}} {
+		t.Run(c.name, func(t *testing.T) {
+			scripts := censusScripts(t, corpus.KindProfile, c.actions)
+			heap0 := settledHeap()
+			eng, err := NewEngine(det, EngineConfig{Shards: 2, Monitor: DefaultMonitorConfig()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+			defer cancel()
+			f := &censusFeeder{t: t, eng: eng, ctx: ctx}
+			f.play("live", 0, sessions, scripts)
+			st := eng.Stats()
+			perSession := float64(settledHeap()-heap0) / sessions
+			accounted := st.MemBytes / sessions
+			t.Logf("settled heap %.0f B/session over %d live %s sessions (engine accounts %d B/session)",
+				perSession, st.SessionsLive, c.name, accounted)
+			voting, frozen, compacted := memRecount(t, eng)
+			wantVoting, wantFrozen := 0, sessions
+			if c.actions < det.cfg.RouteVoteActions {
+				wantVoting, wantFrozen = sessions, 0
+			}
+			if voting != wantVoting || frozen != wantFrozen || compacted != 0 {
+				t.Fatalf("%d voting, %d frozen, %d compacted sessions; want all %d %s", voting, frozen, compacted, sessions, c.name)
+			}
+			if perSession > ceiling || accounted > ceiling {
+				t.Fatalf("%.0f B per live %s session on the settled heap, %d B accounted; ceiling %d B",
+					perSession, c.name, accounted, ceiling)
+			}
+		})
 	}
 }

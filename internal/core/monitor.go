@@ -179,33 +179,14 @@ type MonitorStep struct {
 	Alarms []AlarmKind
 }
 
-// SessionMonitor scores one session in real time, action by action. It
-// keeps a sequence-model stream per cluster (whatever the detector's
-// backend) so the routed cluster can change mid-vote without re-reading
-// the session, and freezes the route after RouteVoteActions actions per
-// the paper's online rule.
-//
-// The monitor speaks token IDs only: action names are resolved exactly
-// once at the ingestion edge (actionlog.Interner in the serving path,
-// Detector.Token on cold paths), so the per-action hot path never touches
-// a string. Unknown-action handling lives with the caller — a token
-// outside the detector's vocabulary never reaches ObserveToken.
-type SessionMonitor struct {
-	d    *Detector
-	mcfg MonitorConfig
-	// route is the routing vote's per-support-vector distance state
-	// (ocsvm.Router), released on the action that freezes the vote.
-	route   []int32
-	streams []scorer.Stream
-	// advanced[i] is how many actions streams[i] has observed; prefix
-	// buffers the vote-window actions so a stream is caught up lazily
-	// when its cluster first wins the vote. Only the selected cluster's
-	// stream advances per action — strictly less model work than
-	// advancing every stream, with identical observable values, since a
-	// stream's state depends only on the sequence it has observed.
-	advanced []int
-	prefix   []int
-	votes    []int
+// sessionState is one session past its stream: the routed cluster, the
+// position, and the alarm logic's smoothing and trend state. A live
+// SessionMonitor and a dormant SessionSnapshot both embed it and differ
+// only in the form of the routed cluster's stream, so compaction and
+// rehydration swap that one field.
+type sessionState struct {
+	d        *Detector
+	mcfg     MonitorConfig
 	cluster  int
 	position int
 	smoothed float64
@@ -216,9 +197,51 @@ type SessionMonitor struct {
 	recent    []float64
 	recentPos int
 	recentN   int
+}
+
+// SessionMonitor scores one session in real time, action by action. A
+// session is a vote, then one stream. For its first RouteVoteActions
+// actions the OC-SVMs vote on its cluster, and the monitor keeps a
+// sequence-model stream for every cluster that has led the vote, so the
+// routed cluster can change mid-vote without re-reading the session. The
+// action that freezes the vote (the paper's online rule) releases all of
+// that but the winner's stream, which alone scores the rest.
+//
+// The monitor speaks token IDs only: action names are resolved exactly
+// once at the ingestion edge (actionlog.Interner in the serving path,
+// Detector.Token on cold paths), so the per-action hot path never touches
+// a string. Unknown-action handling lives with the caller — a token
+// outside the detector's vocabulary never reaches ObserveToken.
+type SessionMonitor struct {
+	sessionState
+	// vote is the routing vote's state, nil once the vote has frozen.
+	vote *voteState
+	// stream is the routed cluster's stream, set when the vote freezes.
+	stream scorer.Stream
 	// alarmScratch backs MonitorStep.Alarms (at most one alarm per
 	// kind per step), keeping alarm emission allocation-free too.
 	alarmScratch [2]AlarmKind
+}
+
+// voteState is the state a session needs only while its routing vote
+// runs: allocated with the monitor, dropped on the action that freezes
+// the vote.
+type voteState struct {
+	// route is the vote's per-support-vector distance state
+	// (ocsvm.Router).
+	route []int32
+	// streams[c] is cluster c's stream, created when c first leads the
+	// vote: most sessions only ever route to one or two clusters.
+	streams []scorer.Stream
+	// advanced[c] is how many actions streams[c] has observed; prefix
+	// buffers the vote-window actions so a stream is caught up lazily
+	// when its cluster takes the lead. Only the leading cluster's stream
+	// advances per action — strictly less model work than advancing
+	// every stream, with identical observable values, since a stream's
+	// state depends only on the sequence it has observed.
+	advanced []int
+	prefix   []int
+	votes    []int
 }
 
 // NewSessionMonitor starts monitoring one session.
@@ -226,21 +249,19 @@ func (d *Detector) NewSessionMonitor(mcfg MonitorConfig) (*SessionMonitor, error
 	if err := mcfg.validate(); err != nil {
 		return nil, err
 	}
+	// advanced, votes and prefix share one backing array, so a session's
+	// birth allocates them once.
+	n, k := len(d.clusters), d.cfg.RouteVoteActions
+	ints := make([]int, 2*n+k)
 	m := &SessionMonitor{
-		d:     d,
-		mcfg:  mcfg,
-		route: d.router.Start(),
-		// streams entries stay nil until a cluster first wins the vote:
-		// most sessions only ever route to one or two clusters, and a
-		// stream (with its preallocated scoring scratch) is by far the
-		// most expensive part of session setup, so eager creation would
-		// pay ~clusters times the needed allocation per session.
-		streams:  make([]scorer.Stream, len(d.clusters)),
-		advanced: make([]int, len(d.clusters)),
-		prefix:   make([]int, 0, d.cfg.RouteVoteActions),
-		votes:    make([]int, len(d.clusters)),
-		smoothed: -1,
-		warmMin:  -1,
+		sessionState: sessionState{d: d, mcfg: mcfg, smoothed: -1, warmMin: -1},
+		vote: &voteState{
+			route:    d.router.Start(),
+			streams:  make([]scorer.Stream, n),
+			advanced: ints[:n:n],
+			votes:    ints[n : 2*n : 2*n],
+			prefix:   ints[2*n : 2*n],
+		},
 	}
 	if mcfg.TrendWindow > 0 {
 		m.recent = make([]float64, mcfg.TrendWindow)
@@ -268,8 +289,9 @@ func (m *SessionMonitor) ObserveToken(action int) (MonitorStep, error) {
 
 // StageToken performs the pre-scoring half of one observation: the
 // routing vote, the vote-window prefix buffering, and the lazy catch-up
-// of the selected cluster's stream. It returns that cluster's sequence
-// model and stream. The caller MUST advance the returned stream by
+// of the selected cluster's stream; past the vote's freeze there is
+// nothing to do. It returns that cluster's sequence model and stream.
+// The caller MUST advance the returned stream by
 // exactly this action — serially via scorer.ObserveLikelihood, or fused
 // with other sessions' streams of the same Scorer via
 // scorer.AdvanceBatch — and then call FinishToken with the observed
@@ -277,45 +299,45 @@ func (m *SessionMonitor) ObserveToken(action int) (MonitorStep, error) {
 // stream-position bookkeeping ahead of the stream and the session
 // unusable.
 func (m *SessionMonitor) StageToken(action int) (scorer.Scorer, scorer.Stream, error) {
-	// Update the routing vote during the first RouteVoteActions actions,
-	// buffering the vote-window prefix, and drop the route state on the
-	// action that freezes the vote: nothing reads it afterwards.
-	if m.position < m.d.cfg.RouteVoteActions {
-		cluster, err := m.d.vote(m.route, m.votes, m.prefix, action)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.cluster = cluster
-		m.prefix = append(m.prefix, action)
-		if len(m.prefix) == m.d.cfg.RouteVoteActions {
-			m.route = nil
-		}
+	v := m.vote
+	if v == nil {
+		return m.d.clusters[m.cluster].Model, m.stream, nil
 	}
+	// Update the routing vote, buffering the vote-window prefix.
+	cluster, err := m.d.vote(v.route, v.votes, v.prefix, action)
+	if err != nil {
+		return nil, nil, err
+	}
+	m.cluster = cluster
+	v.prefix = append(v.prefix, action)
 
-	// Advance only the selected cluster's stream, catching it up on the
+	// Advance only the leading cluster's stream, catching it up on the
 	// buffered vote-window prefix when a route change hands the session
 	// to a cluster whose stream is behind. A stream's state is a pure
 	// function of the sequence it observed, so lazy catch-up yields the
-	// same likelihoods as eagerly advancing every stream — for strictly
-	// less model work (after the vote freezes, exactly one stream
-	// advances per action). The likelihood-only path spares the
-	// classical backends the predictive distribution the monitor never
-	// reads.
-	st := m.streams[m.cluster]
+	// same likelihoods as eagerly advancing every stream. The
+	// likelihood-only path spares the classical backends the predictive
+	// distribution the monitor never reads.
+	st := v.streams[cluster]
 	if st == nil {
-		st = m.d.clusters[m.cluster].Model.NewStream()
-		m.streams[m.cluster] = st
+		st = m.d.clusters[cluster].Model.NewStream()
+		v.streams[cluster] = st
 	}
-	for m.advanced[m.cluster] < m.position {
-		if _, err := scorer.ObserveLikelihood(st, m.prefix[m.advanced[m.cluster]]); err != nil {
+	for v.advanced[cluster] < m.position {
+		if _, err := scorer.ObserveLikelihood(st, v.prefix[v.advanced[cluster]]); err != nil {
 			return nil, nil, err
 		}
-		m.advanced[m.cluster]++
+		v.advanced[cluster]++
 	}
 	// Pre-pay for the advance the caller owes: after FinishToken the
 	// position moves past this action, so the count must already cover it.
-	m.advanced[m.cluster]++
-	return m.d.clusters[m.cluster].Model, st, nil
+	v.advanced[cluster]++
+	if len(v.prefix) == m.d.cfg.RouteVoteActions {
+		// The vote froze on this action: the winner's stream, caught up,
+		// is all of it that is ever read again.
+		m.stream, m.vote = st, nil
+	}
+	return m.d.clusters[cluster].Model, st, nil
 }
 
 // FinishToken consumes the likelihood the staged stream advance observed
@@ -369,17 +391,17 @@ func (m *SessionMonitor) FinishToken(action int, likelihood float64) MonitorStep
 }
 
 // Cluster returns the currently selected behavior cluster.
-func (m *SessionMonitor) Cluster() int { return m.cluster }
+func (s *sessionState) Cluster() int { return s.cluster }
 
 // Position returns the number of observed actions.
-func (m *SessionMonitor) Position() int { return m.position }
+func (s *sessionState) Position() int { return s.position }
 
 // Smoothed returns the current EWMA of the likelihood (-1 before the
 // first scored action).
-func (m *SessionMonitor) Smoothed() float64 { return m.smoothed }
+func (s *sessionState) Smoothed() float64 { return s.smoothed }
 
 // MinSmoothed returns the minimum post-warmup smoothed likelihood seen
 // so far — the session's weakest point, the exact quantity threshold
 // calibration quantiles over — or -1 when the session has not scored
 // past the warmup yet.
-func (m *SessionMonitor) MinSmoothed() float64 { return m.warmMin }
+func (s *sessionState) MinSmoothed() float64 { return s.warmMin }
