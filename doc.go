@@ -15,9 +15,9 @@
 // The online path runs on a sharded concurrent scoring engine
 // (internal/core.Engine): session IDs are hashed onto N shards, each
 // with its own goroutine, session map, and idle-eviction clock, fed
-// through bounded channels with explicit backpressure. Scoring reuses
-// preallocated tensor scratch buffers, so the steady state allocates
-// nothing per action, and a determinism mode makes a sharded replay
+// through bounded channels with explicit backpressure. Scoring borrows
+// pooled tensor scratch buffers, so the steady state allocates nothing
+// per action, and a determinism mode makes a sharded replay
 // byte-identical to the serial monitor. internal/corpus embeds a fixed
 // labeled evaluation corpus the race-enabled test suite replays against
 // both paths. See ARCHITECTURE.md for the design.

@@ -1111,10 +1111,9 @@ const maxWave = 1024
 // vocabulary remap, routing vote, prefix catch-up — and parks it on the
 // shard's current wave for the fused stream advance at flush time. Runs
 // only on the shard goroutine: the session map, the remap tables, and
-// the monitors (with their preallocated scratch buffers) are
-// shard-local. Events that finish at stage time (unknown action, scoring
-// error) are counted processed immediately; staged events are counted
-// when the wave flushes.
+// the monitors are shard-local. Events that finish at stage time
+// (unknown action, scoring error) are counted processed immediately;
+// staged events are counted when the wave flushes.
 func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time) {
 	sess, ok := s.sessions[ev.sessionID]
 	if ok && sess.waveMark == s.waveID {

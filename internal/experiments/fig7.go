@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"misusedetect/internal/nn"
+	"misusedetect/internal/scorer"
 )
 
 // Fig7 reproduces Figure 7, the online regime: the average likelihood of
@@ -40,10 +40,10 @@ func Fig7(s *Setup) (*Result, error) {
 			limit = maxPos
 		}
 		// Advance one LM stream per cluster plus the routing features.
-		streams := make([]*nn.StreamState, len(clusters))
+		streams := make([]scorer.Stream, len(clusters))
 		var probs [][]float64
 		for ci := range clusters {
-			streams[ci] = clusters[ci].LM.Stream()
+			streams[ci] = clusters[ci].LM.NewStream()
 		}
 		probs = make([][]float64, len(clusters))
 		feat := s.Detector.Featurizer().Stream()

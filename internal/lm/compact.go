@@ -5,12 +5,13 @@ import (
 
 	"misusedetect/internal/nn"
 	"misusedetect/internal/scorer"
-	"misusedetect/internal/tensor"
 )
 
-// Idle-state compaction for the LSTM backend: a dormant stream keeps
-// only its recurrent (H, C) state — 2·hidden floats instead of the
-// ~12·hidden + 2·vocab floats of a live preallocated stream. The
+// Idle-state compaction for the LSTM backend. A live stream is already
+// only its recurrent state (H, C) and whether it has consumed an action
+// — the next prediction is recomputed from H when the next action
+// arrives — so the stream is its own snapshot: compaction and
+// rehydration move it whole, with no copy and no arithmetic. The
 // assertions pin the seams from this side, mirroring how the Stream
 // contract is pinned in lm.go.
 var (
@@ -18,37 +19,22 @@ var (
 	_ scorer.MemSizer        = (*nn.StreamState)(nil)
 )
 
-// streamSnapshot is the compact dormant form of one LSTM stream.
-type streamSnapshot struct {
-	h, c tensor.Vector
-	// primed records whether the stream had consumed at least one action
-	// (and therefore carries a next-action prediction to recompute).
-	primed bool
-}
-
-// MemSize implements scorer.StreamSnapshot.
-func (s *streamSnapshot) MemSize() int {
-	return (len(s.h)+len(s.c))*8 + 64
-}
-
-// CompactStream collapses one of this model's streams into its snapshot,
-// taking ownership of the stream's state vectors.
+// CompactStream returns one of this model's streams as its own snapshot.
 func (m *Model) CompactStream(st scorer.Stream) (scorer.StreamSnapshot, error) {
 	ns, ok := st.(*nn.StreamState)
 	if !ok {
 		return nil, fmt.Errorf("lm: compact: foreign stream type %T", st)
 	}
-	h, c, primed := ns.SnapshotState()
-	return &streamSnapshot{h: h, c: c, primed: primed}, nil
+	return ns, nil
 }
 
-// RehydrateStream rebuilds a live preallocated stream from a snapshot
-// taken by CompactStream. The rebuilt stream's scores are byte-identical
-// to the uninterrupted stream's (see nn.RestoreStream).
+// RehydrateStream returns the stream a CompactStream snapshot holds; it
+// continues with exactly the likelihoods the uninterrupted stream would
+// have returned, because it is that stream.
 func (m *Model) RehydrateStream(snap scorer.StreamSnapshot) (scorer.Stream, error) {
-	ss, ok := snap.(*streamSnapshot)
+	ns, ok := snap.(*nn.StreamState)
 	if !ok {
 		return nil, fmt.Errorf("lm: rehydrate: foreign snapshot type %T", snap)
 	}
-	return m.net.RestoreStream(ss.h, ss.c, ss.primed)
+	return ns, nil
 }

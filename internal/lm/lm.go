@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"misusedetect/internal/nn"
 	"misusedetect/internal/scorer"
@@ -25,9 +24,10 @@ const BackendLSTM = "lstm"
 // stream assertion pins the seam from this side, so nn never has to
 // import the serving contract.
 var (
-	_ scorer.Scorer      = (*Model)(nil)
-	_ scorer.Stream      = (*nn.StreamState)(nil)
-	_ scorer.BatchStream = (*Model)(nil)
+	_ scorer.Scorer           = (*Model)(nil)
+	_ scorer.Stream           = (*nn.StreamState)(nil)
+	_ scorer.LikelihoodStream = (*nn.StreamState)(nil)
+	_ scorer.BatchStream      = (*Model)(nil)
 )
 
 func init() {
@@ -62,10 +62,6 @@ func ScaledConfig(vocab, hidden, epochs int, seed int64) Config {
 // Model is a trained language model over a fixed action vocabulary.
 type Model struct {
 	net *nn.LanguageNetwork
-	// batchPool recycles the packed-matrix scratch of AdvanceBatch: one
-	// model generation is served by several engine shards concurrently,
-	// so the transient buffers cannot hang off the (shared) network.
-	batchPool sync.Pool
 }
 
 // Train fits a language model on the encoded sessions of one behavior
@@ -96,9 +92,10 @@ func (m *Model) Backend() string { return BackendLSTM }
 // VocabSize returns the action-vocabulary size of the model.
 func (m *Model) VocabSize() int { return m.net.Config().InputSize }
 
-// NewStream returns the model's scorer.Stream: the preallocated-scratch
-// variant, so engine scoring stays allocation-free per action.
-func (m *Model) NewStream() scorer.Stream { return m.StreamPrealloc() }
+// NewStream returns the model's scorer.Stream, an *nn.StreamState: its
+// recurrent state and nothing else, so engine scoring stays
+// allocation-free per action.
+func (m *Model) NewStream() scorer.Stream { return m.net.NewStream() }
 
 // Save writes the model to w.
 func (m *Model) Save(w io.Writer) error { return m.net.Save(w) }
@@ -266,15 +263,9 @@ func (m *Model) CorpusLoss(sessions [][]int) (float64, error) {
 	return lossSum / float64(total), nil
 }
 
-// advanceScratch bundles the reusable buffers of one AdvanceBatch call.
-type advanceScratch struct {
-	scratch *nn.BatchScratch
-	streams []*nn.StreamState
-}
-
 // AdvanceBatch implements scorer.BatchStream: it advances N distinct
 // session streams of this model by one action each with one fused
-// batched step (one recurrent GEMM + one output GEMM for the whole
+// batched step (one output GEMM + one recurrent GEMM for the whole
 // batch), bit-identical to observing each stream serially. Safe for
 // concurrent use by multiple shards; the streams themselves must be
 // disjoint across concurrent calls.
@@ -283,14 +274,11 @@ func (m *Model) AdvanceBatch(streams []scorer.Stream, actions []int, liks []floa
 		return fmt.Errorf("lm: AdvanceBatch length mismatch streams=%d actions=%d liks=%d",
 			len(streams), len(actions), len(liks))
 	}
-	sc, _ := m.batchPool.Get().(*advanceScratch)
-	if sc == nil {
-		sc = &advanceScratch{scratch: nn.NewBatchScratch()}
-	}
-	defer m.batchPool.Put(sc)
-	sc.streams = sc.streams[:0]
+	// Engine waves default to 64 streams, so the gather stays on the stack.
+	var buf [64]*nn.StreamState
+	ns := buf[:0]
 	for _, st := range streams {
-		ns, ok := st.(*nn.StreamState)
+		s, ok := st.(*nn.StreamState)
 		if !ok {
 			// A wrapped or foreign stream type cannot be packed; advance
 			// the whole batch serially instead.
@@ -303,20 +291,10 @@ func (m *Model) AdvanceBatch(streams []scorer.Stream, actions []int, liks []floa
 			}
 			return nil
 		}
-		sc.streams = append(sc.streams, ns)
+		ns = append(ns, s)
 	}
-	if err := m.net.ObserveBatch(sc.streams, actions, liks, sc.scratch); err != nil {
+	if err := m.net.ObserveBatch(ns, actions, liks); err != nil {
 		return fmt.Errorf("lm: %w", err)
 	}
 	return nil
 }
-
-// Stream returns an incremental per-action scorer for the online regime.
-func (m *Model) Stream() *nn.StreamState { return m.net.NewStream() }
-
-// StreamPrealloc returns an incremental scorer backed by preallocated
-// scratch buffers: steady-state scoring performs no per-action
-// allocations, at the cost that the distribution returned by Observe is
-// only valid until the next Observe. This is the variant the concurrent
-// scoring engine uses, where per-action garbage would dominate.
-func (m *Model) StreamPrealloc() *nn.StreamState { return m.net.NewStreamPrealloc() }

@@ -219,7 +219,7 @@ func TestStreamScoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := m.Stream()
+	stream := m.NewStream()
 	for i, a := range session {
 		p, _, err := stream.Observe(a)
 		if err != nil {

@@ -8,28 +8,29 @@ import (
 )
 
 // Cross-session micro-batched inference: a shard that holds N live LSTM
-// streams advances all of them with one recurrent GEMM and one output
+// streams advances all of them with one output GEMM and one recurrent
 // GEMM per tick instead of 2N matvecs, so the weight matrices are
 // streamed from memory once per tick rather than once per event.
 //
-// The batched path is bit-identical to N serial StepReuse/Observe calls:
-// the GEMM kernels accumulate each output element in a single scalar
-// over ascending k (tensor.MatMulNT's contract), the pre-activation is
-// assembled in the same (bias + wx) + dot order as LSTM.preactivate,
-// and the elementwise gate math is the same expressions per element.
-// That equivalence is what lets the engine's deterministic-replay mode
-// batch freely.
+// The batched path is bit-identical to the reference kernels: the GEMM
+// kernels accumulate each output element in a single scalar over
+// ascending k (tensor.MatMulNT's contract), the gate pre-activation is
+// assembled in the same (bias + wx) + dot order as LSTM.preactivate, the
+// logits are dot + bias where Dense.ForwardInto has bias + dot (one
+// commutative add), and the elementwise math is the same expressions per
+// element. That equivalence is what lets the engine's
+// deterministic-replay mode batch freely.
 
 // BatchScratch holds the packed matrices of a batched step. It grows to
 // the largest batch it has served and is reused across ticks; one
 // scratch must not be shared between goroutines.
 type BatchScratch struct {
-	// h packs one stream's hidden vector per row: the previous h during
-	// the recurrent GEMM, overwritten with the new h for the output GEMM.
+	// h packs one stream's hidden vector per row: the primed streams'
+	// H for the output GEMM, then every stream's H for the recurrent one.
 	h *tensor.Matrix
 	// z holds the 4H gate pre-activations, one row per stream.
 	z *tensor.Matrix
-	// logits holds the dense outputs, one row per stream.
+	// logits holds the dense outputs, one row per primed stream.
 	logits *tensor.Matrix
 	// pack is the GEMM kernel's packing buffer (16·(H+3) values).
 	pack []float64
@@ -40,20 +41,6 @@ type BatchScratch struct {
 // NewBatchScratch returns an empty scratch; buffers are allocated on
 // first use and grown on demand.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
-
-// BatchedState is the packed view of one batched step: row i of the
-// hidden matrix belongs to States[i]. Valid after a StepBatch call on
-// the scratch it came from (see BatchScratch.Batched) until the next.
-type BatchedState struct {
-	States []*State
-	H      *tensor.Matrix
-}
-
-// Batched returns the packed view of the last StepBatch run through
-// this scratch: H row i holds the post-step hidden vector of states[i].
-func (s *BatchScratch) Batched(states []*State) BatchedState {
-	return BatchedState{States: states, H: s.h}
-}
 
 // StepBatch advances N independent states by one input each (xs[i] < 0
 // encodes a zero/padded input), running the four gate transforms of all
@@ -89,7 +76,6 @@ func (l *LSTM) StepBatch(states []*State, xs []int, s *BatchScratch) {
 				z[r] = (bias[r] + l.Wx.W.Data[r*l.InputSize+x]) + d
 			}
 		}
-		hrow := s.h.Row(i)
 		for k := 0; k < hs; k++ {
 			ig := sigmoid(z[k])
 			fg := sigmoid(z[hs+k])
@@ -97,59 +83,65 @@ func (l *LSTM) StepBatch(states []*State, xs []int, s *BatchScratch) {
 			gg := math.Tanh(z[3*hs+k])
 			c := fg*st.C[k] + ig*gg
 			st.C[k] = c
-			h := og * math.Tanh(c)
-			st.H[k] = h
-			hrow[k] = h
+			st.H[k] = og * math.Tanh(c)
 		}
 	}
 }
 
 // ObserveBatch advances N distinct streams of this network by one action
 // each, writing into liks[i] the probability stream i's model assigned
-// to actions[i] before consuming it (-1 for a stream's first action) —
-// the batched equivalent of calling Observe on every stream, and
-// bit-identical to it. Streams may move freely between serial and
-// batched observation across calls. The scratch carries all transient
-// buffers, so one network can serve concurrent ObserveBatch calls as
-// long as each caller brings its own scratch (and disjoint streams).
-func (n *LanguageNetwork) ObserveBatch(streams []*StreamState, actions []int, liks []float64, s *BatchScratch) error {
+// to actions[i] before consuming it (-1 for a stream's first action).
+// The likelihood is read from softmax(dense(H)) of the pre-step hidden
+// state — one output GEMM over the primed streams' packed H rows — and
+// then one recurrent GEMM steps every stream; no distribution is kept.
+// A batch of one is the serial path (StreamState.ObserveLikelihood).
+// Transient buffers come from the network's scratch pool, so several
+// goroutines may observe disjoint streams of one network at once.
+func (n *LanguageNetwork) ObserveBatch(streams []*StreamState, actions []int, liks []float64) error {
 	if len(streams) != len(actions) || len(streams) != len(liks) {
 		return fmt.Errorf("nn: ObserveBatch length mismatch streams=%d actions=%d liks=%d",
 			len(streams), len(actions), len(liks))
 	}
-	if len(streams) == 0 {
-		return nil
-	}
-	s.states = s.states[:0]
+	primed := 0
 	for i, st := range streams {
 		if st.net != n {
 			return fmt.Errorf("nn: ObserveBatch stream %d belongs to a different network", i)
 		}
-		a := actions[i]
-		if a < 0 || a >= n.cfg.InputSize {
+		if a := actions[i]; a < 0 || a >= n.cfg.InputSize {
 			return fmt.Errorf("nn: stream action %d outside vocab %d", a, n.cfg.InputSize)
 		}
-		liks[i] = -1
-		if st.nextProbs != nil {
-			liks[i] = st.nextProbs[a]
+		if st.primed {
+			primed++
 		}
-		s.states = append(s.states, st.state)
+	}
+	s := n.scratch.Get().(*BatchScratch)
+	defer n.scratch.Put(s)
+	if primed > 0 {
+		s.h = tensor.GrowMatrix(s.h, primed, n.cfg.HiddenSize)
+		r := 0
+		for _, st := range streams {
+			if st.primed {
+				copy(s.h.Row(r), st.state.H)
+				r++
+			}
+		}
+		s.logits = tensor.GrowMatrix(s.logits, primed, n.cfg.InputSize)
+		tensor.MatMulNTBuf(s.logits, s.h, n.dense.W.W, &s.pack)
+		tensor.AddBiasRows(s.logits, tensor.Vector(n.dense.B.W.Data))
+	}
+	s.states = s.states[:0]
+	r := 0
+	for i, st := range streams {
+		liks[i] = -1
+		if st.primed {
+			probs := s.logits.Row(r)
+			tensor.Softmax(probs, probs)
+			liks[i] = probs[actions[i]]
+			r++
+		}
+		st.primed = true
+		s.states = append(s.states, &st.state)
 	}
 	n.lstm.StepBatch(s.states, actions, s)
-	s.logits = tensor.GrowMatrix(s.logits, len(streams), n.cfg.InputSize)
-	tensor.MatMulNTBuf(s.logits, s.h, n.dense.W.W, &s.pack)
-	tensor.AddBiasRows(s.logits, tensor.Vector(n.dense.B.W.Data))
-	for i, st := range streams {
-		var probs tensor.Vector
-		if st.scratch != nil {
-			probs = st.scratch.probs
-		} else {
-			// Non-prealloc streams get a fresh distribution per step,
-			// matching serial Observe.
-			probs = tensor.NewVector(n.cfg.InputSize)
-		}
-		tensor.Softmax(probs, s.logits.Row(i))
-		st.nextProbs = probs
-	}
 	return nil
 }

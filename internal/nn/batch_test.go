@@ -1,8 +1,11 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"misusedetect/internal/tensor"
 )
 
 // batchNet builds a randomly initialized network (random init is
@@ -41,7 +44,6 @@ func TestStepBatchMatchesStepReuse(t *testing.T) {
 					xs[i] = rng.Intn(vocab+1) - 1 // includes padding inputs
 				}
 				net.lstm.StepBatch(batched, xs, bscratch)
-				view := bscratch.Batched(batched)
 				for i, st := range serial {
 					net.lstm.StepReuse(st, xs[i], scratch)
 					for k := 0; k < hidden; k++ {
@@ -49,10 +51,6 @@ func TestStepBatchMatchesStepReuse(t *testing.T) {
 							t.Fatalf("batch %d step %d stream %d unit %d: serial (h=%v c=%v) batched (h=%v c=%v)",
 								batch, step, i, k, st.H[k], st.C[k], batched[i].H[k], batched[i].C[k])
 						}
-						if view.H.At(i, k) != st.H[k] {
-							t.Fatalf("packed hidden view row %d unit %d: %v want %v",
-								i, k, view.H.At(i, k), st.H[k])
-						}
 					}
 				}
 			}
@@ -60,55 +58,124 @@ func TestStepBatchMatchesStepReuse(t *testing.T) {
 	})
 }
 
-// TestObserveBatchMatchesObserve pins the full batched observation
-// (LSTM step + dense GEMM + softmax + likelihood read) to serial
-// Observe bit for bit, with streams moving between serial and batched
-// observation across steps the way engine ticks mix them.
+// eagerRef is the eager serial reference the lazy streams must match:
+// it steps with the allocating LSTM.Step and computes the whole next
+// distribution with Dense.Forward + Softmax after every step, reading
+// each likelihood from the distribution the previous step left.
+type eagerRef struct {
+	net  *LanguageNetwork
+	st   *State
+	next tensor.Vector
+}
+
+func (r *eagerRef) observe(a int) float64 {
+	lik := -1.0
+	if r.next != nil {
+		lik = r.next[a]
+	}
+	r.next = r.net.dense.Forward(r.net.lstm.Step(r.st, a, nil))
+	tensor.Softmax(r.next, r.next)
+	return lik
+}
+
+// restore rebuilds a stream from a copy of its (H, C, primed) — the
+// whole of a stream's state, and what a dormant session comes back as.
+func restore(s *StreamState) *StreamState {
+	return &StreamState{net: s.net, state: *s.state.Clone(), primed: s.primed}
+}
+
+// TestObserveBatchMatchesObserve pins lazy scoring — the likelihood
+// read from softmax(dense(H)) when the action arrives, through the
+// batched GEMMs or a batch of one — to the eager serial reference bit
+// for bit. Batch sizes hit the output GEMM's tile tails; each step some
+// streams are replaced by fresh (unprimed) or restored ones, and each
+// stream alternates between serial and batched observation, the way
+// engine waves, session births and rehydration mix them.
 func TestObserveBatchMatchesObserve(t *testing.T) {
 	t.Run("f64", func(t *testing.T) {
-		const vocab, hidden, batch = 29, 13, 6
+		const vocab, hidden = 29, 13
 		net := batchNet(t, vocab, hidden)
 		rng := rand.New(rand.NewSource(17))
-		serial := make([]*StreamState, batch)
-		batched := make([]*StreamState, batch)
-		for i := range serial {
-			serial[i] = net.NewStreamPrealloc()
-			batched[i] = net.NewStreamPrealloc()
-		}
-		scratch := NewBatchScratch()
-		actions := make([]int, batch)
-		liks := make([]float64, batch)
-		for step := 0; step < 9; step++ {
-			for i := range actions {
-				actions[i] = rng.Intn(vocab)
+		mixed := false
+		for _, batch := range []int{1, 2, 7, 64} {
+			refs := make([]*eagerRef, batch)
+			streams := make([]*StreamState, batch)
+			fresh := func(i int) {
+				streams[i] = net.NewStream()
+				refs[i] = &eagerRef{net: net, st: net.lstm.NewState()}
 			}
-			if step%3 == 2 {
-				// Mixed tick: advance serially, like a batch-1 wave.
-				for i, st := range batched {
-					lik, _, err := st.Observe(actions[i])
+			for i := range streams {
+				fresh(i)
+			}
+			actions := make([]int, batch)
+			liks := make([]float64, batch)
+			for step := 0; step < 12; step++ {
+				restored := make([]bool, batch)
+				dists := make([]tensor.Vector, batch)
+				for i := range streams {
+					actions[i] = rng.Intn(vocab)
+					switch rng.Intn(6) {
+					case 0:
+						fresh(i)
+					case 1:
+						streams[i], restored[i] = restore(streams[i]), true
+					}
+				}
+				var sub []*StreamState
+				var subActions, subIdx []int
+				var unprimed, primed, rest int
+				for i, st := range streams {
+					if (i+step)%3 != 0 {
+						sub, subActions, subIdx = append(sub, st), append(subActions, actions[i]), append(subIdx, i)
+						switch {
+						case restored[i]:
+							rest++
+						case st.primed:
+							primed++
+						default:
+							unprimed++
+						}
+						continue
+					}
+					// Serial: a batch of one, with or without the full
+					// distribution, which must equal the reference's.
+					if step%2 == 0 {
+						lik, err := st.ObserveLikelihood(actions[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						liks[i] = lik
+						continue
+					}
+					lik, probs, err := st.Observe(actions[i])
 					if err != nil {
 						t.Fatal(err)
 					}
-					liks[i] = lik
+					liks[i], dists[i] = lik, probs
 				}
-			} else if err := net.ObserveBatch(batched, actions, liks, scratch); err != nil {
-				t.Fatal(err)
-			}
-			for i, st := range serial {
-				wantLik, wantProbs, err := st.Observe(actions[i])
-				if err != nil {
+				mixed = mixed || unprimed > 0 && primed > 0 && rest > 0
+				subLiks := make([]float64, len(sub))
+				if err := net.ObserveBatch(sub, subActions, subLiks); err != nil {
 					t.Fatal(err)
 				}
-				if liks[i] != wantLik {
-					t.Fatalf("step %d stream %d: likelihood %v, serial %v", step, i, liks[i], wantLik)
+				for k, i := range subIdx {
+					liks[i] = subLiks[k]
 				}
-				for a := 0; a < vocab; a++ {
-					if batched[i].nextProbs[a] != wantProbs[a] {
-						t.Fatalf("step %d stream %d action %d: prob %v, serial %v",
-							step, i, a, batched[i].nextProbs[a], wantProbs[a])
+				for i, ref := range refs {
+					if want := ref.observe(actions[i]); math.Float64bits(liks[i]) != math.Float64bits(want) {
+						t.Fatalf("batch %d step %d stream %d: likelihood %v, reference %v", batch, step, i, liks[i], want)
+					}
+					for a, p := range dists[i] {
+						if math.Float64bits(p) != math.Float64bits(ref.next[a]) {
+							t.Fatalf("batch %d step %d stream %d: Observe prob[%d] %v, reference %v",
+								batch, step, i, a, p, ref.next[a])
+						}
 					}
 				}
 			}
+		}
+		if !mixed {
+			t.Fatal("no ObserveBatch call mixed unprimed, primed and restored streams")
 		}
 	})
 }
@@ -116,8 +183,8 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 func TestObserveBatchRejectsForeignStream(t *testing.T) {
 	a := batchNet(t, 11, 5)
 	b := batchNet(t, 11, 5)
-	streams := []*StreamState{a.NewStreamPrealloc(), b.NewStreamPrealloc()}
-	err := a.ObserveBatch(streams, []int{1, 2}, make([]float64, 2), NewBatchScratch())
+	streams := []*StreamState{a.NewStream(), b.NewStream()}
+	err := a.ObserveBatch(streams, []int{1, 2}, make([]float64, 2))
 	if err == nil {
 		t.Fatal("ObserveBatch accepted a stream from a different network")
 	}
@@ -128,13 +195,13 @@ func TestObserveBatchSteadyStateAllocs(t *testing.T) {
 	const batch = 16
 	streams := make([]*StreamState, batch)
 	for i := range streams {
-		streams[i] = net.NewStreamPrealloc()
+		streams[i] = net.NewStream()
 	}
-	scratch := NewBatchScratch()
 	actions := make([]int, batch)
 	liks := make([]float64, batch)
-	// Warm the scratch to its steady-state size first.
-	if err := net.ObserveBatch(streams, actions, liks, scratch); err != nil {
+	// Warm the network's pooled scratch first (AllocsPerRun's own warm-up
+	// run then grows the output rows, once every stream is primed).
+	if err := net.ObserveBatch(streams, actions, liks); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
@@ -143,7 +210,7 @@ func TestObserveBatchSteadyStateAllocs(t *testing.T) {
 			actions[j] = (i + j) % 41
 		}
 		i++
-		if err := net.ObserveBatch(streams, actions, liks, scratch); err != nil {
+		if err := net.ObserveBatch(streams, actions, liks); err != nil {
 			t.Fatal(err)
 		}
 	})

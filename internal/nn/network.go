@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"misusedetect/internal/tensor"
 )
@@ -47,6 +48,10 @@ type LanguageNetwork struct {
 	lstm  *LSTM
 	dense *Dense
 	rng   *rand.Rand
+	// scratch recycles ObserveBatch's packed matrices: one network is
+	// served by several engine shards at once, so the transient buffers
+	// cannot hang off the network itself.
+	scratch sync.Pool
 }
 
 // NewLanguageNetwork builds and initializes the network.
@@ -63,7 +68,9 @@ func NewLanguageNetwork(cfg NetworkConfig) (*LanguageNetwork, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LanguageNetwork{cfg: cfg, lstm: lstm, dense: dense, rng: rng}, nil
+	n := &LanguageNetwork{cfg: cfg, lstm: lstm, dense: dense, rng: rng}
+	n.scratch.New = func() any { return NewBatchScratch() }
+	return n, nil
 }
 
 // Config returns the network configuration.
@@ -128,79 +135,66 @@ func (n *LanguageNetwork) PredictNext(context []int) (tensor.Vector, error) {
 
 // StreamState is the incremental scorer used by the online monitor: it
 // consumes one action at a time, returning the probability the model
-// assigned to that action before consuming it. Its Observe signature
-// deliberately matches the scorer.Stream contract — the neural network
-// side of the pluggable backend seam — so lm can hand it to
-// internal/core unwrapped (lm asserts the conformance; nn stays below
-// the seam and does not import it).
+// assigned to that action before consuming it. A stream is its recurrent
+// state (H, C) and whether it has consumed an action: the prediction for
+// the next action is softmax(dense(H)), a pure function of H, computed
+// when that action arrives by the same kernels on the serial and batched
+// paths, so a stream carries no scratch and no cached distribution. Its
+// methods deliberately match the scorer.Stream, LikelihoodStream and
+// StreamSnapshot contracts — the neural network side of the pluggable
+// backend seam — so lm can hand it to internal/core unwrapped (lm asserts
+// the conformance; nn stays below the seam and does not import it).
 type StreamState struct {
 	net   *LanguageNetwork
-	state *State
-	// nextProbs is the prediction for the upcoming action; nil until the
-	// first action is consumed.
-	nextProbs tensor.Vector
-	// scratch, when non-nil, switches the stream into buffer-reuse mode:
-	// every Observe writes into the same preallocated buffers instead of
-	// allocating fresh vectors.
-	scratch *StreamScratch
+	state State
+	// primed reports whether the stream has consumed an action, i.e.
+	// whether H holds a prediction; the first action has none.
+	primed bool
 }
 
-// StreamScratch holds the preallocated buffers of an allocation-free
-// stream: the LSTM step scratch plus the logits and probability vectors.
-type StreamScratch struct {
-	lstm   *StepScratch
-	logits tensor.Vector
-	probs  tensor.Vector
-}
+// streamStructOverhead is the accounted size of the StreamState struct:
+// the network pointer, the H and C slice headers and the primed flag.
+const streamStructOverhead = 64
 
-// NewStreamScratch allocates stream buffers sized for this network.
-func (n *LanguageNetwork) NewStreamScratch() *StreamScratch {
-	return &StreamScratch{
-		lstm:   n.lstm.NewStepScratch(),
-		logits: tensor.NewVector(n.cfg.InputSize),
-		probs:  tensor.NewVector(n.cfg.InputSize),
-	}
-}
-
-// NewStream returns a fresh incremental scorer.
+// NewStream returns a fresh incremental scorer; H and C share one
+// allocation.
 func (n *LanguageNetwork) NewStream() *StreamState {
-	return &StreamState{net: n, state: n.lstm.NewState()}
+	hs := n.cfg.HiddenSize
+	hc := tensor.NewVector(2 * hs)
+	return &StreamState{net: n, state: State{H: hc[:hs:hs], C: hc[hs:]}}
 }
 
-// NewStreamPrealloc returns an incremental scorer that reuses preallocated
-// scratch buffers across steps, so steady-state scoring performs no
-// per-action allocations. In this mode the distribution returned by
-// Observe is overwritten by the next Observe; callers that retain it
-// across steps must read it before observing again (or Clone it).
-func (n *LanguageNetwork) NewStreamPrealloc() *StreamState {
-	return &StreamState{net: n, state: n.lstm.NewState(), scratch: n.NewStreamScratch()}
+// ObserveLikelihood consumes one action and returns the probability the
+// model assigned to it, -1 for the stream's first action. It is a batch
+// of one through ObserveBatch, so a stream may move freely between
+// serial and batched observation.
+func (s *StreamState) ObserveLikelihood(action int) (float64, error) {
+	streams, actions, liks := [1]*StreamState{s}, [1]int{action}, [1]float64{}
+	err := s.net.ObserveBatch(streams[:], actions[:], liks[:])
+	return liks[0], err
 }
 
-// Observe consumes one action and returns (probability the model assigned
-// to it, distribution over the following action). The first observed
-// action has no prediction, so probability -1 is returned for it.
+// Observe is ObserveLikelihood plus a freshly allocated distribution over
+// the following action, for cold callers (experiments, tests) that read
+// it. It is softmax(dense(H)) of the post-step H, bit-identical to the
+// distribution the next observation reads its likelihood from (see
+// batch.go); the stream keeps no copy.
 func (s *StreamState) Observe(action int) (float64, tensor.Vector, error) {
-	if action < 0 || action >= s.net.cfg.InputSize {
-		return 0, nil, fmt.Errorf("nn: stream action %d outside vocab %d", action, s.net.cfg.InputSize)
+	lik, err := s.ObserveLikelihood(action)
+	if err != nil {
+		return 0, nil, err
 	}
-	p := -1.0
-	if s.nextProbs != nil {
-		p = s.nextProbs[action]
-	}
-	var probs tensor.Vector
-	if s.scratch != nil {
-		h := s.net.lstm.StepReuse(s.state, action, s.scratch.lstm)
-		s.net.dense.ForwardInto(s.scratch.logits, h)
-		probs = s.scratch.probs
-		tensor.Softmax(probs, s.scratch.logits)
-	} else {
-		h := s.net.lstm.Step(s.state, action, nil)
-		logits := s.net.dense.Forward(h)
-		probs = tensor.NewVector(len(logits))
-		tensor.Softmax(probs, logits)
-	}
-	s.nextProbs = probs
-	return p, probs, nil
+	probs := s.net.dense.Forward(s.state.H)
+	tensor.Softmax(probs, probs)
+	return lik, probs, nil
+}
+
+// MemSize estimates the resident heap bytes of this stream's
+// session-local state — the struct plus H and C — excluding the shared
+// network weights. Implements the scorer.MemSizer seam via lm's
+// assertion, like the Stream contract itself.
+func (s *StreamState) MemSize() int {
+	return 2*s.net.cfg.HiddenSize*8 + streamStructOverhead
 }
 
 // TrainSequence performs one forward/backward pass over a session,

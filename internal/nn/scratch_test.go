@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -33,59 +34,61 @@ func TestStepReuseMatchesStep(t *testing.T) {
 	}
 }
 
-// TestStreamPreallocMatchesStream pins the preallocated stream to the
-// allocating stream: identical probabilities at every step.
-func TestStreamPreallocMatchesStream(t *testing.T) {
+// TestStreamObserveMatchesObserveLikelihood pins the full Observe of cold
+// callers to the likelihood-only serving call on the same stream type:
+// identical likelihoods at every step, and each returned distribution
+// holds, bit for bit, the likelihood the next action is then scored at.
+func TestStreamObserveMatchesObserveLikelihood(t *testing.T) {
 	net, err := NewLanguageNetwork(NetworkConfig{InputSize: 9, HiddenSize: 6, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := net.NewStream()
-	b := net.NewStreamPrealloc()
+	a, b := net.NewStream(), net.NewStream()
 	rng := rand.New(rand.NewSource(8))
+	var prev []float64
 	for step := 0; step < 150; step++ {
 		x := rng.Intn(9)
-		pA, probsA, err := a.Observe(x)
+		pA, probs, err := a.Observe(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pB, probsB, err := b.Observe(x)
+		pB, err := b.ObserveLikelihood(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pA != pB {
-			t.Fatalf("step %d: likelihood %v (alloc) vs %v (prealloc)", step, pA, pB)
+		if math.Float64bits(pA) != math.Float64bits(pB) {
+			t.Fatalf("step %d: likelihood %v (Observe) vs %v (ObserveLikelihood)", step, pA, pB)
 		}
-		for k := range probsA {
-			if probsA[k] != probsB[k] {
-				t.Fatalf("step %d: probs[%d] = %v vs %v", step, k, probsA[k], probsB[k])
-			}
+		if prev != nil && math.Float64bits(prev[x]) != math.Float64bits(pA) {
+			t.Fatalf("step %d: previous distribution gave %v, likelihood %v", step, prev[x], pA)
 		}
+		prev = probs
 	}
-	if _, _, err := b.Observe(99); err == nil {
-		t.Fatal("out-of-vocab action must fail in prealloc mode too")
+	if _, err := b.ObserveLikelihood(99); err == nil {
+		t.Fatal("out-of-vocab action must fail")
 	}
 }
 
-// TestStreamPreallocSteadyStateAllocs asserts the point of the scratch
-// API: after warmup, observing actions allocates nothing.
-func TestStreamPreallocSteadyStateAllocs(t *testing.T) {
+// TestStreamSteadyStateAllocs pins the serving call: after warmup,
+// scoring an action on a stream allocates nothing — the batch of one
+// borrows the network's pooled scratch.
+func TestStreamSteadyStateAllocs(t *testing.T) {
 	net, err := NewLanguageNetwork(NetworkConfig{InputSize: 9, HiddenSize: 6, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := net.NewStreamPrealloc()
+	s := net.NewStream()
 	for i := 0; i < 10; i++ {
-		if _, _, err := s.Observe(i % 9); err != nil {
+		if _, err := s.ObserveLikelihood(i % 9); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, _, err := s.Observe(3); err != nil {
+		if _, err := s.ObserveLikelihood(3); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("prealloc stream allocates %v objects per action, want 0", avg)
+		t.Fatalf("stream allocates %v objects per action, want 0", avg)
 	}
 }

@@ -35,9 +35,10 @@ func StreamMemSize(st Stream) int {
 
 // StreamSnapshot is the compact dormant form of one stream: the minimal
 // state a backend needs to rebuild a stream that continues the session
-// with byte-identical scores (for the LSTM, the hidden and cell vectors;
-// for the n-gram, the trailing context window). Snapshots drop every
-// scratch and derived buffer, which is where the memory win comes from.
+// with byte-identical scores (for the n-gram, the trailing context
+// window). Snapshots drop every scratch and derived buffer, which is
+// where the memory win comes from; a stream that holds none, like the
+// LSTM's hidden and cell vectors, may be its own snapshot.
 // A snapshot must report its own footprint so compacted sessions stay
 // inside the engine's accounting.
 type StreamSnapshot interface {
