@@ -18,12 +18,13 @@
 //	misused -model ./model [-listen :7074] [-idle 30m] [-shards 4] [-queue 256] [-monitor thresholds.json]
 //	        [-compact-after 5m] [-max-sessions N] [-mem-budget 2g] [-alarm-timeout 50ms]
 //
-// Memory plane: sessions idle past -compact-after collapse into small
-// snapshots (LSTM hidden state + monitor scalars) and rehydrate
-// transparently — with byte-identical scores — on their next event;
-// -max-sessions and -mem-budget bound the resident set, shedding by
-// refusing new sessions first and then evicting the oldest-idle ones
-// (see OPERATIONS.md for sizing and the shed counters in status).
+// Memory plane: a session past its routing vote holds only the routed
+// model's state and the monitor scalars; sessions idle past
+// -compact-after are counted as compacted and wake transparently — with
+// byte-identical scores — on their next event. -max-sessions and
+// -mem-budget bound the resident set, shedding by refusing new sessions
+// first and then evicting the oldest-idle ones (see OPERATIONS.md for
+// sizing and the shed counters in status).
 //
 // Scoring runs on a sharded concurrent engine (see internal/core.Engine
 // and ARCHITECTURE.md): session IDs are hashed onto -shards independent
@@ -107,7 +108,7 @@ func main() {
 	fs.IntVar(&scfg.Engine.Shards, "shards", 0, "scoring engine shard count (0 = default)")
 	fs.IntVar(&scfg.Engine.QueueDepth, "queue", 0, "per-shard event queue depth (0 = default)")
 	fs.StringVar(&monitorPath, "monitor", "", "calibrated monitor-threshold fragment (JSON, from misusectl eval -thresholds); empty uses defaults")
-	fs.DurationVar(&scfg.Engine.CompactAfter, "compact-after", 5*time.Minute, "compact sessions idle this long into small snapshots (0 disables compaction)")
+	fs.DurationVar(&scfg.Engine.CompactAfter, "compact-after", 5*time.Minute, "mark sessions idle this long as compacted (0 disables compaction)")
 	fs.IntVar(&scfg.Engine.MaxSessions, "max-sessions", 0, "resident session cap; events for new sessions past it are shed (0 = uncapped)")
 	fs.Func("mem-budget", "session memory budget as a byte size (e.g. 512m, 2g); past it new sessions are refused and oldest-idle sessions evicted (empty = unbounded)", func(v string) (err error) {
 		if v != "" {

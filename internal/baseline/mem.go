@@ -1,0 +1,27 @@
+package baseline
+
+import "misusedetect/internal/scorer"
+
+// Memory accounting for the classical backends. The n-gram stream is its
+// trailing context window, action count and key buffer, the HMM stream
+// its filtering distribution and prediction scratch; the vocab-sized
+// predictive distribution exists only once a caller has asked for it
+// through Observe (the serving path never does).
+var (
+	_ scorer.MemSizer = (*ngramStream)(nil)
+	_ scorer.MemSizer = (*hmmStream)(nil)
+)
+
+// streamStructOverhead approximates the fixed per-stream struct and
+// slice-header cost in the accounting estimates below.
+const streamStructOverhead = 96
+
+// MemSize estimates the resident heap bytes of one n-gram stream.
+func (s *ngramStream) MemSize() int {
+	return cap(s.ctx)*8 + len(s.dist)*8 + cap(s.keyBuf) + streamStructOverhead
+}
+
+// MemSize estimates the resident heap bytes of one HMM stream.
+func (s *hmmStream) MemSize() int {
+	return (len(s.alpha)+len(s.pred)+len(s.dist))*8 + streamStructOverhead
+}

@@ -45,14 +45,17 @@ type EngineConfig struct {
 	// IdleExpiry evicts sessions that have not seen an event for this
 	// long; 0 disables eviction (replay and tests).
 	IdleExpiry time.Duration
-	// CompactAfter collapses sessions that have not seen an event for
-	// this long into compact snapshots (the monitor scalars plus the
-	// routed stream's recurrence state, e.g. LSTM hidden/cell — no
-	// scratch), transparently rehydrated on their next event with
-	// byte-identical scores. 0 disables background compaction;
-	// Engine.Compact compacts on demand regardless. Only sessions past
-	// the routing-vote freeze are eligible — younger ones stay live
-	// until they either freeze or hit IdleExpiry.
+	// CompactAfter marks sessions that have not seen an event for this
+	// long as dormant: each moves to its shard's cold list (the eviction
+	// order of compacted sessions) and counts in SessionsCompacted, and
+	// its next event wakes it transparently. A session past its routing
+	// vote is already its own snapshot (the monitor scalars plus the
+	// routed stream, no scratch), so neither direction copies state or
+	// changes MemBytes, and scores continue byte-identically. 0 disables
+	// background compaction; Engine.Compact compacts on demand
+	// regardless. Only sessions past the routing-vote freeze are
+	// eligible — younger ones stay live until they either freeze or hit
+	// IdleExpiry.
 	CompactAfter time.Duration
 	// MaxSessions caps resident sessions (live + compacted) across all
 	// shards. At the cap, events of new sessions are shed (dropped and
@@ -61,11 +64,11 @@ type EngineConfig struct {
 	// existing sessions. 0 means uncapped.
 	MaxSessions int
 	// MemBudget bounds the engine's accounted session memory in bytes
-	// (the MemBytes gauge: monitors, streams, snapshots, recorded
-	// tokens). Over budget, new sessions are refused (as with
-	// MaxSessions) and the sweep additionally evicts oldest-idle
-	// sessions — with summaries, counted in ShedEvictions — until the
-	// gauge is back under budget. 0 means unbounded.
+	// (the MemBytes gauge: monitors, streams, recorded tokens). Over
+	// budget, new sessions are refused (as with MaxSessions) and the
+	// sweep additionally evicts oldest-idle sessions — with summaries,
+	// counted in ShedEvictions — until the gauge is back under budget.
+	// 0 means unbounded.
 	MemBudget int64
 	// AlarmSendTimeout bounds how long a shard blocks delivering one
 	// alarm to a streaming sink; past it the alarm is dropped and
@@ -272,9 +275,10 @@ type EngineStats struct {
 	Compactions       uint64 `json:"compactions"`
 	Rehydrations      uint64 `json:"rehydrations"`
 	// MemBytes is the engine's accounted session memory: the sum of
-	// every resident session's estimated footprint (monitor or
-	// snapshot, streams, recorded tokens). MemBudget and MaxSessions
-	// echo the configured limits when set.
+	// every resident session's estimated footprint (monitor, streams,
+	// recorded tokens), the same whether the session is live or
+	// compacted. MemBudget and MaxSessions echo the configured limits
+	// when set.
 	MemBytes     int64  `json:"mem_bytes"`
 	MemBudget    int64  `json:"mem_budget,omitempty"`
 	MaxSessions  int    `json:"max_sessions,omitempty"`
@@ -520,7 +524,7 @@ type engineShard struct {
 	in       chan shardMsg
 	sessions map[string]*engineSession
 	// live and cold order the shard's sessions by lastSeen: live holds
-	// sessions with a full monitor, cold the compacted snapshots.
+	// the sessions being scored, cold the compacted ones.
 	// Maintenance sweeps pop from the heads (oldest first), so their
 	// cost scales with the work done, not the session count.
 	live, cold sessList
@@ -853,11 +857,11 @@ func (e *Engine) Detach(sink chan<- Alarm) {
 // where production serving relies on idle eviction.
 func (e *Engine) Flush() { e.broadcast((*engineShard).evictAll) }
 
-// Compact collapses every eligible idle session on every shard into its
-// dormant snapshot now, without waiting for CompactAfter, after scoring
-// every event submitted before it. Sessions still inside their routing
-// vote (and backends without compaction support) stay live; the memory
-// census tests use this to measure resting memory deterministically.
+// Compact turns every session past its routing vote on every shard into
+// its dormant snapshot now, without waiting for CompactAfter, after
+// scoring every event submitted before it. Sessions still inside their
+// routing vote stay live; the census tests use this to check that
+// compaction leaves the accounted memory unchanged.
 func (e *Engine) Compact() { e.broadcast((*engineShard).compactAll) }
 
 // sweepNow runs one maintenance sweep on every shard as of now and
@@ -1177,24 +1181,14 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		}
 	} else if sess.snap != nil {
 		// Transparent rehydration: the session was compacted while
-		// idle; rebuild its live monitor (byte-identical continuation)
-		// before staging the event.
-		mon, err := sess.snap.Rehydrate()
-		if err != nil {
-			// The session stays compacted (its summary is still
-			// accurate); the event is dropped as a score error.
-			s.e.scoreErrors.Add(1)
-			s.e.processed.Add(1)
-			s.e.logf("session %s: rehydrate: %v", ev.sessionID, err)
-			return
-		}
-		sess.mon = mon
+		// idle. Its snapshot is its frozen monitor, so waking it moves a
+		// pointer and leaves its accounted size as it was.
+		sess.mon, _ = sess.snap.Rehydrate() // never fails
 		sess.snap = nil
 		s.cold.remove(sess)
 		s.live.pushTail(sess)
 		s.e.compacted.Add(-1)
 		s.e.rehydrations.Add(1)
-		grew = true
 	} else {
 		s.live.moveTail(sess)
 	}
@@ -1205,11 +1199,11 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		sess.tokens = append(sess.tokens, ev.tok)
 	}
 	// Re-account the session while its footprint can still change: on
-	// creation and rehydration, while the routing vote may lazily build
-	// streams (and on the action whose freeze releases the vote state),
-	// and when the recorded-token buffer reallocates. Past the vote
-	// freeze a live session's size is constant, so the steady-state hot
-	// path skips the walk.
+	// creation, while the routing vote may lazily build streams (and on
+	// the action whose freeze releases the vote state), and when the
+	// recorded-token buffer reallocates. Past the vote freeze a session's
+	// size is constant, compacted or not, so the steady-state hot path
+	// skips the walk.
 	grew = grew || cap(sess.tokens) != tokCap || sess.mon.voting()
 	idx := sess.remap.lookup(s.e.interner, ev.tok)
 	if idx < 0 && ev.action != "" {
@@ -1405,16 +1399,11 @@ func (s *engineShard) sendAlarm(sink chan<- Alarm, a Alarm) {
 // the engineSession struct plus its shard-map entry.
 const sessionOverhead = 192
 
-// resize re-estimates one session's memory footprint and folds the
+// resize re-estimates one live session's memory footprint and folds the
 // delta into the shard gauge. Runs only on the shard goroutine (the
 // gauge itself is atomic so Stats and admission checks can read it).
 func (s *engineShard) resize(sess *engineSession) {
-	n := int64(sessionOverhead + len(sess.id) + cap(sess.tokens)*4)
-	if sess.snap != nil {
-		n += int64(sess.snap.MemSize())
-	} else if sess.mon != nil {
-		n += int64(sess.mon.MemSize())
-	}
+	n := int64(sessionOverhead + len(sess.id) + cap(sess.tokens)*4 + sess.mon.MemSize())
 	if d := n - sess.mem; d != 0 {
 		sess.mem = n
 		s.mem.Add(d)
@@ -1453,9 +1442,8 @@ func (s *engineShard) sweep(now time.Time) (examined int) {
 		for sess := s.live.head; sess != nil && budget > 0 && sess.lastSeen.Before(cutoff); budget-- {
 			examined++
 			next := sess.next
-			// Ineligible sessions (mid-vote, or a backend without
-			// compaction) are skipped in place; they either become
-			// eligible later or age out through IdleExpiry.
+			// Sessions still voting are skipped in place; they either
+			// become eligible later or age out through IdleExpiry.
 			s.compactSession(sess)
 			sess = next
 		}
@@ -1493,30 +1481,26 @@ func (s *engineShard) oldest() *engineSession {
 	}
 }
 
-// compactSession collapses one live session into its dormant snapshot
-// and moves it to the cold list. Ineligible sessions are left as they
-// are. Runs only on the shard goroutine, and only between waves (the
-// wave is always flushed first, so no staged observation can be in
-// flight for the session).
+// compactSession turns one live session past its routing vote into its
+// dormant snapshot — the same monitor, so its accounted size stays — and
+// moves it to the cold list, whose order is the eviction order of
+// compacted sessions. Sessions still voting are left as they are. Runs
+// only on the shard goroutine, and only between waves (the wave is
+// always flushed first, so no staged observation can be in flight for
+// the session).
 func (s *engineShard) compactSession(sess *engineSession) {
 	if sess.mon == nil || !sess.mon.Compactable() {
 		return
 	}
-	snap, err := sess.mon.Compact()
-	if err != nil {
-		s.e.logf("session %s: compact: %v", sess.id, err)
-		return
-	}
+	sess.snap, _ = sess.mon.Compact() // cannot fail past the vote
 	sess.mon = nil
-	sess.snap = snap
 	s.live.remove(sess)
 	s.cold.pushTail(sess)
 	s.e.compacted.Add(1)
 	s.e.compactions.Add(1)
-	s.resize(sess)
 }
 
-// compactAll collapses every eligible live session (Engine.Compact).
+// compactAll compacts every eligible live session (Engine.Compact).
 func (s *engineShard) compactAll() {
 	for sess := s.live.head; sess != nil; {
 		next := sess.next
@@ -1566,14 +1550,12 @@ func (s *engineShard) end(id string, sess *engineSession) {
 		Tokens:       sess.tokens,
 		Snap:         snap,
 	}
-	var st *sessionState
+	mon := sess.mon
 	if sess.snap != nil {
-		st = &sess.snap.sessionState
-	} else {
-		st = &sess.mon.sessionState
+		mon = (*SessionMonitor)(sess.snap)
 	}
-	sum.Cluster, sum.Observed = st.cluster, st.position
-	sum.MinSmoothed, sum.LastSmoothed = st.warmMin, st.smoothed
+	sum.Cluster, sum.Observed = mon.cluster, mon.position
+	sum.MinSmoothed, sum.LastSmoothed = mon.warmMin, mon.smoothed
 	s.e.cfg.OnSessionEnd(sum)
 }
 

@@ -13,7 +13,6 @@ import (
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/corpus"
 	"misusedetect/internal/logsim"
-	"misusedetect/internal/scorer"
 )
 
 // monitorCompactionByteIdentity walks corpus sessions through two
@@ -64,21 +63,25 @@ func monitorCompactionByteIdentity(t *testing.T, det *Detector) {
 						ci, si, pos, want, got)
 				}
 				if cmp.Compactable() {
-					live, stream := cmp.MemSize(), scorer.StreamMemSize(cmp.stream)
-					snap, err := cmp.Compact()
-					if err != nil {
-						t.Fatal(err)
-					}
-					// A snapshot is the smaller form of a session, and its
-					// stream is never larger than the live one: smaller where
-					// a live stream holds derived buffers, equal for the
-					// LSTM, whose stream is its own snapshot.
-					if snap.MemSize() >= live || snap.stream.MemSize() > stream {
-						t.Fatalf("cluster %d session %d: snapshot %dB (stream %dB), live monitor %dB (stream %dB)",
-							ci, si, snap.MemSize(), snap.stream.MemSize(), live, stream)
-					}
-					if cmp, err = snap.Rehydrate(); err != nil {
-						t.Fatal(err)
+					// A frozen monitor is its own snapshot: the round trip
+					// returns the same monitor at the same accounted size
+					// and allocates nothing.
+					live := cmp.MemSize()
+					var snapSize int
+					var woken *SessionMonitor
+					allocs := testing.AllocsPerRun(20, func() {
+						snap, err := cmp.Compact()
+						if err != nil {
+							t.Fatal(err)
+						}
+						snapSize = snap.MemSize()
+						if woken, err = snap.Rehydrate(); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs != 0 || woken != cmp || snapSize != live || woken.MemSize() != live {
+						t.Fatalf("cluster %d session %d: compact+rehydrate allocated %v times, returned a new monitor %v; sizes live %dB, snapshot %dB, woken %dB",
+							ci, si, allocs, woken != cmp, live, snapSize, woken.MemSize())
 					}
 					compactions++
 				}
@@ -91,19 +94,18 @@ func monitorCompactionByteIdentity(t *testing.T, det *Detector) {
 }
 
 // TestMonitorCompactionByteIdenticalLSTM anchors compact->rehydrate
-// determinism for the LSTM backend (hidden/cell state snapshot).
+// determinism for the LSTM backend.
 func TestMonitorCompactionByteIdenticalLSTM(t *testing.T) {
 	monitorCompactionByteIdentity(t, corpusDetector(t))
 }
 
 // TestMonitorCompactionByteIdenticalNGram anchors it for the n-gram
-// backend (context window snapshot).
+// backend.
 func TestMonitorCompactionByteIdenticalNGram(t *testing.T) {
 	monitorCompactionByteIdentity(t, trainCorpusNGram(t, 11))
 }
 
-// TestMonitorCompactionByteIdenticalHMM anchors it for the HMM backend
-// (forward-vector snapshot).
+// TestMonitorCompactionByteIdenticalHMM anchors it for the HMM backend.
 func TestMonitorCompactionByteIdenticalHMM(t *testing.T) {
 	monitorCompactionByteIdentity(t, trainCorpusHMM(t, 11))
 }
@@ -690,10 +692,10 @@ func settledHeap() uint64 {
 // budget, every session must end compacted, and every touched session
 // must rehydrate.
 //
-// The ceiling: a 1M-session run of the same shape settled at 826 B per
-// session; this 10k census measures ~855 B per session (linux/amd64,
-// Go 1.24, with and without -race: the engine's fixed cost is spread
-// over fewer sessions), and the 2 KiB ceiling leaves ~2x headroom.
+// The ceiling: this 10k census measures ~885 B per session (linux/amd64,
+// Go 1.24), the same as the live census of frozen LSTM-16 sessions,
+// since a compacted session is its frozen monitor; the 2 KiB ceiling
+// leaves ~2x headroom.
 func TestEngineCompactedCensusHeapCeiling(t *testing.T) {
 	const sessions, actions, cohort = 10000, 8, 2048
 	const ceiling = 2048 // bytes per session
@@ -763,7 +765,8 @@ func TestEngineLiveLSTMCensusHeapCeiling(t *testing.T) {
 
 // liveCensus plays 10k live sessions of det for actions actions each,
 // never compacted, and bounds what each costs on the settled heap and in
-// the engine's accounting at 2 KiB.
+// the engine's accounting at 2 KiB. Sessions past their vote are then
+// compacted, which must not change the accounting.
 func liveCensus(t *testing.T, det *Detector, actions int) {
 	const sessions = 10000
 	const ceiling = 2048 // bytes per session
@@ -795,5 +798,18 @@ func liveCensus(t *testing.T, det *Detector, actions int) {
 	if perSession > ceiling || accounted > ceiling {
 		t.Fatalf("%.0f B per live %s session on the settled heap, %d B accounted; ceiling %d B",
 			perSession, kind, accounted, ceiling)
+	}
+	if wantFrozen == 0 {
+		return
+	}
+	// A frozen session is its own snapshot: compacting all of them moves
+	// every one to the cold list and leaves the accounted bytes as they
+	// were.
+	eng.Compact()
+	if got := eng.MemBytes(); got != st.MemBytes {
+		t.Fatalf("compacting %d frozen sessions moved MemBytes from %d to %d", sessions, st.MemBytes, got)
+	}
+	if voting, frozen, compacted = memRecount(t, eng); compacted != sessions {
+		t.Fatalf("after Compact: %d voting, %d frozen, %d compacted sessions; want all %d compacted", voting, frozen, compacted, sessions)
 	}
 }

@@ -179,12 +179,22 @@ type MonitorStep struct {
 	Alarms []AlarmKind
 }
 
-// sessionState is one session past its stream: the routed cluster, the
-// position, and the alarm logic's smoothing and trend state. A live
-// SessionMonitor and a dormant SessionSnapshot both embed it and differ
-// only in the form of the routed cluster's stream, so compaction and
-// rehydration swap that one field.
-type sessionState struct {
+// SessionMonitor scores one session in real time, action by action. A
+// session is a vote, then one stream. For its first RouteVoteActions
+// actions the OC-SVMs vote on its cluster, and the monitor keeps a
+// sequence-model stream for every cluster that has led the vote, so the
+// routed cluster can change mid-vote without re-reading the session. The
+// action that freezes the vote (the paper's online rule) releases all of
+// that but the winner's stream, which alone scores the rest. From then
+// on the monitor is the whole session, so it is also its own compaction
+// snapshot (see SessionSnapshot).
+//
+// The monitor speaks token IDs only: action names are resolved exactly
+// once at the ingestion edge (actionlog.Interner in the serving path,
+// Detector.Token on cold paths), so the per-action hot path never touches
+// a string. Unknown-action handling lives with the caller — a token
+// outside the detector's vocabulary never reaches ObserveToken.
+type SessionMonitor struct {
 	d        *Detector
 	mcfg     MonitorConfig
 	cluster  int
@@ -197,23 +207,6 @@ type sessionState struct {
 	recent    []float64
 	recentPos int
 	recentN   int
-}
-
-// SessionMonitor scores one session in real time, action by action. A
-// session is a vote, then one stream. For its first RouteVoteActions
-// actions the OC-SVMs vote on its cluster, and the monitor keeps a
-// sequence-model stream for every cluster that has led the vote, so the
-// routed cluster can change mid-vote without re-reading the session. The
-// action that freezes the vote (the paper's online rule) releases all of
-// that but the winner's stream, which alone scores the rest.
-//
-// The monitor speaks token IDs only: action names are resolved exactly
-// once at the ingestion edge (actionlog.Interner in the serving path,
-// Detector.Token on cold paths), so the per-action hot path never touches
-// a string. Unknown-action handling lives with the caller — a token
-// outside the detector's vocabulary never reaches ObserveToken.
-type SessionMonitor struct {
-	sessionState
 	// vote is the routing vote's state, nil once the vote has frozen.
 	vote *voteState
 	// stream is the routed cluster's stream, set when the vote freezes.
@@ -254,7 +247,10 @@ func (d *Detector) NewSessionMonitor(mcfg MonitorConfig) (*SessionMonitor, error
 	n, k := len(d.clusters), d.cfg.RouteVoteActions
 	ints := make([]int, 2*n+k)
 	m := &SessionMonitor{
-		sessionState: sessionState{d: d, mcfg: mcfg, smoothed: -1, warmMin: -1},
+		d:        d,
+		mcfg:     mcfg,
+		smoothed: -1,
+		warmMin:  -1,
 		vote: &voteState{
 			route:    d.router.Start(),
 			streams:  make([]scorer.Stream, n),
@@ -391,17 +387,17 @@ func (m *SessionMonitor) FinishToken(action int, likelihood float64) MonitorStep
 }
 
 // Cluster returns the currently selected behavior cluster.
-func (s *sessionState) Cluster() int { return s.cluster }
+func (m *SessionMonitor) Cluster() int { return m.cluster }
 
 // Position returns the number of observed actions.
-func (s *sessionState) Position() int { return s.position }
+func (m *SessionMonitor) Position() int { return m.position }
 
 // Smoothed returns the current EWMA of the likelihood (-1 before the
 // first scored action).
-func (s *sessionState) Smoothed() float64 { return s.smoothed }
+func (m *SessionMonitor) Smoothed() float64 { return m.smoothed }
 
 // MinSmoothed returns the minimum post-warmup smoothed likelihood seen
 // so far — the session's weakest point, the exact quantity threshold
 // calibration quantiles over — or -1 when the session has not scored
 // past the warmup yet.
-func (s *sessionState) MinSmoothed() float64 { return s.warmMin }
+func (m *SessionMonitor) MinSmoothed() float64 { return m.warmMin }

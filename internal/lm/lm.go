@@ -21,12 +21,13 @@ const BackendLSTM = "lstm"
 
 // Model is a scorer.Scorer: the serving stack in internal/core scores
 // any backend through that interface, the LSTM being the default. The
-// stream assertion pins the seam from this side, so nn never has to
+// stream assertions pin the seam from this side, so nn never has to
 // import the serving contract.
 var (
 	_ scorer.Scorer           = (*Model)(nil)
 	_ scorer.Stream           = (*nn.StreamState)(nil)
 	_ scorer.LikelihoodStream = (*nn.StreamState)(nil)
+	_ scorer.MemSizer         = (*nn.StreamState)(nil)
 	_ scorer.BatchStream      = (*Model)(nil)
 )
 

@@ -141,7 +141,7 @@ func (n *LanguageNetwork) PredictNext(context []int) (tensor.Vector, error) {
 // when that action arrives by the same kernels on the serial and batched
 // paths, so a stream carries no scratch and no cached distribution. Its
 // methods deliberately match the scorer.Stream, LikelihoodStream and
-// StreamSnapshot contracts — the neural network side of the pluggable
+// MemSizer contracts — the neural network side of the pluggable
 // backend seam — so lm can hand it to internal/core unwrapped (lm asserts
 // the conformance; nn stays below the seam and does not import it).
 type StreamState struct {

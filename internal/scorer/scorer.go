@@ -9,8 +9,9 @@
 //
 //   - Stream is the online half: one encoded action in, the likelihood
 //     the model assigned to it plus the predictive distribution over the
-//     next action out. Streams are single-goroutine state machines; the
-//     engine keeps one per (session, cluster).
+//     next action out. Streams are single-goroutine state machines; a
+//     session keeps one per cluster that has led its routing vote, and
+//     only the winner's past the vote.
 //   - Scorer is the model half: identity (Backend, VocabSize), stream
 //     construction, whole-session scoring, and serialization into the
 //     backend-tagged envelope of this package (Encode/Decode), which is
