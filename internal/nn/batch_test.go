@@ -23,39 +23,93 @@ func batchNet(t *testing.T, vocab, hidden int) *LanguageNetwork {
 // serial scratch step bit for bit, across batch sizes that exercise the
 // GEMM kernel's unroll and block tails. This equality is the foundation
 // of the engine's byte-identical deterministic replay with
-// micro-batching enabled.
+// micro-batching enabled. The saturated case scales the weights so the
+// pre-activations reach every regime of sigmoid and tanh, including
+// gates whose exp leaves the vector kernel's range and cells that grow
+// past tanh's saturation, at a hidden size that leaves a partial group
+// of four in every ExpInto call.
 func TestStepBatchMatchesStepReuse(t *testing.T) {
 	t.Run("f64", func(t *testing.T) {
-		const vocab, hidden = 37, 19
-		net := batchNet(t, vocab, hidden)
-		rng := rand.New(rand.NewSource(9))
-		for _, batch := range []int{1, 2, 3, 4, 5, 7, 33, 64} {
-			serial := make([]*State, batch)
-			batched := make([]*State, batch)
-			for i := range serial {
-				serial[i] = net.lstm.NewState()
-				batched[i] = net.lstm.NewState()
+		checkStepBatch(t, batchNet(t, 37, 19), 11, rand.New(rand.NewSource(9)))
+	})
+	t.Run("saturated", func(t *testing.T) {
+		net := batchNet(t, 37, 21)
+		for _, p := range net.lstm.Params() {
+			p.W.Scale(40)
+		}
+		// In every other unit, open input and forget gates (their exp
+		// far below the kernel's range) and a candidate pinned to ±1
+		// grow the cell by ~1 per step, past 0.5·MAXLOG ≈ 44.
+		for k := 0; k < 21; k += 2 {
+			net.lstm.B.W.Data[k] = 900
+			net.lstm.B.W.Data[21+k] = 900
+			net.lstm.B.W.Data[63+k] += float64(k%3-1) * 800
+		}
+		checkStepBatch(t, net, 60, rand.New(rand.NewSource(3)))
+	})
+}
+
+// checkStepBatch steps batches of fresh states through StepBatch and
+// StepReuse side by side for the given number of steps and fails on the
+// first hidden or cell value that differs in any bit.
+func checkStepBatch(t *testing.T, net *LanguageNetwork, steps int, rng *rand.Rand) {
+	t.Helper()
+	vocab, hidden := net.lstm.InputSize, net.lstm.HiddenSize
+	for _, batch := range []int{1, 2, 3, 4, 5, 7, 33, 64} {
+		serial := make([]*State, batch)
+		batched := make([]*State, batch)
+		for i := range serial {
+			serial[i] = net.lstm.NewState()
+			batched[i] = net.lstm.NewState()
+		}
+		scratch := net.lstm.NewStepScratch()
+		bscratch := NewBatchScratch()
+		xs := make([]int, batch)
+		for step := 0; step < steps; step++ {
+			for i := range xs {
+				xs[i] = rng.Intn(vocab+1) - 1 // includes padding inputs
 			}
-			scratch := net.lstm.NewStepScratch()
-			bscratch := NewBatchScratch()
-			xs := make([]int, batch)
-			for step := 0; step < 11; step++ {
-				for i := range xs {
-					xs[i] = rng.Intn(vocab+1) - 1 // includes padding inputs
-				}
-				net.lstm.StepBatch(batched, xs, bscratch)
-				for i, st := range serial {
-					net.lstm.StepReuse(st, xs[i], scratch)
-					for k := 0; k < hidden; k++ {
-						if st.H[k] != batched[i].H[k] || st.C[k] != batched[i].C[k] {
-							t.Fatalf("batch %d step %d stream %d unit %d: serial (h=%v c=%v) batched (h=%v c=%v)",
-								batch, step, i, k, st.H[k], st.C[k], batched[i].H[k], batched[i].C[k])
-						}
+			net.lstm.StepBatch(batched, xs, bscratch)
+			for i, st := range serial {
+				net.lstm.StepReuse(st, xs[i], scratch)
+				for k := 0; k < hidden; k++ {
+					if math.Float64bits(st.H[k]) != math.Float64bits(batched[i].H[k]) ||
+						math.Float64bits(st.C[k]) != math.Float64bits(batched[i].C[k]) {
+						t.Fatalf("batch %d step %d stream %d unit %d: serial (h=%v c=%v) batched (h=%v c=%v)",
+							batch, step, i, k, st.H[k], st.C[k], batched[i].H[k], batched[i].C[k])
 					}
 				}
 			}
 		}
-	})
+	}
+}
+
+// TestSplitNonlinearitiesMatchScalar pins sigmoidFromExp and
+// tanhFromExp, fed math.Exp of their exp arguments, to sigmoid and
+// math.Tanh bit for bit at every branch edge of both functions and on
+// random draws across all their regimes.
+func TestSplitNonlinearitiesMatchScalar(t *testing.T) {
+	half := 0.5 * tanhMaxLog
+	xs := []float64{
+		0, math.Copysign(0, -1), 0.625, math.Nextafter(0.625, 0), math.Nextafter(0.625, 1),
+		half, math.Nextafter(half, 0), math.Nextafter(half, 100),
+		1e-300, 0x1p-1074, 707, 708, 709, 710, 745.2, 800, 1e300, math.Inf(1), math.NaN(),
+	}
+	for _, x := range xs[:len(xs)-1] {
+		xs = append(xs, -x)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100000; i++ {
+		xs = append(xs, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(5)-2)))
+	}
+	for _, x := range xs {
+		if got, want := sigmoidFromExp(x, math.Exp(sigmoidExpArg(x))), sigmoid(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("sigmoidFromExp(%v) = %v (%#x), sigmoid %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if got, want := tanhFromExp(x, math.Exp(tanhExpArg(x))), math.Tanh(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("tanhFromExp(%v) = %v (%#x), math.Tanh %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
 }
 
 // eagerRef is the eager serial reference the lazy streams must match:

@@ -17,7 +17,10 @@ import (
 // dimension is never tiled.
 //
 // MatMulNT has two implementations that obey that rule. The Go kernel
-// below is the portable one and the reference. On amd64 with AVX2 an
+// below is the portable one and the reference; it also serves every
+// single-row block (a one-stream chunk, or the last row of a ragged M),
+// where it runs four b rows against the one a row so four independent
+// chains hide the add latency. On amd64 with AVX2 an
 // assembly kernel vectorises across rows of a instead: 16 a rows are
 // transposed into a packed block so one 4-wide vector holds column k of
 // four rows, each b value is broadcast, and each lane runs its own
@@ -95,7 +98,9 @@ func rowRange(m *Matrix, lo, hi int) *Matrix {
 
 // matMulNTGo is the portable MatMulNT kernel. It blocks over rows of b
 // and unrolls four rows of a against each b row, so one loaded b value
-// feeds four independent accumulators.
+// feeds four independent accumulators; the last M mod 4 rows of a run
+// one at a time against four rows of b, so the one loaded a value feeds
+// four. Either way each accumulator is one element's ascending-k chain.
 func matMulNTGo(dst, a, b *Matrix) {
 	k := a.Cols
 	for j0 := 0; j0 < b.Rows; j0 += matMulNTBlockJ {
@@ -127,7 +132,25 @@ func matMulNTGo(dst, a, b *Matrix) {
 		for ; i < a.Rows; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j := j0; j < j1; j++ {
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				b0 := b.Data[(j+0)*k : (j+1)*k]
+				b1 := b.Data[(j+1)*k : (j+2)*k]
+				b2 := b.Data[(j+2)*k : (j+3)*k]
+				b3 := b.Data[(j+3)*k : (j+4)*k]
+				var s0, s1, s2, s3 float64
+				for kk, av := range arow {
+					s0 += av * b0[kk]
+					s1 += av * b1[kk]
+					s2 += av * b2[kk]
+					s3 += av * b3[kk]
+				}
+				drow[j+0] = s0
+				drow[j+1] = s1
+				drow[j+2] = s2
+				drow[j+3] = s3
+			}
+			for ; j < j1; j++ {
 				brow := b.Data[j*k : (j+1)*k]
 				var s float64
 				for kk, bv := range brow {

@@ -80,7 +80,10 @@ type matMulNTKernel struct {
 // serial scoring producing the same bytes. Shapes cross every edge of
 // both kernels: M over 1..40 and 64 (the Go kernel's 4-row unroll, the
 // AVX2 kernel's 16-lane blocks and its small-M crossover), K over
-// {1, 16, 255, 256}, N ≡ 0, 1, 2 mod the AVX2 kernel's 3-row block.
+// {1, 16, 255, 256}, and N cycling through every residue mod 12 — so
+// every residue mod the AVX2 kernel's 3-row block and mod the Go
+// kernel's 4-row single-row tail — both within one 32-row block of b
+// and across blocks.
 func TestMatMulMatchesMatVecRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ms := []int{64}
@@ -88,15 +91,17 @@ func TestMatMulMatchesMatVecRows(t *testing.T) {
 		ms = append(ms, m)
 	}
 	negZero := math.Copysign(0, -1)
+	cycle := 0
 	for _, kernel := range matMulNTKernels() {
 		name := kernel.name
 		for _, m := range ms {
 			for _, k := range []int{1, 16, 255, 256} {
-				for r := 0; r < 3; r++ {
-					n := 3*rng.Intn(12) + r
-					if n == 0 {
-						n = 3
+				for q := 0; q < 4; q++ {
+					n := 1 + cycle%12 + 12*rng.Intn(2)
+					if (m+q)%2 == 1 {
+						n += 32
 					}
+					cycle++
 					nonFinite := rng.Intn(4) == 0
 					a := specialMatrix(rng, m, k, nonFinite)
 					b := specialMatrix(rng, n, k, nonFinite)

@@ -116,10 +116,12 @@ func Softmax(dst, src Vector) {
 			maxVal = x
 		}
 	}
-	var sum float64
 	for i, x := range src {
-		e := math.Exp(x - maxVal)
-		dst[i] = e
+		dst[i] = x - maxVal
+	}
+	ExpInto(dst, dst)
+	var sum float64
+	for _, e := range dst {
 		sum += e
 	}
 	inv := 1 / sum
