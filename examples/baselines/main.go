@@ -16,6 +16,7 @@ import (
 	"misusedetect/internal/core"
 	"misusedetect/internal/experiments"
 	"misusedetect/internal/logsim"
+	"misusedetect/internal/scorer"
 )
 
 func main() {
@@ -73,17 +74,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	globalAcc, err := setup.GlobalLM.CorpusAccuracy(encTest)
+	global, err := scorer.ScoreCorpus(setup.GlobalLM, encTest)
 	if err != nil {
 		return err
 	}
-	ngramAcc, err := ngram.CorpusAccuracy(encTest)
+	trigram, err := scorer.ScoreCorpus(ngram, encTest)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("  %-34s %.4f\n", "per-cluster LSTMs (routed)", clusterAcc)
-	fmt.Printf("  %-34s %.4f\n", "global LSTM (strong baseline)", globalAcc)
-	fmt.Printf("  %-34s %.4f\n", "interpolated trigram", ngramAcc)
+	fmt.Printf("  %-34s %.4f\n", "global LSTM (strong baseline)", global.Accuracy)
+	fmt.Printf("  %-34s %.4f\n", "interpolated trigram", trigram.Accuracy)
 
 	// Real-vs-random separation for every normality scorer.
 	random, err := logsim.RandomSessions(vocab, 60, 5, 25, 77)
@@ -185,7 +186,7 @@ func pipelineAccuracy(setup *experiments.Setup, encTest [][]int) (float64, error
 		if err != nil {
 			return 0, err
 		}
-		sc, err := clusters[c].LM.ScoreSession(e)
+		sc, err := scorer.ScoreStream(clusters[c].Model, e)
 		if err != nil {
 			return 0, err
 		}
@@ -209,7 +210,7 @@ func avgPipelineLikelihood(setup *experiments.Setup, enc [][]int) (float64, erro
 		if err != nil {
 			return 0, err
 		}
-		sc, err := clusters[c].LM.ScoreSession(e)
+		sc, err := scorer.ScoreStream(clusters[c].Model, e)
 		if err != nil {
 			return 0, err
 		}
@@ -228,8 +229,8 @@ func avgNGram(m *baseline.NGram, enc [][]int) float64 {
 		if len(e) < 2 {
 			continue
 		}
-		if l, err := m.AvgLikelihood(e); err == nil {
-			sum += l
+		if sc, err := scorer.ScoreStream(m, e); err == nil {
+			sum += sc.AvgLikelihood
 			n++
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"misusedetect/internal/scorer"
 )
 
 func cycleSessions(n, length, vocab int) [][]int {
@@ -102,39 +104,35 @@ func TestNGramStepScoresAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	normal := []int{0, 1, 2, 3, 0, 1, 2, 3}
-	scores, err := m.StepScores(normal)
+	n, err := scorer.ScoreStream(m, normal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scores) != 7 {
-		t.Fatalf("got %d scores", len(scores))
+	if n.Steps != 7 {
+		t.Fatalf("got %d scored steps", n.Steps)
 	}
-	acc, err := m.CorpusAccuracy([][]int{normal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.8 {
-		t.Fatalf("cycle accuracy %v too low", acc)
+	if n.Accuracy < 0.8 {
+		t.Fatalf("cycle accuracy %v too low", n.Accuracy)
 	}
 	rng := rand.New(rand.NewSource(1))
 	random := make([]int, 8)
 	for i := range random {
 		random[i] = rng.Intn(4)
 	}
-	ln, _ := m.AvgLikelihood(normal)
-	lr, _ := m.AvgLikelihood(random)
-	if ln <= lr {
-		t.Fatalf("normal likelihood %v <= random %v", ln, lr)
+	r, err := scorer.ScoreStream(m, random)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lossN, _ := m.AvgLoss(normal)
-	lossR, _ := m.AvgLoss(random)
-	if lossN >= lossR {
-		t.Fatalf("normal loss %v >= random %v", lossN, lossR)
+	if n.AvgLikelihood <= r.AvgLikelihood {
+		t.Fatalf("normal likelihood %v <= random %v", n.AvgLikelihood, r.AvgLikelihood)
 	}
-	if _, err := m.StepScores([]int{0}); err == nil {
+	if n.AvgLoss >= r.AvgLoss {
+		t.Fatalf("normal loss %v >= random %v", n.AvgLoss, r.AvgLoss)
+	}
+	if _, err := scorer.ScoreStream(m, []int{0}); err == nil {
 		t.Fatal("short session must fail")
 	}
-	if _, err := m.CorpusAccuracy([][]int{{0}}); err == nil {
+	if _, err := scorer.ScoreCorpus(m, [][]int{{0}}); err == nil {
 		t.Fatal("no scorable sessions must fail")
 	}
 }

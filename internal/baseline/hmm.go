@@ -252,12 +252,6 @@ func (m *HMM) Backend() string { return BackendHMM }
 // VocabSize returns the emission-vocabulary size.
 func (m *HMM) VocabSize() int { return m.vocab }
 
-// ScoreSession computes the shared session-level normality measures by
-// streaming the forward algorithm.
-func (m *HMM) ScoreSession(session []int) (scorer.Score, error) {
-	return scorer.ScoreStream(m, session)
-}
-
 // NewStream returns an incremental scorer carrying the forward-algorithm
 // step state: the normalized filtering distribution over hidden states.
 // The states-sized buffers are preallocated and the vocab-sized

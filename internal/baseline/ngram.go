@@ -158,12 +158,6 @@ func (m *NGram) Backend() string { return BackendNGram }
 // VocabSize returns the action-vocabulary size the model was trained on.
 func (m *NGram) VocabSize() int { return m.vocab }
 
-// ScoreSession computes the shared session-level normality measures by
-// streaming (the model has no faster batch path).
-func (m *NGram) ScoreSession(session []int) (scorer.Score, error) {
-	return scorer.ScoreStream(m, session)
-}
-
 // NewStream returns an incremental per-action scorer: it keeps the last
 // Order-1 actions as context and reuses its distribution and key
 // buffers, so steady-state streaming performs no per-action allocations.
@@ -259,76 +253,4 @@ func (m *NGram) nextDist(ctx []int, dist tensor.Vector, keyBuf []byte) []byte {
 		}
 	}
 	return keyBuf
-}
-
-// StepScores returns the probability of each observed action (positions
-// 1..n-1), mirroring lm.Model.StepScores.
-func (m *NGram) StepScores(session []int) (tensor.Vector, error) {
-	if len(session) < 2 {
-		return nil, fmt.Errorf("baseline: session must have >= 2 actions, got %d", len(session))
-	}
-	out := tensor.NewVector(len(session) - 1)
-	for i := 1; i < len(session); i++ {
-		p, err := m.Prob(session[:i], session[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i-1] = p
-	}
-	return out, nil
-}
-
-// CorpusAccuracy computes pooled next-action argmax accuracy.
-func (m *NGram) CorpusAccuracy(sessions [][]int) (float64, error) {
-	correct, total := 0, 0
-	for _, s := range sessions {
-		if len(s) < 2 {
-			continue
-		}
-		for i := 1; i < len(s); i++ {
-			best, bestP := -1, -1.0
-			for a := 0; a < m.vocab; a++ {
-				p, err := m.Prob(s[:i], a)
-				if err != nil {
-					return 0, err
-				}
-				if p > bestP {
-					best, bestP = a, p
-				}
-			}
-			if best == s[i] {
-				correct++
-			}
-			total++
-		}
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("baseline: no scorable sessions")
-	}
-	return float64(correct) / float64(total), nil
-}
-
-// AvgLikelihood returns the mean per-action probability over a session.
-func (m *NGram) AvgLikelihood(session []int) (float64, error) {
-	scores, err := m.StepScores(session)
-	if err != nil {
-		return 0, err
-	}
-	return tensor.Mean(scores), nil
-}
-
-// AvgLoss returns the mean per-action cross-entropy over a session.
-func (m *NGram) AvgLoss(session []int) (float64, error) {
-	scores, err := m.StepScores(session)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, p := range scores {
-		if p < 1e-300 {
-			p = 1e-300
-		}
-		s += -math.Log(p)
-	}
-	return s / float64(len(scores)), nil
 }

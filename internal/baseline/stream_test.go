@@ -9,8 +9,8 @@ import (
 )
 
 // TestNGramStreamMatchesBatch pins the streaming adapter to the batch
-// path: the stream's likelihood at position i must equal
-// Prob(session[:i], session[i]) — i.e. StepScores — exactly.
+// reference: the stream's likelihood at position i must equal
+// Prob(session[:i], session[i]) bit for bit.
 func TestNGramStreamMatchesBatch(t *testing.T) {
 	sessions := cycleSessions(12, 20, 6)
 	m, err := TrainNGram(sessions, 6, DefaultNGramConfig())
@@ -18,10 +18,6 @@ func TestNGramStreamMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	session := []int{0, 1, 2, 3, 4, 5, 0, 1, 2, 0, 5, 4}
-	batch, err := m.StepScores(session)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := m.NewStream()
 	for i, a := range session {
 		lik, dist, err := st.Observe(a)
@@ -32,8 +28,10 @@ func TestNGramStreamMatchesBatch(t *testing.T) {
 			if lik != -1 {
 				t.Fatalf("first action likelihood = %v, want -1", lik)
 			}
-		} else if math.Abs(lik-batch[i-1]) > 1e-12 {
-			t.Fatalf("position %d: stream %v, batch %v", i, lik, batch[i-1])
+		} else if want, err := m.Prob(session[:i], a); err != nil {
+			t.Fatal(err)
+		} else if math.Float64bits(lik) != math.Float64bits(want) {
+			t.Fatalf("position %d: stream %v, Prob %v", i, lik, want)
 		}
 		var sum float64
 		for _, p := range dist {
@@ -263,11 +261,11 @@ func TestScorerRoundTrips(t *testing.T) {
 		if back.Backend() != m.Backend() || back.VocabSize() != m.VocabSize() {
 			t.Fatalf("%s: loaded as %s vocab %d", m.Backend(), back.Backend(), back.VocabSize())
 		}
-		a, err := m.ScoreSession(session)
+		a, err := scorer.ScoreStream(m, session)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := back.ScoreSession(session)
+		b, err := scorer.ScoreStream(back, session)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -218,6 +219,23 @@ func TestRegistryLoadFromInstallsThresholds(t *testing.T) {
 	}
 }
 
+// encodeGroups encodes per-cluster session groups through vocab, the
+// form RetrainDetector takes.
+func encodeGroups(t *testing.T, vocab *actionlog.Vocabulary, groups ...[]*actionlog.Session) [][]EncodedSession {
+	t.Helper()
+	out := make([][]EncodedSession, len(groups))
+	for ci, g := range groups {
+		for _, s := range g {
+			enc, err := vocab.Encode(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[ci] = append(out[ci], EncodedSession{ID: s.ID, Actions: enc})
+		}
+	}
+	return out
+}
+
 func TestRetrainDetectorReusesStarvedClusters(t *testing.T) {
 	old := smallNGramDetector(t)
 	vocab, sessions := testCorpus(t, 20)
@@ -229,7 +247,7 @@ func TestRetrainDetectorReusesStarvedClusters(t *testing.T) {
 	cfg.Backend = baseline.BackendNGram
 
 	// Fresh data for cluster 0 only: cluster 1 must keep the old models.
-	fresh := [][]*actionlog.Session{clusters[0], nil}
+	fresh := encodeGroups(t, vocab, clusters[0], nil)
 	det, stats, err := RetrainDetector(old, cfg, vocab, fresh, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +266,7 @@ func TestRetrainDetectorReusesStarvedClusters(t *testing.T) {
 	if _, _, err := RetrainDetector(old, cfg, vocab, fresh[:1], 2); err == nil {
 		t.Fatal("mismatched group count must fail")
 	}
-	if _, _, err := RetrainDetector(old, cfg, vocab, [][]*actionlog.Session{nil, nil}, 2); err == nil {
+	if _, _, err := RetrainDetector(old, cfg, vocab, make([][]EncodedSession, 2), 2); err == nil {
 		t.Fatal("fully starved retrain must fail")
 	}
 }
@@ -277,7 +295,7 @@ func TestRetrainDetectorVocabularyGrowth(t *testing.T) {
 	// With the vocabulary grown, a starved cluster cannot reuse stale
 	// models: it is distilled — refit on sessions sampled from its own
 	// stale model — and the result must score the grown vocabulary.
-	distilledDet, stats, err := RetrainDetector(old, cfg, grown, [][]*actionlog.Session{clusters[0], nil}, 2)
+	distilledDet, stats, err := RetrainDetector(old, cfg, grown, encodeGroups(t, grown, clusters[0], nil), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +309,7 @@ func TestRetrainDetectorVocabularyGrowth(t *testing.T) {
 		t.Fatalf("distilled TrainSize = %d, want the stale generation's %d", got, old.Clusters()[1].TrainSize)
 	}
 
-	det, stats, err := RetrainDetector(old, cfg, grown, clusters, 2)
+	det, stats, err := RetrainDetector(old, cfg, grown, encodeGroups(t, grown, clusters...), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +340,8 @@ func TestRetrainDetectorVocabularyGrowth(t *testing.T) {
 	}
 	small := testConfig(shrunk.Size())
 	small.Backend = baseline.BackendNGram
-	if _, _, err := RetrainDetector(old, small, shrunk, clusters, 2); err == nil {
-		t.Fatal("non-superset vocabulary must fail")
+	_, _, err = RetrainDetector(old, small, shrunk, make([][]EncodedSession, len(clusters)), 2)
+	if err == nil || !strings.Contains(err.Error(), "superset") {
+		t.Fatalf("non-superset vocabulary must fail, got %v", err)
 	}
 }

@@ -32,24 +32,17 @@ func (d *Detector) monitorMinima(base MonitorConfig, validation []*actionlog.Ses
 		if err != nil {
 			return nil, err
 		}
-		sessionMin := -1.0
 		for _, a := range sess.Actions {
 			tok := d.Token(a)
 			if tok < 0 {
 				return nil, fmt.Errorf("core: calibrate on %s: unknown action %q", sess.ID, a)
 			}
-			step, err := mon.ObserveToken(tok)
-			if err != nil {
+			if _, err := mon.ObserveToken(tok); err != nil {
 				return nil, fmt.Errorf("core: calibrate on %s: %w", sess.ID, err)
 			}
-			if step.Position >= probe.WarmupActions && step.Likelihood >= 0 {
-				if sessionMin < 0 || step.Smoothed < sessionMin {
-					sessionMin = step.Smoothed
-				}
-			}
 		}
-		if sessionMin >= 0 {
-			out = append(out, sessionMinimum{cluster: mon.Cluster(), min: sessionMin})
+		if m := mon.MinSmoothed(); m >= 0 {
+			out = append(out, sessionMinimum{cluster: mon.Cluster(), min: m})
 		}
 	}
 	if len(out) == 0 {

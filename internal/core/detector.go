@@ -24,8 +24,8 @@ type ClusterModel struct {
 	// interface.
 	Model scorer.Scorer
 	// LM is the typed handle to Model when the backend is the LSTM
-	// (nil otherwise): the experiment harness uses its batch metrics
-	// (CorpusAccuracy, CorpusLoss) that the interface does not carry.
+	// (nil otherwise). Only the benchmark's LSTM micro rows read it;
+	// everything else scores through Model.
 	LM *lm.Model
 	// TrainSize is the number of training sessions, used for reporting
 	// (the paper orders clusters by size).
@@ -92,23 +92,19 @@ func TrainDetector(cfg Config, vocab *actionlog.Vocabulary, clusterTrain [][]*ac
 }
 
 // trainCluster fits one cluster's OC-SVM router and sequence model: the
-// per-cluster body shared by TrainDetector and RetrainDetector.
+// per-cluster body shared by TrainDetector and distillCluster.
 func trainCluster(cfg *Config, vocab *actionlog.Vocabulary, feat *ocsvm.Featurizer, sessions []*actionlog.Session, ci int, progress func(int, nn.EpochStats)) (ClusterModel, error) {
-	filtered := actionlog.FilterMinLength(sessions, cfg.MinSessionLength)
-	if len(filtered) == 0 {
-		return ClusterModel{}, fmt.Errorf("core: cluster %d has no trainable sessions", ci)
-	}
-	encoded, err := vocab.EncodeAll(filtered)
+	encoded, err := vocab.EncodeAll(actionlog.FilterMinLength(sessions, cfg.MinSessionLength))
 	if err != nil {
 		return ClusterModel{}, fmt.Errorf("core: encode cluster %d: %w", ci, err)
 	}
-	return trainClusterEncoded(cfg, vocab, feat, encoded, len(filtered), ci, progress)
+	return trainClusterEncoded(cfg, vocab, feat, encoded, ci, progress)
 }
 
 // trainClusterEncoded fits one cluster from sessions already encoded to
 // vocabulary indices (the token-native retrain path skips the string
 // encode entirely).
-func trainClusterEncoded(cfg *Config, vocab *actionlog.Vocabulary, feat *ocsvm.Featurizer, encoded [][]int, trainSize, ci int, progress func(int, nn.EpochStats)) (ClusterModel, error) {
+func trainClusterEncoded(cfg *Config, vocab *actionlog.Vocabulary, feat *ocsvm.Featurizer, encoded [][]int, ci int, progress func(int, nn.EpochStats)) (ClusterModel, error) {
 	if len(encoded) == 0 {
 		return ClusterModel{}, fmt.Errorf("core: cluster %d has no trainable sessions", ci)
 	}
@@ -122,7 +118,7 @@ func trainClusterEncoded(cfg *Config, vocab *actionlog.Vocabulary, feat *ocsvm.F
 	if err != nil {
 		return ClusterModel{}, fmt.Errorf("core: train OC-SVM %d: %w", ci, err)
 	}
-	cm := ClusterModel{Router: router, TrainSize: trainSize}
+	cm := ClusterModel{Router: router, TrainSize: len(encoded)}
 	if err := cm.train(cfg, vocab, encoded, ci, progress); err != nil {
 		return ClusterModel{}, err
 	}
@@ -304,7 +300,7 @@ func (d *Detector) ScoreSession(s *actionlog.Session) (SessionReport, error) {
 	if err != nil {
 		return SessionReport{}, err
 	}
-	sc, err := d.clusters[cluster].Model.ScoreSession(encoded)
+	sc, err := scorer.ScoreStream(d.clusters[cluster].Model, encoded)
 	if err != nil {
 		return SessionReport{}, fmt.Errorf("core: score session %s: %w", s.ID, err)
 	}
@@ -335,7 +331,7 @@ func (d *Detector) ScoreWeighted(s *actionlog.Session) (float64, error) {
 	tensor.Softmax(weights, routeScores)
 	var combined float64
 	for i := range d.clusters {
-		sc, err := d.clusters[i].Model.ScoreSession(encoded)
+		sc, err := scorer.ScoreStream(d.clusters[i].Model, encoded)
 		if err != nil {
 			return 0, err
 		}

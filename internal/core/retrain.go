@@ -40,38 +40,6 @@ type EncodedSession struct {
 	Actions []int
 }
 
-// retrainPrelude validates the retrain inputs shared by both entry
-// points and prepares the successor detector's fixed parts.
-func retrainPrelude(old *Detector, cfg *Config, vocab *actionlog.Vocabulary, groups int) (reusable bool, feat *ocsvm.Featurizer, err error) {
-	if old == nil {
-		return false, nil, fmt.Errorf("core: retrain: nil detector")
-	}
-	if err := cfg.validate(); err != nil {
-		return false, nil, err
-	}
-	if groups != len(old.clusters) {
-		return false, nil, fmt.Errorf("core: retrain: %d session groups for %d clusters", groups, len(old.clusters))
-	}
-	cfg.Backend = cfg.backend()
-	sameVocab := vocabEqual(vocab, old.vocab)
-	if !sameVocab && !vocabSuperset(vocab, old.vocab) {
-		return false, nil, fmt.Errorf("core: retrain: vocabulary is not a superset of the old vocabulary (%d vs %d actions)",
-			vocab.Size(), old.vocab.Size())
-	}
-	// Stale-model reuse needs index- and format-compatible clusters:
-	// identical vocabulary and backend tag (the saved manifest records
-	// one backend for the whole detector).
-	reusable = sameVocab && cfg.Backend == old.Backend()
-	feat = old.featurizer
-	if !sameVocab {
-		feat, err = ocsvm.NewFeaturizer(vocab.Size())
-		if err != nil {
-			return false, nil, fmt.Errorf("core: retrain: build featurizer: %w", err)
-		}
-	}
-	return reusable, feat, nil
-}
-
 // RetrainDetector fits a successor to old on fresh per-cluster training
 // sessions: the training half of the online adaptation loop. clusterTrain
 // must have one group per existing cluster (the grouping key is the
@@ -84,23 +52,55 @@ func retrainPrelude(old *Detector, cfg *Config, vocab *actionlog.Vocabulary, gro
 // instead (distillation), so one quiet behavior cluster never blocks
 // adapting the busy ones.
 //
-// The vocabulary must equal the old detector's or be a superset of it
+// The sessions arrive encoded through vocab: the adaptation pipeline
+// records live sessions as interner tokens and remaps them to the
+// (grown) retrain vocabulary through one table per interner snapshot,
+// so the per-action cost between serving and retraining is integer
+// indexing — no string map lookups anywhere past the wire edge. The
+// vocabulary must equal the old detector's or be a superset of it
 // (vocabulary drift absorbed by retraining).
-func RetrainDetector(old *Detector, cfg Config, vocab *actionlog.Vocabulary, clusterTrain [][]*actionlog.Session, minPerCluster int) (*Detector, RetrainStats, error) {
+func RetrainDetector(old *Detector, cfg Config, vocab *actionlog.Vocabulary, clusterTrain [][]EncodedSession, minPerCluster int) (*Detector, RetrainStats, error) {
 	var stats RetrainStats
-	reusable, feat, err := retrainPrelude(old, &cfg, vocab, len(clusterTrain))
-	if err != nil {
+	if old == nil {
+		return nil, stats, fmt.Errorf("core: retrain: nil detector")
+	}
+	if err := cfg.validate(); err != nil {
 		return nil, stats, err
+	}
+	if len(clusterTrain) != len(old.clusters) {
+		return nil, stats, fmt.Errorf("core: retrain: %d session groups for %d clusters", len(clusterTrain), len(old.clusters))
+	}
+	cfg.Backend = cfg.backend()
+	sameVocab := vocabEqual(vocab, old.vocab)
+	if !sameVocab && !vocabSuperset(vocab, old.vocab) {
+		return nil, stats, fmt.Errorf("core: retrain: vocabulary is not a superset of the old vocabulary (%d vs %d actions)",
+			vocab.Size(), old.vocab.Size())
+	}
+	// Stale-model reuse needs index- and format-compatible clusters:
+	// identical vocabulary and backend tag (the saved manifest records
+	// one backend for the whole detector).
+	reusable := sameVocab && cfg.Backend == old.Backend()
+	feat := old.featurizer
+	if !sameVocab {
+		var err error
+		if feat, err = ocsvm.NewFeaturizer(vocab.Size()); err != nil {
+			return nil, stats, fmt.Errorf("core: retrain: build featurizer: %w", err)
+		}
 	}
 	if minPerCluster < 1 {
 		minPerCluster = 1
 	}
 	clusters := make([]ClusterModel, 0, len(clusterTrain))
 	for ci, sessions := range clusterTrain {
-		trainable := actionlog.FilterMinLength(sessions, cfg.MinSessionLength)
+		var trainable [][]int
+		for _, s := range sessions {
+			if len(s.Actions) >= cfg.MinSessionLength {
+				trainable = append(trainable, s.Actions)
+			}
+		}
 		switch {
 		case len(trainable) >= minPerCluster:
-			cm, err := trainCluster(&cfg, vocab, feat, trainable, ci, nil)
+			cm, err := trainClusterEncoded(&cfg, vocab, feat, trainable, ci, nil)
 			if err != nil {
 				return nil, stats, fmt.Errorf("core: retrain: %w", err)
 			}
@@ -110,63 +110,6 @@ func RetrainDetector(old *Detector, cfg Config, vocab *actionlog.Vocabulary, clu
 			// Keep the old generation's models for this cluster:
 			// ClusterModel is immutable after training, so sharing it
 			// across detectors is safe.
-			clusters = append(clusters, old.clusters[ci])
-			stats.Reused = append(stats.Reused, ci)
-		default:
-			cm, err := distillCluster(&cfg, old, vocab, feat, ci)
-			if err != nil {
-				return nil, stats, err
-			}
-			clusters = append(clusters, cm)
-			stats.Distilled = append(stats.Distilled, ci)
-		}
-	}
-	if len(stats.Retrained) == 0 {
-		return nil, stats, fmt.Errorf("core: retrain: no cluster reached %d trainable sessions", minPerCluster)
-	}
-	d, err := newDetector(cfg, vocab, feat, clusters)
-	if err != nil {
-		return nil, stats, fmt.Errorf("core: retrain: %w", err)
-	}
-	return d, stats, nil
-}
-
-// RetrainDetectorEncoded is RetrainDetector over pre-encoded sessions:
-// the token-native retrain entry point. The adaptation pipeline records
-// live sessions as interner tokens and remaps them to the (grown)
-// retrain vocabulary through one table per interner snapshot, so the
-// per-action cost between serving and retraining is integer indexing —
-// no string map lookups anywhere past the wire edge.
-func RetrainDetectorEncoded(old *Detector, cfg Config, vocab *actionlog.Vocabulary, clusterTrain [][]EncodedSession, minPerCluster int) (*Detector, RetrainStats, error) {
-	var stats RetrainStats
-	reusable, feat, err := retrainPrelude(old, &cfg, vocab, len(clusterTrain))
-	if err != nil {
-		return nil, stats, err
-	}
-	if minPerCluster < 1 {
-		minPerCluster = 1
-	}
-	clusters := make([]ClusterModel, 0, len(clusterTrain))
-	for ci, sessions := range clusterTrain {
-		var trainable []EncodedSession
-		for _, s := range sessions {
-			if len(s.Actions) >= cfg.MinSessionLength {
-				trainable = append(trainable, s)
-			}
-		}
-		switch {
-		case len(trainable) >= minPerCluster:
-			encoded := make([][]int, len(trainable))
-			for i, s := range trainable {
-				encoded[i] = s.Actions
-			}
-			cm, err := trainClusterEncoded(&cfg, vocab, feat, encoded, len(trainable), ci, nil)
-			if err != nil {
-				return nil, stats, fmt.Errorf("core: retrain: %w", err)
-			}
-			clusters = append(clusters, cm)
-			stats.Retrained = append(stats.Retrained, ci)
-		case reusable:
 			clusters = append(clusters, old.clusters[ci])
 			stats.Reused = append(stats.Reused, ci)
 		default:

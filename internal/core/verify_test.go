@@ -177,10 +177,7 @@ type failingScorer struct{}
 func (failingScorer) Backend() string          { return "" }
 func (failingScorer) VocabSize() int           { return 0 }
 func (failingScorer) NewStream() scorer.Stream { return nil }
-func (failingScorer) ScoreSession([]int) (scorer.Score, error) {
-	return scorer.Score{}, errors.New("stub scorer")
-}
-func (failingScorer) Save(io.Writer) error { return errors.New("stub scorer cannot save") }
+func (failingScorer) Save(io.Writer) error     { return errors.New("stub scorer cannot save") }
 
 // TestSaveAtomicity pins the staged-save contract: a save that dies
 // half-way must leave the previously installed directory byte-for-byte

@@ -9,6 +9,7 @@ import (
 	"misusedetect/internal/lm"
 	"misusedetect/internal/logsim"
 	"misusedetect/internal/metrics"
+	"misusedetect/internal/scorer"
 )
 
 // ExtensionAUC quantifies what the paper validates qualitatively: how
@@ -73,6 +74,18 @@ func ExtensionAUC(s *Setup) (*Result, error) {
 		return nil, err
 	}
 
+	// avgLikelihood scores a session's average likelihood under one
+	// sequence model.
+	avgLikelihood := func(m scorer.Scorer) func(*actionlog.Session) (float64, error) {
+		return func(sess *actionlog.Session) (float64, error) {
+			enc, err := vocab.Encode(sess)
+			if err != nil {
+				return 0, err
+			}
+			sc, err := scorer.ScoreStream(m, enc)
+			return sc.AvgLikelihood, err
+		}
+	}
 	scorers := []struct {
 		name  string
 		score func(*actionlog.Session) (float64, error)
@@ -84,24 +97,8 @@ func ExtensionAUC(s *Setup) (*Result, error) {
 			}
 			return rep.Score.AvgLikelihood, nil
 		}},
-		{"global LSTM", func(sess *actionlog.Session) (float64, error) {
-			enc, err := vocab.Encode(sess)
-			if err != nil {
-				return 0, err
-			}
-			sc, err := s.GlobalLM.ScoreSession(enc)
-			if err != nil {
-				return 0, err
-			}
-			return sc.AvgLikelihood, nil
-		}},
-		{"interpolated trigram", func(sess *actionlog.Session) (float64, error) {
-			enc, err := vocab.Encode(sess)
-			if err != nil {
-				return 0, err
-			}
-			return ngram.AvgLikelihood(enc)
-		}},
+		{"global LSTM", avgLikelihood(s.GlobalLM)},
+		{"interpolated trigram", avgLikelihood(ngram)},
 		{"discrete HMM", func(sess *actionlog.Session) (float64, error) {
 			enc, err := vocab.Encode(sess)
 			if err != nil {
@@ -211,15 +208,11 @@ func ExtensionTrainingMode(s *Setup) (*Result, error) {
 			return nil, fmt.Errorf("experiments: training-mode %s: %w", mode.name, err)
 		}
 		elapsed := time.Since(start)
-		acc, err := model.CorpusAccuracy(encTest)
+		sc, err := scorer.ScoreCorpus(model, encTest)
 		if err != nil {
 			return nil, err
 		}
-		loss, err := model.CorpusLoss(encTest)
-		if err != nil {
-			return nil, err
-		}
-		res.AddRow(mode.name, f(acc), f(loss), elapsed.Round(time.Millisecond).String())
+		res.AddRow(mode.name, f(sc.Accuracy), f(sc.AvgLoss), elapsed.Round(time.Millisecond).String())
 	}
 	res.AddNote("both modes train the same next-action objective; windowed re-reads every prefix so it costs O(length) more per session")
 	return res, nil

@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"misusedetect/internal/scorer"
+)
 
 // Fig10 reproduces the appendix Figure 10: per-cluster test loss of the
 // cluster model against the global model and the size-matched subset
@@ -24,22 +28,22 @@ func Fig10(s *Setup) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		own, err := clusters[ci].LM.CorpusLoss(enc)
+		own, err := scorer.ScoreCorpus(clusters[ci].Model, enc)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig10 cluster %d: %w", ci, err)
 		}
-		global, err := s.GlobalLM.CorpusLoss(enc)
+		global, err := scorer.ScoreCorpus(s.GlobalLM, enc)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig10 global on %d: %w", ci, err)
 		}
-		subset, err := s.SubsetLMs[ci].CorpusLoss(enc)
+		subset, err := scorer.ScoreCorpus(s.SubsetLMs[ci], enc)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig10 subset on %d: %w", ci, err)
 		}
-		if own < subset {
+		if own.AvgLoss < subset.AvgLoss {
 			clusterBeatsSubset++
 		}
-		res.AddRow(d(ci), d(clusters[ci].TrainSize), f(own), f(global), f(subset))
+		res.AddRow(d(ci), d(clusters[ci].TrainSize), f(own.AvgLoss), f(global.AvgLoss), f(subset.AvgLoss))
 	}
 	res.AddNote("cluster model beats size-matched subset model (lower loss) on %d/%d clusters (paper: same pattern as accuracy)",
 		clusterBeatsSubset, len(clusters))

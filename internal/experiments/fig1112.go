@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"misusedetect/internal/lm"
+	"misusedetect/internal/scorer"
 )
 
 // Fig1112 reproduces the appendix Figures 11 and 12: per-cluster
@@ -39,7 +39,7 @@ func Fig1112(s *Setup) (*Result, error) {
 			if len(e) < 2 {
 				continue
 			}
-			kSc, err := clusters[ci].LM.ScoreSession(e)
+			kSc, err := scorer.ScoreStream(clusters[ci].Model, e)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig11 known %d: %w", ci, err)
 			}
@@ -47,7 +47,7 @@ func Fig1112(s *Setup) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rSc, err := clusters[rCluster].LM.ScoreSession(e)
+			rSc, err := scorer.ScoreStream(clusters[rCluster].Model, e)
 			if err != nil {
 				return nil, err
 			}
@@ -55,11 +55,11 @@ func Fig1112(s *Setup) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			vSc, err := clusters[vCluster].LM.ScoreSession(e)
+			vSc, err := scorer.ScoreStream(clusters[vCluster].Model, e)
 			if err != nil {
 				return nil, err
 			}
-			gSc, err := s.GlobalLM.ScoreSession(e)
+			gSc, err := scorer.ScoreStream(s.GlobalLM, e)
 			if err != nil {
 				return nil, err
 			}
@@ -91,7 +91,7 @@ type aggScore struct {
 	n                int
 }
 
-func (a *aggScore) add(sc lm.Score) {
+func (a *aggScore) add(sc scorer.Score) {
 	a.likeSum += sc.AvgLikelihood
 	a.lossSum += sc.AvgLoss
 	a.n++

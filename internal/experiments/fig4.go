@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"misusedetect/internal/scorer"
+)
 
 // Fig4 reproduces Figure 4: each cluster model's accuracy on its own test
 // set against the same model's average accuracy over every other
@@ -27,7 +31,7 @@ func Fig4(s *Setup) (*Result, error) {
 	clusters := s.Detector.Clusters()
 	ownBeatsOthers := 0
 	for ci := range clusters {
-		own, err := clusters[ci].LM.CorpusAccuracy(encoded[ci])
+		own, err := scorer.ScoreCorpus(clusters[ci].Model, encoded[ci])
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig4 own accuracy %d: %w", ci, err)
 		}
@@ -37,21 +41,21 @@ func Fig4(s *Setup) (*Result, error) {
 			if cj == ci || len(encoded[cj]) == 0 {
 				continue
 			}
-			acc, err := clusters[ci].LM.CorpusAccuracy(encoded[cj])
+			cross, err := scorer.ScoreCorpus(clusters[ci].Model, encoded[cj])
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig4 cross accuracy %d->%d: %w", ci, cj, err)
 			}
-			otherSum += acc
+			otherSum += cross.Accuracy
 			others++
 		}
 		otherAvg := 0.0
 		if others > 0 {
 			otherAvg = otherSum / float64(others)
 		}
-		if own > otherAvg {
+		if own.Accuracy > otherAvg {
 			ownBeatsOthers++
 		}
-		res.AddRow(d(ci), d(clusters[ci].TrainSize), f(own), f(otherAvg))
+		res.AddRow(d(ci), d(clusters[ci].TrainSize), f(own.Accuracy), f(otherAvg))
 	}
 	res.AddNote("clusters where own accuracy > cross-cluster average: %d/%d (paper: all; models are diverse)",
 		ownBeatsOthers, len(clusters))

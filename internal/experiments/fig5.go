@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"misusedetect/internal/scorer"
+)
 
 // Fig5 reproduces Figure 5: per-cluster test accuracy of the cluster
 // model against (a) the global model trained on the whole dataset and (b)
@@ -28,25 +32,25 @@ func Fig5(s *Setup) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		own, err := clusters[ci].LM.CorpusAccuracy(enc)
+		own, err := scorer.ScoreCorpus(clusters[ci].Model, enc)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig5 cluster %d: %w", ci, err)
 		}
-		global, err := s.GlobalLM.CorpusAccuracy(enc)
+		global, err := scorer.ScoreCorpus(s.GlobalLM, enc)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig5 global on %d: %w", ci, err)
 		}
-		subset, err := s.SubsetLMs[ci].CorpusAccuracy(enc)
+		subset, err := scorer.ScoreCorpus(s.SubsetLMs[ci], enc)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig5 subset on %d: %w", ci, err)
 		}
-		if own > subset {
+		if own.Accuracy > subset.Accuracy {
 			clusterBeatsSubset++
 		}
-		if ci == len(clusters)-1 && own >= global {
+		if ci == len(clusters)-1 && own.Accuracy >= global.Accuracy {
 			clusterBeatsGlobalLargest = true
 		}
-		res.AddRow(d(ci), d(clusters[ci].TrainSize), f(own), f(global), f(subset))
+		res.AddRow(d(ci), d(clusters[ci].TrainSize), f(own.Accuracy), f(global.Accuracy), f(subset.Accuracy))
 	}
 	res.AddNote("cluster model beats size-matched subset model on %d/%d clusters (paper: informed clustering is extremely important)",
 		clusterBeatsSubset, len(clusters))

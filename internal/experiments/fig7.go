@@ -43,7 +43,7 @@ func Fig7(s *Setup) (*Result, error) {
 		streams := make([]scorer.Stream, len(clusters))
 		var probs [][]float64
 		for ci := range clusters {
-			streams[ci] = clusters[ci].LM.NewStream()
+			streams[ci] = clusters[ci].Model.NewStream()
 		}
 		probs = make([][]float64, len(clusters))
 		feat := s.Detector.Featurizer().Stream()

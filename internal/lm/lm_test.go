@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"misusedetect/internal/nn"
+	"misusedetect/internal/scorer"
 )
 
 // trainCycleModel trains a small model on a deterministic cycle corpus.
@@ -56,13 +57,27 @@ func TestTrainProgressCallback(t *testing.T) {
 	}
 }
 
+// stepScores replays a session through the model's stream and returns
+// the likelihood of every action after the first.
+func stepScores(t *testing.T, m *Model, session []int) []float64 {
+	t.Helper()
+	st := m.NewStream()
+	var out []float64
+	for i, a := range session {
+		lik, _, err := st.Observe(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			out = append(out, lik)
+		}
+	}
+	return out
+}
+
 func TestStepScores(t *testing.T) {
 	m := trainCycleModel(t)
-	session := []int{0, 1, 2, 3, 4, 0, 1}
-	scores, err := m.StepScores(session)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scores := stepScores(t, m, []int{0, 1, 2, 3, 4, 0, 1})
 	if len(scores) != 6 {
 		t.Fatalf("got %d step scores, want 6", len(scores))
 	}
@@ -76,10 +91,10 @@ func TestStepScores(t *testing.T) {
 	if scores[len(scores)-1] < 0.5 {
 		t.Fatalf("trained model final step score %v too low", scores[len(scores)-1])
 	}
-	if _, err := m.StepScores([]int{1}); err == nil {
+	if _, err := scorer.ScoreStream(m, []int{1}); err == nil {
 		t.Fatal("short session must fail")
 	}
-	if _, err := m.StepScores([]int{0, 99}); err == nil {
+	if _, err := scorer.ScoreStream(m, []int{0, 99}); err == nil {
 		t.Fatal("out-of-vocab target must fail")
 	}
 }
@@ -87,7 +102,7 @@ func TestStepScores(t *testing.T) {
 func TestScoreSessionMetricsConsistent(t *testing.T) {
 	m := trainCycleModel(t)
 	session := []int{0, 1, 2, 3, 4, 0, 1, 2}
-	sc, err := m.ScoreSession(session)
+	sc, err := scorer.ScoreStream(m, session)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +125,7 @@ func TestScoreSessionMetricsConsistent(t *testing.T) {
 	if sc.Accuracy < 0.7 {
 		t.Fatalf("cycle accuracy %v too low", sc.Accuracy)
 	}
-	if _, err := m.ScoreSession([]int{3}); err == nil {
+	if _, err := scorer.ScoreStream(m, []int{3}); err == nil {
 		t.Fatal("short session must fail")
 	}
 }
@@ -123,11 +138,11 @@ func TestNormalVsRandomSessions(t *testing.T) {
 	for i := range random {
 		random[i] = rng.Intn(5)
 	}
-	ns, err := m.ScoreSession(normal)
+	ns, err := scorer.ScoreStream(m, normal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := m.ScoreSession(random)
+	rs, err := scorer.ScoreStream(m, random)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,42 +163,61 @@ func TestScoreCorpus(t *testing.T) {
 		{2, 3, 4, 0},
 		{1}, // skipped
 	}
-	sc, err := m.ScoreCorpus(sessions)
+	sc, err := scorer.ScoreCorpus(m, sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.Steps != 6 {
 		t.Fatalf("pooled steps = %d, want 6", sc.Steps)
 	}
-	if _, err := m.ScoreCorpus([][]int{{1}}); err == nil {
+	if _, err := scorer.ScoreCorpus(m, [][]int{{1}}); err == nil {
 		t.Fatal("no scorable sessions must fail")
 	}
 }
 
+// TestCorpusAccuracyAndLoss pins the pooled corpus accuracy and loss
+// of the paper's Figures 4, 5 and 10, as scorer.ScoreCorpus computes
+// them from the stream, bit for bit to the same pooling over the
+// network's ForwardAll reference.
 func TestCorpusAccuracyAndLoss(t *testing.T) {
 	m := trainCycleModel(t)
 	sessions := [][]int{
 		{0, 1, 2, 3, 4, 0},
 		{3, 4, 0, 1},
+		{2},
 	}
-	acc, err := m.CorpusAccuracy(sessions)
+	sc, err := scorer.ScoreCorpus(m, sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc < 0.6 {
-		t.Fatalf("corpus accuracy %v too low for cycle data", acc)
+	correct, total := 0, 0
+	var lossSum float64
+	for _, s := range sessions[:2] {
+		probs, err := m.net.ForwardAll(s[:len(s)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range s[1:] {
+			if probs[i].ArgMax() == a {
+				correct++
+			}
+			lossSum += -math.Log(probs[i][a])
+			total++
+		}
 	}
-	loss, err := m.CorpusLoss(sessions)
-	if err != nil {
-		t.Fatal(err)
+	if want := float64(correct) / float64(total); math.Float64bits(sc.Accuracy) != math.Float64bits(want) {
+		t.Fatalf("pooled accuracy %v, ForwardAll %v", sc.Accuracy, want)
 	}
-	if loss < 0 || loss > 2 {
-		t.Fatalf("corpus loss %v unreasonable for learned cycle", loss)
+	if want := lossSum / float64(total); math.Float64bits(sc.AvgLoss) != math.Float64bits(want) {
+		t.Fatalf("pooled loss %v, ForwardAll %v", sc.AvgLoss, want)
 	}
-	if _, err := m.CorpusAccuracy(nil); err == nil {
-		t.Fatal("empty corpus must fail")
+	if sc.Accuracy < 0.6 {
+		t.Fatalf("corpus accuracy %v too low for cycle data", sc.Accuracy)
 	}
-	if _, err := m.CorpusLoss(nil); err == nil {
+	if sc.AvgLoss < 0 || sc.AvgLoss > 2 {
+		t.Fatalf("corpus loss %v unreasonable for learned cycle", sc.AvgLoss)
+	}
+	if _, err := scorer.ScoreCorpus(m, nil); err == nil {
 		t.Fatal("empty corpus must fail")
 	}
 }
@@ -202,8 +236,8 @@ func TestModelSaveLoad(t *testing.T) {
 		t.Fatal("vocab size changed across save/load")
 	}
 	session := []int{0, 1, 2, 3}
-	a, _ := m.ScoreSession(session)
-	b, _ := back.ScoreSession(session)
+	a, _ := scorer.ScoreStream(m, session)
+	b, _ := scorer.ScoreStream(back, session)
 	if a != b {
 		t.Fatalf("loaded model scores differently: %+v vs %+v", a, b)
 	}
@@ -212,21 +246,33 @@ func TestModelSaveLoad(t *testing.T) {
 	}
 }
 
+// TestStreamScoring pins the LSTM stream, the only scoring path, to
+// the network's scalar ForwardAll reference over randomized sessions:
+// every likelihood, and every argmax prediction, bit for bit.
 func TestStreamScoring(t *testing.T) {
 	m := trainCycleModel(t)
-	session := []int{0, 1, 2, 3, 4}
-	batch, err := m.StepScores(session)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := m.NewStream()
-	for i, a := range session {
-		p, _, err := stream.Observe(a)
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n < 30; n++ {
+		session := make([]int, 2+rng.Intn(30))
+		for i := range session {
+			session[i] = rng.Intn(m.VocabSize())
+		}
+		probs, err := m.net.ForwardAll(session)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i > 0 && math.Abs(p-batch[i-1]) > 1e-12 {
-			t.Fatalf("stream score %v != batch score %v at %d", p, batch[i-1], i)
+		stream := m.NewStream()
+		for i, a := range session {
+			p, dist, err := stream.Observe(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 && math.Float64bits(p) != math.Float64bits(probs[i-1][a]) {
+				t.Fatalf("session %d position %d: stream %v, ForwardAll %v", n, i, p, probs[i-1][a])
+			}
+			if got, want := dist.ArgMax(), probs[i].ArgMax(); got != want {
+				t.Fatalf("session %d position %d: stream argmax %d, ForwardAll %d", n, i, got, want)
+			}
 		}
 	}
 }

@@ -16,15 +16,15 @@ import (
 // kernels accumulate each output element in a single scalar over
 // ascending k (tensor.MatMulNT's contract), the gate pre-activation is
 // assembled in the same (bias + wx) + dot order as LSTM.preactivate, the
-// logits are dot + bias where Dense.ForwardInto has bias + dot (one
+// logits are dot + bias where Dense.Forward has bias + dot (one
 // commutative add), and the elementwise math is the same expressions per
 // element. Only where the exps are taken moves: each stream's row
 // collects the argument every sigmoid and tanh would pass to math.Exp,
 // takes them all in one tensor.ExpInto (math.Exp bit for bit, four lanes
 // at a time where the CPU allows), and finishes each function from its
 // exp with a copy of the scalar function's own branches; the cell tanh
-// gets a second ExpInto. StepReuse and Step keep the scalar sigmoid and
-// math.Tanh and are the oracles. That equivalence is what lets the
+// gets a second ExpInto. Step and ForwardAll keep the scalar sigmoid
+// and math.Tanh and are the oracles. That equivalence is what lets the
 // engine's deterministic-replay mode batch freely.
 
 // BatchScratch holds the packed matrices of a batched step. It grows to
@@ -53,7 +53,7 @@ func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 // StepBatch advances N independent states by one input each (xs[i] < 0
 // encodes a zero/padded input), running the four gate transforms of all
 // streams as a single GEMM. The states must be distinct. Each state ends
-// bit-identical to what StepReuse would have produced on it.
+// bit-identical to what Step would have produced on it.
 func (l *LSTM) StepBatch(states []*State, xs []int, s *BatchScratch) {
 	if len(states) != len(xs) {
 		panic(fmt.Sprintf("nn: StepBatch %d states but %d inputs", len(states), len(xs)))

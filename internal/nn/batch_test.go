@@ -19,8 +19,8 @@ func batchNet(t *testing.T, vocab, hidden int) *LanguageNetwork {
 	return net
 }
 
-// TestStepBatchMatchesStepReuse pins the batched LSTM step to the
-// serial scratch step bit for bit, across batch sizes that exercise the
+// TestStepBatchMatchesStep pins the batched LSTM step to the scalar
+// reference step bit for bit, across batch sizes that exercise the
 // GEMM kernel's unroll and block tails. This equality is the foundation
 // of the engine's byte-identical deterministic replay with
 // micro-batching enabled. The saturated case scales the weights so the
@@ -28,7 +28,7 @@ func batchNet(t *testing.T, vocab, hidden int) *LanguageNetwork {
 // gates whose exp leaves the vector kernel's range and cells that grow
 // past tanh's saturation, at a hidden size that leaves a partial group
 // of four in every ExpInto call.
-func TestStepBatchMatchesStepReuse(t *testing.T) {
+func TestStepBatchMatchesStep(t *testing.T) {
 	t.Run("f64", func(t *testing.T) {
 		checkStepBatch(t, batchNet(t, 37, 19), 11, rand.New(rand.NewSource(9)))
 	})
@@ -50,7 +50,7 @@ func TestStepBatchMatchesStepReuse(t *testing.T) {
 }
 
 // checkStepBatch steps batches of fresh states through StepBatch and
-// StepReuse side by side for the given number of steps and fails on the
+// Step side by side for the given number of steps and fails on the
 // first hidden or cell value that differs in any bit.
 func checkStepBatch(t *testing.T, net *LanguageNetwork, steps int, rng *rand.Rand) {
 	t.Helper()
@@ -62,7 +62,6 @@ func checkStepBatch(t *testing.T, net *LanguageNetwork, steps int, rng *rand.Ran
 			serial[i] = net.lstm.NewState()
 			batched[i] = net.lstm.NewState()
 		}
-		scratch := net.lstm.NewStepScratch()
 		bscratch := NewBatchScratch()
 		xs := make([]int, batch)
 		for step := 0; step < steps; step++ {
@@ -71,7 +70,7 @@ func checkStepBatch(t *testing.T, net *LanguageNetwork, steps int, rng *rand.Ran
 			}
 			net.lstm.StepBatch(batched, xs, bscratch)
 			for i, st := range serial {
-				net.lstm.StepReuse(st, xs[i], scratch)
+				net.lstm.Step(st, xs[i], nil)
 				for k := 0; k < hidden; k++ {
 					if math.Float64bits(st.H[k]) != math.Float64bits(batched[i].H[k]) ||
 						math.Float64bits(st.C[k]) != math.Float64bits(batched[i].C[k]) {

@@ -25,39 +25,43 @@ func randomSeq(n, vocab int, seed int64) []int {
 	return seq
 }
 
-// BenchmarkLSTMStepPaperSize measures one forward step at the paper's
-// model size (the per-action cost of the online monitor's inner loop).
-// It runs the scratch-reusing serving kernel, which must not allocate:
+// BenchmarkLSTMStepPaperSize measures one serial serving step at the
+// paper's model size: StreamState.ObserveLikelihood, the likelihood of
+// the action from the output layer plus the LSTM step that consumes it
+// (the per-action cost of an unbatched session). It must not allocate:
 // allocs/op is reported and TestLSTMStepPaperSizeZeroAllocs fails the
-// build if a kernel regression reintroduces per-step allocation.
+// build if a regression reintroduces per-step allocation.
 func BenchmarkLSTMStepPaperSize(b *testing.B) {
 	net := paperSizedNet(b)
-	st := net.lstm.NewState()
-	scratch := net.lstm.NewStepScratch()
+	st := net.NewStream()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.lstm.StepReuse(st, i%300, scratch)
+		if _, err := st.ObserveLikelihood(i % 300); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // TestLSTMStepPaperSizeZeroAllocs is the loud guard behind the
-// benchmark's allocs/op report: the serving step must stay
+// benchmark's allocs/op report: at paper size, where the pooled
+// scratch is largest, the serial serving step must stay
 // allocation-free in steady state.
 func TestLSTMStepPaperSizeZeroAllocs(t *testing.T) {
 	net, err := NewLanguageNetwork(NetworkConfig{InputSize: 300, HiddenSize: 256, DropoutRate: 0, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := net.lstm.NewState()
-	scratch := net.lstm.NewStepScratch()
+	st := net.NewStream()
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		net.lstm.StepReuse(st, i%300, scratch)
+		if _, err := st.ObserveLikelihood(i % 300); err != nil {
+			t.Fatal(err)
+		}
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("StepReuse allocated %.1f times per step, want 0", allocs)
+		t.Fatalf("ObserveLikelihood allocated %.1f times per step, want 0", allocs)
 	}
 }
 
@@ -83,20 +87,6 @@ func BenchmarkLSTMStepBatch64(b *testing.B) {
 		net.lstm.StepBatch(states, xs, scratch)
 	}
 	b.ReportMetric(float64(b.N)*streams/b.Elapsed().Seconds(), "steps/s")
-}
-
-// BenchmarkForwardAllAvgSession measures scoring one average-length
-// session (15 actions) at paper size.
-func BenchmarkForwardAllAvgSession(b *testing.B) {
-	net := paperSizedNet(b)
-	seq := randomSeq(15, 300, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.ForwardAll(seq); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkTrainSequencePaperSize measures one BPTT pass over an

@@ -38,15 +38,9 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // Forward computes logits = W x + b.
 func (d *Dense) Forward(x tensor.Vector) tensor.Vector {
 	out := tensor.NewVector(d.OutputSize)
-	d.ForwardInto(out, x)
+	copy(out, d.B.W.Data)
+	d.W.W.MulVecAdd(out, x)
 	return out
-}
-
-// ForwardInto computes logits = W x + b into dst (len OutputSize) without
-// allocating, the scratch-buffer variant of Forward.
-func (d *Dense) ForwardInto(dst, x tensor.Vector) {
-	copy(dst, d.B.W.Data)
-	d.W.W.MulVecAdd(dst, x)
 }
 
 // Backward accumulates gradients given the input that produced the logits

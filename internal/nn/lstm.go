@@ -76,11 +76,9 @@ type stepCache struct {
 }
 
 // preactivate computes the gate pre-activations z = b + Wx[:, x] + Wh*h
-// (x < 0 encodes a zero/padded input, skipping the one-hot column). Every
-// step variant —
-// Step, StepReuse, and the per-row pre-activation of StepBatch — must
-// accumulate in exactly this order so serial and batched inference stay
-// bit-identical.
+// (x < 0 encodes a zero/padded input, skipping the one-hot column). Step
+// and the per-row pre-activation of StepBatch must accumulate in exactly
+// this order so the batched serving step stays bit-identical to Step.
 func (l *LSTM) preactivate(z tensor.Vector, x int, h tensor.Vector) {
 	copy(z, l.B.W.Data)
 	if x >= 0 {
@@ -129,54 +127,6 @@ func (l *LSTM) Step(st *State, x int, cache *stepCache) tensor.Vector {
 	st.H = h
 	st.C = c
 	return h
-}
-
-// StepScratch holds the per-step work buffers of an allocation-free
-// inference step. One scratch must not be shared between goroutines.
-type StepScratch struct {
-	z, i, f, o, g tensor.Vector
-	// h and c are double buffers: StepReuse computes the next state into
-	// them and swaps them with the State's slices, so the previous state
-	// storage becomes the next step's scratch.
-	h, c tensor.Vector
-}
-
-// NewStepScratch allocates work buffers sized for this layer.
-func (l *LSTM) NewStepScratch() *StepScratch {
-	hs := l.HiddenSize
-	return &StepScratch{
-		z: tensor.NewVector(4 * hs),
-		i: tensor.NewVector(hs),
-		f: tensor.NewVector(hs),
-		o: tensor.NewVector(hs),
-		g: tensor.NewVector(hs),
-		h: tensor.NewVector(hs),
-		c: tensor.NewVector(hs),
-	}
-}
-
-// StepReuse advances the state by one input index exactly like Step but
-// without allocating: all intermediates live in the scratch, and the new
-// (h, c) are swapped into the state. The returned hidden vector aliases
-// st.H and is only valid until the next step. Inference-only: no cache is
-// recorded, so it cannot feed the backward pass.
-func (l *LSTM) StepReuse(st *State, x int, s *StepScratch) tensor.Vector {
-	hs := l.HiddenSize
-	z := s.z
-	l.preactivate(z, x, st.H)
-	for k := 0; k < hs; k++ {
-		s.i[k] = sigmoid(z[k])
-		s.f[k] = sigmoid(z[hs+k])
-		s.o[k] = sigmoid(z[2*hs+k])
-		s.g[k] = math.Tanh(z[3*hs+k])
-	}
-	for k := 0; k < hs; k++ {
-		s.c[k] = s.f[k]*st.C[k] + s.i[k]*s.g[k]
-		s.h[k] = s.o[k] * math.Tanh(s.c[k])
-	}
-	st.H, s.h = s.h, st.H
-	st.C, s.c = s.c, st.C
-	return st.H
 }
 
 // backwardStep accumulates parameter gradients for one cached step given

@@ -103,7 +103,9 @@ func (n *LanguageNetwork) validateSeq(seq []int) error {
 
 // ForwardAll runs the network in inference mode over a sequence and
 // returns, for every step t, the predicted distribution over the action
-// following seq[:t+1]. No dropout is applied.
+// following seq[:t+1]. No dropout is applied. It is the scalar
+// reference: Step, Dense.Forward and Softmax, one allocation per step,
+// which the tests hold every stream to bit for bit.
 func (n *LanguageNetwork) ForwardAll(seq []int) ([]tensor.Vector, error) {
 	if err := n.validateSeq(seq); err != nil {
 		return nil, err
@@ -118,19 +120,6 @@ func (n *LanguageNetwork) ForwardAll(seq []int) ([]tensor.Vector, error) {
 		out[t] = probs
 	}
 	return out, nil
-}
-
-// PredictNext returns the next-action distribution after consuming the
-// whole context.
-func (n *LanguageNetwork) PredictNext(context []int) (tensor.Vector, error) {
-	if len(context) == 0 {
-		return nil, fmt.Errorf("nn: empty context")
-	}
-	all, err := n.ForwardAll(context)
-	if err != nil {
-		return nil, err
-	}
-	return all[len(all)-1], nil
 }
 
 // StreamState is the incremental scorer used by the online monitor: it

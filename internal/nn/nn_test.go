@@ -68,20 +68,6 @@ func TestForwardAllPaddingIsZeroInput(t *testing.T) {
 	}
 }
 
-func TestPredictNext(t *testing.T) {
-	net := testNet(t, 5, 4, 0, 3)
-	p, err := net.PredictNext([]int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 5 {
-		t.Fatalf("distribution size %d", len(p))
-	}
-	if _, err := net.PredictNext(nil); err == nil {
-		t.Fatal("empty context must fail")
-	}
-}
-
 // numericalGradient perturbs every weight and compares the analytic
 // gradient of the mean sequence loss against central differences.
 func TestTrainSequenceGradientCheck(t *testing.T) {

@@ -6,34 +6,6 @@ import (
 	"testing"
 )
 
-// TestStepReuseMatchesStep pins the scratch-buffer LSTM step to the
-// allocating one bit for bit, across a long random sequence.
-func TestStepReuseMatchesStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	l, err := NewLSTM(11, 7, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stA := l.NewState()
-	stB := l.NewState()
-	scratch := l.NewStepScratch()
-	for step := 0; step < 200; step++ {
-		x := rng.Intn(11)
-		hA := l.Step(stA, x, nil)
-		hB := l.StepReuse(stB, x, scratch)
-		for k := range hA {
-			if hA[k] != hB[k] {
-				t.Fatalf("step %d: hidden[%d] = %v (Step) vs %v (StepReuse)", step, k, hA[k], hB[k])
-			}
-		}
-		for k := range stA.C {
-			if stA.C[k] != stB.C[k] {
-				t.Fatalf("step %d: cell[%d] diverged", step, k)
-			}
-		}
-	}
-}
-
 // TestStreamObserveMatchesObserveLikelihood pins the full Observe of cold
 // callers to the likelihood-only serving call on the same stream type:
 // identical likelihoods at every step, and each returned distribution

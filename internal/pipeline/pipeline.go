@@ -485,7 +485,7 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 
 	seed := a.cfg.Seed + int64(a.cycles.Load())
 	trainCfg := a.trainConfig(old, vocab, seed)
-	newDet, retrainStats, err := core.RetrainDetectorEncoded(old, trainCfg, vocab, groups, a.cfg.MinPerCluster)
+	newDet, retrainStats, err := core.RetrainDetector(old, trainCfg, vocab, groups, a.cfg.MinPerCluster)
 	if err != nil {
 		return nil, err
 	}

@@ -19,11 +19,10 @@ func (s *countingStream) Observe(action int) (float64, tensor.Vector, error) {
 
 type countingScorer struct{}
 
-func (countingScorer) Backend() string                   { return "counting" }
-func (countingScorer) VocabSize() int                    { return 16 }
-func (countingScorer) NewStream() Stream                 { return &countingStream{} }
-func (countingScorer) ScoreSession([]int) (Score, error) { return Score{}, nil }
-func (countingScorer) Save(io.Writer) error              { return nil }
+func (countingScorer) Backend() string      { return "counting" }
+func (countingScorer) VocabSize() int       { return 16 }
+func (countingScorer) NewStream() Stream    { return &countingStream{} }
+func (countingScorer) Save(io.Writer) error { return nil }
 
 // TestAdvanceBatchSerialFallback pins the generic fallback: a backend
 // without a fused batch path is advanced stream by stream, identically

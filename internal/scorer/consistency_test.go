@@ -8,12 +8,14 @@ import (
 	"misusedetect/internal/baseline"
 	"misusedetect/internal/lm"
 	"misusedetect/internal/logsim"
+	"misusedetect/internal/nn"
 	"misusedetect/internal/scorer"
 )
 
 // trainAllBackends fits one model per registered family on a small
-// simulator corpus over the full logsim vocabulary.
-func trainAllBackends(t *testing.T) ([]scorer.Scorer, *actionlog.Vocabulary) {
+// simulator corpus over the full logsim vocabulary. The LSTM is trained
+// through nn directly so its network is at hand as the reference.
+func trainAllBackends(t *testing.T) ([]scorer.Scorer, *nn.LanguageNetwork, *actionlog.Vocabulary) {
 	t.Helper()
 	corpus, err := logsim.Generate(logsim.Config{
 		Sessions: 60, Users: 10, Days: 1,
@@ -36,24 +38,35 @@ func trainAllBackends(t *testing.T) ([]scorer.Scorer, *actionlog.Vocabulary) {
 	}
 	lmCfg := lm.ScaledConfig(corpus.Vocabulary.Size(), 8, 1, 9)
 	lmCfg.Network.DropoutRate = 0
-	lstm, err := lm.Train(lmCfg, encoded[:20], nil)
+	net, err := nn.NewLanguageNetwork(lmCfg.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []scorer.Scorer{lstm, ng, hm}, corpus.Vocabulary
+	trainer, err := nn.NewTrainer(net, lmCfg.Trainer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trainer.Fit(encoded[:20], nil); err != nil {
+		t.Fatal(err)
+	}
+	return []scorer.Scorer{lm.New(net), ng, hm}, net, corpus.Vocabulary
 }
 
 // TestStreamBatchEquivalenceProperty is the main stream-vs-batch
-// guarantee: for every backend, replaying a session through NewStream
-// (via the generic ScoreStream) yields the same session-level measures
-// as the backend's own batch ScoreSession — over randomized sessions
-// from logsim.RandomSessions, not hand-picked pins. Random sessions
-// exercise arbitrary action mixtures and lengths from the 2-action
-// minimum up, which is exactly where windowed stream state (n-gram
-// context windows, HMM forward state, LSTM scratch reuse) can drift
-// from the batch path.
+// guarantee: every backend's stream, which is the only scoring path,
+// observes each action of a session exactly as the backend's
+// independent whole-prefix reference does — the LSTM's ForwardAll
+// (likelihood and argmax, bit for bit), the n-gram's Prob (likelihood
+// and argmax, bit for bit) and the HMM's LogLikelihood (the log
+// likelihood of each action as the difference of two prefix
+// log-likelihoods) — over randomized sessions from
+// logsim.RandomSessions, not hand-picked pins. Random sessions exercise
+// arbitrary action mixtures and lengths from the 2-action minimum up,
+// which is exactly where windowed stream state (n-gram context windows,
+// HMM forward state, LSTM recurrent state) can drift from the
+// reference.
 func TestStreamBatchEquivalenceProperty(t *testing.T) {
-	models, vocab := trainAllBackends(t)
+	models, net, vocab := trainAllBackends(t)
 	random, err := logsim.RandomSessions(vocab, 40, 2, 45, 1234)
 	if err != nil {
 		t.Fatal(err)
@@ -64,39 +77,70 @@ func TestStreamBatchEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := m.ScoreSession(encoded)
-			if err != nil {
-				t.Fatalf("%s %s: batch: %v", m.Backend(), sess.ID, err)
-			}
-			stream, err := scorer.ScoreStream(m, encoded)
-			if err != nil {
-				t.Fatalf("%s %s: stream: %v", m.Backend(), sess.ID, err)
-			}
-			if batch.Steps != stream.Steps || batch.Steps != len(encoded)-1 {
-				t.Fatalf("%s %s: steps batch %d stream %d, want %d",
-					m.Backend(), sess.ID, batch.Steps, stream.Steps, len(encoded)-1)
-			}
-			for _, d := range []struct {
-				name      string
-				got, want float64
-			}{
-				{"avg likelihood", stream.AvgLikelihood, batch.AvgLikelihood},
-				{"avg loss", stream.AvgLoss, batch.AvgLoss},
-				{"perplexity", stream.Perplexity, batch.Perplexity},
-				{"accuracy", stream.Accuracy, batch.Accuracy},
-			} {
-				// Relative tolerance: perplexity is exp-scaled, so an
-				// absolute epsilon would be meaningless for it.
-				tol := 1e-9 * math.Max(1, math.Abs(d.want))
-				if math.Abs(d.got-d.want) > tol {
-					t.Fatalf("%s session %s: stream %s %v != batch %v",
-						m.Backend(), sess.ID, d.name, d.got, d.want)
+			st := m.NewStream()
+			predicted := -1
+			for i, a := range encoded {
+				lik, dist, err := st.Observe(a)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if batch.AvgLikelihood < 0 || batch.AvgLikelihood > 1 {
-				t.Fatalf("%s %s: avg likelihood %v outside [0,1]", m.Backend(), sess.ID, batch.AvgLikelihood)
+				if i > 0 {
+					checkReference(t, m, net, encoded[:i+1], lik, predicted)
+				}
+				predicted = dist.ArgMax()
 			}
 		}
+	}
+}
+
+// checkReference compares the stream's likelihood of prefix's last
+// action, and its argmax prediction of it from the previous step, with
+// the backend's whole-prefix reference.
+func checkReference(t *testing.T, m scorer.Scorer, net *nn.LanguageNetwork, prefix []int, lik float64, predicted int) {
+	t.Helper()
+	pos, a := len(prefix)-1, prefix[len(prefix)-1]
+	switch m := m.(type) {
+	case *lm.Model:
+		probs, err := net.ForwardAll(prefix[:pos])
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := probs[pos-1]
+		if math.Float64bits(lik) != math.Float64bits(last[a]) || predicted != last.ArgMax() {
+			t.Fatalf("lstm position %d: stream (%v, argmax %d), ForwardAll (%v, argmax %d)",
+				pos, lik, predicted, last[a], last.ArgMax())
+		}
+	case *baseline.NGram:
+		best, bestP := -1, -1.0
+		for b := 0; b < m.VocabSize(); b++ {
+			p, err := m.Prob(prefix[:pos], b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == a && math.Float64bits(p) != math.Float64bits(lik) {
+				t.Fatalf("ngram position %d: stream %v, Prob %v", pos, lik, p)
+			}
+			if p > bestP {
+				best, bestP = b, p
+			}
+		}
+		if predicted != best {
+			t.Fatalf("ngram position %d: stream argmax %d, Prob argmax %d", pos, predicted, best)
+		}
+	case *baseline.HMM:
+		whole, err := m.LogLikelihood(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, err := m.LogLikelihood(prefix[:pos])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := whole - head; math.Abs(math.Log(lik)-want) > 1e-9 {
+			t.Fatalf("hmm position %d: stream log-likelihood %v, LogLikelihood difference %v", pos, math.Log(lik), want)
+		}
+	default:
+		t.Fatalf("no reference for backend %s", m.Backend())
 	}
 }
 
@@ -104,7 +148,7 @@ func TestStreamBatchEquivalenceProperty(t *testing.T) {
 // serving hot path: mixing ObserveLikelihood and Observe must advance
 // every backend's stream identically to Observe alone.
 func TestStreamLikelihoodFastPathProperty(t *testing.T) {
-	models, vocab := trainAllBackends(t)
+	models, _, vocab := trainAllBackends(t)
 	random, err := logsim.RandomSessions(vocab, 15, 2, 45, 99)
 	if err != nil {
 		t.Fatal(err)

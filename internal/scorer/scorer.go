@@ -13,9 +13,13 @@
 //     session keeps one per cluster that has led its routing vote, and
 //     only the winner's past the vote.
 //   - Scorer is the model half: identity (Backend, VocabSize), stream
-//     construction, whole-session scoring, and serialization into the
-//     backend-tagged envelope of this package (Encode/Decode), which is
-//     what makes saved models self-describing on disk.
+//     construction, and serialization into the backend-tagged envelope
+//     of this package (Encode/Decode), which is what makes saved models
+//     self-describing on disk.
+//
+// Offline scoring has one path for every backend: ScoreCorpus (and its
+// one-session case ScoreStream) replays sessions through fresh streams,
+// so the session measures are exactly what serving observes.
 package scorer
 
 import (
@@ -76,7 +80,8 @@ type Score struct {
 	// Accuracy is the fraction of actions that were the model's argmax
 	// prediction.
 	Accuracy float64
-	// Steps is the number of scored positions (len(session) - 1).
+	// Steps is the number of scored positions: len(session) - 1 per
+	// scored session.
 	Steps int
 }
 
@@ -90,46 +95,60 @@ type Scorer interface {
 	VocabSize() int
 	// NewStream returns a fresh incremental scorer for one session.
 	NewStream() Stream
-	// ScoreSession computes the session-level normality measures.
-	ScoreSession(session []int) (Score, error)
 	// Save writes the model payload to w (without the envelope; use
 	// Encode to write a self-describing file).
 	Save(w io.Writer) error
 }
 
-// ScoreStream derives the session-level measures by replaying the
-// session through a fresh stream: the generic ScoreSession
-// implementation for backends without a faster batch path. Position 0
-// is unscored, matching the paper's "no observed and predicted part"
-// rule.
+// ScoreStream derives the session-level measures of one session by
+// replaying it through a fresh stream: ScoreCorpus of a single session,
+// which must have at least 2 actions.
 func ScoreStream(s Scorer, session []int) (Score, error) {
 	if len(session) < 2 {
 		return Score{}, fmt.Errorf("scorer: session must have >= 2 actions, got %d", len(session))
 	}
-	st := s.NewStream()
-	_, dist, err := st.Observe(session[0])
-	if err != nil {
-		return Score{}, fmt.Errorf("scorer: score session: %w", err)
-	}
-	// The argmax must be read before the next Observe invalidates dist.
-	predicted := argMaxOrNeg(dist)
+	return ScoreCorpus(s, [][]int{session})
+}
+
+// ScoreCorpus replays every session with at least 2 actions through a
+// fresh stream and pools the measures over all their scored positions,
+// so every predicted action counts equally (the pooled accuracy and loss
+// of the paper's Figures 4, 5 and 10). Position 0 of each session is
+// unscored, matching the paper's "no observed and predicted part" rule.
+// It fails when no session can be scored.
+func ScoreCorpus(s Scorer, sessions [][]int) (Score, error) {
 	var likeSum, lossSum float64
-	correct := 0
-	steps := len(session) - 1
-	for i := 1; i < len(session); i++ {
-		lik, dist, err := st.Observe(session[i])
+	correct, steps := 0, 0
+	for _, session := range sessions {
+		if len(session) < 2 {
+			continue
+		}
+		st := s.NewStream()
+		_, dist, err := st.Observe(session[0])
 		if err != nil {
 			return Score{}, fmt.Errorf("scorer: score session: %w", err)
 		}
-		likeSum += lik
-		if lik < 1e-300 {
-			lik = 1e-300
+		// The argmax must be read before the next Observe invalidates dist.
+		predicted := argMaxOrNeg(dist)
+		for _, a := range session[1:] {
+			lik, dist, err := st.Observe(a)
+			if err != nil {
+				return Score{}, fmt.Errorf("scorer: score session: %w", err)
+			}
+			likeSum += lik
+			if lik < 1e-300 {
+				lik = 1e-300
+			}
+			lossSum += -math.Log(lik)
+			if predicted == a {
+				correct++
+			}
+			predicted = argMaxOrNeg(dist)
 		}
-		lossSum += -math.Log(lik)
-		if predicted == session[i] {
-			correct++
-		}
-		predicted = argMaxOrNeg(dist)
+		steps += len(session) - 1
+	}
+	if steps == 0 {
+		return Score{}, fmt.Errorf("scorer: no session has >= 2 actions")
 	}
 	avgLoss := lossSum / float64(steps)
 	return Score{

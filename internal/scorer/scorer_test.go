@@ -25,7 +25,6 @@ func (f *fakeScorer) VocabSize() int  { return len(f.Table) }
 func (f *fakeScorer) NewStream() Stream {
 	return &fakeStream{f: f, dist: tensor.NewVector(len(f.Table)), prev: -1}
 }
-func (f *fakeScorer) ScoreSession(session []int) (Score, error) { return ScoreStream(f, session) }
 func (f *fakeScorer) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(f.Table)
 }
@@ -71,7 +70,7 @@ func TestScoreStreamMatchesHandComputation(t *testing.T) {
 	// Session 0 -> 1 -> 1 -> 0: likelihoods 0.9, 0.2, 0.8; argmax
 	// predictions after 0 is 1 (0.9), after 1 is 0 (0.8): predictions
 	// 1,0,0 vs actual 1,1,0 = 2/3 correct.
-	sc, err := f.ScoreSession([]int{0, 1, 1, 0})
+	sc, err := ScoreStream(f, []int{0, 1, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +90,47 @@ func TestScoreStreamMatchesHandComputation(t *testing.T) {
 	}
 	if sc.Steps != 3 {
 		t.Fatalf("Steps = %d, want 3", sc.Steps)
+	}
+}
+
+// TestScoreCorpusPools pins the corpus measures to pooling over scored
+// positions, not averaging per-session means: a 2-action and a 9-action
+// session weigh 1 and 8, sessions under 2 actions are skipped, and a
+// corpus with nothing to score is an error.
+func TestScoreCorpusPools(t *testing.T) {
+	f := testFake()
+	// Session {0, 1}: likelihood 0.9, argmax after 0 is 1 (correct).
+	// Session of nine 0s: likelihood 0.1 at each of 8 positions, argmax
+	// 1 every time (wrong). Pooled over 9 positions, the likelihood is
+	// 1.7/9 and the accuracy 1/9; the mean of the two session means
+	// would be 0.5 for both.
+	zeros := make([]int, 9)
+	sc, err := ScoreCorpus(f, [][]int{{1}, {0, 1}, nil, zeros})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLoss := -(math.Log(0.9) + 8*math.Log(0.1)) / 9
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"AvgLikelihood", sc.AvgLikelihood, (0.9 + 8*0.1) / 9},
+		{"AvgLoss", sc.AvgLoss, wantLoss},
+		{"Perplexity", sc.Perplexity, math.Exp(wantLoss)},
+		{"Accuracy", sc.Accuracy, 1.0 / 9},
+	} {
+		if math.Abs(c.got-c.want) > 1e-12 {
+			t.Fatalf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if sc.Steps != 9 {
+		t.Fatalf("Steps = %d, want 9", sc.Steps)
+	}
+	if _, err := ScoreCorpus(f, [][]int{{0}, {1}, nil}); err == nil {
+		t.Fatal("a corpus of sessions under 2 actions must fail")
+	}
+	if _, err := ScoreCorpus(f, nil); err == nil {
+		t.Fatal("an empty corpus must fail")
 	}
 }
 
@@ -117,11 +157,11 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if back.Backend() != "fake" || back.VocabSize() != 2 {
 		t.Fatalf("loaded backend %q vocab %d", back.Backend(), back.VocabSize())
 	}
-	a, err := f.ScoreSession([]int{0, 1, 0, 1})
+	a, err := ScoreStream(f, []int{0, 1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := back.ScoreSession([]int{0, 1, 0, 1})
+	b, err := ScoreStream(back, []int{0, 1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
