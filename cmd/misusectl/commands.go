@@ -194,9 +194,15 @@ func cmdMonitor(args []string) error {
 	if *data == "" {
 		return fmt.Errorf("monitor: -data is required")
 	}
-	det, err := core.LoadDetector(*modelDir)
+	// Read the directory as the daemon does: verified against its
+	// manifest, with its calibrated thresholds.json when present.
+	det, fragment, err := core.LoadGeneration(*modelDir)
 	if err != nil {
 		return err
+	}
+	mcfg := core.DefaultMonitorConfig()
+	if fragment != nil {
+		mcfg = *fragment
 	}
 	f, err := os.Open(*data)
 	if err != nil {
@@ -212,7 +218,7 @@ func cmdMonitor(args []string) error {
 	for _, ev := range events {
 		mon, ok := monitors[ev.SessionID]
 		if !ok {
-			mon, err = det.NewSessionMonitor(core.DefaultMonitorConfig())
+			mon, err = det.NewSessionMonitor(mcfg)
 			if err != nil {
 				return err
 			}

@@ -53,6 +53,32 @@ func TestCLIEndToEnd(t *testing.T) {
 	if err := run([]string{"monitor", "-data", events, "-model", ngModel}); err != nil {
 		t.Fatalf("monitor ngram: %v", err)
 	}
+
+	// monitor reads a model directory as the daemon does: it loads the
+	// directory's thresholds.json (a corrupt one is an error, not
+	// skipped) and refuses an artifact that fails its checksums.
+	thresholds := filepath.Join(ngModel, "thresholds.json")
+	if err := os.WriteFile(thresholds, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"monitor", "-data", events, "-model", ngModel}); err == nil {
+		t.Fatal("monitor must fail on a corrupt thresholds.json")
+	}
+	if err := os.Remove(thresholds); err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(ngModel, "cluster-00-model.bin")
+	data, err := os.ReadFile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(bin, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"monitor", "-data", events, "-model", ngModel}); err == nil {
+		t.Fatal("monitor must refuse a tampered model directory")
+	}
 }
 
 func TestCLIErrors(t *testing.T) {

@@ -55,9 +55,11 @@
 // Unknown commands receive a {"error":...} JSON line.
 //
 // Model directories are verified before any weight is decoded — at
-// startup and on every reload (internal/rollout): the manifest carries
-// per-file SHA-256 checksums, so torn, truncated, or tampered artifacts
-// are refused with a descriptive error.
+// startup and on every reload (core.LoadGeneration): the manifest
+// carries per-file SHA-256 checksums, so torn, truncated, or tampered
+// artifacts are refused with a descriptive error. Startup reads the
+// directory's thresholds.json like a reload does; an explicit -monitor
+// fragment takes precedence over it.
 //
 // With -adapt the daemon runs the online adaptation pipeline
 // (internal/pipeline): per-cluster drift detectors over the live
@@ -81,6 +83,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -107,7 +110,7 @@ func main() {
 	fs.DurationVar(&scfg.Engine.IdleExpiry, "idle", 30*time.Minute, "session idle expiry")
 	fs.IntVar(&scfg.Engine.Shards, "shards", 0, "scoring engine shard count (0 = default)")
 	fs.IntVar(&scfg.Engine.QueueDepth, "queue", 0, "per-shard event queue depth (0 = default)")
-	fs.StringVar(&monitorPath, "monitor", "", "calibrated monitor-threshold fragment (JSON, from misusectl eval -thresholds); empty uses defaults")
+	fs.StringVar(&monitorPath, "monitor", "", "calibrated monitor-threshold fragment (JSON, from misusectl eval -thresholds); empty uses the model directory's thresholds.json, else defaults")
 	fs.DurationVar(&scfg.Engine.CompactAfter, "compact-after", 5*time.Minute, "mark sessions idle this long as compacted (0 disables compaction)")
 	fs.IntVar(&scfg.Engine.MaxSessions, "max-sessions", 0, "resident session cap; events for new sessions past it are shed (0 = uncapped)")
 	fs.Func("mem-budget", "session memory budget as a byte size (e.g. 512m, 2g); past it new sessions are refused and oldest-idle sessions evicted (empty = unbounded)", func(v string) (err error) {
@@ -136,28 +139,23 @@ func main() {
 	}
 }
 
-// run loads and verifies the model, wires the optional canary controller
-// (ccfg.Fraction > 0) and adaptation pipeline (adapt) into scfg, and
-// serves until SIGINT or SIGTERM.
+// run loads the model directory like a reload does, wires the optional
+// canary controller (ccfg.Fraction > 0) and adaptation pipeline (adapt)
+// into scfg, and serves until SIGINT or SIGTERM.
 func run(scfg ServerConfig, monitorPath string, adapt bool, acfg pipeline.Config, ccfg rollout.Config) error {
-	// Integrity gate before any weight is decoded: a torn, truncated,
-	// tampered, or checksum-less model directory is refused at startup
-	// exactly like at reload.
-	if _, err := rollout.Verify(scfg.ModelDir); err != nil {
-		return fmt.Errorf("verify model: %w", err)
-	}
-	det, err := core.LoadDetector(scfg.ModelDir)
+	// LoadGeneration is the integrity gate before any weight is decoded:
+	// a torn, truncated, tampered, or checksum-less model directory is
+	// refused at startup exactly like at reload.
+	det, fragment, err := core.LoadGeneration(scfg.ModelDir)
 	if err != nil {
 		return fmt.Errorf("load model: %w", err)
 	}
-	monitor := core.DefaultMonitorConfig()
-	if monitorPath != "" {
-		if monitor, err = core.LoadMonitorConfig(monitorPath); err != nil {
-			return fmt.Errorf("load monitor thresholds: %w", err)
-		}
-		fmt.Printf("loaded calibrated thresholds from %s (global floor %.5f, %d cluster floors)\n",
-			monitorPath, monitor.LikelihoodFloor, len(monitor.ClusterFloors))
+	monitor, source, err := startupMonitor(monitorPath, scfg.ModelDir, fragment)
+	if err != nil {
+		return err
 	}
+	fmt.Printf("alarm thresholds from %s (global floor %.5f, %d cluster floors)\n",
+		source, monitor.LikelihoodFloor, len(monitor.ClusterFloors))
 	logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 	reg, err := core.NewRegistry(det)
 	if err != nil {
@@ -204,4 +202,23 @@ func run(scfg ServerConfig, monitorPath string, adapt bool, acfg pipeline.Config
 	fmt.Printf("misused listening on %s (model %s, backend %s, %d clusters, %d shards, adapt %v)\n",
 		srv.Addr(), scfg.ModelDir, det.Backend(), det.ClusterCount(), srv.Stats().Shards, adapt)
 	return srv.Serve(ctx)
+}
+
+// startupMonitor picks the engine's alarm thresholds and names where
+// they came from: an explicit -monitor fragment wins, then the model
+// directory's own thresholds.json (fragment, as LoadGeneration read
+// it), then the defaults.
+func startupMonitor(monitorPath, modelDir string, fragment *core.MonitorConfig) (core.MonitorConfig, string, error) {
+	switch {
+	case monitorPath != "":
+		monitor, err := core.LoadMonitorConfig(monitorPath)
+		if err != nil {
+			return core.MonitorConfig{}, "", fmt.Errorf("load monitor thresholds: %w", err)
+		}
+		return monitor, monitorPath, nil
+	case fragment != nil:
+		return *fragment, filepath.Join(modelDir, core.ThresholdsFile), nil
+	default:
+		return core.DefaultMonitorConfig(), "defaults", nil
+	}
 }

@@ -472,9 +472,10 @@ func (s *Server) handleAdapt(enc *json.Encoder, writeMu *sync.Mutex, conn net.Co
 	s.writeReply(enc, writeMu, conn, &AdaptReply{Adapt: rep})
 }
 
-// handleReload re-reads the model directory — verifying its manifest
-// checksums first; torn, truncated, or tampered directories are refused
-// before any weight is touched — and installs the new generation:
+// handleReload re-reads the model directory through core.LoadGeneration
+// — which verifies its manifest checksums first, so torn, truncated, or
+// tampered directories are refused before any weight is touched — and
+// installs the new generation:
 // directly into the engine registry without a rollout controller
 // (together with the directory's calibrated thresholds.json when
 // present), or as a canary candidate serving a fraction of new sessions
@@ -482,11 +483,6 @@ func (s *Server) handleAdapt(enc *json.Encoder, writeMu *sync.Mutex, conn net.Co
 func (s *Server) handleReload(enc *json.Encoder, writeMu *sync.Mutex, conn net.Conn) {
 	if s.cfg.ModelDir == "" {
 		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: "reload unavailable: server started without a model directory"})
-		return
-	}
-	if _, err := rollout.Verify(s.cfg.ModelDir); err != nil {
-		s.logf("reload %s: %v", s.cfg.ModelDir, err)
-		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: fmt.Sprintf("reload: %v", err)})
 		return
 	}
 	if s.cfg.Canary != nil {

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -364,6 +366,110 @@ func TestServerReloadCommand(t *testing.T) {
 	}
 	if st.Status.ModelVersion != 2 || st.Status.Reloads != 1 {
 		t.Fatalf("status after reload: version %d reloads %d, want 2/1", st.Status.ModelVersion, st.Status.Reloads)
+	}
+}
+
+// TestServerReloadRefusesTamperedDirectory: a reload of a model
+// directory with one flipped byte replies with the checksum error, and
+// the engine keeps serving generation 1.
+func TestServerReloadRefusesTamperedDirectory(t *testing.T) {
+	det, _ := tinyDetector(t)
+	dir := filepath.Join(t.TempDir(), "model")
+	if err := det.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "cluster-00-model.bin")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(det, ServerConfig{
+		Listen:   "127.0.0.1:0",
+		ModelDir: dir,
+		Engine:   core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown := startServer(t, srv)
+	defer shutdown()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write([]byte("{\"cmd\":\"reload\"}\n{\"cmd\":\"status\"}\n")); err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(conn)
+	if !sc.Scan() {
+		t.Fatalf("no reload reply: %v", sc.Err())
+	}
+	var er ErrorReply
+	if err := json.Unmarshal(sc.Bytes(), &er); err != nil || !strings.Contains(er.Error, "SHA-256 mismatch") {
+		t.Fatalf("reload of a tampered directory replied %q (err %v), want a checksum error", sc.Text(), err)
+	}
+	if !sc.Scan() {
+		t.Fatalf("no status reply: %v", sc.Err())
+	}
+	var st StatusReply
+	if err := json.Unmarshal(sc.Bytes(), &st); err != nil {
+		t.Fatalf("status reply %q: %v", sc.Text(), err)
+	}
+	if st.Status.ModelVersion != 1 || st.Status.Reloads != 0 {
+		t.Fatalf("status after a refused reload: version %d reloads %d, want 1/0", st.Status.ModelVersion, st.Status.Reloads)
+	}
+}
+
+// TestStartupMonitorPrecedence: at startup an explicit -monitor fragment
+// wins, then the model directory's thresholds.json, then the defaults.
+func TestStartupMonitorPrecedence(t *testing.T) {
+	det, _ := tinyDetector(t)
+	dir := filepath.Join(t.TempDir(), "model")
+	if err := det.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, fragment, err := core.LoadGeneration(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, source, err := startupMonitor("", dir, fragment)
+	if err != nil || source != "defaults" || got.LikelihoodFloor != core.DefaultMonitorConfig().LikelihoodFloor {
+		t.Fatalf("no fragments: floor %v from %q (err %v), want the defaults", got.LikelihoodFloor, source, err)
+	}
+
+	inDir := core.DefaultMonitorConfig()
+	inDir.LikelihoodFloor = 0.25
+	thresholds := filepath.Join(dir, core.ThresholdsFile)
+	if err := core.SaveMonitorConfig(thresholds, inDir); err != nil {
+		t.Fatal(err)
+	}
+	if _, fragment, err = core.LoadGeneration(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, source, err = startupMonitor("", dir, fragment)
+	if err != nil || source != thresholds || got.LikelihoodFloor != 0.25 {
+		t.Fatalf("directory fragment: floor %v from %q (err %v), want 0.25 from %s", got.LikelihoodFloor, source, err, thresholds)
+	}
+
+	explicit := core.DefaultMonitorConfig()
+	explicit.LikelihoodFloor = 0.5
+	flagPath := filepath.Join(t.TempDir(), "monitor.json")
+	if err := core.SaveMonitorConfig(flagPath, explicit); err != nil {
+		t.Fatal(err)
+	}
+	got, source, err = startupMonitor(flagPath, dir, fragment)
+	if err != nil || source != flagPath || got.LikelihoodFloor != 0.5 {
+		t.Fatalf("explicit -monitor: floor %v from %q (err %v), want 0.5 from %s", got.LikelihoodFloor, source, err, flagPath)
+	}
+	if _, _, err := startupMonitor(filepath.Join(t.TempDir(), "missing.json"), dir, fragment); err == nil {
+		t.Fatal("a missing -monitor file must fail, not fall back")
 	}
 }
 

@@ -17,8 +17,9 @@
 // with its own goroutine, session map, and idle-eviction clock, fed
 // through bounded channels with explicit backpressure. Scoring borrows
 // pooled tensor scratch buffers, so the steady state allocates nothing
-// per action, and a determinism mode makes a sharded replay
-// byte-identical to the serial monitor. internal/corpus embeds a fixed
+// per action, and Engine.Replay orders what its sink collected by
+// submission sequence, making a sharded replay byte-identical to the
+// serial monitor. internal/corpus embeds a fixed
 // labeled evaluation corpus the race-enabled test suite replays against
 // both paths. See ARCHITECTURE.md for the design.
 //

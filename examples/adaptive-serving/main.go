@@ -180,15 +180,18 @@ func freshNormals(seed int64, prefix string, d *logsim.Drift, vocab *actionlog.V
 	return drifted
 }
 
-// serve streams the sessions through the engine and ends them (what
-// idle eviction does in production).
+// serve streams the sessions through the engine — interned at the edge,
+// one SubmitTokens batch — and ends them (what idle eviction does in
+// production).
 func serve(engine *core.Engine, sessions []*actionlog.Session) error {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
+	var evs []core.BatchEvent
 	for _, ev := range actionlog.Flatten(sessions) {
-		if err := engine.Submit(ctx, ev, nil); err != nil {
-			return err
-		}
+		evs = append(evs, core.BatchEvent{Ev: ev, Tok: engine.Interner().Intern(ev.Action)})
+	}
+	if err := engine.SubmitTokens(ctx, evs, nil); err != nil {
+		return err
 	}
 	if err := engine.Drain(ctx); err != nil {
 		return err

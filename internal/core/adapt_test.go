@@ -54,7 +54,7 @@ func TestEngineSessionSummariesOnFlush(t *testing.T) {
 			ev := actionlog.Event{
 				Time: time.Unix(int64(i), 0), User: "u-" + id, SessionID: id, Action: a,
 			}
-			if err := engine.Submit(ctx, ev, nil); err != nil {
+			if err := submitEvents(ctx, engine, []actionlog.Event{ev}, nil); err != nil {
 				t.Fatalf("submit %s: %v", id, err)
 			}
 		}
@@ -125,7 +125,7 @@ func TestEngineCloseEmitsSummaries(t *testing.T) {
 	ctx := context.Background()
 	for i, a := range []string{"a0", "a1", "a2", "a3"} {
 		ev := actionlog.Event{Time: time.Unix(int64(i), 0), SessionID: "s-close", Action: a}
-		if err := engine.Submit(ctx, ev, nil); err != nil {
+		if err := submitEvents(ctx, engine, []actionlog.Event{ev}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,9 +169,8 @@ func TestRegistrySwapCalibratedPinsMonitor(t *testing.T) {
 	// generation's floors, not the engine-wide default (floor 0 = never
 	// alarm). With a 1.0 floor every post-warmup action alarms.
 	engine, err := NewEngineRegistry(reg, EngineConfig{
-		Shards:        1,
-		Monitor:       MonitorConfig{LikelihoodFloor: 0, EWMAAlpha: 0.3, WarmupActions: 2},
-		Deterministic: true,
+		Shards:  1,
+		Monitor: MonitorConfig{LikelihoodFloor: 0, EWMAAlpha: 0.3, WarmupActions: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

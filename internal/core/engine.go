@@ -16,8 +16,8 @@ import (
 // position. The JSON encoding is the wire format of the misused daemon.
 type Alarm struct {
 	// Seq is the global submission sequence number of the event that
-	// raised the alarm; determinism mode orders the alarm stream by it.
-	// It is engine-internal and excluded from the wire format.
+	// raised the alarm; Replay orders the alarms it collects by it. It is
+	// engine-internal and excluded from the wire format.
 	Seq       uint64    `json:"-"`
 	Time      time.Time `json:"time"`
 	SessionID string    `json:"session_id"`
@@ -39,8 +39,8 @@ type EngineConfig struct {
 	Shards int
 	// QueueDepth is the per-shard event buffer, counted in queue messages
 	// (a batch occupies one slot regardless of size). A full queue blocks
-	// Submit and SubmitBatch: backpressure propagates to the producer
-	// instead of growing memory without bound. Defaults to 256.
+	// SubmitTokens: backpressure propagates to the producer instead of
+	// growing memory without bound. Defaults to 256.
 	QueueDepth int
 	// IdleExpiry evicts sessions that have not seen an event for this
 	// long; 0 disables eviction (replay and tests).
@@ -75,7 +75,8 @@ type EngineConfig struct {
 	// counted in AlarmsShed, so one stalled consumer degrades to lost
 	// alarms instead of wedging the shard (and, through the bounded
 	// queues, every producer behind it). 0 keeps the default blocking
-	// semantics.
+	// semantics; Replay, which must return every alarm, refuses to run
+	// on an engine with a timeout.
 	AlarmSendTimeout time.Duration
 	// ScoreBatch caps how many session streams one shard advances in a
 	// single fused scorer.AdvanceBatch call when it flushes a staged wave
@@ -87,15 +88,11 @@ type EngineConfig struct {
 	// backend instead of one matrix-vector product per event. 0 defaults
 	// to 64; 1 is the serial reference path (every stream advances alone,
 	// exactly like per-event scoring). The fused LSTM kernels are
-	// bit-identical to the serial ones, so deterministic replay is
-	// byte-stable at any setting.
+	// bit-identical to the serial ones, so Replay is byte-stable at any
+	// setting.
 	ScoreBatch int
 	// Monitor is the per-session alarm configuration.
 	Monitor MonitorConfig
-	// Deterministic switches alarm delivery from streaming sinks to an
-	// internal buffer that DrainAlarms returns in global submission
-	// order, making a sharded replay byte-identical to the serial path.
-	Deterministic bool
 	// OnSessionEnd, when non-nil, receives a SessionSummary every time a
 	// session leaves the engine (idle eviction, Flush, or Close). It is
 	// invoked on the owning shard's goroutine, so it must be fast and
@@ -103,17 +100,13 @@ type EngineConfig struct {
 	// pipeline hangs off this hook.
 	OnSessionEnd func(SessionSummary)
 	// RecordSessions keeps each live session's submitted action tokens
-	// (up to MaxRecordedActions) so the SessionSummary can carry the
+	// (up to maxRecordedActions) so the SessionSummary can carry the
 	// replayable session — the raw material of drift-triggered
 	// retraining. Tokens, not names: the summary's interner snapshot
 	// decodes them, so recording costs 4 bytes per action and retraining
 	// never re-interns strings. Off by default: pure serving should not
 	// pay the per-session memory.
 	RecordSessions bool
-	// MaxRecordedActions bounds the recorded tokens per session when
-	// RecordSessions is set; 0 defaults to 512. Sessions running past
-	// the cap keep scoring but stop recording.
-	MaxRecordedActions int
 	// Logf receives operational log lines (scoring errors); nil silences.
 	Logf func(format string, args ...any)
 }
@@ -152,7 +145,7 @@ type SessionSummary struct {
 	// LastSmoothed is the final EWMA value (-1 if nothing scored).
 	LastSmoothed float64
 	// Tokens holds the submitted action tokens when recording was
-	// enabled (truncated at MaxRecordedActions), nil otherwise; Snap is
+	// enabled (truncated at maxRecordedActions), nil otherwise; Snap is
 	// the interner snapshot that resolves them (taken at session end, so
 	// it covers every recorded token).
 	Tokens []int32
@@ -184,15 +177,17 @@ func (s *SessionSummary) Session() *actionlog.Session {
 	}
 }
 
+// maxRecordedActions bounds the recorded tokens per session when
+// EngineConfig.RecordSessions is set. Sessions running past the cap keep
+// scoring but stop recording.
+const maxRecordedActions = 512
+
 func (c *EngineConfig) setDefaults() {
 	if c.Shards == 0 {
 		c.Shards = 4
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
-	}
-	if c.MaxRecordedActions == 0 {
-		c.MaxRecordedActions = 512
 	}
 	if c.ScoreBatch == 0 {
 		c.ScoreBatch = 64
@@ -257,9 +252,8 @@ type EngineStats struct {
 	EventsProcessed uint64 `json:"events_processed"`
 	EventsInFlight  uint64 `json:"events_in_flight"`
 	// BatchesSubmitted counts every shard enqueue of events (every event
-	// enters a shard inside a batch, so a one-event line or Submit call
-	// counts one): EventsSubmitted over it is the realized amortization
-	// factor.
+	// enters a shard inside a batch, so a one-event line counts one):
+	// EventsSubmitted over it is the realized amortization factor.
 	BatchesSubmitted uint64 `json:"batches_submitted"`
 	// InternedActions is the size of the edge interner's pool;
 	// LearnedActions is how many of those were learned from live traffic
@@ -332,7 +326,7 @@ type tokEvent struct {
 }
 
 // eventBatch is one pooled unit of batched shard work: all events were
-// submitted in one submission call and hash to the same shard, so the
+// submitted in one SubmitTokens call and hash to the same shard, so the
 // shard pays a single channel receive for all of them; sink is the
 // alarm sink they were submitted with.
 type eventBatch struct {
@@ -553,21 +547,22 @@ type engineShard struct {
 // channels. It is the concurrent superstructure over SessionMonitor that
 // the single-goroutine-per-connection seed server lacked.
 //
-// The event path is token-based end to end: Submit and SubmitBatch intern
-// each action name exactly once at the edge (SubmitTokens accepts events
-// the wire parser already interned), shard queues and session records
-// carry int32 tokens, and each shard remaps tokens to its sessions'
-// pinned model-generation vocabularies through cached index tables —
-// after the edge, an event is one interned int moving through a batched
-// queue. Every event enters its shard inside a batch (Submit is a batch
-// of one); everything else a shard does on request arrives as a control
-// func on the same queue.
+// The event path is token-based end to end: the caller interns each
+// action name exactly once at the edge (through Interner) and hands
+// SubmitTokens the tokens, shard queues and session records carry int32
+// tokens, and each shard remaps tokens to its sessions' pinned
+// model-generation vocabularies through cached index tables — after the
+// edge, an event is one interned int moving through a batched queue.
+// SubmitTokens is the only way in: every event enters its shard inside
+// a batch, and everything else a shard does on request arrives as a
+// control func on the same queue. A session's alarms go out one way, to
+// the sink of its latest submission.
 //
 // Ordering guarantees: events of one session are scored in submission
 // order (one session maps to one shard, and a shard consumes its queue
-// FIFO; a batch preserves its internal order). Across sessions there is
-// no ordering in streaming mode; in deterministic mode DrainAlarms
-// restores global submission order.
+// FIFO; a batch preserves its internal order). Across sessions the sinks
+// see no order; Replay restores global submission order by sorting what
+// its sink collected on Alarm.Seq.
 type Engine struct {
 	reg      *Registry
 	cfg      EngineConfig
@@ -599,10 +594,6 @@ type Engine struct {
 	alarmsShed    atomic.Uint64
 	canaryStarted atomic.Uint64
 	canaryAlarmed atomic.Uint64
-
-	// detMu guards detAlarms, the deterministic-mode alarm buffer.
-	detMu     sync.Mutex
-	detAlarms []Alarm
 }
 
 // NewEngine starts the shard goroutines over a trained detector,
@@ -617,8 +608,8 @@ func NewEngine(det *Detector, cfg EngineConfig) (*Engine, error) {
 
 // NewEngineRegistry starts the shard goroutines over a model registry:
 // every new session pins the registry generation current at its first
-// event, so Registry.Swap (or Engine.Reload) rolls new models out to
-// new sessions only — zero downtime, no mid-session weight mixing.
+// event, so Registry.Swap rolls new models out to new sessions only —
+// zero downtime, no mid-session weight mixing.
 //
 // The engine's interner is seeded with the initial generation's
 // vocabulary; later generations (even with different vocabularies) reuse
@@ -659,17 +650,9 @@ func (e *Engine) Registry() *Registry { return e.reg }
 // SubmitTokens; its snapshots also decode recorded session summaries.
 func (e *Engine) Interner() *actionlog.Interner { return e.interner }
 
-// Reload atomically swaps in a new detector generation. In-flight
-// sessions keep scoring with the generation they started on; sessions
-// whose first event arrives after Reload use the new one. It returns
-// the installed generation.
-func (e *Engine) Reload(det *Detector, source string) (*ModelVersion, error) {
-	return e.reg.Swap(det, source)
-}
-
-// MemBytes returns the engine's accounted session memory: the summed
+// memBytes returns the engine's accounted session memory: the summed
 // per-shard gauges of every resident session's estimated footprint.
-func (e *Engine) MemBytes() int64 {
+func (e *Engine) memBytes() int64 {
 	var total int64
 	for _, sh := range e.shards {
 		total += sh.mem.Load()
@@ -685,7 +668,7 @@ func (e *Engine) admissionBlocked() bool {
 	if e.cfg.MaxSessions > 0 && e.sessions.Load() >= int64(e.cfg.MaxSessions) {
 		return true
 	}
-	if e.cfg.MemBudget > 0 && e.MemBytes() >= e.cfg.MemBudget {
+	if e.cfg.MemBudget > 0 && e.memBytes() >= e.cfg.MemBudget {
 		return true
 	}
 	return false
@@ -702,57 +685,30 @@ func (e *Engine) shardIndex(sessionID string) int {
 	return int(h) % len(e.shards)
 }
 
-// Submit submits one event: a SubmitBatch of one.
-func (e *Engine) Submit(ctx context.Context, ev actionlog.Event, sink chan<- Alarm) error {
-	return e.SubmitBatch(ctx, []actionlog.Event{ev}, sink)
-}
-
-// SubmitBatch interns and submits a batch of events in one pass: events
-// are grouped by owning shard into pooled batches, and each shard pays a
-// single channel receive for its whole group. Per-session submission
-// order is preserved. A full shard queue blocks (bounded-channel
-// backpressure) until the queue drains, the context is canceled, or the
-// engine is closed; on context cancellation a prefix of the batch may
-// already have been submitted — the error reports how many events were
-// not. In streaming mode alarms raised by the events are sent to sink (a
-// nil sink counts alarms without delivering them); a session's sink is
+// SubmitTokens submits a batch of pre-tokenized events: the caller
+// interned each action at the edge (via Interner), so the engine never
+// touches the action strings again. Sequence numbers are assigned in
+// input order, events are grouped by owning shard into pooled batches,
+// and each shard pays a single channel receive for its whole group.
+// Per-session submission order is preserved. A full shard queue blocks
+// (bounded-channel backpressure) until the queue drains, the context is
+// canceled, or the engine is closed; on context cancellation a prefix of
+// the batch may already have been submitted — the error reports how many
+// events were not. Alarms raised by the events are sent to sink (a nil
+// sink counts alarms without delivering them); a session's sink is
 // updated on every event, so the latest submitting connection receives
 // the alarms.
 //
 // Sink contract: alarm sends block, so the caller must keep draining a
 // non-nil sink until Detach(sink) has returned — abandoning it can stall
 // the session's shard and everything queued behind it.
-func (e *Engine) SubmitBatch(ctx context.Context, evs []actionlog.Event, sink chan<- Alarm) error {
-	for i := range evs {
-		if evs[i].SessionID == "" || evs[i].Action == "" {
-			return fmt.Errorf("core: engine: batch event %d missing session_id or action", i)
-		}
-	}
-	return e.submitTokenized(ctx, len(evs), func(i int) (*actionlog.Event, int32) {
-		return &evs[i], e.interner.Intern(evs[i].Action)
-	}, sink)
-}
-
-// SubmitTokens submits a batch of pre-tokenized events: the wire edge
-// interned each action during parse (via Interner), so the engine never
-// touches the action strings again. Semantics match SubmitBatch.
 func (e *Engine) SubmitTokens(ctx context.Context, evs []BatchEvent, sink chan<- Alarm) error {
 	for i := range evs {
 		if evs[i].Ev.SessionID == "" || (evs[i].Tok < 0 && evs[i].Ev.Action == "") {
 			return fmt.Errorf("core: engine: batch event %d missing session_id or action", i)
 		}
 	}
-	return e.submitTokenized(ctx, len(evs), func(i int) (*actionlog.Event, int32) {
-		return &evs[i].Ev, evs[i].Tok
-	}, sink)
-}
-
-// submitTokenized is the shared batch-submission body: sequence numbers
-// are assigned in input order (so deterministic replays are byte-identical
-// to per-event submission), events are packed into per-shard pooled
-// batches, and the batches are enqueued under the closed-guard read lock.
-func (e *Engine) submitTokenized(ctx context.Context, n int, at func(int) (*actionlog.Event, int32), sink chan<- Alarm) error {
-	if n == 0 {
+	if len(evs) == 0 {
 		return nil
 	}
 	e.mu.RLock()
@@ -761,8 +717,8 @@ func (e *Engine) submitTokenized(ctx context.Context, n int, at func(int) (*acti
 		return fmt.Errorf("core: engine: closed")
 	}
 	batches := make([]*eventBatch, len(e.shards))
-	for i := 0; i < n; i++ {
-		ev, tok := at(i)
+	for i := range evs {
+		ev, tok := &evs[i].Ev, evs[i].Tok
 		si := e.shardIndex(ev.SessionID)
 		b := batches[si]
 		if b == nil {
@@ -802,7 +758,7 @@ func (e *Engine) submitTokenized(ctx context.Context, n int, at func(int) (*acti
 		}
 	}
 	if cause != nil {
-		return fmt.Errorf("core: engine: batch submit: %d of %d events not submitted: %w", dropped, n, cause)
+		return fmt.Errorf("core: engine: batch submit: %d of %d events not submitted: %w", dropped, len(evs), cause)
 	}
 	return nil
 }
@@ -897,8 +853,7 @@ func (e *Engine) Stats() EngineStats {
 		Shards:       len(e.shards),
 		Backend:      mv.Det.Backend(),
 		ModelVersion: mv.Version,
-		// Derived from the version so swaps through Registry() directly
-		// (not just Engine.Reload) are counted too.
+		// Derived from the version, so every Registry swap counts.
 		Reloads:           mv.Version - 1,
 		EventsSubmitted:   submitted,
 		EventsProcessed:   processed,
@@ -910,7 +865,7 @@ func (e *Engine) Stats() EngineStats {
 		SessionsCompacted: uint64(compacted),
 		Compactions:       e.compactions.Load(),
 		Rehydrations:      e.rehydrations.Load(),
-		MemBytes:          e.MemBytes(),
+		MemBytes:          e.memBytes(),
 		MemBudget:         e.cfg.MemBudget,
 		MaxSessions:       e.cfg.MaxSessions,
 		AlarmsRaised:      e.alarms.Load(),
@@ -943,42 +898,54 @@ func (e *Engine) Drain(ctx context.Context) error {
 	return nil
 }
 
-// DrainAlarms waits for the queues to empty and returns the buffered
-// deterministic-mode alarms in global submission order, clearing the
-// buffer. Stable sorting keeps the emission order of multiple alarms from
-// one event.
-func (e *Engine) DrainAlarms(ctx context.Context) ([]Alarm, error) {
-	if !e.cfg.Deterministic {
-		return nil, fmt.Errorf("core: engine: DrainAlarms requires Deterministic mode")
-	}
-	if err := e.Drain(ctx); err != nil {
-		return nil, err
-	}
-	e.detMu.Lock()
-	out := e.detAlarms
-	e.detAlarms = nil
-	e.detMu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
-}
-
-// replayChunk is the SubmitBatch size Replay slices its stream into.
+// replayChunk is the SubmitTokens batch size Replay slices its stream
+// into.
 const replayChunk = 256
 
-// Replay pushes a whole event stream through the sharded engine in
-// batches and returns the alarms in submission order: the deterministic
-// batch mode.
+// Replay pushes a whole event stream through the engine the way serving
+// does — each action interned at the edge, SubmitTokens in replayChunk
+// slices — and returns the alarms in submission order. A private sink
+// collects them; Detach then guarantees every event is scored and no
+// session is still bound to the sink, so later submissions stream to
+// their own sinks. The alarms of one event come from one shard in
+// emission order, so a stable sort on Seq restores the serial order.
+// An engine with AlarmSendTimeout could drop an alarm on the way, so
+// Replay refuses to run on one.
 func (e *Engine) Replay(ctx context.Context, events []actionlog.Event) ([]Alarm, error) {
-	for off := 0; off < len(events); off += replayChunk {
-		end := off + replayChunk
-		if end > len(events) {
-			end = len(events)
-		}
-		if err := e.SubmitBatch(ctx, events[off:end], nil); err != nil {
-			return nil, err
-		}
+	if e.cfg.AlarmSendTimeout > 0 {
+		return nil, fmt.Errorf("core: engine: Replay needs lossless alarm delivery, but AlarmSendTimeout is %v", e.cfg.AlarmSendTimeout)
 	}
-	return e.DrainAlarms(ctx)
+	// One chunk of buffer lets a shard hand over a burst of alarms
+	// without waiting on the collector.
+	sink := make(chan Alarm, replayChunk)
+	collected := make(chan []Alarm, 1)
+	go func() {
+		var out []Alarm
+		for a := range sink {
+			out = append(out, a)
+		}
+		collected <- out
+	}()
+	batch := make([]BatchEvent, 0, replayChunk)
+	var err error
+	for off := 0; off < len(events) && err == nil; off += replayChunk {
+		batch = batch[:0]
+		for _, ev := range events[off:min(off+replayChunk, len(events))] {
+			batch = append(batch, BatchEvent{Ev: ev, Tok: e.interner.Intern(ev.Action)})
+		}
+		err = e.SubmitTokens(ctx, batch, sink)
+	}
+	e.Detach(sink)
+	close(sink)
+	out := <-collected
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out, nil
 }
 
 // Close drains and stops the engine: new submissions fail immediately,
@@ -1008,9 +975,9 @@ const drainBurst = 64
 // eviction, compaction, budget shedding) on the ticker. The wave is
 // ALWAYS flushed before the loop re-enters the outer select: a staged
 // event has not been counted processed yet, so leaving one parked would
-// wedge Drain (and with it DrainAlarms, Replay, and every caller that
-// waits for the queues to empty) — and it also means the sweep never
-// sees a session with an observation in flight.
+// wedge Drain (and every caller that waits for the queues to empty) —
+// and it also means the sweep never sees a session with an observation
+// in flight.
 func (s *engineShard) run() {
 	defer s.e.wg.Done()
 	var ticker *time.Ticker
@@ -1144,12 +1111,13 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		}
 		// Pin the session to the registry generation current at its
 		// first event: the monitor holds that generation's detector, so
-		// a concurrent Reload never changes the weights mid-session.
-		// The generation also pins the monitor configuration when it
-		// carries a calibrated one: recalibrated floors roll out with
-		// the weights they were calibrated for. With a canary pending,
-		// Assign deterministically routes the canary fraction of new
-		// sessions to the candidate generation instead.
+		// a concurrent Registry.Swap never changes the weights
+		// mid-session. The generation also pins the monitor
+		// configuration when it carries a calibrated one: recalibrated
+		// floors roll out with the weights they were calibrated for.
+		// With a canary pending, Assign deterministically routes the
+		// canary fraction of new sessions to the candidate generation
+		// instead.
 		mv, canary := s.e.reg.Assign(ev.sessionID)
 		mcfg := s.e.cfg.Monitor
 		if mv.Monitor != nil {
@@ -1195,7 +1163,7 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 	sess.sink = sink
 	sess.lastSeen = now
 	tokCap := cap(sess.tokens)
-	if s.e.cfg.RecordSessions && ev.tok >= 0 && len(sess.tokens) < s.e.cfg.MaxRecordedActions {
+	if s.e.cfg.RecordSessions && ev.tok >= 0 && len(sess.tokens) < maxRecordedActions {
 		sess.tokens = append(sess.tokens, ev.tok)
 	}
 	// Re-account the session while its footprint can still change: on
@@ -1358,11 +1326,7 @@ func (s *engineShard) emitStep(w *stagedEvent, step MonitorStep) {
 			Likelihood:   step.Smoothed,
 		}
 		s.e.alarms.Add(1)
-		if s.e.cfg.Deterministic {
-			s.e.detMu.Lock()
-			s.e.detAlarms = append(s.e.detAlarms, a)
-			s.e.detMu.Unlock()
-		} else if sess.sink != nil {
+		if sess.sink != nil {
 			s.sendAlarm(sess.sink, a)
 		}
 	}
@@ -1452,7 +1416,7 @@ func (s *engineShard) sweep(now time.Time) (examined int) {
 		// Shed policy stage two: admission refusal was not enough, so
 		// evict oldest-idle sessions (cold or live, whichever is older)
 		// until the engine-wide gauge is back under budget.
-		for s.e.MemBytes() > mb {
+		for s.e.memBytes() > mb {
 			sess := s.oldest()
 			if sess == nil {
 				break
@@ -1566,9 +1530,9 @@ func (e *Engine) logf(format string, args ...any) {
 }
 
 // ReplaySerial scores an event stream on the calling goroutine with one
-// SessionMonitor per session, in strict stream order: the reference the
-// engine's determinism mode is byte-identical to. Events with unknown
-// actions are skipped, mirroring the engine's scoring-error handling.
+// SessionMonitor per session, in strict stream order: the reference
+// Engine.Replay is byte-identical to. Events with unknown actions are
+// skipped, mirroring the engine's scoring-error handling.
 func (d *Detector) ReplaySerial(mcfg MonitorConfig, events []actionlog.Event) ([]Alarm, error) {
 	monitors := make(map[string]*SessionMonitor)
 	var out []Alarm

@@ -38,10 +38,10 @@ func trainCorpusHMM(t testing.TB, seed int64) *Detector {
 }
 
 // TestEngineBatchSingleEquivalenceProperty is the batch-path correctness
-// property: the same event stream submitted through SubmitBatch (and the
-// pre-tokenized SubmitTokens) in random batch sizes produces a
-// byte-identical deterministic alarm stream to per-event Submit, across
-// 1/3/8 shards and all three scorer backends. The stream includes
+// property: the same event stream submitted through SubmitTokens in
+// random batch sizes produces a byte-identical Seq-ordered alarm stream
+// to one-event submissions, across 1/3/8 shards and all three scorer
+// backends. The stream includes
 // injected out-of-vocabulary actions so unknown-token handling is pinned
 // by the same property.
 func TestEngineBatchSingleEquivalenceProperty(t *testing.T) {
@@ -74,23 +74,22 @@ func TestEngineBatchSingleEquivalenceProperty(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 	for _, b := range backends {
-		// Reference: per-event Submit through a single-shard engine.
-		ref, err := NewEngine(b.det, EngineConfig{Shards: 1, QueueDepth: 64, Monitor: mcfg, Deterministic: true})
+		// Reference: one-event submissions through a single-shard engine.
+		ref, err := NewEngine(b.det, EngineConfig{Shards: 1, QueueDepth: 64, Monitor: mcfg})
 		if err != nil {
 			t.Fatal(err)
 		}
+		refSink, refCollect := collectAlarms(ref)
 		for i := range events {
-			if err := ref.Submit(ctx, events[i], nil); err != nil {
+			if err := submitEvents(ctx, ref, events[i:i+1], refSink); err != nil {
 				t.Fatalf("%s: submit: %v", b.name, err)
 			}
 		}
-		refAlarms, err := ref.DrainAlarms(ctx)
+		refAlarms := refCollect()
 		refStats := ref.Stats()
 		ref.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One way into a shard: every per-event Submit is a batch of one.
+		// One way into a shard: every one-event submission is a batch of
+		// one.
 		if refStats.BatchesSubmitted != refStats.EventsSubmitted {
 			t.Fatalf("%s: per-event path counted %d batches for %d events", b.name, refStats.BatchesSubmitted, refStats.EventsSubmitted)
 		}
@@ -104,37 +103,22 @@ func TestEngineBatchSingleEquivalenceProperty(t *testing.T) {
 
 		for _, shards := range []int{1, 3, 8} {
 			rng := rand.New(rand.NewSource(int64(shards) * 101))
-			eng, err := NewEngine(b.det, EngineConfig{Shards: shards, QueueDepth: 64, Monitor: mcfg, Deterministic: true})
+			eng, err := NewEngine(b.det, EngineConfig{Shards: shards, QueueDepth: 64, Monitor: mcfg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			interner := eng.Interner()
+			sink, collect := collectAlarms(eng)
 			for off := 0; off < len(events); {
 				n := 1 + rng.Intn(9)
 				if off+n > len(events) {
 					n = len(events) - off
 				}
-				chunk := events[off : off+n]
-				if rng.Intn(2) == 0 {
-					err = eng.SubmitBatch(ctx, chunk, nil)
-				} else {
-					// Pre-tokenized path: intern at the "wire edge"
-					// exactly as the daemon's parser does.
-					toks := make([]BatchEvent, n)
-					for i := range chunk {
-						toks[i] = BatchEvent{Ev: chunk[i], Tok: interner.Intern(chunk[i].Action)}
-					}
-					err = eng.SubmitTokens(ctx, toks, nil)
-				}
-				if err != nil {
+				if err := submitEvents(ctx, eng, events[off:off+n], sink); err != nil {
 					t.Fatalf("%s shards=%d: batch submit: %v", b.name, shards, err)
 				}
 				off += n
 			}
-			got, err := eng.DrainAlarms(ctx)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", b.name, shards, err)
-			}
+			got := collect()
 			st := eng.Stats()
 			eng.Close()
 			gotJSON, err := json.Marshal(got)
@@ -186,7 +170,7 @@ func backpressureEngine(t *testing.T) (*Engine, []actionlog.Event) {
 }
 
 // TestEngineBatchBackpressure pins the bounded-queue contract under
-// SubmitBatch: a full shard queue blocks the producer (no unbounded
+// batched SubmitTokens: a full shard queue blocks the producer (no unbounded
 // buffering, no dropped events), and once the consumer drains, Flush and
 // Close still drain cleanly mid-batch with every event scored exactly
 // once.
@@ -202,7 +186,7 @@ func TestEngineBatchBackpressure(t *testing.T) {
 	prodDone := make(chan error, 1)
 	go func() {
 		for k := 0; k < batches; k++ {
-			if err := eng.SubmitBatch(ctx, evs[k*per:(k+1)*per], sink); err != nil {
+			if err := submitEvents(ctx, eng, evs[k*per:(k+1)*per], sink); err != nil {
 				prodDone <- err
 				return
 			}
@@ -280,7 +264,7 @@ func TestEngineBatchSubmitCancel(t *testing.T) {
 			if end > len(evs) {
 				end = len(evs)
 			}
-			if err := eng.SubmitBatch(ctx, evs[k*4:end], sink); err != nil {
+			if err := submitEvents(ctx, eng, evs[k*4:end], sink); err != nil {
 				prodDone <- err
 				return
 			}
@@ -330,12 +314,12 @@ func TestEngineRemapCachePruned(t *testing.T) {
 		// next swap so nothing pins the old vocabulary.
 		for i := 0; i < 3; i++ {
 			ev := actionlog.Event{SessionID: fmt.Sprintf("s-%03d", gen), Action: names[i], Time: time.Unix(int64(i), 0)}
-			if err := eng.Submit(ctx, ev, nil); err != nil {
+			if err := submitEvents(ctx, eng, []actionlog.Event{ev}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		eng.Flush()
-		if _, err := eng.Reload(trainCorpusNGram(t, int64(100+gen)), "gen"); err != nil {
+		if _, err := eng.Registry().Swap(trainCorpusNGram(t, int64(100+gen)), "gen"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,7 +353,7 @@ func TestEngineSaturatedInternerFallback(t *testing.T) {
 	}
 	for off := 0; off < len(junk); off += 256 {
 		end := min(off+256, len(junk))
-		if err := eng.SubmitBatch(ctx, junk[off:end], nil); err != nil {
+		if err := submitEvents(ctx, eng, junk[off:end], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -400,21 +384,21 @@ func TestEngineSaturatedInternerFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Reload(detB, "grown"); err != nil {
+	if _, err := eng.Registry().Swap(detB, "grown"); err != nil {
 		t.Fatal(err)
 	}
 
 	// The never-interned action must score through the pinned-vocabulary
-	// fallback on every submission path.
+	// fallback, alone in its batch or not.
 	errsBefore := eng.Stats().ScoreErrors
 	evs := []actionlog.Event{
 		{SessionID: "fresh", Action: "a0", Time: time.Unix(0, 0)},
 		{SessionID: "fresh", Action: "zz-post-saturation", Time: time.Unix(1, 0)},
 	}
-	if err := eng.Submit(ctx, evs[0], nil); err != nil {
+	if err := submitEvents(ctx, eng, evs[:1], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SubmitBatch(ctx, evs[1:], nil); err != nil {
+	if err := submitEvents(ctx, eng, evs[1:], nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Drain(ctx); err != nil {

@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,6 +72,38 @@ func trainCorpusNGram(t testing.TB, seed int64) *Detector {
 	return det
 }
 
+// submitEvents interns evs through the engine's Interner and submits
+// them with SubmitTokens, the way the wire edge feeds the engine.
+func submitEvents(ctx context.Context, eng *Engine, evs []actionlog.Event, sink chan<- Alarm) error {
+	toks := make([]BatchEvent, len(evs))
+	for i := range evs {
+		toks[i] = BatchEvent{Ev: evs[i], Tok: eng.Interner().Intern(evs[i].Action)}
+	}
+	return eng.SubmitTokens(ctx, toks, sink)
+}
+
+// collectAlarms drains a fresh sink on its own goroutine, the way a
+// connection's alarm writer does. The returned func detaches and closes
+// the sink and returns what it received, stable-sorted by Seq.
+func collectAlarms(eng *Engine) (chan<- Alarm, func() []Alarm) {
+	sink := make(chan Alarm, 64) // any size works; a buffer only saves shard waits
+	done := make(chan []Alarm, 1)
+	go func() {
+		var got []Alarm
+		for a := range sink {
+			got = append(got, a)
+		}
+		done <- got
+	}()
+	return sink, func() []Alarm {
+		eng.Detach(sink)
+		close(sink)
+		got := <-done
+		sort.SliceStable(got, func(i, j int) bool { return got[i].Seq < got[j].Seq })
+		return got
+	}
+}
+
 // engineDeterminismMatrix asserts the sharded engine's alarm stream over
 // the embedded corpus is byte-identical to the serial monitor's for
 // every (shard count, score-batch) pair — the determinism anchor, per
@@ -102,11 +137,10 @@ func engineDeterminismMatrix(t *testing.T, det *Detector) {
 	for _, shards := range []int{1, 3, 8} {
 		for _, scoreBatch := range []int{1, 3, 64} {
 			eng, err := NewEngine(det, EngineConfig{
-				Shards:        shards,
-				QueueDepth:    64,
-				ScoreBatch:    scoreBatch,
-				Monitor:       mcfg,
-				Deterministic: true,
+				Shards:     shards,
+				QueueDepth: 64,
+				ScoreBatch: scoreBatch,
+				Monitor:    mcfg,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -149,7 +183,7 @@ func TestEngineAlarmsFlagAnomalies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(det, EngineConfig{Shards: 4, Monitor: DefaultMonitorConfig(), Deterministic: true})
+	eng, err := NewEngine(det, EngineConfig{Shards: 4, Monitor: DefaultMonitorConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +211,121 @@ func TestEngineAlarmsFlagAnomalies(t *testing.T) {
 	}
 }
 
+// TestEngineReplayReleasesSink: Replay leaves no session bound to its
+// private sink, so the same engine then streams later sessions to their
+// own sinks — and a later run of the anomalous sessions' actions raises
+// the alarms Replay returned for them.
+func TestEngineReplayReleasesSink(t *testing.T) {
+	det := corpusDetector(t)
+	c, err := corpus.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(det, EngineConfig{Shards: 3, Monitor: DefaultMonitorConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	replayed, err := eng.Replay(ctx, c.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.broadcast(func(s *engineShard) {
+		for _, sess := range s.sessions {
+			if sess.sink != nil {
+				t.Errorf("session %s is still bound to a sink after Replay", sess.id)
+			}
+		}
+	})
+
+	anomalous := map[string]bool{}
+	for _, s := range c.Anomalies() {
+		anomalous[s.ID] = true
+	}
+	var later []actionlog.Event
+	for _, ev := range c.Events() {
+		if anomalous[ev.SessionID] {
+			ev.SessionID = "late-" + ev.SessionID
+			later = append(later, ev)
+		}
+	}
+	var want []Alarm
+	for _, a := range replayed {
+		if anomalous[a.SessionID] {
+			want = append(want, a)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("Replay raised no alarms on anomalous sessions; the comparison would be vacuous")
+	}
+	sink, collect := collectAlarms(eng)
+	if err := submitEvents(ctx, eng, later, sink); err != nil {
+		t.Fatal(err)
+	}
+	got := collect()
+	if len(got) != len(want) {
+		t.Fatalf("fresh sink received %d alarms, Replay returned %d for the same sessions", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.SessionID != "late-"+w.SessionID || g.Kind != w.Kind || g.Position != w.Position ||
+			g.Cluster != w.Cluster || g.Likelihood != w.Likelihood {
+			t.Fatalf("alarm %d: streamed %+v, replayed %+v", i, g, w)
+		}
+	}
+	if st := eng.Stats(); st.AlarmsRaised != uint64(len(replayed)+len(got)) {
+		t.Fatalf("AlarmsRaised = %d, want %d replayed + %d streamed", st.AlarmsRaised, len(replayed), len(got))
+	}
+}
+
+// TestEngineReplayCanceled: a canceled context makes Replay return the
+// context's error, and the engine still closes.
+func TestEngineReplayCanceled(t *testing.T) {
+	det := corpusDetector(t)
+	c, err := corpus.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(det, EngineConfig{Shards: 2, QueueDepth: 1, Monitor: DefaultMonitorConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := eng.Replay(ctx, c.Events()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Replay under a canceled context = %v, want context.Canceled", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		eng.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return after a canceled Replay")
+	}
+}
+
+// TestEngineReplayRefusesAlarmSendTimeout: an engine that may drop
+// alarms on a slow sink cannot give Replay its exact alarm stream.
+func TestEngineReplayRefusesAlarmSendTimeout(t *testing.T) {
+	eng, err := NewEngine(corpusDetector(t), EngineConfig{AlarmSendTimeout: time.Second, Monitor: DefaultMonitorConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	evs := []actionlog.Event{{SessionID: "s", Action: logsim.ActionNames()[0]}}
+	if _, err := eng.Replay(context.Background(), evs); err == nil || !strings.Contains(err.Error(), "AlarmSendTimeout") {
+		t.Fatalf("Replay with AlarmSendTimeout set = %v, want a refusal", err)
+	}
+	if st := eng.Stats(); st.EventsSubmitted != 0 {
+		t.Fatalf("refused Replay submitted %d events", st.EventsSubmitted)
+	}
+}
+
 // TestEngineStatsAndEviction checks the engine counters and the per-shard
 // idle-eviction clock.
 func TestEngineStatsAndEviction(t *testing.T) {
@@ -197,7 +346,7 @@ func TestEngineStatsAndEviction(t *testing.T) {
 	for _, id := range sessions {
 		for i := 0; i < 4; i++ {
 			ev := actionlog.Event{SessionID: id, User: "u", Action: names[i], Time: time.Now()}
-			if err := eng.Submit(ctx, ev, nil); err != nil {
+			if err := submitEvents(ctx, eng, []actionlog.Event{ev}, nil); err != nil {
 				t.Fatal(err)
 			}
 			n++
@@ -252,7 +401,7 @@ func TestEngineStreamingSink(t *testing.T) {
 	}()
 	ctx := context.Background()
 	for _, ev := range c.Events() {
-		if err := eng.Submit(ctx, ev, sink); err != nil {
+		if err := submitEvents(ctx, eng, []actionlog.Event{ev}, sink); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,7 +441,7 @@ func TestEngineConcurrentSubmitters(t *testing.T) {
 			ctx := context.Background()
 			for i := f; i < len(sessions); i += feeders {
 				for _, ev := range actionlog.Flatten(sessions[i : i+1]) {
-					if err := eng.Submit(ctx, ev, nil); err != nil {
+					if err := submitEvents(ctx, eng, []actionlog.Event{ev}, nil); err != nil {
 						t.Error(err)
 						return
 					}
@@ -329,10 +478,9 @@ func TestEngineHotReloadPinsSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(detV1, EngineConfig{
-		Shards:        4,
-		QueueDepth:    64,
-		Monitor:       DefaultMonitorConfig(),
-		Deterministic: true,
+		Shards:     4,
+		QueueDepth: 64,
+		Monitor:    DefaultMonitorConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,6 +488,7 @@ func TestEngineHotReloadPinsSessions(t *testing.T) {
 	defer eng.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
+	sink, collect := collectAlarms(eng)
 
 	// Per-feeder disjoint session sets, each session's events split into
 	// halves; the first half always holds the session-creating event.
@@ -360,7 +509,7 @@ func TestEngineHotReloadPinsSessions(t *testing.T) {
 			go func(evs []actionlog.Event) {
 				defer wg.Done()
 				for _, ev := range evs {
-					if err := eng.Submit(ctx, ev, nil); err != nil {
+					if err := submitEvents(ctx, eng, []actionlog.Event{ev}, sink); err != nil {
 						t.Error(err)
 						return
 					}
@@ -377,7 +526,7 @@ func TestEngineHotReloadPinsSessions(t *testing.T) {
 	if err := eng.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Reload(detNext, "v2"); err != nil {
+	if _, err := eng.Registry().Swap(detNext, "v2"); err != nil {
 		t.Fatal(err)
 	}
 	// Wave 1b: the sessions' remaining events race with another reload;
@@ -386,7 +535,7 @@ func TestEngineHotReloadPinsSessions(t *testing.T) {
 	reloadWG.Add(1)
 	go func() {
 		defer reloadWG.Done()
-		if _, err := eng.Reload(detV1, "v3"); err != nil {
+		if _, err := eng.Registry().Swap(detV1, "v3"); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -406,10 +555,7 @@ func TestEngineHotReloadPinsSessions(t *testing.T) {
 	}
 	submitWave(&wave2)
 
-	alarms, err := eng.DrainAlarms(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alarms := collect()
 	byVersion := map[uint64]int{}
 	perSession := map[string]uint64{}
 	for _, a := range alarms {
@@ -459,17 +605,14 @@ func TestEngineValidationAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := eng.Submit(ctx, actionlog.Event{SessionID: "s"}, nil); err == nil {
+	if err := submitEvents(ctx, eng, []actionlog.Event{{SessionID: "s"}}, nil); err == nil {
 		t.Fatal("event without action must fail")
 	}
-	if err := eng.Submit(ctx, actionlog.Event{Action: "a"}, nil); err == nil {
+	if err := submitEvents(ctx, eng, []actionlog.Event{{Action: "a"}}, nil); err == nil {
 		t.Fatal("event without session_id must fail")
 	}
-	if _, err := eng.DrainAlarms(ctx); err == nil {
-		t.Fatal("DrainAlarms outside deterministic mode must fail")
-	}
 	// Unknown actions are counted, not fatal.
-	if err := eng.Submit(ctx, actionlog.Event{SessionID: "s", Action: "no-such-action"}, nil); err != nil {
+	if err := submitEvents(ctx, eng, []actionlog.Event{{SessionID: "s", Action: "no-such-action"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Drain(ctx); err != nil {
@@ -480,7 +623,7 @@ func TestEngineValidationAndClose(t *testing.T) {
 	}
 	eng.Close()
 	eng.Close() // idempotent
-	if err := eng.Submit(ctx, actionlog.Event{SessionID: "s", Action: "a"}, nil); err == nil {
+	if err := submitEvents(ctx, eng, []actionlog.Event{{SessionID: "s", Action: "a"}}, nil); err == nil {
 		t.Fatal("submit after close must fail")
 	}
 	eng.Detach(nil) // no-op after close, must not hang

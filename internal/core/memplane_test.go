@@ -140,14 +140,14 @@ func TestEngineDeterminismWithCompaction(t *testing.T) {
 	defer cancel()
 	for _, shards := range []int{1, 3, 8} {
 		eng, err := NewEngine(det, EngineConfig{
-			Shards:        shards,
-			QueueDepth:    64,
-			Monitor:       mcfg,
-			Deterministic: true,
+			Shards:     shards,
+			QueueDepth: 64,
+			Monitor:    mcfg,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sink, collect := collectAlarms(eng)
 		const chunk = 64
 		mixed := false
 		for off, batches := 0, 0; off < len(events); off += chunk {
@@ -155,7 +155,7 @@ func TestEngineDeterminismWithCompaction(t *testing.T) {
 			if end > len(events) {
 				end = len(events)
 			}
-			if err := eng.SubmitBatch(ctx, events[off:end], nil); err != nil {
+			if err := submitEvents(ctx, eng, events[off:end], sink); err != nil {
 				t.Fatal(err)
 			}
 			voting, frozen, compacted := memRecount(t, eng)
@@ -167,10 +167,7 @@ func TestEngineDeterminismWithCompaction(t *testing.T) {
 		if !mixed {
 			t.Fatalf("shards=%d: no recount saw voting, frozen live and compacted sessions at once", shards)
 		}
-		got, err := eng.DrainAlarms(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := collect()
 		st := eng.Stats()
 		eng.Close()
 		if st.Compactions == 0 {
@@ -192,7 +189,7 @@ func TestEngineDeterminismWithCompaction(t *testing.T) {
 
 // memRecount recounts every resident session's footprint on its shard —
 // live monitors' MemSize, snapshots' MemSize, and the session overhead
-// resize adds — and requires Engine.MemBytes to equal the sum. Sessions
+// resize adds — and requires Engine.memBytes to equal the sum. Sessions
 // still voting must carry vote state and no routed stream yet; live
 // ones past the vote freeze (voting reports whether the vote state is
 // still held) must have kept the winner's stream. It returns how many
@@ -225,7 +222,7 @@ func memRecount(t *testing.T, eng *Engine) (voting, frozen, compacted int) {
 			}
 		}
 	})
-	if got := eng.MemBytes(); got != total {
+	if got := eng.memBytes(); got != total {
 		t.Fatalf("MemBytes %d, recount %d (%d voting, %d frozen live, %d compacted sessions)", got, total, voting, frozen, compacted)
 	}
 	return voting, frozen, compacted
@@ -268,7 +265,7 @@ func TestSweepExaminesOnlyActionableSessions(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	const n = 200
-	if err := eng.SubmitBatch(ctx, memplaneEvents(det, n, 1), nil); err != nil {
+	if err := submitEvents(ctx, eng, memplaneEvents(det, n, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Drain(ctx); err != nil {
@@ -344,7 +341,7 @@ func TestEngineMaxSessionsSheds(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 			sink := make(chan Alarm, 1<<16)
-			if err := eng.SubmitBatch(ctx, memplaneEvents(det, 64, 4), sink); err != nil {
+			if err := submitEvents(ctx, eng, memplaneEvents(det, 64, 4), sink); err != nil {
 				t.Fatal(err)
 			}
 			if err := eng.Drain(ctx); err != nil {
@@ -399,7 +396,7 @@ func TestEngineMemBudgetEvicts(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if err := eng.SubmitBatch(ctx, memplaneEvents(det, 64, 2), nil); err != nil {
+	if err := submitEvents(ctx, eng, memplaneEvents(det, 64, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Drain(ctx); err != nil {
@@ -452,7 +449,7 @@ func TestEngineAlarmSendTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	sink := make(chan Alarm) // unbuffered, never read: the pathological consumer
-	if err := eng.SubmitBatch(ctx, memplaneEvents(det, 8, 4), sink); err != nil {
+	if err := submitEvents(ctx, eng, memplaneEvents(det, 8, 4), sink); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Drain(ctx); err != nil {
@@ -564,8 +561,8 @@ func censusScripts(t *testing.T, kind string, n int) [][]string {
 	return out
 }
 
-// censusFeeder submits round-robin session traffic in SubmitBatch
-// chunks with monotonically increasing event times.
+// censusFeeder submits round-robin session traffic in 256-event
+// SubmitTokens chunks with monotonically increasing event times.
 type censusFeeder struct {
 	t     *testing.T
 	eng   *Engine
@@ -603,7 +600,7 @@ func (f *censusFeeder) flush() {
 	if len(f.batch) == 0 {
 		return
 	}
-	if err := f.eng.SubmitBatch(f.ctx, f.batch, nil); err != nil {
+	if err := submitEvents(f.ctx, f.eng, f.batch, nil); err != nil {
 		f.t.Fatal(err)
 	}
 	f.batch = f.batch[:0]
@@ -806,7 +803,7 @@ func liveCensus(t *testing.T, det *Detector, actions int) {
 	// every one to the cold list and leaves the accounted bytes as they
 	// were.
 	eng.Compact()
-	if got := eng.MemBytes(); got != st.MemBytes {
+	if got := eng.memBytes(); got != st.MemBytes {
 		t.Fatalf("compacting %d frozen sessions moved MemBytes from %d to %d", sessions, st.MemBytes, got)
 	}
 	if voting, frozen, compacted = memRecount(t, eng); compacted != sessions {

@@ -125,7 +125,7 @@ func (r *Registry) swap(det *Detector, monitor *MonitorConfig, source string) (*
 	return next, nil
 }
 
-// LoadFrom verifies a saved model directory (rollout.Verify semantics:
+// LoadFrom verifies a saved model directory (VerifyArtifact semantics:
 // checksum-mismatched or truncated artifacts are refused before any
 // weight is touched), reads it, and swaps it in. When the directory
 // carries a ThresholdsFile fragment (written by the adaptation pipeline

@@ -508,17 +508,16 @@ func clusterReports(clusters int, scored []sessionScore, calibrated core.Monitor
 	return out
 }
 
-// replayEngine pushes the evaluation stream through a deterministic
-// sharded engine configured with the calibrated thresholds and derives
+// replayEngine replays the evaluation stream through a sharded engine
+// configured with the calibrated thresholds and derives
 // the alarm-level outcome: which sessions alarmed, and how many actions
 // an anomalous session ran before its first alarm.
 // replayEngine also returns each session's first alarm position so the
 // caller can assemble per-scenario breakdowns from the same replay.
 func replayEngine(det *core.Detector, monitor core.MonitorConfig, tr *Traffic, shards int) (ReplayReport, map[string]int, error) {
 	engine, err := core.NewEngine(det, core.EngineConfig{
-		Shards:        shards,
-		Monitor:       monitor,
-		Deterministic: true,
+		Shards:  shards,
+		Monitor: monitor,
 	})
 	if err != nil {
 		return ReplayReport{}, nil, err

@@ -123,7 +123,7 @@ func TestCycleCanaryPublish(t *testing.T) {
 	if rep.ModelDir != wantDir {
 		t.Fatalf("model dir %q, want %q", rep.ModelDir, wantDir)
 	}
-	if _, err := rollout.Verify(rep.ModelDir); err != nil {
+	if _, err := core.VerifyArtifact(rep.ModelDir); err != nil {
 		t.Fatalf("published generation fails verification: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(rep.ModelDir, core.ThresholdsFile)); err != nil {

@@ -565,7 +565,7 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 		if err := core.SaveMonitorConfig(filepath.Join(staging, core.ThresholdsFile), calibrated); err != nil {
 			return nil, fmt.Errorf("pipeline: save thresholds: %w", err)
 		}
-		if _, err := rollout.Verify(staging); err != nil {
+		if _, err := core.VerifyArtifact(staging); err != nil {
 			return nil, fmt.Errorf("pipeline: staged generation failed verification: %w", err)
 		}
 	}

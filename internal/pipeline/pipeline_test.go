@@ -61,16 +61,19 @@ func freshNormals(t *testing.T, seed int64, prefix string) []*actionlog.Session 
 	return out
 }
 
-// replaySessions pushes whole sessions through the engine as an
-// interleaved event stream.
-func replaySessions(t *testing.T, engine *core.Engine, sessions []*actionlog.Session) {
+// replaySessions pushes whole sessions through the engine as one
+// pre-tokenized batch, interned at the edge as the daemon's parser does,
+// with their alarms going to sink.
+func replaySessions(t *testing.T, engine *core.Engine, sessions []*actionlog.Session, sink chan<- core.Alarm) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
+	var evs []core.BatchEvent
 	for _, ev := range actionlog.Flatten(sessions) {
-		if err := engine.Submit(ctx, ev, nil); err != nil {
-			t.Fatalf("submit: %v", err)
-		}
+		evs = append(evs, core.BatchEvent{Ev: ev, Tok: engine.Interner().Intern(ev.Action)})
+	}
+	if err := engine.SubmitTokens(ctx, evs, sink); err != nil {
+		t.Fatalf("submit: %v", err)
 	}
 	if err := engine.Drain(ctx); err != nil {
 		t.Fatal(err)
@@ -113,7 +116,6 @@ func TestAdaptationEndToEnd(t *testing.T) {
 	engine, err := core.NewEngineRegistry(reg, core.EngineConfig{
 		Shards:         3,
 		Monitor:        calibrated,
-		Deterministic:  true,
 		RecordSessions: true,
 		OnSessionEnd: func(s core.SessionSummary) {
 			sumMu.Lock()
@@ -126,10 +128,19 @@ func TestAdaptationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer engine.Close()
+	sink := make(chan core.Alarm, 64) // any size works; a buffer only saves shard waits
+	collected := make(chan []core.Alarm, 1)
+	go func() {
+		var alarms []core.Alarm
+		for a := range sink {
+			alarms = append(alarms, a)
+		}
+		collected <- alarms
+	}()
 
 	// Phase A: stationary traffic from the training distribution. The
 	// drift bank freezes its reference windows; nothing may fire.
-	replaySessions(t, engine, freshNormals(t, 21, "a"))
+	replaySessions(t, engine, freshNormals(t, 21, "a"), sink)
 	engine.Flush()
 	if st := adapter.Status(); st.Drift.Drifted || st.PendingSignal {
 		t.Fatalf("drift reported on stationary traffic: %+v", st.Drift.Signals)
@@ -162,7 +173,7 @@ func TestAdaptationEndToEnd(t *testing.T) {
 			if end > len(drifted) {
 				end = len(drifted)
 			}
-			replaySessions(t, engine, drifted[next:end])
+			replaySessions(t, engine, drifted[next:end], sink)
 			next = end
 			engine.Flush()
 		} else {
@@ -221,7 +232,7 @@ func TestAdaptationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replaySessions(t, engine, waveC[:60])
+	replaySessions(t, engine, waveC[:60], sink)
 	engine.Flush()
 
 	stats := engine.Stats()
@@ -259,10 +270,9 @@ func TestAdaptationEndToEnd(t *testing.T) {
 
 	// Every session was pinned to exactly one generation: the alarm
 	// stream must never show two versions for one session ID.
-	alarms, err := engine.DrainAlarms(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	engine.Detach(sink)
+	close(sink)
+	alarms := <-collected
 	bySession := map[string]uint64{}
 	for _, a := range alarms {
 		if v, ok := bySession[a.SessionID]; ok && v != a.ModelVersion {
