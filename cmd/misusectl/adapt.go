@@ -112,7 +112,7 @@ func cmdAdapt(args []string) error {
 	modelDir := fs.String("model", "", "offline mode: model directory to adapt")
 	data := fs.String("data", "", "offline mode: event log (JSONL) supplying the candidate sessions")
 	root := fs.String("root", "", "offline mode: directory receiving the adapted generation (gen-NNNN)")
-	monitorPath := fs.String("monitor", "", "offline mode: calibrated monitor fragment classifying the candidate sessions; empty uses defaults")
+	monitorPath := fs.String("monitor", "", "offline mode: calibrated monitor fragment classifying the candidate sessions; empty uses the model directory's thresholds.json, else defaults")
 	backend := fs.String("backend", "", "offline mode: retrain backend override (lstm|ngram|hmm; empty keeps the model's)")
 	minSessions := fs.Int("min-sessions", 60, "offline mode: minimum candidate sessions")
 	guardrail := fs.Float64("guardrail", 0.05, "offline mode: tolerated held-out AUC regression before the cycle is refused")
@@ -166,15 +166,21 @@ func cmdAdapt(args []string) error {
 // retrain, guardrail-check, and (with -root) write the adapted
 // generation next to its calibrated thresholds.
 func adaptOffline(modelDir, data, root, monitorPath, backend string, minSessions int, guardrail, fpr float64, seed int64) (*pipeline.CycleReport, error) {
-	det, err := core.LoadDetector(modelDir)
+	// Read the directory as the daemon does: verified against its
+	// manifest, with its calibrated thresholds.json unless -monitor
+	// names a fragment.
+	det, fragment, err := core.LoadGeneration(modelDir)
 	if err != nil {
 		return nil, err
 	}
 	monitor := core.DefaultMonitorConfig()
-	if monitorPath != "" {
+	switch {
+	case monitorPath != "":
 		if monitor, err = core.LoadMonitorConfig(monitorPath); err != nil {
 			return nil, err
 		}
+	case fragment != nil:
+		monitor = *fragment
 	}
 	sessions, err := loadSessions(data)
 	if err != nil {

@@ -151,7 +151,7 @@ func cmdScore(args []string) error {
 	if *data == "" {
 		return fmt.Errorf("score: -data is required")
 	}
-	det, err := core.LoadDetector(*modelDir)
+	det, _, err := core.LoadGeneration(*modelDir)
 	if err != nil {
 		return err
 	}
@@ -342,7 +342,7 @@ func cmdInspect(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	det, err := core.LoadDetector(*modelDir)
+	det, _, err := core.LoadGeneration(*modelDir)
 	if err != nil {
 		return err
 	}

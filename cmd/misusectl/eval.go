@@ -117,7 +117,7 @@ func cmdEval(args []string) error {
 	if *modelDir != "" {
 		// Evaluate the model a daemon would actually serve: thresholds
 		// written below are calibrated for exactly these weights.
-		det, err := core.LoadDetector(*modelDir)
+		det, _, err := core.LoadGeneration(*modelDir)
 		if err != nil {
 			return err
 		}

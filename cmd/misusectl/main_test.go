@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -78,6 +79,18 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 	if err := run([]string{"monitor", "-data", events, "-model", ngModel}); err == nil {
 		t.Fatal("monitor must refuse a tampered model directory")
+	}
+	// Every command that reads a model directory goes through the same
+	// checksum gate before decoding a weight.
+	for _, args := range [][]string{
+		{"score", "-data", events, "-model", ngModel},
+		{"inspect", "-model", ngModel},
+		{"eval", "-model", ngModel, "-source", "sim", "-json"},
+		{"adapt", "-once", "-model", ngModel, "-data", events},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "SHA-256 mismatch") {
+			t.Fatalf("%s on a tampered model directory: err = %v, want a checksum refusal", args[0], err)
+		}
 	}
 }
 

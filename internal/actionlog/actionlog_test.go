@@ -347,8 +347,8 @@ func TestWindowerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 5 || w.InputLen() != 4 {
-		t.Fatalf("Size=%d InputLen=%d", w.Size(), w.InputLen())
+	if w.InputLen() != 4 {
+		t.Fatalf("InputLen = %d", w.InputLen())
 	}
 }
 
@@ -389,9 +389,6 @@ func TestWindowerCorpusAndCount(t *testing.T) {
 	w, _ := NewWindower(3)
 	corpus := [][]int{{1, 2, 3}, {4}, {5, 6}}
 	windows := w.Corpus(corpus)
-	if len(windows) != w.CountWindows(corpus) {
-		t.Fatalf("Corpus len %d != CountWindows %d", len(windows), w.CountWindows(corpus))
-	}
 	if len(windows) != 3 {
 		t.Fatalf("want 3 windows, got %d", len(windows))
 	}

@@ -157,12 +157,6 @@ func (s *InternSnapshot) Name(tok int32) (string, bool) {
 	return s.names[tok], true
 }
 
-// Lookup resolves a name against this snapshot only (no learning).
-func (s *InternSnapshot) Lookup(name string) (int32, bool) {
-	tok, ok := s.index[name]
-	return tok, ok
-}
-
 // RemapTo builds a token→index table into the given vocabulary: table[t]
 // is the vocabulary index of token t's name, or TokenUnknown when the
 // name is outside it. This is how token streams recorded against the

@@ -46,9 +46,6 @@ func TestInternerLearnsUnknownActions(t *testing.T) {
 	if name, ok := snap.Name(tok); !ok || name != "zz-new" {
 		t.Fatalf("Name(%d) = %q/%v", tok, name, ok)
 	}
-	if got, ok := snap.Lookup("zz-new"); !ok || got != tok {
-		t.Fatalf("Lookup = %d/%v", got, ok)
-	}
 	if _, ok := snap.Name(99); ok {
 		t.Fatal("out-of-range token resolved")
 	}

@@ -32,10 +32,7 @@ func NewWindower(size int) (*Windower, error) {
 	return &Windower{size: size}, nil
 }
 
-// Size returns the full window length.
-func (w *Windower) Size() int { return w.size }
-
-// InputLen returns the context length (Size - 1).
+// InputLen returns the context length (the window size - 1).
 func (w *Windower) InputLen() int { return w.size - 1 }
 
 // Session converts one encoded session into its windows: for every
@@ -72,16 +69,4 @@ func (w *Windower) Corpus(encoded [][]int) []Window {
 		out = append(out, w.Session(e)...)
 	}
 	return out
-}
-
-// CountWindows returns the number of windows Corpus would produce, letting
-// callers pre-size buffers or report dataset sizes without materializing.
-func (w *Windower) CountWindows(encoded [][]int) int {
-	n := 0
-	for _, e := range encoded {
-		if len(e) >= 2 {
-			n += len(e) - 1
-		}
-	}
-	return n
 }

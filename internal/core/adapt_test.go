@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/baseline"
+	"misusedetect/internal/corpus"
 )
 
 // summaryCollector is a thread-safe OnSessionEnd sink.
@@ -32,6 +35,109 @@ func (c *summaryCollector) byID() map[string]SessionSummary {
 		out[s.SessionID] = s
 	}
 	return out
+}
+
+// TestEngineSummaryDeterminism extends the determinism anchor to the
+// session summaries the adaptation pipeline consumes: across shard
+// counts and wave sizes the engine emits the same summaries field for
+// field, recorded tokens included, and each agrees with a serial
+// SessionMonitor run of its session.
+func TestEngineSummaryDeterminism(t *testing.T) {
+	det := corpusDetector(t)
+	c, err := corpus.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := c.ActionSessions()
+	// Unknown actions must be counted and recorded the same way too.
+	for _, i := range []int{0, 7} {
+		s := sessions[i]
+		s.Actions = append(s.Actions[:2:2], append([]string{"ActionNotInVocab"}, s.Actions[2:]...)...)
+	}
+	events := actionlog.Flatten(sessions)
+	mcfg := DefaultMonitorConfig()
+
+	serial := make(map[string]SessionSummary, len(sessions))
+	alarms, unknown := 0, 0
+	for _, s := range sessions {
+		mon, err := det.NewSessionMonitor(mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := SessionSummary{SessionID: s.ID}
+		for _, a := range s.Actions {
+			tok := det.Token(a)
+			if tok < 0 {
+				sum.Unknown++
+				continue
+			}
+			step, err := mon.ObserveToken(tok)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum.Alarms += len(step.Alarms)
+		}
+		sum.Cluster, sum.Observed = mon.Cluster(), mon.position
+		sum.MinSmoothed, sum.LastSmoothed = mon.MinSmoothed(), mon.smoothed
+		serial[s.ID] = sum
+		alarms += sum.Alarms
+		unknown += sum.Unknown
+	}
+	if alarms == 0 || unknown != 2 {
+		t.Fatalf("serial run: %d alarms, %d unknown actions; the comparison would be vacuous", alarms, unknown)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var want []SessionSummary
+	for _, shards := range []int{1, 3, 8} {
+		for _, scoreBatch := range []int{1, 64} {
+			col := &summaryCollector{}
+			eng, err := NewEngine(det, EngineConfig{
+				Shards:         shards,
+				QueueDepth:     64,
+				ScoreBatch:     scoreBatch,
+				Monitor:        mcfg,
+				RecordSessions: true,
+				OnSessionEnd:   col.add,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = eng.Replay(ctx, events)
+			eng.Close()
+			if err != nil {
+				t.Fatalf("shards=%d scoreBatch=%d: %v", shards, scoreBatch, err)
+			}
+			got := col.sums
+			sort.Slice(got, func(i, j int) bool { return got[i].SessionID < got[j].SessionID })
+			if len(got) != len(sessions) {
+				t.Fatalf("shards=%d scoreBatch=%d: %d summaries for %d sessions", shards, scoreBatch, len(got), len(sessions))
+			}
+			for i, g := range got {
+				ref := serial[g.SessionID]
+				if g.Cluster != ref.Cluster || g.Observed != ref.Observed || g.Unknown != ref.Unknown ||
+					g.Alarms != ref.Alarms || g.MinSmoothed != ref.MinSmoothed || g.LastSmoothed != ref.LastSmoothed {
+					t.Fatalf("shards=%d scoreBatch=%d: session %s summary %+v, serial monitor %+v",
+						shards, scoreBatch, g.SessionID, g, ref)
+				}
+				if want == nil {
+					continue
+				}
+				w := want[i]
+				if !reflect.DeepEqual(g.Session(), w.Session()) {
+					t.Fatalf("shards=%d scoreBatch=%d: session %s decodes differently", shards, scoreBatch, g.SessionID)
+				}
+				g.Snap, w.Snap = nil, nil
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("shards=%d scoreBatch=%d: summary %+v, first engine %+v", shards, scoreBatch, g, w)
+				}
+			}
+			if want == nil {
+				want = got
+			}
+		}
+	}
 }
 
 func TestEngineSessionSummariesOnFlush(t *testing.T) {

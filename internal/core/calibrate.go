@@ -63,34 +63,6 @@ func floorQuantile(minima []float64, targetFPR float64) float64 {
 	return sorted[idx]
 }
 
-// CalibrateMonitor sets the monitor's likelihood floor from held-out
-// normal sessions: the floor becomes the targetFPR-quantile of the
-// per-session minimum smoothed likelihood, so roughly a targetFPR
-// fraction of normal sessions would dip below it at their weakest point.
-// This replaces hand-tuned thresholds with the validation-split
-// calibration a deployment needs (the paper leaves the alarm threshold to
-// the operators).
-func (d *Detector) CalibrateMonitor(base MonitorConfig, validation []*actionlog.Session, targetFPR float64) (MonitorConfig, error) {
-	if err := base.validate(); err != nil {
-		return MonitorConfig{}, err
-	}
-	if targetFPR <= 0 || targetFPR >= 1 {
-		return MonitorConfig{}, fmt.Errorf("core: target FPR %v outside (0,1)", targetFPR)
-	}
-	minima, err := d.monitorMinima(base, validation)
-	if err != nil {
-		return MonitorConfig{}, err
-	}
-	all := make([]float64, len(minima))
-	for i, m := range minima {
-		all[i] = m.min
-	}
-	out := base
-	out.LikelihoodFloor = floorQuantile(all, targetFPR)
-	out.ClusterFloors = nil
-	return out, nil
-}
-
 // CalibrateMonitorPerCluster calibrates one alarm floor per behavior
 // cluster from the same false-positive budget: each cluster's floor is
 // the targetFPR-quantile of the minima of the validation sessions routed
@@ -99,6 +71,9 @@ func (d *Detector) CalibrateMonitor(base MonitorConfig, validation []*actionlog.
 // attract fewer than minSessions validation sessions (default 2 when
 // minSessions <= 0) fall back to the global quantile, which also becomes
 // LikelihoodFloor for any cluster outside the slice.
+// This replaces hand-tuned thresholds with the validation-split
+// calibration a deployment needs (the paper leaves the alarm threshold to
+// the operators).
 func (d *Detector) CalibrateMonitorPerCluster(base MonitorConfig, validation []*actionlog.Session, targetFPR float64, minSessions int) (MonitorConfig, error) {
 	if err := base.validate(); err != nil {
 		return MonitorConfig{}, err

@@ -49,9 +49,6 @@ func ClusterHistory(cfg Config, vocab *actionlog.Vocabulary, history []*actionlo
 	return &Clustering{Ensemble: ens, Selection: sel, Sessions: filtered}, nil
 }
 
-// ClusterCount returns the number of behavior clusters.
-func (c *Clustering) ClusterCount() int { return c.Selection.ClusterCount() }
-
 // Partition returns the sessions of each cluster.
 func (c *Clustering) Partition() ([][]*actionlog.Session, error) {
 	parts, err := expert.Partition(c.Selection, c.Sessions)

@@ -103,8 +103,8 @@ func TestClusterHistoryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.ClusterCount() != 2 {
-		t.Fatalf("got %d clusters, want 2", cl.ClusterCount())
+	if len(cl.Selection.Groups) != 2 {
+		t.Fatalf("got %d clusters, want 2", len(cl.Selection.Groups))
 	}
 	parts, err := cl.Partition()
 	if err != nil {
@@ -392,8 +392,8 @@ func TestSessionMonitorNormalSessionQuiet(t *testing.T) {
 	if mon.Cluster() != sessions[0].Cluster {
 		t.Fatalf("monitor routed to %d, want %d", mon.Cluster(), sessions[0].Cluster)
 	}
-	if mon.Position() != sessions[0].Len() {
-		t.Fatalf("position %d after %d actions", mon.Position(), sessions[0].Len())
+	if mon.position != sessions[0].Len() {
+		t.Fatalf("position %d after %d actions", mon.position, sessions[0].Len())
 	}
 }
 
@@ -641,16 +641,17 @@ func TestMonitorConfigFragmentRoundTrip(t *testing.T) {
 }
 
 func TestCalibrateMonitor(t *testing.T) {
-	d, vocab, sessions := trainedDetector(t)
-	_ = vocab
-	cfg, err := d.CalibrateMonitor(DefaultMonitorConfig(), sessions[:30], 0.1)
+	d, _, sessions := trainedDetector(t)
+	cfg, err := d.CalibrateMonitorPerCluster(DefaultMonitorConfig(), sessions[:30], 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.LikelihoodFloor <= 0 || cfg.LikelihoodFloor >= 1 {
 		t.Fatalf("calibrated floor %v out of range", cfg.LikelihoodFloor)
 	}
-	// Roughly targetFPR of the validation sessions dip below the floor.
+	// LikelihoodFloor is the global quantile: on its own, roughly
+	// targetFPR of the validation sessions dip below it.
+	cfg.ClusterFloors = nil
 	below := 0
 	usable := 0
 	for _, s := range sessions[:30] {
@@ -677,15 +678,15 @@ func TestCalibrateMonitor(t *testing.T) {
 		t.Fatalf("calibrated false-alarm fraction %v far above target 0.1", frac)
 	}
 	// Validation of inputs.
-	if _, err := d.CalibrateMonitor(DefaultMonitorConfig(), sessions[:5], 0); err == nil {
+	if _, err := d.CalibrateMonitorPerCluster(DefaultMonitorConfig(), sessions[:5], 0, 0); err == nil {
 		t.Fatal("zero FPR must fail")
 	}
-	if _, err := d.CalibrateMonitor(DefaultMonitorConfig(), nil, 0.1); err == nil {
+	if _, err := d.CalibrateMonitorPerCluster(DefaultMonitorConfig(), nil, 0.1, 0); err == nil {
 		t.Fatal("no validation sessions must fail")
 	}
 	bad := DefaultMonitorConfig()
 	bad.EWMAAlpha = 0
-	if _, err := d.CalibrateMonitor(bad, sessions[:5], 0.1); err == nil {
+	if _, err := d.CalibrateMonitorPerCluster(bad, sessions[:5], 0.1, 0); err == nil {
 		t.Fatal("bad base config must fail")
 	}
 }

@@ -389,13 +389,6 @@ func (m *SessionMonitor) FinishToken(action int, likelihood float64) MonitorStep
 // Cluster returns the currently selected behavior cluster.
 func (m *SessionMonitor) Cluster() int { return m.cluster }
 
-// Position returns the number of observed actions.
-func (m *SessionMonitor) Position() int { return m.position }
-
-// Smoothed returns the current EWMA of the likelihood (-1 before the
-// first scored action).
-func (m *SessionMonitor) Smoothed() float64 { return m.smoothed }
-
 // MinSmoothed returns the minimum post-warmup smoothed likelihood seen
 // so far — the session's weakest point, the exact quantity threshold
 // calibration quantiles over — or -1 when the session has not scored

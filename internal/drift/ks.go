@@ -49,7 +49,6 @@ type KSWindow struct {
 	recent    []float64 // ring buffer in arrival order
 	next      int
 	full      bool
-	n         int
 }
 
 // NewKSWindow builds a detector, applying defaults for zero fields.
@@ -78,7 +77,6 @@ func (k *KSWindow) SetReference(scores []float64) {
 // re-runs the test. It reports whether the distributions differ at the
 // configured significance.
 func (k *KSWindow) Observe(x float64) bool {
-	k.n++
 	if !k.frozen {
 		k.reference = append(k.reference, x)
 		if len(k.reference) == k.cfg.Window {
@@ -130,14 +128,11 @@ func (k *KSWindow) ReferenceSize() int {
 	return len(k.reference)
 }
 
-// Observations returns the number of consumed observations.
-func (k *KSWindow) Observations() int { return k.n }
-
 // Reset forgets reference and window: the next observations capture a
 // fresh reference for the new model generation.
 func (k *KSWindow) Reset() {
 	k.reference, k.recent = nil, nil
-	k.next, k.full, k.frozen, k.n = 0, false, false, 0
+	k.next, k.full, k.frozen = 0, false, false
 }
 
 func (k *KSWindow) referenceFrozen() bool { return k.frozen }

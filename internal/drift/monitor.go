@@ -167,30 +167,6 @@ func (m *Monitor) ObserveSession(cluster int, minSmoothed float64, known, unknow
 	return out
 }
 
-// SetReference installs an explicit KS reference sample for a cluster
-// (-1 = the global bank), e.g. the held-out validation scores captured
-// at calibration, instead of freezing the first live window.
-func (m *Monitor) SetReference(cluster int, scores []float64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if cluster == -1 {
-		m.global.ks.SetReference(scores)
-		return nil
-	}
-	if cluster < 0 || cluster >= len(m.clusters) {
-		return fmt.Errorf("drift: no cluster %d", cluster)
-	}
-	m.clusters[cluster].ks.SetReference(scores)
-	return nil
-}
-
-// Drifted reports whether any detector has fired since the last reset.
-func (m *Monitor) Drifted() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.drifted()
-}
-
 func (m *Monitor) drifted() bool {
 	if m.unknownFired || m.global.phFired || m.global.ksFired {
 		return true

@@ -67,9 +67,6 @@ type Selection struct {
 	Assignments []int
 }
 
-// ClusterCount returns the number of selected groups.
-func (s *Selection) ClusterCount() int { return len(s.Groups) }
-
 // Partition splits any per-document payload slice into per-cluster slices
 // according to the assignments.
 func Partition[T any](s *Selection, docs []T) ([][]T, error) {

@@ -59,8 +59,8 @@ func TestSelectRecoversLatentGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.ClusterCount() != 3 {
-		t.Fatalf("got %d clusters", sel.ClusterCount())
+	if len(sel.Groups) != 3 {
+		t.Fatalf("got %d clusters", len(sel.Groups))
 	}
 	if len(sel.Assignments) != len(docs) {
 		t.Fatalf("assignments cover %d docs, want %d", len(sel.Assignments), len(docs))
@@ -122,7 +122,7 @@ func TestSelectGroupInvariants(t *testing.T) {
 		t.Fatalf("shares sum to %v", shareSum)
 	}
 	for _, a := range sel.Assignments {
-		if a < 0 || a >= sel.ClusterCount() {
+		if a < 0 || a >= len(sel.Groups) {
 			t.Fatalf("assignment %d out of range", a)
 		}
 	}
@@ -150,8 +150,8 @@ func TestSelectClampsClusterCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.ClusterCount() > len(ens.Topics) {
-		t.Fatalf("more clusters (%d) than topics (%d)", sel.ClusterCount(), len(ens.Topics))
+	if len(sel.Groups) > len(ens.Topics) {
+		t.Fatalf("more clusters (%d) than topics (%d)", len(sel.Groups), len(ens.Topics))
 	}
 }
 

@@ -38,25 +38,6 @@ func BenchmarkGibbsFit(b *testing.B) {
 	}
 }
 
-// BenchmarkInferDocument measures folding in one unseen session.
-func BenchmarkInferDocument(b *testing.B) {
-	docs := benchCorpus(3)
-	cfg := DefaultConfig(13, 4)
-	cfg.Iterations = 30
-	m, err := Fit(docs, 300, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc := docs[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.InferDocument(doc, 20, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDistanceMatrix measures the topic-topic Jensen-Shannon matrix
 // over a pooled ensemble (the viz/expert input).
 func BenchmarkDistanceMatrix(b *testing.B) {

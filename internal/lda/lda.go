@@ -8,7 +8,6 @@ package lda
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"misusedetect/internal/tensor"
@@ -186,121 +185,4 @@ func finalize(docs [][]int, docTopicCount, topicWordCount *tensor.Matrix, vocabS
 		}
 	}
 	return m
-}
-
-// InferDocument estimates the topic mixture of an unseen document by a
-// short Gibbs run against the fitted topic-word distributions.
-func (m *Model) InferDocument(doc []int, iterations int, seed int64) (tensor.Vector, error) {
-	k := m.Config.Topics
-	mix := tensor.NewVector(k)
-	if len(doc) == 0 {
-		mix.Fill(1 / float64(k))
-		return mix, nil
-	}
-	for i, w := range doc {
-		if w < 0 || w >= m.VocabSize {
-			return nil, fmt.Errorf("lda: infer word %d index %d outside [0,%d)", i, w, m.VocabSize)
-		}
-	}
-	if iterations < 1 {
-		iterations = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	counts := tensor.NewVector(k)
-	assign := make([]int, len(doc))
-	for i := range doc {
-		z := rng.Intn(k)
-		assign[i] = z
-		counts[z]++
-	}
-	probs := tensor.NewVector(k)
-	for it := 0; it < iterations; it++ {
-		for i, w := range doc {
-			z := assign[i]
-			counts[z]--
-			var total float64
-			for t := 0; t < k; t++ {
-				p := (counts[t] + m.Config.Alpha) * m.TopicWord.At(t, w)
-				probs[t] = p
-				total += p
-			}
-			x := rng.Float64() * total
-			nz := k - 1
-			for t := 0; t < k; t++ {
-				x -= probs[t]
-				if x < 0 {
-					nz = t
-					break
-				}
-			}
-			assign[i] = nz
-			counts[nz]++
-		}
-	}
-	alphaSum := m.Config.Alpha * float64(k)
-	for t := 0; t < k; t++ {
-		mix[t] = (counts[t] + m.Config.Alpha) / (float64(len(doc)) + alphaSum)
-	}
-	return mix, nil
-}
-
-// Perplexity computes exp(-log-likelihood per word) of the corpus under
-// the fitted model using the stored document mixtures; lower is better.
-func (m *Model) Perplexity(docs [][]int) (float64, error) {
-	if len(docs) != m.DocTopic.Rows {
-		return 0, fmt.Errorf("lda: perplexity needs the training corpus (%d docs, got %d)", m.DocTopic.Rows, len(docs))
-	}
-	var logLik float64
-	var words int
-	for di, doc := range docs {
-		theta := m.DocTopic.Row(di)
-		for _, w := range doc {
-			if w < 0 || w >= m.VocabSize {
-				return 0, fmt.Errorf("lda: perplexity word index %d out of range", w)
-			}
-			var p float64
-			for t := 0; t < m.Config.Topics; t++ {
-				p += theta[t] * m.TopicWord.At(t, w)
-			}
-			if p <= 0 {
-				return 0, fmt.Errorf("lda: zero word probability (doc %d)", di)
-			}
-			logLik += math.Log(p)
-			words++
-		}
-	}
-	if words == 0 {
-		return 0, fmt.Errorf("lda: empty corpus")
-	}
-	return math.Exp(-logLik / float64(words)), nil
-}
-
-// TopWords returns the n highest-probability word indices of topic t in
-// descending probability order.
-func (m *Model) TopWords(t, n int) ([]int, error) {
-	if t < 0 || t >= m.Config.Topics {
-		return nil, fmt.Errorf("lda: topic %d out of range [0,%d)", t, m.Config.Topics)
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("lda: negative n %d", n)
-	}
-	if n > m.VocabSize {
-		n = m.VocabSize
-	}
-	row := m.TopicWord.Row(t)
-	idx := make([]int, m.VocabSize)
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection sort: n is small (10-ish) in practice.
-	for i := 0; i < n; i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if row[idx[j]] > row[idx[best]] {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	return idx[:n], nil
 }

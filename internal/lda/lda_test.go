@@ -131,87 +131,6 @@ func TestFitEmptyDocuments(t *testing.T) {
 	}
 }
 
-func TestInferDocument(t *testing.T) {
-	docs := twoTopicCorpus(60, 3)
-	m, err := Fit(docs, 10, DefaultConfig(2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lowTopic := m.DocTopic.Row(0).ArgMax() // doc 0 is a low-words doc
-	mix, err := m.InferDocument([]int{0, 1, 2, 3, 4, 0, 1, 2}, 30, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mix.Sum()-1) > 1e-9 {
-		t.Fatalf("inferred mixture sums to %v", mix.Sum())
-	}
-	if mix.ArgMax() != lowTopic {
-		t.Fatalf("low-word doc inferred topic %d, want %d (mix %v)", mix.ArgMax(), lowTopic, mix)
-	}
-	if _, err := m.InferDocument([]int{99}, 5, 1); err == nil {
-		t.Fatal("out-of-range word must fail")
-	}
-	uniform, err := m.InferDocument(nil, 5, 1)
-	if err != nil || math.Abs(uniform[0]-0.5) > 1e-9 {
-		t.Fatalf("empty doc should infer uniform, got %v err=%v", uniform, err)
-	}
-}
-
-func TestPerplexity(t *testing.T) {
-	docs := twoTopicCorpus(40, 6)
-	m, err := Fit(docs, 10, DefaultConfig(2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := m.Perplexity(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 2-topic model over 10 words with pure 5-word documents should
-	// reach perplexity well under 10 (uniform baseline) and near 5.
-	if p <= 1 || p >= 9 {
-		t.Fatalf("perplexity = %v, want in (1, 9)", p)
-	}
-	if _, err := m.Perplexity(docs[:2]); err == nil {
-		t.Fatal("perplexity on mismatched corpus must fail")
-	}
-}
-
-func TestTopWords(t *testing.T) {
-	docs := twoTopicCorpus(40, 8)
-	m, _ := Fit(docs, 10, DefaultConfig(2, 4))
-	top, err := m.TopWords(0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 5 {
-		t.Fatalf("got %d top words", len(top))
-	}
-	row := m.TopicWord.Row(0)
-	for i := 1; i < len(top); i++ {
-		if row[top[i-1]] < row[top[i]] {
-			t.Fatal("top words not sorted by probability")
-		}
-	}
-	// All 5 top words should come from one word group.
-	group := top[0] / 5
-	for _, w := range top {
-		if w/5 != group {
-			t.Fatalf("top words mix groups: %v", top)
-		}
-	}
-	if _, err := m.TopWords(-1, 3); err == nil {
-		t.Fatal("negative topic must fail")
-	}
-	if _, err := m.TopWords(0, -1); err == nil {
-		t.Fatal("negative n must fail")
-	}
-	all, _ := m.TopWords(0, 100)
-	if len(all) != 10 {
-		t.Fatalf("n beyond vocab should clamp, got %d", len(all))
-	}
-}
-
 func TestFitEnsemble(t *testing.T) {
 	docs := twoTopicCorpus(30, 9)
 	cfg := EnsembleConfig{TopicCounts: []int{2, 3}, RunsPerCount: 2, Iterations: 50, Seed: 1}

@@ -244,6 +244,9 @@ func TestObserveBatchRejectsForeignStream(t *testing.T) {
 }
 
 func TestObserveBatchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool.Put drops items at random under -race; see raceEnabled")
+	}
 	net := batchNet(t, 41, 23)
 	const batch = 16
 	streams := make([]*StreamState, batch)

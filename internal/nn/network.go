@@ -81,15 +81,6 @@ func (n *LanguageNetwork) Params() []*Param {
 	return append(n.lstm.Params(), n.dense.Params()...)
 }
 
-// ParamCount returns the total number of trainable weights.
-func (n *LanguageNetwork) ParamCount() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += len(p.W.Data)
-	}
-	return total
-}
-
 // validateSeq checks every index is either PaddingIndex (<0, zero input)
 // or a valid action.
 func (n *LanguageNetwork) validateSeq(seq []int) error {

@@ -470,15 +470,6 @@ func TestTrimPadding(t *testing.T) {
 	}
 }
 
-func TestParamCount(t *testing.T) {
-	net := testNet(t, 10, 4, 0, 12)
-	// Wx: 16x10, Wh: 16x4, B: 1x16, dense W: 10x4, dense B: 1x10.
-	want := 160 + 64 + 16 + 40 + 10
-	if got := net.ParamCount(); got != want {
-		t.Fatalf("ParamCount = %d, want %d", got, want)
-	}
-}
-
 func TestSigmoid(t *testing.T) {
 	if math.Abs(sigmoid(0)-0.5) > 1e-12 {
 		t.Fatal("sigmoid(0) != 0.5")

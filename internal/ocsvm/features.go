@@ -21,9 +21,6 @@ func NewFeaturizer(vocabSize int) (*Featurizer, error) {
 	return &Featurizer{vocabSize: vocabSize}, nil
 }
 
-// Dim returns the feature dimension.
-func (f *Featurizer) Dim() int { return f.vocabSize }
-
 // Session featurizes one encoded session (or any prefix of one).
 func (f *Featurizer) Session(encoded []int) ([]float64, error) {
 	x := make([]float64, f.vocabSize)

@@ -265,20 +265,8 @@ func (m *Model) ScoreSparse(x []float64, nonzero []int) (float64, error) {
 	return s - m.rho, nil
 }
 
-// Predict reports whether x is an inlier (Score >= 0).
-func (m *Model) Predict(x []float64) (bool, error) {
-	s, err := m.Score(x)
-	if err != nil {
-		return false, err
-	}
-	return s >= 0, nil
-}
-
 // SupportVectorCount returns the number of support vectors.
 func (m *Model) SupportVectorCount() int { return len(m.support) }
-
-// Rho returns the learned offset.
-func (m *Model) Rho() float64 { return m.rho }
 
 // Dim returns the expected feature dimension.
 func (m *Model) Dim() int { return m.dim }

@@ -22,6 +22,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -162,33 +163,6 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// candidate is one buffered retraining session, kept in the token form
-// the engine recorded it in: 4 bytes per action plus one shared interner
-// snapshot, instead of a string slice per session. Token streams are
-// remapped to the retrain vocabulary through per-snapshot index tables at
-// cycle time, so retraining never re-interns action strings.
-type candidate struct {
-	id      string
-	user    string
-	start   time.Time
-	tokens  []int32
-	snap    *actionlog.InternSnapshot
-	cluster int
-}
-
-// session materializes the candidate as a named-action session (needed
-// only for the guardrail holdout, which flows through the string-typed
-// eval harness). Decoding is an array index per action.
-func (c *candidate) session() *actionlog.Session {
-	actions := make([]string, 0, len(c.tokens))
-	for _, t := range c.tokens {
-		if name, ok := c.snap.Name(t); ok {
-			actions = append(actions, name)
-		}
-	}
-	return &actionlog.Session{ID: c.id, User: c.user, Start: c.start, Actions: actions, Cluster: c.cluster}
-}
-
 // CycleReport describes one adaptation cycle end to end: what triggered
 // it, what was retrained, how the guardrail judged the candidate
 // generation, and whether the registry was swapped.
@@ -263,11 +237,15 @@ type Adapter struct {
 	dm  *drift.Monitor
 
 	mu sync.Mutex
-	// buf is a ring of the most recent candidates: before it reaches
-	// MaxBuffer it grows by append; afterwards head marks the oldest
-	// slot and insertion overwrites in place, so the session-end hook
-	// never copies the buffer on the engine's shard goroutines.
-	buf     []candidate
+	// buf is a ring of the most recent candidate summaries: before it
+	// reaches MaxBuffer it grows by append; afterwards head marks the
+	// oldest slot and insertion overwrites in place, so the session-end
+	// hook never copies the buffer on the engine's shard goroutines.
+	// A candidate keeps the token form the engine recorded it in: 4
+	// bytes per action plus one shared interner snapshot. Token streams
+	// are remapped to the retrain vocabulary through per-snapshot index
+	// tables at cycle time, so retraining never re-interns action strings.
+	buf     []core.SessionSummary
 	head    int
 	dropped uint64
 	pending bool
@@ -304,9 +282,6 @@ func New(reg *core.Registry, cfg Config) (*Adapter, error) {
 	return &Adapter{reg: reg, cfg: cfg, dm: dm}, nil
 }
 
-// DriftMonitor exposes the drift detector bank (status and tests).
-func (a *Adapter) DriftMonitor() *drift.Monitor { return a.dm }
-
 // OnSessionEnd is the engine hook: it feeds the drift detectors with the
 // finished session's statistics and buffers the session as retraining
 // material when it ended alarm-free and the engine recorded its actions.
@@ -318,18 +293,10 @@ func (a *Adapter) OnSessionEnd(sum core.SessionSummary) {
 
 	a.mu.Lock()
 	if sum.Alarms == 0 && len(sum.Tokens) >= 2 && sum.Snap != nil {
-		c := candidate{
-			id:      sum.SessionID,
-			user:    sum.User,
-			start:   sum.Start,
-			tokens:  sum.Tokens,
-			snap:    sum.Snap,
-			cluster: sum.Cluster,
-		}
 		if len(a.buf) < a.cfg.MaxBuffer {
-			a.buf = append(a.buf, c)
+			a.buf = append(a.buf, sum)
 		} else {
-			a.buf[a.head] = c
+			a.buf[a.head] = sum
 			a.head = (a.head + 1) % a.cfg.MaxBuffer
 			a.dropped++
 		}
@@ -364,10 +331,10 @@ func (a *Adapter) OnSessionEnd(sum core.SessionSummary) {
 }
 
 // snapshotCandidates copies the ring in oldest-first order.
-func (a *Adapter) snapshotCandidates() []candidate {
+func (a *Adapter) snapshotCandidates() []core.SessionSummary {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]candidate, 0, len(a.buf))
+	out := make([]core.SessionSummary, 0, len(a.buf))
 	out = append(out, a.buf[a.head:]...)
 	return append(out, a.buf[:a.head]...)
 }
@@ -435,14 +402,14 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 	expressible := candidates[:0:0]
 	var encoded [][]int
 	for _, c := range candidates {
-		rm, ok := grownRemaps[c.snap]
+		rm, ok := grownRemaps[c.Snap]
 		if !ok {
-			rm = c.snap.RemapTo(vocab)
-			grownRemaps[c.snap] = rm
+			rm = c.Snap.RemapTo(vocab)
+			grownRemaps[c.Snap] = rm
 		}
-		enc := make([]int, len(c.tokens))
+		enc := make([]int, len(c.Tokens))
 		keep := true
-		for i, t := range c.tokens {
+		for i, t := range c.Tokens {
 			if t < 0 || int(t) >= len(rm) || rm[t] < 0 {
 				keep = false
 				break
@@ -470,11 +437,11 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 	for i := range candidates {
 		c := &candidates[i]
 		if i%every == every-1 {
-			holdout = append(holdout, c.session())
+			holdout = append(holdout, c.Session())
 			continue
 		}
-		if c.cluster >= 0 && c.cluster < len(groups) {
-			groups[c.cluster] = append(groups[c.cluster], core.EncodedSession{ID: c.id, Actions: encoded[i]})
+		if c.Cluster >= 0 && c.Cluster < len(groups) {
+			groups[c.Cluster] = append(groups[c.Cluster], core.EncodedSession{ID: c.SessionID, Actions: encoded[i]})
 			rep.TrainSessions++
 		}
 	}
@@ -646,19 +613,19 @@ func (a *Adapter) resetAfterCycle() {
 // candidates are token streams: out-of-vocabulary detection is one remap
 // table per interner snapshot (integer indexing per action), and only the
 // recurring unknown tokens are resolved back to names.
-func (a *Adapter) grownVocabulary(old *core.Detector, candidates []candidate) (*actionlog.Vocabulary, error) {
+func (a *Adapter) grownVocabulary(old *core.Detector, candidates []core.SessionSummary) (*actionlog.Vocabulary, error) {
 	oldVocab := old.Vocabulary()
 	remaps := make(map[*actionlog.InternSnapshot][]int32)
 	counts := map[string]int{}
 	for _, c := range candidates {
-		rm, ok := remaps[c.snap]
+		rm, ok := remaps[c.Snap]
 		if !ok {
-			rm = c.snap.RemapTo(oldVocab)
-			remaps[c.snap] = rm
+			rm = c.Snap.RemapTo(oldVocab)
+			remaps[c.Snap] = rm
 		}
-		for _, t := range c.tokens {
+		for _, t := range c.Tokens {
 			if t >= 0 && int(t) < len(rm) && rm[t] < 0 {
-				if name, ok := c.snap.Name(t); ok {
+				if name, ok := c.Snap.Name(t); ok {
 					counts[name]++
 				}
 			}
@@ -772,55 +739,44 @@ func (a *Adapter) logf(format string, args ...any) {
 	}
 }
 
-// ClassifySessions replays sessions through probe monitors of the
-// detector under the given monitor configuration and returns one
-// summary per session, exactly as an engine would have emitted them —
-// the offline feed for misusectl adapt -once over an event log. Like the
-// engine, it interns each action name exactly once (learning unknown
-// actions into a local interner) and records sessions as token streams,
-// so the summaries feed the adapter's token-native buffer. Sessions
-// shorter than two actions are skipped.
+// ClassifySessions replays sessions through an engine over the detector,
+// scoring under the given monitor configuration with session recording
+// on, and returns the summaries the engine emits, in input order — the
+// offline feed for misusectl adapt -once over an event log. Sessions
+// shorter than two actions are skipped; the engine keys sessions by ID,
+// so a repeated ID is an error.
 func ClassifySessions(det *core.Detector, mcfg core.MonitorConfig, sessions []*actionlog.Session) ([]core.SessionSummary, error) {
-	interner := actionlog.NewInterner(det.Vocabulary())
-	base := det.Vocabulary().Size()
-	var out []core.SessionSummary
+	order := make(map[string]int, len(sessions))
+	var replayed []*actionlog.Session
 	for _, s := range sessions {
 		if s.Len() < 2 {
 			continue
 		}
-		mon, err := det.NewSessionMonitor(mcfg)
-		if err != nil {
-			return nil, err
+		if _, dup := order[s.ID]; dup {
+			return nil, fmt.Errorf("pipeline: session ID %q appears twice", s.ID)
 		}
-		sum := core.SessionSummary{
-			SessionID: s.ID,
-			User:      s.User,
-			Start:     s.Start,
-		}
-		tokens := make([]int32, 0, len(s.Actions))
-		for _, action := range s.Actions {
-			tok := interner.Intern(action)
-			if tok >= 0 {
-				tokens = append(tokens, tok)
-			}
-			if tok < 0 || int(tok) >= base {
-				sum.Unknown++
-				continue
-			}
-			step, err := mon.ObserveToken(int(tok))
-			if err != nil {
-				sum.Unknown++
-				continue
-			}
-			sum.Alarms += len(step.Alarms)
-		}
-		sum.Observed = mon.Position()
-		sum.Cluster = mon.Cluster()
-		sum.MinSmoothed = mon.MinSmoothed()
-		sum.LastSmoothed = mon.Smoothed()
-		sum.Tokens = tokens
-		sum.Snap = interner.Snapshot()
-		out = append(out, sum)
+		order[s.ID] = len(replayed)
+		replayed = append(replayed, s)
 	}
+	var mu sync.Mutex
+	out := make([]core.SessionSummary, 0, len(replayed))
+	eng, err := core.NewEngine(det, core.EngineConfig{
+		Monitor:        mcfg,
+		RecordSessions: true,
+		OnSessionEnd: func(sum core.SessionSummary) {
+			mu.Lock()
+			out = append(out, sum)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	_, err = eng.Replay(context.Background(), actionlog.Flatten(replayed))
+	eng.Close()
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(out, func(i, j int) bool { return order[out[i].SessionID] < order[out[j].SessionID] })
 	return out, nil
 }

@@ -453,8 +453,8 @@ func TestCandidateRingBufferAndBackoff(t *testing.T) {
 	}
 	// Oldest-first snapshot: the first 4 sessions were overwritten.
 	snap := adapter.snapshotCandidates()
-	if len(snap) != 10 || snap[0].id != "s-004" || snap[9].id != "s-013" {
-		t.Fatalf("snapshot order wrong: first %s last %s", snap[0].id, snap[len(snap)-1].id)
+	if len(snap) != 10 || snap[0].SessionID != "s-004" || snap[9].SessionID != "s-013" {
+		t.Fatalf("snapshot order wrong: first %s last %s", snap[0].SessionID, snap[len(snap)-1].SessionID)
 	}
 
 	// Backoff: a failed cycle must suppress automatic re-fire for

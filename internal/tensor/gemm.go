@@ -52,11 +52,10 @@ var packPool = sync.Pool{New: func() any { return new([]float64) }}
 // the same row-major K-minor layout. dst must be preallocated (see
 // GrowMatrix for a reusable scratch) and must not alias a or b.
 //
-// dst[i][j] is bit-identical to Vector(a.Row(i)).Dot(b.Row(j)) — and
-// therefore to the per-row accumulation of MulVecAdd — because each
-// element is reduced in one scalar over ascending k, whichever kernel
-// runs. The AVX2 kernel packs a through a pooled buffer; MatMulNTBuf
-// takes a caller-owned one.
+// dst[i][j] is bit-identical to the per-row accumulation of MulVecAdd,
+// because each element is reduced in one scalar over ascending k,
+// whichever kernel runs. The AVX2 kernel packs a through a pooled
+// buffer; MatMulNTBuf takes a caller-owned one.
 func MatMulNT(dst, a, b *Matrix) { MatMulNTBuf(dst, a, b, nil) }
 
 // MatMulNTBuf is MatMulNT with a caller-owned packing buffer: *pack is

@@ -1,7 +1,7 @@
 // Package tensor provides the dense linear-algebra primitives used by the
 // learning components of the library: float64 vectors and row-major
 // matrices together with the handful of kernels (matrix products, stable
-// softmax, log-sum-exp) that the LSTM, LDA and OC-SVM implementations need.
+// softmax) that the LSTM, LDA and OC-SVM implementations need.
 //
 // The package is deliberately small and allocation-conscious rather than a
 // general BLAS replacement: every routine that can write into a
@@ -9,10 +9,7 @@
 // the Go compiler can keep the inner loops bounds-check free.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Vector is a dense float64 vector.
 type Vector []float64
@@ -32,23 +29,6 @@ func (v Vector) Fill(x float64) {
 	for i := range v {
 		v[i] = x
 	}
-}
-
-// Zero sets every element of v to zero.
-func (v Vector) Zero() { v.Fill(0) }
-
-// Dot returns the inner product of v and w.
-// It panics if the lengths differ; vector-length mismatches are programming
-// errors, not runtime conditions.
-func (v Vector) Dot(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(v), len(w)))
-	}
-	var s float64
-	for i, x := range v {
-		s += x * w[i]
-	}
-	return s
 }
 
 // AddScaled adds alpha*w to v in place (axpy).
@@ -75,15 +55,6 @@ func (v Vector) Sum() float64 {
 		s += x
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // ArgMax returns the index of the largest element of v, or -1 when v is
@@ -130,27 +101,6 @@ func Softmax(dst, src Vector) {
 	}
 }
 
-// LogSumExp returns log(sum(exp(v))) computed stably.
-func LogSumExp(v Vector) float64 {
-	if len(v) == 0 {
-		return math.Inf(-1)
-	}
-	maxVal := v[0]
-	for _, x := range v[1:] {
-		if x > maxVal {
-			maxVal = x
-		}
-	}
-	if math.IsInf(maxVal, -1) {
-		return maxVal
-	}
-	var sum float64
-	for _, x := range v {
-		sum += math.Exp(x - maxVal)
-	}
-	return maxVal + math.Log(sum)
-}
-
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int
@@ -163,23 +113,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("tensor: NewMatrix negative shape %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows, copying the
-// data so the caller retains ownership of rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("tensor: ragged input, row %d has %d cols, want %d", i, len(r), cols)
-		}
-		copy(m.Row(i), r)
-	}
-	return m, nil
 }
 
 // At returns the element at (i, j).
@@ -212,46 +145,6 @@ func (m *Matrix) Scale(alpha float64) {
 	}
 }
 
-// Add adds other to m in place. It panics on shape mismatch.
-func (m *Matrix) Add(other *Matrix) {
-	m.mustSameShape(other, "Add")
-	for i, x := range other.Data {
-		m.Data[i] += x
-	}
-}
-
-// AddScaled adds alpha*other to m in place. It panics on shape mismatch.
-func (m *Matrix) AddScaled(alpha float64, other *Matrix) {
-	m.mustSameShape(other, "AddScaled")
-	for i, x := range other.Data {
-		m.Data[i] += alpha * x
-	}
-}
-
-func (m *Matrix) mustSameShape(other *Matrix, op string) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d",
-			op, m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-}
-
-// MulVec computes dst = m * x where x has length m.Cols and dst has length
-// m.Rows. dst must not alias x.
-func (m *Matrix) MulVec(dst, x Vector) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("tensor: MulVec shape mismatch m=%dx%d x=%d dst=%d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, w := range row {
-			s += w * x[j]
-		}
-		dst[i] = s
-	}
-}
-
 // MulVecAdd computes dst += m * x.
 func (m *Matrix) MulVecAdd(dst, x Vector) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
@@ -266,17 +159,6 @@ func (m *Matrix) MulVecAdd(dst, x Vector) {
 		}
 		dst[i] += s
 	}
-}
-
-// MulVecT computes dst = mᵀ * x where x has length m.Rows and dst has
-// length m.Cols. dst must not alias x.
-func (m *Matrix) MulVecT(dst, x Vector) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic(fmt.Sprintf("tensor: MulVecT shape mismatch m=%dx%d x=%d dst=%d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
-	dst.Zero()
-	m.MulVecTAdd(dst, x)
 }
 
 // MulVecTAdd computes dst += mᵀ * x.
@@ -312,29 +194,6 @@ func (m *Matrix) AddOuter(alpha float64, x, y Vector) {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, yj := range y {
 			row[j] += axi * yj
-		}
-	}
-}
-
-// MatMul computes dst = a * b. dst must be preallocated with shape
-// a.Rows x b.Cols and must not alias a or b.
-func MatMul(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch a=%dx%d b=%dx%d dst=%dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range brow {
-				drow[j] += aik * bkj
-			}
 		}
 	}
 }

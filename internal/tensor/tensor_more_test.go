@@ -6,21 +6,14 @@ import (
 	"testing"
 )
 
-func TestVectorSumNorm2FillZero(t *testing.T) {
+func TestVectorSumFillScale(t *testing.T) {
 	v := Vector{3, 4}
 	if v.Sum() != 7 {
 		t.Fatalf("Sum = %v", v.Sum())
 	}
-	if v.Norm2() != 5 {
-		t.Fatalf("Norm2 = %v", v.Norm2())
-	}
 	v.Fill(2)
 	if v[0] != 2 || v[1] != 2 {
 		t.Fatalf("Fill = %v", v)
-	}
-	v.Zero()
-	if v.Sum() != 0 {
-		t.Fatal("Zero failed")
 	}
 	v = Vector{1, 2}
 	v.Scale(3)
@@ -30,7 +23,7 @@ func TestVectorSumNorm2FillZero(t *testing.T) {
 }
 
 func TestMulVecAddAccumulates(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 0}, {0, 1}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 0, 0, 1}}
 	dst := Vector{10, 20}
 	m.MulVecAdd(dst, Vector{1, 2})
 	if dst[0] != 11 || dst[1] != 22 {
@@ -39,7 +32,7 @@ func TestMulVecAddAccumulates(t *testing.T) {
 }
 
 func TestMulVecTAddSkipsZeros(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	dst := NewVector(2)
 	m.MulVecTAdd(dst, Vector{0, 1}) // zero entry exercises the skip path
 	if dst[0] != 3 || dst[1] != 4 {
@@ -50,14 +43,9 @@ func TestMulVecTAddSkipsZeros(t *testing.T) {
 func TestShapePanics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	cases := []func(){
-		func() { m.MulVec(NewVector(2), NewVector(2)) },
 		func() { m.MulVecAdd(NewVector(3), NewVector(3)) },
-		func() { m.MulVecT(NewVector(2), NewVector(3)) },
 		func() { m.MulVecTAdd(NewVector(2), NewVector(3)) },
 		func() { m.AddOuter(1, NewVector(3), NewVector(3)) },
-		func() { m.Add(NewMatrix(3, 2)) },
-		func() { m.AddScaled(1, NewMatrix(1, 1)) },
-		func() { MatMul(NewMatrix(2, 2), m, NewMatrix(2, 2)) },
 		func() { Vector{1}.AddScaled(1, Vector{1, 2}) },
 		func() { Softmax(NewVector(1), NewVector(2)) },
 		func() { NewMatrix(-1, 2) },
@@ -74,15 +62,14 @@ func TestShapePanics(t *testing.T) {
 	}
 }
 
-func TestMatrixAddAndZero(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}})
-	b, _ := FromRows([][]float64{{3, 4}})
-	a.Add(b)
-	if a.At(0, 1) != 6 {
-		t.Fatalf("Add = %v", a.Data)
+func TestMatrixZeroAndScale(t *testing.T) {
+	a := &Matrix{Rows: 1, Cols: 2, Data: []float64{1, 6}}
+	a.Scale(2)
+	if a.At(0, 1) != 12 {
+		t.Fatalf("Scale = %v", a.Data)
 	}
 	a.Zero()
-	if a.At(0, 0) != 0 {
+	if a.At(0, 0) != 0 || a.At(0, 1) != 0 {
 		t.Fatal("Zero failed")
 	}
 	a.Scale(5) // zero stays zero

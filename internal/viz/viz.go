@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"misusedetect/internal/lda"
-	"misusedetect/internal/tensor"
 	"misusedetect/internal/tsne"
 )
 
@@ -237,33 +236,4 @@ func (v *View) renderTopLinks(w io.Writer, n int) error {
 		}
 	}
 	return nil
-}
-
-// TopActions returns the names of the n highest-opacity actions of a topic
-// in the matrix view, for labeling cluster semantics.
-func (v *View) TopActions(topic, n int) []string {
-	cells := make([]MatrixCell, 0, 16)
-	for _, c := range v.Matrix {
-		if c.Topic == topic {
-			cells = append(cells, c)
-		}
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Opacity > cells[j].Opacity })
-	if len(cells) > n {
-		cells = cells[:n]
-	}
-	out := make([]string, len(cells))
-	for i, c := range cells {
-		out[i] = v.ActionNames[c.Action]
-	}
-	return out
-}
-
-// WeightVector returns the pooled topic weights, useful for sizing dots.
-func (v *View) WeightVector() tensor.Vector {
-	out := tensor.NewVector(len(v.Projection))
-	for i, p := range v.Projection {
-		out[i] = p.Weight
-	}
-	return out
 }

@@ -145,34 +145,3 @@ func TestRenderASCIIEmptyView(t *testing.T) {
 		t.Fatal("empty view should say so")
 	}
 }
-
-func TestTopActions(t *testing.T) {
-	ens, names := fitTestEnsemble(t)
-	v, err := Build(ens, names, DefaultConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := v.TopActions(0, 3)
-	if len(top) == 0 || len(top) > 3 {
-		t.Fatalf("TopActions = %v", top)
-	}
-	for _, name := range top {
-		if len(name) != 1 {
-			t.Fatalf("unexpected action name %q", name)
-		}
-	}
-}
-
-func TestWeightVector(t *testing.T) {
-	ens, names := fitTestEnsemble(t)
-	v, _ := Build(ens, names, DefaultConfig(8))
-	wv := v.WeightVector()
-	if len(wv) != len(ens.Topics) {
-		t.Fatalf("weight vector length %d", len(wv))
-	}
-	for _, w := range wv {
-		if w <= 0 {
-			t.Fatal("non-positive topic weight")
-		}
-	}
-}
