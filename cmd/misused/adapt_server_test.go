@@ -134,6 +134,7 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 	}
 
 	// Stream fresh traffic, end the sessions, and adapt for real.
+	sent := 0
 	for i, s := range sessions {
 		c := s.Clone()
 		c.ID = fmt.Sprintf("live-%03d", i)
@@ -141,18 +142,19 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 			if err := enc.Encode(&ev); err != nil {
 				t.Fatal(err)
 			}
+			sent++
 		}
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := srv.Stats()
-		if st.EventsInFlight == 0 && st.EventsSubmitted > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("events never drained: %+v", srv.Stats())
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The connection's reader handles lines in order, so the status
+	// reply means every event line before it has been submitted; Flush
+	// then scores them all and ends their sessions. (Polling for zero
+	// events in flight instead can fire between two socket reads.)
+	var pre StatusReply
+	if err := json.Unmarshal(roundTrip("status"), &pre); err != nil {
+		t.Fatal(err)
+	}
+	if pre.Status.EventsSubmitted != uint64(sent) {
+		t.Fatalf("status after %d event lines reports %d submitted", sent, pre.Status.EventsSubmitted)
 	}
 	srv.engine.Flush()
 

@@ -6,30 +6,41 @@ import (
 	"misusedetect/internal/actionlog"
 )
 
-// fastBatch is the zero-copy scan of a {"batch":[...]} frame: one pass
-// over the wire bytes, no reflection, and — for actions the interner
-// already knows — no string allocation at all (the token is looked up
-// straight from the byte slice). Per-event allocations are exactly the
-// session-ID and user strings the engine must own.
+// fastBatch is the zero-copy scan of the two event shapes a client sends:
+// a {"batch":[...]} frame, and a bare event object on a line of its own.
+// It is one pass over the wire bytes, no reflection, and — for actions
+// the interner already knows — no string allocation at all (the token is
+// looked up straight from the byte slice). Per-event allocations are
+// exactly the session-ID and user strings the engine must own.
 //
 // The scanner deliberately covers only the well-formed fast subset:
-// strictly a single top-level "batch" key, string-valued fields from the
-// known event schema, no escape sequences, valid UTF-8, every bound
-// respected. Anything else — a command line, a single event, malformed
-// JSON, an oversized field or frame, an exotic but legal encoding —
-// returns ok=false and the caller falls back to the reflective decoder,
-// which remains the single source of truth for protocol errors. A
-// fuzz-driven differential test pins the two paths to identical results
-// on every accepted input.
+// a frame with strictly a single top-level "batch" key, or one event
+// object followed by nothing but whitespace; string-valued fields from
+// the known event schema, each key at most once and spelled exactly; no
+// escape sequences, valid UTF-8, every bound respected. Anything else — a
+// command line, an event carrying "cmd", malformed JSON, an oversized
+// field or frame, an exotic but legal encoding — returns ok=false and the
+// caller falls back to the reflective decoder, which remains the single
+// source of truth for protocol errors. A fuzz-driven differential test
+// pins the two paths to identical results on every accepted input.
 func (p *connParser) fastBatch(line []byte) (evs []misusedBatch, ok bool) {
 	s := fastScanner{b: line}
 	s.ws()
+	obj := s.pos
 	if !s.eat('{') {
 		return nil, false
 	}
 	s.ws()
 	if key, kok := s.rawString(); !kok || string(key) != "batch" {
-		return nil, false
+		// Not a frame: the line may still be one bare event.
+		s.pos = obj
+		ev, eok := p.fastEvent(&s)
+		s.ws()
+		if !eok || !s.done() {
+			return nil, false
+		}
+		p.toks = append(p.toks[:0], ev)
+		return p.toks, true
 	}
 	s.ws()
 	if !s.eat(':') {
@@ -80,7 +91,16 @@ func (p *connParser) fastEvent(s *fastScanner) (misusedBatch, bool) {
 		return misusedBatch{}, false
 	}
 	var timeB, userB, sidB, actionB []byte
-	var haveTime, haveAction bool
+	// seen has one bit per schema key. A repeated key falls back: the
+	// reflective decoder parses every occurrence of "time", so an invalid
+	// one that a later value overrides is still its error.
+	const (
+		keyTime uint8 = 1 << iota
+		keyUser
+		keySession
+		keyAction
+	)
+	var seen uint8
 	s.ws()
 	if !s.eat('}') {
 		for {
@@ -97,22 +117,25 @@ func (p *connParser) fastEvent(s *fastScanner) (misusedBatch, bool) {
 			if !ok {
 				return misusedBatch{}, false
 			}
+			var bit uint8
 			switch string(key) {
 			case "time":
-				timeB = val
-				haveTime = true
+				timeB, bit = val, keyTime
 			case "user":
-				userB = val
+				userB, bit = val, keyUser
 			case "session_id":
-				sidB = val
+				sidB, bit = val, keySession
 			case "action":
-				actionB = val
-				haveAction = true
+				actionB, bit = val, keyAction
 			default:
 				// Unknown keys (or non-string values, rejected above)
 				// are legal JSON the fast subset doesn't model.
 				return misusedBatch{}, false
 			}
+			if seen&bit != 0 {
+				return misusedBatch{}, false
+			}
+			seen |= bit
 			s.ws()
 			if s.eat(',') {
 				s.ws()
@@ -124,13 +147,13 @@ func (p *connParser) fastEvent(s *fastScanner) (misusedBatch, bool) {
 			return misusedBatch{}, false
 		}
 	}
-	if len(sidB) == 0 || !haveAction || len(actionB) == 0 {
+	if len(sidB) == 0 || len(actionB) == 0 {
 		return misusedBatch{}, false
 	}
 	if len(sidB) > maxFieldLen || len(userB) > maxFieldLen || len(actionB) > maxFieldLen {
 		return misusedBatch{}, false
 	}
-	if haveTime && len(timeB) == 0 {
+	if seen&keyTime != 0 && len(timeB) == 0 {
 		// "time":"" — the reflective decoder rejects it; let it.
 		return misusedBatch{}, false
 	}

@@ -91,6 +91,27 @@ func FuzzServerLine(f *testing.F) {
 	f.Add([]byte(`{"batch":[{"session_id":"s","action":"a","extra":"x"}]}`))
 	f.Add([]byte(`{"batch":[{"session_id":"s","action":"a","time":"2019-03-01T10:00:00.123+02:00"}]} `))
 	f.Add([]byte(`{"batch":[{"session_id":"s","action":"a","time":""}]}`))
+	f.Add([]byte(`{"batch":[{"time":"bad","time":"2019-03-01T10:00:00Z","session_id":"s","action":"a"}]}`))
+	// Bare event lines, which take the same fast scan as frame members:
+	// whitespace around and inside the object, duplicate keys (the last
+	// value wins, but every "time" is parsed), case variants of a key
+	// (the reflective decoder folds case), "cmd" among event fields,
+	// escaped values, an empty time, and trailing bytes.
+	f.Add([]byte(" \t{ \"session_id\" : \"s\" ,\n\"action\":\"a\" , \"user\" :\"u\"}  \r"))
+	f.Add([]byte(`{"session_id":"s1","action":"a","session_id":"s2"}`))
+	f.Add([]byte(`{"session_id":"s","action":"a","action":"zz-learned"}`))
+	f.Add([]byte(`{"time":"bad","time":"2019-03-01T10:00:00Z","session_id":"s","action":"a"}`))
+	f.Add([]byte(`{"session_id":"s","action":"a","session_id":""}`))
+	f.Add([]byte(`{"Session_ID":"s","action":"a"}`))
+	f.Add([]byte(`{"session_id":"s","ACTION":"a"}`))
+	f.Add([]byte(`{"session_id":"s","action":"a","cmd":"status"}`))
+	f.Add([]byte(`{"cmd":"status","session_id":"s","action":"a"}`))
+	f.Add([]byte(`{"session_id":"s\u0041","action":"a"}`))
+	f.Add([]byte(`{"session_id":"s","action":"\u0061"}`))
+	f.Add([]byte(`{"time":"","session_id":"s","action":"a"}`))
+	f.Add([]byte(`{"session_id":"s","action":"a"} x`))
+	f.Add([]byte(`{"session_id":"s","action":"a"}{}`))
+	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		fast := fuzzParser(t, false)
 		cmd, evs, err := fast.parseInbound(line)
@@ -286,6 +307,35 @@ func TestParseInboundBatch(t *testing.T) {
 		_, evs, err = p.parseInbound([]byte(`{"batch":[{"session_id":"s","action":"a"}],"session_id":"top","action":"t"}`))
 		if err != nil || len(evs) != 1 || evs[0].Ev.SessionID != "s" {
 			t.Fatalf("%s: batch+inline-event line: %+v %v", label, evs, err)
+		}
+	}
+}
+
+// TestFastScanEventLines pins which lines the zero-copy scan takes: a
+// bare event line is in the fast subset like a frame member, while a
+// command, an event carrying "cmd", a case-folded or repeated key, an
+// escape and an empty time are left to the reflective decoder.
+func TestFastScanEventLines(t *testing.T) {
+	p := fuzzParser(t, false)
+	for _, line := range []string{
+		`{"time":"2019-03-01T10:00:00Z","user":"alice","session_id":"s-1","action":"ActionSearchUsr"}`,
+		" { \"session_id\" : \"s\" ,\t\"action\" : \"zz-learned\" } ",
+	} {
+		if evs, ok := p.fastBatch([]byte(line)); !ok || len(evs) != 1 {
+			t.Fatalf("event line %q missed the fast scan: %+v %v", line, evs, ok)
+		}
+	}
+	for _, line := range []string{
+		`{"cmd":"status"}`,
+		`{"session_id":"s","action":"a","cmd":"status"}`,
+		`{"Session_ID":"s","action":"a"}`,
+		`{"session_id":"s","action":"a","action":"b"}`,
+		`{"session_id":"s\u0041","action":"a"}`,
+		`{"time":"","session_id":"s","action":"a"}`,
+		`{"session_id":"s","action":"a"} x`,
+	} {
+		if evs, ok := p.fastBatch([]byte(line)); ok {
+			t.Fatalf("line %q took the fast scan: %+v", line, evs)
 		}
 	}
 }

@@ -130,10 +130,12 @@ const maxBatchLen = 512
 // interning each action name against the engine's interner during the
 // parse — the engine never resolves an action string again. It is
 // per-connection state: the decode struct, the batch slice's backing
-// array, and the tokenized-event scratch are all reused across lines,
-// and batch frames take a zero-copy fast scan (fastBatch) that lifts
-// known action names straight from the wire buffer into tokens without
-// allocating them. Not safe for concurrent use.
+// array, and the tokenized-event scratch are all reused across lines.
+// Bare event lines and batch frames take a zero-copy fast scan
+// (fastBatch) that lifts known action names straight from the wire
+// buffer into tokens without allocating them; command lines and
+// anything else outside the fast subset take the reflective decoder.
+// Not safe for concurrent use.
 type connParser struct {
 	interner *actionlog.Interner
 	in       inboundLine

@@ -251,10 +251,14 @@ type EngineStats struct {
 	EventsSubmitted uint64 `json:"events_submitted"`
 	EventsProcessed uint64 `json:"events_processed"`
 	EventsInFlight  uint64 `json:"events_in_flight"`
-	// BatchesSubmitted counts every shard enqueue of events (every event
-	// enters a shard inside a batch, so a one-event line counts one):
-	// EventsSubmitted over it is the realized amortization factor.
+	// BatchesSubmitted counts every batch of events a shard took, queued
+	// or inline (every event enters a shard inside a batch, so a
+	// one-event line counts one): EventsSubmitted over it is the realized
+	// amortization factor. BatchesInline counts the ones a submitter
+	// scored on its own goroutine because their shard was idle, skipping
+	// the queue and the shard goroutine's wake-up (see SubmitTokens).
 	BatchesSubmitted uint64 `json:"batches_submitted"`
+	BatchesInline    uint64 `json:"batches_inline"`
 	// InternedActions is the size of the edge interner's pool;
 	// LearnedActions is how many of those were learned from live traffic
 	// beyond the seed vocabulary (the vocabulary-drift surface).
@@ -354,8 +358,8 @@ func releaseBatch(b *eventBatch) {
 }
 
 // shardMsg is one unit of shard work: exactly one of batch (events to
-// stage) and ctl (a control func run on the shard goroutine, see
-// Engine.broadcast) is set.
+// stage) and ctl (a control func run by the shard goroutine under the
+// shard's lock, see Engine.broadcast) is set.
 type shardMsg struct {
 	batch *eventBatch
 	ctl   func(*engineShard)
@@ -363,7 +367,7 @@ type shardMsg struct {
 
 // remapTable translates interner tokens into one model generation's
 // vocabulary indices. It is shard-local (extended lazily as the interner
-// learns, only ever touched by the owning shard goroutine) and shared by
+// learns, only ever touched under the owning shard's lock) and shared by
 // every session of that generation on the shard, so the steady-state
 // per-event cost is a single slice index.
 type remapTable struct {
@@ -399,7 +403,8 @@ func (rt *remapTable) extend(snap *actionlog.InternSnapshot) {
 	}
 }
 
-// engineSession is one live session owned by exactly one shard goroutine.
+// engineSession is one live session owned by exactly one shard, and
+// touched only under that shard's lock.
 // The monitor references the detector of the registry generation that was
 // current when the session started; version records it for alarm
 // stamping. A model reload never touches existing sessions.
@@ -445,7 +450,7 @@ type engineSession struct {
 // two — live monitors and cold snapshots — so idle eviction, compaction,
 // and budget shedding all pop from a head in O(1) per session acted on,
 // instead of the O(sessions) full-map scan the seed engine paid per
-// tick. Only the owning shard goroutine touches a list.
+// tick. A list is touched only under its shard's lock.
 type sessList struct {
 	head, tail *engineSession
 }
@@ -511,11 +516,26 @@ type waveGroup struct {
 	idxs []int
 }
 
-// engineShard owns a partition of the session space: its goroutine is the
-// only one touching its map, so scoring needs no locks at all.
+// engineShard owns a partition of the session space. Its state is
+// touched only under its lock mu, which one goroutine at a time holds for
+// a whole unit of work: the shard goroutine across each queue burst
+// (steps, then the wave flush) and each sweep, or a submitter scoring a
+// one-shard submission inline while the shard is idle (runInline). There
+// is still one writer per shard at any instant, and the scoring itself
+// takes no other lock. mu is the shard's ownership, so it is held across
+// blocking alarm sends and the OnSessionEnd hook: submitters only
+// TryLock it, and the one goroutine that waits for it is the shard
+// goroutine, which would otherwise have been the one blocked.
 type engineShard struct {
-	e        *Engine
-	in       chan shardMsg
+	e  *Engine
+	in chan shardMsg
+	mu sync.Mutex
+	// pending counts the messages sent (or being sent) to in that are
+	// not finished yet, event batches and broadcast control funcs alike.
+	// The shard goroutine subtracts a burst's messages before it unlocks,
+	// so pending == 0 under the lock means every earlier event of every
+	// session on the shard is scored and no broadcast is waiting.
+	pending  atomic.Int64
 	sessions map[string]*engineSession
 	// live and cold order the shard's sessions by lastSeen: live holds
 	// the sessions being scored, cold the compacted ones.
@@ -523,13 +543,13 @@ type engineShard struct {
 	// cost scales with the work done, not the session count.
 	live, cold sessList
 	// mem is the shard's accounted session memory in bytes. Written
-	// only by the shard goroutine, read by Stats and admission checks
+	// only under the shard's lock, read by Stats and admission checks
 	// from other goroutines — hence atomic.
 	mem atomic.Int64
 	// remaps caches one token→index table per model-generation
-	// vocabulary (shard-local, so no locking).
+	// vocabulary (shard-local, guarded by mu).
 	remaps map[*actionlog.Vocabulary]*remapTable
-	// Wave state (shard-goroutine-local): waveID counts flushed waves
+	// Wave state (guarded by mu): waveID counts flushed waves
 	// (starting at 1 so a zero-valued session waveMark never matches),
 	// wave holds the staged events of the current wave, groups and the
 	// streams/actions/liks triple are flush-time scratch reused across
@@ -559,10 +579,11 @@ type engineShard struct {
 // the sink of its latest submission.
 //
 // Ordering guarantees: events of one session are scored in submission
-// order (one session maps to one shard, and a shard consumes its queue
-// FIFO; a batch preserves its internal order). Across sessions the sinks
-// see no order; Replay restores global submission order by sorting what
-// its sink collected on Alarm.Seq.
+// order (one session maps to one shard, a shard consumes its queue FIFO,
+// a submission runs inline only when nothing queued for its shard is
+// unfinished, and a batch preserves its internal order). Across sessions
+// the sinks see no order; Replay restores global submission order by
+// sorting what its sink collected on Alarm.Seq.
 type Engine struct {
 	reg      *Registry
 	cfg      EngineConfig
@@ -581,6 +602,7 @@ type Engine struct {
 	submitted     atomic.Uint64
 	processed     atomic.Uint64
 	batches       atomic.Uint64
+	batchesInline atomic.Uint64
 	sessions      atomic.Int64
 	compacted     atomic.Int64
 	compactions   atomic.Uint64
@@ -699,9 +721,21 @@ func (e *Engine) shardIndex(sessionID string) int {
 // updated on every event, so the latest submitting connection receives
 // the alarms.
 //
+// A submission whose events all hash to one shard skips the queue when
+// that shard is idle: nothing queued for it is unfinished, the caller
+// wins its lock, and the sink is nil or has room for every alarm the
+// submission can raise. SubmitTokens then scores the events on the
+// calling goroutine and returns once they are scored, saving the shard
+// goroutine's wake-up (BatchesInline counts these). Otherwise the
+// submission is enqueued. Either way the shard has one writer at a time,
+// and the ordering guarantees are unchanged.
+//
 // Sink contract: alarm sends block, so the caller must keep draining a
 // non-nil sink until Detach(sink) has returned — abandoning it can stall
-// the session's shard and everything queued behind it.
+// the session's shard and everything queued behind it. An inline run
+// checks the sink's room up front but shares the sink with the shard
+// goroutines: if they fill it in between, the caller waits for the sink's
+// reader exactly as the shard goroutine would have.
 func (e *Engine) SubmitTokens(ctx context.Context, evs []BatchEvent, sink chan<- Alarm) error {
 	for i := range evs {
 		if evs[i].Ev.SessionID == "" || (evs[i].Tok < 0 && evs[i].Ev.Action == "") {
@@ -716,22 +750,38 @@ func (e *Engine) SubmitTokens(ctx context.Context, evs []BatchEvent, sink chan<-
 	if e.closed {
 		return fmt.Errorf("core: engine: closed")
 	}
+	si := e.shardIndex(evs[0].Ev.SessionID)
+	for i := 1; i < len(evs); i++ {
+		if e.shardIndex(evs[i].Ev.SessionID) != si {
+			return e.submitSpread(ctx, evs, sink)
+		}
+	}
+	// One shard: no per-shard grouping, so nothing to allocate.
+	sh := e.shards[si]
+	if sh.runInline(evs, sink) {
+		return nil
+	}
+	b := newEventBatch(sink)
+	for i := range evs {
+		b.evs = append(b.evs, e.stamp(&evs[i]))
+	}
+	if err := sh.enqueue(ctx, b); err != nil {
+		releaseBatch(b)
+		return submitError(len(evs), len(evs), err)
+	}
+	return nil
+}
+
+// submitSpread is SubmitTokens for a submission spanning several shards:
+// one pooled batch and one queue send per shard it touches.
+func (e *Engine) submitSpread(ctx context.Context, evs []BatchEvent, sink chan<- Alarm) error {
 	batches := make([]*eventBatch, len(e.shards))
 	for i := range evs {
-		ev, tok := &evs[i].Ev, evs[i].Tok
-		si := e.shardIndex(ev.SessionID)
-		b := batches[si]
-		if b == nil {
-			b = newEventBatch(sink)
-			batches[si] = b
+		si := e.shardIndex(evs[i].Ev.SessionID)
+		if batches[si] == nil {
+			batches[si] = newEventBatch(sink)
 		}
-		te := tokEvent{seq: e.seq.Add(1), time: ev.Time, sessionID: ev.SessionID, user: ev.User, tok: tok}
-		if tok < 0 {
-			// Only an event the interner could not tokenize keeps its
-			// action name (see tokEvent).
-			te.action = ev.Action
-		}
-		b.evs = append(b.evs, te)
+		batches[si].evs = append(batches[si].evs, e.stamp(&evs[i]))
 	}
 	dropped := 0
 	var cause error
@@ -739,28 +789,85 @@ func (e *Engine) SubmitTokens(ctx context.Context, evs []BatchEvent, sink chan<-
 		if b == nil {
 			continue
 		}
-		if cause != nil {
-			dropped += len(b.evs)
-			releaseBatch(b)
-			continue
+		if cause == nil {
+			if cause = e.shards[si].enqueue(ctx, b); cause == nil {
+				continue
+			}
 		}
-		// Snapshot the size before the send: the shard may process and
-		// recycle the batch the instant it lands on the channel.
-		size := uint64(len(b.evs))
-		select {
-		case e.shards[si].in <- shardMsg{batch: b}:
-			e.submitted.Add(size)
-			e.batches.Add(1)
-		case <-ctx.Done():
-			cause = ctx.Err()
-			dropped += int(size)
-			releaseBatch(b)
-		}
+		dropped += len(b.evs)
+		releaseBatch(b)
 	}
 	if cause != nil {
-		return fmt.Errorf("core: engine: batch submit: %d of %d events not submitted: %w", dropped, len(evs), cause)
+		return submitError(dropped, len(evs), cause)
 	}
 	return nil
+}
+
+func submitError(dropped, total int, cause error) error {
+	return fmt.Errorf("core: engine: batch submit: %d of %d events not submitted: %w", dropped, total, cause)
+}
+
+// stamp turns one submitted event into the engine's record of it, with
+// the next sequence number.
+func (e *Engine) stamp(be *BatchEvent) tokEvent {
+	te := tokEvent{seq: e.seq.Add(1), time: be.Ev.Time, sessionID: be.Ev.SessionID, user: be.Ev.User, tok: be.Tok}
+	if be.Tok < 0 {
+		// Only an event the interner could not tokenize keeps its action
+		// name (see tokEvent).
+		te.action = be.Ev.Action
+	}
+	return te
+}
+
+// enqueue sends one batch to the shard's queue, blocking while the queue
+// is full. The batch counts as pending from before the send, so no inline
+// run can overtake it. On cancellation the batch is not sent and stays
+// the caller's.
+func (s *engineShard) enqueue(ctx context.Context, b *eventBatch) error {
+	// Snapshot the size before the send: the shard may process and
+	// recycle the batch the instant it lands on the channel.
+	size := uint64(len(b.evs))
+	s.pending.Add(1)
+	select {
+	case s.in <- shardMsg{batch: b}:
+		s.e.submitted.Add(size)
+		s.e.batches.Add(1)
+		return nil
+	case <-ctx.Done():
+		s.pending.Add(-1)
+		return ctx.Err()
+	}
+}
+
+// runInline scores a one-shard submission on the calling goroutine if the
+// shard is idle, and reports whether it did. Idle means: no message sent
+// to the shard is unfinished (so every earlier event of these sessions is
+// scored and no broadcast is waiting), checked again after TryLock wins
+// the shard; and the sink is nil or can take every alarm the events can
+// raise, so the caller does not wait on a sink the shard goroutine would
+// have waited on. The wave is flushed before the lock is released, as
+// the shard goroutine does after every burst.
+func (s *engineShard) runInline(evs []BatchEvent, sink chan<- Alarm) bool {
+	if s.pending.Load() != 0 || (sink != nil && cap(sink)-len(sink) < maxAlarmsPerEvent*len(evs)) {
+		return false
+	}
+	if !s.mu.TryLock() {
+		return false
+	}
+	defer s.mu.Unlock()
+	if s.pending.Load() != 0 {
+		return false
+	}
+	s.e.submitted.Add(uint64(len(evs)))
+	s.e.batches.Add(1)
+	s.e.batchesInline.Add(1)
+	now := time.Now()
+	for i := range evs {
+		te := s.e.stamp(&evs[i])
+		s.stageEvent(&te, sink, now)
+	}
+	s.flushWave()
+	return true
 }
 
 // broadcast enqueues fn behind everything already queued on every shard
@@ -783,6 +890,9 @@ func (e *Engine) broadcast(fn func(*engineShard)) {
 		ack <- struct{}{}
 	}
 	for _, sh := range e.shards {
+		// Pending from before the send: a queued broadcast keeps
+		// submissions off the inline path, so it stays FIFO.
+		sh.pending.Add(1)
 		sh.in <- shardMsg{ctl: ctl}
 	}
 	e.mu.RUnlock()
@@ -859,6 +969,7 @@ func (e *Engine) Stats() EngineStats {
 		EventsProcessed:   processed,
 		EventsInFlight:    submitted - processed,
 		BatchesSubmitted:  e.batches.Load(),
+		BatchesInline:     e.batchesInline.Load(),
 		InternedActions:   snap.Len(),
 		LearnedActions:    snap.Len() - snap.Base(),
 		SessionsLive:      uint64(live),
@@ -972,7 +1083,9 @@ const drainBurst = 64
 // run is the shard loop: stage queued events into waves (draining bursts
 // of the queue per wakeup), flush each wave with fused batched scoring
 // before going back to sleep, and run the maintenance sweep (idle
-// eviction, compaction, budget shedding) on the ticker. The wave is
+// eviction, compaction, budget shedding) on the ticker. It holds the
+// shard's lock across each burst and each sweep, and marks a burst's
+// messages finished before it lets go. The wave is
 // ALWAYS flushed before the loop re-enters the outer select: a staged
 // event has not been counted processed yet, so leaving one parked would
 // wedge Drain (and every caller that waits for the queues to empty) —
@@ -990,9 +1103,11 @@ func (s *engineShard) run() {
 	for {
 		select {
 		case msg, ok := <-s.in:
+			s.mu.Lock()
 			// Opportunistic burst drain: after the blocking receive,
 			// consume whatever else is already queued without going
 			// back through the outer select.
+			done := int64(0)
 			for burst := 0; ; burst++ {
 				if !ok {
 					// Closing: finish staged work, then end every
@@ -1000,9 +1115,11 @@ func (s *engineShard) run() {
 					// the complete picture.
 					s.flushWave()
 					s.evictAll()
+					s.mu.Unlock()
 					return
 				}
 				s.step(msg)
+				done++
 				if burst >= drainBurst {
 					break
 				}
@@ -1014,8 +1131,12 @@ func (s *engineShard) run() {
 				break
 			}
 			s.flushWave()
+			s.pending.Add(-done)
+			s.mu.Unlock()
 		case now := <-tick:
+			s.mu.Lock()
 			s.sweep(now)
+			s.mu.Unlock()
 		}
 	}
 }
@@ -1060,7 +1181,7 @@ func (s *engineShard) remapFor(vocab *actionlog.Vocabulary) *remapTable {
 }
 
 // pruneRemaps drops cached tables whose vocabulary no live session on
-// this shard is pinned to. Runs only on the shard goroutine.
+// this shard is pinned to. Runs under the shard's lock.
 func (s *engineShard) pruneRemaps() {
 	live := make(map[*actionlog.Vocabulary]bool, len(s.remaps))
 	for _, sess := range s.sessions {
@@ -1081,8 +1202,8 @@ const maxWave = 1024
 // stageEvent resolves one tokenized event — session lookup or creation,
 // vocabulary remap, routing vote, prefix catch-up — and parks it on the
 // shard's current wave for the fused stream advance at flush time. Runs
-// only on the shard goroutine: the session map, the remap tables, and
-// the monitors are shard-local. Events that finish at stage time
+// under the shard's lock: the session map, the remap tables, and the
+// monitors are shard-local. Events that finish at stage time
 // (unknown action, scoring error) are counted processed immediately;
 // staged events are counted when the wave flushes.
 func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time) {
@@ -1364,8 +1485,8 @@ func (s *engineShard) sendAlarm(sink chan<- Alarm, a Alarm) {
 const sessionOverhead = 192
 
 // resize re-estimates one live session's memory footprint and folds the
-// delta into the shard gauge. Runs only on the shard goroutine (the
-// gauge itself is atomic so Stats and admission checks can read it).
+// delta into the shard gauge. Runs under the shard's lock (the gauge
+// itself is atomic so Stats and admission checks can read it).
 func (s *engineShard) resize(sess *engineSession) {
 	n := int64(sessionOverhead + len(sess.id) + cap(sess.tokens)*4 + sess.mon.MemSize())
 	if d := n - sess.mem; d != 0 {
@@ -1449,9 +1570,9 @@ func (s *engineShard) oldest() *engineSession {
 // dormant snapshot — the same monitor, so its accounted size stays — and
 // moves it to the cold list, whose order is the eviction order of
 // compacted sessions. Sessions still voting are left as they are. Runs
-// only on the shard goroutine, and only between waves (the wave is
-// always flushed first, so no staged observation can be in flight for
-// the session).
+// under the shard's lock, and only between waves (the wave is always
+// flushed first, so no staged observation can be in flight for the
+// session).
 func (s *engineShard) compactSession(sess *engineSession) {
 	if sess.mon == nil || !sess.mon.Compactable() {
 		return
@@ -1482,9 +1603,9 @@ func (s *engineShard) evictAll() {
 
 // end removes one session from the shard — map, list, and memory gauge
 // — and reports it to the session-end hook; a compacted session answers
-// the summary from its snapshot without rehydrating. Runs only on the
-// shard goroutine. The summary's interner snapshot is taken at end
-// time, so it resolves every token the session recorded.
+// the summary from its snapshot without rehydrating. Runs under the
+// shard's lock. The summary's interner snapshot is taken at end time, so
+// it resolves every token the session recorded.
 func (s *engineShard) end(id string, sess *engineSession) {
 	delete(s.sessions, id)
 	if sess.snap != nil {

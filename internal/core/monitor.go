@@ -213,8 +213,12 @@ type SessionMonitor struct {
 	stream scorer.Stream
 	// alarmScratch backs MonitorStep.Alarms (at most one alarm per
 	// kind per step), keeping alarm emission allocation-free too.
-	alarmScratch [2]AlarmKind
+	alarmScratch [maxAlarmsPerEvent]AlarmKind
 }
+
+// maxAlarmsPerEvent bounds the alarms one observed action can raise: one
+// per alarm kind (low likelihood, downward trend).
+const maxAlarmsPerEvent = 2
 
 // voteState is the state a session needs only while its routing vote
 // runs: allocated with the monitor, dropped on the action that freezes

@@ -41,8 +41,8 @@ type ModelVersion struct {
 }
 
 // Registry is the versioned model store behind the engine: an atomic
-// pointer to the current ModelVersion. Readers (the shard goroutines
-// creating session monitors) take the pointer with a single atomic
+// pointer to the current ModelVersion. Readers (the shards creating
+// session monitors) take the pointer with a single atomic
 // load; writers swap in a fully constructed new generation, so there is
 // never a moment where a reader can observe a half-installed model set
 // — the zero-downtime hot-reload primitive.
