@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"misusedetect/internal/core"
-	"misusedetect/internal/drift"
 	"misusedetect/internal/pipeline"
 )
 
@@ -173,14 +172,9 @@ func adaptOffline(modelDir, data, root, monitorPath, backend string, minSessions
 	if err != nil {
 		return nil, err
 	}
-	monitor := core.DefaultMonitorConfig()
-	switch {
-	case monitorPath != "":
-		if monitor, err = core.LoadMonitorConfig(monitorPath); err != nil {
-			return nil, err
-		}
-	case fragment != nil:
-		monitor = *fragment
+	monitor, _, err := core.ResolveMonitor(monitorPath, modelDir, fragment)
+	if err != nil {
+		return nil, err
 	}
 	sessions, err := loadSessions(data)
 	if err != nil {
@@ -195,7 +189,6 @@ func adaptOffline(modelDir, data, root, monitorPath, backend string, minSessions
 		return nil, err
 	}
 	adapter, err := pipeline.New(reg, pipeline.Config{
-		Drift:          drift.DefaultConfig(),
 		Monitor:        monitor,
 		MinSessions:    minSessions,
 		MaxBuffer:      len(sessions) + minSessions,

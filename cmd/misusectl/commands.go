@@ -200,9 +200,9 @@ func cmdMonitor(args []string) error {
 	if err != nil {
 		return err
 	}
-	mcfg := core.DefaultMonitorConfig()
-	if fragment != nil {
-		mcfg = *fragment
+	mcfg, _, err := core.ResolveMonitor("", *modelDir, fragment)
+	if err != nil {
+		return err
 	}
 	f, err := os.Open(*data)
 	if err != nil {

@@ -63,10 +63,7 @@ func tinyDetector2Corpus(t *testing.T) ([]string, []*actionlog.Session) {
 
 func TestServerDriftAndAdaptCommands(t *testing.T) {
 	det, sessions := ngramDetector(t)
-	reg, err := core.NewRegistry(det)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newRegistry(t, det)
 	quiet := core.MonitorConfig{LikelihoodFloor: 0, EWMAAlpha: 0.3, WarmupActions: 2}
 	adapter, err := pipeline.New(reg, pipeline.Config{
 		Monitor:        quiet,
@@ -79,7 +76,7 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(nil, ServerConfig{
+	srv, err := NewServer(reg, ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{
 			IdleExpiry:     time.Minute,
@@ -89,8 +86,7 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 			RecordSessions: true,
 			Logf:           t.Logf,
 		},
-		Registry: reg,
-		Adapter:  adapter,
+		Adapter: adapter,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +178,7 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 
 func TestServerAdaptDisabled(t *testing.T) {
 	det, _ := ngramDetector(t)
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
 	})

@@ -47,7 +47,7 @@ func collectAlarms(t *testing.T, sc *bufio.Scanner, conn net.Conn, session strin
 // counters expose the batch and interner activity.
 func TestServerBatchFrames(t *testing.T) {
 	det, sessions := tinyDetector(t)
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: 3, Monitor: core.DefaultMonitorConfig()},
 	})

@@ -41,15 +41,12 @@ func TestServerCanaryCommands(t *testing.T) {
 	if err := det.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := core.NewRegistry(det)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newRegistry(t, det)
 	ctrl, err := rollout.NewController(reg, rollout.Config{Fraction: 0.25, MinSessions: 500, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(reg, ServerConfig{
 		Listen:   "127.0.0.1:0",
 		ModelDir: dir,
 		Engine: core.EngineConfig{
@@ -58,8 +55,7 @@ func TestServerCanaryCommands(t *testing.T) {
 			OnSessionEnd: ctrl.OnSessionEnd,
 			Logf:         t.Logf,
 		},
-		Registry: reg,
-		Canary:   ctrl,
+		Canary: ctrl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +136,7 @@ func TestServerCanaryCommands(t *testing.T) {
 // answer with a descriptive error line.
 func TestServerCanaryDisabled(t *testing.T) {
 	det, _ := tinyDetector(t)
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
 	})
@@ -163,5 +159,77 @@ func TestServerCanaryDisabled(t *testing.T) {
 		if !strings.Contains(er.Error, "-canary-frac") {
 			t.Fatalf("%s reply %+v does not point at -canary-frac", cmd, er)
 		}
+	}
+}
+
+// TestServerReloadInstallsThresholds: a reload of a model directory that
+// carries thresholds.json installs the fragment with the generation, in
+// both reload modes — on the serving generation with a direct swap, on
+// the candidate with a rollout controller.
+func TestServerReloadInstallsThresholds(t *testing.T) {
+	det, _ := tinyDetector(t)
+	for _, tc := range []struct {
+		name   string
+		canary bool
+	}{
+		{"direct", false},
+		{"canary", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "model")
+			if err := det.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			fragment := core.DefaultMonitorConfig()
+			fragment.LikelihoodFloor = 0.123
+			if err := core.SaveMonitorConfig(filepath.Join(dir, core.ThresholdsFile), fragment); err != nil {
+				t.Fatal(err)
+			}
+			reg := newRegistry(t, det)
+			cfg := ServerConfig{
+				Listen:   "127.0.0.1:0",
+				ModelDir: dir,
+				Engine:   core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig(), Logf: t.Logf},
+			}
+			if tc.canary {
+				ctrl, err := rollout.NewController(reg, rollout.Config{Fraction: 0.25, MinSessions: 500, Logf: t.Logf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Canary = ctrl
+				cfg.Engine.OnSessionEnd = ctrl.OnSessionEnd
+			}
+			srv, err := NewServer(reg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shutdown := startServer(t, srv)
+			defer shutdown()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+			var rr ReloadReply
+			controlLine(t, conn, bufio.NewScanner(conn), "reload", &rr)
+			if rr.Reload.Version != 2 || rr.Reload.Canary != tc.canary {
+				t.Fatalf("reload reply: %+v", rr.Reload)
+			}
+			installed := reg.Current()
+			if tc.canary {
+				installed, _ = reg.Canary()
+				if reg.Current().Version != 1 {
+					t.Fatalf("canary reload moved serving to version %d", reg.Current().Version)
+				}
+			}
+			if installed == nil || installed.Version != 2 {
+				t.Fatalf("reloaded generation = %+v", installed)
+			}
+			if installed.Monitor == nil || installed.Monitor.LikelihoodFloor != 0.123 {
+				t.Fatalf("reloaded generation monitor = %+v, want the directory's thresholds", installed.Monitor)
+			}
+		})
 	}
 }

@@ -84,7 +84,7 @@ func TestConcurrentClientsAlarmsExactlyOnce(t *testing.T) {
 		t.Fatal("serial reference predicts no alarms; the exactly-once check would be vacuous")
 	}
 
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: 4, QueueDepth: 32, Monitor: mcfg},
 	})

@@ -24,7 +24,7 @@ func corpusServer(t *testing.T) (*Server, *harness.Traffic, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: 3, Monitor: core.DefaultMonitorConfig()},
 	})

@@ -83,12 +83,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"misusedetect/internal/core"
-	"misusedetect/internal/drift"
 	"misusedetect/internal/pipeline"
 	"misusedetect/internal/rollout"
 )
@@ -100,7 +98,7 @@ func main() {
 		scfg        ServerConfig
 		monitorPath string
 		adapt       bool
-		acfg        = pipeline.Config{Drift: drift.DefaultConfig(), AutoCycle: true}
+		acfg        = pipeline.Config{AutoCycle: true}
 		ccfg        rollout.Config
 	)
 	fs := flag.NewFlagSet("misused", flag.ContinueOnError)
@@ -150,7 +148,7 @@ func run(scfg ServerConfig, monitorPath string, adapt bool, acfg pipeline.Config
 	if err != nil {
 		return fmt.Errorf("load model: %w", err)
 	}
-	monitor, source, err := startupMonitor(monitorPath, scfg.ModelDir, fragment)
+	monitor, source, err := core.ResolveMonitor(monitorPath, scfg.ModelDir, fragment)
 	if err != nil {
 		return err
 	}
@@ -163,7 +161,6 @@ func run(scfg ServerConfig, monitorPath string, adapt bool, acfg pipeline.Config
 	}
 	scfg.Engine.Monitor = monitor
 	scfg.Engine.Logf = logf
-	scfg.Registry = reg
 	var canary *rollout.Controller
 	if ccfg.Fraction > 0 {
 		ccfg.Logf = logf
@@ -193,7 +190,7 @@ func run(scfg ServerConfig, monitorPath string, adapt bool, acfg pipeline.Config
 			scfg.Engine.OnSessionEnd = adapter.OnSessionEnd
 		}
 	}
-	srv, err := NewServer(det, scfg)
+	srv, err := NewServer(reg, scfg)
 	if err != nil {
 		return err
 	}
@@ -202,23 +199,4 @@ func run(scfg ServerConfig, monitorPath string, adapt bool, acfg pipeline.Config
 	fmt.Printf("misused listening on %s (model %s, backend %s, %d clusters, %d shards, adapt %v)\n",
 		srv.Addr(), scfg.ModelDir, det.Backend(), det.ClusterCount(), srv.Stats().Shards, adapt)
 	return srv.Serve(ctx)
-}
-
-// startupMonitor picks the engine's alarm thresholds and names where
-// they came from: an explicit -monitor fragment wins, then the model
-// directory's own thresholds.json (fragment, as LoadGeneration read
-// it), then the defaults.
-func startupMonitor(monitorPath, modelDir string, fragment *core.MonitorConfig) (core.MonitorConfig, string, error) {
-	switch {
-	case monitorPath != "":
-		monitor, err := core.LoadMonitorConfig(monitorPath)
-		if err != nil {
-			return core.MonitorConfig{}, "", fmt.Errorf("load monitor thresholds: %w", err)
-		}
-		return monitor, monitorPath, nil
-	case fragment != nil:
-		return *fragment, filepath.Join(modelDir, core.ThresholdsFile), nil
-	default:
-		return core.DefaultMonitorConfig(), "defaults", nil
-	}
 }

@@ -26,12 +26,6 @@ type ServerConfig struct {
 	// positive: a daemon never keeps sessions forever. Engine.Logf also
 	// receives the daemon's own operational log lines.
 	Engine core.EngineConfig
-	// Registry optionally supplies the model registry the engine reads
-	// (the detector argument of NewServer is then ignored); nil wraps
-	// the detector in a fresh single-generation registry. The adaptation
-	// pipeline shares the registry with the engine so its swaps roll out
-	// to new sessions.
-	Registry *core.Registry
 	// Adapter enables the {"cmd":"drift"} and {"cmd":"adapt"} control
 	// commands; nil answers them with an error line.
 	Adapter *pipeline.Adapter
@@ -259,18 +253,15 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer binds the listen address and starts the scoring engine.
-func NewServer(det *core.Detector, cfg ServerConfig) (*Server, error) {
+// NewServer binds the listen address and starts the scoring engine over
+// the model registry. The adaptation pipeline and the rollout controller
+// share the registry with the engine, so what they install rolls out to
+// new sessions.
+func NewServer(reg *core.Registry, cfg ServerConfig) (*Server, error) {
 	if cfg.Engine.IdleExpiry <= 0 {
 		return nil, fmt.Errorf("misused: IdleExpiry must be positive, got %v", cfg.Engine.IdleExpiry)
 	}
-	var engine *core.Engine
-	var err error
-	if cfg.Registry != nil {
-		engine, err = core.NewEngineRegistry(cfg.Registry, cfg.Engine)
-	} else {
-		engine, err = core.NewEngine(det, cfg.Engine)
-	}
+	engine, err := core.NewEngineRegistry(reg, cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("misused: start engine: %w", err)
 	}
@@ -477,58 +468,43 @@ func (s *Server) handleAdapt(enc *json.Encoder, writeMu *sync.Mutex, conn net.Co
 // handleReload re-reads the model directory through core.LoadGeneration
 // — which verifies its manifest checksums first, so torn, truncated, or
 // tampered directories are refused before any weight is touched — and
-// installs the new generation:
-// directly into the engine registry without a rollout controller
-// (together with the directory's calibrated thresholds.json when
-// present), or as a canary candidate serving a fraction of new sessions
-// with one. Sessions already streaming keep their pinned generation.
+// installs the new generation together with the directory's calibrated
+// thresholds.json when present: as a canary candidate serving a
+// fraction of new sessions when a rollout controller is wired in (the
+// comparator decides promotion or quarantine later), else directly into
+// the engine registry. Sessions already streaming keep their pinned
+// generation.
 func (s *Server) handleReload(enc *json.Encoder, writeMu *sync.Mutex, conn net.Conn) {
 	if s.cfg.ModelDir == "" {
 		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: "reload unavailable: server started without a model directory"})
 		return
 	}
-	if s.cfg.Canary != nil {
-		s.handleCanaryReload(enc, writeMu, conn)
-		return
-	}
-	mv, err := s.engine.Registry().LoadFrom(s.cfg.ModelDir)
-	if err != nil {
-		s.logf("reload %s: %v", s.cfg.ModelDir, err)
-		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: fmt.Sprintf("reload: %v", err)})
-		return
-	}
-	s.logf("reloaded model from %s: version %d, backend %s, %d clusters",
-		s.cfg.ModelDir, mv.Version, mv.Det.Backend(), mv.Det.ClusterCount())
-	s.writeReply(enc, writeMu, conn, &ReloadReply{Reload: ReloadStatus{
-		Version:  mv.Version,
-		Backend:  mv.Det.Backend(),
-		Clusters: mv.Det.ClusterCount(),
-	}})
-}
-
-// handleCanaryReload publishes the model directory as the canary
-// candidate: a fraction of new sessions pins to it while the comparator
-// gathers evidence; promotion (or quarantine) comes later.
-func (s *Server) handleCanaryReload(enc *json.Encoder, writeMu *sync.Mutex, conn net.Conn) {
 	det, monitor, err := core.LoadGeneration(s.cfg.ModelDir)
+	var mv *core.ModelVersion
+	if err == nil {
+		if s.cfg.Canary != nil {
+			mv, err = s.cfg.Canary.Publish(det, monitor, s.cfg.ModelDir, s.cfg.ModelDir)
+		} else {
+			mv, err = s.engine.Registry().Swap(det, monitor, s.cfg.ModelDir)
+		}
+	}
 	if err != nil {
 		s.logf("reload %s: %v", s.cfg.ModelDir, err)
 		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: fmt.Sprintf("reload: %v", err)})
 		return
 	}
-	mv, err := s.cfg.Canary.Publish(det, monitor, s.cfg.ModelDir, s.cfg.ModelDir)
-	if err != nil {
-		s.logf("reload %s: %v", s.cfg.ModelDir, err)
-		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: fmt.Sprintf("reload: %v", err)})
-		return
-	}
-	s.writeReply(enc, writeMu, conn, &ReloadReply{Reload: ReloadStatus{
+	reply := ReloadStatus{
 		Version:  mv.Version,
 		Backend:  mv.Det.Backend(),
 		Clusters: mv.Det.ClusterCount(),
-		Canary:   true,
-		Fraction: s.cfg.Canary.Fraction(),
-	}})
+	}
+	if s.cfg.Canary != nil {
+		reply.Canary, reply.Fraction = true, s.cfg.Canary.Fraction()
+	} else {
+		s.logf("reloaded model from %s: version %d, backend %s, %d clusters",
+			s.cfg.ModelDir, mv.Version, mv.Det.Backend(), mv.Det.ClusterCount())
+	}
+	s.writeReply(enc, writeMu, conn, &ReloadReply{Reload: reply})
 }
 
 // handleCanaryDecision force-promotes or force-rolls-back the pending

@@ -56,6 +56,17 @@ func tinyDetector(t *testing.T) (*core.Detector, []*actionlog.Session) {
 	return det, sessions
 }
 
+// newRegistry wraps det in a fresh single-generation registry, the
+// form NewServer takes.
+func newRegistry(t *testing.T, det *core.Detector) *core.Registry {
+	t.Helper()
+	reg, err := core.NewRegistry(det)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
 // startServer runs srv.Serve in the background and returns a shutdown
 // func that asserts a clean exit.
 func startServer(t *testing.T, srv *Server) func() {
@@ -78,20 +89,23 @@ func startServer(t *testing.T, srv *Server) func() {
 
 func TestServerConfigValidation(t *testing.T) {
 	det, _ := tinyDetector(t)
-	if _, err := NewServer(det, ServerConfig{Listen: "127.0.0.1:0"}); err == nil {
+	if _, err := NewServer(nil, ServerConfig{Listen: "127.0.0.1:0", Engine: core.EngineConfig{IdleExpiry: time.Minute}}); err == nil {
+		t.Fatal("nil registry must fail")
+	}
+	if _, err := NewServer(newRegistry(t, det), ServerConfig{Listen: "127.0.0.1:0"}); err == nil {
 		t.Fatal("zero IdleExpiry must fail")
 	}
-	if _, err := NewServer(det, ServerConfig{Listen: "256.0.0.1:bad", Engine: core.EngineConfig{IdleExpiry: time.Minute}}); err == nil {
+	if _, err := NewServer(newRegistry(t, det), ServerConfig{Listen: "256.0.0.1:bad", Engine: core.EngineConfig{IdleExpiry: time.Minute}}); err == nil {
 		t.Fatal("bad listen address must fail")
 	}
-	if _, err := NewServer(det, ServerConfig{Listen: "127.0.0.1:0", Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: -3}}); err == nil {
+	if _, err := NewServer(newRegistry(t, det), ServerConfig{Listen: "127.0.0.1:0", Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: -3}}); err == nil {
 		t.Fatal("negative shard count must fail")
 	}
 }
 
 func TestServerDetectsAnomalousStream(t *testing.T) {
 	det, sessions := tinyDetector(t)
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: 3, Monitor: core.DefaultMonitorConfig()},
 	})
@@ -164,7 +178,7 @@ func TestServerDetectsAnomalousStream(t *testing.T) {
 
 func TestServerIgnoresMalformedEvents(t *testing.T) {
 	det, _ := tinyDetector(t)
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
 	})
@@ -199,7 +213,7 @@ func TestServerIgnoresMalformedEvents(t *testing.T) {
 
 func TestServerExpiresIdleSessions(t *testing.T) {
 	det, _ := tinyDetector(t)
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{IdleExpiry: 20 * time.Millisecond, Monitor: core.DefaultMonitorConfig()},
 	})
@@ -270,7 +284,7 @@ func TestServerNGramBackendEndToEnd(t *testing.T) {
 		t.Fatalf("loaded backend %q", loaded.Backend())
 	}
 
-	srv, err := NewServer(loaded, ServerConfig{
+	srv, err := NewServer(newRegistry(t, loaded), ServerConfig{
 		Listen:   "127.0.0.1:0",
 		ModelDir: dir,
 		Engine:   core.EngineConfig{IdleExpiry: time.Minute, Shards: 3, Monitor: core.DefaultMonitorConfig()},
@@ -326,7 +340,7 @@ func TestServerReloadCommand(t *testing.T) {
 	if err := det.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen:   "127.0.0.1:0",
 		ModelDir: dir,
 		Engine:   core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
@@ -387,7 +401,7 @@ func TestServerReloadRefusesTamperedDirectory(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen:   "127.0.0.1:0",
 		ModelDir: dir,
 		Engine:   core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
@@ -427,57 +441,11 @@ func TestServerReloadRefusesTamperedDirectory(t *testing.T) {
 	}
 }
 
-// TestStartupMonitorPrecedence: at startup an explicit -monitor fragment
-// wins, then the model directory's thresholds.json, then the defaults.
-func TestStartupMonitorPrecedence(t *testing.T) {
-	det, _ := tinyDetector(t)
-	dir := filepath.Join(t.TempDir(), "model")
-	if err := det.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	_, fragment, err := core.LoadGeneration(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, source, err := startupMonitor("", dir, fragment)
-	if err != nil || source != "defaults" || got.LikelihoodFloor != core.DefaultMonitorConfig().LikelihoodFloor {
-		t.Fatalf("no fragments: floor %v from %q (err %v), want the defaults", got.LikelihoodFloor, source, err)
-	}
-
-	inDir := core.DefaultMonitorConfig()
-	inDir.LikelihoodFloor = 0.25
-	thresholds := filepath.Join(dir, core.ThresholdsFile)
-	if err := core.SaveMonitorConfig(thresholds, inDir); err != nil {
-		t.Fatal(err)
-	}
-	if _, fragment, err = core.LoadGeneration(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, source, err = startupMonitor("", dir, fragment)
-	if err != nil || source != thresholds || got.LikelihoodFloor != 0.25 {
-		t.Fatalf("directory fragment: floor %v from %q (err %v), want 0.25 from %s", got.LikelihoodFloor, source, err, thresholds)
-	}
-
-	explicit := core.DefaultMonitorConfig()
-	explicit.LikelihoodFloor = 0.5
-	flagPath := filepath.Join(t.TempDir(), "monitor.json")
-	if err := core.SaveMonitorConfig(flagPath, explicit); err != nil {
-		t.Fatal(err)
-	}
-	got, source, err = startupMonitor(flagPath, dir, fragment)
-	if err != nil || source != flagPath || got.LikelihoodFloor != 0.5 {
-		t.Fatalf("explicit -monitor: floor %v from %q (err %v), want 0.5 from %s", got.LikelihoodFloor, source, err, flagPath)
-	}
-	if _, _, err := startupMonitor(filepath.Join(t.TempDir(), "missing.json"), dir, fragment); err == nil {
-		t.Fatal("a missing -monitor file must fail, not fall back")
-	}
-}
-
 // TestServerCommandErrors: unknown control commands and impossible
 // reloads must produce JSON error lines, not silence.
 func TestServerCommandErrors(t *testing.T) {
 	det, _ := tinyDetector(t)
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{IdleExpiry: time.Minute, Monitor: core.DefaultMonitorConfig()},
 	})
@@ -515,7 +483,7 @@ func TestServerCommandErrors(t *testing.T) {
 
 func TestServerStatusCommand(t *testing.T) {
 	det, _ := tinyDetector(t)
-	srv, err := NewServer(det, ServerConfig{
+	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: 2, Monitor: core.DefaultMonitorConfig()},
 	})

@@ -258,7 +258,7 @@ func TestRegistrySwapCalibratedPinsMonitor(t *testing.T) {
 	calibrated := DefaultMonitorConfig()
 	calibrated.LikelihoodFloor = 1 // absurdly high: every session alarms
 	calibrated.ClusterFloors = []float64{1, 1}
-	mv, err := reg.SwapCalibrated(det, calibrated, "recalibrated")
+	mv, err := reg.Swap(det, &calibrated, "recalibrated")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +267,11 @@ func TestRegistrySwapCalibratedPinsMonitor(t *testing.T) {
 	}
 	bad := calibrated
 	bad.EWMAAlpha = 7
-	if _, err := reg.SwapCalibrated(det, bad, "bad"); err == nil {
+	if _, err := reg.Swap(det, &bad, "bad"); err == nil {
 		t.Fatal("invalid calibrated monitor must be rejected")
+	}
+	if reg.Current() != mv {
+		t.Fatal("refused swap replaced the serving generation")
 	}
 
 	// New sessions on an engine over this registry must score under the
@@ -315,12 +318,16 @@ func TestRegistryLoadFromInstallsThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mv, err := reg.LoadFrom(dir)
+	loaded, monitor, err := LoadGeneration(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := reg.Swap(loaded, monitor, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mv.Monitor == nil || mv.Monitor.LikelihoodFloor != 0.123 {
-		t.Fatalf("LoadFrom did not install thresholds: %+v", mv.Monitor)
+		t.Fatalf("the reloaded generation did not install thresholds: %+v", mv.Monitor)
 	}
 }
 

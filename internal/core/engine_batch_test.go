@@ -319,7 +319,7 @@ func TestEngineRemapCachePruned(t *testing.T) {
 			}
 		}
 		eng.Flush()
-		if _, err := eng.Registry().Swap(trainCorpusNGram(t, int64(100+gen)), "gen"); err != nil {
+		if _, err := eng.Registry().Swap(trainCorpusNGram(t, int64(100+gen)), nil, "gen"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,7 +384,7 @@ func TestEngineSaturatedInternerFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Registry().Swap(detB, "grown"); err != nil {
+	if _, err := eng.Registry().Swap(detB, nil, "grown"); err != nil {
 		t.Fatal(err)
 	}
 

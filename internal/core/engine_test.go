@@ -526,7 +526,7 @@ func TestEngineHotReloadPinsSessions(t *testing.T) {
 	if err := eng.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Registry().Swap(detNext, "v2"); err != nil {
+	if _, err := eng.Registry().Swap(detNext, nil, "v2"); err != nil {
 		t.Fatal(err)
 	}
 	// Wave 1b: the sessions' remaining events race with another reload;
@@ -535,7 +535,7 @@ func TestEngineHotReloadPinsSessions(t *testing.T) {
 	reloadWG.Add(1)
 	go func() {
 		defer reloadWG.Done()
-		if _, err := eng.Registry().Swap(detV1, "v3"); err != nil {
+		if _, err := eng.Registry().Swap(detV1, nil, "v3"); err != nil {
 			t.Error(err)
 		}
 	}()

@@ -11,9 +11,9 @@ import (
 )
 
 // ThresholdsFile is the calibrated monitor fragment a model directory may
-// carry next to its manifest; Registry.LoadFrom installs it with the
-// generation so calibrated floors travel with the weights they were
-// calibrated for.
+// carry next to its manifest; LoadGeneration reads it with the detector
+// and Swap installs both, so calibrated floors travel with the weights
+// they were calibrated for.
 const ThresholdsFile = "thresholds.json"
 
 // ModelVersion is one immutable generation of the model set: a trained
@@ -27,9 +27,9 @@ type ModelVersion struct {
 	// training/loading, so sharing one across sessions is safe.
 	Det *Detector
 	// Monitor is the generation's calibrated alarm configuration, when
-	// one was installed with the swap (SwapCalibrated, or LoadFrom on a
-	// directory carrying a thresholds.json); nil falls back to the
-	// engine-wide monitor configuration. Sessions pin the monitor config
+	// one was installed with it (the adaptation pipeline's recalibrated
+	// floors, or a reloaded directory's thresholds.json); nil falls back
+	// to the engine-wide monitor configuration. Sessions pin the monitor config
 	// together with the weights, so recalibrated floors roll out exactly
 	// like a new model generation: to new sessions only.
 	Monitor *MonitorConfig
@@ -70,11 +70,12 @@ type canarySlot struct {
 
 // NewRegistry starts a registry at version 1 with the given detector.
 func NewRegistry(det *Detector) (*Registry, error) {
-	r := &Registry{lastVersion: 1}
-	if err := validateGeneration(det); err != nil {
+	r := &Registry{}
+	mv, err := r.newGenerationLocked(det, nil, "initial")
+	if err != nil {
 		return nil, err
 	}
-	r.cur.Store(&ModelVersion{Version: 1, Det: det, Source: "initial", LoadedAt: time.Now()})
+	r.cur.Store(mv)
 	return r, nil
 }
 
@@ -84,62 +85,51 @@ func (r *Registry) Current() *ModelVersion {
 	return r.cur.Load()
 }
 
-// Swap atomically installs det as the next generation and returns it.
-// In-flight readers holding the previous generation are unaffected. The
-// new generation carries no calibrated monitor config: new sessions fall
-// back to the engine-wide defaults until SwapCalibrated installs floors
-// calibrated for these weights.
-func (r *Registry) Swap(det *Detector, source string) (*ModelVersion, error) {
-	return r.swap(det, nil, source)
-}
-
-// SwapCalibrated installs det together with the monitor configuration
-// calibrated for it (the retrain pipeline's path): sessions starting on
+// Swap atomically installs det as the next serving generation and
+// returns it. monitor, when non-nil, is the alarm configuration
+// calibrated for these weights (validated here): sessions starting on
 // the new generation score with the new weights under the new floors,
-// atomically.
-func (r *Registry) SwapCalibrated(det *Detector, monitor MonitorConfig, source string) (*ModelVersion, error) {
-	if err := monitor.validate(); err != nil {
-		return nil, fmt.Errorf("core: registry: calibrated monitor: %w", err)
-	}
-	return r.swap(det, &monitor, source)
-}
-
-func (r *Registry) swap(det *Detector, monitor *MonitorConfig, source string) (*ModelVersion, error) {
-	if err := validateGeneration(det); err != nil {
-		return nil, err
-	}
+// atomically. A nil monitor leaves new sessions on the engine-wide
+// configuration. In-flight readers holding the previous generation are
+// unaffected. Swapping is refused while a canary is pending.
+func (r *Registry) Swap(det *Detector, monitor *MonitorConfig, source string) (*ModelVersion, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.canary.Load() != nil {
 		return nil, fmt.Errorf("core: registry: a canary generation is pending; promote or roll it back before swapping (or publish the new generation as the canary)")
 	}
-	r.lastVersion++
-	next := &ModelVersion{
-		Version:  r.lastVersion,
-		Det:      det,
-		Monitor:  monitor,
-		Source:   source,
-		LoadedAt: time.Now(),
+	next, err := r.newGenerationLocked(det, monitor, source)
+	if err != nil {
+		return nil, err
 	}
 	r.cur.Store(next)
 	return next, nil
 }
 
-// LoadFrom verifies a saved model directory (VerifyArtifact semantics:
-// checksum-mismatched or truncated artifacts are refused before any
-// weight is touched), reads it, and swaps it in. When the directory
-// carries a ThresholdsFile fragment (written by the adaptation pipeline
-// or misusectl eval -thresholds), the calibrated monitor config is
-// installed with the generation.
-func (r *Registry) LoadFrom(dir string) (*ModelVersion, error) {
-	det, monitor, err := LoadGeneration(dir)
-	if err != nil {
-		return nil, err
+// newGenerationLocked validates a generation and builds it under the
+// next version number. The registry keeps the monitor pointer; callers
+// must not modify the config afterwards. Caller holds mu, or owns the
+// registry outright as NewRegistry does.
+func (r *Registry) newGenerationLocked(det *Detector, monitor *MonitorConfig, source string) (*ModelVersion, error) {
+	if det == nil {
+		return nil, fmt.Errorf("core: registry: nil detector")
+	}
+	if det.ClusterCount() == 0 {
+		return nil, fmt.Errorf("core: registry: detector has no clusters")
 	}
 	if monitor != nil {
-		return r.SwapCalibrated(det, *monitor, dir)
+		if err := monitor.validate(); err != nil {
+			return nil, fmt.Errorf("core: registry: generation monitor: %w", err)
+		}
 	}
-	return r.Swap(det, dir)
+	r.lastVersion++
+	return &ModelVersion{
+		Version:  r.lastVersion,
+		Det:      det,
+		Monitor:  monitor,
+		Source:   source,
+		LoadedAt: time.Now(),
+	}, nil
 }
 
 // LoadGeneration verifies and reads one saved generation — the detector
@@ -167,6 +157,26 @@ func LoadGeneration(dir string) (*Detector, *MonitorConfig, error) {
 	}
 }
 
+// ResolveMonitor picks the alarm thresholds a model directory is served
+// or classified under, and names where they came from: an explicit
+// fragment file (monitorPath, the -monitor flag) wins, then the
+// directory's own thresholds.json (fragment, as LoadGeneration read
+// it), then DefaultMonitorConfig.
+func ResolveMonitor(monitorPath, modelDir string, fragment *MonitorConfig) (MonitorConfig, string, error) {
+	switch {
+	case monitorPath != "":
+		monitor, err := LoadMonitorConfig(monitorPath)
+		if err != nil {
+			return MonitorConfig{}, "", fmt.Errorf("load monitor thresholds: %w", err)
+		}
+		return monitor, monitorPath, nil
+	case fragment != nil:
+		return *fragment, filepath.Join(modelDir, ThresholdsFile), nil
+	default:
+		return DefaultMonitorConfig(), "defaults", nil
+	}
+}
+
 // PublishCanary installs det as the candidate generation for a staged
 // rollout: Assign pins the given fraction of new sessions to it while
 // the rest stay on the serving generation. The candidate gets the next
@@ -174,28 +184,16 @@ func LoadGeneration(dir string) (*Detector, *MonitorConfig, error) {
 // version number is burned, never recycled). Publishing over a pending
 // canary replaces the candidate.
 func (r *Registry) PublishCanary(det *Detector, monitor *MonitorConfig, source string, frac float64) (*ModelVersion, error) {
-	if err := validateGeneration(det); err != nil {
-		return nil, err
-	}
 	// NaN fails both range comparisons, so test for inclusion rather
 	// than exclusion.
 	if !(frac > 0 && frac < 1) {
 		return nil, fmt.Errorf("core: registry: canary fraction %v outside (0,1)", frac)
 	}
-	if monitor != nil {
-		if err := monitor.validate(); err != nil {
-			return nil, fmt.Errorf("core: registry: canary monitor: %w", err)
-		}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.lastVersion++
-	mv := &ModelVersion{
-		Version:  r.lastVersion,
-		Det:      det,
-		Monitor:  monitor,
-		Source:   source,
-		LoadedAt: time.Now(),
+	mv, err := r.newGenerationLocked(det, monitor, source)
+	if err != nil {
+		return nil, err
 	}
 	r.canary.Store(&canarySlot{mv: mv, frac: frac})
 	return mv, nil
@@ -269,14 +267,4 @@ func sessionFraction(sessionID string) float64 {
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return float64(h>>11) / (1 << 53)
-}
-
-func validateGeneration(det *Detector) error {
-	if det == nil {
-		return fmt.Errorf("core: registry: nil detector")
-	}
-	if det.ClusterCount() == 0 {
-		return fmt.Errorf("core: registry: detector has no clusters")
-	}
-	return nil
 }

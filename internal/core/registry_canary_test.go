@@ -88,7 +88,7 @@ func TestRegistryCanaryLifecycle(t *testing.T) {
 	}
 
 	// A plain swap while a candidate is pending would race the rollout.
-	if _, err := reg.Swap(detA, "x"); err == nil || !strings.Contains(err.Error(), "canary") {
+	if _, err := reg.Swap(detA, nil, "x"); err == nil || !strings.Contains(err.Error(), "canary") {
 		t.Fatalf("swap during pending canary = %v", err)
 	}
 
@@ -106,7 +106,7 @@ func TestRegistryCanaryLifecycle(t *testing.T) {
 	if mv, _ := reg.Canary(); mv != nil {
 		t.Fatal("rollback left the canary slot occupied")
 	}
-	next, err := reg.Swap(detB, "retrain")
+	next, err := reg.Swap(detB, nil, "retrain")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestRegistryVersioning(t *testing.T) {
 	if mv.Version != 1 || mv.Det != detA || mv.Source != "initial" {
 		t.Fatalf("initial generation = %+v", mv)
 	}
-	next, err := reg.Swap(detB, "retrain")
+	next, err := reg.Swap(detB, nil, "retrain")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRegistryRejectsBadGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Swap(nil, "x"); err == nil {
+	if _, err := reg.Swap(nil, nil, "x"); err == nil {
 		t.Fatal("nil swap must fail")
 	}
 	if reg.Current().Version != 1 {
@@ -74,6 +74,8 @@ func TestRegistryRejectsBadGenerations(t *testing.T) {
 	}
 }
 
+// TestRegistryLoadFrom installs a saved model directory the way every
+// reload does: LoadGeneration verifies and reads it, Swap installs it.
 func TestRegistryLoadFrom(t *testing.T) {
 	det := smallNGramDetector(t)
 	dir := filepath.Join(t.TempDir(), "model")
@@ -84,20 +86,69 @@ func TestRegistryLoadFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mv, err := reg.LoadFrom(dir)
+	loaded, monitor, err := LoadGeneration(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mv.Version != 2 || mv.Source != dir {
+	if monitor != nil {
+		t.Fatalf("directory without %s yielded monitor %+v", ThresholdsFile, monitor)
+	}
+	mv, err := reg.Swap(loaded, monitor, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mv.Version != 2 || mv.Source != dir || mv.Monitor != nil {
 		t.Fatalf("loaded generation = %+v", mv)
 	}
 	if mv.Det.Backend() != baseline.BackendNGram {
 		t.Fatalf("loaded backend %q", mv.Det.Backend())
 	}
-	if _, err := reg.LoadFrom(filepath.Join(dir, "missing")); err == nil {
+	if _, _, err := LoadGeneration(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing dir must fail")
 	}
-	if reg.Current().Version != 2 {
-		t.Fatal("failed LoadFrom must not advance the version")
+}
+
+// TestResolveMonitorPrecedence: an explicit fragment file wins, then the
+// model directory's thresholds.json, then the defaults.
+func TestResolveMonitorPrecedence(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "model")
+	if err := smallNGramDetector(t).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, fragment, err := LoadGeneration(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, source, err := ResolveMonitor("", dir, fragment)
+	if err != nil || source != "defaults" || got.LikelihoodFloor != DefaultMonitorConfig().LikelihoodFloor {
+		t.Fatalf("no fragments: floor %v from %q (err %v), want the defaults", got.LikelihoodFloor, source, err)
+	}
+
+	inDir := DefaultMonitorConfig()
+	inDir.LikelihoodFloor = 0.25
+	thresholds := filepath.Join(dir, ThresholdsFile)
+	if err := SaveMonitorConfig(thresholds, inDir); err != nil {
+		t.Fatal(err)
+	}
+	if _, fragment, err = LoadGeneration(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, source, err = ResolveMonitor("", dir, fragment)
+	if err != nil || source != thresholds || got.LikelihoodFloor != 0.25 {
+		t.Fatalf("directory fragment: floor %v from %q (err %v), want 0.25 from %s", got.LikelihoodFloor, source, err, thresholds)
+	}
+
+	explicit := DefaultMonitorConfig()
+	explicit.LikelihoodFloor = 0.5
+	flagPath := filepath.Join(t.TempDir(), "monitor.json")
+	if err := SaveMonitorConfig(flagPath, explicit); err != nil {
+		t.Fatal(err)
+	}
+	got, source, err = ResolveMonitor(flagPath, dir, fragment)
+	if err != nil || source != flagPath || got.LikelihoodFloor != 0.5 {
+		t.Fatalf("explicit fragment: floor %v from %q (err %v), want 0.5 from %s", got.LikelihoodFloor, source, err, flagPath)
+	}
+	if _, _, err := ResolveMonitor(filepath.Join(t.TempDir(), "missing.json"), dir, fragment); err == nil {
+		t.Fatal("a missing fragment file must fail, not fall back")
 	}
 }

@@ -30,9 +30,9 @@ type VerifyReport struct {
 // sum to the manifest's total, and every SHA-256 digest must match.
 // A torn write, a truncated file, a tampered byte, or a manifest with no
 // checksums at all fails with an error naming the problem.
-// LoadGeneration (and through it Registry.LoadFrom, daemon startup and
-// reload, and misusectl monitor) and the adaptation pipeline all run
-// this before touching weights.
+// LoadGeneration (and through it daemon startup and reload, and
+// misusectl monitor) and the adaptation pipeline all run this before
+// touching weights.
 func VerifyArtifact(dir string) (*VerifyReport, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {

@@ -32,8 +32,8 @@ func TestVerifyArtifactHappyPath(t *testing.T) {
 // checksums stripped, a missing cluster file, a truncated envelope, a
 // flipped byte, a padded file, a lying byte total, and a path-traversing
 // manifest entry must each be refused by VerifyArtifact AND by
-// Registry.LoadFrom — with an error naming the problem, and without
-// advancing the serving generation.
+// LoadGeneration, the reader in front of every registry install — with
+// an error naming the problem.
 func TestVerifyArtifactRefusesTornDirectories(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -151,19 +151,12 @@ func TestVerifyArtifactRefusesTornDirectories(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("verify error %q does not mention %q", err, tc.want)
 			}
-			// The registry must refuse the same directory before touching
-			// any weight, leaving the serving generation alone.
-			reg, err := NewRegistry(smallNGramDetector(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := reg.LoadFrom(dir); err == nil {
-				t.Fatal("LoadFrom accepted a torn directory")
+			// The generation reader must refuse the same directory before
+			// touching any weight, so nothing reaches a registry.
+			if _, _, err := LoadGeneration(dir); err == nil {
+				t.Fatal("LoadGeneration accepted a torn directory")
 			} else if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("LoadFrom error %q does not mention %q", err, tc.want)
-			}
-			if reg.Current().Version != 1 {
-				t.Fatal("refused LoadFrom advanced the serving generation")
+				t.Fatalf("LoadGeneration error %q does not mention %q", err, tc.want)
 			}
 		})
 	}

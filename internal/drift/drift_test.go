@@ -153,11 +153,11 @@ func TestUnknownRateDetectsVocabularyShift(t *testing.T) {
 }
 
 func TestMonitorComposesAndLatches(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PageHinkley = PHConfig{Delta: 0.01, Lambda: 1, MinObservations: 20}
-	cfg.KS = KSConfig{Window: 30, Alpha: 0.01}
-	cfg.Unknown = UnknownConfig{Window: 20, MaxRate: 0.05, MinActions: 100}
-	m, err := NewMonitor(3, cfg)
+	m, err := NewMonitor(3, Config{
+		PageHinkley: PHConfig{Delta: 0.01, Lambda: 1, MinObservations: 20},
+		KS:          KSConfig{Window: 30, Alpha: 0.01},
+		Unknown:     UnknownConfig{Window: 20, MaxRate: 0.05, MinActions: 100},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestMonitorComposesAndLatches(t *testing.T) {
 }
 
 func TestMonitorSkipsUnscoredSessions(t *testing.T) {
-	m, err := NewMonitor(1, DefaultConfig())
+	m, err := NewMonitor(1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestMonitorSkipsUnscoredSessions(t *testing.T) {
 	if st := m.State(); st.Global.Observations != 0 {
 		t.Fatalf("unscored sessions reached the PH detector: %d", st.Global.Observations)
 	}
-	if _, err := NewMonitor(0, DefaultConfig()); err == nil {
+	if _, err := NewMonitor(0, Config{}); err == nil {
 		t.Fatal("zero clusters must fail")
 	}
 }

@@ -7,24 +7,16 @@ import (
 
 // Config assembles the detector bank a Monitor runs: Page–Hinkley and KS
 // per behavior cluster and globally, plus the global unknown-action-rate
-// test. Zero-valued fields take the per-detector defaults.
+// test. Zero-valued fields take the per-detector defaults, so the zero
+// Config is the all-defaults bank.
 type Config struct {
 	PageHinkley PHConfig      `json:"page_hinkley"`
 	KS          KSConfig      `json:"ks"`
 	Unknown     UnknownConfig `json:"unknown"`
-	// MaxSignals caps the retained signal history. Defaults to 32.
-	MaxSignals int `json:"max_signals"`
 }
 
-// DefaultConfig returns the monitor with every detector at its defaults.
-func DefaultConfig() Config {
-	var c Config
-	c.PageHinkley.setDefaults()
-	c.KS.setDefaults()
-	c.Unknown.setDefaults()
-	c.MaxSignals = 32
-	return c
-}
+// maxSignals caps a Monitor's retained signal history.
+const maxSignals = 32
 
 // Signal is one raised drift alarm.
 type Signal struct {
@@ -101,7 +93,6 @@ func (b *bank) reset() {
 // the session-end hook from multiple shard goroutines.
 type Monitor struct {
 	mu           sync.Mutex
-	cfg          Config
 	global       *bank
 	clusters     []*bank
 	unknown      *UnknownRate
@@ -115,10 +106,7 @@ func NewMonitor(clusters int, cfg Config) (*Monitor, error) {
 	if clusters < 1 {
 		return nil, fmt.Errorf("drift: monitor needs >= 1 cluster, got %d", clusters)
 	}
-	if cfg.MaxSignals == 0 {
-		cfg.MaxSignals = 32
-	}
-	m := &Monitor{cfg: cfg}
+	m := &Monitor{}
 	var err error
 	if m.global, err = newBank(-1, &cfg); err != nil {
 		return nil, err
@@ -161,8 +149,8 @@ func (m *Monitor) ObserveSession(cluster int, minSmoothed float64, known, unknow
 		})
 	}
 	m.signals = append(m.signals, out...)
-	if len(m.signals) > m.cfg.MaxSignals {
-		m.signals = m.signals[len(m.signals)-m.cfg.MaxSignals:]
+	if len(m.signals) > maxSignals {
+		m.signals = m.signals[len(m.signals)-maxSignals:]
 	}
 	return out
 }

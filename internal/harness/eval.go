@@ -274,15 +274,23 @@ func Eval(tr *Traffic, opt EvalOptions) (*EvalReport, error) {
 	return report, nil
 }
 
-// trainDetector fits one detector of the given backend on the traffic,
-// with the harness's small-scale LSTM recipe (higher learning rate, no
-// dropout) — tiny networks on a handful of sessions per cluster never
-// reach a useful loss at the paper's production rate.
-func trainDetector(tr *Traffic, opt EvalOptions, backend string) (*core.Detector, error) {
-	cfg := core.ScaledConfig(tr.Vocab.Size(), len(tr.Train), opt.Hidden, opt.Epochs, opt.Seed)
-	cfg.Backend = backend
+// SmallDataConfig is the harness's small-data training recipe:
+// core.ScaledConfig with a higher learning rate and no dropout — tiny
+// networks on a handful of sessions per cluster never reach a useful
+// loss at the paper's production rate. The adaptation pipeline retrains
+// with it too.
+func SmallDataConfig(vocab, clusters, hidden, epochs int, seed int64) core.Config {
+	cfg := core.ScaledConfig(vocab, clusters, hidden, epochs, seed)
 	cfg.LM.Trainer.LearningRate = 0.01
 	cfg.LM.Network.DropoutRate = 0
+	return cfg
+}
+
+// trainDetector fits one detector of the given backend on the traffic
+// with the small-data recipe.
+func trainDetector(tr *Traffic, opt EvalOptions, backend string) (*core.Detector, error) {
+	cfg := SmallDataConfig(tr.Vocab.Size(), len(tr.Train), opt.Hidden, opt.Epochs, opt.Seed)
+	cfg.Backend = backend
 	return core.TrainDetector(cfg, tr.Vocab, tr.Train, nil)
 }
 

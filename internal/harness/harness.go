@@ -183,6 +183,10 @@ func CorpusTraffic(holdoutPerCluster int) (*Traffic, error) {
 	return tr, nil
 }
 
+// simHoldoutDivisor sets SimTraffic's per-cluster split: the trailing
+// quarter of each cluster's normal sessions (rounded down) is held out.
+const simHoldoutDivisor = 4
+
 // SimConfig parameterizes a freshly simulated workload.
 type SimConfig struct {
 	// Seed makes the whole workload reproducible.
@@ -190,9 +194,6 @@ type SimConfig struct {
 	// Divisor shrinks the paper-scale logsim corpus (logsim.ScaledConfig);
 	// 0 defaults to 100 (~150 sessions).
 	Divisor int
-	// HoldoutFrac is the per-cluster fraction of normal sessions held
-	// out; 0 defaults to 0.25.
-	HoldoutFrac float64
 	// RandomSessions is the number of uniformly random anomalies; 0
 	// defaults to 30.
 	RandomSessions int
@@ -217,9 +218,6 @@ type SimConfig struct {
 func (c *SimConfig) setDefaults() {
 	if c.Divisor == 0 {
 		c.Divisor = 100
-	}
-	if c.HoldoutFrac == 0 {
-		c.HoldoutFrac = 0.25
 	}
 	if c.RandomSessions == 0 {
 		c.RandomSessions = 30
@@ -250,9 +248,6 @@ func (c *SimConfig) setDefaults() {
 // fixed embedded corpus.
 func SimTraffic(cfg SimConfig) (*Traffic, error) {
 	cfg.setDefaults()
-	if cfg.HoldoutFrac <= 0 || cfg.HoldoutFrac >= 1 {
-		return nil, fmt.Errorf("harness: HoldoutFrac %v outside (0,1)", cfg.HoldoutFrac)
-	}
 	sim, err := logsim.Generate(logsim.ScaledConfig(cfg.Seed, cfg.Divisor))
 	if err != nil {
 		return nil, err
@@ -260,7 +255,7 @@ func SimTraffic(cfg SimConfig) (*Traffic, error) {
 	tr := &Traffic{Source: "logsim", Vocab: sim.Vocabulary}
 	for _, group := range sim.ByCluster() {
 		group = actionlog.FilterMinLength(group, 2)
-		holdout := int(float64(len(group)) * cfg.HoldoutFrac)
+		holdout := len(group) / simHoldoutDivisor
 		if len(group)-holdout < 2 {
 			// A cluster too small to both train and hold out is dropped:
 			// the simulator's popularity skew legitimately starves rare

@@ -12,45 +12,6 @@ import (
 	"misusedetect/internal/rollout"
 )
 
-// TestHoldoutStrideRounding is the regression test for the holdout
-// split: the stride must be the nearest integer to 1/HoldoutFrac, not
-// its truncation — int(1/0.4) = 2 held out HALF the buffer where the
-// operator asked for 40%.
-func TestHoldoutStrideRounding(t *testing.T) {
-	cases := []struct {
-		frac float64
-		want int
-	}{
-		{0.5, 2},
-		{0.4, 3}, // the regression: truncation yielded 2
-		{0.34, 3},
-		{0.3, 3},
-		{0.25, 4},
-		{0.2, 5},
-		{0.1, 10},
-		{0.05, 20},
-		{0.9, 2}, // stride never drops below 2: training must keep data
-	}
-	for _, tc := range cases {
-		if got := holdoutStride(tc.frac); got != tc.want {
-			t.Errorf("holdoutStride(%v) = %d, want %d", tc.frac, got, tc.want)
-		}
-	}
-	// Pin the realized fraction for the regression case: over a
-	// 120-session buffer, HoldoutFrac 0.4 holds out exactly a third —
-	// the nearest realizable fraction — never half.
-	every := holdoutStride(0.4)
-	held := 0
-	for i := 0; i < 120; i++ {
-		if i%every == every-1 {
-			held++
-		}
-	}
-	if realized := float64(held) / 120; realized != 1.0/3 {
-		t.Fatalf("realized holdout fraction %v for HoldoutFrac 0.4, want 1/3", realized)
-	}
-}
-
 // TestCycleCanaryPublish wires the adaptation pipeline to a rollout
 // controller: a passing cycle must publish its generation to the canary
 // slot — serving untouched, candidate directory recorded with the
@@ -74,7 +35,6 @@ func TestCycleCanaryPublish(t *testing.T) {
 	adapter, err := New(reg, Config{
 		MinSessions:    40,
 		MinPerCluster:  2,
-		HoldoutFrac:    0.4, // stride 3 via the rounding fix
 		GuardrailDelta: 0.3,
 		ModelRoot:      root,
 		Canary:         ctrl,
@@ -103,9 +63,9 @@ func TestCycleCanaryPublish(t *testing.T) {
 	if !rep.Canaried || rep.Swapped || rep.Refused != "" {
 		t.Fatalf("cycle with canary controller: %+v", rep)
 	}
-	// 80 candidates at stride 3: positions 2,5,...,79 are held out.
-	if rep.HoldoutNormals != 26 {
-		t.Fatalf("held out %d of %d candidates at HoldoutFrac 0.4, want 26 (one third)", rep.HoldoutNormals, rep.Candidates)
+	// 80 candidates at stride 4: positions 3,7,...,79 are held out.
+	if rep.HoldoutNormals != 20 {
+		t.Fatalf("held out %d of %d candidates, want 20 (one quarter)", rep.HoldoutNormals, rep.Candidates)
 	}
 	if reg.Current().Version != 1 {
 		t.Fatalf("canaried cycle moved serving to version %d", reg.Current().Version)
@@ -162,5 +122,54 @@ func TestCycleCanaryPublish(t *testing.T) {
 		// The buffer was cleared by the first cycle; the point is that
 		// the pending-rollout refusal is gone.
 		t.Fatalf("cycle after rollback = %v", err)
+	}
+}
+
+// TestCycleRefusedInstallRemovesStaging: a cycle whose install is
+// refused — here an operator published a canary straight through the
+// registry, which a controller-less adapter cannot see before it swaps —
+// fails and leaves no gen-pending-* staging directory behind.
+func TestCycleRefusedInstallRemovesStaging(t *testing.T) {
+	_, det, _ := simSetup(t)
+	reg, err := core.NewRegistry(det)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	adapter, err := New(reg, Config{
+		MinSessions:    40,
+		MinPerCluster:  2,
+		GuardrailDelta: 0.3,
+		ModelRoot:      root,
+		Seed:           5,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	interner := actionlog.NewInterner(det.Vocabulary())
+	clusters := det.ClusterCount()
+	for i, s := range freshNormals(t, 81, "st")[:80] {
+		adapter.OnSessionEnd(core.SessionSummary{
+			SessionID:   s.ID,
+			Cluster:     i % clusters,
+			MinSmoothed: 0.5,
+			Observed:    len(s.Actions),
+			Tokens:      interner.InternAll(s.Actions),
+			Snap:        interner.Snapshot(),
+		})
+	}
+	if _, err := reg.PublishCanary(det, nil, "operator", 0.2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := adapter.Cycle("manual"); err == nil || !strings.Contains(err.Error(), "canary") {
+		t.Fatalf("cycle over a pending canary = %v, want the registry's refusal", err)
+	}
+	left, err := filepath.Glob(filepath.Join(root, "gen-pending-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("refused cycle left staging directories %v", left)
 	}
 }

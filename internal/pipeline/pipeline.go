@@ -18,13 +18,12 @@
 //	                             │                      │
 //	                   refused ◄─┤ AUC regressed        │ passed
 //	                             ▼                      ▼
-//	                       (keep serving old)   Registry.SwapCalibrated
+//	                       (keep serving old)   Registry.Swap
 package pipeline
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -59,9 +58,6 @@ type Config struct {
 	// MaxBuffer caps the candidate buffer; the oldest sessions are
 	// dropped first. Defaults to 2000.
 	MaxBuffer int
-	// HoldoutFrac is the fraction of the buffer held out of training for
-	// the guardrail evaluation and floor calibration. Defaults to 0.25.
-	HoldoutFrac float64
 	// FPRBudget is the false-positive budget floors are recalibrated
 	// from. Defaults to 0.05.
 	FPRBudget float64
@@ -69,24 +65,9 @@ type Config struct {
 	// retrained generation versus the serving one; a candidate below
 	// oldAUC-GuardrailDelta is refused. Defaults to 0.05.
 	GuardrailDelta float64
-	// GuardrailAnomalies is the number of synthetic anomalous sessions
-	// (uniformly random plus the scripted misuse scenarios) evaluated
-	// against the held-out normals. Defaults to 30.
-	GuardrailAnomalies int
-	// MinNewActionCount is how often an out-of-vocabulary action must
-	// appear across the candidate buffer before the retrain vocabulary
-	// absorbs it, so one-off junk cannot pollute the vocabulary forever.
-	// Defaults to 3.
-	MinNewActionCount int
 	// Backend overrides the retrained sequence-model backend; empty
 	// keeps the serving generation's.
 	Backend string
-	// Train overrides the whole retraining configuration; nil derives a
-	// harness-style scaled recipe from the serving generation.
-	Train *core.Config
-	// Hidden and Epochs size the derived LSTM recipe (ignored with
-	// Train set or a classical backend); 0 defaults to 16 and 4.
-	Hidden, Epochs int
 	// ModelRoot, when non-empty, receives one versioned model directory
 	// per swapped generation (gen-000N with the detector files plus the
 	// calibrated thresholds.json), so misused -model can be pointed at a
@@ -110,6 +91,25 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// holdoutStride sets the cycle's train/holdout split: every
+	// holdoutStride-th buffered candidate (a quarter of the buffer) is
+	// held out of training for the guardrail evaluation and floor
+	// calibration.
+	holdoutStride = 4
+	// guardrailAnomalies is the number of uniformly random sessions the
+	// guardrail evaluates against the held-out normals, next to the
+	// scripted misuse scenarios.
+	guardrailAnomalies = 30
+	// minNewActionCount is how often an out-of-vocabulary action must
+	// appear across the candidate buffer before the retrain vocabulary
+	// absorbs it, so one-off junk cannot pollute the vocabulary forever.
+	minNewActionCount = 3
+	// retrainHidden and retrainEpochs size the retrained LSTM (ignored
+	// by the classical backends).
+	retrainHidden, retrainEpochs = 16, 4
+)
+
 func (c *Config) setDefaults() {
 	if c.Monitor.EWMAAlpha == 0 {
 		c.Monitor = core.DefaultMonitorConfig()
@@ -123,33 +123,15 @@ func (c *Config) setDefaults() {
 	if c.MaxBuffer == 0 {
 		c.MaxBuffer = 2000
 	}
-	if c.HoldoutFrac == 0 {
-		c.HoldoutFrac = 0.25
-	}
 	if c.FPRBudget == 0 {
 		c.FPRBudget = 0.05
 	}
 	if c.GuardrailDelta == 0 {
 		c.GuardrailDelta = 0.05
 	}
-	if c.GuardrailAnomalies == 0 {
-		c.GuardrailAnomalies = 30
-	}
-	if c.MinNewActionCount == 0 {
-		c.MinNewActionCount = 3
-	}
-	if c.Hidden == 0 {
-		c.Hidden = 16
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 4
-	}
 }
 
 func (c *Config) validate() error {
-	if c.HoldoutFrac <= 0 || c.HoldoutFrac >= 1 {
-		return fmt.Errorf("pipeline: HoldoutFrac %v outside (0,1)", c.HoldoutFrac)
-	}
 	if c.FPRBudget <= 0 || c.FPRBudget >= 1 {
 		return fmt.Errorf("pipeline: FPRBudget %v outside (0,1)", c.FPRBudget)
 	}
@@ -431,12 +413,11 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 	// Deterministic interleaved split: every k-th candidate is held out
 	// for the guardrail evaluation and floor calibration, the rest
 	// train, so both halves cover the whole buffering window.
-	every := holdoutStride(a.cfg.HoldoutFrac)
 	groups := make([][]core.EncodedSession, old.ClusterCount())
 	var holdout []*actionlog.Session
 	for i := range candidates {
 		c := &candidates[i]
-		if i%every == every-1 {
+		if i%holdoutStride == holdoutStride-1 {
 			holdout = append(holdout, c.Session())
 			continue
 		}
@@ -522,8 +503,15 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 	// concurrent operator reload cannot make name and version disagree.
 	// The staged artifact is verified against its own manifest before
 	// anything is installed — the same integrity gate every loader runs.
+	// A cycle that fails from here on removes its staging directory:
+	// nothing was installed from it.
 	source := fmt.Sprintf("adapt:%s", reason)
 	staging := ""
+	defer func() {
+		if err != nil && staging != "" {
+			os.RemoveAll(staging)
+		}
+	}()
 	if a.cfg.ModelRoot != "" {
 		staging = filepath.Join(a.cfg.ModelRoot, fmt.Sprintf("gen-pending-%d", a.cycles.Load()))
 		if err := newDet.Save(staging); err != nil {
@@ -544,7 +532,7 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 		}
 		rep.Canaried = true
 	} else {
-		mv, err = a.reg.SwapCalibrated(newDet, calibrated, source)
+		mv, err = a.reg.Swap(newDet, &calibrated, source)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: swap: %w", err)
 		}
@@ -578,18 +566,6 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 	return rep, nil
 }
 
-// holdoutStride converts HoldoutFrac into the interleave stride: every
-// stride-th buffered candidate is held out of training. Rounded to the
-// nearest integer — truncation would turn e.g. HoldoutFrac 0.4 into a
-// stride of 2, holding out half the buffer instead of a third.
-func holdoutStride(frac float64) int {
-	every := int(math.Round(1 / frac))
-	if every < 2 {
-		every = 2
-	}
-	return every
-}
-
 // resetAfterCycle clears the candidate buffer and re-arms the drift
 // detectors: whatever happens next is measured against the new serving
 // state, not the pre-cycle window.
@@ -608,7 +584,7 @@ func (a *Adapter) resetAfterCycle() {
 }
 
 // grownVocabulary returns the serving vocabulary extended with every
-// out-of-vocabulary action that recurs at least MinNewActionCount times
+// out-of-vocabulary action that recurs at least minNewActionCount times
 // across the candidate buffer, in sorted order for determinism. The
 // candidates are token streams: out-of-vocabulary detection is one remap
 // table per interner snapshot (integer indexing per action), and only the
@@ -633,7 +609,7 @@ func (a *Adapter) grownVocabulary(old *core.Detector, candidates []core.SessionS
 	}
 	var fresh []string
 	for action, n := range counts {
-		if n >= a.cfg.MinNewActionCount {
+		if n >= minNewActionCount {
 			fresh = append(fresh, action)
 		}
 	}
@@ -649,25 +625,15 @@ func (a *Adapter) grownVocabulary(old *core.Detector, candidates []core.SessionS
 	return grown, nil
 }
 
-// trainConfig derives the retraining recipe: the caller's override, or a
-// harness-style scaled configuration around the serving generation's
-// structural settings.
+// trainConfig derives the retraining recipe: the harness's small-data
+// recipe around the serving generation's structural settings.
 func (a *Adapter) trainConfig(old *core.Detector, vocab *actionlog.Vocabulary, seed int64) core.Config {
-	if a.cfg.Train != nil {
-		c := *a.cfg.Train
-		if a.cfg.Backend != "" {
-			c.Backend = a.cfg.Backend
-		}
-		return c
-	}
 	oldCfg := old.Config()
-	c := core.ScaledConfig(vocab.Size(), old.ClusterCount(), a.cfg.Hidden, a.cfg.Epochs, seed)
+	c := harness.SmallDataConfig(vocab.Size(), old.ClusterCount(), retrainHidden, retrainEpochs, seed)
 	c.Backend = old.Backend()
 	if a.cfg.Backend != "" {
 		c.Backend = a.cfg.Backend
 	}
-	c.LM.Trainer.LearningRate = 0.01
-	c.LM.Network.DropoutRate = 0
 	c.MinSessionLength = oldCfg.MinSessionLength
 	c.RouteVoteActions = oldCfg.RouteVoteActions
 	return c
@@ -682,7 +648,7 @@ func (a *Adapter) guardrailTraffic(vocab *actionlog.Vocabulary, holdout []*actio
 	for _, s := range holdout {
 		tr.Holdout = append(tr.Holdout, harness.LabeledSession{Session: s, Kind: "candidate-normal"})
 	}
-	random, err := logsim.RandomSessions(vocab, a.cfg.GuardrailAnomalies, 5, 25, seed+101)
+	random, err := logsim.RandomSessions(vocab, guardrailAnomalies, 5, 25, seed+101)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: guardrail anomalies: %w", err)
 	}

@@ -97,16 +97,14 @@ func TestAdaptationEndToEnd(t *testing.T) {
 			KS:          drift.KSConfig{Window: 25, Alpha: 0.005},
 			Unknown:     drift.UnknownConfig{Window: 25, MaxRate: 0.08, MinActions: 150},
 		},
-		MinSessions:        30,
-		MinPerCluster:      2,
-		HoldoutFrac:        0.25,
-		FPRBudget:          0.05,
-		GuardrailDelta:     0.2,
-		GuardrailAnomalies: 25,
-		ModelRoot:          t.TempDir(),
-		AutoCycle:          true,
-		Seed:               7,
-		Logf:               t.Logf,
+		MinSessions:    30,
+		MinPerCluster:  2,
+		FPRBudget:      0.05,
+		GuardrailDelta: 0.2,
+		ModelRoot:      t.TempDir(),
+		AutoCycle:      true,
+		Seed:           7,
+		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +306,6 @@ func TestCycleGuardrailRefusal(t *testing.T) {
 	adapter, err := New(reg, Config{
 		MinSessions:    40,
 		MinPerCluster:  2,
-		HoldoutFrac:    0.25, // every 4th buffered session is held out
 		GuardrailDelta: 0.02,
 		Seed:           3,
 		Logf:           t.Logf,
@@ -326,7 +323,7 @@ func TestCycleGuardrailRefusal(t *testing.T) {
 	interner := actionlog.NewInterner(det.Vocabulary())
 	for i := 0; i < 120 && nextReal < len(real); i++ {
 		var s *actionlog.Session
-		if i%4 == 3 {
+		if i%holdoutStride == holdoutStride-1 {
 			s = real[nextReal] // holdout slots get genuine traffic
 			nextReal++
 		} else {
@@ -411,9 +408,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("nil registry must fail")
-	}
-	if _, err := New(reg, Config{HoldoutFrac: 1.5}); err == nil {
-		t.Fatal("bad holdout fraction must fail")
 	}
 	if _, err := New(reg, Config{FPRBudget: 2}); err == nil {
 		t.Fatal("bad FPR budget must fail")

@@ -28,23 +28,25 @@ type Config struct {
 	// arm's mean minimum smoothed likelihood below the serving arm's;
 	// a deeper drop rolls the candidate back. Defaults to 0.25.
 	MeanDropTolerance float64 `json:"mean_drop_tolerance"`
-	// KSAlpha is the significance of the two-sample Kolmogorov–Smirnov
-	// comparison of the arms' likelihood distributions; a significant
-	// difference with the canary mean below serving rolls back.
-	// Defaults to 0.01.
-	KSAlpha float64 `json:"ks_alpha"`
-	// MaxSamples caps the likelihood samples retained per arm (newest
-	// kept). Defaults to 2048.
-	MaxSamples int `json:"max_samples"`
-	// QuarantineRoot receives rolled-back candidate directories (renamed
-	// in, with the comparator verdict recorded as rollout-verdict.json).
-	// Empty defaults to a "quarantine" sibling of the candidate
-	// directory; a rollback without a known candidate directory only
-	// records the verdict in memory.
-	QuarantineRoot string `json:"quarantine_root,omitempty"`
 	// Logf receives operational log lines; nil silences them.
 	Logf func(format string, args ...any) `json:"-"`
 }
+
+const (
+	// ksAlpha is the significance of the comparator's two-sample
+	// Kolmogorov–Smirnov test of the arms' likelihood distributions; a
+	// significant difference with the canary mean below serving rolls
+	// back.
+	ksAlpha = 0.01
+	// maxSamples caps the likelihood samples retained per arm (newest
+	// kept).
+	maxSamples = 2048
+	// quarantineDir is the sibling of a candidate directory that
+	// receives it on rollback (renamed in, with the comparator verdict
+	// recorded as VerdictFile). A rollback without a known candidate
+	// directory only records the verdict in memory.
+	quarantineDir = "quarantine"
+)
 
 func (c *Config) setDefaults() {
 	if c.Fraction == 0 {
@@ -58,12 +60,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MeanDropTolerance == 0 {
 		c.MeanDropTolerance = 0.25
-	}
-	if c.KSAlpha == 0 {
-		c.KSAlpha = 0.01
-	}
-	if c.MaxSamples == 0 {
-		c.MaxSamples = 2048
 	}
 }
 
@@ -80,9 +76,6 @@ func (c *Config) validate() error {
 	if c.MeanDropTolerance < 0 || c.MeanDropTolerance >= 1 {
 		return fmt.Errorf("rollout: MeanDropTolerance %v outside [0,1)", c.MeanDropTolerance)
 	}
-	if c.KSAlpha <= 0 || c.KSAlpha >= 1 {
-		return fmt.Errorf("rollout: KSAlpha %v outside (0,1)", c.KSAlpha)
-	}
 	return nil
 }
 
@@ -97,7 +90,7 @@ type armStats struct {
 	next     int
 }
 
-func (a *armStats) observe(alarmed bool, minSmoothed float64, maxSamples int) {
+func (a *armStats) observe(alarmed bool, minSmoothed float64) {
 	a.sessions++
 	if alarmed {
 		a.alarmed++
@@ -297,9 +290,9 @@ func (c *Controller) OnSessionEnd(sum core.SessionSummary) {
 	}
 	switch {
 	case sum.Canary && sum.ModelVersion == c.candidate.Version:
-		c.canary.observe(sum.Alarms > 0, sum.MinSmoothed, c.cfg.MaxSamples)
+		c.canary.observe(sum.Alarms > 0, sum.MinSmoothed)
 	case !sum.Canary && sum.ModelVersion == c.servingVer:
-		c.serving.observe(sum.Alarms > 0, sum.MinSmoothed, c.cfg.MaxSamples)
+		c.serving.observe(sum.Alarms > 0, sum.MinSmoothed)
 	default:
 		c.mu.Unlock()
 		return
@@ -331,7 +324,7 @@ func (c *Controller) compareLocked() *Verdict {
 	// *better* is never rolled back for being different.
 	ksFired := false
 	if w := min(len(c.serving.likes), len(c.canary.likes)); w >= 5 {
-		ks, err := drift.NewKSWindow(drift.KSConfig{Window: w, Alpha: c.cfg.KSAlpha})
+		ks, err := drift.NewKSWindow(drift.KSConfig{Window: w, Alpha: ksAlpha})
 		if err == nil {
 			ks.SetReference(c.serving.likes)
 			for _, x := range c.canary.likes[len(c.canary.likes)-w:] {
@@ -414,8 +407,8 @@ func (c *Controller) force(decision, reason string) (*Verdict, error) {
 	return v, nil
 }
 
-// quarantine moves a rolled-back candidate directory under the
-// quarantine root and records the verdict inside it, returning the
+// quarantine moves a rolled-back candidate directory into its
+// quarantineDir sibling and records the verdict inside it, returning the
 // destination ("" when there was nothing to quarantine). Caller holds
 // mu.
 func (c *Controller) quarantine(dir string, v *Verdict) string {
@@ -426,10 +419,7 @@ func (c *Controller) quarantine(dir string, v *Verdict) string {
 		c.logf("canary: quarantine: candidate dir %s: %v", dir, err)
 		return ""
 	}
-	root := c.cfg.QuarantineRoot
-	if root == "" {
-		root = filepath.Join(filepath.Dir(dir), "quarantine")
-	}
+	root := filepath.Join(filepath.Dir(dir), quarantineDir)
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		c.logf("canary: quarantine: %v", err)
 		return ""
