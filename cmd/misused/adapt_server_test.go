@@ -141,12 +141,11 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 			sent++
 		}
 	}
-	// The connection's reader handles lines in order, so the status
-	// reply means every event line before it has been submitted; Flush
-	// then scores them all and ends their sessions. (Polling for zero
-	// events in flight instead can fire between two socket reads.)
+	// The sync reply means every event line before it has been submitted
+	// and scored (the quiet floor raises no alarm line ahead of it);
+	// Flush then ends their sessions.
 	var pre StatusReply
-	if err := json.Unmarshal(roundTrip("status"), &pre); err != nil {
+	if err := json.Unmarshal(roundTrip("sync"), &pre); err != nil {
 		t.Fatal(err)
 	}
 	if pre.Status.EventsSubmitted != uint64(sent) {

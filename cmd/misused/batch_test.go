@@ -18,26 +18,18 @@ type wireBatchFrame struct {
 	Batch []actionlog.Event `json:"batch"`
 }
 
-// collectAlarms reads alarm lines for one session until the stream has
-// been quiet past the deadline, returning "kind@position" markers in
-// order. The connection is dedicated to one phase: the sticky read
-// timeout ends it.
+// collectAlarms syncs the connection and returns the "kind@position"
+// markers of one session's alarms read before the sync reply, in order.
 func collectAlarms(t *testing.T, sc *bufio.Scanner, conn net.Conn, session string) []string {
 	t.Helper()
+	alarms, _ := syncReply(t, conn, sc)
 	var got []string
-	for {
-		conn.SetReadDeadline(time.Now().Add(700 * time.Millisecond))
-		if !sc.Scan() {
-			return got
-		}
-		var a Alarm
-		if err := json.Unmarshal(sc.Bytes(), &a); err != nil {
-			t.Fatalf("bad alarm line %q: %v", sc.Text(), err)
-		}
+	for _, a := range alarms {
 		if a.SessionID == session {
 			got = append(got, fmt.Sprintf("%s@%d", a.Kind, a.Position))
 		}
 	}
+	return got
 }
 
 // TestServerBatchFrames pins the wire batch frame end to end: a session

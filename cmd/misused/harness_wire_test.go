@@ -9,10 +9,8 @@ import (
 	"misusedetect/internal/harness"
 )
 
-// corpusServer trains an ngram detector on the harness corpus split,
-// calibrates its thresholds, and serves it — the deployed configuration
-// the wire harness is meant to exercise.
-func corpusServer(t *testing.T) (*Server, *harness.Traffic, func()) {
+// corpusNGram trains an ngram detector on the harness corpus split.
+func corpusNGram(t *testing.T) (*core.Detector, *harness.Traffic) {
 	t.Helper()
 	tr, err := harness.CorpusTraffic(2)
 	if err != nil {
@@ -24,6 +22,15 @@ func corpusServer(t *testing.T) (*Server, *harness.Traffic, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return det, tr
+}
+
+// corpusServer serves the corpus ngram detector at the default
+// thresholds — the deployed configuration the wire harness is meant to
+// exercise.
+func corpusServer(t *testing.T) (*Server, *harness.Traffic, func()) {
+	t.Helper()
+	det, tr := corpusNGram(t)
 	srv, err := NewServer(newRegistry(t, det), ServerConfig{
 		Listen: "127.0.0.1:0",
 		Engine: core.EngineConfig{IdleExpiry: time.Minute, Shards: 3, Monitor: core.DefaultMonitorConfig()},

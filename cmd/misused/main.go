@@ -32,9 +32,12 @@
 // model may use any registered scorer backend (LSTM, n-gram, HMM); the
 // backend is recorded in the model directory and restored on load.
 //
-// Control commands (one JSON line each, misusectl wraps them all):
+// Control commands (one JSON line each; misusectl wraps all but sync):
 //
 //	{"cmd":"status"}  ->  engine counters, active backend + model version
+//	{"cmd":"sync"}    ->  the status line, written once every event sent
+//	                      earlier on the connection is scored and after
+//	                      every alarm those events raised
 //	{"cmd":"reload"}  ->  verify -model against its manifest checksums,
 //	                      then hot-swap the new model set (plus its
 //	                      thresholds.json when present); in-flight

@@ -320,9 +320,8 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // handle processes one client connection: decode events, submit them to
-// the engine, write back the alarms the engine raises for this
-// connection's sessions. One writer goroutine owns the outbound side so
-// alarm lines and status replies never interleave mid-line.
+// the engine, and hand control replies to the connection's writer, which
+// also streams back the alarms raised for this connection's sessions.
 func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	connDone := make(chan struct{})
@@ -341,33 +340,11 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	}()
 
 	alarms := make(chan Alarm, 64)
-	var writeMu sync.Mutex
-	enc := json.NewEncoder(conn)
+	replies := make(chan any)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		// After the first write failure or once shutdown begins, stop
-		// encoding and discard: retrying a dead connection would stall
-		// the drain up to writeTimeout per alarm, and the channel must
-		// keep draining so the engine is never blocked on this sink.
-		dead := false
-		for a := range alarms {
-			if dead || ctx.Err() != nil {
-				continue
-			}
-			writeMu.Lock()
-			// Bound every write: a client that stops reading gets its
-			// alarms dropped after the deadline instead of wedging this
-			// writer, the sink, and through it a whole shard (and every
-			// other connection hashed onto that shard).
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			err := enc.Encode(&a)
-			writeMu.Unlock()
-			if err != nil {
-				s.logf("write alarm to %s: %v", conn.RemoteAddr(), err)
-				dead = true
-			}
-		}
+		s.write(ctx, conn, alarms, replies)
 	}()
 
 	// Per-connection parse and submission scratch: the decode struct and
@@ -391,7 +368,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 			continue
 		}
 		if cmd != "" {
-			s.handleCommand(cmd, enc, &writeMu, conn)
+			replies <- s.handleCommand(ctx, cmd, conn.RemoteAddr())
 			continue
 		}
 		if err := s.engine.SubmitTokens(ctx, evs, alarms); err != nil {
@@ -408,37 +385,83 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	<-writerDone
 }
 
-// handleCommand answers a control line ({"cmd":"status"}, "reload",
-// "drift", or "adapt"). Unknown commands get a JSON error line back, so
-// a misbehaving client sees its mistake instead of silence.
-func (s *Server) handleCommand(cmd string, enc *json.Encoder, writeMu *sync.Mutex, conn net.Conn) {
+// write is the connection's one writer, until the sink is closed: it
+// streams alarm lines and writes each reply after every alarm already
+// buffered in the sink. Every write gets its own deadline, so a client
+// that stops reading cannot wedge the sink and through it a shard. After
+// the first failed alarm write, or once shutdown begins, alarms are
+// discarded (the sink must keep draining) and replies still attempted.
+func (s *Server) write(ctx context.Context, conn net.Conn, alarms <-chan Alarm, replies <-chan any) {
+	enc := json.NewEncoder(conn)
+	encode := func(v any) error {
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		return enc.Encode(v)
+	}
+	dead := false
+	alarm := func(a Alarm) {
+		if dead || ctx.Err() != nil {
+			return
+		}
+		if err := encode(&a); err != nil {
+			s.logf("write alarm to %s: %v", conn.RemoteAddr(), err)
+			dead = true
+		}
+	}
+	for {
+		select {
+		case a, ok := <-alarms:
+			if !ok {
+				return
+			}
+			alarm(a)
+		case r := <-replies:
+			// This goroutine is the sink's only reader, so the n alarms
+			// buffered now are there to take.
+			for n := len(alarms); n > 0; n-- {
+				alarm(<-alarms)
+			}
+			if err := encode(r); err != nil {
+				s.logf("write reply to %s: %v", conn.RemoteAddr(), err)
+			}
+		}
+	}
+}
+
+// handleCommand answers a control line ({"cmd":"status"}, "sync",
+// "reload", "drift", "adapt", or a canary command) with the reply the
+// connection's writer sends back. Unknown commands get a JSON error line
+// back, so a misbehaving client sees its mistake instead of silence.
+func (s *Server) handleCommand(ctx context.Context, cmd string, from net.Addr) any {
 	switch cmd {
+	case "sync":
+		if err := s.engine.Drain(ctx); err != nil {
+			return &ErrorReply{Error: fmt.Sprintf("sync: %v", err)}
+		}
+		fallthrough
 	case "status":
-		s.writeReply(enc, writeMu, conn, &StatusReply{
+		return &StatusReply{
 			Status: s.engine.Stats(),
 			Uptime: time.Since(s.start).Round(time.Millisecond).String(),
-		})
+		}
 	case "reload":
-		s.handleReload(enc, writeMu, conn)
+		return s.handleReload()
 	case "drift":
 		if s.cfg.Adapter == nil {
-			s.writeReply(enc, writeMu, conn, &ErrorReply{Error: "adaptation disabled (start misused with -adapt)"})
-			return
+			return &ErrorReply{Error: "adaptation disabled (start misused with -adapt)"}
 		}
-		s.writeReply(enc, writeMu, conn, &DriftReply{Drift: s.cfg.Adapter.Status()})
+		return &DriftReply{Drift: s.cfg.Adapter.Status()}
 	case "adapt":
-		s.handleAdapt(enc, writeMu, conn)
+		return s.handleAdapt()
 	case "canary":
 		if s.cfg.Canary == nil {
-			s.writeReply(enc, writeMu, conn, &ErrorReply{Error: "canary rollouts disabled (start misused with -canary-frac)"})
-			return
+			return &ErrorReply{Error: "canary rollouts disabled (start misused with -canary-frac)"}
 		}
-		s.writeReply(enc, writeMu, conn, &CanaryReply{Canary: s.cfg.Canary.Status()})
+		return &CanaryReply{Canary: s.cfg.Canary.Status()}
 	case "canary-promote", "canary-rollback":
-		s.handleCanaryDecision(cmd, enc, writeMu, conn)
+		return s.handleCanaryDecision(cmd)
 	default:
-		s.logf("unknown command %q from %s", cmd, conn.RemoteAddr())
-		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: fmt.Sprintf("unknown command %q", cmd)})
+		s.logf("unknown command %q from %s", cmd, from)
+		return &ErrorReply{Error: fmt.Sprintf("unknown command %q", cmd)}
 	}
 }
 
@@ -446,23 +469,21 @@ func (s *Server) handleCommand(cmd string, enc *json.Encoder, writeMu *sync.Mute
 // connection's goroutine (retraining takes seconds to minutes; the
 // client sets its own timeout) and reports the cycle outcome. A
 // guardrail refusal is a successful reply — the report says so.
-func (s *Server) handleAdapt(enc *json.Encoder, writeMu *sync.Mutex, conn net.Conn) {
+func (s *Server) handleAdapt() any {
 	if s.cfg.Adapter == nil {
-		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: "adaptation disabled (start misused with -adapt)"})
-		return
+		return &ErrorReply{Error: "adaptation disabled (start misused with -adapt)"}
 	}
 	rep, err := s.cfg.Adapter.Cycle("manual")
 	if err != nil {
 		s.logf("manual adaptation cycle: %v", err)
-		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: fmt.Sprintf("adapt: %v", err)})
-		return
+		return &ErrorReply{Error: fmt.Sprintf("adapt: %v", err)}
 	}
 	if rep.Swapped {
 		s.logf("manual adaptation cycle swapped in generation %d (AUC %.3f vs %.3f)", rep.NewVersion, rep.NewAUC, rep.OldAUC)
 	} else {
 		s.logf("manual adaptation cycle refused: %s", rep.Refused)
 	}
-	s.writeReply(enc, writeMu, conn, &AdaptReply{Adapt: rep})
+	return &AdaptReply{Adapt: rep}
 }
 
 // handleReload re-reads the model directory through core.LoadGeneration
@@ -474,10 +495,9 @@ func (s *Server) handleAdapt(enc *json.Encoder, writeMu *sync.Mutex, conn net.Co
 // comparator decides promotion or quarantine later), else directly into
 // the engine registry. Sessions already streaming keep their pinned
 // generation.
-func (s *Server) handleReload(enc *json.Encoder, writeMu *sync.Mutex, conn net.Conn) {
+func (s *Server) handleReload() any {
 	if s.cfg.ModelDir == "" {
-		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: "reload unavailable: server started without a model directory"})
-		return
+		return &ErrorReply{Error: "reload unavailable: server started without a model directory"}
 	}
 	det, monitor, err := core.LoadGeneration(s.cfg.ModelDir)
 	var mv *core.ModelVersion
@@ -490,8 +510,7 @@ func (s *Server) handleReload(enc *json.Encoder, writeMu *sync.Mutex, conn net.C
 	}
 	if err != nil {
 		s.logf("reload %s: %v", s.cfg.ModelDir, err)
-		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: fmt.Sprintf("reload: %v", err)})
-		return
+		return &ErrorReply{Error: fmt.Sprintf("reload: %v", err)}
 	}
 	reply := ReloadStatus{
 		Version:  mv.Version,
@@ -504,15 +523,14 @@ func (s *Server) handleReload(enc *json.Encoder, writeMu *sync.Mutex, conn net.C
 		s.logf("reloaded model from %s: version %d, backend %s, %d clusters",
 			s.cfg.ModelDir, mv.Version, mv.Det.Backend(), mv.Det.ClusterCount())
 	}
-	s.writeReply(enc, writeMu, conn, &ReloadReply{Reload: reply})
+	return &ReloadReply{Reload: reply}
 }
 
 // handleCanaryDecision force-promotes or force-rolls-back the pending
 // canary on operator demand and replies with the applied verdict.
-func (s *Server) handleCanaryDecision(cmd string, enc *json.Encoder, writeMu *sync.Mutex, conn net.Conn) {
+func (s *Server) handleCanaryDecision(cmd string) any {
 	if s.cfg.Canary == nil {
-		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: "canary rollouts disabled (start misused with -canary-frac)"})
-		return
+		return &ErrorReply{Error: "canary rollouts disabled (start misused with -canary-frac)"}
 	}
 	var v *rollout.Verdict
 	var err error
@@ -522,20 +540,7 @@ func (s *Server) handleCanaryDecision(cmd string, enc *json.Encoder, writeMu *sy
 		v, err = s.cfg.Canary.Rollback()
 	}
 	if err != nil {
-		s.writeReply(enc, writeMu, conn, &ErrorReply{Error: fmt.Sprintf("%s: %v", cmd, err)})
-		return
+		return &ErrorReply{Error: fmt.Sprintf("%s: %v", cmd, err)}
 	}
-	s.writeReply(enc, writeMu, conn, &CanaryVerdictReply{Verdict: v})
-}
-
-// writeReply encodes one control reply under the connection's write lock
-// and deadline, so replies never interleave with alarm lines mid-line.
-func (s *Server) writeReply(enc *json.Encoder, writeMu *sync.Mutex, conn net.Conn, v any) {
-	writeMu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	err := enc.Encode(v)
-	writeMu.Unlock()
-	if err != nil {
-		s.logf("write reply to %s: %v", conn.RemoteAddr(), err)
-	}
+	return &CanaryVerdictReply{Verdict: v}
 }

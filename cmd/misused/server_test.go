@@ -87,6 +87,40 @@ func startServer(t *testing.T, srv *Server) func() {
 	}
 }
 
+// syncReply sends {"cmd":"sync"} on conn and reads up to its status
+// reply, returning the alarm lines read before it and the reply's
+// counters: the reply follows every alarm of every event sent earlier on
+// conn, and the counters cover every such event.
+func syncReply(t *testing.T, conn net.Conn, sc *bufio.Scanner) ([]Alarm, core.EngineStats) {
+	t.Helper()
+	if _, err := conn.Write([]byte("{\"cmd\":\"sync\"}\n")); err != nil {
+		t.Fatal(err)
+	}
+	return readToStatus(t, conn, sc)
+}
+
+// readToStatus reads alarm lines up to the next status reply.
+func readToStatus(t *testing.T, conn net.Conn, sc *bufio.Scanner) ([]Alarm, core.EngineStats) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	var alarms []Alarm
+	for sc.Scan() {
+		var line struct {
+			Status *core.EngineStats `json:"status"`
+			Alarm
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil || (line.Status == nil && line.SessionID == "") {
+			t.Fatalf("line %q is neither an alarm nor a status reply (%v)", sc.Text(), err)
+		}
+		if line.Status != nil {
+			return alarms, *line.Status
+		}
+		alarms = append(alarms, line.Alarm)
+	}
+	t.Fatalf("no status reply: %v", sc.Err())
+	return nil, core.EngineStats{}
+}
+
 func TestServerConfigValidation(t *testing.T) {
 	det, _ := tinyDetector(t)
 	if _, err := NewServer(nil, ServerConfig{Listen: "127.0.0.1:0", Engine: core.EngineConfig{IdleExpiry: time.Minute}}); err == nil {
@@ -145,34 +179,21 @@ func TestServerDetectsAnomalousStream(t *testing.T) {
 		}
 	}
 
-	// Read alarms until one arrives for bad-1 (bounded wait).
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	sc := bufio.NewScanner(conn)
+	// The sync reply follows every alarm of both sessions, and both
+	// sessions are live once their events are scored.
+	alarms, st := syncReply(t, conn, bufio.NewScanner(conn))
 	foundBad := false
-	for sc.Scan() {
-		var a Alarm
-		if err := json.Unmarshal(sc.Bytes(), &a); err != nil {
-			t.Fatalf("bad alarm line %q: %v", sc.Text(), err)
-		}
+	for _, a := range alarms {
 		if a.SessionID == "normal-1" {
 			t.Fatalf("false alarm on normal session: %+v", a)
 		}
-		if a.SessionID == "bad-1" {
-			foundBad = true
-			break
-		}
+		foundBad = foundBad || a.SessionID == "bad-1"
 	}
 	if !foundBad {
 		t.Fatal("no alarm received for the anomalous session")
 	}
-	// Both sessions live in the engine once their events are scored; the
-	// normal session's shard may still be draining, so poll.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().SessionsLive != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("server tracks %d sessions, want 2", srv.Stats().SessionsLive)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if st.SessionsLive != 2 {
+		t.Fatalf("server tracks %d sessions, want 2", st.SessionsLive)
 	}
 }
 
@@ -202,12 +223,8 @@ func TestServerIgnoresMalformedEvents(t *testing.T) {
 	if _, err := conn.Write(append(data, '\n')); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().SessionsLive == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("valid event after garbage was not processed")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, st := syncReply(t, conn, bufio.NewScanner(conn)); st.SessionsLive == 0 {
+		t.Fatal("valid event after garbage was not processed")
 	}
 }
 
@@ -233,13 +250,11 @@ func TestServerExpiresIdleSessions(t *testing.T) {
 	if _, err := conn.Write(append(data, '\n')); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().SessionsLive != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("session never tracked")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if _, st := syncReply(t, conn, bufio.NewScanner(conn)); st.SessionsLive != 1 {
+		t.Fatal("session never tracked")
 	}
+	// Eviction waits on the idle timer, so it is polled.
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := srv.Stats()
 		if st.SessionsLive == 0 && st.Evictions >= 1 {

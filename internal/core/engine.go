@@ -68,7 +68,10 @@ type EngineConfig struct {
 	// budget, new sessions are refused (as with MaxSessions) and the
 	// sweep additionally evicts oldest-idle sessions — with summaries,
 	// counted in ShedEvictions — until the gauge is back under budget.
-	// 0 means unbounded.
+	// Unlike the MaxSessions cap, the admission check is soft: sessions
+	// grow after they are admitted, so the gauge can pass the budget
+	// between sweeps, and the sweep is what enforces it. 0 means
+	// unbounded.
 	MemBudget int64
 	// AlarmSendTimeout bounds how long a shard blocks delivering one
 	// alarm to a streaming sink; past it the alarm is dropped and
@@ -96,8 +99,9 @@ type EngineConfig struct {
 	// OnSessionEnd, when non-nil, receives a SessionSummary every time a
 	// session leaves the engine (idle eviction, Flush, or Close). It is
 	// invoked on the owning shard's goroutine, so it must be fast and
-	// safe to call from multiple goroutines concurrently; the adaptation
-	// pipeline hangs off this hook.
+	// safe to call from multiple goroutines concurrently, and it must not
+	// call Drain, Detach or Flush, which wait on the shards; the
+	// adaptation pipeline hangs off this hook.
 	OnSessionEnd func(SessionSummary)
 	// RecordSessions keeps each live session's submitted action tokens
 	// (up to maxRecordedActions) so the SessionSummary can carry the
@@ -682,18 +686,30 @@ func (e *Engine) memBytes() int64 {
 	return total
 }
 
-// admissionBlocked reports whether a NEW session must be refused right
-// now: the engine is at its session cap or over its memory budget.
+// admit reserves a resident-session slot for a NEW session, or reports
+// that the engine must refuse it: it is at its session cap or over its
+// memory budget. The cap is a hard reservation (a compare-and-swap on
+// the session count, so shards racing for the last slot cannot both win);
+// the caller releases the slot if the session is not created after all.
 // Existing sessions keep scoring — the shed policy refuses new work
 // first and only then (via the sweep) evicts oldest-idle sessions.
-func (e *Engine) admissionBlocked() bool {
-	if e.cfg.MaxSessions > 0 && e.sessions.Load() >= int64(e.cfg.MaxSessions) {
-		return true
-	}
+func (e *Engine) admit() bool {
 	if e.cfg.MemBudget > 0 && e.memBytes() >= e.cfg.MemBudget {
+		return false
+	}
+	if e.cfg.MaxSessions <= 0 {
+		e.sessions.Add(1)
 		return true
 	}
-	return false
+	for {
+		n := e.sessions.Load()
+		if n >= int64(e.cfg.MaxSessions) {
+			return false
+		}
+		if e.sessions.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }
 
 // shardIndex hashes a session ID onto its owning shard: inline FNV-1a so
@@ -996,17 +1012,24 @@ func (e *Engine) Stats() EngineStats {
 	return st
 }
 
-// Drain blocks until every submitted event has been scored. The caller
-// must have stopped submitting; Drain does not prevent new submissions.
+// Drain is the engine's barrier: it returns once every event submitted
+// before the call is scored and its alarms are in their sinks, or when
+// ctx ends. It is a no-op broadcast behind everything queued, so events
+// submitted after the call do not hold it up. The caller must keep
+// draining its sinks while it waits, and must not call it from
+// OnSessionEnd, which runs on a shard goroutine.
 func (e *Engine) Drain(ctx context.Context) error {
-	for e.processed.Load() < e.submitted.Load() {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(100 * time.Microsecond):
-		}
+	done := make(chan struct{})
+	go func() {
+		e.broadcast(func(*engineShard) {})
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	return nil
 }
 
 // replayChunk is the SubmitTokens batch size Replay slices its stream
@@ -1087,10 +1110,10 @@ const drainBurst = 64
 // shard's lock across each burst and each sweep, and marks a burst's
 // messages finished before it lets go. The wave is
 // ALWAYS flushed before the loop re-enters the outer select: a staged
-// event has not been counted processed yet, so leaving one parked would
-// wedge Drain (and every caller that waits for the queues to empty) —
-// and it also means the sweep never sees a session with an observation
-// in flight.
+// event is neither scored nor counted processed until its wave flushes,
+// so leaving one parked would hold back its alarms until the next
+// message — and it also means the sweep never sees a session with an
+// observation in flight.
 func (s *engineShard) run() {
 	defer s.e.wg.Done()
 	var ticker *time.Ticker
@@ -1218,13 +1241,13 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 	}
 	grew := false
 	if !ok {
-		if s.e.admissionBlocked() {
+		if !s.e.admit() {
 			// Load shedding, stage one: at the session cap or over the
 			// memory budget, events of sessions the engine does not
 			// already know are refused — dropped and counted, never
 			// queued — so resident sessions keep scoring at full speed.
 			// The event still counts processed: a shed event is finished
-			// work as far as Drain is concerned.
+			// work, so EventsInFlight returns to 0.
 			s.e.shedSessions.Add(1)
 			s.e.shedEvents.Add(1)
 			s.e.processed.Add(1)
@@ -1248,6 +1271,7 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		if err != nil {
 			// Config was validated at NewEngine; failing here means the
 			// detector itself is unusable.
+			s.e.sessions.Add(-1)
 			s.e.scoreErrors.Add(1)
 			s.e.logf("session %s: %v", ev.sessionID, err)
 			return
@@ -1263,7 +1287,6 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		}
 		s.sessions[ev.sessionID] = sess
 		s.live.pushTail(sess)
-		s.e.sessions.Add(1)
 		grew = true
 		if canary {
 			s.e.canaryStarted.Add(1)

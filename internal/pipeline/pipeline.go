@@ -233,19 +233,22 @@ type Adapter struct {
 	pending bool
 	// epoch invalidates drift signals computed against a pre-cycle
 	// detector state: a shard that observed its session before
-	// resetAfterCycle must not re-arm pending afterwards.
+	// a cycle's end must not re-arm pending afterwards.
 	epoch uint64
 	// cooldown suppresses automatic re-fire for this many session ends
 	// after a failed cycle, so a persistent failure cannot spin
 	// retrain attempts on every finished session.
-	cooldown  int
+	cooldown int
+	// The cycle outcome: a cycle publishes its report, its counter and
+	// its error in one critical section, so Status never shows one
+	// without the others.
+	cycles    uint64
+	swaps     uint64
+	refusals  uint64
 	lastErr   string
 	lastCycle *CycleReport
 
-	cycling  atomic.Bool
-	cycles   atomic.Uint64
-	swaps    atomic.Uint64
-	refusals atomic.Uint64
+	cycling atomic.Bool
 }
 
 // New builds an adapter over the registry the serving engine reads.
@@ -336,17 +339,11 @@ func (a *Adapter) Cycle(reason string) (*CycleReport, error) {
 // caller holds the cycling flag.
 func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 	start := time.Now()
-	a.cycles.Add(1)
-	defer func() {
-		a.mu.Lock()
-		if err != nil {
-			a.lastErr = err.Error()
-		} else {
-			a.lastErr = ""
-			a.lastCycle = rep
-		}
-		a.mu.Unlock()
-	}()
+	a.mu.Lock()
+	a.cycles++
+	n := a.cycles
+	a.mu.Unlock()
+	defer func() { a.finishCycle(rep, err) }()
 
 	if a.cfg.Canary != nil && a.cfg.Canary.Active() {
 		return nil, fmt.Errorf("pipeline: a canary rollout is still pending; promote or roll it back before the next cycle")
@@ -431,7 +428,7 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 		return nil, fmt.Errorf("pipeline: holdout split left no sessions")
 	}
 
-	seed := a.cfg.Seed + int64(a.cycles.Load())
+	seed := a.cfg.Seed + int64(n)
 	trainCfg := a.trainConfig(old, vocab, seed)
 	newDet, retrainStats, err := core.RetrainDetector(old, trainCfg, vocab, groups, a.cfg.MinPerCluster)
 	if err != nil {
@@ -486,11 +483,7 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 		rep.Refused = fmt.Sprintf("held-out AUC %.3f regressed more than %.3f below the serving generation's %.3f",
 			rep.NewAUC, a.cfg.GuardrailDelta, rep.OldAUC)
 		rep.DurationSeconds = time.Since(start).Seconds()
-		a.refusals.Add(1)
 		a.logf("adaptation cycle refused: %s", rep.Refused)
-		// Throw the buffer away: it produced a rejected generation, and
-		// retrying on the same data would only refuse again.
-		a.resetAfterCycle()
 		return rep, nil
 	}
 	calibrated := newBR.Calibrated
@@ -513,7 +506,7 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 		}
 	}()
 	if a.cfg.ModelRoot != "" {
-		staging = filepath.Join(a.cfg.ModelRoot, fmt.Sprintf("gen-pending-%d", a.cycles.Load()))
+		staging = filepath.Join(a.cfg.ModelRoot, fmt.Sprintf("gen-pending-%d", n))
 		if err := newDet.Save(staging); err != nil {
 			return nil, fmt.Errorf("pipeline: save generation: %w", err)
 		}
@@ -558,23 +551,33 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 		a.logf("adaptation cycle published generation %d to the canary (backend %s, AUC %.3f vs %.3f, fraction %.3f)",
 			mv.Version, newDet.Backend(), rep.NewAUC, rep.OldAUC, a.cfg.Canary.Fraction())
 	} else {
-		a.swaps.Add(1)
 		a.logf("adaptation cycle swapped in generation %d (backend %s, AUC %.3f vs %.3f, %d clusters retrained, %d distilled, vocab %d -> %d)",
 			mv.Version, newDet.Backend(), rep.NewAUC, rep.OldAUC, len(rep.RetrainedClusters), len(rep.DistilledClusters), rep.VocabBefore, rep.VocabAfter)
 	}
-	a.resetAfterCycle()
 	return rep, nil
 }
 
-// resetAfterCycle clears the candidate buffer and re-arms the drift
-// detectors: whatever happens next is measured against the new serving
-// state, not the pre-cycle window.
-func (a *Adapter) resetAfterCycle() {
+// finishCycle publishes a cycle's outcome in one critical section: its
+// report or error, and the swap or refusal it counts. A cycle that
+// reached a verdict also clears the candidate buffer and re-arms the
+// drift detectors, so whatever happens next is measured against the new
+// serving state, not the pre-cycle window; a refused generation's buffer
+// goes too, since retrying on the same data would only refuse again.
+func (a *Adapter) finishCycle(rep *CycleReport, err error) {
 	a.mu.Lock()
-	a.buf = nil
-	a.head = 0
-	a.pending = false
-	a.cooldown = 0
+	if err != nil {
+		a.lastErr = err.Error()
+		a.mu.Unlock()
+		return
+	}
+	a.lastErr, a.lastCycle = "", rep
+	if rep.Swapped {
+		a.swaps++
+	}
+	if rep.Refused != "" {
+		a.refusals++
+	}
+	a.buf, a.head, a.pending, a.cooldown = nil, 0, false, 0
 	// Bumping the epoch discards drift signals still in flight on shard
 	// goroutines that observed their sessions against the pre-cycle
 	// detector state.
@@ -679,6 +682,7 @@ func (a *Adapter) guardrailTraffic(vocab *actionlog.Vocabulary, holdout []*actio
 func (a *Adapter) Status() Status {
 	a.mu.Lock()
 	buffered, dropped, pending := len(a.buf), a.dropped, a.pending
+	cycles, swaps, refusals := a.cycles, a.swaps, a.refusals
 	lastErr, lastCycle := a.lastErr, a.lastCycle
 	a.mu.Unlock()
 	return Status{
@@ -690,9 +694,9 @@ func (a *Adapter) Status() Status {
 		AutoCycle:       a.cfg.AutoCycle,
 		PendingSignal:   pending,
 		CycleRunning:    a.cycling.Load(),
-		Cycles:          a.cycles.Load(),
-		Swaps:           a.swaps.Load(),
-		Refusals:        a.refusals.Load(),
+		Cycles:          cycles,
+		Swaps:           swaps,
+		Refusals:        refusals,
 		LastError:       lastErr,
 		Drift:           a.dm.State(),
 		LastCycle:       lastCycle,

@@ -162,11 +162,32 @@ func TestAdaptationEndToEnd(t *testing.T) {
 		}
 		drifted = append(drifted, w...)
 	}
+	// An operator polling status must never see a swap without its
+	// report: check every status the adapter reports until the wait ends.
+	watchDone := make(chan struct{})
+	torn := make(chan Status, 1)
+	go func() {
+		defer close(torn)
+		for {
+			select {
+			case <-watchDone:
+				return
+			default:
+			}
+			if st := adapter.Status(); st.Swaps > 0 && st.LastCycle == nil {
+				torn <- st
+				return
+			}
+		}
+	}()
 	deadline := time.Now().Add(90 * time.Second)
 	batch := 20
 	next := 0
-	for reg.Current().Version == 1 && time.Now().Before(deadline) {
-		if next < len(drifted) {
+	// Feed drifted traffic until the registry serves the new generation,
+	// then wait on the adapter's own status: the registry shows the new
+	// version before the cycle has published its report.
+	for adapter.Status().Swaps == 0 && time.Now().Before(deadline) {
+		if next < len(drifted) && reg.Current().Version == 1 {
 			end := next + batch
 			if end > len(drifted) {
 				end = len(drifted)
@@ -177,6 +198,10 @@ func TestAdaptationEndToEnd(t *testing.T) {
 		} else {
 			time.Sleep(20 * time.Millisecond)
 		}
+	}
+	close(watchDone)
+	if st, ok := <-torn; ok {
+		t.Fatalf("status shows a swap without its report: %+v", st)
 	}
 	if reg.Current().Version < 2 {
 		t.Fatalf("pipeline never swapped a generation; status: %+v", adapter.Status())
