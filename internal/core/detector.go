@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/baseline"
@@ -67,7 +69,10 @@ func newDetector(cfg Config, vocab *actionlog.Vocabulary, feat *ocsvm.Featurizer
 // configured backend) per cluster. clusterTrain holds each cluster's
 // training sessions. The optional progress callback receives
 // "cluster c, epoch stats" lines (LSTM backend only; the classical
-// backends train in one pass).
+// backends train in one pass). The clusters train in parallel through
+// LargestFirst; the callback is never entered concurrently, and each
+// cluster's epochs arrive in ascending order, interleaved with the
+// other clusters'.
 func TrainDetector(cfg Config, vocab *actionlog.Vocabulary, clusterTrain [][]*actionlog.Session, progress func(cluster int, st nn.EpochStats)) (*Detector, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -80,15 +85,84 @@ func TrainDetector(cfg Config, vocab *actionlog.Vocabulary, clusterTrain [][]*ac
 	if err != nil {
 		return nil, fmt.Errorf("core: build featurizer: %w", err)
 	}
-	clusters := make([]ClusterModel, 0, len(clusterTrain))
-	for ci, sessions := range clusterTrain {
-		cm, err := trainCluster(&cfg, vocab, feat, sessions, ci, progress)
-		if err != nil {
-			return nil, err
+	if progress != nil {
+		var mu sync.Mutex
+		report := progress
+		progress = func(ci int, st nn.EpochStats) {
+			mu.Lock()
+			defer mu.Unlock()
+			report(ci, st)
 		}
-		clusters = append(clusters, cm)
+	}
+	sizes := make([]int, len(clusterTrain))
+	for ci, sessions := range clusterTrain {
+		for _, s := range sessions {
+			sizes[ci] += len(s.Actions)
+		}
+	}
+	clusters := make([]ClusterModel, len(clusterTrain))
+	if err := LargestFirst(sizes, func(ci int) error {
+		var err error
+		clusters[ci], err = trainCluster(&cfg, vocab, feat, clusterTrain[ci], ci, progress)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return newDetector(cfg, vocab, feat, clusters)
+}
+
+// LargestFirst calls job(i) once for every i in [0, len(sizes)) on up to
+// GOMAXPROCS goroutines, starting the jobs in descending size order
+// (ties in index order): the longest-processing-time order, so the
+// biggest jobs do not run last on one core while the others idle. It is
+// the offline training fan-out: each job must own its seeds and write
+// only its own result slot, so the order the jobs run in moves no bit.
+// It returns the error of the lowest-index job that failed — the error
+// a serial loop in index order returns — and skips the jobs above a
+// known failure, which that loop would never reach.
+func LargestFirst(sizes []int, job func(i int) error) error {
+	order := make([]int, len(sizes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
+	errs := make([]error, len(sizes))
+	var (
+		mu     sync.Mutex
+		next   int
+		failed = len(sizes) // lowest failed index so far
+	)
+	take := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for next < len(order) {
+			i := order[next]
+			next++
+			if i < failed {
+				return i, true
+			}
+		}
+		return 0, false
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(sizes)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, ok := take(); ok; i, ok = take() {
+				if errs[i] = job(i); errs[i] != nil {
+					mu.Lock()
+					failed = min(failed, i)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if failed < len(sizes) {
+		return errs[failed]
+	}
+	return nil
 }
 
 // trainCluster fits one cluster's OC-SVM router and sequence model: the

@@ -212,13 +212,11 @@ func (s *Setup) TrainBaselines() error {
 	}
 	lmCfg := s.cfg.LM
 	lmCfg.Network.InputSize = s.Corpus.Vocabulary.Size()
-	global, err := lm.Train(lmCfg, encodedAll, nil)
-	if err != nil {
-		return fmt.Errorf("experiments: train global model: %w", err)
-	}
-	s.GlobalLM = global
-
-	s.SubsetLMs = nil
+	// Job 0 is the global model, job 1+ci cluster ci's subset model.
+	// Each job has its own seed, so they train in parallel (through
+	// core.LargestFirst) without moving a bit.
+	sets := [][][]int{encodedAll}
+	cfgs := []lm.Config{lmCfg}
 	for ci := range s.Clusters {
 		size := len(s.Splits[ci].Train)
 		if size > len(encodedAll) {
@@ -234,12 +232,30 @@ func (s *Setup) TrainBaselines() error {
 		subCfg := lmCfg
 		subCfg.Network.Seed += int64(1000 + ci)
 		subCfg.Trainer.Seed += int64(1000 + ci)
-		m, err := lm.Train(subCfg, subset, nil)
-		if err != nil {
-			return fmt.Errorf("experiments: train subset model %d: %w", ci, err)
-		}
-		s.SubsetLMs = append(s.SubsetLMs, m)
+		sets = append(sets, subset)
+		cfgs = append(cfgs, subCfg)
 	}
+	sizes := make([]int, len(sets))
+	for j, set := range sets {
+		for _, enc := range set {
+			sizes[j] += len(enc)
+		}
+	}
+	models := make([]*lm.Model, len(sets))
+	if err := core.LargestFirst(sizes, func(j int) error {
+		m, err := lm.Train(cfgs[j], sets[j], nil)
+		switch {
+		case err != nil && j == 0:
+			return fmt.Errorf("experiments: train global model: %w", err)
+		case err != nil:
+			return fmt.Errorf("experiments: train subset model %d: %w", j-1, err)
+		}
+		models[j] = m
+		return nil
+	}); err != nil {
+		return err
+	}
+	s.GlobalLM, s.SubsetLMs = models[0], models[1:]
 	return nil
 }
 

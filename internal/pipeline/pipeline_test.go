@@ -109,6 +109,18 @@ func TestAdaptationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An auto-cycle the traffic armed logs through t.Logf, which panics
+	// the test binary once this test has completed: when a phase fails
+	// early, wait for the cycle before the test ends. Cleanups run after
+	// the deferred engine.Close, whose last session ends can arm one too.
+	t.Cleanup(func() {
+		for deadline := time.Now().Add(2 * time.Minute); adapter.Status().CycleRunning; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("adaptation cycle still running 2m after the test returned")
+				return
+			}
+		}
+	})
 	var sumMu sync.Mutex
 	var sums []core.SessionSummary
 	engine, err := core.NewEngineRegistry(reg, core.EngineConfig{
