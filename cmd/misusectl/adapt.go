@@ -180,7 +180,7 @@ func adaptOffline(modelDir, data, root, monitorPath, backend string, minSessions
 	if err != nil {
 		return nil, err
 	}
-	sums, err := pipeline.ClassifySessions(det, monitor, sessions)
+	sums, err := det.ClassifySessions(monitor, sessions)
 	if err != nil {
 		return nil, err
 	}

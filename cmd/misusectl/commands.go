@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -213,34 +214,31 @@ func cmdMonitor(args []string) error {
 	if err != nil {
 		return err
 	}
-	monitors := make(map[string]*core.SessionMonitor)
-	alarmed := make(map[string]bool)
-	for _, ev := range events {
-		mon, ok := monitors[ev.SessionID]
-		if !ok {
-			mon, err = det.NewSessionMonitor(mcfg)
-			if err != nil {
-				return err
-			}
-			monitors[ev.SessionID] = mon
-		}
-		tok := det.Token(ev.Action)
-		if tok < 0 {
-			fmt.Printf("%s session=%s skipped action %q: outside the model vocabulary\n", ev.Time.Format("15:04:05"), ev.SessionID, ev.Action)
-			continue
-		}
-		step, err := mon.ObserveToken(tok)
-		if err != nil {
-			fmt.Printf("%s session=%s skipped action %q: %v\n", ev.Time.Format("15:04:05"), ev.SessionID, ev.Action, err)
-			continue
-		}
-		for _, kind := range step.Alarms {
-			fmt.Printf("%s ALARM %-16s session=%s user=%s position=%d cluster=%d likelihood=%.4f\n",
-				ev.Time.Format("15:04:05"), kind, ev.SessionID, ev.User, step.Position, step.Cluster, step.Smoothed)
-			alarmed[ev.SessionID] = true
-		}
+	// The daemon's engine, replayed in order: actions outside the model
+	// vocabulary are logged and skipped exactly as misused logs them.
+	eng, err := core.NewEngine(det, core.EngineConfig{
+		Monitor: mcfg,
+		Logf:    func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Printf("monitored %d sessions, %d raised alarms\n", len(monitors), len(alarmed))
+	defer eng.Close()
+	alarms, err := eng.Replay(context.Background(), events)
+	if err != nil {
+		return err
+	}
+	sessions := make(map[string]bool)
+	for _, ev := range events {
+		sessions[ev.SessionID] = true
+	}
+	alarmed := make(map[string]bool)
+	for _, a := range alarms {
+		fmt.Printf("%s ALARM %-16s session=%s user=%s position=%d cluster=%d likelihood=%.4f\n",
+			a.Time.Format("15:04:05"), a.Kind, a.SessionID, a.User, a.Position, a.Cluster, a.Likelihood)
+		alarmed[a.SessionID] = true
+	}
+	fmt.Printf("monitored %d sessions, %d raised alarms\n", len(sessions), len(alarmed))
 	return nil
 }
 

@@ -300,7 +300,7 @@ func (s *Server) Serve(ctx context.Context) error {
 				return nil
 			default:
 				// Listener failure: return without closing the engine —
-				// live handlers may still be submitting and detaching,
+				// live handlers may still be submitting and draining,
 				// and the daemon exits on a Serve error anyway.
 				return fmt.Errorf("misused: accept: %w", err)
 			}
@@ -377,10 +377,12 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 		}
 	}
 
-	// Reads are over: after Detach returns, every event this connection
+	// Reads are over: after Drain returns, every event this connection
 	// submitted has been scored and no shard will send here again, so
-	// closing the alarm channel is safe and flushes the writer.
-	s.engine.Detach(alarms)
+	// closing the alarm channel is safe and flushes the writer. Not ctx:
+	// at shutdown it is already cancelled, and Drain would return before
+	// the shards are done with the sink.
+	s.engine.Drain(context.Background())
 	close(alarms)
 	<-writerDone
 }

@@ -77,8 +77,8 @@ func TestEngineSummaryDeterminism(t *testing.T) {
 			}
 			sum.Alarms += len(step.Alarms)
 		}
-		sum.Cluster, sum.Observed = mon.Cluster(), mon.position
-		sum.MinSmoothed, sum.LastSmoothed = mon.MinSmoothed(), mon.smoothed
+		sum.Cluster, sum.Observed = mon.cluster, mon.position
+		sum.MinSmoothed, sum.LastSmoothed = mon.warmMin, mon.smoothed
 		serial[s.ID] = sum
 		alarms += sum.Alarms
 		unknown += sum.Unknown

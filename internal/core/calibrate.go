@@ -1,52 +1,73 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"misusedetect/internal/actionlog"
 )
 
-// sessionMinimum is one validation session's weakest point: the routed
-// behavior cluster and the minimum post-warmup smoothed likelihood.
-type sessionMinimum struct {
-	cluster int
-	min     float64
-}
-
-// monitorMinima replays the validation sessions through alarm-disabled
-// probe monitors and collects each session's minimum post-warmup smoothed
-// likelihood plus its final routed cluster. Sessions too short to score
-// past the warmup are skipped.
-func (d *Detector) monitorMinima(base MonitorConfig, validation []*actionlog.Session) ([]sessionMinimum, error) {
-	probe := base
-	probe.LikelihoodFloor = 0
-	probe.ClusterFloors = nil
-	probe.TrendWindow = 0
-	var out []sessionMinimum
-	for _, sess := range validation {
-		if sess.Len() < d.cfg.MinSessionLength {
-			continue
-		}
-		mon, err := d.NewSessionMonitor(probe)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range sess.Actions {
-			tok := d.Token(a)
-			if tok < 0 {
-				return nil, fmt.Errorf("core: calibrate on %s: unknown action %q", sess.ID, a)
-			}
-			if _, err := mon.ObserveToken(tok); err != nil {
-				return nil, fmt.Errorf("core: calibrate on %s: %w", sess.ID, err)
-			}
-		}
-		if m := mon.MinSmoothed(); m >= 0 {
-			out = append(out, sessionMinimum{cluster: mon.Cluster(), min: m})
+// ClassifySessions replays recorded sessions through a one-shard engine
+// over the detector, scoring under the given monitor configuration with
+// session recording on, and returns the summaries the engine emits, in
+// input order. It is the one way recorded sessions become summaries:
+// threshold calibration, offline adaptation (misusectl adapt -once) and
+// the experiments read these. Sessions shorter than the detector's
+// MinSessionLength are skipped. The engine keys each session by its
+// input position and the summary gets the caller's ID back, so two
+// sessions sharing an ID (a live holdout reuses one after idle eviction)
+// stay two sessions. One shard: the scoring never takes more than one
+// core.
+func (d *Detector) ClassifySessions(mcfg MonitorConfig, sessions []*actionlog.Session) ([]SessionSummary, error) {
+	var live []*actionlog.Session
+	for i, s := range sessions {
+		if s.Len() >= d.cfg.MinSessionLength {
+			live = append(live, &actionlog.Session{ID: strconv.Itoa(i), User: s.User, Start: s.Start, Actions: s.Actions})
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: no usable validation sessions for calibration")
+	// The replay takes the sessions' actions round-robin, one position
+	// at a time, so a wave holds one event of many sessions and the
+	// fused advance batches across them. Only each session's own order
+	// matters: sessions score independently. Every event carries its
+	// session's start, which the summary reports.
+	var events []actionlog.Event
+	for k := 0; len(live) > 0; k++ {
+		next := live[:0]
+		for _, s := range live {
+			events = append(events, actionlog.Event{Time: s.Start, User: s.User, SessionID: s.ID, Action: s.Actions[k]})
+			if k+1 < s.Len() {
+				next = append(next, s)
+			}
+		}
+		live = next
+	}
+	sums := make([]SessionSummary, len(sessions))
+	eng, err := NewEngine(d, EngineConfig{
+		Shards:         1,
+		Monitor:        mcfg,
+		RecordSessions: true,
+		// Runs on the one shard goroutine, which Close waits for.
+		OnSessionEnd: func(sum SessionSummary) {
+			i, _ := strconv.Atoi(sum.SessionID)
+			sum.SessionID = sessions[i].ID
+			sums[i] = sum
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	_, err = eng.Replay(context.Background(), events)
+	eng.Close()
+	if err != nil {
+		return nil, err
+	}
+	out := sums[:0]
+	for i, s := range sessions {
+		if s.Len() >= d.cfg.MinSessionLength {
+			out = append(out, sums[i])
+		}
 	}
 	return out, nil
 }
@@ -74,6 +95,11 @@ func floorQuantile(minima []float64, targetFPR float64) float64 {
 // This replaces hand-tuned thresholds with the validation-split
 // calibration a deployment needs (the paper leaves the alarm threshold to
 // the operators).
+//
+// The validation sessions replay through ClassifySessions with alarms
+// off; a session's minimum is its summary's MinSmoothed, and sessions
+// that never scored past the warmup are skipped. A validation action
+// outside the model vocabulary is an error.
 func (d *Detector) CalibrateMonitorPerCluster(base MonitorConfig, validation []*actionlog.Session, targetFPR float64, minSessions int) (MonitorConfig, error) {
 	if err := base.validate(); err != nil {
 		return MonitorConfig{}, err
@@ -84,17 +110,30 @@ func (d *Detector) CalibrateMonitorPerCluster(base MonitorConfig, validation []*
 	if minSessions <= 0 {
 		minSessions = 2
 	}
-	minima, err := d.monitorMinima(base, validation)
+	probe := base
+	probe.LikelihoodFloor = 0
+	probe.ClusterFloors = nil
+	probe.TrendWindow = 0
+	sums, err := d.ClassifySessions(probe, validation)
 	if err != nil {
 		return MonitorConfig{}, err
 	}
-	all := make([]float64, len(minima))
+	var all []float64
 	byCluster := make([][]float64, len(d.clusters))
-	for i, m := range minima {
-		all[i] = m.min
-		if m.cluster >= 0 && m.cluster < len(byCluster) {
-			byCluster[m.cluster] = append(byCluster[m.cluster], m.min)
+	for _, sum := range sums {
+		if sum.Unknown > 0 {
+			return MonitorConfig{}, fmt.Errorf("core: calibrate on %s: %d actions outside the model vocabulary", sum.SessionID, sum.Unknown)
 		}
+		if sum.MinSmoothed < 0 {
+			continue
+		}
+		all = append(all, sum.MinSmoothed)
+		if sum.Cluster >= 0 && sum.Cluster < len(byCluster) {
+			byCluster[sum.Cluster] = append(byCluster[sum.Cluster], sum.MinSmoothed)
+		}
+	}
+	if len(all) == 0 {
+		return MonitorConfig{}, fmt.Errorf("core: no usable validation sessions for calibration")
 	}
 	global := floorQuantile(all, targetFPR)
 	out := base

@@ -248,8 +248,8 @@ func TestRouteByVoteMatchesMonitor(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if mon.Cluster() != got {
-			t.Fatalf("session %s: RouteByVote %d, monitor cluster %d", s.ID, got, mon.Cluster())
+		if mon.cluster != got {
+			t.Fatalf("session %s: RouteByVote %d, monitor cluster %d", s.ID, got, mon.cluster)
 		}
 		if want := scoreSparseVote(t, d, encoded); got != want {
 			t.Fatalf("session %s: RouteByVote %d, ScoreSparse vote %d", s.ID, got, want)
@@ -389,8 +389,8 @@ func TestSessionMonitorNormalSessionQuiet(t *testing.T) {
 	if alarms > 0 {
 		t.Fatalf("normal session raised %d alarms", alarms)
 	}
-	if mon.Cluster() != sessions[0].Cluster {
-		t.Fatalf("monitor routed to %d, want %d", mon.Cluster(), sessions[0].Cluster)
+	if mon.cluster != sessions[0].Cluster {
+		t.Fatalf("monitor routed to %d, want %d", mon.cluster, sessions[0].Cluster)
 	}
 	if mon.position != sessions[0].Len() {
 		t.Fatalf("position %d after %d actions", mon.position, sessions[0].Len())

@@ -100,8 +100,8 @@ type EngineConfig struct {
 	// session leaves the engine (idle eviction, Flush, or Close). It is
 	// invoked on the owning shard's goroutine, so it must be fast and
 	// safe to call from multiple goroutines concurrently, and it must not
-	// call Drain, Detach or Flush, which wait on the shards; the
-	// adaptation pipeline hangs off this hook.
+	// call Drain or Flush, which wait on the shards; the adaptation
+	// pipeline hangs off this hook.
 	OnSessionEnd func(SessionSummary)
 	// RecordSessions keeps each live session's submitted action tokens
 	// (up to maxRecordedActions) so the SessionSummary can carry the
@@ -434,7 +434,6 @@ type engineSession struct {
 	// generation; its alarms feed the per-arm counters and its summary
 	// carries the flag for the rollout comparator.
 	canary   bool
-	sink     chan<- Alarm
 	lastSeen time.Time
 	user     string
 	start    time.Time
@@ -499,9 +498,11 @@ func (l *sessList) moveTail(sess *engineSession) {
 // stagedEvent is one event of a shard's current wave: staged (session
 // resolved, routing voted, stream caught up) but with its stream advance
 // deferred to the wave flush, where advances are fused per sequence
-// model across sessions.
+// model across sessions. sink is the alarm sink the event was submitted
+// with: its alarms go there and nowhere else.
 type stagedEvent struct {
 	ev   tokEvent
+	sink chan<- Alarm
 	sess *engineSession
 	sc   scorer.Scorer
 	st   scorer.Stream
@@ -579,8 +580,8 @@ type engineShard struct {
 // edge, an event is one interned int moving through a batched queue.
 // SubmitTokens is the only way in: every event enters its shard inside
 // a batch, and everything else a shard does on request arrives as a
-// control func on the same queue. A session's alarms go out one way, to
-// the sink of its latest submission.
+// control func on the same queue. An event's alarms go out one way, to
+// the sink it was submitted with.
 //
 // Ordering guarantees: events of one session are scored in submission
 // order (one session maps to one shard, a shard consumes its queue FIFO,
@@ -733,9 +734,8 @@ func (e *Engine) shardIndex(sessionID string) int {
 // canceled, or the engine is closed; on context cancellation a prefix of
 // the batch may already have been submitted — the error reports how many
 // events were not. Alarms raised by the events are sent to sink (a nil
-// sink counts alarms without delivering them); a session's sink is
-// updated on every event, so the latest submitting connection receives
-// the alarms.
+// sink counts alarms without delivering them), so each connection
+// receives the alarms of the events it submitted.
 //
 // A submission whose events all hash to one shard skips the queue when
 // that shard is idle: nothing queued for it is unfinished, the caller
@@ -747,8 +747,9 @@ func (e *Engine) shardIndex(sessionID string) int {
 // and the ordering guarantees are unchanged.
 //
 // Sink contract: alarm sends block, so the caller must keep draining a
-// non-nil sink until Detach(sink) has returned — abandoning it can stall
-// the session's shard and everything queued behind it. An inline run
+// non-nil sink until a Drain called after its last submission has
+// returned nil — abandoning it earlier can stall the session's shard
+// and everything queued behind it. An inline run
 // checks the sink's room up front but shares the sink with the shard
 // goroutines: if they fill it in between, the caller waits for the sink's
 // reader exactly as the shard goroutine would have.
@@ -917,22 +918,6 @@ func (e *Engine) broadcast(fn func(*engineShard)) {
 	}
 }
 
-// Detach tells every shard to forget the given sink and blocks until all
-// shards have done so. Every event submitted with that sink before the
-// Detach has been scored by the time Detach returns: afterwards the
-// engine never sends to the sink again and the caller may close it. The
-// caller must keep draining the sink until Detach returns — a shard
-// blocked sending to an abandoned sink can never reach the detach.
-func (e *Engine) Detach(sink chan<- Alarm) {
-	e.broadcast(func(s *engineShard) {
-		for _, sess := range s.sessions {
-			if sess.sink == sink {
-				sess.sink = nil
-			}
-		}
-	})
-}
-
 // Flush ends every live session on every shard now — emitting a
 // SessionSummary per session when the hook is set — after scoring every
 // event submitted before it. Replay-style adaptation (and tests) use it
@@ -1015,9 +1000,13 @@ func (e *Engine) Stats() EngineStats {
 // Drain is the engine's barrier: it returns once every event submitted
 // before the call is scored and its alarms are in their sinks, or when
 // ctx ends. It is a no-op broadcast behind everything queued, so events
-// submitted after the call do not hold it up. The caller must keep
-// draining its sinks while it waits, and must not call it from
-// OnSessionEnd, which runs on a shard goroutine.
+// submitted after the call do not hold it up. An event's alarms go only
+// to the sink it was submitted with, so once a Drain called after a
+// sink's last submission returns nil, the engine never sends to that
+// sink again and the caller may close it; a caller about to close a
+// sink passes a context that cannot end. The caller must keep draining
+// its sinks while it waits, and must not call Drain from OnSessionEnd,
+// which runs on a shard goroutine.
 func (e *Engine) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
@@ -1039,10 +1028,10 @@ const replayChunk = 256
 // Replay pushes a whole event stream through the engine the way serving
 // does — each action interned at the edge, SubmitTokens in replayChunk
 // slices — and returns the alarms in submission order. A private sink
-// collects them; Detach then guarantees every event is scored and no
-// session is still bound to the sink, so later submissions stream to
-// their own sinks. The alarms of one event come from one shard in
-// emission order, so a stable sort on Seq restores the serial order.
+// collects them; Drain then guarantees every event is scored and its
+// alarms are in the sink, which no later submission uses. The alarms of
+// one event come from one shard in emission order, so a stable sort on
+// Seq restores the serial order.
 // An engine with AlarmSendTimeout could drop an alarm on the way, so
 // Replay refuses to run on one.
 func (e *Engine) Replay(ctx context.Context, events []actionlog.Event) ([]Alarm, error) {
@@ -1069,7 +1058,9 @@ func (e *Engine) Replay(ctx context.Context, events []actionlog.Event) ([]Alarm,
 		}
 		err = e.SubmitTokens(ctx, batch, sink)
 	}
-	e.Detach(sink)
+	// Not ctx: once it is cancelled Drain returns at once, and closing
+	// the sink would race a shard still sending to it.
+	e.Drain(context.Background())
 	close(sink)
 	out := <-collected
 	if err == nil {
@@ -1235,8 +1226,6 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		// Second event of one session in the same wave: the engine's
 		// ordering guarantee is per-session submission order, so the
 		// pending observation must complete before this one stages.
-		// Flushing before the session is touched also keeps the staged
-		// event's alarms going to the sink of its own submission.
 		s.flushWave()
 	}
 	grew := false
@@ -1304,7 +1293,6 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 	} else {
 		s.live.moveTail(sess)
 	}
-	sess.sink = sink
 	sess.lastSeen = now
 	tokCap := cap(sess.tokens)
 	if s.e.cfg.RecordSessions && ev.tok >= 0 && len(sess.tokens) < maxRecordedActions {
@@ -1365,7 +1353,7 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		s.resize(sess)
 	}
 	sess.waveMark = s.waveID
-	s.wave = append(s.wave, stagedEvent{ev: *ev, sess: sess, sc: sc, st: st, idx: idx})
+	s.wave = append(s.wave, stagedEvent{ev: *ev, sink: sink, sess: sess, sc: sc, st: st, idx: idx})
 	if len(s.wave) >= maxWave {
 		s.flushWave()
 	}
@@ -1470,8 +1458,8 @@ func (s *engineShard) emitStep(w *stagedEvent, step MonitorStep) {
 			Likelihood:   step.Smoothed,
 		}
 		s.e.alarms.Add(1)
-		if sess.sink != nil {
-			s.sendAlarm(sess.sink, a)
+		if w.sink != nil {
+			s.sendAlarm(w.sink, a)
 		}
 	}
 }

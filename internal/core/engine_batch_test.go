@@ -240,7 +240,7 @@ func TestEngineBatchBackpressure(t *testing.T) {
 	if st.SessionsLive != 0 {
 		t.Fatalf("sessions live after flush = %d", st.SessionsLive)
 	}
-	eng.Detach(sink)
+	eng.Drain(context.Background())
 	close(sink)
 	<-drainDone
 	if uint64(delivered.Load()) != st.AlarmsRaised || delivered.Load() == 0 {

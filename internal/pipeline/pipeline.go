@@ -22,7 +22,6 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -707,46 +706,4 @@ func (a *Adapter) logf(format string, args ...any) {
 	if a.cfg.Logf != nil {
 		a.cfg.Logf(format, args...)
 	}
-}
-
-// ClassifySessions replays sessions through an engine over the detector,
-// scoring under the given monitor configuration with session recording
-// on, and returns the summaries the engine emits, in input order — the
-// offline feed for misusectl adapt -once over an event log. Sessions
-// shorter than two actions are skipped; the engine keys sessions by ID,
-// so a repeated ID is an error.
-func ClassifySessions(det *core.Detector, mcfg core.MonitorConfig, sessions []*actionlog.Session) ([]core.SessionSummary, error) {
-	order := make(map[string]int, len(sessions))
-	var replayed []*actionlog.Session
-	for _, s := range sessions {
-		if s.Len() < 2 {
-			continue
-		}
-		if _, dup := order[s.ID]; dup {
-			return nil, fmt.Errorf("pipeline: session ID %q appears twice", s.ID)
-		}
-		order[s.ID] = len(replayed)
-		replayed = append(replayed, s)
-	}
-	var mu sync.Mutex
-	out := make([]core.SessionSummary, 0, len(replayed))
-	eng, err := core.NewEngine(det, core.EngineConfig{
-		Monitor:        mcfg,
-		RecordSessions: true,
-		OnSessionEnd: func(sum core.SessionSummary) {
-			mu.Lock()
-			out = append(out, sum)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	_, err = eng.Replay(context.Background(), actionlog.Flatten(replayed))
-	eng.Close()
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return order[out[i].SessionID] < order[out[j].SessionID] })
-	return out, nil
 }
