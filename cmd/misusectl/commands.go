@@ -428,6 +428,7 @@ func cmdStatus(args []string) error {
 	fmt.Printf("  events processed: %d\n", st.EventsProcessed)
 	fmt.Printf("  events in flight: %d\n", st.EventsInFlight)
 	fmt.Printf("  batches:          %d (%d scored inline)\n", st.BatchesSubmitted, st.BatchesInline)
+	fmt.Printf("  actions interned: %d (%d learned from traffic)\n", st.InternedActions, st.LearnedActions)
 	fmt.Printf("  sessions live:    %d (%d compacted)\n", st.SessionsLive, st.SessionsCompacted)
 	fmt.Printf("  session memory:   %s", core.FormatByteSize(st.MemBytes))
 	if st.MemBudget > 0 {

@@ -173,8 +173,10 @@ func (p *connParser) fastEvent(s *fastScanner) (misusedBatch, bool) {
 	}
 	ev.Tok = p.interner.InternBytes(actionB)
 	if ev.Tok == actionlog.TokenUnknown {
-		// Past the interner's learning budget: the engine needs the
-		// name to classify the event, so materialize it (rare path).
+		// Past the interner's learning budget: SubmitTokens wants the
+		// name of an event without a token, and the engine's
+		// unknown-action log line names it, so materialize it (rare
+		// path).
 		ev.Ev.Action = string(actionB)
 	}
 	return ev, true

@@ -19,21 +19,22 @@ const DefaultLearnLimit = 4096
 // Interner is the read-mostly string→token map at the ingestion edge: the
 // one place an action name is resolved to a dense integer token, exactly
 // once per event. Tokens [0, seed.Size()) are the seed vocabulary's
-// indices verbatim; names outside the seed are learned on first sight and
-// assigned the next token, so out-of-vocabulary actions stay first-class
-// integers all the way to drift detection and retraining instead of
-// re-entering the system as strings.
+// indices verbatim. Install adds a model vocabulary's names in bulk;
+// names outside every installed vocabulary are learned on first sight
+// and assigned the next token, so out-of-vocabulary actions stay
+// first-class integers all the way to drift detection and retraining
+// instead of re-entering the system as strings.
 //
 // Token IDs are stable for the lifetime of the Interner: the intern pool
 // only grows, never reorders. A model generation with a different
 // vocabulary therefore does not invalidate tokens — consumers remap
-// token→generation-index through an InternSnapshot (see core's engine).
+// token→generation-index through an InternSnapshot (see core's registry).
 //
 // Intern is safe for concurrent use: readers take one atomic snapshot
-// load plus one map lookup; learning a new name is a copy-on-write swap
-// serialized by a mutex.
+// load plus one map lookup; learning and installing are copy-on-write
+// swaps serialized by a mutex.
 type Interner struct {
-	mu    sync.Mutex // serializes learning
+	mu    sync.Mutex // serializes learn and Install
 	limit int
 	snap  atomic.Pointer[InternSnapshot]
 }
@@ -43,9 +44,11 @@ type Interner struct {
 // every token a prior snapshot issued, so a recorded token sequence plus
 // any snapshot taken at or after recording is self-describing.
 type InternSnapshot struct {
-	seed  *Vocabulary
 	names []string
 	index map[string]int32
+	// learned counts the names learned from traffic, the ones the
+	// learning budget limits (seed and installed names are not).
+	learned int
 }
 
 // NewInterner builds an interner over the seed vocabulary with the
@@ -55,24 +58,14 @@ func NewInterner(seed *Vocabulary) *Interner {
 }
 
 // NewInternerLimit builds an interner that learns at most learnLimit
-// names beyond the seed vocabulary; further unknown names intern to
-// TokenUnknown.
+// names beyond the seed vocabulary and the installed ones; further
+// unknown names intern to TokenUnknown.
 func NewInternerLimit(seed *Vocabulary, learnLimit int) *Interner {
-	if learnLimit < 0 {
-		learnLimit = 0
-	}
-	names := seed.Actions()
-	index := make(map[string]int32, len(names))
-	for i, n := range names {
-		index[n] = int32(i)
-	}
-	in := &Interner{limit: learnLimit}
-	in.snap.Store(&InternSnapshot{seed: seed, names: names, index: index})
+	in := &Interner{limit: max(learnLimit, 0)}
+	in.snap.Store(&InternSnapshot{index: map[string]int32{}})
+	in.Install(seed)
 	return in
 }
-
-// Seed returns the vocabulary the interner was built over.
-func (in *Interner) Seed() *Vocabulary { return in.snap.Load().seed }
 
 // Snapshot returns the current immutable view of the intern pool.
 func (in *Interner) Snapshot() *InternSnapshot { return in.snap.Load() }
@@ -115,10 +108,27 @@ func (in *Interner) InternAll(names []string) []int32 {
 	return out
 }
 
+// Install interns every action of a model vocabulary outside the
+// learning budget: a vocabulary is trusted, bounded input, unlike the
+// names on the wire. Names already interned keep their tokens, so
+// installing the same vocabulary twice adds nothing.
+func (in *Interner) Install(v *Vocabulary) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	s := in.snap.Load()
+	var fresh []string
+	for _, name := range v.Actions() {
+		if _, ok := s.index[name]; !ok {
+			fresh = append(fresh, name)
+		}
+	}
+	if len(fresh) > 0 {
+		in.snap.Store(s.with(fresh, s.learned))
+	}
+}
+
 // learn is the copy-on-write slow path: the new name gets the next token
-// in a fresh snapshot. The names slice is shared between snapshots —
-// appends are serialized under mu and always extend the latest snapshot,
-// and readers never index past their own snapshot's length.
+// in a fresh snapshot, unless the learning budget is spent.
 func (in *Interner) learn(name string) int32 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -126,28 +136,34 @@ func (in *Interner) learn(name string) int32 {
 	if tok, ok := s.index[name]; ok {
 		return tok
 	}
-	if len(s.names)-s.seed.Size() >= in.limit {
+	if s.learned >= in.limit {
 		return TokenUnknown
 	}
-	tok := int32(len(s.names))
-	index := make(map[string]int32, len(s.index)+1)
+	in.snap.Store(s.with([]string{name}, s.learned+1))
+	return int32(len(s.names))
+}
+
+// with returns the snapshot extended by names, which take the next
+// tokens in order. The names slice is shared between snapshots: appends
+// are serialized under the interner's mutex and always extend the latest
+// snapshot, and readers never index past their own snapshot's length.
+func (s *InternSnapshot) with(names []string, learned int) *InternSnapshot {
+	index := make(map[string]int32, len(s.index)+len(names))
 	for k, v := range s.index {
 		index[k] = v
 	}
-	index[name] = tok
-	in.snap.Store(&InternSnapshot{seed: s.seed, names: append(s.names, name), index: index})
-	return tok
+	for i, name := range names {
+		index[name] = int32(len(s.names) + i)
+	}
+	return &InternSnapshot{names: append(s.names, names...), index: index, learned: learned}
 }
 
 // Len returns the number of interned names (seed plus learned).
 func (s *InternSnapshot) Len() int { return len(s.names) }
 
-// Base returns the seed vocabulary size: tokens below it are seed indices
-// verbatim, tokens at or above it were learned from live traffic.
-func (s *InternSnapshot) Base() int { return s.seed.Size() }
-
-// Seed returns the seed vocabulary.
-func (s *InternSnapshot) Seed() *Vocabulary { return s.seed }
+// Learned returns how many of the names were learned from traffic: the
+// share of the pool the learning budget limits.
+func (s *InternSnapshot) Learned() int { return s.learned }
 
 // Name resolves a token back to its action name.
 func (s *InternSnapshot) Name(tok int32) (string, bool) {

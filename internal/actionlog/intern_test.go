@@ -24,8 +24,8 @@ func TestInternerSeedTokensAreVocabIndices(t *testing.T) {
 		}
 	}
 	snap := in.Snapshot()
-	if snap.Len() != 3 || snap.Base() != 3 || snap.Seed() != v {
-		t.Fatalf("snapshot len/base = %d/%d", snap.Len(), snap.Base())
+	if snap.Len() != 3 || snap.Learned() != 0 {
+		t.Fatalf("snapshot len/learned = %d/%d", snap.Len(), snap.Learned())
 	}
 }
 
@@ -40,8 +40,8 @@ func TestInternerLearnsUnknownActions(t *testing.T) {
 		t.Fatalf("re-interning gave %d, want stable %d", again, tok)
 	}
 	snap := in.Snapshot()
-	if snap.Len() != 4 || snap.Base() != 3 {
-		t.Fatalf("snapshot after learn len/base = %d/%d", snap.Len(), snap.Base())
+	if snap.Len() != 4 || snap.Learned() != 1 {
+		t.Fatalf("snapshot after learn len/learned = %d/%d", snap.Len(), snap.Learned())
 	}
 	if name, ok := snap.Name(tok); !ok || name != "zz-new" {
 		t.Fatalf("Name(%d) = %q/%v", tok, name, ok)
@@ -88,6 +88,44 @@ func TestInternerLearnLimit(t *testing.T) {
 	}
 	if got := in.Snapshot().Len(); got != 5 {
 		t.Fatalf("pool size %d, want 5", got)
+	}
+}
+
+// TestInternerInstall pins the install path a model generation takes: a
+// vocabulary's names are interned outside the learning budget, even on a
+// saturated interner, without moving an earlier token or the learned
+// count, and installing the same vocabulary again adds nothing.
+func TestInternerInstall(t *testing.T) {
+	in := NewInternerLimit(internTestVocab(t), 1)
+	if in.Intern("n1") != 3 || in.Intern("n2") != TokenUnknown {
+		t.Fatal("the budget of one learned name must be spent")
+	}
+	before := in.Snapshot()
+	grown, err := NewVocabulary([]string{"c", "n1", "x", "a", "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Install(grown)
+	after := in.Snapshot()
+	if after.Len() != before.Len()+2 || after.Learned() != before.Learned() {
+		t.Fatalf("install: len %d -> %d, learned %d -> %d; want two installed names and the learned count unchanged",
+			before.Len(), after.Len(), before.Learned(), after.Learned())
+	}
+	for tok := int32(0); int(tok) < before.Len(); tok++ {
+		was, _ := before.Name(tok)
+		if now, _ := after.Name(tok); now != was || in.Intern(was) != tok {
+			t.Fatalf("token %d changed meaning on install: %q -> %q", tok, was, now)
+		}
+	}
+	if in.Intern("x") != 4 || in.Intern("y") != 5 {
+		t.Fatalf("installed names got tokens %d/%d, want 4/5 in vocabulary order", in.Intern("x"), in.Intern("y"))
+	}
+	if in.Intern("n2") != TokenUnknown {
+		t.Fatal("install must not reopen the learning budget")
+	}
+	in.Install(grown)
+	if again := in.Snapshot(); again != after {
+		t.Fatalf("second install of the same vocabulary changed the pool (len %d -> %d)", after.Len(), again.Len())
 	}
 }
 

@@ -263,9 +263,10 @@ type EngineStats struct {
 	// the queue and the shard goroutine's wake-up (see SubmitTokens).
 	BatchesSubmitted uint64 `json:"batches_submitted"`
 	BatchesInline    uint64 `json:"batches_inline"`
-	// InternedActions is the size of the edge interner's pool;
-	// LearnedActions is how many of those were learned from live traffic
-	// beyond the seed vocabulary (the vocabulary-drift surface).
+	// InternedActions is the size of the edge interner's pool, which
+	// every installed generation's vocabulary joins; LearnedActions is
+	// how many of those were learned from live traffic (the
+	// vocabulary-drift surface, and what the learning budget limits).
 	InternedActions int    `json:"interned_actions"`
 	LearnedActions  int    `json:"learned_actions"`
 	SessionsLive    uint64 `json:"sessions_live"`
@@ -321,9 +322,8 @@ type BatchEvent struct {
 
 // tokEvent is the engine-internal event record: interned token plus the
 // identity fields alarms and summaries need. action is kept only when
-// the interner could not issue a token (learn budget exhausted), so a
-// name that is nonetheless in a session's pinned model vocabulary can
-// still be scored through the direct-lookup fallback.
+// the interner could not issue a token (learn budget exhausted), so the
+// unknown-action log line can still name it.
 type tokEvent struct {
 	seq       uint64
 	time      time.Time
@@ -369,59 +369,21 @@ type shardMsg struct {
 	ctl   func(*engineShard)
 }
 
-// remapTable translates interner tokens into one model generation's
-// vocabulary indices. It is shard-local (extended lazily as the interner
-// learns, only ever touched under the owning shard's lock) and shared by
-// every session of that generation on the shard, so the steady-state
-// per-event cost is a single slice index.
-type remapTable struct {
-	vocab *actionlog.Vocabulary
-	toks  []int32
-}
-
-// lookup resolves an interner token to the table's vocabulary index, or
-// TokenUnknown. Tokens beyond the table are new interner learnings; the
-// table extends itself from the current snapshot (which, since the
-// interner only grows, covers every token ever issued).
-func (rt *remapTable) lookup(in *actionlog.Interner, tok int32) int32 {
-	if tok < 0 {
-		return actionlog.TokenUnknown
-	}
-	if int(tok) >= len(rt.toks) {
-		rt.extend(in.Snapshot())
-		if int(tok) >= len(rt.toks) {
-			return actionlog.TokenUnknown
-		}
-	}
-	return rt.toks[tok]
-}
-
-func (rt *remapTable) extend(snap *actionlog.InternSnapshot) {
-	for i := len(rt.toks); i < snap.Len(); i++ {
-		name, _ := snap.Name(int32(i))
-		if idx, err := rt.vocab.Index(name); err == nil {
-			rt.toks = append(rt.toks, int32(idx))
-		} else {
-			rt.toks = append(rt.toks, actionlog.TokenUnknown)
-		}
-	}
-}
-
 // engineSession is one live session owned by exactly one shard, and
 // touched only under that shard's lock.
-// The monitor references the detector of the registry generation that was
-// current when the session started; version records it for alarm
-// stamping. A model reload never touches existing sessions.
+// mv is the registry generation that was current when the session
+// started: its detector scores the session, its token table translates
+// the session's events and its version stamps the alarms. A model reload
+// never touches existing sessions.
 type engineSession struct {
 	// Exactly one of mon and snap is non-nil: mon while the session is
 	// live, snap while it is compacted to its dormant snapshot.
-	mon   *SessionMonitor
-	snap  *SessionSnapshot
-	remap *remapTable
+	mon  *SessionMonitor
+	snap *SessionSnapshot
+	mv   *ModelVersion
 	// id duplicates the session-map key so the intrusive lists below can
 	// evict without a reverse lookup.
-	id      string
-	version uint64
+	id string
 	// prev/next link the session into its shard's lastSeen-ordered
 	// intrusive list (live or cold, depending on snap), so maintenance
 	// sweeps touch only the sessions they act on instead of scanning
@@ -551,9 +513,6 @@ type engineShard struct {
 	// only under the shard's lock, read by Stats and admission checks
 	// from other goroutines — hence atomic.
 	mem atomic.Int64
-	// remaps caches one token→index table per model-generation
-	// vocabulary (shard-local, guarded by mu).
-	remaps map[*actionlog.Vocabulary]*remapTable
 	// Wave state (guarded by mu): waveID counts flushed waves
 	// (starting at 1 so a zero-valued session waveMark never matches),
 	// wave holds the staged events of the current wave, groups and the
@@ -575,8 +534,8 @@ type engineShard struct {
 // The event path is token-based end to end: the caller interns each
 // action name exactly once at the edge (through Interner) and hands
 // SubmitTokens the tokens, shard queues and session records carry int32
-// tokens, and each shard remaps tokens to its sessions' pinned
-// model-generation vocabularies through cached index tables — after the
+// tokens, and each session translates them into its pinned generation's
+// vocabulary through the table the registry built at install — after the
 // edge, an event is one interned int moving through a batched queue.
 // SubmitTokens is the only way in: every event enters its shard inside
 // a batch, and everything else a shard does on request arrives as a
@@ -590,11 +549,10 @@ type engineShard struct {
 // the sinks see no order; Replay restores global submission order by
 // sorting what its sink collected on Alarm.Seq.
 type Engine struct {
-	reg      *Registry
-	cfg      EngineConfig
-	interner *actionlog.Interner
-	shards   []*engineShard
-	wg       sync.WaitGroup
+	reg    *Registry
+	cfg    EngineConfig
+	shards []*engineShard
+	wg     sync.WaitGroup
 
 	// mu guards closed against send/Close races: submitters and
 	// broadcast hold the read lock across their channel sends, Close
@@ -637,10 +595,6 @@ func NewEngine(det *Detector, cfg EngineConfig) (*Engine, error) {
 // every new session pins the registry generation current at its first
 // event, so Registry.Swap rolls new models out to new sessions only —
 // zero downtime, no mid-session weight mixing.
-//
-// The engine's interner is seeded with the initial generation's
-// vocabulary; later generations (even with different vocabularies) reuse
-// the same interner, remapping tokens per generation.
 func NewEngineRegistry(reg *Registry, cfg EngineConfig) (*Engine, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("core: engine: nil registry")
@@ -649,17 +603,12 @@ func NewEngineRegistry(reg *Registry, cfg EngineConfig) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		reg:      reg,
-		cfg:      cfg,
-		interner: actionlog.NewInterner(reg.Current().Det.Vocabulary()),
-	}
+	e := &Engine{reg: reg, cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &engineShard{
 			e:        e,
 			in:       make(chan shardMsg, cfg.QueueDepth),
 			sessions: make(map[string]*engineSession),
-			remaps:   make(map[*actionlog.Vocabulary]*remapTable),
 			waveID:   1,
 		}
 		e.shards = append(e.shards, sh)
@@ -672,10 +621,11 @@ func NewEngineRegistry(reg *Registry, cfg EngineConfig) (*Engine, error) {
 // Registry returns the engine's model registry.
 func (e *Engine) Registry() *Registry { return e.reg }
 
-// Interner returns the engine's edge interner. The wire layer interns
-// action names during parse with it and submits the resulting tokens via
-// SubmitTokens; its snapshots also decode recorded session summaries.
-func (e *Engine) Interner() *actionlog.Interner { return e.interner }
+// Interner returns the registry's interner, the engine's one token
+// space. The wire layer interns action names during parse with it and
+// submits the resulting tokens via SubmitTokens; its snapshots also
+// decode recorded session summaries.
+func (e *Engine) Interner() *actionlog.Interner { return e.reg.interner }
 
 // memBytes returns the engine's accounted session memory: the summed
 // per-shard gauges of every resident session's estimated footprint.
@@ -959,7 +909,7 @@ func (e *Engine) Stats() EngineStats {
 		compacted = 0
 	}
 	mv := e.reg.Current()
-	snap := e.interner.Snapshot()
+	snap := e.reg.interner.Snapshot()
 	st := EngineStats{
 		Shards:       len(e.shards),
 		Backend:      mv.Det.Backend(),
@@ -972,7 +922,7 @@ func (e *Engine) Stats() EngineStats {
 		BatchesSubmitted:  e.batches.Load(),
 		BatchesInline:     e.batchesInline.Load(),
 		InternedActions:   snap.Len(),
-		LearnedActions:    snap.Len() - snap.Base(),
+		LearnedActions:    snap.Learned(),
 		SessionsLive:      uint64(live),
 		SessionsCompacted: uint64(compacted),
 		Compactions:       e.compactions.Load(),
@@ -1054,7 +1004,7 @@ func (e *Engine) Replay(ctx context.Context, events []actionlog.Event) ([]Alarm,
 	for off := 0; off < len(events) && err == nil; off += replayChunk {
 		batch = batch[:0]
 		for _, ev := range events[off:min(off+replayChunk, len(events))] {
-			batch = append(batch, BatchEvent{Ev: ev, Tok: e.interner.Intern(ev.Action)})
+			batch = append(batch, BatchEvent{Ev: ev, Tok: e.reg.interner.Intern(ev.Action)})
 		}
 		err = e.SubmitTokens(ctx, batch, sink)
 	}
@@ -1173,51 +1123,16 @@ func (s *engineShard) step(msg shardMsg) {
 	releaseBatch(msg.batch)
 }
 
-// maxShardRemaps caps a shard's remap cache; crossing it triggers a
-// prune of tables for retired generations.
-const maxShardRemaps = 8
-
-// remapFor returns the shard's cached token→index table for a model
-// generation's vocabulary. Before caching yet another generation's
-// table, tables no live session references are pruned — a long-lived
-// daemon cycling through retrain/hot-swap generations would otherwise
-// retain one table per reload forever.
-func (s *engineShard) remapFor(vocab *actionlog.Vocabulary) *remapTable {
-	rt, ok := s.remaps[vocab]
-	if !ok {
-		if len(s.remaps) >= maxShardRemaps {
-			s.pruneRemaps()
-		}
-		rt = &remapTable{vocab: vocab}
-		s.remaps[vocab] = rt
-	}
-	return rt
-}
-
-// pruneRemaps drops cached tables whose vocabulary no live session on
-// this shard is pinned to. Runs under the shard's lock.
-func (s *engineShard) pruneRemaps() {
-	live := make(map[*actionlog.Vocabulary]bool, len(s.remaps))
-	for _, sess := range s.sessions {
-		live[sess.remap.vocab] = true
-	}
-	for v := range s.remaps {
-		if !live[v] {
-			delete(s.remaps, v)
-		}
-	}
-}
-
 // maxWave bounds how many staged events a shard parks before flushing
 // mid-burst, so a burst of large submitted batches cannot grow the wave
 // without bound.
 const maxWave = 1024
 
 // stageEvent resolves one tokenized event — session lookup or creation,
-// vocabulary remap, routing vote, prefix catch-up — and parks it on the
+// vocabulary index, routing vote, prefix catch-up — and parks it on the
 // shard's current wave for the fused stream advance at flush time. Runs
-// under the shard's lock: the session map, the remap tables, and the
-// monitors are shard-local. Events that finish at stage time
+// under the shard's lock: the session map and the monitors are
+// shard-local. Events that finish at stage time
 // (unknown action, scoring error) are counted processed immediately;
 // staged events are counted when the wave flushes.
 func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time) {
@@ -1266,13 +1181,12 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 			return
 		}
 		sess = &engineSession{
-			mon:     mon,
-			remap:   s.remapFor(mv.Det.Vocabulary()),
-			id:      ev.sessionID,
-			version: mv.Version,
-			canary:  canary,
-			user:    ev.user,
-			start:   ev.time,
+			mon:    mon,
+			mv:     mv,
+			id:     ev.sessionID,
+			canary: canary,
+			user:   ev.user,
+			start:  ev.time,
 		}
 		s.sessions[ev.sessionID] = sess
 		s.live.pushTail(sess)
@@ -1305,30 +1219,21 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 	// size is constant, compacted or not, so the steady-state hot path
 	// skips the walk.
 	grew = grew || cap(sess.tokens) != tokCap || sess.mon.voting()
-	idx := sess.remap.lookup(s.e.interner, ev.tok)
-	if idx < 0 && ev.action != "" {
-		// The interner's learn budget is exhausted (the only way an
-		// event still carries its action name): resolve directly
-		// against the session's pinned vocabulary so a legitimate
-		// in-vocabulary action keeps scoring even with a saturated
-		// intern pool.
-		if i, err := sess.remap.vocab.Index(ev.action); err == nil {
-			idx = int32(i)
-		}
-	}
+	idx := sess.mv.index(ev.tok)
 	if idx < 0 {
-		// The action is outside this session's model vocabulary: count
-		// it on the session so the summary exposes the unknown-action
-		// rate vocabulary-drift detection watches. The interner already
-		// holds the name (as a learned token), so retraining can absorb
-		// it later.
+		// The action is outside this session's model vocabulary (every
+		// vocabulary name was interned when the generation was
+		// installed): count it on the session so the summary exposes the
+		// unknown-action rate vocabulary-drift detection watches. Unless
+		// the learn budget is spent, the interner holds the name (as a
+		// learned token), so retraining can absorb it later.
 		sess.unknown++
 		s.e.scoreErrors.Add(1)
 		s.e.processed.Add(1)
 		if s.e.cfg.Logf != nil {
 			name := ev.action
 			if ev.tok >= 0 {
-				name, _ = s.e.interner.Snapshot().Name(ev.tok)
+				name, _ = s.e.reg.interner.Snapshot().Name(ev.tok)
 			}
 			s.e.logf("session %s: unknown action %q (token %d)", ev.sessionID, name, ev.tok)
 		}
@@ -1454,7 +1359,7 @@ func (s *engineShard) emitStep(w *stagedEvent, step MonitorStep) {
 			Kind:         kind.String(),
 			Position:     step.Position,
 			Cluster:      step.Cluster,
-			ModelVersion: sess.version,
+			ModelVersion: sess.mv.Version,
 			Likelihood:   step.Smoothed,
 		}
 		s.e.alarms.Add(1)
@@ -1633,13 +1538,13 @@ func (s *engineShard) end(id string, sess *engineSession) {
 	}
 	var snap *actionlog.InternSnapshot
 	if len(sess.tokens) > 0 {
-		snap = s.e.interner.Snapshot()
+		snap = s.e.reg.interner.Snapshot()
 	}
 	sum := SessionSummary{
 		SessionID:    id,
 		User:         sess.user,
 		Start:        sess.start,
-		ModelVersion: sess.version,
+		ModelVersion: sess.mv.Version,
 		Canary:       sess.canary,
 		Unknown:      sess.unknown,
 		Alarms:       sess.alarms,

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/baseline"
@@ -297,43 +299,54 @@ func TestEngineBatchSubmitCancel(t *testing.T) {
 	close(sink)
 }
 
-// TestEngineRemapCachePruned pins the remap-cache bound: cycling many
-// model generations through a shard must not accumulate one cached
-// token table per retired generation.
-func TestEngineRemapCachePruned(t *testing.T) {
+// TestEngineRetiredGenerationsCollectable pins that nothing in the
+// engine outlives the generations it served: once every session of a
+// retired generation has ended, the generation (its detector and
+// vocabulary) is garbage, however many reloads a daemon runs. The first
+// generation stays reachable only through the test's own detector.
+func TestEngineRetiredGenerationsCollectable(t *testing.T) {
 	det := trainCorpusNGram(t, 11)
-	eng, err := NewEngine(det, EngineConfig{Shards: 1, Monitor: DefaultMonitorConfig()})
+	eng, err := NewEngine(det, EngineConfig{Shards: 2, Monitor: DefaultMonitorConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	ctx := context.Background()
 	names := det.Vocabulary().Actions()
-	for gen := 0; gen < 4*maxShardRemaps; gen++ {
-		// One short session on the current generation, ended before the
-		// next swap so nothing pins the old vocabulary.
-		for i := 0; i < 3; i++ {
-			ev := actionlog.Event{SessionID: fmt.Sprintf("s-%03d", gen), Action: names[i], Time: time.Unix(int64(i), 0)}
-			if err := submitEvents(ctx, eng, []actionlog.Event{ev}, nil); err != nil {
-				t.Fatal(err)
+	const swaps = 32
+	retired := make([]weak.Pointer[actionlog.Vocabulary], 0, swaps)
+	for gen := 0; gen < swaps; gen++ {
+		// Short sessions on both shards, ended before the next swap so
+		// nothing pins the retiring generation.
+		for sess := 0; sess < 4; sess++ {
+			for i := 0; i < 3; i++ {
+				ev := actionlog.Event{SessionID: fmt.Sprintf("s-%03d-%d", gen, sess), Action: names[i], Time: time.Unix(int64(i), 0)}
+				if err := submitEvents(ctx, eng, []actionlog.Event{ev}, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		eng.Flush()
+		retired = append(retired, weak.Make(eng.Registry().Current().Det.Vocabulary()))
 		if _, err := eng.Registry().Swap(trainCorpusNGram(t, int64(100+gen)), nil, "gen"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := len(eng.shards[0].remaps); got > maxShardRemaps {
-		t.Fatalf("shard caches %d remap tables after %d generations, cap is %d", got, 4*maxShardRemaps, maxShardRemaps)
+	runtime.GC()
+	for gen, wp := range retired {
+		if live := wp.Value() != nil; live != (gen == 0) {
+			t.Errorf("retired generation %d reachable = %v after its sessions ended", gen+1, live)
+		}
 	}
+	runtime.KeepAlive(det)
 }
 
-// TestEngineSaturatedInternerFallback pins the direct-lookup escape
-// hatch: once the interner's learn budget is exhausted by junk names, an
-// action that is nonetheless in the serving model's vocabulary (e.g.
-// introduced by an offline retrain + reload, never seen on the wire
-// before saturation) must still be scored, not dropped as unknown.
-func TestEngineSaturatedInternerFallback(t *testing.T) {
+// TestEngineSaturatedInternerReload pins that a reload is never refused
+// its vocabulary: once the interner's learn budget is exhausted by junk
+// names, an action introduced by an offline retrain + reload (never seen
+// on the wire before saturation) is interned when the generation is
+// installed and must be scored, not dropped as unknown.
+func TestEngineSaturatedInternerReload(t *testing.T) {
 	detA := smallNGramDetector(t)
 	eng, err := NewEngine(detA, EngineConfig{
 		Shards:         1,
@@ -366,30 +379,13 @@ func TestEngineSaturatedInternerFallback(t *testing.T) {
 
 	// A new generation whose vocabulary carries a name the interner has
 	// never seen (and now can never learn).
-	vocab, sessions := testCorpus(t, 20)
-	grown, err := actionlog.NewVocabulary(append(vocab.Actions(), "zz-post-saturation"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range sessions[:8] {
-		s.Actions = append(s.Actions, "zz-post-saturation")
-	}
-	clusters, err := GroundTruthClustering(sessions, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(grown.Size())
-	cfg.Backend = baseline.BackendNGram
-	detB, err := TrainDetector(cfg, grown, clusters, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	detB := grownNGramDetector(t, "zz-post-saturation")
 	if _, err := eng.Registry().Swap(detB, nil, "grown"); err != nil {
 		t.Fatal(err)
 	}
 
-	// The never-interned action must score through the pinned-vocabulary
-	// fallback, alone in its batch or not.
+	// The action the wire never interned must score, alone in its batch
+	// or not.
 	errsBefore := eng.Stats().ScoreErrors
 	evs := []actionlog.Event{
 		{SessionID: "fresh", Action: "a0", Time: time.Unix(0, 0)},
@@ -421,7 +417,7 @@ func TestEngineSaturatedInternerFallback(t *testing.T) {
 		t.Fatal("no summary for the fresh session")
 	}
 	if sum.Observed != 2 || sum.Unknown != 0 {
-		t.Fatalf("fresh session observed/unknown = %d/%d, want 2/0 (saturated-interner fallback broken)", sum.Observed, sum.Unknown)
+		t.Fatalf("fresh session observed/unknown = %d/%d, want 2/0 (post-saturation reload vocabulary not interned)", sum.Observed, sum.Unknown)
 	}
 	if got := eng.Stats().ScoreErrors; got != errsBefore {
 		t.Fatalf("score errors grew %d -> %d on an in-vocabulary action", errsBefore, got)

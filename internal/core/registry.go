@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"misusedetect/internal/actionlog"
 )
 
 // ThresholdsFile is the calibrated monitor fragment a model directory may
@@ -38,6 +40,20 @@ type ModelVersion struct {
 	Source string
 	// LoadedAt is when the generation was installed.
 	LoadedAt time.Time
+	// toks maps a registry interner token to the generation's vocabulary
+	// index (TokenUnknown outside it). It is built once at install,
+	// after the vocabulary was interned, so a token past its end names
+	// an action the generation does not know.
+	toks []int32
+}
+
+// index resolves a registry interner token to the generation's
+// vocabulary index, or TokenUnknown.
+func (mv *ModelVersion) index(tok int32) int32 {
+	if tok < 0 || int(tok) >= len(mv.toks) {
+		return actionlog.TokenUnknown
+	}
+	return mv.toks[tok]
 }
 
 // Registry is the versioned model store behind the engine: an atomic
@@ -46,7 +62,13 @@ type ModelVersion struct {
 // load; writers swap in a fully constructed new generation, so there is
 // never a moment where a reader can observe a half-installed model set
 // — the zero-downtime hot-reload primitive.
+//
+// The registry owns the one token space its generations are served in:
+// the interner the wire edge tokenizes with, seeded with the initial
+// vocabulary. Installing a generation interns its whole vocabulary
+// (outside the learning budget) before any session can pin it.
 type Registry struct {
+	interner *actionlog.Interner
 	// mu serializes swaps and canary transitions so version numbers are
 	// strictly increasing even under concurrent reload requests.
 	mu  sync.Mutex
@@ -107,7 +129,8 @@ func (r *Registry) Swap(det *Detector, monitor *MonitorConfig, source string) (*
 }
 
 // newGenerationLocked validates a generation and builds it under the
-// next version number. The registry keeps the monitor pointer; callers
+// next version number: it interns the generation's vocabulary and builds
+// its token table. The registry keeps the monitor pointer; callers
 // must not modify the config afterwards. Caller holds mu, or owns the
 // registry outright as NewRegistry does.
 func (r *Registry) newGenerationLocked(det *Detector, monitor *MonitorConfig, source string) (*ModelVersion, error) {
@@ -122,6 +145,13 @@ func (r *Registry) newGenerationLocked(det *Detector, monitor *MonitorConfig, so
 			return nil, fmt.Errorf("core: registry: generation monitor: %w", err)
 		}
 	}
+	vocab := det.Vocabulary()
+	if r.interner == nil {
+		// The first generation seeds the token space, so its tokens are
+		// its vocabulary indices.
+		r.interner = actionlog.NewInterner(vocab)
+	}
+	r.interner.Install(vocab)
 	r.lastVersion++
 	return &ModelVersion{
 		Version:  r.lastVersion,
@@ -129,6 +159,7 @@ func (r *Registry) newGenerationLocked(det *Detector, monitor *MonitorConfig, so
 		Monitor:  monitor,
 		Source:   source,
 		LoadedAt: time.Now(),
+		toks:     r.interner.Snapshot().RemapTo(vocab),
 	}, nil
 }
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"misusedetect/internal/actionlog"
 	"misusedetect/internal/baseline"
 )
 
@@ -22,6 +25,99 @@ func smallNGramDetector(t *testing.T) *Detector {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// grownNGramDetector trains smallNGramDetector's model over a vocabulary
+// grown by the extra names, which some of its training sessions use.
+func grownNGramDetector(t *testing.T, extra ...string) *Detector {
+	t.Helper()
+	base, sessions := testCorpus(t, 20)
+	vocab, err := actionlog.NewVocabulary(append(base.Actions(), extra...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sessions[:8] {
+		s.Actions = append(s.Actions, extra...)
+	}
+	clusters, err := GroundTruthClustering(sessions, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(vocab.Size())
+	cfg.Backend = baseline.BackendNGram
+	d, err := TrainDetector(cfg, vocab, clusters, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestRegistryInstallRacesLearn races the two ways a name enters the
+// registry's interner: the wire edge learning names (some of them ones a
+// generation about to be installed carries) while Swap and PublishCanary
+// install vocabularies. Every installed generation's table must resolve
+// each of its actions to its own vocabulary index, and nothing else.
+func TestRegistryInstallRacesLearn(t *testing.T) {
+	reg, err := NewRegistry(smallNGramDetector(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gens, perGen = 6, 3
+	dets := make([]*Detector, gens)
+	for g := range dets {
+		extra := make([]string, perGen)
+		for j := range extra {
+			extra[j] = fmt.Sprintf("g%d-%d", g, j)
+		}
+		dets[g] = grownNGramDetector(t, extra...)
+	}
+
+	installed := []*ModelVersion{reg.Current()}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				reg.interner.Intern(fmt.Sprintf("learn-%d-%d", w, i))
+				reg.interner.Intern(fmt.Sprintf("g%d-%d", i%gens, (w+i)%perGen))
+			}
+		}(w)
+	}
+	for g, det := range dets {
+		var mv *ModelVersion
+		if g%2 == 0 {
+			mv, err = reg.Swap(det, nil, "swap")
+		} else if mv, err = reg.PublishCanary(det, nil, "canary", 0.5); err == nil {
+			_, err = reg.PromoteCanary()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		installed = append(installed, mv)
+	}
+	wg.Wait()
+
+	snap := reg.interner.Snapshot()
+	// The wire learns its own 800 names plus whichever generation names
+	// it saw before their install; installs learn nothing.
+	if fresh := 4 * 200; snap.Len() != 8+fresh+gens*perGen || snap.Learned() < fresh || snap.Learned() > fresh+gens*perGen {
+		t.Fatalf("pool of %d names, %d learned: want %d names, %d to %d learned",
+			snap.Len(), snap.Learned(), 8+fresh+gens*perGen, fresh, fresh+gens*perGen)
+	}
+	for _, mv := range installed {
+		vocab := mv.Det.Vocabulary()
+		for tok := int32(0); int(tok) < snap.Len(); tok++ {
+			name, _ := snap.Name(tok)
+			want := int32(actionlog.TokenUnknown)
+			if i, err := vocab.Index(name); err == nil {
+				want = int32(i)
+			}
+			if got := mv.index(tok); got != want {
+				t.Fatalf("v%d: token %d (%q) resolves to %d, want %d", mv.Version, tok, name, got, want)
+			}
+		}
+	}
 }
 
 func TestRegistryVersioning(t *testing.T) {
