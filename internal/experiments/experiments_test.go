@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"misusedetect/internal/golden"
 )
 
 // sharedSetup builds the test-scale setup once; experiments are read-only
@@ -95,12 +98,25 @@ func TestRegistryCoversAllFigures(t *testing.T) {
 	}
 }
 
+// results caches each experiment's result, so the shape tests and
+// TestExperimentsGolden run every experiment once between them.
+var (
+	resultsMu sync.Mutex
+	results   = map[string]*Result{}
+)
+
 func runExperiment(t *testing.T, name string) *Result {
 	t.Helper()
+	resultsMu.Lock()
+	defer resultsMu.Unlock()
+	if res, ok := results[name]; ok {
+		return res
+	}
 	res, err := Run(name, testSetup(t))
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	results[name] = res
 	if res.Name != name {
 		t.Fatalf("result name %q, want %q", res.Name, name)
 	}
@@ -292,4 +308,41 @@ func TestExtensions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExperimentsGolden holds every experiment's rendered table at test
+// scale to the committed bytes, with the wall-time cells blanked. The
+// tables read every model the shared Setup trains, in sequence and
+// windowed mode, so a change that moves a trained bit fails it.
+func TestExperimentsGolden(t *testing.T) {
+	golden.SkipOffAMD64(t)
+	var buf bytes.Buffer
+	for _, name := range Names() {
+		res := *runExperiment(t, name)
+		res.Rows = blankColumn(res.Headers, res.Rows, "wall time")
+		if err := res.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteByte('\n')
+	}
+	golden.Check(t, filepath.Join("testdata", "experiments-test.golden.txt"), buf.Bytes())
+}
+
+// blankColumn returns a copy of rows with the cells under header
+// replaced by "-".
+func blankColumn(headers []string, rows [][]string, header string) [][]string {
+	col := -1
+	for i, h := range headers {
+		if h == header {
+			col = i
+		}
+	}
+	out := make([][]string, len(rows))
+	for i, row := range rows {
+		out[i] = append([]string(nil), row...)
+		if col >= 0 && col < len(row) {
+			out[i][col] = "-"
+		}
+	}
+	return out
 }
