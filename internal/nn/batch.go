@@ -69,48 +69,60 @@ func (l *LSTM) StepBatch(states []*State, xs []int, s *BatchScratch) {
 	}
 	s.z = tensor.GrowMatrix(s.z, n, 4*hs)
 	tensor.MatMulNTBuf(s.z, s.h, l.Wh.W, &s.pack)
-	bias := l.B.W.Data
 	if cap(s.e) < 4*hs {
 		s.e = make([]float64, 4*hs)
 	}
 	e := s.e[:4*hs]
 	for i, st := range states {
-		z := s.z.Row(i)
-		// Fold in bias and the one-hot input column in the serial order:
-		// z = (bias + wx) + dot.
-		switch x := xs[i]; {
-		case x < 0:
-			for r, d := range z {
-				z[r] = bias[r] + d
-			}
-		default:
-			for r, d := range z {
-				z[r] = (bias[r] + l.Wx.W.Data[r*l.InputSize+x]) + d
-			}
+		l.stepRow(s.z.Row(i), e, xs[i], st.C, st.C, e[:hs], st.H)
+	}
+}
+
+// stepRow finishes one row of a batched step. On entry z holds the
+// row's recurrent product Wh·h; stepRow folds in the bias and the input
+// column of x (x < 0 is a zero input) in the serial order, z = (bias +
+// wx) + dot, and takes the gates. It leaves the activations [i; f; o; g]
+// in z, the new cell state in c (cPrev holds the old one and may alias
+// c), tanh c in tc (which may alias e[:H]) and the new hidden state in
+// h. e is 4H of scratch. StepBatch and the lockstep trainer's forward
+// share it, so both produce Step's bits.
+func (l *LSTM) stepRow(z, e []float64, x int, cPrev, c, tc, h []float64) {
+	hs := l.HiddenSize
+	bias := l.B.W.Data
+	switch {
+	case x < 0:
+		for r, d := range z {
+			z[r] = bias[r] + d
 		}
-		// One exp per gate: the sigmoid's argument for the three
-		// sigmoid gates, the tanh's for the candidate.
-		for r, v := range z[:3*hs] {
-			e[r] = sigmoidExpArg(v)
+	default:
+		for r, d := range z {
+			z[r] = (bias[r] + l.Wx.W.Data[r*l.InputSize+x]) + d
 		}
-		for r, v := range z[3*hs:] {
-			e[3*hs+r] = tanhExpArg(v)
-		}
-		tensor.ExpInto(e, e)
-		for k := 0; k < hs; k++ {
-			ig := sigmoidFromExp(z[k], e[k])
-			fg := sigmoidFromExp(z[hs+k], e[hs+k])
-			gg := tanhFromExp(z[3*hs+k], e[3*hs+k])
-			c := fg*st.C[k] + ig*gg
-			st.C[k] = c
-			e[k] = tanhExpArg(c)
-		}
-		tc := e[:hs]
-		tensor.ExpInto(tc, tc)
-		for k := 0; k < hs; k++ {
-			og := sigmoidFromExp(z[2*hs+k], e[2*hs+k])
-			st.H[k] = og * tanhFromExp(st.C[k], tc[k])
-		}
+	}
+	// One exp per gate: the sigmoid's argument for the three sigmoid
+	// gates, the tanh's for the candidate.
+	for r, v := range z[:3*hs] {
+		e[r] = sigmoidExpArg(v)
+	}
+	for r, v := range z[3*hs:] {
+		e[3*hs+r] = tanhExpArg(v)
+	}
+	tensor.ExpInto(e, e)
+	for k := 0; k < hs; k++ {
+		ig := sigmoidFromExp(z[k], e[k])
+		fg := sigmoidFromExp(z[hs+k], e[hs+k])
+		gg := tanhFromExp(z[3*hs+k], e[3*hs+k])
+		z[k], z[hs+k], z[3*hs+k] = ig, fg, gg
+		ck := fg*cPrev[k] + ig*gg
+		c[k] = ck
+		tc[k] = tanhExpArg(ck)
+	}
+	tensor.ExpInto(tc, tc)
+	for k := 0; k < hs; k++ {
+		og := sigmoidFromExp(z[2*hs+k], e[2*hs+k])
+		tk := tanhFromExp(c[k], tc[k])
+		z[2*hs+k], tc[k] = og, tk
+		h[k] = og * tk
 	}
 }
 

@@ -70,7 +70,7 @@ func checkStepBatch(t *testing.T, net *LanguageNetwork, steps int, rng *rand.Ran
 			}
 			net.lstm.StepBatch(batched, xs, bscratch)
 			for i, st := range serial {
-				net.lstm.Step(st, xs[i], nil)
+				net.lstm.Step(st, xs[i])
 				for k := 0; k < hidden; k++ {
 					if math.Float64bits(st.H[k]) != math.Float64bits(batched[i].H[k]) ||
 						math.Float64bits(st.C[k]) != math.Float64bits(batched[i].C[k]) {
@@ -126,7 +126,7 @@ func (r *eagerRef) observe(a int) float64 {
 	if r.next != nil {
 		lik = r.next[a]
 	}
-	r.next = r.net.dense.Forward(r.net.lstm.Step(r.st, a, nil))
+	r.next = r.net.dense.Forward(r.net.lstm.Step(r.st, a))
 	tensor.Softmax(r.next, r.next)
 	return lik
 }

@@ -92,32 +92,37 @@ func BenchmarkLSTMStepBatch64(b *testing.B) {
 	b.ReportMetric(float64(b.N)*streams/b.Elapsed().Seconds(), "steps/s")
 }
 
-// BenchmarkTrainSequencePaperSize measures one BPTT pass over an
-// average session at paper size (the training inner loop).
-func BenchmarkTrainSequencePaperSize(b *testing.B) {
-	net := paperSizedNet(b)
-	seq := randomSeq(15, 300, 3)
+// BenchmarkTrainBatchPaperSize measures one optimizer step of lockstep
+// training at the paper's size and settings: a minibatch of 32 ragged
+// BPTT segments of 2 to 100 actions from a fixed seed, dropout 0.4,
+// forward, backward and the Adam step. steps/s counts predicted actions
+// (BPTT time steps) per second.
+func BenchmarkTrainBatchPaperSize(b *testing.B) {
+	net, err := NewLanguageNetwork(NetworkConfig{InputSize: 300, HiddenSize: 256, DropoutRate: 0.4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := NewTrainer(net, PaperTrainerConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	batch := make([]example, 32)
+	steps := 0
+	for i := range batch {
+		seg := randomSeq(2+rng.Intn(99), 300, rng.Int63())
+		batch[i] = example{in: seg[:len(seg)-1], out: seg[1:]}
+		steps += len(seg) - 1
+	}
+	params := net.Params()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := net.TrainSequence(seq); err != nil {
-			b.Fatal(err)
-		}
+		var loss float64
+		tr.trainBatch(batch, &loss)
+		tr.step(params, len(batch))
 	}
-}
-
-// BenchmarkTrainWindowPaper measures the paper's exact many-to-one window
-// formulation on a full 99-action context.
-func BenchmarkTrainWindowPaper(b *testing.B) {
-	net := paperSizedNet(b)
-	input := randomSeq(99, 300, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.TrainWindow(input, i%300); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.ReportMetric(float64(b.N)*float64(steps)/b.Elapsed().Seconds(), "steps/s")
 }
 
 // BenchmarkAdamStepPaperSize measures one optimizer step over the full

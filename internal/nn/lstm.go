@@ -65,16 +65,6 @@ func (s *State) Clone() *State {
 	return &State{H: s.H.Clone(), C: s.C.Clone()}
 }
 
-// stepCache stores everything the backward pass needs for one timestep.
-type stepCache struct {
-	x          int // input index, PaddingIndex (<0) means zero input
-	hPrev      tensor.Vector
-	cPrev      tensor.Vector
-	i, f, o, g tensor.Vector
-	c          tensor.Vector
-	tanhC      tensor.Vector
-}
-
 // preactivate computes the gate pre-activations z = b + Wx[:, x] + Wh*h
 // (x < 0 encodes a zero/padded input, skipping the one-hot column). Step
 // and the per-row pre-activation of StepBatch must accumulate in exactly
@@ -91,9 +81,10 @@ func (l *LSTM) preactivate(z tensor.Vector, x int, h tensor.Vector) {
 }
 
 // Step advances the state by one input index (x < 0 encodes a zero/padded
-// input) and returns the new hidden vector. When cache is non-nil the step
-// records what the backward pass needs.
-func (l *LSTM) Step(st *State, x int, cache *stepCache) tensor.Vector {
+// input) and returns the new hidden vector. It is the scalar reference
+// that StepBatch and the lockstep trainer's forward are held to bit for
+// bit.
+func (l *LSTM) Step(st *State, x int) tensor.Vector {
 	hs := l.HiddenSize
 	z := tensor.NewVector(4 * hs)
 	l.preactivate(z, x, st.H)
@@ -116,52 +107,7 @@ func (l *LSTM) Step(st *State, x int, cache *stepCache) tensor.Vector {
 		tanhC[k] = math.Tanh(c[k])
 		h[k] = o[k] * tanhC[k]
 	}
-	if cache != nil {
-		cache.x = x
-		cache.hPrev = st.H.Clone()
-		cache.cPrev = st.C.Clone()
-		cache.i, cache.f, cache.o, cache.g = i, f, o, g
-		cache.c = c
-		cache.tanhC = tanhC
-	}
 	st.H = h
 	st.C = c
 	return h
-}
-
-// backwardStep accumulates parameter gradients for one cached step given
-// dH (gradient w.r.t. the step's output hidden vector) and dC (gradient
-// flowing into the cell state from the future). It returns the gradients
-// w.r.t. the previous hidden and cell state.
-func (l *LSTM) backwardStep(cache *stepCache, dH, dC tensor.Vector) (dHPrev, dCPrev tensor.Vector) {
-	hs := l.HiddenSize
-	dz := tensor.NewVector(4 * hs)
-	dCPrev = tensor.NewVector(hs)
-	for k := 0; k < hs; k++ {
-		do := dH[k] * cache.tanhC[k]
-		dc := dC[k] + dH[k]*cache.o[k]*(1-cache.tanhC[k]*cache.tanhC[k])
-		di := dc * cache.g[k]
-		df := dc * cache.cPrev[k]
-		dg := dc * cache.i[k]
-		dCPrev[k] = dc * cache.f[k]
-
-		dz[k] = di * cache.i[k] * (1 - cache.i[k])
-		dz[hs+k] = df * cache.f[k] * (1 - cache.f[k])
-		dz[2*hs+k] = do * cache.o[k] * (1 - cache.o[k])
-		dz[3*hs+k] = dg * (1 - cache.g[k]*cache.g[k])
-	}
-	// Parameter gradients.
-	if cache.x >= 0 {
-		for r := 0; r < 4*hs; r++ {
-			l.Wx.G.Data[r*l.InputSize+cache.x] += dz[r]
-		}
-	}
-	l.Wh.G.AddOuter(1, dz, cache.hPrev)
-	for r := 0; r < 4*hs; r++ {
-		l.B.G.Data[r] += dz[r]
-	}
-	// Gradient to the previous hidden state.
-	dHPrev = tensor.NewVector(hs)
-	l.Wh.W.MulVecTAdd(dHPrev, dz)
-	return dHPrev, dCPrev
 }

@@ -104,7 +104,7 @@ func (n *LanguageNetwork) ForwardAll(seq []int) ([]tensor.Vector, error) {
 	st := n.lstm.NewState()
 	out := make([]tensor.Vector, len(seq))
 	for t, x := range seq {
-		h := n.lstm.Step(st, x, nil)
+		h := n.lstm.Step(st, x)
 		logits := n.dense.Forward(h)
 		probs := tensor.NewVector(len(logits))
 		tensor.Softmax(probs, logits)
@@ -175,101 +175,4 @@ func (s *StreamState) Observe(action int) (float64, tensor.Vector, error) {
 // assertion, like the Stream contract itself.
 func (s *StreamState) MemSize() int {
 	return 2*s.net.cfg.HiddenSize*8 + streamStructOverhead
-}
-
-// TrainSequence performs one forward/backward pass over a session,
-// predicting each action from its predecessors (positions 1..n-1), and
-// accumulates gradients of the mean per-step cross-entropy. It returns
-// the mean loss and the number of predicted positions. The caller batches
-// several calls and then applies the optimizer.
-func (n *LanguageNetwork) TrainSequence(seq []int) (float64, int, error) {
-	if len(seq) < 2 {
-		return 0, 0, fmt.Errorf("nn: training sequence needs >= 2 actions, got %d", len(seq))
-	}
-	if err := n.validateSeq(seq); err != nil {
-		return 0, 0, err
-	}
-	steps := len(seq) - 1
-	caches := make([]stepCache, steps)
-	hs := make([]tensor.Vector, steps)
-	masks := make([]tensor.Vector, steps)
-	dhs := make([]tensor.Vector, steps)
-
-	st := n.lstm.NewState()
-	var totalLoss float64
-	inv := 1 / float64(steps)
-	for t := 0; t < steps; t++ {
-		h := n.lstm.Step(st, seq[t], &caches[t])
-		dropped := h.Clone()
-		mask, err := Dropout(dropped, n.cfg.DropoutRate, n.rng)
-		if err != nil {
-			return 0, 0, err
-		}
-		masks[t] = mask
-		hs[t] = dropped
-		logits := n.dense.Forward(dropped)
-		_, loss, dLogits, err := SoftmaxCrossEntropy(logits, seq[t+1])
-		if err != nil {
-			return 0, 0, err
-		}
-		totalLoss += loss
-		dLogits.Scale(inv)
-		dh := n.dense.Backward(dropped, dLogits)
-		DropoutBackward(dh, mask)
-		dhs[t] = dh
-	}
-
-	// Backpropagation through time.
-	dC := tensor.NewVector(n.cfg.HiddenSize)
-	dH := tensor.NewVector(n.cfg.HiddenSize)
-	for t := steps - 1; t >= 0; t-- {
-		dH.AddScaled(1, dhs[t])
-		var dHPrev, dCPrev tensor.Vector
-		dHPrev, dCPrev = n.lstm.backwardStep(&caches[t], dH, dC)
-		dH = dHPrev
-		dC = dCPrev
-	}
-	return totalLoss * inv, steps, nil
-}
-
-// TrainWindow performs one forward/backward pass over a fixed window in
-// the paper's many-to-one formulation: the network consumes the padded
-// context (PaddingIndex entries are zero inputs) and is trained to predict
-// only the target action. Gradients of the window loss are accumulated.
-func (n *LanguageNetwork) TrainWindow(input []int, target int) (float64, error) {
-	if len(input) == 0 {
-		return 0, fmt.Errorf("nn: empty window input")
-	}
-	if err := n.validateSeq(input); err != nil {
-		return 0, err
-	}
-	if target < 0 || target >= n.cfg.InputSize {
-		return 0, fmt.Errorf("nn: window target %d outside vocab %d", target, n.cfg.InputSize)
-	}
-	steps := len(input)
-	caches := make([]stepCache, steps)
-	st := n.lstm.NewState()
-	var h tensor.Vector
-	for t := 0; t < steps; t++ {
-		h = n.lstm.Step(st, input[t], &caches[t])
-	}
-	dropped := h.Clone()
-	mask, err := Dropout(dropped, n.cfg.DropoutRate, n.rng)
-	if err != nil {
-		return 0, err
-	}
-	logits := n.dense.Forward(dropped)
-	_, loss, dLogits, err := SoftmaxCrossEntropy(logits, target)
-	if err != nil {
-		return 0, err
-	}
-	dh := n.dense.Backward(dropped, dLogits)
-	DropoutBackward(dh, mask)
-
-	dC := tensor.NewVector(n.cfg.HiddenSize)
-	dH := dh
-	for t := steps - 1; t >= 0; t-- {
-		dH, dC = n.lstm.backwardStep(&caches[t], dH, dC)
-	}
-	return loss, nil
 }

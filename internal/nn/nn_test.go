@@ -87,10 +87,8 @@ func TestTrainSequenceGradientCheck(t *testing.T) {
 		return sum / float64(len(probs))
 	}
 
-	// Analytic gradients.
-	if _, _, err := net.TrainSequence(seq); err != nil {
-		t.Fatal(err)
-	}
+	// Analytic gradients, from a minibatch of the one sequence.
+	trainOne(t, net, false, example{in: seq[:len(seq)-1], out: seq[1:]})
 	const h = 1e-5
 	for _, p := range net.Params() {
 		// Sample a handful of coordinates per parameter.
@@ -130,9 +128,7 @@ func TestTrainWindowGradientCheck(t *testing.T) {
 		return -math.Log(last[target])
 	}
 
-	if _, err := net.TrainWindow(input, target); err != nil {
-		t.Fatal(err)
-	}
+	trainOne(t, net, true, example{in: input, out: []int{target}})
 	const h = 1e-5
 	for _, p := range net.Params() {
 		rng := rand.New(rand.NewSource(11))
@@ -156,19 +152,42 @@ func TestTrainWindowGradientCheck(t *testing.T) {
 	}
 }
 
+// trainOne accumulates the gradients of one example's loss through the
+// lockstep trainer, as a minibatch of one.
+func trainOne(t *testing.T, net *LanguageNetwork, windowed bool, ex example) {
+	t.Helper()
+	if err := net.checkExample(ex); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTrainer(net, TrainerConfig{Epochs: 1, BatchSize: 1, LearningRate: 0.1, WindowSize: 10, Windowed: windowed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loss float64
+	tr.trainBatch([]example{ex}, &loss)
+}
+
 func TestTrainSequenceValidation(t *testing.T) {
 	net := testNet(t, 5, 3, 0, 6)
-	if _, _, err := net.TrainSequence([]int{1}); err == nil {
+	tr, err := NewTrainer(net, TrainerConfig{Epochs: 1, BatchSize: 1, LearningRate: 0.1, WindowSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Fit([][]int{{1}}, nil); err == nil {
 		t.Fatal("length-1 sequence must fail")
 	}
-	if _, _, err := net.TrainSequence([]int{1, 9}); err == nil {
+	if _, err := tr.Fit([][]int{{1, 9}}, nil); err == nil {
 		t.Fatal("out-of-vocab must fail")
 	}
-	if _, err := net.TrainWindow(nil, 1); err == nil {
-		t.Fatal("empty window must fail")
-	}
-	if _, err := net.TrainWindow([]int{1}, 9); err == nil {
-		t.Fatal("bad target must fail")
+	for _, ex := range []example{
+		{in: nil, out: []int{1}},      // empty window
+		{in: []int{1}, out: []int{9}}, // bad target
+		{in: []int{1}, out: []int{-1}},
+		{in: []int{1}, out: []int{2, 3}}, // more targets than steps
+	} {
+		if err := net.checkExample(ex); err == nil {
+			t.Fatalf("example %v must fail", ex)
+		}
 	}
 }
 
@@ -257,7 +276,9 @@ func TestDropoutStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 10000
 	x := tensor.NewVector(n)
-	x.Fill(1)
+	for i := range x {
+		x[i] = 1
+	}
 	mask, err := Dropout(x, 0.4, rng)
 	if err != nil {
 		t.Fatal(err)

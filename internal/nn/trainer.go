@@ -21,8 +21,11 @@ type TrainerConfig struct {
 	// Seed shuffles the training order.
 	Seed int64
 	// Windowed selects the paper's exact many-to-one moving-window
-	// training; when false the trainer uses the equivalent but much
-	// cheaper per-step sequence training (see DESIGN.md).
+	// training. When false the trainer predicts every action of a
+	// session from its predecessors in one BPTT pass per segment: the
+	// same next-action objective, but each transition is read once
+	// instead of once per window that contains it (ARCHITECTURE.md,
+	// "Offline training on every core").
 	Windowed bool
 	// WindowSize is the full moving-window length (100 in the paper);
 	// sequence training also truncates BPTT segments to this length.
@@ -79,6 +82,9 @@ type Trainer struct {
 	net  *LanguageNetwork
 	adam *Adam
 	rng  *rand.Rand
+	// s is the lockstep minibatch scratch (trainbatch.go), grown to the
+	// largest minibatch and reused for every Adam step.
+	s trainScratch
 }
 
 // NewTrainer builds a trainer for the network.
@@ -103,47 +109,31 @@ func NewTrainer(net *LanguageNetwork, cfg TrainerConfig) (*Trainer, error) {
 // returned stats hold one entry per epoch. An optional progress callback
 // receives each epoch's stats as it completes.
 func (t *Trainer) Fit(sessions [][]int, progress func(EpochStats)) ([]EpochStats, error) {
-	if t.cfg.Windowed {
-		return t.fitWindowed(sessions, progress)
+	examples, err := t.examples(sessions)
+	if err != nil {
+		return nil, err
 	}
-	return t.fitSequences(sessions, progress)
-}
-
-// fitSequences trains with per-step prediction over BPTT segments of at
-// most WindowSize actions.
-func (t *Trainer) fitSequences(sessions [][]int, progress func(EpochStats)) ([]EpochStats, error) {
-	var segments [][]int
-	for _, s := range sessions {
-		segments = append(segments, segment(s, t.cfg.WindowSize)...)
+	for i, ex := range examples {
+		if err := t.net.checkExample(ex); err != nil {
+			return nil, fmt.Errorf("nn: training example %d: %w", i, err)
+		}
 	}
-	if len(segments) == 0 {
-		return nil, fmt.Errorf("nn: no trainable sessions (all shorter than 2 actions)")
-	}
-	epochs := t.effectiveEpochs(len(segments))
+	epochs := t.effectiveEpochs(len(examples))
 	params := t.net.Params()
 	var stats []EpochStats
 	for epoch := 0; epoch < epochs; epoch++ {
-		t.rng.Shuffle(len(segments), func(i, j int) { segments[i], segments[j] = segments[j], segments[i] })
+		t.rng.Shuffle(len(examples), func(i, j int) { examples[i], examples[j] = examples[j], examples[i] })
 		var lossSum float64
-		var examples int
-		inBatch := 0
-		for _, seg := range segments {
-			loss, steps, err := t.net.TrainSequence(seg)
-			if err != nil {
-				return nil, fmt.Errorf("nn: train sequence: %w", err)
+		var targets int
+		for lo := 0; lo < len(examples); lo += t.cfg.BatchSize {
+			batch := examples[lo:min(lo+t.cfg.BatchSize, len(examples))]
+			t.trainBatch(batch, &lossSum)
+			for _, ex := range batch {
+				targets += len(ex.out)
 			}
-			lossSum += loss * float64(steps)
-			examples += steps
-			inBatch++
-			if inBatch == t.cfg.BatchSize {
-				t.step(params, inBatch)
-				inBatch = 0
-			}
+			t.step(params, len(batch))
 		}
-		if inBatch > 0 {
-			t.step(params, inBatch)
-		}
-		st := EpochStats{Epoch: epoch, Loss: lossSum / float64(examples), Examples: examples}
+		st := EpochStats{Epoch: epoch, Loss: lossSum / float64(targets), Examples: targets}
 		stats = append(stats, st)
 		if progress != nil {
 			progress(st)
@@ -152,10 +142,25 @@ func (t *Trainer) fitSequences(sessions [][]int, progress func(EpochStats)) ([]E
 	return stats, nil
 }
 
-// fitWindowed trains in the paper's exact formulation: every session is
-// expanded into zero-padded moving windows and each window is a
-// many-to-one example.
-func (t *Trainer) fitWindowed(sessions [][]int, progress func(EpochStats)) ([]EpochStats, error) {
+// examples expands the sessions into the training examples of the
+// configured mode. Sequence training predicts every action of a BPTT
+// segment of at most WindowSize actions from its predecessors. Windowed
+// training is the paper's exact formulation: every session becomes
+// zero-padded moving windows, each a many-to-one example whose input is
+// read from the zero state once its leading padding is trimmed.
+func (t *Trainer) examples(sessions [][]int) ([]example, error) {
+	var out []example
+	if !t.cfg.Windowed {
+		for _, s := range sessions {
+			for _, seg := range segment(s, t.cfg.WindowSize) {
+				out = append(out, example{in: seg[:len(seg)-1], out: seg[1:]})
+			}
+		}
+		if len(out) == 0 {
+			return nil, fmt.Errorf("nn: no trainable sessions (all shorter than 2 actions)")
+		}
+		return out, nil
+	}
 	w, err := actionlog.NewWindower(t.cfg.WindowSize)
 	if err != nil {
 		return nil, err
@@ -164,35 +169,12 @@ func (t *Trainer) fitWindowed(sessions [][]int, progress func(EpochStats)) ([]Ep
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("nn: no training windows (all sessions shorter than 2 actions)")
 	}
-	epochs := t.effectiveEpochs(len(windows))
-	params := t.net.Params()
-	var stats []EpochStats
-	for epoch := 0; epoch < epochs; epoch++ {
-		t.rng.Shuffle(len(windows), func(i, j int) { windows[i], windows[j] = windows[j], windows[i] })
-		var lossSum float64
-		inBatch := 0
-		for _, win := range windows {
-			loss, err := t.net.TrainWindow(trimPadding(win.Input), win.Target)
-			if err != nil {
-				return nil, fmt.Errorf("nn: train window: %w", err)
-			}
-			lossSum += loss
-			inBatch++
-			if inBatch == t.cfg.BatchSize {
-				t.step(params, inBatch)
-				inBatch = 0
-			}
-		}
-		if inBatch > 0 {
-			t.step(params, inBatch)
-		}
-		st := EpochStats{Epoch: epoch, Loss: lossSum / float64(len(windows)), Examples: len(windows)}
-		stats = append(stats, st)
-		if progress != nil {
-			progress(st)
-		}
+	targets := make([]int, len(windows))
+	for i, win := range windows {
+		targets[i] = win.Target
+		out = append(out, example{in: trimPadding(win.Input), out: targets[i : i+1]})
 	}
-	return stats, nil
+	return out, nil
 }
 
 // effectiveEpochs raises the configured epoch count until the training

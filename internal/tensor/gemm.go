@@ -198,3 +198,29 @@ func GrowMatrix(m *Matrix, rows, cols int) *Matrix {
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 	return m
 }
+
+// TransposeRows writes columns [col0, col0+dst.Rows) of the rows of src
+// listed in rows, transposed, into dst: dst[j][k] = src[rows[k]][col0+j].
+// A nil rows lists every row of src in order. It lays out the operands
+// of a product whose reduction runs over rows of src, such as a weight
+// gradient Σ_k dyₖ xₖᵀ, in the K-minor form MatMulNT reads, with the
+// rows in the order the reduction must visit them.
+func TransposeRows(dst, src *Matrix, rows []int, col0 int) {
+	k := len(rows)
+	if rows == nil {
+		k = src.Rows
+	}
+	if dst.Cols != k || col0 < 0 || col0+dst.Rows > src.Cols {
+		panic(fmt.Sprintf("tensor: TransposeRows shape mismatch dst=%dx%d src=%dx%d rows=%d col0=%d",
+			dst.Rows, dst.Cols, src.Rows, src.Cols, k, col0))
+	}
+	for kk := 0; kk < k; kk++ {
+		r := kk
+		if rows != nil {
+			r = rows[kk]
+		}
+		for j, v := range src.Data[r*src.Cols+col0 : r*src.Cols+col0+dst.Rows] {
+			dst.Data[j*k+kk] = v
+		}
+	}
+}
