@@ -166,8 +166,10 @@ func scoreAll(score func(*actionlog.Session) (float64, error), sessions []*actio
 
 // ExtensionTrainingMode compares the paper's exact zero-padded
 // moving-window many-to-one training against the per-step sequence
-// training this library defaults to (see DESIGN.md): same data, same
-// budget, final test loss and wall time.
+// training this library defaults to, which predicts every action of a
+// BPTT segment in one pass instead of re-reading each prefix as its own
+// window (nn.TrainerConfig.Windowed): same data, same budget, final test
+// loss and wall time.
 func ExtensionTrainingMode(s *Setup) (*Result, error) {
 	res := &Result{
 		Name:  "extension-training-mode",

@@ -5,9 +5,9 @@
 // 98th-percentile length under ~91 and a maximum above 800.
 //
 // The proprietary DiSIEM/Amadeus dataset is not available, so this package
-// is the substitution documented in DESIGN.md: sessions are generated from
-// 13 latent behavior profiles (user unlocking, role modification, office
-// editing, ...) realized as routine-based Markov processes. The profiles
+// stands in for it: sessions are generated from 13 latent behavior
+// profiles (user unlocking, role modification, office editing, ...)
+// realized as routine-based Markov processes. The profiles
 // provide exactly the latent structure the paper's pipeline is designed to
 // recover, plus ground-truth cluster labels that make the "cluster is
 // known" experiments well defined.

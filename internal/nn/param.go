@@ -7,8 +7,14 @@
 // hyperparameters (256 units, dropout 0.4, minibatch 32, learning rate
 // 0.001) available as defaults.
 //
-// Everything is float64 and CPU-bound; correctness is established by
-// finite-difference gradient checks in the test suite.
+// Everything is float64 and CPU-bound. Training runs each minibatch in
+// lockstep (trainbatch.go): the examples advance one time step at a
+// time, so every weight product is a tensor.MatMulNT over many rows, and
+// serving's batched step (batch.go) runs the same gate math. Both are
+// bit-identical to the scalar per-step reference: LSTM.Step and
+// ForwardAll for inference, and for training the per-example scalar
+// path the tests keep as an oracle. Finite-difference gradient checks
+// establish that the gradients are right.
 package nn
 
 import (

@@ -206,20 +206,33 @@ func GrowMatrix(m *Matrix, rows, cols int) *Matrix {
 // gradient Σ_k dyₖ xₖᵀ, in the K-minor form MatMulNT reads, with the
 // rows in the order the reduction must visit them.
 func TransposeRows(dst, src *Matrix, rows []int, col0 int) {
-	k := len(rows)
+	k, m := len(rows), dst.Rows
 	if rows == nil {
 		k = src.Rows
 	}
-	if dst.Cols != k || col0 < 0 || col0+dst.Rows > src.Cols {
+	if dst.Cols != k || col0 < 0 || col0+m > src.Cols {
 		panic(fmt.Sprintf("tensor: TransposeRows shape mismatch dst=%dx%d src=%dx%d rows=%d col0=%d",
 			dst.Rows, dst.Cols, src.Rows, src.Cols, k, col0))
 	}
-	for kk := 0; kk < k; kk++ {
+	row := func(kk int) []float64 {
 		r := kk
 		if rows != nil {
 			r = rows[kk]
 		}
-		for j, v := range src.Data[r*src.Cols+col0 : r*src.Cols+col0+dst.Rows] {
+		return src.Data[r*src.Cols+col0 : r*src.Cols+col0+m]
+	}
+	// Four source rows at a time, so every dst row receives four
+	// adjacent values per pass.
+	kk := 0
+	for ; kk+4 <= k; kk += 4 {
+		s0, s1, s2, s3 := row(kk), row(kk+1), row(kk+2), row(kk+3)
+		for j := range s0 {
+			d := dst.Data[j*k+kk : j*k+kk+4]
+			d[0], d[1], d[2], d[3] = s0[j], s1[j], s2[j], s3[j]
+		}
+	}
+	for ; kk < k; kk++ {
+		for j, v := range row(kk) {
 			dst.Data[j*k+kk] = v
 		}
 	}

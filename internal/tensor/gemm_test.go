@@ -33,7 +33,9 @@ func specialMatrix(rng *rand.Rand, rows, cols int, nonFinite bool) *Matrix {
 	}
 	for i := 0; i < rows; i++ {
 		if rng.Intn(8) == 0 {
-			m.Row(i).Fill(math.Copysign(0, -1))
+			for j := range m.Row(i) {
+				m.Row(i)[j] = math.Copysign(0, -1)
+			}
 		}
 	}
 	return m
@@ -114,7 +116,9 @@ func TestMatMulMatchesMatVecRows(t *testing.T) {
 
 					want, wantBias := NewVector(n), NewVector(n)
 					for i := 0; i < m; i++ {
-						want.Fill(negZero)
+						for j := range want {
+							want[j] = negZero
+						}
 						b.MulVecAdd(want, a.Row(i))
 						copy(wantBias, bias)
 						b.MulVecAdd(wantBias, a.Row(i))
@@ -214,4 +218,40 @@ func BenchmarkMatMulNT(b *testing.B) {
 			})
 		}
 	}
+}
+
+// TestTransposeRows checks the gathered transpose element by element,
+// for every row in order (nil rows) and for a reordered subset with a
+// column offset, across row counts that leave each tail of the
+// four-row unroll.
+func TestTransposeRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	src := randomMatrix(rng, 11, 6)
+	for _, k := range []int{1, 3, 4, 5, 11} {
+		all := NewMatrix(6, 11)
+		TransposeRows(all, src, nil, 0)
+		for j := 0; j < 6; j++ {
+			for kk := 0; kk < 11; kk++ {
+				if all.At(j, kk) != src.At(kk, j) {
+					t.Fatalf("nil rows: dst[%d][%d] = %v, want %v", j, kk, all.At(j, kk), src.At(kk, j))
+				}
+			}
+		}
+		rows := rng.Perm(11)[:k]
+		dst := NewMatrix(4, k)
+		TransposeRows(dst, src, rows, 2)
+		for j := 0; j < 4; j++ {
+			for kk, r := range rows {
+				if dst.At(j, kk) != src.At(r, 2+j) {
+					t.Fatalf("rows %v col0 2: dst[%d][%d] = %v, want %v", rows, j, kk, dst.At(j, kk), src.At(r, 2+j))
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("columns past src must panic")
+		}
+	}()
+	TransposeRows(NewMatrix(5, 2), src, []int{0, 1}, 2)
 }

@@ -24,13 +24,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// Fill sets every element of v to x.
-func (v Vector) Fill(x float64) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
 // AddScaled adds alpha*w to v in place (axpy).
 func (v Vector) AddScaled(alpha float64, w Vector) {
 	if len(v) != len(w) {

@@ -6,14 +6,10 @@ import (
 	"testing"
 )
 
-func TestVectorSumFillScale(t *testing.T) {
+func TestVectorSumScale(t *testing.T) {
 	v := Vector{3, 4}
 	if v.Sum() != 7 {
 		t.Fatalf("Sum = %v", v.Sum())
-	}
-	v.Fill(2)
-	if v[0] != 2 || v[1] != 2 {
-		t.Fatalf("Fill = %v", v)
 	}
 	v = Vector{1, 2}
 	v.Scale(3)
