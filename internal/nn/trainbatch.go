@@ -89,9 +89,8 @@ type trainScratch struct {
 	// c, tc and h hold each row's cell state, tanh c and hidden state.
 	c, tc, h *tensor.Matrix
 	// outRow maps each output row, in the serial (example, t) order, to
-	// its cache row; target is the action it predicts; outAt[e] is
-	// example e's first output row.
-	outRow, target, outAt []int
+	// its cache row; outAt[e] is example e's first output row.
+	outRow, outAt []int
 	// hd holds the output rows' dropped-out h, then their dX (O × H);
 	// mask holds their dropout masks.
 	hd, mask *tensor.Matrix
@@ -194,14 +193,12 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 	}
 
 	// The output rows in serial order, their dropout, and their logits.
-	s.outRow, s.target = s.outRow[:0], s.target[:0]
+	s.outRow = s.outRow[:0]
 	s.outAt = growInts(s.outAt, len(batch))
 	for ei, ex := range batch {
 		s.outAt[ei] = len(s.outRow)
-		first := len(ex.in) - len(ex.out)
-		for j, y := range ex.out {
-			s.outRow = append(s.outRow, s.base[first+j]+s.pos[ei])
-			s.target = append(s.target, y)
+		for tt := len(ex.in) - len(ex.out); tt < len(ex.in); tt++ {
+			s.outRow = append(s.outRow, s.base[tt]+s.pos[ei])
 		}
 	}
 	outs := len(s.outRow)
