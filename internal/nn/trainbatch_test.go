@@ -297,17 +297,9 @@ func raggedSessions(rng *rand.Rand, count, maxLen, vocab int) [][]int {
 		if i%5 == 0 {
 			n = 2
 		}
-		out[i] = randomSeqRNG(rng, n, vocab)
+		out[i] = randomSeq(n, vocab, rng.Int63())
 	}
 	return out
-}
-
-func randomSeqRNG(rng *rand.Rand, n, vocab int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = rng.Intn(vocab)
-	}
-	return s
 }
 
 // TestTrainBatchMatchesSerial trains two networks from one seed, one on
@@ -358,13 +350,13 @@ func TestTrainBatchMatchesSerial(t *testing.T) {
 			for step := 0; step < 4; step++ {
 				var batch []example
 				for i := 0; i < 1+step; i++ {
-					in := randomSeqRNG(rng, 1+rng.Intn(9), vocab)
+					in := randomSeq(1+rng.Intn(9), vocab, rng.Int63())
 					for k := range in {
 						if rng.Intn(3) == 0 {
 							in[k] = -1
 						}
 					}
-					out := randomSeqRNG(rng, len(in), vocab)
+					out := randomSeq(len(in), vocab, rng.Int63())
 					if windowed {
 						out = out[:1]
 					}
