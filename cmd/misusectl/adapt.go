@@ -8,17 +8,8 @@ import (
 
 	"misusedetect/internal/core"
 	"misusedetect/internal/pipeline"
+	"misusedetect/internal/wire"
 )
-
-// driftReply mirrors the misused daemon's drift line.
-type driftReply struct {
-	Drift pipeline.Status `json:"drift"`
-}
-
-// adaptReply mirrors the misused daemon's adapt line.
-type adaptReply struct {
-	Adapt *pipeline.CycleReport `json:"adapt"`
-}
 
 func cmdDrift(args []string) error {
 	fs := newFlagSet("drift")
@@ -28,17 +19,14 @@ func cmdDrift(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	line, err := controlRoundTrip(*addr, "drift", *timeout)
+	var reply wire.DriftReply
+	line, err := wire.Call(*addr, "drift", *timeout, &reply)
 	if err != nil {
 		return err
 	}
 	if *jsonOut {
-		fmt.Print(string(line))
+		fmt.Println(string(line))
 		return nil
-	}
-	var reply driftReply
-	if err := json.Unmarshal(line, &reply); err != nil {
-		return fmt.Errorf("drift: parse reply %q: %w", line, err)
 	}
 	renderDriftStatus(*addr, reply.Drift)
 	return nil
@@ -81,10 +69,7 @@ func renderDriftStatus(addr string, st pipeline.Status) {
 }
 
 func renderCycleReport(rep *pipeline.CycleReport) {
-	verdict := "refused"
-	if rep.Swapped {
-		verdict = fmt.Sprintf("swapped in version %d", rep.NewVersion)
-	}
+	verdict, _ := rep.Verdict()
 	fmt.Printf("last cycle (%s, %.1fs): %s\n", rep.Reason, rep.DurationSeconds, verdict)
 	fmt.Printf("  candidates:  %d buffered, %d trained, %d held out, %d skipped\n",
 		rep.Candidates, rep.TrainSessions, rep.HoldoutNormals, rep.SkippedSessions)
@@ -92,9 +77,6 @@ func renderCycleReport(rep *pipeline.CycleReport) {
 	fmt.Printf("  vocabulary:  %d -> %d actions\n", rep.VocabBefore, rep.VocabAfter)
 	fmt.Printf("  guardrail:   new AUC %.3f vs serving %.3f (tolerance %.3f)\n",
 		rep.NewAUC, rep.OldAUC, rep.GuardrailDelta)
-	if rep.Refused != "" {
-		fmt.Printf("  refused:     %s\n", rep.Refused)
-	}
 	if rep.Calibrated != nil {
 		fmt.Printf("  floors:      global %.5f, %d per-cluster\n",
 			rep.Calibrated.LikelihoodFloor, len(rep.Calibrated.ClusterFloors))
@@ -129,12 +111,12 @@ func cmdAdapt(args []string) error {
 	var rep *pipeline.CycleReport
 	switch {
 	case *addr != "":
-		line, err := controlRoundTrip(*addr, "adapt", *timeout)
+		var reply wire.AdaptReply
+		line, err := wire.Call(*addr, "adapt", *timeout, &reply)
 		if err != nil {
 			return err
 		}
-		var reply adaptReply
-		if err := json.Unmarshal(line, &reply); err != nil || reply.Adapt == nil {
+		if reply.Adapt == nil {
 			return fmt.Errorf("adapt: unexpected reply %q", line)
 		}
 		rep = reply.Adapt
@@ -154,8 +136,8 @@ func cmdAdapt(args []string) error {
 	} else {
 		renderCycleReport(rep)
 	}
-	if !rep.Swapped {
-		return fmt.Errorf("adapt: cycle refused: %s", rep.Refused)
+	if verdict, installed := rep.Verdict(); !installed {
+		return fmt.Errorf("adapt: cycle %s", verdict)
 	}
 	return nil
 }

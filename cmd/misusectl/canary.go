@@ -1,22 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"misusedetect/internal/rollout"
+	"misusedetect/internal/wire"
 )
-
-// canaryReply mirrors the misused daemon's canary-status line.
-type canaryReply struct {
-	Canary rollout.Status `json:"canary"`
-}
-
-// canaryVerdictReply mirrors the daemon's forced-decision line.
-type canaryVerdictReply struct {
-	Verdict *rollout.Verdict `json:"canary_verdict"`
-}
 
 // cmdCanary inspects a daemon's staged rollout ({"cmd":"canary"}) or
 // force-decides the pending candidate (-promote / -rollback).
@@ -33,37 +23,31 @@ func cmdCanary(args []string) error {
 	if *promote && *rollback {
 		return fmt.Errorf("canary: -promote and -rollback are mutually exclusive")
 	}
-	if *promote || *rollback {
-		cmd := "canary-promote"
-		if *rollback {
-			cmd = "canary-rollback"
-		}
-		line, err := controlRoundTrip(*addr, cmd, *timeout)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			fmt.Print(string(line))
-			return nil
-		}
-		var reply canaryVerdictReply
-		if err := json.Unmarshal(line, &reply); err != nil || reply.Verdict == nil {
-			return fmt.Errorf("canary: unexpected reply %q", line)
-		}
-		printVerdict(reply.Verdict)
-		return nil
+	cmd := "canary"
+	switch {
+	case *promote:
+		cmd = "canary-promote"
+	case *rollback:
+		cmd = "canary-rollback"
 	}
-	line, err := controlRoundTrip(*addr, "canary", *timeout)
+	var reply struct {
+		wire.CanaryReply
+		wire.CanaryVerdictReply
+	}
+	line, err := wire.Call(*addr, cmd, *timeout, &reply)
 	if err != nil {
 		return err
 	}
 	if *jsonOut {
-		fmt.Print(string(line))
+		fmt.Println(string(line))
 		return nil
 	}
-	var reply canaryReply
-	if err := json.Unmarshal(line, &reply); err != nil {
-		return fmt.Errorf("canary: parse reply %q: %w", line, err)
+	if cmd != "canary" {
+		if reply.Verdict == nil {
+			return fmt.Errorf("canary: unexpected reply %q", line)
+		}
+		printVerdict(reply.Verdict)
+		return nil
 	}
 	st := reply.Canary
 	fmt.Printf("canary rollout at %s\n", *addr)

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"time"
 
@@ -16,6 +14,7 @@ import (
 	"misusedetect/internal/logsim"
 	"misusedetect/internal/nn"
 	"misusedetect/internal/viz"
+	"misusedetect/internal/wire"
 )
 
 func cmdGenerate(args []string) error {
@@ -355,49 +354,6 @@ func cmdInspect(args []string) error {
 	return nil
 }
 
-// statusReply mirrors the misused daemon's status line.
-type statusReply struct {
-	Status core.EngineStats `json:"status"`
-	Uptime string           `json:"uptime"`
-}
-
-// reloadReply mirrors the misused daemon's reload line.
-type reloadReply struct {
-	Reload struct {
-		Version  uint64  `json:"version"`
-		Backend  string  `json:"backend"`
-		Clusters int     `json:"clusters"`
-		Canary   bool    `json:"canary"`
-		Fraction float64 `json:"fraction"`
-	} `json:"reload"`
-}
-
-// controlRoundTrip sends one {"cmd":...} line to a misused daemon and
-// returns the reply line. A reply carrying an "error" field is turned
-// into an error.
-func controlRoundTrip(addr, cmd string, timeout time.Duration) ([]byte, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("%s: dial %s: %w", cmd, addr, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := fmt.Fprintf(conn, "{\"cmd\":%q}\n", cmd); err != nil {
-		return nil, fmt.Errorf("%s: request: %w", cmd, err)
-	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		return nil, fmt.Errorf("%s: read reply: %w", cmd, err)
-	}
-	var errReply struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(line, &errReply) == nil && errReply.Error != "" {
-		return nil, fmt.Errorf("%s: daemon: %s", cmd, errReply.Error)
-	}
-	return line, nil
-}
-
 func cmdStatus(args []string) error {
 	fs := newFlagSet("status")
 	addr := fs.String("addr", "127.0.0.1:7074", "misused daemon address")
@@ -406,17 +362,14 @@ func cmdStatus(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	line, err := controlRoundTrip(*addr, "status", *timeout)
+	var reply wire.StatusReply
+	line, err := wire.Call(*addr, "status", *timeout, &reply)
 	if err != nil {
 		return err
 	}
 	if *jsonOut {
-		fmt.Print(string(line))
+		fmt.Println(string(line))
 		return nil
-	}
-	var reply statusReply
-	if err := json.Unmarshal(line, &reply); err != nil {
-		return fmt.Errorf("status: parse reply %q: %w", line, err)
 	}
 	st := reply.Status
 	fmt.Printf("misused at %s (up %s)\n", *addr, reply.Uptime)
@@ -456,12 +409,12 @@ func cmdReload(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	line, err := controlRoundTrip(*addr, "reload", *timeout)
+	var reply wire.ReloadReply
+	line, err := wire.Call(*addr, "reload", *timeout, &reply)
 	if err != nil {
 		return err
 	}
-	var reply reloadReply
-	if err := json.Unmarshal(line, &reply); err != nil || reply.Reload.Version == 0 {
+	if reply.Reload.Version == 0 {
 		return fmt.Errorf("reload: unexpected reply %q", line)
 	}
 	if reply.Reload.Canary {

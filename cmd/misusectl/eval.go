@@ -10,6 +10,7 @@ import (
 
 	"misusedetect/internal/core"
 	"misusedetect/internal/harness"
+	"misusedetect/internal/wire"
 )
 
 // loadTraffic builds the labeled evaluation workload of eval.
@@ -76,7 +77,7 @@ func cmdEval(args []string) error {
 		if *thresholds != "" {
 			return fmt.Errorf("eval: -thresholds requires an in-process evaluation (drop -addr)")
 		}
-		rep, err := harness.ReplayWire(*addr, tr.EvalSessions(), *timeout)
+		rep, err := wire.Replay(*addr, tr, *timeout)
 		if err != nil {
 			return err
 		}

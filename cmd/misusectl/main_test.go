@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bufio"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -136,5 +140,56 @@ func TestCLIViz(t *testing.T) {
 	}
 	if err := run([]string{"viz"}); err == nil {
 		t.Fatal("viz without -data must fail")
+	}
+}
+
+// cannedDaemon answers the first line of every connection to a local
+// listener with reply, until the test ends, and returns its address.
+func cannedDaemon(t *testing.T, reply string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			bufio.NewReader(conn).ReadString('\n')
+			io.WriteString(conn, reply)
+			conn.Close()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestCLIAdaptVerdict: misusectl adapt -addr exits zero when the
+// daemon's cycle installed its generation, swapped in or published to
+// the canary slot, and nonzero with the reason when the guardrail
+// refused it.
+func TestCLIAdaptVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		name, report, wantErr string
+	}{
+		{"swapped", `"swapped":true,"new_version":2`, ""},
+		{"canaried", `"swapped":false,"canaried":true,"new_version":2`, ""},
+		{"refused", `"swapped":false,"refused":"held-out AUC regressed"`, "cycle refused: held-out AUC regressed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := cannedDaemon(t, `{"adapt":{"reason":"manual",`+tc.report+"}}\n")
+			err := run([]string{"adapt", "-once", "-addr", addr, "-timeout", "10s"})
+			if (err == nil) != (tc.wantErr == "") || (err != nil && !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("adapt -addr against a %s cycle: err = %v, want %q", tc.name, err, tc.wantErr)
+			}
+		})
 	}
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +10,7 @@ import (
 	"misusedetect/internal/baseline"
 	"misusedetect/internal/core"
 	"misusedetect/internal/pipeline"
+	"misusedetect/internal/wire"
 )
 
 // ngramDetector trains the tiny two-behavior detector on the cheap
@@ -94,48 +93,26 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 	shutdown := startServer(t, srv)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	rd := bufio.NewReader(conn)
-	roundTrip := func(cmd string) []byte {
-		t.Helper()
-		if err := enc.Encode(map[string]string{"cmd": cmd}); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(2 * time.Minute))
-		line, err := rd.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("%s: %v", cmd, err)
-		}
-		return line
-	}
+	c := dial(t, srv)
 
 	// Drift state is served before any traffic.
-	var dr DriftReply
-	if err := json.Unmarshal(roundTrip("drift"), &dr); err != nil {
-		t.Fatal(err)
-	}
+	var dr wire.DriftReply
+	reply(t, c, "drift", &dr)
 	if dr.Drift.MinSessions != 30 || dr.Drift.Buffered != 0 || dr.Drift.ServingVersion != 1 {
 		t.Fatalf("initial drift status = %+v", dr.Drift)
 	}
 
 	// A manual cycle without enough buffered sessions is an error line.
-	var er ErrorReply
-	if err := json.Unmarshal(roundTrip("adapt"), &er); err != nil || er.Error == "" {
-		t.Fatalf("adapt on empty buffer: %q, %v", er.Error, err)
-	}
+	var er wire.ErrorReply
+	reply(t, c, "adapt", &er)
 
 	// Stream fresh traffic, end the sessions, and adapt for real.
 	sent := 0
 	for i, s := range sessions {
-		c := s.Clone()
-		c.ID = fmt.Sprintf("live-%03d", i)
-		for _, ev := range actionlog.Flatten([]*actionlog.Session{c}) {
-			if err := enc.Encode(&ev); err != nil {
+		s = s.Clone()
+		s.ID = fmt.Sprintf("live-%03d", i)
+		for _, ev := range actionlog.Flatten([]*actionlog.Session{s}) {
+			if err := c.SendEvent(&ev); err != nil {
 				t.Fatal(err)
 			}
 			sent++
@@ -144,32 +121,24 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 	// The sync reply means every event line before it has been submitted
 	// and scored (the quiet floor raises no alarm line ahead of it);
 	// Flush then ends their sessions.
-	var pre StatusReply
-	if err := json.Unmarshal(roundTrip("sync"), &pre); err != nil {
-		t.Fatal(err)
-	}
+	var pre wire.StatusReply
+	reply(t, c, "sync", &pre)
 	if pre.Status.EventsSubmitted != uint64(sent) {
 		t.Fatalf("status after %d event lines reports %d submitted", sent, pre.Status.EventsSubmitted)
 	}
 	srv.engine.Flush()
 
-	var ar AdaptReply
-	if err := json.Unmarshal(roundTrip("adapt"), &ar); err != nil || ar.Adapt == nil {
-		t.Fatalf("adapt reply: %v", err)
-	}
-	if !ar.Adapt.Swapped || ar.Adapt.NewVersion != 2 {
+	var ar wire.AdaptReply
+	reply(t, c, "adapt", &ar)
+	if ar.Adapt == nil || !ar.Adapt.Swapped || ar.Adapt.NewVersion != 2 {
 		t.Fatalf("adapt cycle = %+v", ar.Adapt)
 	}
-	var sr StatusReply
-	if err := json.Unmarshal(roundTrip("status"), &sr); err != nil {
-		t.Fatal(err)
-	}
+	var sr wire.StatusReply
+	reply(t, c, "status", &sr)
 	if sr.Status.ModelVersion != 2 {
 		t.Fatalf("status after adapt: version %d, want 2", sr.Status.ModelVersion)
 	}
-	if err := json.Unmarshal(roundTrip("drift"), &dr); err != nil {
-		t.Fatal(err)
-	}
+	reply(t, c, "drift", &dr)
 	if dr.Drift.Swaps != 1 || dr.Drift.LastCycle == nil {
 		t.Fatalf("drift status after adapt = %+v", dr.Drift)
 	}
@@ -186,25 +155,12 @@ func TestServerAdaptDisabled(t *testing.T) {
 	}
 	shutdown := startServer(t, srv)
 	defer shutdown()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	rd := bufio.NewReader(conn)
+	c := dial(t, srv)
 	for _, cmd := range []string{"drift", "adapt"} {
-		if err := enc.Encode(map[string]string{"cmd": cmd}); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		line, err := rd.ReadBytes('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		var er ErrorReply
-		if err := json.Unmarshal(line, &er); err != nil || er.Error == "" {
-			t.Fatalf("%s without adapter must error, got %s", cmd, line)
+		var er wire.ErrorReply
+		reply(t, c, cmd, &er)
+		if !strings.Contains(er.Error, "-adapt") {
+			t.Fatalf("%s without adapter replied %q, want a pointer at -adapt", cmd, er.Error)
 		}
 	}
 }

@@ -1,28 +1,21 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/core"
+	"misusedetect/internal/wire"
 )
-
-// wireBatchFrame is the client-side encoding of one batch frame.
-type wireBatchFrame struct {
-	Batch []actionlog.Event `json:"batch"`
-}
 
 // collectAlarms syncs the connection and returns the "kind@position"
 // markers of one session's alarms read before the sync reply, in order.
-func collectAlarms(t *testing.T, sc *bufio.Scanner, conn net.Conn, session string) []string {
+func collectAlarms(t *testing.T, c *wire.Client, session string) []string {
 	t.Helper()
-	alarms, _ := syncReply(t, conn, sc)
+	alarms, _ := mustSync(t, c)
 	var got []string
 	for _, a := range alarms {
 		if a.SessionID == session {
@@ -64,74 +57,50 @@ func TestServerBatchFrames(t *testing.T) {
 		}
 		return evs
 	}
-	dial := func() (net.Conn, *json.Encoder, *bufio.Scanner) {
-		conn, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		sc := bufio.NewScanner(conn)
-		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-		return conn, json.NewEncoder(conn), sc
-	}
 
 	// Phase 1 — reference: the session as one line per event.
-	conn1, enc1, sc1 := dial()
+	c1 := dial(t, srv)
 	for _, ev := range mkEvents("single-s") {
-		if err := enc1.Encode(&ev); err != nil {
+		if err := c1.SendEvent(&ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := collectAlarms(t, sc1, conn1, "single-s")
+	want := collectAlarms(t, c1, "single-s")
 	if len(want) == 0 {
 		t.Fatal("per-event path raised no alarms; the comparison would be vacuous")
 	}
 
 	// Phase 2 — the same actions as batch frames of mixed sizes.
-	conn2, enc2, sc2 := dial()
+	c2 := dial(t, srv)
 	batchEvs := mkEvents("batch-s")
 	for off := 0; off < len(batchEvs); {
 		n := 1 + rng.Intn(7)
 		if off+n > len(batchEvs) {
 			n = len(batchEvs) - off
 		}
-		if err := enc2.Encode(&wireBatchFrame{Batch: batchEvs[off : off+n]}); err != nil {
+		if err := c2.SendBatch(batchEvs[off : off+n]); err != nil {
 			t.Fatal(err)
 		}
 		off += n
 	}
-	got := collectAlarms(t, sc2, conn2, "batch-s")
+	got := collectAlarms(t, c2, "batch-s")
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("batch alarms diverge from per-event alarms:\nsingle: %v\nbatch:  %v", want, got)
 	}
 
 	// Phase 3 — an oversized frame must be dropped whole, and the
 	// connection must survive to serve a status round trip.
-	conn3, enc3, sc3 := dial()
+	c3 := dial(t, srv)
 	big := make([]actionlog.Event, maxBatchLen+1)
 	for i := range big {
 		big[i] = actionlog.Event{SessionID: "big-s", Action: names[0]}
 	}
-	if err := enc3.Encode(&wireBatchFrame{Batch: big}); err != nil {
+	if err := c3.SendBatch(big); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fmt.Fprintf(conn3, "{\"cmd\":\"status\"}\n"); err != nil {
-		t.Fatal(err)
-	}
-	conn3.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var st *core.EngineStats
-	for sc3.Scan() {
-		var probe struct {
-			Status *core.EngineStats `json:"status"`
-		}
-		if err := json.Unmarshal(sc3.Bytes(), &probe); err == nil && probe.Status != nil {
-			st = probe.Status
-			break
-		}
-	}
-	if st == nil {
-		t.Fatalf("no status reply after oversized frame: %v", sc3.Err())
-	}
+	var sr wire.StatusReply
+	reply(t, c3, "status", &sr)
+	st := sr.Status
 	if st.EventsProcessed != uint64(2*len(actions)) {
 		t.Fatalf("daemon processed %d events, want %d (the oversized frame must not count)", st.EventsProcessed, 2*len(actions))
 	}

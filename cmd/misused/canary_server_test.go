@@ -1,9 +1,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,23 +9,8 @@ import (
 
 	"misusedetect/internal/core"
 	"misusedetect/internal/rollout"
+	"misusedetect/internal/wire"
 )
-
-// controlLine sends one control command and decodes the single reply
-// line into out, failing on an {"error":...} line unless out is an
-// *ErrorReply.
-func controlLine(t *testing.T, conn net.Conn, sc *bufio.Scanner, cmd string, out any) {
-	t.Helper()
-	if _, err := conn.Write([]byte("{\"cmd\":\"" + cmd + "\"}\n")); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.Scan() {
-		t.Fatalf("no reply for %q: %v", cmd, sc.Err())
-	}
-	if err := json.Unmarshal(sc.Bytes(), out); err != nil {
-		t.Fatalf("reply for %q: %q: %v", cmd, sc.Text(), err)
-	}
-}
 
 // TestServerCanaryCommands covers the staged-rollout wire surface: with
 // a rollout controller wired in, reload publishes the model directory
@@ -63,50 +45,44 @@ func TestServerCanaryCommands(t *testing.T) {
 	shutdown := startServer(t, srv)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	sc := bufio.NewScanner(conn)
+	c := dial(t, srv)
 
 	// Idle controller: status says inactive, decisions are errors.
-	var cr CanaryReply
-	controlLine(t, conn, sc, "canary", &cr)
+	var cr wire.CanaryReply
+	reply(t, c, "canary", &cr)
 	if cr.Canary.Active || cr.Canary.ServingVersion != 1 {
 		t.Fatalf("idle canary status: %+v", cr.Canary)
 	}
-	var er ErrorReply
-	controlLine(t, conn, sc, "canary-promote", &er)
+	var er wire.ErrorReply
+	reply(t, c, "canary-promote", &er)
 	if !strings.Contains(er.Error, "no canary") {
 		t.Fatalf("promote with nothing pending: %+v", er)
 	}
 
 	// Reload with a controller publishes a canary instead of swapping.
-	var rr ReloadReply
-	controlLine(t, conn, sc, "reload", &rr)
+	var rr wire.ReloadReply
+	reply(t, c, "reload", &rr)
 	if !rr.Reload.Canary || rr.Reload.Version != 2 || rr.Reload.Fraction != 0.25 {
 		t.Fatalf("canary reload reply: %+v", rr.Reload)
 	}
 	if reg.Current().Version != 1 {
 		t.Fatalf("canary reload swapped serving to %d", reg.Current().Version)
 	}
-	controlLine(t, conn, sc, "canary", &cr)
+	reply(t, c, "canary", &cr)
 	if !cr.Canary.Active || cr.Canary.CandidateVersion != 2 || cr.Canary.CandidateDir != dir {
 		t.Fatalf("pending canary status: %+v", cr.Canary)
 	}
 
 	// A second reload while the rollout is undecided is refused.
-	controlLine(t, conn, sc, "reload", &er)
+	reply(t, c, "reload", &er)
 	if !strings.Contains(er.Error, "pending") {
 		t.Fatalf("reload during pending rollout: %+v", er)
 	}
 
 	// Operator rollback: verdict comes back, and the model directory
 	// itself is quarantined (the reload-as-canary recovery case).
-	var vr CanaryVerdictReply
-	controlLine(t, conn, sc, "canary-rollback", &vr)
+	var vr wire.CanaryVerdictReply
+	reply(t, c, "canary-rollback", &vr)
 	if vr.Verdict == nil || vr.Verdict.Decision != "rollback" || !strings.Contains(vr.Verdict.Reason, "operator rollback") {
 		t.Fatalf("rollback verdict: %+v", vr.Verdict)
 	}
@@ -126,7 +102,7 @@ func TestServerCanaryCommands(t *testing.T) {
 
 	// With the directory quarantined, the next reload fails verification
 	// — the integrity gate, not a half-loaded model.
-	controlLine(t, conn, sc, "reload", &er)
+	reply(t, c, "reload", &er)
 	if er.Error == "" {
 		t.Fatal("reload of a quarantined model dir must fail")
 	}
@@ -146,16 +122,10 @@ func TestServerCanaryDisabled(t *testing.T) {
 	shutdown := startServer(t, srv)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	sc := bufio.NewScanner(conn)
+	c := dial(t, srv)
 	for _, cmd := range []string{"canary", "canary-promote", "canary-rollback"} {
-		var er ErrorReply
-		controlLine(t, conn, sc, cmd, &er)
+		var er wire.ErrorReply
+		reply(t, c, cmd, &er)
 		if !strings.Contains(er.Error, "-canary-frac") {
 			t.Fatalf("%s reply %+v does not point at -canary-frac", cmd, er)
 		}
@@ -205,15 +175,9 @@ func TestServerReloadInstallsThresholds(t *testing.T) {
 			}
 			shutdown := startServer(t, srv)
 			defer shutdown()
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(10 * time.Second))
-
-			var rr ReloadReply
-			controlLine(t, conn, bufio.NewScanner(conn), "reload", &rr)
+			c := dial(t, srv)
+			var rr wire.ReloadReply
+			reply(t, c, "reload", &rr)
 			if rr.Reload.Version != 2 || rr.Reload.Canary != tc.canary {
 				t.Fatalf("reload reply: %+v", rr.Reload)
 			}
@@ -229,6 +193,14 @@ func TestServerReloadInstallsThresholds(t *testing.T) {
 			}
 			if installed.Monitor == nil || installed.Monitor.LikelihoodFloor != 0.123 {
 				t.Fatalf("reloaded generation monitor = %+v, want the directory's thresholds", installed.Monitor)
+			}
+			if tc.canary {
+				// An operator promotion serves the candidate fleet-wide.
+				var vr wire.CanaryVerdictReply
+				reply(t, c, "canary-promote", &vr)
+				if vr.Verdict == nil || vr.Verdict.Decision != "promote" || reg.Current().Version != 2 {
+					t.Fatalf("promote verdict %+v, serving version %d", vr.Verdict, reg.Current().Version)
+				}
 			}
 		})
 	}

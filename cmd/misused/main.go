@@ -6,12 +6,16 @@
 // case of the paper's §IV-C.
 //
 // Protocol: each line sent by a client is one actionlog.Event in JSON,
-// or a batch frame {"batch":[event,...]} carrying up to 512 events (the
+// a batch frame {"batch":[event,...]} carrying up to 512 events (the
 // high-throughput path: one parse pass and one queue handoff per shard
 // per frame, with a zero-copy fast scan that interns known action names
-// straight from the wire bytes); each line written back is an alarm
-// notice in JSON. Sessions are expired after an idle timeout to bound
-// memory.
+// straight from the wire bytes), or a control command {"cmd":name}:
+// status, sync, reload, drift, adapt, canary, canary-promote or
+// canary-rollback (misusectl wraps all but sync). Each line written
+// back is an alarm notice in JSON or a command's reply; internal/wire
+// declares each reply and says what its command does, and a failed or
+// unknown command receives an {"error":...} line. Sessions are expired
+// after an idle timeout to bound memory.
 //
 // Usage:
 //
@@ -31,31 +35,6 @@
 // scoring goroutines fed through bounded queues of depth -queue. The
 // model may use any registered scorer backend (LSTM, n-gram, HMM); the
 // backend is recorded in the model directory and restored on load.
-//
-// Control commands (one JSON line each; misusectl wraps all but sync):
-//
-//	{"cmd":"status"}  ->  engine counters, active backend + model version
-//	{"cmd":"sync"}    ->  the status line, written once every event sent
-//	                      earlier on the connection is scored and after
-//	                      every alarm those events raised
-//	{"cmd":"reload"}  ->  verify -model against its manifest checksums,
-//	                      then hot-swap the new model set (plus its
-//	                      thresholds.json when present); in-flight
-//	                      sessions finish on the version they started on
-//	                      (zero downtime, no weight mixing). With
-//	                      -canary-frac the reload publishes the directory
-//	                      as a canary candidate instead of swapping.
-//	{"cmd":"drift"}   ->  drift-detector and adaptation-pipeline state
-//	                      (requires -adapt)
-//	{"cmd":"adapt"}   ->  run one manual retrain cycle now (requires
-//	                      -adapt); replies with the cycle report
-//	{"cmd":"canary"}  ->  staged-rollout state: pending candidate and
-//	                      the comparator's per-arm statistics (requires
-//	                      -canary-frac)
-//	{"cmd":"canary-promote"}  ->  force-promote the pending candidate
-//	{"cmd":"canary-rollback"} ->  force-roll-back (and quarantine) it
-//
-// Unknown commands receive a {"error":...} JSON line.
 //
 // Model directories are verified before any weight is decoded — at
 // startup and on every reload (core.LoadGeneration): the manifest

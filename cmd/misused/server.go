@@ -13,6 +13,7 @@ import (
 	"misusedetect/internal/core"
 	"misusedetect/internal/pipeline"
 	"misusedetect/internal/rollout"
+	"misusedetect/internal/wire"
 )
 
 // ServerConfig configures the monitoring daemon.
@@ -44,59 +45,6 @@ const writeTimeout = 30 * time.Second
 // Alarm is the JSON line written back to clients when a session looks
 // suspicious; it is the engine's alarm record verbatim.
 type Alarm = core.Alarm
-
-// StatusReply is the JSON line written back for a status request: the
-// engine counters (including the active backend and model version) plus
-// daemon identity.
-type StatusReply struct {
-	Status core.EngineStats `json:"status"`
-	Uptime string           `json:"uptime"`
-}
-
-// ReloadReply is the JSON line written back for a successful reload.
-type ReloadReply struct {
-	Reload ReloadStatus `json:"reload"`
-}
-
-// ReloadStatus describes the installed model generation. Canary marks a
-// staged reload: the generation serves only Fraction of new sessions
-// until the rollout controller promotes it.
-type ReloadStatus struct {
-	Version  uint64  `json:"version"`
-	Backend  string  `json:"backend"`
-	Clusters int     `json:"clusters"`
-	Canary   bool    `json:"canary,omitempty"`
-	Fraction float64 `json:"fraction,omitempty"`
-}
-
-// CanaryReply is the JSON line written back for a canary-status request.
-type CanaryReply struct {
-	Canary rollout.Status `json:"canary"`
-}
-
-// CanaryVerdictReply is the JSON line written back when an operator
-// forces a promote or rollback.
-type CanaryVerdictReply struct {
-	Verdict *rollout.Verdict `json:"canary_verdict"`
-}
-
-// ErrorReply is the JSON line written back when a control command fails
-// or is not recognized.
-type ErrorReply struct {
-	Error string `json:"error"`
-}
-
-// DriftReply is the JSON line written back for a drift-status request:
-// the adaptation pipeline's full snapshot.
-type DriftReply struct {
-	Drift pipeline.Status `json:"drift"`
-}
-
-// AdaptReply is the JSON line written back for a completed manual
-// adaptation cycle.
-type AdaptReply struct {
-	Adapt *pipeline.CycleReport `json:"adapt"`
-}
 
 // inboundLine is one decoded client line: control lines carry a "cmd"
 // field and batch frames a "batch" array, neither of which events have,
@@ -356,7 +304,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	// again.
 	parser := newConnParser(s.engine.Interner())
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), wire.MaxLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -429,41 +377,42 @@ func (s *Server) write(ctx context.Context, conn net.Conn, alarms <-chan Alarm, 
 	}
 }
 
-// handleCommand answers a control line ({"cmd":"status"}, "sync",
-// "reload", "drift", "adapt", or a canary command) with the reply the
-// connection's writer sends back. Unknown commands get a JSON error line
-// back, so a misbehaving client sees its mistake instead of silence.
+// handleCommand returns the reply to one control command for the
+// connection's writer. An unknown command gets an error line back, so a
+// misbehaving client sees its mistake instead of silence.
 func (s *Server) handleCommand(ctx context.Context, cmd string, from net.Addr) any {
 	switch cmd {
 	case "sync":
 		if err := s.engine.Drain(ctx); err != nil {
-			return &ErrorReply{Error: fmt.Sprintf("sync: %v", err)}
+			return &wire.ErrorReply{Error: fmt.Sprintf("sync: %v", err)}
 		}
 		fallthrough
 	case "status":
-		return &StatusReply{
+		return &wire.StatusReply{
 			Status: s.engine.Stats(),
 			Uptime: time.Since(s.start).Round(time.Millisecond).String(),
 		}
 	case "reload":
 		return s.handleReload()
-	case "drift":
+	case "drift", "adapt":
 		if s.cfg.Adapter == nil {
-			return &ErrorReply{Error: "adaptation disabled (start misused with -adapt)"}
+			return &wire.ErrorReply{Error: "adaptation disabled (start misused with -adapt)"}
 		}
-		return &DriftReply{Drift: s.cfg.Adapter.Status()}
-	case "adapt":
-		return s.handleAdapt()
-	case "canary":
+		if cmd == "adapt" {
+			return s.handleAdapt()
+		}
+		return &wire.DriftReply{Drift: s.cfg.Adapter.Status()}
+	case "canary", "canary-promote", "canary-rollback":
 		if s.cfg.Canary == nil {
-			return &ErrorReply{Error: "canary rollouts disabled (start misused with -canary-frac)"}
+			return &wire.ErrorReply{Error: "canary rollouts disabled (start misused with -canary-frac)"}
 		}
-		return &CanaryReply{Canary: s.cfg.Canary.Status()}
-	case "canary-promote", "canary-rollback":
-		return s.handleCanaryDecision(cmd)
+		if cmd != "canary" {
+			return s.handleCanaryDecision(cmd)
+		}
+		return &wire.CanaryReply{Canary: s.cfg.Canary.Status()}
 	default:
 		s.logf("unknown command %q from %s", cmd, from)
-		return &ErrorReply{Error: fmt.Sprintf("unknown command %q", cmd)}
+		return &wire.ErrorReply{Error: fmt.Sprintf("unknown command %q", cmd)}
 	}
 }
 
@@ -472,20 +421,14 @@ func (s *Server) handleCommand(ctx context.Context, cmd string, from net.Addr) a
 // client sets its own timeout) and reports the cycle outcome. A
 // guardrail refusal is a successful reply — the report says so.
 func (s *Server) handleAdapt() any {
-	if s.cfg.Adapter == nil {
-		return &ErrorReply{Error: "adaptation disabled (start misused with -adapt)"}
-	}
 	rep, err := s.cfg.Adapter.Cycle("manual")
 	if err != nil {
 		s.logf("manual adaptation cycle: %v", err)
-		return &ErrorReply{Error: fmt.Sprintf("adapt: %v", err)}
+		return &wire.ErrorReply{Error: fmt.Sprintf("adapt: %v", err)}
 	}
-	if rep.Swapped {
-		s.logf("manual adaptation cycle swapped in generation %d (AUC %.3f vs %.3f)", rep.NewVersion, rep.NewAUC, rep.OldAUC)
-	} else {
-		s.logf("manual adaptation cycle refused: %s", rep.Refused)
-	}
-	return &AdaptReply{Adapt: rep}
+	verdict, _ := rep.Verdict()
+	s.logf("manual adaptation cycle %s (AUC %.3f vs %.3f)", verdict, rep.NewAUC, rep.OldAUC)
+	return &wire.AdaptReply{Adapt: rep}
 }
 
 // handleReload re-reads the model directory through core.LoadGeneration
@@ -499,7 +442,7 @@ func (s *Server) handleAdapt() any {
 // generation.
 func (s *Server) handleReload() any {
 	if s.cfg.ModelDir == "" {
-		return &ErrorReply{Error: "reload unavailable: server started without a model directory"}
+		return &wire.ErrorReply{Error: "reload unavailable: server started without a model directory"}
 	}
 	det, monitor, err := core.LoadGeneration(s.cfg.ModelDir)
 	var mv *core.ModelVersion
@@ -512,9 +455,9 @@ func (s *Server) handleReload() any {
 	}
 	if err != nil {
 		s.logf("reload %s: %v", s.cfg.ModelDir, err)
-		return &ErrorReply{Error: fmt.Sprintf("reload: %v", err)}
+		return &wire.ErrorReply{Error: fmt.Sprintf("reload: %v", err)}
 	}
-	reply := ReloadStatus{
+	reply := wire.ReloadStatus{
 		Version:  mv.Version,
 		Backend:  mv.Det.Backend(),
 		Clusters: mv.Det.ClusterCount(),
@@ -525,24 +468,19 @@ func (s *Server) handleReload() any {
 		s.logf("reloaded model from %s: version %d, backend %s, %d clusters",
 			s.cfg.ModelDir, mv.Version, mv.Det.Backend(), mv.Det.ClusterCount())
 	}
-	return &ReloadReply{Reload: reply}
+	return &wire.ReloadReply{Reload: reply}
 }
 
 // handleCanaryDecision force-promotes or force-rolls-back the pending
 // canary on operator demand and replies with the applied verdict.
 func (s *Server) handleCanaryDecision(cmd string) any {
-	if s.cfg.Canary == nil {
-		return &ErrorReply{Error: "canary rollouts disabled (start misused with -canary-frac)"}
-	}
-	var v *rollout.Verdict
-	var err error
+	decide := s.cfg.Canary.Rollback
 	if cmd == "canary-promote" {
-		v, err = s.cfg.Canary.Promote()
-	} else {
-		v, err = s.cfg.Canary.Rollback()
+		decide = s.cfg.Canary.Promote
 	}
+	v, err := decide()
 	if err != nil {
-		return &ErrorReply{Error: fmt.Sprintf("%s: %v", cmd, err)}
+		return &wire.ErrorReply{Error: fmt.Sprintf("%s: %v", cmd, err)}
 	}
-	return &CanaryVerdictReply{Verdict: v}
+	return &wire.CanaryVerdictReply{Verdict: v}
 }

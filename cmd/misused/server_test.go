@@ -1,13 +1,14 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"misusedetect/internal/core"
 	"misusedetect/internal/corpus"
 	"misusedetect/internal/logsim"
+	"misusedetect/internal/wire"
 )
 
 // tinyDetector trains a minimal two-behavior detector for server tests.
@@ -87,38 +89,47 @@ func startServer(t *testing.T, srv *Server) func() {
 	}
 }
 
-// syncReply sends {"cmd":"sync"} on conn and reads up to its status
-// reply, returning the alarm lines read before it and the reply's
-// counters: the reply follows every alarm of every event sent earlier on
-// conn, and the counters cover every such event.
-func syncReply(t *testing.T, conn net.Conn, sc *bufio.Scanner) ([]Alarm, core.EngineStats) {
+// dial connects a wire client to srv, closed when the test ends.
+func dial(t *testing.T, srv *Server) *wire.Client {
 	t.Helper()
-	if _, err := conn.Write([]byte("{\"cmd\":\"sync\"}\n")); err != nil {
+	c, err := wire.Dial(srv.Addr(), 30*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return readToStatus(t, conn, sc)
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
-// readToStatus reads alarm lines up to the next status reply.
-func readToStatus(t *testing.T, conn net.Conn, sc *bufio.Scanner) ([]Alarm, core.EngineStats) {
+// mustSync is Client.Sync, failing the test on an error.
+func mustSync(t *testing.T, c *wire.Client) ([]Alarm, core.EngineStats) {
 	t.Helper()
-	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	var alarms []Alarm
-	for sc.Scan() {
-		var line struct {
-			Status *core.EngineStats `json:"status"`
-			Alarm
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil || (line.Status == nil && line.SessionID == "") {
-			t.Fatalf("line %q is neither an alarm nor a status reply (%v)", sc.Text(), err)
-		}
-		if line.Status != nil {
-			return alarms, *line.Status
-		}
-		alarms = append(alarms, line.Alarm)
+	alarms, st, err := c.Sync()
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no status reply: %v", sc.Err())
-	return nil, core.EngineStats{}
+	return alarms, st
+}
+
+// reply runs one control command and decodes its reply line into the
+// zeroed *out strictly: the line has no field out's type lacks, and out
+// re-encodes to the very bytes the daemon wrote, so the wire types are
+// the protocol. An error reply is expected exactly when out is a
+// *wire.ErrorReply.
+func reply(t *testing.T, c *wire.Client, cmd string, out any) {
+	t.Helper()
+	line, err := c.Command(cmd)
+	if _, wantErr := out.(*wire.ErrorReply); line == nil || (err != nil) != wantErr {
+		t.Fatalf("%s: reply %q, err %v", cmd, line, err)
+	}
+	reflect.ValueOf(out).Elem().SetZero()
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(out); err != nil {
+		t.Fatalf("%s: reply %q does not decode into %T: %v", cmd, line, out, err)
+	}
+	if b, err := json.Marshal(out); err != nil || !bytes.Equal(b, line) {
+		t.Fatalf("%s: reply %q re-encodes as %q (%v)", cmd, line, b, err)
+	}
 }
 
 func TestServerConfigValidation(t *testing.T) {
@@ -149,18 +160,13 @@ func TestServerDetectsAnomalousStream(t *testing.T) {
 	shutdown := startServer(t, srv)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
+	c := dial(t, srv)
 
 	// A normal session first.
 	base := time.Date(2019, 3, 1, 10, 0, 0, 0, time.UTC)
 	for i, a := range sessions[0].Actions {
 		ev := actionlog.Event{Time: base.Add(time.Duration(i) * time.Second), User: "alice", SessionID: "normal-1", Action: a}
-		if err := enc.Encode(&ev); err != nil {
+		if err := c.SendEvent(&ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,14 +180,14 @@ func TestServerDetectsAnomalousStream(t *testing.T) {
 	}
 	for i, a := range anomalous {
 		ev := actionlog.Event{Time: base.Add(time.Duration(100+i) * time.Second), User: "mallory", SessionID: "bad-1", Action: a}
-		if err := enc.Encode(&ev); err != nil {
+		if err := c.SendEvent(&ev); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// The sync reply follows every alarm of both sessions, and both
 	// sessions are live once their events are scored.
-	alarms, st := syncReply(t, conn, bufio.NewScanner(conn))
+	alarms, st := mustSync(t, c)
 	foundBad := false
 	for _, a := range alarms {
 		if a.SessionID == "normal-1" {
@@ -218,13 +224,14 @@ func TestServerIgnoresMalformedEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A valid event after garbage must still be processed.
-	ev := actionlog.Event{Time: time.Now(), User: "u", SessionID: "s", Action: "a0"}
-	data, _ := json.Marshal(&ev)
-	if _, err := conn.Write(append(data, '\n')); err != nil {
+	ev, _ := json.Marshal(&actionlog.Event{Time: time.Now(), User: "u", SessionID: "s", Action: "a0"})
+	if _, err := conn.Write(append(ev, "\n{\"cmd\":\"sync\"}\n"...)); err != nil {
 		t.Fatal(err)
 	}
-	if _, st := syncReply(t, conn, bufio.NewScanner(conn)); st.SessionsLive == 0 {
-		t.Fatal("valid event after garbage was not processed")
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	var sr wire.StatusReply
+	if err := json.NewDecoder(conn).Decode(&sr); err != nil || sr.Status.SessionsLive == 0 {
+		t.Fatalf("valid event after garbage was not processed: %+v, %v", sr.Status, err)
 	}
 }
 
@@ -240,17 +247,11 @@ func TestServerExpiresIdleSessions(t *testing.T) {
 	shutdown := startServer(t, srv)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
+	c := dial(t, srv)
+	if err := c.SendEvent(&actionlog.Event{Time: time.Now(), User: "u", SessionID: "idle-1", Action: "a0"}); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	ev := actionlog.Event{Time: time.Now(), User: "u", SessionID: "idle-1", Action: "a0"}
-	data, _ := json.Marshal(&ev)
-	if _, err := conn.Write(append(data, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	if _, st := syncReply(t, conn, bufio.NewScanner(conn)); st.SessionsLive != 1 {
+	if _, st := mustSync(t, c); st.SessionsLive != 1 {
 		t.Fatal("session never tracked")
 	}
 	// Eviction waits on the idle timer, so it is polled.
@@ -310,12 +311,7 @@ func TestServerNGramBackendEndToEnd(t *testing.T) {
 	shutdown := startServer(t, srv)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
+	cl := dial(t, srv)
 	base := time.Date(2019, 3, 1, 10, 0, 0, 0, time.UTC)
 	anomalies := c.Anomalies()
 	if len(anomalies) == 0 {
@@ -324,21 +320,16 @@ func TestServerNGramBackendEndToEnd(t *testing.T) {
 	for _, s := range anomalies {
 		for i, a := range s.Actions {
 			ev := actionlog.Event{Time: base.Add(time.Duration(i) * time.Second), User: s.User, SessionID: s.ID, Action: a}
-			if err := enc.Encode(&ev); err != nil {
+			if err := cl.SendEvent(&ev); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
-		t.Fatalf("no alarm line from the ngram-backend server: %v", sc.Err())
+	alarms, _ := mustSync(t, cl)
+	if len(alarms) == 0 {
+		t.Fatal("no alarm line from the ngram-backend server")
 	}
-	var a Alarm
-	if err := json.Unmarshal(sc.Bytes(), &a); err != nil {
-		t.Fatalf("bad alarm line %q: %v", sc.Text(), err)
-	}
-	if a.ModelVersion != 1 {
+	if a := alarms[0]; a.ModelVersion != 1 {
 		t.Fatalf("alarm model version = %d, want 1", a.ModelVersion)
 	}
 	if st := srv.Stats(); st.Backend != baseline.BackendNGram {
@@ -366,33 +357,14 @@ func TestServerReloadCommand(t *testing.T) {
 	shutdown := startServer(t, srv)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	c := dial(t, srv)
+	var rr wire.ReloadReply
+	reply(t, c, "reload", &rr)
+	if rr.Reload.Version != 2 || rr.Reload.Backend != det.Backend() || rr.Reload.Clusters != det.ClusterCount() {
+		t.Fatalf("reload reply %+v does not describe the model at version 2", rr.Reload)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := conn.Write([]byte("{\"cmd\":\"reload\"}\n{\"cmd\":\"status\"}\n")); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
-		t.Fatalf("no reload reply: %v", sc.Err())
-	}
-	var rr ReloadReply
-	if err := json.Unmarshal(sc.Bytes(), &rr); err != nil || rr.Reload.Version != 2 {
-		t.Fatalf("reload reply %q (err %v), want version 2", sc.Text(), err)
-	}
-	if rr.Reload.Backend != det.Backend() || rr.Reload.Clusters != det.ClusterCount() {
-		t.Fatalf("reload reply %+v does not describe the model", rr.Reload)
-	}
-	if !sc.Scan() {
-		t.Fatalf("no status reply: %v", sc.Err())
-	}
-	var st StatusReply
-	if err := json.Unmarshal(sc.Bytes(), &st); err != nil {
-		t.Fatalf("status reply %q: %v", sc.Text(), err)
-	}
+	var st wire.StatusReply
+	reply(t, c, "status", &st)
 	if st.Status.ModelVersion != 2 || st.Status.Reloads != 1 {
 		t.Fatalf("status after reload: version %d reloads %d, want 2/1", st.Status.ModelVersion, st.Status.Reloads)
 	}
@@ -427,30 +399,14 @@ func TestServerReloadRefusesTamperedDirectory(t *testing.T) {
 	shutdown := startServer(t, srv)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	c := dial(t, srv)
+	var er wire.ErrorReply
+	reply(t, c, "reload", &er)
+	if !strings.Contains(er.Error, "SHA-256 mismatch") {
+		t.Fatalf("reload of a tampered directory replied %q, want a checksum error", er.Error)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := conn.Write([]byte("{\"cmd\":\"reload\"}\n{\"cmd\":\"status\"}\n")); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
-		t.Fatalf("no reload reply: %v", sc.Err())
-	}
-	var er ErrorReply
-	if err := json.Unmarshal(sc.Bytes(), &er); err != nil || !strings.Contains(er.Error, "SHA-256 mismatch") {
-		t.Fatalf("reload of a tampered directory replied %q (err %v), want a checksum error", sc.Text(), err)
-	}
-	if !sc.Scan() {
-		t.Fatalf("no status reply: %v", sc.Err())
-	}
-	var st StatusReply
-	if err := json.Unmarshal(sc.Bytes(), &st); err != nil {
-		t.Fatalf("status reply %q: %v", sc.Text(), err)
-	}
+	var st wire.StatusReply
+	reply(t, c, "status", &st)
 	if st.Status.ModelVersion != 1 || st.Status.Reloads != 0 {
 		t.Fatalf("status after a refused reload: version %d reloads %d, want 1/0", st.Status.ModelVersion, st.Status.Reloads)
 	}
@@ -470,29 +426,15 @@ func TestServerCommandErrors(t *testing.T) {
 	shutdown := startServer(t, srv)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	c := dial(t, srv)
+	var er wire.ErrorReply
+	reply(t, c, "frobnicate", &er)
+	if er.Error != `unknown command "frobnicate"` {
+		t.Fatalf("unknown-command reply %q", er.Error)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := conn.Write([]byte("{\"cmd\":\"frobnicate\"}\n{\"cmd\":\"reload\"}\n")); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
-		t.Fatalf("no error reply for unknown command: %v", sc.Err())
-	}
-	var er ErrorReply
-	if err := json.Unmarshal(sc.Bytes(), &er); err != nil || er.Error != `unknown command "frobnicate"` {
-		t.Fatalf("unknown-command reply %q (err %v)", sc.Text(), err)
-	}
-	if !sc.Scan() {
-		t.Fatalf("no error reply for disabled reload: %v", sc.Err())
-	}
-	er = ErrorReply{}
-	if err := json.Unmarshal(sc.Bytes(), &er); err != nil || er.Error == "" {
-		t.Fatalf("disabled-reload reply %q (err %v), want an error line", sc.Text(), err)
+	reply(t, c, "reload", &er)
+	if !strings.Contains(er.Error, "model directory") {
+		t.Fatalf("disabled-reload reply %q, want the missing model directory", er.Error)
 	}
 }
 
@@ -508,36 +450,22 @@ func TestServerStatusCommand(t *testing.T) {
 	shutdown := startServer(t, srv)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
+	c := dial(t, srv)
+	if err := c.SendEvent(&actionlog.Event{Time: time.Now(), User: "u", SessionID: "s1", Action: "a0"}); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	ev := actionlog.Event{Time: time.Now(), User: "u", SessionID: "s1", Action: "a0"}
-	data, _ := json.Marshal(&ev)
-	if _, err := conn.Write(append(data, '\n')); err != nil {
-		t.Fatal(err)
+	// sync reads the event's alarms, if any, so the status reply is the
+	// next line.
+	mustSync(t, c)
+	var st wire.StatusReply
+	reply(t, c, "status", &st)
+	if st.Status.Shards != 2 {
+		t.Fatalf("status shards = %d, want 2", st.Status.Shards)
 	}
-	if _, err := conn.Write([]byte("{\"cmd\":\"status\"}\n")); err != nil {
-		t.Fatal(err)
+	if st.Status.EventsSubmitted != 1 {
+		t.Fatalf("status events_submitted = %d, want 1", st.Status.EventsSubmitted)
 	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		var reply StatusReply
-		if err := json.Unmarshal(sc.Bytes(), &reply); err != nil || reply.Status.Shards == 0 {
-			continue // an alarm line, not the status reply
-		}
-		if reply.Status.Shards != 2 {
-			t.Fatalf("status shards = %d, want 2", reply.Status.Shards)
-		}
-		if reply.Status.EventsSubmitted < 1 {
-			t.Fatalf("status events_submitted = %d, want >= 1", reply.Status.EventsSubmitted)
-		}
-		if reply.Uptime == "" {
-			t.Fatal("status reply has no uptime")
-		}
-		return
+	if st.Uptime == "" {
+		t.Fatal("status reply has no uptime")
 	}
-	t.Fatalf("no status reply received: %v", sc.Err())
 }

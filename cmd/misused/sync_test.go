@@ -1,25 +1,24 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"slices"
 	"testing"
 	"time"
 
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/core"
+	"misusedetect/internal/wire"
 )
 
 // TestServerSyncOrdersAlarmsBeforeReply pins the sync barrier: one
 // connection streams the corpus anomalous sessions as a mix of event
 // lines and batch frames under a floor that alarms on every scored
 // action, then sends sync and status. The alarm lines read before the
-// sync reply are exactly the serial reference's, as a multiset, and none
-// arrives between the two replies.
+// sync reply are exactly the serial reference's, as a multiset, and the
+// line after the sync reply is the status reply.
 func TestServerSyncOrdersAlarmsBeforeReply(t *testing.T) {
 	det, tr := corpusNGram(t)
 	mcfg := core.DefaultMonitorConfig()
@@ -50,39 +49,25 @@ func TestServerSyncOrdersAlarmsBeforeReply(t *testing.T) {
 			}
 			shutdown := startServer(t, srv)
 			defer shutdown()
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-
-			// Send on a goroutine: the daemon writes alarms back while it
-			// reads, so this one must read.
-			sent := make(chan error, 1)
-			go func() {
-				enc := json.NewEncoder(conn)
-				rng := rand.New(rand.NewSource(int64(shards)))
+			c := dial(t, srv)
+			rng := rand.New(rand.NewSource(int64(shards)))
+			before, st, err := c.Stream(func() error {
 				for off := 0; off < len(events); {
 					n := min(1+rng.Intn(7), len(events)-off)
 					var err error
 					if n == 1 {
-						err = enc.Encode(&events[off])
+						err = c.SendEvent(&events[off])
 					} else {
-						err = enc.Encode(&wireBatchFrame{Batch: events[off : off+n]})
+						err = c.SendBatch(events[off : off+n])
 					}
 					if err != nil {
-						sent <- err
-						return
+						return err
 					}
 					off += n
 				}
-				_, err := conn.Write([]byte("{\"cmd\":\"sync\"}\n{\"cmd\":\"status\"}\n"))
-				sent <- err
-			}()
-			sc := bufio.NewScanner(conn)
-			sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-			before, st := readToStatus(t, conn, sc)
-			if err := <-sent; err != nil {
+				return nil
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 			if st.EventsProcessed != uint64(len(events)) {
@@ -91,9 +76,9 @@ func TestServerSyncOrdersAlarmsBeforeReply(t *testing.T) {
 			if got := alarmLines(t, before); !slices.Equal(got, want) {
 				t.Fatalf("%d alarm lines before the sync reply, serial reference has %d (or they differ)", len(got), len(want))
 			}
-			if after, _ := readToStatus(t, conn, sc); len(after) != 0 {
-				t.Fatalf("%d alarm lines arrived after the sync reply, first %+v", len(after), after[0])
-			}
+			// The next line is the status reply: no alarm line arrives
+			// after the sync reply.
+			reply(t, c, "status", &wire.StatusReply{})
 		})
 	}
 }

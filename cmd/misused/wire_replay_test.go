@@ -7,6 +7,7 @@ import (
 	"misusedetect/internal/baseline"
 	"misusedetect/internal/core"
 	"misusedetect/internal/harness"
+	"misusedetect/internal/wire"
 )
 
 // corpusNGram trains an ngram detector on the harness corpus split.
@@ -42,14 +43,14 @@ func corpusServer(t *testing.T) (*Server, *harness.Traffic, func()) {
 	return srv, tr, shutdown
 }
 
-// TestHarnessReplayWire closes the loop at the wire level: labeled
-// corpus traffic streams over TCP to a live daemon and the harness folds
-// the alarm lines back into a detection report.
-func TestHarnessReplayWire(t *testing.T) {
+// TestWireReplay closes the loop at the wire level: labeled corpus
+// traffic streams over TCP to a live daemon and wire.Replay folds the
+// alarm lines back into a detection report.
+func TestWireReplay(t *testing.T) {
 	srv, tr, shutdown := corpusServer(t)
 	defer shutdown()
 
-	rep, err := harness.ReplayWire(srv.Addr(), tr.EvalSessions(), 30*time.Second)
+	rep, err := wire.Replay(srv.Addr(), tr, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

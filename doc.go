@@ -81,6 +81,8 @@
 //     the automated retrain/hot-swap adaptation loop
 //   - internal/corpus: the embedded labeled evaluation corpus
 //   - internal/harness: end-to-end evaluation
+//   - internal/wire: the daemon's line protocol, its reply types and
+//     the one client (wire-level evaluation included)
 //   - bench: the benchmark, event on the socket to alarm on the socket
 //   - internal/experiments: regenerates every figure of the paper
 //   - cmd/misusectl: command-line interface (including `status` against

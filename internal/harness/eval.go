@@ -103,11 +103,11 @@ func firstAlarms(alarms []core.Alarm) map[string]int {
 	return first
 }
 
-// foldAlarms reduces an alarm stream to session-level detection counts:
+// FoldAlarms reduces an alarm stream to session-level detection counts:
 // a session counts as detected (or false-alarmed) when any alarm names
 // it, and its time-to-detection is the 1-based position of its first
 // alarm.
-func foldAlarms(alarms []core.Alarm, labeled []LabeledSession) Detection {
+func FoldAlarms(alarms []core.Alarm, labeled []LabeledSession) Detection {
 	return foldFirstAlarms(firstAlarms(alarms), labeled)
 }
 

@@ -6,19 +6,14 @@
 // It closes the loop the unit suites leave open: internal/core proves
 // the engine is deterministic and internal/metrics knows how to score a
 // classifier, but nothing connected "generate misuse scenario" to
-// "measured AUC through the live scoring path". The harness does, in
-// two replay modes:
-//
-//   - In-process: sessions are scored through core.Detector monitors and
-//     the sharded core.Engine (deterministic replay), yielding
-//     score-level detection quality (ROC/AUC, TPR at an FPR budget,
-//     precision/recall) plus alarm-level results at a calibrated
-//     operating point (session detection rate, false-alarm rate,
-//     time-to-detection in actions).
-//   - Wire-level: the same labeled sessions are streamed as JSON lines
-//     over TCP to a live misused daemon and its alarm lines are read
-//     back, measuring the deployed stack — wire parsing, sharding,
-//     backpressure — rather than library calls (see wire.go).
+// "measured AUC through the live scoring path". The harness does:
+// sessions are scored through core.Detector monitors and the sharded
+// core.Engine (deterministic replay), yielding score-level detection
+// quality (ROC/AUC, TPR at an FPR budget, precision/recall) plus
+// alarm-level results at a calibrated operating point (session
+// detection rate, false-alarm rate, time-to-detection in actions).
+// internal/wire replays the same sessions against a live misused
+// daemon and folds its alarm lines with FoldAlarms.
 //
 // Thresholds are not hand-tuned: Eval calibrates per-cluster alarm
 // floors from a false-positive budget on the held-out normal sessions

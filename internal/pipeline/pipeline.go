@@ -190,6 +190,20 @@ type CycleReport struct {
 	Calibrated *core.MonitorConfig `json:"calibrated,omitempty"`
 }
 
+// Verdict names the cycle's outcome for an operator, and reports
+// whether the candidate generation was installed: swapped in as serving
+// or published to the canary slot. Only a guardrail refusal installs
+// nothing.
+func (r *CycleReport) Verdict() (string, bool) {
+	switch {
+	case r.Swapped:
+		return fmt.Sprintf("swapped in version %d", r.NewVersion), true
+	case r.Canaried:
+		return fmt.Sprintf("published version %d to the canary", r.NewVersion), true
+	}
+	return "refused: " + r.Refused, false
+}
+
 // Status is the adapter's operator-facing snapshot ({"cmd":"drift"} /
 // misusectl drift).
 type Status struct {
