@@ -41,7 +41,8 @@ func renderDriftStatus(addr string, st pipeline.Status) {
 		st.Buffered, st.BufferCap, st.MinSessions, st.DroppedSessions)
 	fmt.Printf("  auto-cycle:       %v (pending signal %v, cycle running %v)\n",
 		st.AutoCycle, st.PendingSignal, st.CycleRunning)
-	fmt.Printf("  cycles:           %d (%d swapped, %d refused)\n", st.Cycles, st.Swaps, st.Refusals)
+	fmt.Printf("  cycles:           %d (%d swapped, %d refused, %d canaried, %d failed)\n",
+		st.Cycles, st.Swaps, st.Refusals, st.Canaried, st.Failed)
 	if st.LastError != "" {
 		fmt.Printf("  last error:       %s\n", st.LastError)
 	}

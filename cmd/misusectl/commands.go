@@ -398,7 +398,7 @@ func cmdStatus(args []string) error {
 		fmt.Printf("  shed:             %d sessions refused (%d events), %d budget evictions, %d alarms dropped\n",
 			st.ShedSessions, st.ShedEvents, st.ShedEvictions, st.AlarmsShed)
 	}
-	fmt.Printf("  score errors:     %d\n", st.ScoreErrors)
+	fmt.Printf("  score errors:     %d (%d unknown actions)\n", st.ScoreErrors, st.UnknownEvents)
 	return nil
 }
 

@@ -88,6 +88,8 @@ type connParser struct {
 	hwm int
 	// timeBuf is the fast scanner's timestamp re-quoting scratch.
 	timeBuf []byte
+	// users is the fast scanner's cache of user strings (see user).
+	users map[string]string
 	// noFast disables the fast scanner (tests pin fast/slow equality).
 	noFast bool
 }
@@ -96,7 +98,7 @@ type connParser struct {
 type misusedBatch = core.BatchEvent
 
 func newConnParser(interner *actionlog.Interner) *connParser {
-	return &connParser{interner: interner, toks: make([]misusedBatch, 0, maxBatchLen)}
+	return &connParser{interner: interner, toks: make([]misusedBatch, 0, maxBatchLen), users: make(map[string]string)}
 }
 
 // parseInbound decodes and validates one client line. It returns either
@@ -335,44 +337,58 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	<-writerDone
 }
 
-// write is the connection's one writer, until the sink is closed: it
-// streams alarm lines and writes each reply after every alarm already
-// buffered in the sink. Every write gets its own deadline, so a client
-// that stops reading cannot wedge the sink and through it a shard. After
-// the first failed alarm write, or once shutdown begins, alarms are
-// discarded (the sink must keep draining) and replies still attempted.
+// write is the connection's one writer, until the sink is closed. It
+// writes in bursts: the alarm or reply it woke for, every alarm already
+// buffered in the sink, and then the reply, if it woke for one, so a
+// reply never overtakes an alarm that was waiting. Each burst is
+// appended to one buffer and goes out in one write under one deadline,
+// so a client that stops reading cannot wedge the sink and through it a
+// shard. After the first failed write, or once shutdown begins, alarms
+// are discarded (the sink must keep draining) and replies still
+// attempted.
 func (s *Server) write(ctx context.Context, conn net.Conn, alarms <-chan Alarm, replies <-chan any) {
-	enc := json.NewEncoder(conn)
-	encode := func(v any) error {
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		return enc.Encode(v)
-	}
+	var buf []byte
 	dead := false
-	alarm := func(a Alarm) {
+	take := func(a *Alarm) {
 		if dead || ctx.Err() != nil {
 			return
 		}
-		if err := encode(&a); err != nil {
-			s.logf("write alarm to %s: %v", conn.RemoteAddr(), err)
-			dead = true
+		var err error
+		if buf, err = wire.AppendAlarm(buf, a); err != nil {
+			s.logf("encode alarm for %s: %v", conn.RemoteAddr(), err)
 		}
 	}
 	for {
+		buf = buf[:0]
+		var reply any
 		select {
 		case a, ok := <-alarms:
 			if !ok {
 				return
 			}
-			alarm(a)
-		case r := <-replies:
-			// This goroutine is the sink's only reader, so the n alarms
-			// buffered now are there to take.
-			for n := len(alarms); n > 0; n-- {
-				alarm(<-alarms)
+			take(&a)
+		case reply = <-replies:
+		}
+		// This goroutine is the sink's only reader, so the n alarms
+		// buffered now are there to take.
+		for n := len(alarms); n > 0; n-- {
+			a := <-alarms
+			take(&a)
+		}
+		if reply != nil {
+			if b, err := json.Marshal(reply); err != nil {
+				s.logf("encode reply to %s: %v", conn.RemoteAddr(), err)
+			} else {
+				buf = append(append(buf, b...), '\n')
 			}
-			if err := encode(r); err != nil {
-				s.logf("write reply to %s: %v", conn.RemoteAddr(), err)
-			}
+		}
+		if len(buf) == 0 {
+			continue
+		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		if _, err := conn.Write(buf); err != nil {
+			s.logf("write to %s: %v", conn.RemoteAddr(), err)
+			dead = true
 		}
 	}
 }

@@ -33,7 +33,7 @@ func (m *SessionMonitor) MemSize() int {
 	n := monitorStructOverhead + cap(m.recent)*8 + scorer.StreamMemSize(m.stream)
 	if v := m.vote; v != nil {
 		n += voteStructOverhead + cap(v.route)*4 + cap(v.streams)*16 // interface slots
-		n += (cap(v.advanced) + cap(v.prefix) + cap(v.votes)) * 8
+		n += (cap(v.advanced) + cap(v.prefix) + cap(v.votes)) * 4
 		for _, st := range v.streams {
 			n += scorer.StreamMemSize(st)
 		}

@@ -305,15 +305,18 @@ func (d *Detector) RouteByVote(encoded []int) (int, error) {
 	if len(encoded) == 0 {
 		return 0, fmt.Errorf("core: empty session")
 	}
+	window := encoded[:min(len(encoded), d.cfg.RouteVoteActions)]
 	dist := d.router.Start()
-	votes := make([]int, len(d.clusters))
+	votes := make([]int32, len(d.clusters))
+	prefix := make([]int32, 0, len(window))
 	cluster := 0
-	for t, a := range encoded[:min(len(encoded), d.cfg.RouteVoteActions)] {
-		c, err := d.vote(dist, votes, encoded[:t], a)
+	for _, a := range window {
+		c, err := d.vote(dist, votes, prefix, a)
 		if err != nil {
 			return 0, err
 		}
 		cluster = c
+		prefix = append(prefix, int32(a))
 	}
 	return cluster, nil
 }
@@ -323,10 +326,10 @@ func (d *Detector) RouteByVote(encoded []int) (int, error) {
 // vote-window prefix seen so far, gives the action's vote to the cluster
 // whose OC-SVM scores the extended prefix highest, and returns the
 // cluster leading the tally (the lowest index among ties).
-func (d *Detector) vote(dist []int32, votes, prefix []int, action int) (int, error) {
+func (d *Detector) vote(dist []int32, votes, prefix []int32, action int) (int, error) {
 	prior := 0
 	for _, a := range prefix {
-		if a == action {
+		if int(a) == action {
 			prior++
 		}
 	}
@@ -335,7 +338,7 @@ func (d *Detector) vote(dist []int32, votes, prefix []int, action int) (int, err
 		return 0, fmt.Errorf("core: vote: %w", err)
 	}
 	votes[best]++
-	leader, top := 0, -1
+	leader, top := 0, int32(-1)
 	for i, v := range votes {
 		if v > top {
 			leader, top = i, v

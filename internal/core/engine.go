@@ -288,6 +288,10 @@ type EngineStats struct {
 	AlarmsRaised uint64 `json:"alarms_raised"`
 	Evictions    uint64 `json:"evictions"`
 	ScoreErrors  uint64 `json:"score_errors"`
+	// UnknownEvents counts the events whose action is outside their
+	// session's model vocabulary, a part of ScoreErrors. The log names
+	// each such action only once per model version.
+	UnknownEvents uint64 `json:"unknown_events"`
 	// Shed counters, the observable face of the load-shedding policy:
 	// ShedSessions counts refused session admissions (new sessions
 	// arriving at the MaxSessions cap or over the memory budget),
@@ -573,6 +577,7 @@ type Engine struct {
 	alarms        atomic.Uint64
 	evictions     atomic.Uint64
 	scoreErrors   atomic.Uint64
+	unknownEvents atomic.Uint64
 	shedSessions  atomic.Uint64
 	shedEvents    atomic.Uint64
 	shedEvictions atomic.Uint64
@@ -933,6 +938,7 @@ func (e *Engine) Stats() EngineStats {
 		AlarmsRaised:      e.alarms.Load(),
 		Evictions:         e.evictions.Load(),
 		ScoreErrors:       e.scoreErrors.Load(),
+		UnknownEvents:     e.unknownEvents.Load(),
 		ShedSessions:      e.shedSessions.Load(),
 		ShedEvents:        e.shedEvents.Load(),
 		ShedEvictions:     e.shedEvictions.Load(),
@@ -1226,16 +1232,21 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		// installed): count it on the session so the summary exposes the
 		// unknown-action rate vocabulary-drift detection watches. Unless
 		// the learn budget is spent, the interner holds the name (as a
-		// learned token), so retraining can absorb it later.
+		// learned token), so retraining can absorb it later. The log
+		// names each unknown action once per generation (names past the
+		// learning budget share one line); the counter takes every
+		// event.
 		sess.unknown++
+		s.e.unknownEvents.Add(1)
 		s.e.scoreErrors.Add(1)
 		s.e.processed.Add(1)
-		if s.e.cfg.Logf != nil {
+		if s.e.cfg.Logf != nil && sess.mv.firstUnknown(ev.tok) {
 			name := ev.action
 			if ev.tok >= 0 {
 				name, _ = s.e.reg.interner.Snapshot().Name(ev.tok)
 			}
-			s.e.logf("session %s: unknown action %q (token %d)", ev.sessionID, name, ev.tok)
+			s.e.logf("session %s: unknown action %q (token %d, model version %d); logged once per version, counted in unknown_events",
+				ev.sessionID, name, ev.tok, sess.mv.Version)
 		}
 		if grew {
 			s.resize(sess)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -364,6 +365,54 @@ func TestEngineStatsAndEviction(t *testing.T) {
 	eng.sweepNow(time.Now().Add(2 * time.Hour))
 	if st = eng.Stats(); st.SessionsLive != 0 || st.Evictions != uint64(len(sessions)) {
 		t.Fatalf("idle sessions not evicted: %+v", st)
+	}
+}
+
+// TestEngineUnknownActionLoggedOnce: 1,000 events of one action outside
+// the vocabulary, spread over sessions on three shards, write one log
+// line and count 1,000 unknown events.
+func TestEngineUnknownActionLoggedOnce(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	eng, err := NewEngine(trainCorpusNGram(t, 11), EngineConfig{
+		Shards:  3,
+		Monitor: DefaultMonitorConfig(),
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	evs := make([]actionlog.Event, 1000)
+	for i := range evs {
+		evs[i] = actionlog.Event{SessionID: fmt.Sprintf("s-%02d", i%40), User: "u", Action: "zz-unknown"}
+	}
+	for off := 0; off < len(evs); off += 50 {
+		if err := submitEvents(ctx, eng, evs[off:off+50], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.UnknownEvents != 1000 || st.ScoreErrors != 1000 {
+		t.Fatalf("unknown events %d, score errors %d; want 1000 of each", st.UnknownEvents, st.ScoreErrors)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	unknown := 0
+	for _, l := range lines {
+		if strings.Contains(l, "unknown action") {
+			unknown++
+		}
+	}
+	if unknown != 1 {
+		t.Fatalf("%d unknown-action log lines, want 1: %q", unknown, lines)
 	}
 }
 

@@ -240,9 +240,9 @@ type voteState struct {
 	// advances per action — strictly less model work than advancing
 	// every stream, with identical observable values, since a stream's
 	// state depends only on the sequence it has observed.
-	advanced []int
-	prefix   []int
-	votes    []int
+	advanced []int32
+	prefix   []int32
+	votes    []int32
 }
 
 // NewSessionMonitor starts monitoring one session.
@@ -253,7 +253,7 @@ func (d *Detector) NewSessionMonitor(mcfg MonitorConfig) (*SessionMonitor, error
 	// advanced, votes and prefix share one backing array, so a session's
 	// birth allocates them once.
 	n, k := len(d.clusters), d.cfg.RouteVoteActions
-	ints := make([]int, 2*n+k)
+	ints := make([]int32, 2*n+k)
 	m := &SessionMonitor{
 		d:        d,
 		mcfg:     mcfg,
@@ -313,7 +313,7 @@ func (m *SessionMonitor) StageToken(action int) (scorer.Scorer, scorer.Stream, e
 		return nil, nil, err
 	}
 	m.cluster = cluster
-	v.prefix = append(v.prefix, action)
+	v.prefix = append(v.prefix, int32(action))
 
 	// Advance only the leading cluster's stream, catching it up on the
 	// buffered vote-window prefix when a route change hands the session
@@ -327,8 +327,8 @@ func (m *SessionMonitor) StageToken(action int) (scorer.Scorer, scorer.Stream, e
 		st = m.d.clusters[cluster].Model.NewStream()
 		v.streams[cluster] = st
 	}
-	for v.advanced[cluster] < m.position {
-		if _, err := scorer.ObserveLikelihood(st, v.prefix[v.advanced[cluster]]); err != nil {
+	for int(v.advanced[cluster]) < m.position {
+		if _, err := scorer.ObserveLikelihood(st, int(v.prefix[v.advanced[cluster]])); err != nil {
 			return nil, nil, err
 		}
 		v.advanced[cluster]++

@@ -45,6 +45,12 @@ type ModelVersion struct {
 	// after the vocabulary was interned, so a token past its end names
 	// an action the generation does not know.
 	toks []int32
+
+	// unknownMu guards unknownSeen, the tokens of the actions outside
+	// the vocabulary that the generation's sessions have met; see
+	// firstUnknown.
+	unknownMu   sync.Mutex
+	unknownSeen map[int32]struct{}
 }
 
 // index resolves a registry interner token to the generation's
@@ -54,6 +60,23 @@ func (mv *ModelVersion) index(tok int32) int32 {
 		return actionlog.TokenUnknown
 	}
 	return mv.toks[tok]
+}
+
+// firstUnknown reports whether tok is the generation's first sighting
+// of that action outside its vocabulary. Every name past the interner's
+// learning budget shares TokenUnknown, so the set is bounded by the
+// interner's pool.
+func (mv *ModelVersion) firstUnknown(tok int32) bool {
+	mv.unknownMu.Lock()
+	defer mv.unknownMu.Unlock()
+	if _, seen := mv.unknownSeen[tok]; seen {
+		return false
+	}
+	if mv.unknownSeen == nil {
+		mv.unknownSeen = make(map[int32]struct{})
+	}
+	mv.unknownSeen[tok] = struct{}{}
+	return true
 }
 
 // Registry is the versioned model store behind the engine: an atomic

@@ -20,7 +20,9 @@ import (
 )
 
 // Scale selects the compute budget of an experiment run. Shapes hold at
-// every scale; EXPERIMENTS.md records which scale produced each table.
+// every scale; `misusectl experiment` prints the scale before its
+// tables, and testdata/experiments-test.golden.txt holds the test-scale
+// tables.
 type Scale int
 
 // Scales.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/core"
@@ -122,6 +123,82 @@ func TestCycleCanaryPublish(t *testing.T) {
 		// The buffer was cleared by the first cycle; the point is that
 		// the pending-rollout refusal is gone.
 		t.Fatalf("cycle after rollback = %v", err)
+	}
+}
+
+// TestCycleCountersPartition replays one canaried auto-cycle, then a
+// manual cycle that fails because that canary is still pending: the
+// status counts both cycles, each under one outcome, and its outcome
+// counters sum to its cycle count.
+func TestCycleCountersPartition(t *testing.T) {
+	_, det, _ := simSetup(t)
+	reg, err := core.NewRegistry(det)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := rollout.NewController(reg, rollout.Config{
+		Fraction:    0.3,
+		MinSessions: 500, // comparator must not decide during this test
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adapter, err := New(reg, Config{
+		MinSessions:    40,
+		MinPerCluster:  2,
+		GuardrailDelta: 0.3,
+		AutoCycle:      true,
+		Canary:         ctrl,
+		Seed:           5,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	interner := actionlog.NewInterner(det.Vocabulary())
+	clusters := det.ClusterCount()
+	normals := freshNormals(t, 81, "cc")[:80]
+	end := func(i int) {
+		s := normals[i]
+		adapter.OnSessionEnd(core.SessionSummary{
+			SessionID:   s.ID,
+			Cluster:     i % clusters,
+			MinSmoothed: 0.5,
+			Observed:    len(s.Actions),
+			Tokens:      interner.InternAll(s.Actions),
+			Snap:        interner.Snapshot(),
+		})
+	}
+	for i := 0; i < len(normals)-1; i++ {
+		end(i)
+	}
+	// A drift signal is pending when the last session ends: the
+	// session-end hook starts the cycle.
+	adapter.mu.Lock()
+	adapter.pending = true
+	adapter.mu.Unlock()
+	end(len(normals) - 1)
+	deadline := time.Now().Add(2 * time.Minute)
+	for st := adapter.Status(); st.Cycles == 0 || st.CycleRunning; st = adapter.Status() {
+		if time.Now().After(deadline) {
+			t.Fatalf("auto-cycle did not finish: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := adapter.Status(); st.Canaried != 1 || st.LastCycle == nil || st.LastCycle.Reason != "drift-signal" {
+		t.Fatalf("auto-cycle was not canaried: %+v", st)
+	}
+	if _, err := adapter.Cycle("manual"); err == nil || !strings.Contains(err.Error(), "pending") {
+		t.Fatalf("cycle during pending rollout = %v", err)
+	}
+	st := adapter.Status()
+	if st.Cycles != 2 || st.Swaps != 0 || st.Refusals != 0 || st.Canaried != 1 || st.Failed != 1 {
+		t.Fatalf("cycles %d = %d swapped + %d refused + %d canaried + %d failed; want 2 = 0 + 0 + 1 + 1",
+			st.Cycles, st.Swaps, st.Refusals, st.Canaried, st.Failed)
+	}
+	if st.Swaps+st.Refusals+st.Canaried+st.Failed != st.Cycles {
+		t.Fatalf("outcome counters do not partition the cycles: %+v", st)
 	}
 }
 

@@ -205,7 +205,11 @@ func (r *CycleReport) Verdict() (string, bool) {
 }
 
 // Status is the adapter's operator-facing snapshot ({"cmd":"drift"} /
-// misusectl drift).
+// misusectl drift). Every finished cycle attempt counts in Cycles and in
+// exactly one outcome, so cycles = swaps + refusals + canaried + failed:
+// Swaps installed a generation, Refusals were refused by the guardrail,
+// Canaried published one to the canary slot, and Failed ended in an
+// error (LastError). A running cycle counts once it finishes.
 type Status struct {
 	ServingVersion  uint64             `json:"serving_version"`
 	Buffered        int                `json:"buffered_sessions"`
@@ -218,6 +222,8 @@ type Status struct {
 	Cycles          uint64             `json:"cycles"`
 	Swaps           uint64             `json:"swaps"`
 	Refusals        uint64             `json:"refusals"`
+	Canaried        uint64             `json:"canaried"`
+	Failed          uint64             `json:"failed"`
 	LastError       string             `json:"last_error,omitempty"`
 	Drift           drift.MonitorState `json:"drift"`
 	LastCycle       *CycleReport       `json:"last_cycle,omitempty"`
@@ -252,12 +258,14 @@ type Adapter struct {
 	// after a failed cycle, so a persistent failure cannot spin
 	// retrain attempts on every finished session.
 	cooldown int
-	// The cycle outcome: a cycle publishes its report, its counter and
+	// The cycle outcome: a cycle publishes its report, its counters and
 	// its error in one critical section, so Status never shows one
 	// without the others.
 	cycles    uint64
 	swaps     uint64
 	refusals  uint64
+	canaried  uint64
+	failed    uint64
 	lastErr   string
 	lastCycle *CycleReport
 
@@ -352,9 +360,9 @@ func (a *Adapter) Cycle(reason string) (*CycleReport, error) {
 // caller holds the cycling flag.
 func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 	start := time.Now()
+	// Cycles run one at a time, so this one is the next to be counted.
 	a.mu.Lock()
-	a.cycles++
-	n := a.cycles
+	n := a.cycles + 1
 	a.mu.Unlock()
 	defer func() { a.finishCycle(rep, err) }()
 
@@ -571,23 +579,27 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 }
 
 // finishCycle publishes a cycle's outcome in one critical section: its
-// report or error, and the swap or refusal it counts. A cycle that
+// report or error, and the cycle with its one outcome counter. A cycle that
 // reached a verdict also clears the candidate buffer and re-arms the
 // drift detectors, so whatever happens next is measured against the new
 // serving state, not the pre-cycle window; a refused generation's buffer
 // goes too, since retrying on the same data would only refuse again.
 func (a *Adapter) finishCycle(rep *CycleReport, err error) {
 	a.mu.Lock()
+	a.cycles++
 	if err != nil {
+		a.failed++
 		a.lastErr = err.Error()
 		a.mu.Unlock()
 		return
 	}
 	a.lastErr, a.lastCycle = "", rep
-	if rep.Swapped {
+	switch {
+	case rep.Swapped:
 		a.swaps++
-	}
-	if rep.Refused != "" {
+	case rep.Canaried:
+		a.canaried++
+	default:
 		a.refusals++
 	}
 	a.buf, a.head, a.pending, a.cooldown = nil, 0, false, 0
@@ -695,7 +707,7 @@ func (a *Adapter) guardrailTraffic(vocab *actionlog.Vocabulary, holdout []*actio
 func (a *Adapter) Status() Status {
 	a.mu.Lock()
 	buffered, dropped, pending := len(a.buf), a.dropped, a.pending
-	cycles, swaps, refusals := a.cycles, a.swaps, a.refusals
+	cycles, swaps, refusals, canaried, failed := a.cycles, a.swaps, a.refusals, a.canaried, a.failed
 	lastErr, lastCycle := a.lastErr, a.lastCycle
 	a.mu.Unlock()
 	return Status{
@@ -710,6 +722,8 @@ func (a *Adapter) Status() Status {
 		Cycles:          cycles,
 		Swaps:           swaps,
 		Refusals:        refusals,
+		Canaried:        canaried,
+		Failed:          failed,
 		LastError:       lastErr,
 		Drift:           a.dm.State(),
 		LastCycle:       lastCycle,
