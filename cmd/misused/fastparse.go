@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"unicode/utf8"
 
 	"misusedetect/internal/actionlog"
@@ -11,9 +10,8 @@ import (
 // a {"batch":[...]} frame, and a bare event object on a line of its own.
 // It is one pass over the wire bytes, no reflection, and — for actions
 // the interner already knows — no string allocation at all (the token is
-// looked up straight from the byte slice). The one per-event allocation
-// is the session-ID string the engine must own; user strings repeat
-// across sessions and come from the connection's cache (user).
+// looked up straight from the byte slice). Per-event allocations are
+// exactly the session-ID and user strings the engine must own.
 //
 // The scanner deliberately covers only the well-formed fast subset:
 // a frame with strictly a single top-level "batch" key, or one event
@@ -171,7 +169,7 @@ func (p *connParser) fastEvent(s *fastScanner) (misusedBatch, bool) {
 	}
 	ev.Ev.SessionID = string(sidB)
 	if len(userB) > 0 {
-		ev.Ev.User = p.user(userB)
+		ev.Ev.User = string(userB)
 	}
 	ev.Tok = p.interner.InternBytes(actionB)
 	if ev.Tok == actionlog.TokenUnknown {
@@ -182,27 +180,6 @@ func (p *connParser) fastEvent(s *fastScanner) (misusedBatch, bool) {
 		ev.Ev.Action = string(actionB)
 	}
 	return ev, true
-}
-
-// maxUsers caps the connection's cache of user strings: a client
-// cycling through more distinct users than this empties it each time
-// it fills, and pays one allocation per user string again.
-const maxUsers = 256
-
-// user returns b as a string, the one the connection's cache holds when
-// it has seen b before: users repeat across a connection's sessions, so
-// after the first sighting a user costs a map lookup (which does not
-// allocate), not a string.
-func (p *connParser) user(b []byte) string {
-	if u, ok := p.users[string(b)]; ok {
-		return u
-	}
-	if len(p.users) >= maxUsers {
-		clear(p.users)
-	}
-	u := string(b)
-	p.users[u] = u
-	return u
 }
 
 // fastScanner is a byte cursor over one wire line.
@@ -244,52 +221,28 @@ func (s *fastScanner) done() bool { return s.pos == len(s.b) }
 // bytes between the quotes without copying. Escapes and invalid UTF-8
 // (which encoding/json would unescape or coerce) report false so the
 // slow path decodes them.
-//
-// It tests eight bytes at a time for a quote, a backslash, a byte < 0x20
-// or a byte ≥ 0x80, and walks byte by byte only the words that trip the
-// test (and the tail shorter than a word).
 func (s *fastScanner) rawString() ([]byte, bool) {
 	if !s.eat('"') {
 		return nil, false
 	}
-	start, high := s.pos, false
-	for i := start; i < len(s.b); {
-		if i+8 <= len(s.b) && !special(binary.LittleEndian.Uint64(s.b[i:])) {
-			i += 8
-			continue
-		}
-		for end := min(i+8, len(s.b)); i < end; i++ {
-			switch c := s.b[i]; {
-			case c == '"':
-				out := s.b[start:i]
-				if high && !utf8.Valid(out) {
-					return nil, false
-				}
-				s.pos = i + 1
-				return out, true
-			case c == '\\' || c < 0x20:
+	start := s.pos
+	high := false
+	for s.pos < len(s.b) {
+		c := s.b[s.pos]
+		switch {
+		case c == '"':
+			out := s.b[start:s.pos]
+			s.pos++
+			if high && !utf8.Valid(out) {
 				return nil, false
-			case c >= 0x80:
-				high = true
 			}
+			return out, true
+		case c == '\\' || c < 0x20:
+			return nil, false
+		case c >= 0x80:
+			high = true
 		}
+		s.pos++
 	}
 	return nil, false
-}
-
-// Byte-lane masks for special.
-const (
-	lanes01 = 0x0101010101010101
-	lanes80 = 0x8080808080808080
-)
-
-// special reports whether one of the eight bytes of w may be a quote, a
-// backslash, a byte < 0x20 or a byte ≥ 0x80. Each term sets a lane's
-// top bit: the first for a byte < 0x20, the next two for a zero byte of
-// w xor a quote or a backslash, and w itself for a byte ≥ 0x80. A
-// borrow may also mark a lane above a hit, but never a word without one.
-func special(w uint64) bool {
-	q := w ^ ('"' * lanes01)
-	bs := w ^ ('\\' * lanes01)
-	return ((w-0x20*lanes01)&^w|(q-lanes01)&^q|(bs-lanes01)&^bs|w)&lanes80 != 0
 }

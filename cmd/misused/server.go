@@ -88,8 +88,6 @@ type connParser struct {
 	hwm int
 	// timeBuf is the fast scanner's timestamp re-quoting scratch.
 	timeBuf []byte
-	// users is the fast scanner's cache of user strings (see user).
-	users map[string]string
 	// noFast disables the fast scanner (tests pin fast/slow equality).
 	noFast bool
 }
@@ -98,7 +96,7 @@ type connParser struct {
 type misusedBatch = core.BatchEvent
 
 func newConnParser(interner *actionlog.Interner) *connParser {
-	return &connParser{interner: interner, toks: make([]misusedBatch, 0, maxBatchLen), users: make(map[string]string)}
+	return &connParser{interner: interner, toks: make([]misusedBatch, 0, maxBatchLen)}
 }
 
 // parseInbound decodes and validates one client line. It returns either
@@ -343,9 +341,10 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 // reply never overtakes an alarm that was waiting. Each burst is
 // appended to one buffer and goes out in one write under one deadline,
 // so a client that stops reading cannot wedge the sink and through it a
-// shard. After the first failed write, or once shutdown begins, alarms
-// are discarded (the sink must keep draining) and replies still
-// attempted.
+// shard. After the first failed write of a burst that carried alarms, or
+// once shutdown begins, alarms are discarded (the sink must keep
+// draining) and replies still attempted; a failed reply alone does not
+// stop later alarms.
 func (s *Server) write(ctx context.Context, conn net.Conn, alarms <-chan Alarm, replies <-chan any) {
 	var buf []byte
 	dead := false
@@ -375,6 +374,7 @@ func (s *Server) write(ctx context.Context, conn net.Conn, alarms <-chan Alarm, 
 			a := <-alarms
 			take(&a)
 		}
+		withAlarms := len(buf) > 0
 		if reply != nil {
 			if b, err := json.Marshal(reply); err != nil {
 				s.logf("encode reply to %s: %v", conn.RemoteAddr(), err)
@@ -388,7 +388,7 @@ func (s *Server) write(ctx context.Context, conn net.Conn, alarms <-chan Alarm, 
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := conn.Write(buf); err != nil {
 			s.logf("write to %s: %v", conn.RemoteAddr(), err)
-			dead = true
+			dead = dead || withAlarms
 		}
 	}
 }

@@ -105,6 +105,30 @@ func TestServerWriteFailedAlarmLetsReplyThrough(t *testing.T) {
 	}
 }
 
+// TestServerWriteFailedReplyKeepsAlarms pins the other half of the
+// failure rule: a failed write that carried only a reply does not stop
+// the alarms after it.
+func TestServerWriteFailedReplyKeepsAlarms(t *testing.T) {
+	conn := &recordConn{fail: 1, wrote: make(chan struct{}, 4)}
+	alarms, replies, stop := startWriter(t, conn)
+	replies <- &wire.StatusReply{Uptime: "1s"}
+	<-conn.wrote
+	later := testAlarm(2)
+	alarms <- later
+	select {
+	case <-conn.wrote:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the alarm after a failed reply was never written")
+	}
+	stop()
+	if len(conn.writes) != 2 {
+		t.Fatalf("writer made %d writes, want the failed reply and the alarm: %q", len(conn.writes), conn.writes)
+	}
+	if got, want := string(conn.writes[1]), encodeLine(t, &later); got != want {
+		t.Fatalf("write after the failed reply carried %q, want the alarm %q", got, want)
+	}
+}
+
 // TestServerWriteReplyAfterQueuedAlarms pins the writer's ordering: a
 // reply goes out after every alarm that was in the sink when the reply
 // arrived, whichever the writer wakes for first.
