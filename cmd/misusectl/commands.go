@@ -74,7 +74,7 @@ func cmdTrain(args []string) error {
 	data := fs.String("data", "", "input event log (JSONL)")
 	modelDir := fs.String("model", "./model", "output model directory")
 	clusters := fs.Int("clusters", 13, "number of behavior clusters")
-	scale := fs.String("scale", "default", "model scale: test|bench|default|paper")
+	scale := fs.String("scale", "default", "model scale: test|default|paper")
 	backend := fs.String("backend", "lstm", "per-cluster sequence-model backend: lstm|ngram|hmm")
 	seed := fs.Int64("seed", 1, "training seed")
 	if err := fs.Parse(args); err != nil {
@@ -95,7 +95,10 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	hidden, epochs, lr := scaleModel(sc)
+	hidden, epochs, lr, err := sc.Model()
+	if err != nil {
+		return err
+	}
 	cfg := core.ScaledConfig(vocab.Size(), *clusters, hidden, epochs, *seed)
 	cfg.LM.Trainer.LearningRate = lr
 	cfg.Backend = *backend
@@ -125,18 +128,6 @@ func cmdTrain(args []string) error {
 	}
 	fmt.Printf("saved model to %s\n", *modelDir)
 	return nil
-}
-
-// scaleModel maps an experiment scale to model hyperparameters.
-func scaleModel(sc experiments.Scale) (hidden, epochs int, lr float64) {
-	switch sc {
-	case experiments.ScaleTest, experiments.ScaleBench:
-		return 16, 4, 0.01
-	case experiments.ScalePaper:
-		return 256, 10, 0.001
-	default:
-		return 48, 6, 0.005
-	}
 }
 
 func cmdScore(args []string) error {
@@ -297,7 +288,7 @@ func cmdViz(args []string) error {
 func cmdExperiment(args []string) error {
 	fs := newFlagSet("experiment")
 	id := fs.String("id", "all", "experiment id or 'all'")
-	scale := fs.String("scale", "test", "scale: test|bench|default|paper")
+	scale := fs.String("scale", "test", "scale: test|default|paper")
 	seed := fs.Int64("seed", 42, "experiment seed")
 	if err := fs.Parse(args); err != nil {
 		return err

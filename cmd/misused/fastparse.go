@@ -159,11 +159,10 @@ func (p *connParser) fastEvent(s *fastScanner) (misusedBatch, bool) {
 	}
 	ev := misusedBatch{}
 	if len(timeB) > 0 {
-		// Re-quote into reused scratch and run time.Time's own JSON
-		// decoder, so timestamp acceptance is bit-for-bit the slow
-		// path's.
-		p.timeBuf = append(append(append(p.timeBuf[:0], '"'), timeB...), '"')
-		if err := ev.Ev.Time.UnmarshalJSON(p.timeBuf); err != nil {
+		// time.Time's UnmarshalJSON strips the quotes and parses the
+		// rest exactly as UnmarshalText does, so timestamp acceptance is
+		// the slow path's.
+		if err := ev.Ev.Time.UnmarshalText(timeB); err != nil {
 			return misusedBatch{}, false
 		}
 	}

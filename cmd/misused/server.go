@@ -86,8 +86,6 @@ type connParser struct {
 	// those can hold stale data, so a single-event line after a big
 	// frame doesn't pay a full-capacity clear.
 	hwm int
-	// timeBuf is the fast scanner's timestamp re-quoting scratch.
-	timeBuf []byte
 	// noFast disables the fast scanner (tests pin fast/slow equality).
 	noFast bool
 }

@@ -99,15 +99,6 @@ func (in *Interner) InternBytes(name []byte) int32 {
 	return in.learn(string(name))
 }
 
-// InternAll interns a slice of names in order.
-func (in *Interner) InternAll(names []string) []int32 {
-	out := make([]int32, len(names))
-	for i, n := range names {
-		out[i] = in.Intern(n)
-	}
-	return out
-}
-
 // Install interns every action of a model vocabulary outside the
 // learning budget: a vocabulary is trusted, bounded input, unlike the
 // names on the wire. Names already interned keep their tokens, so

@@ -132,9 +132,12 @@ func TestInternerInstall(t *testing.T) {
 func TestInternAllAndRemapTo(t *testing.T) {
 	v := internTestVocab(t)
 	in := NewInterner(v)
-	toks := in.InternAll([]string{"a", "zz", "c", ""})
+	var toks []int32
+	for _, name := range []string{"a", "zz", "c", ""} {
+		toks = append(toks, in.Intern(name))
+	}
 	if len(toks) != 4 || toks[0] != 0 || toks[1] != 3 || toks[2] != 2 || toks[3] != TokenUnknown {
-		t.Fatalf("InternAll = %v", toks)
+		t.Fatalf("Intern in order = %v", toks)
 	}
 	// Remap into a grown vocabulary that includes the learned action at
 	// a different index.

@@ -318,7 +318,7 @@ func (s *hmmStream) Observe(action int) (float64, tensor.Vector, error) {
 	return lik, s.dist, nil
 }
 
-// ObserveLikelihood is the scorer.LikelihoodStream fast path: one
+// ObserveLikelihood is the serving path's advance: one
 // forward-algorithm step, O(states^2), without the O(states x vocab)
 // predictive distribution nobody reads on the serving path.
 func (s *hmmStream) ObserveLikelihood(action int) (float64, error) {

@@ -8,8 +8,8 @@ import "misusedetect/internal/scorer"
 // predictive distribution exists only once a caller has asked for it
 // through Observe (the serving path never does).
 var (
-	_ scorer.MemSizer = (*ngramStream)(nil)
-	_ scorer.MemSizer = (*hmmStream)(nil)
+	_ scorer.Stream = (*ngramStream)(nil)
+	_ scorer.Stream = (*hmmStream)(nil)
 )
 
 // streamStructOverhead approximates the fixed per-stream struct and

@@ -200,10 +200,10 @@ func (s *ngramStream) Observe(action int) (float64, tensor.Vector, error) {
 	return lik, s.dist, nil
 }
 
-// ObserveLikelihood is the scorer.LikelihoodStream fast path: the same
-// stream advance as Observe, O(Order) instead of O(Order x vocab),
-// because no predictive distribution is materialized. This is what the
-// engine's monitor pays per (event, cluster).
+// ObserveLikelihood is the serving path's advance: the same stream
+// advance as Observe, O(Order) instead of O(Order x vocab), because no
+// predictive distribution is materialized. This is what the engine's
+// monitor pays per event.
 func (s *ngramStream) ObserveLikelihood(action int) (float64, error) {
 	if action < 0 || action >= s.m.vocab {
 		return 0, fmt.Errorf("baseline: ngram stream action %d outside vocab %d", action, s.m.vocab)

@@ -162,9 +162,9 @@ func TestLikelihoodFastPathMatchesObserve(t *testing.T) {
 	}
 	for _, m := range []scorer.Scorer{ng, hm} {
 		full := m.NewStream()
-		fast := m.NewStream().(scorer.LikelihoodStream)
+		fast := m.NewStream()
 		mixed := m.NewStream()
-		fresh := scorer.StreamMemSize(m.NewStream())
+		fresh := m.NewStream().MemSize()
 		dists := make([][]float64, len(session))
 		for i, a := range session {
 			want, dist, err := full.Observe(a)
@@ -185,7 +185,7 @@ func TestLikelihoodFastPathMatchesObserve(t *testing.T) {
 			if i%2 == 0 {
 				mixedLik, _, err = mixed.Observe(a)
 			} else {
-				mixedLik, err = scorer.ObserveLikelihood(mixed, a)
+				mixedLik, err = mixed.ObserveLikelihood(a)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -200,7 +200,7 @@ func TestLikelihoodFastPathMatchesObserve(t *testing.T) {
 
 		// full holds the predictive buffer; a new stream must not.
 		distBytes := 8 * m.VocabSize()
-		if built := scorer.StreamMemSize(full); built-fresh < distBytes {
+		if built := full.MemSize(); built-fresh < distBytes {
 			t.Fatalf("%s: new stream accounts %d B, within %d B of one holding the %d B predictive buffer",
 				m.Backend(), fresh, built-fresh, distBytes)
 		}
@@ -208,7 +208,7 @@ func TestLikelihoodFastPathMatchesObserve(t *testing.T) {
 		for k := range session {
 			lazy := m.NewStream()
 			for _, a := range session[:k] {
-				if _, err := scorer.ObserveLikelihood(lazy, a); err != nil {
+				if _, err := lazy.ObserveLikelihood(a); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -25,26 +25,22 @@ const monitorStructOverhead = 192
 const voteStructOverhead = 128
 
 // MemSize estimates the resident heap bytes of this monitor's
-// session-local state — the vote state (route, per-cluster streams,
-// tallies and prefix) while the vote runs, then the routed stream, plus
-// the trend ring — excluding the shared detector. The engine sums this
-// per shard and compares the total against EngineConfig.MemBudget.
+// session-local state — the routed stream and the trend ring, plus the
+// vote state (route, tallies and prefix) while the vote runs — excluding
+// the shared detector. The engine sums this per shard and compares the
+// total against EngineConfig.MemBudget.
 func (m *SessionMonitor) MemSize() int {
 	n := monitorStructOverhead + cap(m.recent)*8 + scorer.StreamMemSize(m.stream)
 	if v := m.vote; v != nil {
-		n += voteStructOverhead + cap(v.route)*4 + cap(v.streams)*16 // interface slots
-		n += (cap(v.advanced) + cap(v.prefix) + cap(v.votes)) * 4
-		for _, st := range v.streams {
-			n += scorer.StreamMemSize(st)
-		}
+		n += voteStructOverhead + (cap(v.route)+cap(v.prefix)+cap(v.votes))*4
 	}
 	return n
 }
 
 // voting reports whether the routing vote is still active — while it
-// is, the monitor's footprint can still change (lazy stream creation,
-// then the release at the freeze), so the engine re-accounts the
-// session per event.
+// is, the monitor's footprint can still change (the first stream, a new
+// leader's replayed stream, then the release at the freeze), so the
+// engine re-accounts the session per event.
 func (m *SessionMonitor) voting() bool { return m.vote != nil }
 
 // SessionSnapshot is the dormant form of one monitored session: its

@@ -84,7 +84,7 @@ type EngineConfig struct {
 	// ScoreBatch caps how many session streams one shard advances in a
 	// single fused scorer.AdvanceBatch call when it flushes a staged wave
 	// of events. Each shard drains a burst of its queue, stages every
-	// event (session lookup, routing vote, prefix catch-up) and groups
+	// event (session lookup, routing vote, prefix replay) and groups
 	// the staged events by their sessions' concrete sequence model, then
 	// drives each group through AdvanceBatch in chunks of this size —
 	// one recurrent GEMM and one output GEMM per chunk on the LSTM
@@ -462,9 +462,9 @@ func (l *sessList) moveTail(sess *engineSession) {
 }
 
 // stagedEvent is one event of a shard's current wave: staged (session
-// resolved, routing voted, stream caught up) but with its stream advance
-// deferred to the wave flush, where advances are fused per sequence
-// model across sessions. sink is the alarm sink the event was submitted
+// resolved, routing voted, leader's stream built) but with its stream
+// advance deferred to the wave flush, where advances are fused per
+// sequence model across sessions. sink is the alarm sink the event was submitted
 // with: its alarms go there and nowhere else.
 type stagedEvent struct {
 	ev   tokEvent
@@ -1135,7 +1135,7 @@ func (s *engineShard) step(msg shardMsg) {
 const maxWave = 1024
 
 // stageEvent resolves one tokenized event — session lookup or creation,
-// vocabulary index, routing vote, prefix catch-up — and parks it on the
+// vocabulary index, routing vote, prefix replay — and parks it on the
 // shard's current wave for the fused stream advance at flush time. Runs
 // under the shard's lock: the session map and the monitors are
 // shard-local. Events that finish at stage time
@@ -1219,9 +1219,9 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		sess.tokens = append(sess.tokens, ev.tok)
 	}
 	// Re-account the session while its footprint can still change: on
-	// creation, while the routing vote may lazily build streams (and on
-	// the action whose freeze releases the vote state), and when the
-	// recorded-token buffer reallocates. Past the vote freeze a session's
+	// creation, while the routing vote may build a new leader's stream
+	// (and on the action whose freeze releases the vote state), and when
+	// the recorded-token buffer reallocates. Past the vote freeze a session's
 	// size is constant, compacted or not, so the steady-state hot path
 	// skips the walk.
 	grew = grew || cap(sess.tokens) != tokCap || sess.mon.voting()
@@ -1264,8 +1264,8 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		return
 	}
 	if grew {
-		// After StageToken: the vote may just have created this
-		// cluster's stream, or frozen and released its state.
+		// After StageToken: the vote may just have built a new
+		// leader's stream, or frozen and released its state.
 		s.resize(sess)
 	}
 	sess.waveMark = s.waveID

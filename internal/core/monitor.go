@@ -179,15 +179,16 @@ type MonitorStep struct {
 	Alarms []AlarmKind
 }
 
-// SessionMonitor scores one session in real time, action by action. A
-// session is a vote, then one stream. For its first RouteVoteActions
-// actions the OC-SVMs vote on its cluster, and the monitor keeps a
-// sequence-model stream for every cluster that has led the vote, so the
-// routed cluster can change mid-vote without re-reading the session. The
-// action that freezes the vote (the paper's online rule) releases all of
-// that but the winner's stream, which alone scores the rest. From then
-// on the monitor is the whole session, so it is also its own compaction
-// snapshot (see SessionSnapshot).
+// SessionMonitor scores one session in real time, action by action, on
+// one sequence-model stream: the routed cluster's. For its first
+// RouteVoteActions actions the OC-SVMs vote on its cluster and the
+// stream is the vote leader's; when the lead changes, the new leader's
+// stream is built fresh and replayed over the buffered vote-window
+// prefix, so the session is never re-read. The action that freezes the
+// vote (the paper's online rule) drops the vote state, leaving the
+// winner's stream to score the rest. From then on the monitor is the
+// whole session, so it is also its own compaction snapshot (see
+// SessionSnapshot).
 //
 // The monitor speaks token IDs only: action names are resolved exactly
 // once at the ingestion edge (actionlog.Interner in the serving path,
@@ -213,7 +214,8 @@ type SessionMonitor struct {
 	recentN   int
 	// vote is the routing vote's state, nil once the vote has frozen.
 	vote *voteState
-	// stream is the routed cluster's stream, set when the vote freezes.
+	// stream is the routed cluster's stream: the vote leader's while the
+	// vote runs, nil before the first action.
 	stream scorer.Stream
 	// alarmScratch backs MonitorStep.Alarms (at most one alarm per
 	// kind per step), keeping alarm emission allocation-free too.
@@ -231,18 +233,10 @@ type voteState struct {
 	// route is the vote's per-support-vector distance state
 	// (ocsvm.Router).
 	route []int32
-	// streams[c] is cluster c's stream, created when c first leads the
-	// vote: most sessions only ever route to one or two clusters.
-	streams []scorer.Stream
-	// advanced[c] is how many actions streams[c] has observed; prefix
-	// buffers the vote-window actions so a stream is caught up lazily
-	// when its cluster takes the lead. Only the leading cluster's stream
-	// advances per action — strictly less model work than advancing
-	// every stream, with identical observable values, since a stream's
-	// state depends only on the sequence it has observed.
-	advanced []int32
-	prefix   []int32
-	votes    []int32
+	// prefix buffers the vote-window actions, which a new leader's stream
+	// replays; votes tallies the vote per cluster.
+	prefix []int32
+	votes  []int32
 }
 
 // NewSessionMonitor starts monitoring one session.
@@ -250,21 +244,19 @@ func (d *Detector) NewSessionMonitor(mcfg MonitorConfig) (*SessionMonitor, error
 	if err := mcfg.validate(); err != nil {
 		return nil, err
 	}
-	// advanced, votes and prefix share one backing array, so a session's
-	// birth allocates them once.
+	// votes and prefix share one backing array, so a session's birth
+	// allocates them once.
 	n, k := len(d.clusters), d.cfg.RouteVoteActions
-	ints := make([]int32, 2*n+k)
+	ints := make([]int32, n+k)
 	m := &SessionMonitor{
 		d:        d,
 		mcfg:     mcfg,
 		smoothed: -1,
 		warmMin:  -1,
 		vote: &voteState{
-			route:    d.router.Start(),
-			streams:  make([]scorer.Stream, n),
-			advanced: ints[:n:n],
-			votes:    ints[n : 2*n : 2*n],
-			prefix:   ints[2*n : 2*n],
+			route:  d.router.Start(),
+			votes:  ints[:n:n],
+			prefix: ints[n:n],
 		},
 	}
 	if mcfg.TrendWindow > 0 {
@@ -284,7 +276,7 @@ func (m *SessionMonitor) ObserveToken(action int) (MonitorStep, error) {
 	if err != nil {
 		return MonitorStep{}, err
 	}
-	likelihood, err := scorer.ObserveLikelihood(st, action)
+	likelihood, err := st.ObserveLikelihood(action)
 	if err != nil {
 		return MonitorStep{}, err
 	}
@@ -292,56 +284,43 @@ func (m *SessionMonitor) ObserveToken(action int) (MonitorStep, error) {
 }
 
 // StageToken performs the pre-scoring half of one observation: the
-// routing vote, the vote-window prefix buffering, and the lazy catch-up
-// of the selected cluster's stream; past the vote's freeze there is
-// nothing to do. It returns that cluster's sequence model and stream.
-// The caller MUST advance the returned stream by
-// exactly this action — serially via scorer.ObserveLikelihood, or fused
-// with other sessions' streams of the same Scorer via
-// scorer.AdvanceBatch — and then call FinishToken with the observed
-// likelihood; staging without the advance leaves the monitor's
-// stream-position bookkeeping ahead of the stream and the session
+// routing vote, the vote-window prefix buffering and, when the vote hands
+// the lead to another cluster, a fresh stream for that cluster replayed
+// over the prefix; past the vote's freeze there is nothing to do. It
+// returns the routed cluster's sequence model and stream. A stream's
+// state is a pure function of the actions it observed, so the replay
+// yields the bits the new leader's stream would have had all along. The
+// caller MUST advance the returned stream by exactly this action —
+// serially via its ObserveLikelihood, or fused with other sessions'
+// streams of the same Scorer via scorer.AdvanceBatch — and then call
+// FinishToken with the observed likelihood; staging without the advance
+// leaves the stream an action behind the monitor and the session
 // unusable.
 func (m *SessionMonitor) StageToken(action int) (scorer.Scorer, scorer.Stream, error) {
 	v := m.vote
 	if v == nil {
 		return m.d.clusters[m.cluster].Model, m.stream, nil
 	}
-	// Update the routing vote, buffering the vote-window prefix.
 	cluster, err := m.d.vote(v.route, v.votes, v.prefix, action)
 	if err != nil {
 		return nil, nil, err
 	}
+	model := m.d.clusters[cluster].Model
+	if m.stream == nil || cluster != m.cluster {
+		st := model.NewStream()
+		for _, a := range v.prefix {
+			if _, err := st.ObserveLikelihood(int(a)); err != nil {
+				return nil, nil, err
+			}
+		}
+		m.stream = st
+	}
 	m.cluster = cluster
 	v.prefix = append(v.prefix, int32(action))
-
-	// Advance only the leading cluster's stream, catching it up on the
-	// buffered vote-window prefix when a route change hands the session
-	// to a cluster whose stream is behind. A stream's state is a pure
-	// function of the sequence it observed, so lazy catch-up yields the
-	// same likelihoods as eagerly advancing every stream. The
-	// likelihood-only path spares the classical backends the predictive
-	// distribution the monitor never reads.
-	st := v.streams[cluster]
-	if st == nil {
-		st = m.d.clusters[cluster].Model.NewStream()
-		v.streams[cluster] = st
-	}
-	for int(v.advanced[cluster]) < m.position {
-		if _, err := scorer.ObserveLikelihood(st, int(v.prefix[v.advanced[cluster]])); err != nil {
-			return nil, nil, err
-		}
-		v.advanced[cluster]++
-	}
-	// Pre-pay for the advance the caller owes: after FinishToken the
-	// position moves past this action, so the count must already cover it.
-	v.advanced[cluster]++
 	if len(v.prefix) == m.d.cfg.RouteVoteActions {
-		// The vote froze on this action: the winner's stream, caught up,
-		// is all of it that is ever read again.
-		m.stream, m.vote = st, nil
+		m.vote = nil // the vote froze on this action
 	}
-	return m.d.clusters[cluster].Model, st, nil
+	return model, m.stream, nil
 }
 
 // FinishToken consumes the likelihood the staged stream advance observed

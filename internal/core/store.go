@@ -38,8 +38,8 @@ type storeManifest struct {
 	// Checksums maps every artifact file of the directory (relative
 	// name, manifest.json excluded) to its SHA-256 hex digest, and
 	// TotalBytes sums their sizes. Save fills both; VerifyArtifact
-	// refuses a directory whose files do not match. Manifests written
-	// before checksums existed carry neither and load with a warning.
+	// refuses a directory whose files do not match, and one whose
+	// manifest carries no checksums (written before they existed).
 	Checksums  map[string]string `json:"checksums,omitempty"`
 	TotalBytes int64             `json:"total_bytes,omitempty"`
 }

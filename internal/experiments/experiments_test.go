@@ -38,7 +38,7 @@ func TestParseScale(t *testing.T) {
 		in   string
 		want Scale
 	}{
-		{"test", ScaleTest}, {"bench", ScaleBench}, {"default", ScaleDefault}, {"paper", ScalePaper},
+		{"test", ScaleTest}, {"default", ScaleDefault}, {"paper", ScalePaper},
 	} {
 		got, err := ParseScale(c.in)
 		if err != nil || got != c.want {

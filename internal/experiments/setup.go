@@ -29,8 +29,6 @@ type Scale int
 const (
 	// ScaleTest is sized for unit tests (seconds).
 	ScaleTest Scale = iota + 1
-	// ScaleBench is sized for benchmarks.
-	ScaleBench
 	// ScaleDefault is the CLI default (minutes).
 	ScaleDefault
 	// ScalePaper uses the paper's full corpus and hyperparameters
@@ -43,8 +41,6 @@ func (s Scale) String() string {
 	switch s {
 	case ScaleTest:
 		return "test"
-	case ScaleBench:
-		return "bench"
 	case ScaleDefault:
 		return "default"
 	case ScalePaper:
@@ -59,14 +55,12 @@ func ParseScale(s string) (Scale, error) {
 	switch s {
 	case "test":
 		return ScaleTest, nil
-	case "bench":
-		return ScaleBench, nil
 	case "default":
 		return ScaleDefault, nil
 	case "paper":
 		return ScalePaper, nil
 	default:
-		return 0, fmt.Errorf("experiments: unknown scale %q (want test|bench|default|paper)", s)
+		return 0, fmt.Errorf("experiments: unknown scale %q (want test|default|paper)", s)
 	}
 }
 
@@ -84,8 +78,6 @@ func (s Scale) params() (params, error) {
 	switch s {
 	case ScaleTest:
 		return params{corpusDivisor: 12, hidden: 16, epochs: 4, learningRate: 0.01, minSteps: 60, maxPositions: 60}, nil
-	case ScaleBench:
-		return params{corpusDivisor: 12, hidden: 16, epochs: 4, learningRate: 0.01, minSteps: 60, maxPositions: 60}, nil
 	case ScaleDefault:
 		return params{corpusDivisor: 5, hidden: 48, epochs: 6, learningRate: 0.005, minSteps: 400, maxPositions: 300}, nil
 	case ScalePaper:
@@ -94,6 +86,13 @@ func (s Scale) params() (params, error) {
 	default:
 		return params{}, fmt.Errorf("experiments: invalid scale %d", int(s))
 	}
+}
+
+// Model returns the scale's sequence-model hyperparameters: the LSTM
+// hidden size, the training epochs and the learning rate.
+func (s Scale) Model() (hidden, epochs int, learningRate float64, err error) {
+	p, err := s.params()
+	return p.hidden, p.epochs, p.learningRate, err
 }
 
 // Setup is the shared state of all experiments: corpus, ground-truth

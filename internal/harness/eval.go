@@ -444,7 +444,7 @@ func scoreSession(det *core.Detector, base core.MonitorConfig, s *actionlog.Sess
 			return 0, -1, fmt.Errorf("score %s: %w", s.ID, err)
 		}
 		for i := range streams {
-			lik, err := scorer.ObserveLikelihood(streams[i], idx)
+			lik, err := streams[i].ObserveLikelihood(idx)
 			if err != nil {
 				return 0, -1, fmt.Errorf("score %s: %w", s.ID, err)
 			}

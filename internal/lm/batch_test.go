@@ -36,7 +36,7 @@ func TestModelAdvanceBatchMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, st := range serial {
-				want, err := scorer.ObserveLikelihood(st, actions[i])
+				want, err := st.ObserveLikelihood(actions[i])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -23,11 +23,9 @@ const BackendLSTM = "lstm"
 // stream assertions pin the seam from this side, so nn never has to
 // import the serving contract.
 var (
-	_ scorer.Scorer           = (*Model)(nil)
-	_ scorer.Stream           = (*nn.StreamState)(nil)
-	_ scorer.LikelihoodStream = (*nn.StreamState)(nil)
-	_ scorer.MemSizer         = (*nn.StreamState)(nil)
-	_ scorer.BatchStream      = (*Model)(nil)
+	_ scorer.Scorer      = (*Model)(nil)
+	_ scorer.Stream      = (*nn.StreamState)(nil)
+	_ scorer.BatchStream = (*Model)(nil)
 )
 
 func init() {
@@ -129,7 +127,7 @@ func (m *Model) AdvanceBatch(streams []scorer.Stream, actions []int, liks []floa
 			// A wrapped or foreign stream type cannot be packed; advance
 			// the whole batch serially instead.
 			for i, st := range streams {
-				lik, err := scorer.ObserveLikelihood(st, actions[i])
+				lik, err := st.ObserveLikelihood(actions[i])
 				if err != nil {
 					return err
 				}

@@ -120,10 +120,10 @@ func (n *LanguageNetwork) ForwardAll(seq []int) ([]tensor.Vector, error) {
 // the next action is softmax(dense(H)), a pure function of H, computed
 // when that action arrives by the same kernels on the serial and batched
 // paths, so a stream carries no scratch and no cached distribution. Its
-// methods deliberately match the scorer.Stream, LikelihoodStream and
-// MemSizer contracts — the neural network side of the pluggable
-// backend seam — so lm can hand it to internal/core unwrapped (lm asserts
-// the conformance; nn stays below the seam and does not import it).
+// methods deliberately match the scorer.Stream contract — the neural
+// network side of the pluggable backend seam — so lm can hand it to
+// internal/core unwrapped (lm asserts the conformance; nn stays below
+// the seam and does not import it).
 type StreamState struct {
 	net   *LanguageNetwork
 	state State
@@ -171,8 +171,7 @@ func (s *StreamState) Observe(action int) (float64, tensor.Vector, error) {
 
 // MemSize estimates the resident heap bytes of this stream's
 // session-local state — the struct plus H and C — excluding the shared
-// network weights. Implements the scorer.MemSizer seam via lm's
-// assertion, like the Stream contract itself.
+// network weights.
 func (s *StreamState) MemSize() int {
 	return 2*s.net.cfg.HiddenSize*8 + streamStructOverhead
 }

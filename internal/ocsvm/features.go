@@ -64,12 +64,6 @@ func (f *Featurizer) Stream() *PrefixStream {
 	return &PrefixStream{f: f, x: make([]float64, f.vocabSize), nonzero: make([]int, 0, f.vocabSize)}
 }
 
-// MemSize estimates the resident heap bytes of this stream's buffers —
-// two vocab-proportional slices.
-func (s *PrefixStream) MemSize() int {
-	return (len(s.x)+cap(s.nonzero))*8 + 64
-}
-
 // Observe adds one action and returns the current prefix features. The
 // returned slice is reused by the next Observe call; callers must not
 // retain it.

@@ -53,7 +53,7 @@ func TestCycleCanaryPublish(t *testing.T) {
 			Cluster:     i % clusters,
 			MinSmoothed: 0.5,
 			Observed:    len(s.Actions),
-			Tokens:      interner.InternAll(s.Actions),
+			Tokens:      internAll(interner, s.Actions),
 			Snap:        interner.Snapshot(),
 		})
 	}
@@ -166,7 +166,7 @@ func TestCycleCountersPartition(t *testing.T) {
 			Cluster:     i % clusters,
 			MinSmoothed: 0.5,
 			Observed:    len(s.Actions),
-			Tokens:      interner.InternAll(s.Actions),
+			Tokens:      internAll(interner, s.Actions),
 			Snap:        interner.Snapshot(),
 		})
 	}
@@ -232,7 +232,7 @@ func TestCycleRefusedInstallRemovesStaging(t *testing.T) {
 			Cluster:     i % clusters,
 			MinSmoothed: 0.5,
 			Observed:    len(s.Actions),
-			Tokens:      interner.InternAll(s.Actions),
+			Tokens:      internAll(interner, s.Actions),
 			Snap:        interner.Snapshot(),
 		})
 	}

@@ -334,6 +334,16 @@ func firstSignalSession(signals []drift.Signal) uint64 {
 // random junk while the holdout split is real normal traffic, so the
 // candidate models explain the guardrail anomalies as well as the
 // normals and the AUC collapses.
+// internAll interns names in order, as the serving edge does one event
+// at a time.
+func internAll(in *actionlog.Interner, names []string) []int32 {
+	out := make([]int32, len(names))
+	for i, n := range names {
+		out[i] = in.Intern(n)
+	}
+	return out
+}
+
 func TestCycleGuardrailRefusal(t *testing.T) {
 	tr, det, _ := simSetup(t)
 	reg, err := core.NewRegistry(det)
@@ -373,7 +383,7 @@ func TestCycleGuardrailRefusal(t *testing.T) {
 			Cluster:     i % clusters,
 			MinSmoothed: 0.5,
 			Observed:    len(s.Actions),
-			Tokens:      interner.InternAll(s.Actions),
+			Tokens:      internAll(interner, s.Actions),
 			Snap:        interner.Snapshot(),
 		})
 	}
@@ -437,7 +447,7 @@ func TestCandidateRingBufferAndBackoff(t *testing.T) {
 			Cluster:     0,
 			MinSmoothed: 0.5,
 			Observed:    3,
-			Tokens:      interner.InternAll([]string{"a", "b", "c"}),
+			Tokens:      internAll(interner, []string{"a", "b", "c"}),
 			Snap:        interner.Snapshot(),
 		}
 	}

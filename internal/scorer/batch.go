@@ -7,7 +7,7 @@ import "fmt"
 // behind the engine's cross-session micro-batched LSTM inference. A
 // shard that has grouped the streams of one tick by model drives them
 // through AdvanceBatch, which must be observationally identical to
-// calling ObserveLikelihood(streams[i], actions[i]) serially for every
+// calling streams[i].ObserveLikelihood(actions[i]) serially for every
 // i (the LSTM backend makes it bit-identical, which is what keeps
 // deterministic replay byte-stable). The streams must be distinct,
 // belong to the implementing Scorer, and not be observed concurrently
@@ -30,7 +30,7 @@ func AdvanceBatch(s Scorer, streams []Stream, actions []int, liks []float64) err
 		return bs.AdvanceBatch(streams, actions, liks)
 	}
 	for i, st := range streams {
-		lik, err := ObserveLikelihood(st, actions[i])
+		lik, err := st.ObserveLikelihood(actions[i])
 		if err != nil {
 			return err
 		}

@@ -13,9 +13,16 @@ import (
 type countingStream struct{ seen int }
 
 func (s *countingStream) Observe(action int) (float64, tensor.Vector, error) {
-	s.seen++
-	return 1 / float64(s.seen+action), nil, nil
+	lik, err := s.ObserveLikelihood(action)
+	return lik, nil, err
 }
+
+func (s *countingStream) ObserveLikelihood(action int) (float64, error) {
+	s.seen++
+	return 1 / float64(s.seen+action), nil
+}
+
+func (s *countingStream) MemSize() int { return 8 }
 
 type countingScorer struct{}
 
@@ -26,7 +33,7 @@ func (countingScorer) Save(io.Writer) error { return nil }
 
 // TestAdvanceBatchSerialFallback pins the generic fallback: a backend
 // without a fused batch path is advanced stream by stream, identically
-// to calling ObserveLikelihood yourself — the reason n-gram and HMM need
+// to calling each stream's ObserveLikelihood yourself — the reason n-gram and HMM need
 // no changes to ride the engine's tick batching.
 func TestAdvanceBatchSerialFallback(t *testing.T) {
 	var s countingScorer
@@ -39,7 +46,7 @@ func TestAdvanceBatchSerialFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, st := range serial {
-			want, err := ObserveLikelihood(st, actions[i])
+			want, err := st.ObserveLikelihood(actions[i])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -168,7 +168,7 @@ func TestStreamLikelihoodFastPathProperty(t *testing.T) {
 				}
 				var got float64
 				if i%2 == 0 {
-					got, err = scorer.ObserveLikelihood(mixed, a)
+					got, err = mixed.ObserveLikelihood(a)
 				} else {
 					got, _, err = mixed.Observe(a)
 				}

@@ -100,7 +100,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		// The decoded model must be servable, not just parseable: one
 		// stream step on a valid action must not panic.
 		st := s.NewStream()
-		if _, err := scorer.ObserveLikelihood(st, 0); err != nil {
+		if _, err := st.ObserveLikelihood(0); err != nil {
 			return
 		}
 	})

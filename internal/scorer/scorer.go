@@ -10,8 +10,7 @@
 //   - Stream is the online half: one encoded action in, the likelihood
 //     the model assigned to it plus the predictive distribution over the
 //     next action out. Streams are single-goroutine state machines; a
-//     session keeps one per cluster that has led its routing vote, and
-//     only the winner's past the vote.
+//     session keeps one, its routed cluster's.
 //   - Scorer is the model half: identity (Backend, VocabSize), stream
 //     construction, and serialization into the backend-tagged envelope
 //     of this package (Encode/Decode), which is what makes saved models
@@ -33,37 +32,30 @@ import (
 )
 
 // Stream scores one session incrementally, one action at a time.
-//
-// Observe consumes the next encoded action and returns the probability
-// the model assigned to it before consuming it (-1 for the first action
-// of a session, which has no prediction) and the model's distribution
-// over the following action. Implementations may reuse the returned
-// vector as a scratch buffer: it is only valid until the next Observe.
 // A Stream must not be shared across goroutines.
 type Stream interface {
+	// Observe consumes the next encoded action and returns the
+	// probability the model assigned to it before consuming it (-1 for
+	// the first action of a session, which has no prediction) and the
+	// model's distribution over the following action. Implementations
+	// may reuse the returned vector as a scratch buffer: it is only valid
+	// until the next Observe.
 	Observe(action int) (likelihood float64, dist tensor.Vector, err error)
-}
-
-// LikelihoodStream is an optional Stream extension for backends whose
-// full predictive distribution costs more than the observed-action
-// likelihood alone (the n-gram and HMM adapters). ObserveLikelihood
-// advances the stream exactly like Observe — the two may be mixed
-// freely on one stream — but skips computing the distribution.
-type LikelihoodStream interface {
+	// ObserveLikelihood advances the stream exactly like Observe — the
+	// two may be mixed freely on one stream — but skips the predictive
+	// distribution, which the serving path never reads.
 	ObserveLikelihood(action int) (float64, error)
+	// MemSize estimates the resident heap bytes of the stream's
+	// session-local state — vectors, context windows, scratch buffers —
+	// excluding the shared model weights. The estimate only has to be
+	// stable and roughly proportional to reality: the engine sums it
+	// into shard gauges and compares the total against its memory budget.
+	MemSize() int
 }
 
-// ObserveLikelihood advances st one action through the cheapest path
-// the backend offers: the likelihood-only fast path when implemented,
-// plain Observe otherwise. The engine's monitor scores every cluster
-// stream through this on every event, so for classical backends it is
-// the serving hot path.
+// ObserveLikelihood advances st by one action: st.ObserveLikelihood.
 func ObserveLikelihood(st Stream, action int) (float64, error) {
-	if ls, ok := st.(LikelihoodStream); ok {
-		return ls.ObserveLikelihood(action)
-	}
-	lik, _, err := st.Observe(action)
-	return lik, err
+	return st.ObserveLikelihood(action)
 }
 
 // Score is the set of session-level normality measures shared by every

@@ -48,6 +48,13 @@ func (s *fakeStream) Observe(action int) (float64, tensor.Vector, error) {
 	return lik, s.dist, nil
 }
 
+func (s *fakeStream) ObserveLikelihood(action int) (float64, error) {
+	lik, _, err := s.Observe(action)
+	return lik, err
+}
+
+func (s *fakeStream) MemSize() int { return len(s.dist)*8 + 32 }
+
 func init() {
 	Register("fake", func(r io.Reader) (Scorer, error) {
 		f := &fakeScorer{Tag: "fake"}
