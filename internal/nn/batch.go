@@ -8,17 +8,24 @@ import (
 )
 
 // Cross-session micro-batched inference: a shard that holds N live LSTM
-// streams advances all of them with one output GEMM and one recurrent
-// GEMM per tick instead of 2N matvecs, so the weight matrices are
-// streamed from memory once per tick rather than once per event.
+// streams advances all of them with one output product and one
+// recurrent GEMM per tick instead of 2N matvecs, so the weight matrices
+// are streamed from memory once per tick rather than once per event.
+// The output product is weight-stationary: the dense weights are packed
+// once per write to them (outputWeights), with the AVX2 lanes over the
+// vocabulary, so a tick of one or two streams uses whole vectors too.
+// Serving reads one probability per stream, so the output layer stops
+// at the likelihood (tensor.SoftmaxAt): no distribution is normalized.
 //
 // The batched path is bit-identical to the reference kernels: the GEMM
 // kernels accumulate each output element in a single scalar over
-// ascending k (tensor.MatMulNT's contract), the gate pre-activation is
-// assembled in the same (bias + wx) + dot order as LSTM.preactivate, the
-// logits are dot + bias where Dense.Forward has bias + dot (one
-// commutative add), and the elementwise math is the same expressions per
-// element. Only where the exps are taken moves: each stream's row
+// ascending k (tensor.MatMulNT's contract, which MatMulWS keeps), the
+// gate pre-activation is assembled in the same (bias + wx) + dot order
+// as LSTM.preactivate, the logits are dot + bias where Dense.Forward has
+// bias + dot (one commutative add), the likelihood is Softmax's max,
+// shift, exp and ascending sum followed by its scale of the one wanted
+// entry, and the elementwise math is the same expressions per element.
+// Only where the exps are taken moves: each stream's row
 // collects the argument every sigmoid and tanh would pass to math.Exp,
 // takes them all in one tensor.ExpInto (math.Exp bit for bit, four lanes
 // at a time where the CPU allows), and finishes each function from its
@@ -36,8 +43,12 @@ type BatchScratch struct {
 	h *tensor.Matrix
 	// z holds the 4H gate pre-activations, one row per stream.
 	z *tensor.Matrix
-	// logits holds the dense outputs, one row per primed stream.
+	// logits holds the dense outputs, one row per primed stream, padded
+	// to the packed weights' stride; at and liks hold those streams'
+	// actions and likelihoods.
 	logits *tensor.Matrix
+	at     []int
+	liks   []float64
 	// e holds one stream's 4H exp arguments, then their exps.
 	e []float64
 	// pack is the GEMM kernel's packing buffer (16·(H+3) values).
@@ -210,12 +221,15 @@ func tanhFromExp(x, e float64) float64 {
 // ObserveBatch advances N distinct streams of this network by one action
 // each, writing into liks[i] the probability stream i's model assigned
 // to actions[i] before consuming it (-1 for a stream's first action).
-// The likelihood is read from softmax(dense(H)) of the pre-step hidden
-// state — one output GEMM over the primed streams' packed H rows — and
-// then one recurrent GEMM steps every stream; no distribution is kept.
-// A batch of one is the serial path (StreamState.ObserveLikelihood).
-// Transient buffers come from the network's scratch pool, so several
-// goroutines may observe disjoint streams of one network at once.
+// The likelihood is Softmax(dense(H))[action] of the pre-step hidden
+// state, bit for bit, read without building the distribution: one
+// weight-stationary product of the dense weights (packed once per write
+// to them, see outputWeights) against the primed streams' H rows, then
+// tensor.SoftmaxAt's bias, max, exp and sum passes per row. Then one
+// recurrent GEMM steps every stream. A batch of one is the serial path
+// (StreamState.ObserveLikelihood). Transient buffers come from the
+// network's scratch pool, so several goroutines may observe disjoint
+// streams of one network at once.
 func (n *LanguageNetwork) ObserveBatch(streams []*StreamState, actions []int, liks []float64) error {
 	if len(streams) != len(actions) || len(streams) != len(liks) {
 		return fmt.Errorf("nn: ObserveBatch length mismatch streams=%d actions=%d liks=%d",
@@ -236,26 +250,26 @@ func (n *LanguageNetwork) ObserveBatch(streams []*StreamState, actions []int, li
 	s := n.scratch.Get().(*BatchScratch)
 	defer n.scratch.Put(s)
 	if primed > 0 {
+		w := n.outputWeights()
 		s.h = tensor.GrowMatrix(s.h, primed, n.cfg.HiddenSize)
-		r := 0
-		for _, st := range streams {
+		s.at, s.liks = s.at[:0], s.liks[:0]
+		for i, st := range streams {
 			if st.primed {
-				copy(s.h.Row(r), st.state.H)
-				r++
+				copy(s.h.Row(len(s.at)), st.state.H)
+				s.at = append(s.at, actions[i])
+				s.liks = append(s.liks, 0)
 			}
 		}
-		s.logits = tensor.GrowMatrix(s.logits, primed, n.cfg.InputSize)
-		tensor.MatMulNTBuf(s.logits, s.h, n.dense.W.W, &s.pack)
-		tensor.AddBiasRows(s.logits, tensor.Vector(n.dense.B.W.Data))
+		s.logits = tensor.GrowMatrix(s.logits, primed, w.Stride())
+		tensor.MatMulWS(s.logits, s.h, w)
+		tensor.SoftmaxAt(s.liks, s.logits, tensor.Vector(n.dense.B.W.Data), s.at)
 	}
 	s.states = s.states[:0]
 	r := 0
 	for i, st := range streams {
 		liks[i] = -1
 		if st.primed {
-			probs := s.logits.Row(r)
-			tensor.Softmax(probs, probs)
-			liks[i] = probs[actions[i]]
+			liks[i] = s.liks[r]
 			r++
 		}
 		st.primed = true

@@ -1,8 +1,11 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"misusedetect/internal/tensor"
@@ -272,5 +275,103 @@ func TestObserveBatchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ObserveBatch allocated %.1f times per tick in steady state, want 0", allocs)
+	}
+}
+
+// checkStreamMatchesForwardAll observes seq on a fresh stream of net and
+// fails unless every likelihood after the first action is the one
+// ForwardAll's distribution gives it, bit for bit.
+func checkStreamMatchesForwardAll(t *testing.T, net *LanguageNetwork, seq []int) {
+	t.Helper()
+	ref, err := net.ForwardAll(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := net.NewStream()
+	for i, a := range seq {
+		lik, err := st.ObserveLikelihood(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && math.Float64bits(lik) != math.Float64bits(ref[i-1][a]) {
+			t.Fatalf("step %d: likelihood %v, ForwardAll %v", i, lik, ref[i-1][a])
+		}
+	}
+}
+
+// TestObserveBatchFollowsWeightWrites pins the packed output layer to
+// the weights it was packed from: observing after training, after more
+// training, and after loading other weights into an observed network
+// must each read the current weights, as ForwardAll does.
+func TestObserveBatchFollowsWeightWrites(t *testing.T) {
+	const vocab, hidden = 23, 7
+	seq := randomSeq(40, vocab, 3)
+	net := batchNet(t, vocab, hidden)
+	tr, err := NewTrainer(net, TrainerConfig{Epochs: 1, BatchSize: 4, LearningRate: 0.05, WindowSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := [][]int{randomSeq(30, vocab, 1), randomSeq(25, vocab, 2)}
+	for round := 0; round < 2; round++ {
+		if _, err := tr.Fit(corpus, nil); err != nil {
+			t.Fatal(err)
+		}
+		checkStreamMatchesForwardAll(t, net, seq)
+	}
+
+	other, err := NewLanguageNetwork(NetworkConfig{InputSize: vocab, HiddenSize: hidden, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := other.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var saved serializedNetwork
+	if err := gob.NewDecoder(&buf).Decode(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.setParams(saved.Params); err != nil {
+		t.Fatal(err)
+	}
+	checkStreamMatchesForwardAll(t, net, seq)
+}
+
+// TestObserveBatchConcurrentFirstUse has two goroutines make the first
+// observation of a fresh network at once, so both find no packed output
+// layer; run under -race it checks the pack's publication, and each
+// goroutine's likelihoods must be ForwardAll's.
+func TestObserveBatchConcurrentFirstUse(t *testing.T) {
+	const vocab = 37
+	seq := randomSeq(30, vocab, 5)
+	for trial := 0; trial < 20; trial++ {
+		net := batchNet(t, vocab, 11)
+		ref, err := net.ForwardAll(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st := net.NewStream()
+				<-start
+				for i, a := range seq {
+					lik, err := st.ObserveLikelihood(a)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if i > 0 && math.Float64bits(lik) != math.Float64bits(ref[i-1][a]) {
+						t.Errorf("step %d: likelihood %v, ForwardAll %v", i, lik, ref[i-1][a])
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -90,6 +91,43 @@ func BenchmarkLSTMStepBatch64(b *testing.B) {
 		net.lstm.StepBatch(states, xs, scratch)
 	}
 	b.ReportMetric(float64(b.N)*streams/b.Elapsed().Seconds(), "steps/s")
+}
+
+// BenchmarkObserveBatch measures the serving call at the shapes the
+// engine's waves give it: a 300-action vocabulary at H = 16 and 256,
+// with 1 to 64 primed streams per call (a paced LSTM-16 workload makes
+// mostly 1- to 4-row calls, a saturated LSTM-256 one about 14). It
+// reports ns per row: one likelihood and one step.
+func BenchmarkObserveBatch(b *testing.B) {
+	for _, hidden := range []int{16, 256} {
+		net, err := NewLanguageNetwork(NetworkConfig{InputSize: 300, HiddenSize: hidden, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rows := range []int{1, 2, 4, 14, 64} {
+			b.Run(fmt.Sprintf("H%d/rows%d", hidden, rows), func(b *testing.B) {
+				streams := make([]*StreamState, rows)
+				for i := range streams {
+					streams[i] = net.NewStream()
+				}
+				actions, liks := make([]int, rows), make([]float64, rows)
+				if err := net.ObserveBatch(streams, actions, liks); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := range actions {
+						actions[j] = (i*7 + j) % 300
+					}
+					if err := net.ObserveBatch(streams, actions, liks); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
+		}
+	}
 }
 
 // BenchmarkTrainBatchPaperSize measures one optimizer step of lockstep

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"misusedetect/internal/tensor"
 )
@@ -52,6 +53,33 @@ type LanguageNetwork struct {
 	// served by several engine shards at once, so the transient buffers
 	// cannot hang off the network itself.
 	scratch sync.Pool
+	// out is the dense layer's W packed for ObserveBatch's output
+	// product; see outputWeights.
+	out atomic.Pointer[packedDense]
+}
+
+// packedDense is the dense layer's W packed for tensor.MatMulWS,
+// with the write generation of W it was packed from.
+type packedDense struct {
+	gen uint64
+	w   *tensor.PackedNT
+}
+
+// outputWeights returns the dense layer's W packed for tensor.MatMulWS,
+// packing it on first use and again after every write to W (Adam.Step,
+// LoadLanguageNetwork), so the packed copy is never stale and serving
+// never packs per call. The copy is published through an atomic
+// pointer because several shards observe one network at once; shards
+// that find it stale together each pack the same bits, and any of the
+// copies serves.
+func (n *LanguageNetwork) outputWeights() *tensor.PackedNT {
+	w := n.dense.W
+	if p := n.out.Load(); p != nil && p.gen == w.gen {
+		return p.w
+	}
+	p := &packedDense{gen: w.gen, w: tensor.PackNT(w.W)}
+	n.out.Store(p)
+	return p.w
 }
 
 // NewLanguageNetwork builds and initializes the network.

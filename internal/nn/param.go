@@ -33,6 +33,11 @@ type Param struct {
 	W *tensor.Matrix
 	// G accumulates dLoss/dW between optimizer steps.
 	G *tensor.Matrix
+	// gen counts the writes to W since construction: every writer of a
+	// built network's W (LoadLanguageNetwork's copy, Adam.Step) bumps
+	// it, so a copy derived from W, such as the packed output layer
+	// ObserveBatch reads, knows when it is stale.
+	gen uint64
 }
 
 // NewParam allocates a zeroed parameter of the given shape.
@@ -120,6 +125,7 @@ func (a *Adam) Step(params []*Param) {
 			vHat := v.Data[i] / c2
 			p.W.Data[i] -= a.LearningRate * mHat / (math.Sqrt(vHat) + a.Epsilon)
 		}
+		p.gen++
 		p.ZeroGrad()
 	}
 }

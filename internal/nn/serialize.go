@@ -78,21 +78,31 @@ func LoadLanguageNetwork(r io.Reader) (*LanguageNetwork, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nn: load network config: %w", err)
 	}
-	params := n.Params()
-	if len(params) != len(s.Params) {
-		return nil, fmt.Errorf("nn: load network: %d params, want %d", len(s.Params), len(params))
+	if err := n.setParams(s.Params); err != nil {
+		return nil, err
 	}
-	for i, sp := range s.Params {
+	return n, nil
+}
+
+// setParams copies serialized weights into the network's parameters,
+// which must match them in order, name and shape.
+func (n *LanguageNetwork) setParams(sps []serializedParam) error {
+	params := n.Params()
+	if len(params) != len(sps) {
+		return fmt.Errorf("nn: load network: %d params, want %d", len(sps), len(params))
+	}
+	for i, sp := range sps {
 		p := params[i]
 		if p.Name != sp.Name || p.W.Rows != sp.Rows || p.W.Cols != sp.Cols {
-			return nil, fmt.Errorf("nn: load network: param %d is %s %dx%d, want %s %dx%d",
+			return fmt.Errorf("nn: load network: param %d is %s %dx%d, want %s %dx%d",
 				i, sp.Name, sp.Rows, sp.Cols, p.Name, p.W.Rows, p.W.Cols)
 		}
 		if len(sp.Data) != sp.Rows*sp.Cols {
-			return nil, fmt.Errorf("nn: load network: param %s has %d values for %dx%d",
+			return fmt.Errorf("nn: load network: param %s has %d values for %dx%d",
 				sp.Name, len(sp.Data), sp.Rows, sp.Cols)
 		}
 		copy(p.W.Data, sp.Data)
+		p.gen++
 	}
-	return n, nil
+	return nil
 }

@@ -39,10 +39,10 @@ import (
 // product is a signed zero, and adding one to a sum seeded with +0
 // changes nothing (the sum can never be -0). The same absorption lets
 // the Wh gradient drop each example's t = 0 rows, whose previous hidden
-// state is the zero vector. The Wx column scatter and the bias sums are
-// replayed after the backward in the serial order, and the dropout
-// masks are drawn up front in the serial order: example by example,
-// step by step.
+// state is the zero vector. The Wx column sums (gathered per input
+// action, then folded into Wx.G) and the bias sums are replayed after
+// the backward in the serial order, and the dropout masks are drawn up
+// front in the serial order: example by example, step by step.
 
 // example is one training example: the network reads in, one action per
 // step from the zero state, and is trained to predict out[j] at step
@@ -108,6 +108,12 @@ type trainScratch struct {
 	// kRows and kPrev list the rows of the Wh gradient's K order and the
 	// rows holding their previous hidden state.
 	kRows, kPrev []int
+	// wxT accumulates Wx.G transposed (V × 4H), one row per input
+	// action; wxCols lists the rows the minibatch touched, and wxSeen
+	// marks them.
+	wxT    *tensor.Matrix
+	wxCols []int
+	wxSeen []bool
 	// zero is the zero cell state before an example's first step, e a
 	// row's exp scratch, pack the GEMM packing buffer.
 	zero, e, pack []float64
@@ -296,6 +302,14 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 
 	// Recurrent gradients in the serial BPTT order: example by example,
 	// t descending. The t = 0 rows leave Wh.G alone (their h is zero).
+	// Wx.G's column x gathers in row x of wxT, so each row's dz adds
+	// contiguously, and is folded into the zeroed Wx.G once: each element
+	// sees the serial adds in the serial order from +0, and adding that
+	// sum to +0 changes no bit.
+	wxT := grow(&s.wxT, vocab, 4*hs)
+	if len(s.wxSeen) != vocab {
+		s.wxSeen = make([]bool, vocab)
+	}
 	s.kRows, s.kPrev = s.kRows[:0], s.kPrev[:0]
 	for ei, ex := range batch {
 		pi := s.pos[ei]
@@ -303,8 +317,14 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 			r := s.base[tt] + pi
 			dz := gates.Row(r)
 			if x := ex.in[tt]; x >= 0 {
+				col := wxT.Row(x)
+				if !s.wxSeen[x] {
+					s.wxSeen[x] = true
+					s.wxCols = append(s.wxCols, x)
+					clear(col)
+				}
 				for q, g := range dz {
-					l.Wx.G.Data[q*l.InputSize+x] += g
+					col[q] += g
 				}
 			}
 			for q, g := range dz {
@@ -316,6 +336,13 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 			}
 		}
 	}
+	for _, x := range s.wxCols {
+		for q, g := range wxT.Row(x) {
+			l.Wx.G.Data[q*l.InputSize+x] += g
+		}
+		s.wxSeen[x] = false
+	}
+	s.wxCols = s.wxCols[:0]
 	if len(s.kRows) > 0 {
 		t.weightGrad(l.Wh.G, gates, s.kRows, h, s.kPrev)
 	}

@@ -169,3 +169,47 @@ func TestSoftmaxMatchesScalarExp(t *testing.T) {
 		}
 	}
 }
+
+// TestSoftmaxAtMatchesSoftmax pins the likelihood head to Softmax of the
+// biased row, read at one index, bit for bit: row counts cover the
+// four-row groups and every tail, row lengths leave every tail of the
+// exp kernel's groups of four, scales reach past its range, and some
+// rows hold ±Inf or NaN logits.
+func TestSoftmaxAtMatchesSoftmax(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	specials := expSpecials()
+	for rows := 1; rows <= 9; rows++ {
+		for _, n := range []int{1, 3, 4, 7, 300, 301} {
+			for _, scale := range []float64{1, 30, 400} {
+				logits, bias := NewMatrix(rows, n+rng.Intn(3)), NewVector(n)
+				for i := range logits.Data {
+					logits.Data[i] = rng.NormFloat64() * scale
+					if rng.Intn(64) == 0 {
+						logits.Data[i] = specials[rng.Intn(len(specials))]
+					}
+				}
+				for j := range bias {
+					bias[j] = rng.NormFloat64()
+				}
+				at := make([]int, rows)
+				want := make([]float64, rows)
+				for i := range at {
+					at[i] = rng.Intn(n)
+					probs := append(Vector(nil), logits.Row(i)[:n]...)
+					for j := range probs {
+						probs[j] += bias[j]
+					}
+					Softmax(probs, probs)
+					want[i] = probs[at[i]]
+				}
+				got := make([]float64, rows)
+				SoftmaxAt(got, logits, bias, at)
+				for i := range got {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("rows=%d n=%d scale=%v: row %d SoftmaxAt %v, Softmax %v", rows, n, scale, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -18,15 +18,25 @@ import (
 //
 // MatMulNT has two implementations that obey that rule. The Go kernel
 // below is the portable one and the reference; it also serves every
-// single-row block (a one-stream chunk, or the last row of a ragged M),
-// where it runs four b rows against the one a row so four independent
-// chains hide the add latency. On amd64 with AVX2 an
+// block of fewer than matMulNTMinRows rows (a small chunk, or the tail
+// of a ragged M), where it runs four b rows against each a row so four
+// independent chains hide the add latency. On amd64 with AVX2 an
 // assembly kernel vectorises across rows of a instead: 16 a rows are
 // transposed into a packed block so one 4-wide vector holds column k of
 // four rows, each b value is broadcast, and each lane runs its own
 // scalar reduction — seeded with +0, ascending k, VMULPD then VADDPD,
 // never a fused multiply-add — so every lane rounds exactly like the Go
 // loop (the Go compiler does not fuse x*y+z on amd64 either).
+//
+// MatMulWS is the weight-stationary form of the same product, for a b
+// that is fixed across many calls (a layer's weights): b is packed once
+// into the 16-lane blocks (PackNT), and each block is swept against the
+// rows of a with the lanes over b's rows. The kernel has two store
+// layouts: matMulNT16 holds 16 rows of a in its lanes, so it writes a
+// column of dst per b row and goes through a spill tile; matMulWS16
+// holds 16 rows of b, so each a row's 16 lanes are 16 adjacent elements
+// of its dst row and are stored straight there. Both share the k loop
+// (the MAC3 and MAC1 macros), so each element is the same reduction.
 
 // matMulNTBlockJ is the number of b rows processed per block: the block
 // of the (shared, typically weight) operand streamed while several a
@@ -38,10 +48,10 @@ const matMulNTBlockJ = 32
 const matMulNTLanes = 16
 
 // matMulNTMinRows is the smallest block the AVX2 kernel takes. It always
-// computes all 16 lanes, so one row costs it about 1.5x what the Go
-// kernel needs; from two rows on it is level or ahead (measured at
-// K = 16 and 256, N = 64, 300 and 1024 on a 2-vCPU Xeon VM).
-const matMulNTMinRows = 2
+// computes all 16 lanes, so below four rows the Go kernel is faster and
+// at four it is about level (BenchmarkMatMulNT's M = 1..4 cases at K =
+// 16 and 256, N = 64, 300 and 1024, on a 2-vCPU Xeon VM).
+const matMulNTMinRows = 4
 
 // packPool supplies packing buffers to MatMulNT callers that bring none.
 var packPool = sync.Pool{New: func() any { return new([]float64) }}
@@ -157,6 +167,92 @@ func matMulNTGo(dst, a, b *Matrix) {
 				}
 				drow[j] = s
 			}
+		}
+	}
+}
+
+// PackedNT is the operand b of products a·bᵀ packed once for MatMulWS:
+// b's rows, zero-padded to a multiple of 16, in blocks of 16 rows laid
+// out k-major, lane r of column kk of block q at data[(q·K+kk)·16+r].
+// It is the layout matMulNT16 builds from a on every call, built here
+// from b once. A PackedNT is a copy: it does not follow later writes to
+// b, and it is read-only, so any number of goroutines may share one.
+type PackedNT struct {
+	rows, cols, stride int
+	data               []float64
+}
+
+// PackNT packs b (N x K) for MatMulWS.
+func PackNT(b *Matrix) *PackedNT {
+	k, stride := b.Cols, (b.Rows+matMulNTLanes-1)/matMulNTLanes*matMulNTLanes
+	p := &PackedNT{rows: b.Rows, cols: k, stride: stride, data: make([]float64, stride*k)}
+	for j0 := 0; j0 < b.Rows; j0 += matMulNTLanes {
+		packBlock(p.data[j0*k:(j0+matMulNTLanes)*k], b.Data[j0*k:], min(matMulNTLanes, b.Rows-j0), k)
+	}
+	return p
+}
+
+// Stride is the row length MatMulWS's destination must have: b's row
+// count rounded up to a multiple of 16.
+func (p *PackedNT) Stride() int { return p.stride }
+
+// packBlock transposes the first rows rows (at most 16) of src, each k
+// long and row-major, into one 16-lane k-major block dst of 16·k
+// values, zeroing the lanes past the last row.
+func packBlock(dst, src []float64, rows, k int) {
+	for r := 0; r < matMulNTLanes; r++ {
+		if r < rows {
+			for kk, v := range src[r*k : (r+1)*k] {
+				dst[kk*matMulNTLanes+r] = v
+			}
+			continue
+		}
+		for kk := 0; kk < k; kk++ {
+			dst[kk*matMulNTLanes+r] = 0
+		}
+	}
+}
+
+// MatMulWS computes dst = a * bᵀ from b packed by PackNT, where a is
+// M x K and dst is M x p.Stride(): columns past b's N rows get the
+// products of the zero padding and are left for the caller to ignore.
+// Every element in the first N columns is bit-identical to MatMulNT's
+// and so to the per-row MulVecAdd: one +0-seeded scalar over ascending
+// k, whichever kernel runs. The AVX2 kernel takes every M, one row
+// included, because its lanes run over b's rows; dst must not alias a.
+func MatMulWS(dst, a *Matrix, p *PackedNT) {
+	if a.Cols != p.cols || dst.Rows != a.Rows || dst.Cols != p.Stride() {
+		panic(fmt.Sprintf("tensor: MatMulWS shape mismatch a=%dx%d b=%dx%d dst=%dx%d",
+			a.Rows, a.Cols, p.rows, p.cols, dst.Rows, dst.Cols))
+	}
+	blocks := dst.Cols / matMulNTLanes
+	if a.Rows == 0 || blocks == 0 {
+		return
+	}
+	if hasAVX2 && a.Cols > 0 {
+		matMulWS16(dst.Data, dst.Cols, p.data, a.Data, a.Cols, a.Rows, blocks)
+		return
+	}
+	matMulWSGo(dst.Data, dst.Cols, p.data, a.Data, a.Cols, a.Rows, blocks)
+}
+
+// matMulWSGo is matMulWS16 in Go, the kernel off AVX2 and its test
+// reference: for each packed block and each of the m rows of a (length
+// k, contiguous), the 16 lanes Σ_kk pack[kk·16+r]·a[kk] go to 16
+// adjacent elements of the row's dst row (stride ldd), each lane one
+// +0-seeded chain over ascending kk.
+func matMulWSGo(dst []float64, ldd int, pack, a []float64, k, m, blocks int) {
+	for q := 0; q < blocks; q++ {
+		blk := pack[q*matMulNTLanes*k : (q+1)*matMulNTLanes*k]
+		for i := 0; i < m; i++ {
+			var acc [matMulNTLanes]float64
+			for kk, av := range a[i*k : (i+1)*k] {
+				w := blk[kk*matMulNTLanes : (kk+1)*matMulNTLanes]
+				for r := range acc {
+					acc[r] += w[r] * av
+				}
+			}
+			copy(dst[i*ldd+q*matMulNTLanes:], acc[:])
 		}
 	}
 }

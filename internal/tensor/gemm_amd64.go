@@ -53,17 +53,17 @@ func matMulNTAVX2(dst, a, b *Matrix, pack *[]float64) {
 	bd := b.Data[:n*k]
 	for i0 := 0; i0 < a.Rows; i0 += matMulNTLanes {
 		rows := min(matMulNTLanes, a.Rows-i0)
-		for r := 0; r < matMulNTLanes; r++ {
-			if r < rows {
-				for kk, v := range a.Data[(i0+r)*k : (i0+r+1)*k] {
-					p[kk*matMulNTLanes+r] = v
-				}
-				continue
-			}
-			for kk := 0; kk < k; kk++ {
-				p[kk*matMulNTLanes+r] = 0
-			}
-		}
+		packBlock(p, a.Data[i0*k:], rows, k)
 		matMulNT16(dst.Data[i0*dst.Cols:(i0+rows-1)*dst.Cols+n], dst.Cols, rows, p, bd, k, n)
 	}
 }
+
+// matMulWS16 sweeps blocks packed 16-row blocks of b (pack, as PackNT
+// lays them out) against the m rows of a (length k, contiguous): for
+// each block q and row i it stores the 16 lanes Σ_{kk<k}
+// pack[(q·k+kk)·16+r]·a[i·k+kk] at dst[i·ldd+q·16+r], straight from the
+// accumulators. Each lane rounds like matMulNT16's. m, k and blocks must
+// be at least 1, and ldd at least 16·blocks.
+//
+//go:noescape
+func matMulWS16(dst []float64, ldd int, pack, a []float64, k, m, blocks int)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -51,21 +52,41 @@ func sameBits(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want)
 }
 
-// matMulNTKernels lists every way a caller can reach an f64 MatMulNT
+// matMulNTKernels lists every way a caller can reach an f64 a·bᵀ
 // kernel: the dispatched entry points and both implementations called
 // directly, the AVX2 one (where the CPU has it) at every row count —
-// including the small ones the dispatcher keeps on the Go kernel.
+// including the small ones the dispatcher keeps on the Go kernel — and
+// the weight-stationary product from a packed b, dispatched and through
+// its Go kernel.
 func matMulNTKernels() []matMulNTKernel {
 	var pack []float64
 	kernels := []matMulNTKernel{
 		{"MatMulNT", MatMulNT},
 		{"MatMulNTBuf", func(dst, a, b *Matrix) { MatMulNTBuf(dst, a, b, &pack) }},
 		{"go", matMulNTGo},
+		{"MatMulWS", func(dst, a, b *Matrix) { matMulWSInto(dst, a, b, MatMulWS) }},
+		{"ws-go", func(dst, a, b *Matrix) {
+			matMulWSInto(dst, a, b, func(dst, a *Matrix, p *PackedNT) {
+				matMulWSGo(dst.Data, dst.Cols, p.data, a.Data, a.Cols, a.Rows, p.stride/matMulNTLanes)
+			})
+		}},
 	}
 	if hasAVX2 {
 		kernels = append(kernels, matMulNTKernel{"avx2", func(dst, a, b *Matrix) { matMulNTAVX2(dst, a, b, &pack) }})
 	}
 	return kernels
+}
+
+// matMulWSInto computes dst = a·bᵀ with a weight-stationary kernel on
+// b packed by PackNT, copying the first b.Rows columns of its padded
+// product into dst.
+func matMulWSInto(dst, a, b *Matrix, ws func(dst, a *Matrix, p *PackedNT)) {
+	p := PackNT(b)
+	wide := GrowMatrix(nil, a.Rows, p.Stride())
+	ws(wide, a, p)
+	for i := 0; i < a.Rows; i++ {
+		copy(dst.Row(i), wide.Row(i)[:b.Rows])
+	}
 }
 
 type matMulNTKernel struct {
@@ -139,6 +160,70 @@ func TestMatMulMatchesMatVecRows(t *testing.T) {
 	}
 }
 
+// FuzzMatMulWSMatchesGo checks the weight-stationary product and the
+// likelihood head on arbitrary float64 bit patterns (the fuzzed bytes
+// fill a, b and the bias in order; seeded normal draws fill the rest):
+// MatMulWS must give the Go MatMulNT kernel's bits in b's N columns and
+// the Go weight-stationary kernel's bits in every column, padding
+// included, and SoftmaxAt on its product must give Softmax(row +
+// bias)[at]. N runs over 1..64, so most shapes leave a partial block of
+// 16; K over 1..40; M over 0..7 rows.
+func FuzzMatMulWSMatchesGo(f *testing.F) {
+	var specials []byte
+	for _, x := range expSpecials() {
+		specials = binary.LittleEndian.AppendUint64(specials, math.Float64bits(x))
+	}
+	f.Add(int64(1), uint8(29), uint8(12), uint8(3), []byte(nil))
+	f.Add(int64(2), uint8(15), uint8(0), uint8(7), specials)
+	f.Add(int64(3), uint8(63), uint8(39), uint8(1), specials[:64])
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw, mRaw uint8, bits []byte) {
+		n, k, m := 1+int(nRaw)%64, 1+int(kRaw)%40, int(mRaw)%8
+		rng := rand.New(rand.NewSource(seed))
+		next := func() float64 {
+			if len(bits) >= 8 {
+				x := math.Float64frombits(binary.LittleEndian.Uint64(bits))
+				bits = bits[8:]
+				return x
+			}
+			return rng.NormFloat64() * 3
+		}
+		a, b, bias := NewMatrix(m, k), NewMatrix(n, k), NewVector(n)
+		for _, xs := range [][]float64{a.Data, b.Data, bias} {
+			for i := range xs {
+				xs[i] = next()
+			}
+		}
+		want := NewMatrix(m, n)
+		matMulNTGo(want, a, b)
+		p := PackNT(b)
+		got, twin := NewMatrix(m, p.Stride()), NewMatrix(m, p.Stride())
+		MatMulWS(got, a, p)
+		matMulWSGo(twin.Data, twin.Cols, p.data, a.Data, k, m, p.Stride()/matMulNTLanes)
+		at := make([]int, m)
+		for i := range at {
+			at[i] = rng.Intn(n)
+			for j, x := range got.Row(i) {
+				if j < n && !sameBits(x, want.At(i, j)) {
+					t.Fatalf("m=%d n=%d k=%d: MatMulWS[%d][%d] = %v, Go MatMulNT %v", m, n, k, i, j, x, want.At(i, j))
+				}
+				if !sameBits(x, twin.At(i, j)) {
+					t.Fatalf("m=%d n=%d k=%d: MatMulWS[%d][%d] = %v, Go kernel %v", m, n, k, i, j, x, twin.At(i, j))
+				}
+			}
+		}
+		liks := make([]float64, m)
+		SoftmaxAt(liks, got, bias, at)
+		AddBiasRows(want, bias)
+		for i, lik := range liks {
+			probs := want.Row(i)
+			Softmax(probs, probs)
+			if !sameBits(lik, probs[at[i]]) {
+				t.Fatalf("m=%d n=%d k=%d: row %d SoftmaxAt %v, Softmax %v", m, n, k, i, lik, probs[at[i]])
+			}
+		}
+	})
+}
+
 // TestMatMulNTDispatchesToAVX2 checks that the dispatcher really takes
 // the assembly kernel at and above the crossover when the CPU has AVX2,
 // so the bit-exactness test above is not silently pinning two copies of
@@ -191,21 +276,37 @@ func TestMatMulNTZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkMatMulNT times both f64 kernels at the serving shapes (M x K
+// BenchmarkMatMulNT times the f64 kernels at the serving shapes (M x K
 // times N x K): the LSTM-256 recurrent GEMM of a 64-stream wave, the
 // LSTM-256 output GEMM of a 32-stream wave over a 300-action vocabulary,
-// and the LSTM-16 recurrent GEMM of a 32-stream wave. It reports
+// and the LSTM-16 recurrent GEMM of a 32-stream wave; then M = 1..4 at
+// each K (16, 256) and N (64 or 300, 300 or 1024) a small wave gives,
+// the measurement behind matMulNTMinRows. "avx2" is the assembly kernel
+// called directly, below the crossover too; "ws" is MatMulWS on b
+// packed once, timed at the output-layer shapes (N = 300). It reports
 // multiply-adds per nanosecond and allocations per call.
 func BenchmarkMatMulNT(b *testing.B) {
-	kernels := []matMulNTKernel{{"go", matMulNTGo}}
-	if hasAVX2 {
-		var pack []float64
-		kernels = append(kernels, matMulNTKernel{"avx2", func(dst, a, w *Matrix) { MatMulNTBuf(dst, a, w, &pack) }})
+	type shape struct{ m, k, n int }
+	shapes := []shape{{64, 256, 1024}, {32, 256, 300}, {32, 16, 64}}
+	for _, kn := range []struct{ k, n int }{{16, 64}, {16, 300}, {256, 300}, {256, 1024}} {
+		for m := 1; m <= 4; m++ {
+			shapes = append(shapes, shape{m, kn.k, kn.n})
+		}
 	}
-	for _, s := range []struct{ m, k, n int }{{64, 256, 1024}, {32, 256, 300}, {32, 16, 64}} {
+	var pack []float64
+	for _, s := range shapes {
 		rng := rand.New(rand.NewSource(1))
 		a, w := randomMatrix(rng, s.m, s.k), randomMatrix(rng, s.n, s.k)
 		dst := GrowMatrix(nil, s.m, s.n)
+		kernels := []matMulNTKernel{{"go", matMulNTGo}}
+		if hasAVX2 {
+			kernels = append(kernels, matMulNTKernel{"avx2", func(dst, a, w *Matrix) { matMulNTAVX2(dst, a, w, &pack) }})
+		}
+		if s.n == 300 {
+			p := PackNT(w)
+			wide := GrowMatrix(nil, s.m, p.Stride())
+			kernels = append(kernels, matMulNTKernel{"ws", func(_, a, _ *Matrix) { MatMulWS(wide, a, p) }})
+		}
 		for _, kernel := range kernels {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.m, s.k, s.n, kernel.name), func(b *testing.B) {
 				kernel.run(dst, a, w) // grow the packing buffer

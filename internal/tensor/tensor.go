@@ -94,6 +94,97 @@ func Softmax(dst, src Vector) {
 	}
 }
 
+// SoftmaxAt sets dst[i] to Softmax(row i of logits + bias)[at[i]], bit
+// for bit, for every row, without the distribution's normalize pass:
+// each row is biased (x = logit + bias, AddBiasRows' add) in its max
+// pass, shifted, exponentiated, summed in one ascending chain, and the
+// one wanted exp is scaled by 1/sum. Only the first len(bias) columns of
+// logits are read; they are overwritten with the exps. Rows run four at
+// a time so four independent max and sum chains overlap, each in its
+// row's own order. It panics on a shape mismatch or an at[i] outside
+// bias.
+func SoftmaxAt(dst []float64, logits *Matrix, bias Vector, at []int) {
+	v, rows := len(bias), logits.Rows
+	if len(dst) != rows || len(at) != rows || v == 0 || v > logits.Cols {
+		panic(fmt.Sprintf("tensor: SoftmaxAt shape mismatch logits=%dx%d bias=%d at=%d dst=%d",
+			logits.Rows, logits.Cols, v, len(at), len(dst)))
+	}
+	row := func(i int) []float64 {
+		if at[i] < 0 || at[i] >= v {
+			panic(fmt.Sprintf("tensor: SoftmaxAt index %d outside %d", at[i], v))
+		}
+		return logits.Data[i*logits.Cols : i*logits.Cols+v]
+	}
+	bias = bias[:v]
+	i := 0
+	for ; i+4 <= rows; i += 4 {
+		r0, r1, r2, r3 := row(i), row(i+1), row(i+2), row(i+3)
+		r0, r1, r2, r3 = r0[:v], r1[:v], r2[:v], r3[:v] // for the prover
+		b := bias[0]
+		m0, m1, m2, m3 := r0[0]+b, r1[0]+b, r2[0]+b, r3[0]+b
+		r0[0], r1[0], r2[0], r3[0] = m0, m1, m2, m3
+		for j := 1; j < v; j++ {
+			b := bias[j]
+			x0, x1, x2, x3 := r0[j]+b, r1[j]+b, r2[j]+b, r3[j]+b
+			r0[j], r1[j], r2[j], r3[j] = x0, x1, x2, x3
+			if x0 > m0 {
+				m0 = x0
+			}
+			if x1 > m1 {
+				m1 = x1
+			}
+			if x2 > m2 {
+				m2 = x2
+			}
+			if x3 > m3 {
+				m3 = x3
+			}
+		}
+		for j := range r0 {
+			r0[j] -= m0
+			r1[j] -= m1
+			r2[j] -= m2
+			r3[j] -= m3
+		}
+		ExpInto(r0, r0)
+		ExpInto(r1, r1)
+		ExpInto(r2, r2)
+		ExpInto(r3, r3)
+		var s0, s1, s2, s3 float64
+		for j := range r0 {
+			s0 += r0[j]
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		dst[i] = r0[at[i]] * (1 / s0)
+		dst[i+1] = r1[at[i+1]] * (1 / s1)
+		dst[i+2] = r2[at[i+2]] * (1 / s2)
+		dst[i+3] = r3[at[i+3]] * (1 / s3)
+	}
+	for ; i < rows; i++ {
+		r := row(i)
+		m := r[0] + bias[0]
+		r[0] = m
+		for j := 1; j < v; j++ {
+			x := r[j] + bias[j]
+			r[j] = x
+			if x > m {
+				m = x
+			}
+		}
+		for j := range r {
+			r[j] -= m
+		}
+		ExpInto(r, r)
+		var s float64
+		for _, e := range r {
+			s += e
+		}
+		dst[i] = r[at[i]] * (1 / s)
+	}
+}
+
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int
