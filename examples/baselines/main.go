@@ -53,7 +53,7 @@ func run() error {
 	}
 
 	// Classical baselines.
-	ngram, err := baseline.TrainNGram(encTrain, vocab.Size(), baseline.DefaultNGramConfig())
+	ngram, err := baseline.TrainNGram(encTrain, vocab.Size())
 	if err != nil {
 		return err
 	}

@@ -21,25 +21,53 @@ func cycleSessions(n, length, vocab int) [][]int {
 }
 
 func TestNGramValidation(t *testing.T) {
-	if _, err := TrainNGram(nil, 3, NGramConfig{Order: 0, Discount: 0.5}); err == nil {
-		t.Fatal("order 0 must fail")
-	}
-	if _, err := TrainNGram(nil, 3, NGramConfig{Order: 2, Discount: 1}); err == nil {
-		t.Fatal("discount 1 must fail")
-	}
-	if _, err := TrainNGram([][]int{{0, 1}}, 0, DefaultNGramConfig()); err == nil {
+	if _, err := TrainNGram([][]int{{0, 1}}, 0); err == nil {
 		t.Fatal("zero vocab must fail")
 	}
-	if _, err := TrainNGram([][]int{{0, 9}}, 3, DefaultNGramConfig()); err == nil {
+	if _, err := TrainNGram([][]int{{0, 1}}, maxNGramVocab+1); err == nil {
+		t.Fatal("a vocab whose gram keys overflow uint64 must fail")
+	}
+	if _, err := TrainNGram([][]int{{0, 9}}, 3); err == nil {
 		t.Fatal("out-of-vocab must fail")
 	}
-	if _, err := TrainNGram([][]int{{0}}, 3, DefaultNGramConfig()); err == nil {
+	if _, err := TrainNGram([][]int{{0}}, 3); err == nil {
 		t.Fatal("no trainable sessions must fail")
+	}
+	m, err := TrainNGram([][]int{{0, 1}}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Prob([]int{0, 3}, 1); err == nil {
+		t.Fatal("out-of-vocab context must fail")
+	}
+}
+
+// TestNGramKeysKeepWideActions trains on two contexts whose actions
+// agree in their low 16 bits: each must keep its own counts.
+func TestNGramKeysKeepWideActions(t *testing.T) {
+	m, err := TrainNGram([][]int{{1, 2}, {65537, 3}}, 65538)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ ctx, unseen int }{{1, 3}, {65537, 2}} {
+		backoff, err := m.Prob(nil, c.unseen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The context was followed by one other action only, so the
+		// unseen one gets the discount's share of the unigram estimate.
+		p, err := m.Prob([]int{c.ctx}, c.unseen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != 0.5*backoff {
+			t.Fatalf("P(%d|%d) = %v, want %v: the context shares counts with another", c.unseen, c.ctx, p, 0.5*backoff)
+		}
 	}
 }
 
 func TestNGramProbsNormalized(t *testing.T) {
-	m, err := TrainNGram(cycleSessions(5, 12, 4), 4, DefaultNGramConfig())
+	m, err := TrainNGram(cycleSessions(5, 12, 4), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +93,7 @@ func TestNGramProbsNormalized(t *testing.T) {
 }
 
 func TestNGramLearnsCycle(t *testing.T) {
-	m, err := TrainNGram(cycleSessions(10, 12, 4), 4, DefaultNGramConfig())
+	m, err := TrainNGram(cycleSessions(10, 12, 4), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +111,7 @@ func TestNGramLearnsCycle(t *testing.T) {
 }
 
 func TestNGramUnseenContextBacksOff(t *testing.T) {
-	m, err := TrainNGram(cycleSessions(5, 8, 4), 4, DefaultNGramConfig())
+	m, err := TrainNGram(cycleSessions(5, 8, 4), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +127,7 @@ func TestNGramUnseenContextBacksOff(t *testing.T) {
 }
 
 func TestNGramStepScoresAndMetrics(t *testing.T) {
-	m, err := TrainNGram(cycleSessions(10, 12, 4), 4, DefaultNGramConfig())
+	m, err := TrainNGram(cycleSessions(10, 12, 4), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

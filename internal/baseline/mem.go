@@ -3,8 +3,8 @@ package baseline
 import "misusedetect/internal/scorer"
 
 // Memory accounting for the classical backends. The n-gram stream is its
-// trailing context window, action count and key buffer, the HMM stream
-// its filtering distribution and prediction scratch; the vocab-sized
+// trailing context window and action count, the HMM stream its
+// filtering distribution and prediction scratch; the vocab-sized
 // predictive distribution exists only once a caller has asked for it
 // through Observe (the serving path never does).
 var (
@@ -18,7 +18,7 @@ const streamStructOverhead = 96
 
 // MemSize estimates the resident heap bytes of one n-gram stream.
 func (s *ngramStream) MemSize() int {
-	return cap(s.ctx)*8 + len(s.dist)*8 + cap(s.keyBuf) + streamStructOverhead
+	return len(s.ctx)*8 + len(s.dist)*8 + streamStructOverhead
 }
 
 // MemSize estimates the resident heap bytes of one HMM stream.

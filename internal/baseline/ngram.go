@@ -11,83 +11,69 @@ package baseline
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"misusedetect/internal/scorer"
 	"misusedetect/internal/tensor"
 )
 
-// NGramConfig configures the n-gram language model.
-type NGramConfig struct {
-	// Order is the maximum n-gram length (3 = trigram).
-	Order int
-	// Discount is the absolute-discounting mass in (0,1) redistributed
-	// to lower orders (Chen & Goodman style interpolated smoothing).
-	Discount float64
-}
-
-// DefaultNGramConfig returns an interpolated trigram model.
-func DefaultNGramConfig() NGramConfig { return NGramConfig{Order: 3, Discount: 0.5} }
-
-func (c *NGramConfig) validate() error {
-	if c.Order < 1 {
-		return fmt.Errorf("baseline: Order must be >= 1, got %d", c.Order)
-	}
-	if c.Discount <= 0 || c.Discount >= 1 {
-		return fmt.Errorf("baseline: Discount %v outside (0,1)", c.Discount)
-	}
-	return nil
-}
+const (
+	// ngramOrder is the maximum n-gram length: an interpolated trigram.
+	ngramOrder = 3
+	// ngramDiscount is the absolute-discounting mass redistributed to
+	// lower orders (Chen & Goodman style interpolated smoothing).
+	ngramDiscount = 0.5
+	// maxNGramVocab is the largest vocabulary whose gram keys fit a
+	// uint64: the largest key is (V+1)^3 - 1.
+	maxNGramVocab = 2_642_244
+)
 
 // NGram is an interpolated absolute-discounting n-gram language model
 // over action indices, the classical counterpart of the LSTM models.
+//
+// A context of up to ngramOrder-1 actions is keyed by its actions as
+// base-(V+1) digits a+1, the most recent action lowest, so contexts of
+// different lengths never share a key; the empty context is key 0. A
+// gram is keyed as its context followed by its action: ctxKey*(V+1) +
+// action + 1.
 type NGram struct {
-	cfg   NGramConfig
 	vocab int
-	// counts[k] maps a context key of length k to (total, per-action counts).
-	counts []map[string]*contextCount
+	// ctx holds each counted context's total count and number of
+	// distinct following actions.
+	ctx map[uint64]contextCount
+	// grams holds each counted gram's count.
+	grams map[uint64]float64
 }
 
 type contextCount struct {
-	total   float64
-	actions map[int]float64
+	total, distinct float64
+}
+
+// newNGram returns an empty model, refusing a vocabulary whose gram
+// keys would overflow.
+func newNGram(vocab int) (*NGram, error) {
+	if vocab < 1 || vocab > maxNGramVocab {
+		return nil, fmt.Errorf("baseline: ngram vocab %d outside [1, %d]", vocab, maxNGramVocab)
+	}
+	return &NGram{vocab: vocab, ctx: make(map[uint64]contextCount), grams: make(map[uint64]float64)}, nil
 }
 
 // TrainNGram fits the model on encoded sessions.
-func TrainNGram(sessions [][]int, vocab int, cfg NGramConfig) (*NGram, error) {
-	if err := cfg.validate(); err != nil {
+func TrainNGram(sessions [][]int, vocab int) (*NGram, error) {
+	m, err := newNGram(vocab)
+	if err != nil {
 		return nil, err
-	}
-	if vocab < 1 {
-		return nil, fmt.Errorf("baseline: vocab must be >= 1, got %d", vocab)
-	}
-	m := &NGram{cfg: cfg, vocab: vocab, counts: make([]map[string]*contextCount, cfg.Order)}
-	for k := range m.counts {
-		m.counts[k] = make(map[string]*contextCount)
 	}
 	trained := false
 	for si, s := range sessions {
+		trained = trained || len(s) > 1
 		for i, a := range s {
 			if a < 0 || a >= vocab {
 				return nil, fmt.Errorf("baseline: session %d position %d action %d outside vocab", si, i, a)
 			}
-		}
-		if len(s) < 2 {
-			continue
-		}
-		trained = true
-		for i := 1; i < len(s); i++ {
-			for k := 0; k < cfg.Order; k++ {
-				if i-k < 0 {
-					break
-				}
-				key := contextKey(s[i-k : i])
-				cc, ok := m.counts[k][key]
-				if !ok {
-					cc = &contextCount{actions: make(map[int]float64)}
-					m.counts[k][key] = cc
-				}
-				cc.total++
-				cc.actions[s[i]]++
+			// Every gram ending at position i > 0, down to the empty context.
+			for j := max(i+1-ngramOrder, 0); i > 0 && j <= i; j++ {
+				m.add(m.key(s[j:i+1]), 1)
 			}
 		}
 	}
@@ -97,52 +83,55 @@ func TrainNGram(sessions [][]int, vocab int, cfg NGramConfig) (*NGram, error) {
 	return m, nil
 }
 
-func contextKey(ctx []int) string {
-	// Compact deterministic key; contexts are short (Order-1 <= ~4).
-	return string(appendContextKey(make([]byte, 0, len(ctx)*3), ctx))
+// key keys a context of at most ngramOrder-1 in-vocab actions, or a
+// gram given as its context followed by its action.
+func (m *NGram) key(actions []int) uint64 {
+	var key uint64
+	for _, a := range actions {
+		key = key*uint64(m.vocab+1) + uint64(a+1)
+	}
+	return key
 }
 
-func appendContextKey(b []byte, ctx []int) []byte {
-	for _, a := range ctx {
-		b = append(b, byte(a), byte(a>>8), ',')
+// add counts n more occurrences of the gram keyed g; training and
+// loading build the tables through it alone.
+func (m *NGram) add(g uint64, n float64) {
+	ctxKey := g / uint64(m.vocab+1)
+	c := m.ctx[ctxKey]
+	if m.grams[g] == 0 {
+		c.distinct++
 	}
-	return b
+	c.total += n
+	m.ctx[ctxKey] = c
+	m.grams[g] += n
 }
 
 // Prob returns the smoothed probability of the action following the
 // context: an interpolation of all orders down to the uniform
 // distribution, with absolute discounting at each level.
 func (m *NGram) Prob(context []int, action int) (float64, error) {
-	if action < 0 || action >= m.vocab {
-		return 0, fmt.Errorf("baseline: action %d outside vocab %d", action, m.vocab)
+	outside := func(a int) bool { return a < 0 || a >= m.vocab }
+	if outside(action) || slices.ContainsFunc(context, outside) {
+		return 0, fmt.Errorf("baseline: action %d after context %v outside vocab %d", action, context, m.vocab)
 	}
-	p, _ := m.probReuse(context, action, nil)
-	return p, nil
+	return m.prob(context, action), nil
 }
 
-// probReuse is Prob without validation or key allocations: keyBuf is
-// reused for the count lookups and the (possibly grown) buffer is
-// returned, so streaming callers stay allocation-free.
-func (m *NGram) probReuse(context []int, action int, keyBuf []byte) (float64, []byte) {
+// prob is Prob without validation: context and action must be in vocab.
+func (m *NGram) prob(context []int, action int) float64 {
 	p := 1 / float64(m.vocab) // order-(-1): uniform backstop
-	maxK := m.cfg.Order - 1
-	if len(context) < maxK {
-		maxK = len(context)
-	}
-	for k := 0; k <= maxK; k++ {
-		keyBuf = appendContextKey(keyBuf[:0], context[len(context)-k:])
-		cc, ok := m.counts[k][string(keyBuf)]
-		if !ok || cc.total == 0 {
+	for k := 0; k <= min(len(context), ngramOrder-1); k++ {
+		ck := m.key(context[len(context)-k:])
+		cc, ok := m.ctx[ck]
+		if !ok {
 			continue
 		}
-		c := cc.actions[action]
-		distinct := float64(len(cc.actions))
-		d := m.cfg.Discount
-		higher := math.Max(c-d, 0) / cc.total
-		lambda := d * distinct / cc.total
+		c := m.grams[ck*uint64(m.vocab+1)+uint64(action+1)]
+		higher := math.Max(c-ngramDiscount, 0) / cc.total
+		lambda := ngramDiscount * cc.distinct / cc.total
 		p = higher + lambda*p
 	}
-	return p, keyBuf
+	return p
 }
 
 // BackendNGram is the scorer-registry tag of the n-gram model.
@@ -159,29 +148,28 @@ func (m *NGram) Backend() string { return BackendNGram }
 func (m *NGram) VocabSize() int { return m.vocab }
 
 // NewStream returns an incremental per-action scorer: it keeps the last
-// Order-1 actions as context and reuses its distribution and key
-// buffers, so steady-state streaming performs no per-action allocations.
-// The vocab-sized distribution is built by the first Observe: a stream
-// driven only through ObserveLikelihood never allocates it.
+// ngramOrder-1 actions as context, so steady-state streaming performs no
+// per-action allocations. The vocab-sized distribution is built by the
+// first Observe: a stream driven only through ObserveLikelihood never
+// allocates it.
 func (m *NGram) NewStream() scorer.Stream {
-	return &ngramStream{m: m, ctx: make([]int, 0, m.cfg.Order-1)}
+	return &ngramStream{m: m}
 }
 
 // ngramStream is the online adapter over NGram: the same interpolated
-// smoothing as Prob, evaluated over the whole vocabulary each step so
+// smoothing as Prob, evaluated over the whole vocabulary each Observe so
 // the predictive distribution (and with it argmax accuracy) is
 // available to the monitor.
 type ngramStream struct {
 	m *NGram
-	// ctx holds the last Order-1 observed actions.
-	ctx []int
+	// ctx holds the last ngramOrder-1 observed actions, the most recent
+	// last; only the last min(seen, ngramOrder-1) are actions.
+	ctx [ngramOrder - 1]int
 	// dist is the prediction for the upcoming action, allocated by the
 	// first Observe and reused by every later one (ObserveLikelihood
 	// skips it).
 	dist tensor.Vector
-	// keyBuf is the reusable context-key buffer for count lookups.
-	keyBuf []byte
-	seen   int
+	seen int
 }
 
 // Observe consumes the next action: the returned likelihood is exactly
@@ -196,12 +184,15 @@ func (s *ngramStream) Observe(action int) (float64, tensor.Vector, error) {
 	if s.dist == nil {
 		s.dist = tensor.NewVector(s.m.vocab)
 	}
-	s.keyBuf = s.m.nextDist(s.ctx, s.dist, s.keyBuf)
+	ctx := s.ctx[len(s.ctx)-min(s.seen, len(s.ctx)):]
+	for a := range s.dist {
+		s.dist[a] = s.m.prob(ctx, a)
+	}
 	return lik, s.dist, nil
 }
 
 // ObserveLikelihood is the serving path's advance: the same stream
-// advance as Observe, O(Order) instead of O(Order x vocab), because no
+// advance as Observe, O(order) instead of O(order x vocab), because no
 // predictive distribution is materialized. This is what the engine's
 // monitor pays per event.
 func (s *ngramStream) ObserveLikelihood(action int) (float64, error) {
@@ -210,47 +201,10 @@ func (s *ngramStream) ObserveLikelihood(action int) (float64, error) {
 	}
 	lik := -1.0
 	if s.seen > 0 {
-		lik, s.keyBuf = s.m.probReuse(s.ctx, action, s.keyBuf)
+		lik = s.m.prob(s.ctx[len(s.ctx)-min(s.seen, len(s.ctx)):], action)
 	}
-	if s.m.cfg.Order > 1 {
-		if len(s.ctx) == s.m.cfg.Order-1 {
-			copy(s.ctx, s.ctx[1:])
-			s.ctx[len(s.ctx)-1] = action
-		} else {
-			s.ctx = append(s.ctx, action)
-		}
-	}
+	copy(s.ctx[:], s.ctx[1:])
+	s.ctx[len(s.ctx)-1] = action
 	s.seen++
 	return lik, nil
-}
-
-// nextDist writes the smoothed next-action distribution for the context
-// into dist: the same order-by-order interpolation as Prob, vectorized
-// over the vocabulary. keyBuf is reused for the count lookups and the
-// (possibly grown) buffer is returned.
-func (m *NGram) nextDist(ctx []int, dist tensor.Vector, keyBuf []byte) []byte {
-	uniform := 1 / float64(m.vocab)
-	for i := range dist {
-		dist[i] = uniform
-	}
-	maxK := m.cfg.Order - 1
-	if len(ctx) < maxK {
-		maxK = len(ctx)
-	}
-	for k := 0; k <= maxK; k++ {
-		keyBuf = appendContextKey(keyBuf[:0], ctx[len(ctx)-k:])
-		cc, ok := m.counts[k][string(keyBuf)]
-		if !ok || cc.total == 0 {
-			continue
-		}
-		d := m.cfg.Discount
-		lambda := d * float64(len(cc.actions)) / cc.total
-		for i := range dist {
-			dist[i] *= lambda
-		}
-		for a, c := range cc.actions {
-			dist[a] += math.Max(c-d, 0) / cc.total
-		}
-	}
-	return keyBuf
 }

@@ -4,6 +4,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
+	"math"
+	"slices"
 
 	"misusedetect/internal/scorer"
 	"misusedetect/internal/tensor"
@@ -17,65 +20,129 @@ func init() {
 	scorer.Register(BackendHMM, func(r io.Reader) (scorer.Scorer, error) { return LoadHMM(r) })
 }
 
-// serializedContextCount is the gob wire form of one context's counts.
-type serializedContextCount struct {
-	Total   float64
-	Actions map[int]float64
+// ngramPayload is the gob wire form of an NGram: every counted gram's
+// key in ascending order, with its count. A context's totals follow from
+// its grams, so the bytes are a function of the counts alone.
+type ngramPayload struct {
+	Vocab      int
+	Grams      []uint64
+	GramCounts []float64
 }
 
-// serializedNGram is the gob wire form of an NGram model.
-type serializedNGram struct {
-	Config NGramConfig
-	Vocab  int
-	Counts []map[string]serializedContextCount
+// ngramPayloadIn is what LoadNGram decodes: the payload's fields plus
+// those of the string-keyed form saved before integer keys, whose
+// Counts[k] mapped each order-k context (two little-endian bytes and a
+// comma per action, oldest first) to its action counts. A build before
+// integer keys reads a current file as a zero Config and refuses it.
+type ngramPayloadIn struct {
+	Vocab      int
+	Grams      []uint64
+	GramCounts []float64
+	Config     struct {
+		Order    int
+		Discount float64
+	}
+	Counts []map[string]struct{ Actions map[int]float64 }
+}
+
+// sortedGrams lists a gram table's keys in ascending order, with their
+// counts.
+func sortedGrams(grams map[uint64]float64) ([]uint64, []float64) {
+	keys := slices.Sorted(maps.Keys(grams))
+	counts := make([]float64, len(keys))
+	for i, g := range keys {
+		counts[i] = grams[g]
+	}
+	return keys, counts
 }
 
 // Save writes the n-gram model to w with gob.
 func (m *NGram) Save(w io.Writer) error {
-	s := serializedNGram{Config: m.cfg, Vocab: m.vocab, Counts: make([]map[string]serializedContextCount, len(m.counts))}
-	for k, byCtx := range m.counts {
-		s.Counts[k] = make(map[string]serializedContextCount, len(byCtx))
-		for key, cc := range byCtx {
-			s.Counts[k][key] = serializedContextCount{Total: cc.total, Actions: cc.actions}
-		}
-	}
-	if err := gob.NewEncoder(w).Encode(&s); err != nil {
+	p := ngramPayload{Vocab: m.vocab}
+	p.Grams, p.GramCounts = sortedGrams(m.grams)
+	if err := gob.NewEncoder(w).Encode(&p); err != nil {
 		return fmt.Errorf("baseline: save ngram: %w", err)
 	}
 	return nil
 }
 
-// LoadNGram reads a model written by Save.
+// LoadNGram reads a model written by Save, in either form.
 func LoadNGram(r io.Reader) (*NGram, error) {
-	var s serializedNGram
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	var in ngramPayloadIn
+	err := gob.NewDecoder(r).Decode(&in)
+	var m *NGram
+	if err == nil {
+		m, err = in.model()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("baseline: load ngram: %w", err)
-	}
-	if err := s.Config.validate(); err != nil {
-		return nil, fmt.Errorf("baseline: load ngram: %w", err)
-	}
-	if s.Vocab < 1 {
-		return nil, fmt.Errorf("baseline: load ngram: vocab %d < 1", s.Vocab)
-	}
-	if len(s.Counts) != s.Config.Order {
-		return nil, fmt.Errorf("baseline: load ngram: %d count tables for order %d", len(s.Counts), s.Config.Order)
-	}
-	m := &NGram{cfg: s.Config, vocab: s.Vocab, counts: make([]map[string]*contextCount, len(s.Counts))}
-	for k, byCtx := range s.Counts {
-		m.counts[k] = make(map[string]*contextCount, len(byCtx))
-		for key, cc := range byCtx {
-			if cc.Actions == nil {
-				return nil, fmt.Errorf("baseline: load ngram: order-%d context %q has no action counts", k, key)
-			}
-			for a := range cc.Actions {
-				if a < 0 || a >= s.Vocab {
-					return nil, fmt.Errorf("baseline: load ngram: counted action %d outside vocab %d", a, s.Vocab)
-				}
-			}
-			m.counts[k][key] = &contextCount{total: cc.Total, actions: cc.Actions}
-		}
 	}
 	return m, nil
+}
+
+// model validates the payload, converting the string-keyed form, and
+// builds its count tables.
+func (in *ngramPayloadIn) model() (*NGram, error) {
+	if in.Config.Order != 0 || in.Config.Discount != 0 || in.Counts != nil {
+		if err := in.fromStringKeys(); err != nil {
+			return nil, err
+		}
+	}
+	m, err := newNGram(in.Vocab)
+	if err != nil {
+		return nil, err
+	}
+	if len(in.Grams) == 0 || len(in.Grams) != len(in.GramCounts) {
+		return nil, fmt.Errorf("%d gram keys, %d counts", len(in.Grams), len(in.GramCounts))
+	}
+	base := uint64(in.Vocab + 1)
+	for i, g := range in.Grams {
+		ck, digit, c := g/base, g%base, in.GramCounts[i]
+		switch {
+		case i > 0 && g <= in.Grams[i-1]:
+			return nil, fmt.Errorf("gram keys not strictly ascending at %d", i)
+		case digit == 0 || ck >= base*base || (ck >= base && ck%base == 0):
+			return nil, fmt.Errorf("gram key %d names no gram of at most %d actions in vocab %d", g, ngramOrder, in.Vocab)
+		case !(c > 0) || math.IsInf(c, 1):
+			return nil, fmt.Errorf("gram key %d has count %v", g, c)
+		}
+		m.add(g, c)
+	}
+	return m, nil
+}
+
+// fromStringKeys converts the string-keyed form into gram keys. Its
+// vocabulary is at most 65,536: above that its keys truncated actions to
+// 16 bits, and contexts that differ shared one count table.
+func (in *ngramPayloadIn) fromStringKeys() error {
+	if in.Config.Order != ngramOrder || in.Config.Discount != ngramDiscount || len(in.Counts) != ngramOrder {
+		return fmt.Errorf("string-keyed counts of order %d, discount %v in %d tables: this build serves order %d, discount %v",
+			in.Config.Order, in.Config.Discount, len(in.Counts), ngramOrder, ngramDiscount)
+	}
+	if in.Vocab > 1<<16 {
+		return fmt.Errorf("string-keyed counts over vocab %d > 65536 truncated actions to 16 bits", in.Vocab)
+	}
+	base := uint64(in.Vocab + 1)
+	grams := make(map[uint64]float64)
+	for k, byCtx := range in.Counts {
+		for key, cc := range byCtx {
+			ck, ok := uint64(0), len(key) == 3*k
+			for i := 0; ok && i < len(key); i += 3 {
+				a := uint64(key[i]) | uint64(key[i+1])<<8
+				ok = a < uint64(in.Vocab) && key[i+2] == ','
+				ck = ck*base + a + 1
+			}
+			for a, c := range cc.Actions {
+				ok = ok && a >= 0 && a < in.Vocab
+				grams[ck*base+uint64(a+1)] = c
+			}
+			if !ok {
+				return fmt.Errorf("order-%d context %q or an action counted after it outside vocab %d", k, key, in.Vocab)
+			}
+		}
+	}
+	in.Grams, in.GramCounts = sortedGrams(grams)
+	return nil
 }
 
 // serializedHMM is the gob wire form of an HMM (row-major matrices).

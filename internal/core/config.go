@@ -33,9 +33,6 @@ type Config struct {
 	// LM configures the per-cluster language models. Network.InputSize
 	// is overwritten with the vocabulary size at training time.
 	LM lm.Config
-	// NGram configures the per-cluster n-gram models when Backend is
-	// baseline.BackendNGram.
-	NGram baseline.NGramConfig
 	// HMM configures the per-cluster HMMs when Backend is
 	// baseline.BackendHMM.
 	HMM baseline.HMMConfig
@@ -59,7 +56,6 @@ func PaperConfig(vocab int, seed int64) Config {
 		OCSVM:            ocsvm.DefaultConfig(seed + 2),
 		Backend:          lm.BackendLSTM,
 		LM:               lm.PaperConfig(vocab, seed+3),
-		NGram:            baseline.DefaultNGramConfig(),
 		HMM:              baseline.DefaultHMMConfig(seed + 4),
 		MinSessionLength: 2,
 		RouteVoteActions: 15,

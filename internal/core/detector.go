@@ -218,7 +218,7 @@ func (cm *ClusterModel) train(cfg *Config, vocab *actionlog.Vocabulary, encoded 
 		}
 		cm.Model, cm.LM = model, model
 	case baseline.BackendNGram:
-		model, err := baseline.TrainNGram(encoded, vocab.Size(), cfg.NGram)
+		model, err := baseline.TrainNGram(encoded, vocab.Size())
 		if err != nil {
 			return fmt.Errorf("core: train ngram %d: %w", ci, err)
 		}

@@ -59,7 +59,7 @@ func ExtensionAUC(s *Setup) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ngram, err := baseline.TrainNGram(encTrain, vocab.Size(), baseline.DefaultNGramConfig())
+	ngram, err := baseline.TrainNGram(encTrain, vocab.Size())
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ func trainAllBackends(t *testing.T) ([]scorer.Scorer, *nn.LanguageNetwork, *acti
 	if err != nil {
 		t.Fatal(err)
 	}
-	ng, err := baseline.TrainNGram(encoded, corpus.Vocabulary.Size(), baseline.DefaultNGramConfig())
+	ng, err := baseline.TrainNGram(encoded, corpus.Vocabulary.Size())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func fuzzSessions() [][]int {
 // the fuzzer starts from well-formed files of every payload format.
 func seedEnvelopes(f *testing.F) [][]byte {
 	f.Helper()
-	ng, err := baseline.TrainNGram(fuzzSessions(), 5, baseline.DefaultNGramConfig())
+	ng, err := baseline.TrainNGram(fuzzSessions(), 5)
 	if err != nil {
 		f.Fatal(err)
 	}
