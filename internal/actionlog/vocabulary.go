@@ -5,6 +5,13 @@ import (
 	"sort"
 )
 
+// MaxVocabSize is the largest action vocabulary a model may be trained,
+// saved or loaded over, for every backend. The model loaders refuse
+// larger ones, so a corrupted file cannot declare a size that forces a
+// huge allocation before its data is read, and the trainers refuse them
+// too, so no model is saved that would not load.
+const MaxVocabSize = 1 << 20
+
 // Vocabulary maps the system's fixed set of action names to dense indices
 // [0, Size). It is immutable after construction; the learning components
 // rely on indices staying stable.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"misusedetect/internal/actionlog"
 	"misusedetect/internal/scorer"
 )
 
@@ -24,8 +25,8 @@ func TestNGramValidation(t *testing.T) {
 	if _, err := TrainNGram([][]int{{0, 1}}, 0); err == nil {
 		t.Fatal("zero vocab must fail")
 	}
-	if _, err := TrainNGram([][]int{{0, 1}}, maxNGramVocab+1); err == nil {
-		t.Fatal("a vocab whose gram keys overflow uint64 must fail")
+	if _, err := TrainNGram([][]int{{0, 1}}, actionlog.MaxVocabSize+1); err == nil {
+		t.Fatal("a vocab above the loaders' bound must fail")
 	}
 	if _, err := TrainNGram([][]int{{0, 9}}, 3); err == nil {
 		t.Fatal("out-of-vocab must fail")

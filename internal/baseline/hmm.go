@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"misusedetect/internal/actionlog"
 	"misusedetect/internal/scorer"
 	"misusedetect/internal/tensor"
 )
@@ -59,8 +60,8 @@ func TrainHMM(sessions [][]int, vocab int, cfg HMMConfig) (*HMM, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if vocab < 1 {
-		return nil, fmt.Errorf("baseline: vocab must be >= 1, got %d", vocab)
+	if vocab < 1 || vocab > actionlog.MaxVocabSize {
+		return nil, fmt.Errorf("baseline: hmm vocab %d outside [1, %d]", vocab, actionlog.MaxVocabSize)
 	}
 	var train [][]int
 	for si, s := range sessions {

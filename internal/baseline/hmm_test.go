@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"misusedetect/internal/actionlog"
 )
 
 func TestHMMValidation(t *testing.T) {
@@ -15,6 +17,9 @@ func TestHMMValidation(t *testing.T) {
 	}
 	if _, err := TrainHMM([][]int{{0}}, 0, DefaultHMMConfig(1)); err == nil {
 		t.Fatal("zero vocab must fail")
+	}
+	if _, err := TrainHMM([][]int{{0}}, actionlog.MaxVocabSize+1, DefaultHMMConfig(1)); err == nil {
+		t.Fatal("a vocab above the loaders' bound must fail")
 	}
 	if _, err := TrainHMM([][]int{{5}}, 2, DefaultHMMConfig(1)); err == nil {
 		t.Fatal("out-of-vocab must fail")

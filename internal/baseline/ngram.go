@@ -13,6 +13,7 @@ import (
 	"math"
 	"slices"
 
+	"misusedetect/internal/actionlog"
 	"misusedetect/internal/scorer"
 	"misusedetect/internal/tensor"
 )
@@ -23,9 +24,6 @@ const (
 	// ngramDiscount is the absolute-discounting mass redistributed to
 	// lower orders (Chen & Goodman style interpolated smoothing).
 	ngramDiscount = 0.5
-	// maxNGramVocab is the largest vocabulary whose gram keys fit a
-	// uint64: the largest key is (V+1)^3 - 1.
-	maxNGramVocab = 2_642_244
 )
 
 // NGram is an interpolated absolute-discounting n-gram language model
@@ -49,11 +47,13 @@ type contextCount struct {
 	total, distinct float64
 }
 
-// newNGram returns an empty model, refusing a vocabulary whose gram
-// keys would overflow.
+// newNGram returns an empty model, refusing a vocabulary above
+// actionlog.MaxVocabSize, the bound every model loader keeps; it is
+// what TrainNGram and LoadNGram build on, so the two refuse alike. Gram
+// keys within it fit a uint64: the largest is (V+1)^3 - 1 < 2^61.
 func newNGram(vocab int) (*NGram, error) {
-	if vocab < 1 || vocab > maxNGramVocab {
-		return nil, fmt.Errorf("baseline: ngram vocab %d outside [1, %d]", vocab, maxNGramVocab)
+	if vocab < 1 || vocab > actionlog.MaxVocabSize {
+		return nil, fmt.Errorf("baseline: ngram vocab %d outside [1, %d]", vocab, actionlog.MaxVocabSize)
 	}
 	return &NGram{vocab: vocab, ctx: make(map[uint64]contextCount), grams: make(map[uint64]float64)}, nil
 }

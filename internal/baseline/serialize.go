@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 
+	"misusedetect/internal/actionlog"
 	"misusedetect/internal/scorer"
 	"misusedetect/internal/tensor"
 )
@@ -175,8 +176,9 @@ func LoadHMM(r io.Reader) (*HMM, error) {
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("baseline: load hmm: %w", err)
 	}
-	if s.States < 1 || s.Vocab < 1 {
-		return nil, fmt.Errorf("baseline: load hmm: %d states over vocab %d", s.States, s.Vocab)
+	if s.States < 1 || s.Vocab < 1 || s.Vocab > actionlog.MaxVocabSize {
+		return nil, fmt.Errorf("baseline: load hmm: %d states over vocab %d (vocab at most %d)",
+			s.States, s.Vocab, actionlog.MaxVocabSize)
 	}
 	if len(s.Initial) != s.States || len(s.Trans) != s.States*s.States || len(s.Emit) != s.States*s.Vocab {
 		return nil, fmt.Errorf("baseline: load hmm: parameter sizes %d/%d/%d inconsistent with %d states x %d vocab",

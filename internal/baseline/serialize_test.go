@@ -8,6 +8,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"misusedetect/internal/actionlog"
 )
 
 // legacySessions is the corpus testdata/ngram-legacy.gob was trained on,
@@ -146,7 +148,7 @@ func TestNGramSaveCanonical(t *testing.T) {
 		want string
 	}{
 		{"vocab 0", ngramPayload{Vocab: 0}, "vocab 0"},
-		{"vocab overflowing", ngramPayload{Vocab: maxNGramVocab + 1}, "vocab 2642245"},
+		{"vocab above the bound", ngramPayload{Vocab: actionlog.MaxVocabSize + 1, Grams: []uint64{1}, GramCounts: []float64{1}}, "vocab 1048577"},
 		{"no grams", ngramPayload{Vocab: 7}, "0 gram keys, 0 counts"},
 		{"fewer counts", ngramPayload{Vocab: 7, Grams: []uint64{1, 9}, GramCounts: []float64{1}}, "2 gram keys, 1 counts"},
 		{"keys out of order", ngramPayload{Vocab: 7, Grams: []uint64{9, 1}, GramCounts: []float64{1, 1}}, "not strictly ascending"},

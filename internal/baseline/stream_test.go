@@ -2,9 +2,11 @@ package baseline
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
+	"misusedetect/internal/actionlog"
 	"misusedetect/internal/scorer"
 )
 
@@ -271,6 +273,25 @@ func TestScorerRoundTrips(t *testing.T) {
 		}
 		if a != b {
 			t.Fatalf("%s: loaded model scores differently:\n%+v\n%+v", m.Backend(), a, b)
+		}
+	}
+}
+
+// TestLoadHMMRefusesVocabAboveBound: an HMM file that is consistent in
+// every other respect is refused once its vocabulary passes the bound
+// every model loader keeps.
+func TestLoadHMMRefusesVocabAboveBound(t *testing.T) {
+	for _, vocab := range []int{actionlog.MaxVocabSize, actionlog.MaxVocabSize + 1} {
+		emit := make([]float64, vocab)
+		emit[0] = 1
+		var buf bytes.Buffer
+		s := serializedHMM{States: 1, Vocab: vocab, Initial: []float64{1}, Trans: []float64{1}, Emit: emit}
+		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadHMM(&buf)
+		if above := vocab > actionlog.MaxVocabSize; above != (err != nil) {
+			t.Fatalf("vocab %d: err = %v", vocab, err)
 		}
 	}
 }

@@ -9,13 +9,15 @@ import (
 
 // Cross-session micro-batched inference: a shard that holds N live LSTM
 // streams advances all of them with one output product and one
-// recurrent GEMM per tick instead of 2N matvecs, so the weight matrices
-// are streamed from memory once per tick rather than once per event.
-// The output product is weight-stationary: the dense weights are packed
-// once per write to them (outputWeights), with the AVX2 lanes over the
-// vocabulary, so a tick of one or two streams uses whole vectors too.
-// Serving reads one probability per stream, so the output layer stops
-// at the likelihood (tensor.SoftmaxAt): no distribution is normalized.
+// recurrent product per tick instead of 2N matvecs, so the weight
+// matrices are streamed from memory once per tick rather than once per
+// event. Both products are weight-stationary: the dense W and the
+// recurrent Wh are each packed once per write to them (Param.packed),
+// with the AVX2 lanes over the weights' rows (the vocabulary, the 4H
+// gates), so a tick of one or two streams uses whole vectors too and no
+// call packs anything. Serving reads one probability per stream, so
+// the output layer stops at the likelihood (tensor.SoftmaxAt): no
+// distribution is normalized.
 //
 // The batched path is bit-identical to the reference kernels: the GEMM
 // kernels accumulate each output element in a single scalar over
@@ -41,7 +43,8 @@ type BatchScratch struct {
 	// h packs one stream's hidden vector per row: the primed streams'
 	// H for the output GEMM, then every stream's H for the recurrent one.
 	h *tensor.Matrix
-	// z holds the 4H gate pre-activations, one row per stream.
+	// z holds the 4H gate pre-activations, one row per stream, padded
+	// to the packed Wh's stride.
 	z *tensor.Matrix
 	// logits holds the dense outputs, one row per primed stream, padded
 	// to the packed weights' stride; at and liks hold those streams'
@@ -51,8 +54,6 @@ type BatchScratch struct {
 	liks   []float64
 	// e holds one stream's 4H exp arguments, then their exps.
 	e []float64
-	// pack is the GEMM kernel's packing buffer (16·(H+3) values).
-	pack []float64
 	// states is the *State gather buffer used by ObserveBatch.
 	states []*State
 }
@@ -63,7 +64,8 @@ func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 
 // StepBatch advances N independent states by one input each (xs[i] < 0
 // encodes a zero/padded input), running the four gate transforms of all
-// streams as a single GEMM. The states must be distinct. Each state ends
+// streams as a single weight-stationary product against Wh packed once
+// per write to it. The states must be distinct. Each state ends
 // bit-identical to what Step would have produced on it.
 func (l *LSTM) StepBatch(states []*State, xs []int, s *BatchScratch) {
 	if len(states) != len(xs) {
@@ -78,14 +80,15 @@ func (l *LSTM) StepBatch(states []*State, xs []int, s *BatchScratch) {
 	for i, st := range states {
 		copy(s.h.Row(i), st.H)
 	}
-	s.z = tensor.GrowMatrix(s.z, n, 4*hs)
-	tensor.MatMulNTBuf(s.z, s.h, l.Wh.W, &s.pack)
+	wh := l.Wh.packed()
+	s.z = tensor.GrowMatrix(s.z, n, wh.Stride())
+	tensor.MatMulWS(s.z, s.h, wh)
 	if cap(s.e) < 4*hs {
 		s.e = make([]float64, 4*hs)
 	}
 	e := s.e[:4*hs]
 	for i, st := range states {
-		l.stepRow(s.z.Row(i), e, xs[i], st.C, st.C, e[:hs], st.H)
+		l.stepRow(s.z.Row(i)[:4*hs], e, xs[i], st.C, st.C, e[:hs], st.H)
 	}
 }
 
@@ -224,12 +227,12 @@ func tanhFromExp(x, e float64) float64 {
 // The likelihood is Softmax(dense(H))[action] of the pre-step hidden
 // state, bit for bit, read without building the distribution: one
 // weight-stationary product of the dense weights (packed once per write
-// to them, see outputWeights) against the primed streams' H rows, then
+// to them, see Param.packed) against the primed streams' H rows, then
 // tensor.SoftmaxAt's bias, max, exp and sum passes per row. Then one
-// recurrent GEMM steps every stream. A batch of one is the serial path
-// (StreamState.ObserveLikelihood). Transient buffers come from the
-// network's scratch pool, so several goroutines may observe disjoint
-// streams of one network at once.
+// weight-stationary recurrent product steps every stream (StepBatch).
+// A batch of one is the serial path (StreamState.ObserveLikelihood).
+// Transient buffers come from the network's scratch pool, so several
+// goroutines may observe disjoint streams of one network at once.
 func (n *LanguageNetwork) ObserveBatch(streams []*StreamState, actions []int, liks []float64) error {
 	if len(streams) != len(actions) || len(streams) != len(liks) {
 		return fmt.Errorf("nn: ObserveBatch length mismatch streams=%d actions=%d liks=%d",
@@ -250,7 +253,7 @@ func (n *LanguageNetwork) ObserveBatch(streams []*StreamState, actions []int, li
 	s := n.scratch.Get().(*BatchScratch)
 	defer n.scratch.Put(s)
 	if primed > 0 {
-		w := n.outputWeights()
+		w := n.dense.W.packed()
 		s.h = tensor.GrowMatrix(s.h, primed, n.cfg.HiddenSize)
 		s.at, s.liks = s.at[:0], s.liks[:0]
 		for i, st := range streams {

@@ -299,10 +299,12 @@ func checkStreamMatchesForwardAll(t *testing.T, net *LanguageNetwork, seq []int)
 	}
 }
 
-// TestObserveBatchFollowsWeightWrites pins the packed output layer to
-// the weights it was packed from: observing after training, after more
-// training, and after loading other weights into an observed network
-// must each read the current weights, as ForwardAll does.
+// TestObserveBatchFollowsWeightWrites pins the packed weights, the
+// output layer's and the recurrent Wh's, to the weights they were
+// packed from: observing after training, after more training, and after
+// loading other weights into an observed network must each read the
+// current weights, as ForwardAll does, and so must StepBatch on the
+// network's LSTM alone.
 func TestObserveBatchFollowsWeightWrites(t *testing.T) {
 	const vocab, hidden = 23, 7
 	seq := randomSeq(40, vocab, 3)
@@ -317,6 +319,7 @@ func TestObserveBatchFollowsWeightWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkStreamMatchesForwardAll(t, net, seq)
+		checkStepBatch(t, net, 3, rand.New(rand.NewSource(int64(round))))
 	}
 
 	other, err := NewLanguageNetwork(NetworkConfig{InputSize: vocab, HiddenSize: hidden, Seed: 99})
@@ -335,12 +338,14 @@ func TestObserveBatchFollowsWeightWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkStreamMatchesForwardAll(t, net, seq)
+	checkStepBatch(t, net, 3, rand.New(rand.NewSource(2)))
 }
 
 // TestObserveBatchConcurrentFirstUse has two goroutines make the first
-// observation of a fresh network at once, so both find no packed output
-// layer; run under -race it checks the pack's publication, and each
-// goroutine's likelihoods must be ForwardAll's.
+// observation of a fresh network at once, so both find no packed Wh
+// (the first action's step) and then no packed output layer (the
+// second action's likelihood); run under -race it checks the packs'
+// publication, and each goroutine's likelihoods must be ForwardAll's.
 func TestObserveBatchConcurrentFirstUse(t *testing.T) {
 	const vocab = 37
 	seq := randomSeq(30, vocab, 5)
@@ -373,5 +378,32 @@ func TestObserveBatchConcurrentFirstUse(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
+	}
+}
+
+// TestPackedOnceUnderConcurrentFirstUse pins that shards finding a
+// weight's packed copy stale together pack it once: every caller gets
+// the same copy, so no duplicate is packed and left for the collector.
+func TestPackedOnceUnderConcurrentFirstUse(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		p := NewParam("lstm.wh", 4*256, 256)
+		start := make(chan struct{})
+		got := make([]*tensor.PackedNT, 4)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[g] = p.packed()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, w := range got {
+			if w != got[0] {
+				t.Fatalf("trial %d: caller %d got a second packed copy", trial, g)
+			}
+		}
 	}
 }

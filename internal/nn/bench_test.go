@@ -104,7 +104,7 @@ func BenchmarkObserveBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, rows := range []int{1, 2, 4, 14, 64} {
+		for _, rows := range []int{1, 2, 3, 4, 14, 64} {
 			b.Run(fmt.Sprintf("H%d/rows%d", hidden, rows), func(b *testing.B) {
 				streams := make([]*StreamState, rows)
 				for i := range streams {
@@ -153,6 +153,7 @@ func BenchmarkTrainBatchPaperSize(b *testing.B) {
 		steps += len(seg) - 1
 	}
 	params := net.Params()
+	allocGrads(params)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -172,6 +173,7 @@ func BenchmarkAdamStepPaperSize(b *testing.B) {
 		b.Fatal(err)
 	}
 	params := net.Params()
+	allocGrads(params)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		adam.Step(params)

@@ -21,14 +21,20 @@ func NewDense(inputSize, outputSize int, rng *rand.Rand) (*Dense, error) {
 	if inputSize < 1 || outputSize < 1 {
 		return nil, fmt.Errorf("nn: invalid dense shape in=%d out=%d", inputSize, outputSize)
 	}
-	d := &Dense{
-		InputSize:  inputSize,
-		OutputSize: outputSize,
-		W:          NewParam("dense.w", outputSize, inputSize),
-		B:          NewParam("dense.b", 1, outputSize),
-	}
+	d := newDense(inputSize, outputSize, NewParam)
 	tensor.XavierInit(d.W.W, inputSize, outputSize, rng)
 	return d, nil
+}
+
+// newDense lays out the layer's parameters, each made by param, as
+// newLSTM does.
+func newDense(inputSize, outputSize int, param func(name string, rows, cols int) *Param) *Dense {
+	return &Dense{
+		InputSize:  inputSize,
+		OutputSize: outputSize,
+		W:          param("dense.w", outputSize, inputSize),
+		B:          param("dense.b", 1, outputSize),
+	}
 }
 
 // Params returns the trainable parameters.

@@ -19,7 +19,8 @@ type LSTM struct {
 	HiddenSize int
 	// Wx is the 4H x InputSize input projection.
 	Wx *Param
-	// Wh is the 4H x H recurrent projection.
+	// Wh is the 4H x H recurrent projection. StepBatch reads it packed
+	// (Param.packed), once per write.
 	Wh *Param
 	// B is the 1 x 4H bias; the forget-gate slice is initialized to 1,
 	// the standard trick to preserve memory early in training.
@@ -31,19 +32,25 @@ func NewLSTM(inputSize, hiddenSize int, rng *rand.Rand) (*LSTM, error) {
 	if inputSize < 1 || hiddenSize < 1 {
 		return nil, fmt.Errorf("nn: invalid LSTM shape in=%d hidden=%d", inputSize, hiddenSize)
 	}
-	l := &LSTM{
-		InputSize:  inputSize,
-		HiddenSize: hiddenSize,
-		Wx:         NewParam("lstm.wx", 4*hiddenSize, inputSize),
-		Wh:         NewParam("lstm.wh", 4*hiddenSize, hiddenSize),
-		B:          NewParam("lstm.b", 1, 4*hiddenSize),
-	}
+	l := newLSTM(inputSize, hiddenSize, NewParam)
 	tensor.XavierInit(l.Wx.W, inputSize, hiddenSize, rng)
 	tensor.OrthogonalScaledInit(l.Wh.W, rng)
 	for h := hiddenSize; h < 2*hiddenSize; h++ { // forget gate bias = 1
 		l.B.W.Data[h] = 1
 	}
 	return l, nil
+}
+
+// newLSTM lays out the layer's parameters, each made by param: NewParam
+// for a layer to initialize, shapeParam for one to load.
+func newLSTM(inputSize, hiddenSize int, param func(name string, rows, cols int) *Param) *LSTM {
+	return &LSTM{
+		InputSize:  inputSize,
+		HiddenSize: hiddenSize,
+		Wx:         param("lstm.wx", 4*hiddenSize, inputSize),
+		Wh:         param("lstm.wh", 4*hiddenSize, hiddenSize),
+		B:          param("lstm.b", 1, 4*hiddenSize),
+	}
 }
 
 // Params returns the trainable parameters.

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
+	"misusedetect/internal/actionlog"
 	"misusedetect/internal/tensor"
 )
 
@@ -30,8 +30,8 @@ func PaperNetworkConfig(vocab int, seed int64) NetworkConfig {
 }
 
 func (c *NetworkConfig) validate() error {
-	if c.InputSize < 1 {
-		return fmt.Errorf("nn: InputSize must be >= 1, got %d", c.InputSize)
+	if c.InputSize < 1 || c.InputSize > actionlog.MaxVocabSize {
+		return fmt.Errorf("nn: InputSize %d outside [1, %d]", c.InputSize, actionlog.MaxVocabSize)
 	}
 	if c.HiddenSize < 1 {
 		return fmt.Errorf("nn: HiddenSize must be >= 1, got %d", c.HiddenSize)
@@ -53,33 +53,6 @@ type LanguageNetwork struct {
 	// served by several engine shards at once, so the transient buffers
 	// cannot hang off the network itself.
 	scratch sync.Pool
-	// out is the dense layer's W packed for ObserveBatch's output
-	// product; see outputWeights.
-	out atomic.Pointer[packedDense]
-}
-
-// packedDense is the dense layer's W packed for tensor.MatMulWS,
-// with the write generation of W it was packed from.
-type packedDense struct {
-	gen uint64
-	w   *tensor.PackedNT
-}
-
-// outputWeights returns the dense layer's W packed for tensor.MatMulWS,
-// packing it on first use and again after every write to W (Adam.Step,
-// LoadLanguageNetwork), so the packed copy is never stale and serving
-// never packs per call. The copy is published through an atomic
-// pointer because several shards observe one network at once; shards
-// that find it stale together each pack the same bits, and any of the
-// copies serves.
-func (n *LanguageNetwork) outputWeights() *tensor.PackedNT {
-	w := n.dense.W
-	if p := n.out.Load(); p != nil && p.gen == w.gen {
-		return p.w
-	}
-	p := &packedDense{gen: w.gen, w: tensor.PackNT(w.W)}
-	n.out.Store(p)
-	return p.w
 }
 
 // NewLanguageNetwork builds and initializes the network.
@@ -96,9 +69,15 @@ func NewLanguageNetwork(cfg NetworkConfig) (*LanguageNetwork, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newLanguageNetwork(cfg, lstm, dense, rng), nil
+}
+
+// newLanguageNetwork assembles a network from its layers; rng drives
+// its dropout masks.
+func newLanguageNetwork(cfg NetworkConfig, lstm *LSTM, dense *Dense, rng *rand.Rand) *LanguageNetwork {
 	n := &LanguageNetwork{cfg: cfg, lstm: lstm, dense: dense, rng: rng}
 	n.scratch.New = func() any { return NewBatchScratch() }
-	return n, nil
+	return n
 }
 
 // Config returns the network configuration.

@@ -153,7 +153,8 @@ func TestTrainWindowGradientCheck(t *testing.T) {
 }
 
 // trainOne accumulates the gradients of one example's loss through the
-// lockstep trainer, as a minibatch of one.
+// lockstep trainer, as a minibatch of one, into freshly zeroed gradient
+// buffers.
 func trainOne(t *testing.T, net *LanguageNetwork, windowed bool, ex example) {
 	t.Helper()
 	if err := net.checkExample(ex); err != nil {
@@ -163,6 +164,7 @@ func trainOne(t *testing.T, net *LanguageNetwork, windowed bool, ex example) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	allocGrads(net.Params())
 	var loss float64
 	tr.trainBatch([]example{ex}, &loss)
 }
@@ -350,6 +352,7 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)^2 for a single scalar parameter.
 	p := NewParam("w", 1, 1)
+	allocGrads([]*Param{p})
 	adam, err := NewAdam(0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -368,6 +371,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("w", 1, 2)
+	allocGrads([]*Param{p})
 	p.G.Data[0], p.G.Data[1] = 3, 4 // norm 5
 	norm := ClipGradNorm([]*Param{p}, 1)
 	if math.Abs(norm-5) > 1e-12 {

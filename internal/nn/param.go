@@ -9,40 +9,107 @@
 //
 // Everything is float64 and CPU-bound. Training runs each minibatch in
 // lockstep (trainbatch.go): the examples advance one time step at a
-// time, so every weight product is a tensor.MatMulNT over many rows, and
-// serving's batched step (batch.go) runs the same gate math. Both are
+// time, so every weight product is a tensor.MatMulNT over many rows.
+// Serving's batched step (batch.go) runs the same gate math, with both
+// of its weight products weight-stationary (tensor.MatMulWS against the
+// recurrent and dense weights, each packed once per write). Both are
 // bit-identical to the scalar per-step reference: LSTM.Step and
 // ForwardAll for inference, and for training the per-example scalar
 // path the tests keep as an oracle. Finite-difference gradient checks
 // establish that the gradients are right.
+//
+// A served network holds each weight once: gradient buffers exist only
+// while Trainer.Fit runs, and LoadLanguageNetwork adopts the decoded
+// weights rather than copying them over a fresh initialization. Beside
+// them it keeps the two packed copies serving reads.
 package nn
 
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"misusedetect/internal/tensor"
 )
 
-// Param is one trainable weight matrix (vectors are 1 x n matrices)
-// together with its gradient accumulator.
+// Param is one trainable weight matrix (vectors are 1 x n matrices),
+// with a gradient accumulator while it trains.
 type Param struct {
 	// Name identifies the parameter in serialized models and debugging.
 	Name string
 	// W is the weight storage.
 	W *tensor.Matrix
-	// G accumulates dLoss/dW between optimizer steps.
+	// G accumulates dLoss/dW between optimizer steps. It is nil outside
+	// training: Trainer.Fit allocates it zeroed when it starts and drops
+	// it when it returns, so a served network holds W alone.
 	G *tensor.Matrix
 	// gen counts the writes to W since construction: every writer of a
-	// built network's W (LoadLanguageNetwork's copy, Adam.Step) bumps
-	// it, so a copy derived from W, such as the packed output layer
-	// ObserveBatch reads, knows when it is stale.
+	// built network's W (Adam.Step, setParams) bumps it, so a copy
+	// derived from W, such as the packed copy serving reads, knows when
+	// it is stale.
 	gen uint64
+	// pack is W packed for tensor.MatMulWS; see packed. packMu makes
+	// the packing single-flight.
+	pack   atomic.Pointer[packedParam]
+	packMu sync.Mutex
 }
 
-// NewParam allocates a zeroed parameter of the given shape.
+// packedParam is a Param's W packed for tensor.MatMulWS, with the write
+// generation of W it was packed from.
+type packedParam struct {
+	gen uint64
+	w   *tensor.PackedNT
+}
+
+// NewParam allocates a zeroed parameter of the given shape, with no
+// gradient buffer.
 func NewParam(name string, rows, cols int) *Param {
-	return &Param{Name: name, W: tensor.NewMatrix(rows, cols), G: tensor.NewMatrix(rows, cols)}
+	return &Param{Name: name, W: tensor.NewMatrix(rows, cols)}
+}
+
+// shapeParam is a parameter of the given shape whose W holds no data
+// yet: LoadLanguageNetwork builds its layers from these and setParams
+// then adopts the decoded weights as their data.
+func shapeParam(name string, rows, cols int) *Param {
+	return &Param{Name: name, W: &tensor.Matrix{Rows: rows, Cols: cols}}
+}
+
+// packed returns W packed for tensor.MatMulWS, packing it on first use
+// and again after every write to W (gen), so the packed copy is never
+// stale and serving never packs per call. Only the weights serving
+// multiplies (the recurrent and the dense W) are ever packed. The copy
+// is published through an atomic pointer because several shards
+// observe one network at once. Shards that find it stale together pack
+// it once: the first packs under packMu and the others wait for its
+// copy, so how much packing a run does and how much memory it leaves
+// behind do not depend on how the shards' first calls interleave.
+func (p *Param) packed() *tensor.PackedNT {
+	if c := p.pack.Load(); c != nil && c.gen == p.gen {
+		return c.w
+	}
+	p.packMu.Lock()
+	defer p.packMu.Unlock()
+	if c := p.pack.Load(); c != nil && c.gen == p.gen {
+		return c.w
+	}
+	c := &packedParam{gen: p.gen, w: tensor.PackNT(p.W)}
+	p.pack.Store(c)
+	return c.w
+}
+
+// allocGrads gives every parameter a zeroed gradient buffer.
+func allocGrads(params []*Param) {
+	for _, p := range params {
+		p.G = tensor.NewMatrix(p.W.Rows, p.W.Cols)
+	}
+}
+
+// dropGrads releases every parameter's gradient buffer.
+func dropGrads(params []*Param) {
+	for _, p := range params {
+		p.G = nil
+	}
 }
 
 // ZeroGrad clears the gradient accumulator.

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math/rand"
 )
 
 // serializedParam is the gob wire form of one parameter.
@@ -25,13 +26,11 @@ type serializedNetwork struct {
 }
 
 // Save writes the network weights and configuration to w with gob.
+// The encoder only reads the weights, so it is handed them directly.
 func (n *LanguageNetwork) Save(w io.Writer) error {
 	s := serializedNetwork{Config: n.cfg}
 	for _, p := range n.Params() {
-		s.Params = append(s.Params, serializedParam{
-			Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols,
-			Data: append([]float64(nil), p.W.Data...),
-		})
+		s.Params = append(s.Params, serializedParam{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols, Data: p.W.Data})
 	}
 	if err := gob.NewEncoder(w).Encode(&s); err != nil {
 		return fmt.Errorf("nn: save network: %w", err)
@@ -39,34 +38,38 @@ func (n *LanguageNetwork) Save(w io.Writer) error {
 	return nil
 }
 
-// maxLoadDim and maxLoadCells bound the network dimensions accepted
-// from a serialized file. NewLanguageNetwork allocates O(dim^2) weight
-// matrices straight from the decoded config, so without a ceiling a
-// corrupted or hostile file declaring billion-unit layers forces a huge
-// allocation (or an overflowing rows*cols) before any weight data is
-// even read. The per-dimension cap alone is not enough — two dims at
-// the cap still multiply into terabytes — so the largest matrix the
-// config implies (the stacked LSTM gate weights, 4*hidden x
-// (input+hidden)) is bounded to 1<<24 cells (128 MiB of float64),
-// which comfortably covers the paper scale (300-action vocabulary x
-// 256 hidden units).
-const (
-	maxLoadDim   = 1 << 20
-	maxLoadCells = 1 << 24
-)
+// maxLoadCells bounds the network a serialized file may declare. The
+// loader allocates no weights from the config (the decoder allocates
+// only the data the file carries), but the config sizes what serving
+// then allocates, the packed copies and every stream's state, and the
+// products of its dimensions must not overflow int, so a corrupted or
+// hostile file declaring billion-unit layers is refused up front. The
+// input dimension is the action vocabulary, at most
+// actionlog.MaxVocabSize as for every backend (NetworkConfig.validate);
+// the largest matrix the config implies, the stacked LSTM gate weights
+// 4*hidden x (input+hidden), is bounded to 1<<24 cells (128 MiB of
+// float64), which comfortably covers the paper scale (300-action
+// vocabulary x 256 hidden units).
+const maxLoadCells = 1 << 24
 
-// LoadLanguageNetwork reads a network previously written by Save.
+// LoadLanguageNetwork reads a network previously written by Save. Once
+// the config and every parameter's count, name, shape and length check
+// out, the decoded slices become the weights: no initialization runs
+// and no weight is copied.
 func LoadLanguageNetwork(r io.Reader) (*LanguageNetwork, error) {
 	var s serializedNetwork
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("nn: load network: %w", err)
 	}
+	if err := s.Config.validate(); err != nil {
+		return nil, fmt.Errorf("nn: load network config: %w", err)
+	}
 	in, hidden := s.Config.InputSize, s.Config.HiddenSize
-	// The cell bound is compared via division so it cannot overflow int
+	// Bounding hidden first keeps 4*(in+hidden) below 2^31, and the
+	// cell bound is compared via division, so neither can overflow int
 	// on 32-bit platforms (4*hidden*(in+hidden) wraps there well before
 	// the allocation would fail).
-	if in > maxLoadDim || hidden > maxLoadDim ||
-		(in > 0 && hidden > 0 && hidden > maxLoadCells/(4*(in+hidden))) {
+	if hidden > maxLoadCells/4 || hidden > maxLoadCells/(4*(in+hidden)) {
 		return nil, fmt.Errorf("nn: load network: dimensions %dx%d exceed the load limits (corrupted file?)",
 			in, hidden)
 	}
@@ -74,18 +77,16 @@ func LoadLanguageNetwork(r io.Reader) (*LanguageNetwork, error) {
 		return nil, fmt.Errorf("nn: load network: weights stored at %q precision are no longer supported; re-save the model at f64",
 			s.Quant)
 	}
-	n, err := NewLanguageNetwork(s.Config)
-	if err != nil {
-		return nil, fmt.Errorf("nn: load network config: %w", err)
-	}
+	n := newLanguageNetwork(s.Config, newLSTM(in, hidden, shapeParam), newDense(hidden, in, shapeParam),
+		rand.New(rand.NewSource(s.Config.Seed)))
 	if err := n.setParams(s.Params); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-// setParams copies serialized weights into the network's parameters,
-// which must match them in order, name and shape.
+// setParams adopts serialized weights as the network's parameters' W,
+// which they must match in order, name and shape.
 func (n *LanguageNetwork) setParams(sps []serializedParam) error {
 	params := n.Params()
 	if len(params) != len(sps) {
@@ -101,8 +102,10 @@ func (n *LanguageNetwork) setParams(sps []serializedParam) error {
 			return fmt.Errorf("nn: load network: param %s has %d values for %dx%d",
 				sp.Name, len(sp.Data), sp.Rows, sp.Cols)
 		}
-		copy(p.W.Data, sp.Data)
-		p.gen++
+	}
+	for i, sp := range sps {
+		params[i].W.Data = sp.Data
+		params[i].gen++
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -99,4 +100,63 @@ func TestLoadRejectsReducedPrecisionFiles(t *testing.T) {
 			t.Fatalf("%s file: error %q does not name the tag and the remedy", tag, msg)
 		}
 	}
+}
+
+// TestLoadedNetworkHoldsWeightsOnce pins a served network's memory: a
+// loaded V = 300, H = 256 network raises the GC-settled heap by little
+// more than its weights' bytes (no gradient buffers, and no initialized
+// network the decoded weights are copied into), and neither a load nor
+// a Fit leaves a gradient buffer behind.
+func TestLoadedNetworkHoldsWeightsOnce(t *testing.T) {
+	src, err := NewLanguageNetwork(NetworkConfig{InputSize: 300, HiddenSize: 256, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	var weightBytes uint64
+	for _, p := range src.Params() {
+		weightBytes += 8 * uint64(len(p.W.Data))
+	}
+	src = nil
+	// Two collections: the second frees what the first moved into the
+	// sync.Pool victim caches.
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	net, err := LoadLanguageNetwork(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	runtime.KeepAlive(saved)
+	runtime.KeepAlive(net)
+	if limit := weightBytes*105/100 + 64<<10; after > before+limit {
+		t.Fatalf("loading %d weight bytes grew the heap by %d, want at most %d", weightBytes, after-before, limit)
+	}
+	noGrads := func(when string) {
+		t.Helper()
+		for _, p := range net.Params() {
+			if p.G != nil {
+				t.Fatalf("%s: %s holds a gradient buffer", when, p.Name)
+			}
+		}
+	}
+	noGrads("after load")
+	tr, err := NewTrainer(net, TrainerConfig{Epochs: 1, BatchSize: 2, LearningRate: 0.01, WindowSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Fit([][]int{randomSeq(12, 300, 1), randomSeq(9, 300, 2)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	noGrads("after Fit")
 }

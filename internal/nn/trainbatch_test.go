@@ -377,7 +377,9 @@ func TestTrainBatchMatchesSerial(t *testing.T) {
 }
 
 // pairedTrainers builds two trainers of the same config over two
-// networks built from the same seed.
+// networks built from the same seed, each network with the zeroed
+// gradient buffers Fit would give it, so minibatches can be driven one
+// at a time outside Fit.
 func pairedTrainers(t *testing.T, vocab, hidden int, dropout float64, cfg TrainerConfig) (*Trainer, *Trainer) {
 	t.Helper()
 	var out [2]*Trainer
@@ -386,6 +388,7 @@ func pairedTrainers(t *testing.T, vocab, hidden int, dropout float64, cfg Traine
 		if err != nil {
 			t.Fatal(err)
 		}
+		allocGrads(tr.net.Params())
 		out[i] = tr
 	}
 	return out[0], out[1]

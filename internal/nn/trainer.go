@@ -107,7 +107,10 @@ func NewTrainer(net *LanguageNetwork, cfg TrainerConfig) (*Trainer, error) {
 // Fit trains on the encoded sessions (each a slice of action indices).
 // Sessions shorter than two actions are skipped, as in the paper. The
 // returned stats hold one entry per epoch. An optional progress callback
-// receives each epoch's stats as it completes.
+// receives each epoch's stats as it completes. The network's gradient
+// buffers exist only while Fit runs: they are allocated zeroed when it
+// starts and dropped when it returns, so the trained network holds its
+// weights alone.
 func (t *Trainer) Fit(sessions [][]int, progress func(EpochStats)) ([]EpochStats, error) {
 	examples, err := t.examples(sessions)
 	if err != nil {
@@ -120,6 +123,8 @@ func (t *Trainer) Fit(sessions [][]int, progress func(EpochStats)) ([]EpochStats
 	}
 	epochs := t.effectiveEpochs(len(examples))
 	params := t.net.Params()
+	allocGrads(params)
+	defer dropGrads(params)
 	var stats []EpochStats
 	for epoch := 0; epoch < epochs; epoch++ {
 		t.rng.Shuffle(len(examples), func(i, j int) { examples[i], examples[j] = examples[j], examples[i] })

@@ -3,8 +3,10 @@ package scorer_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"testing"
 
+	"misusedetect/internal/actionlog"
 	"misusedetect/internal/baseline"
 	"misusedetect/internal/lm"
 	"misusedetect/internal/nn"
@@ -56,10 +58,11 @@ func seedEnvelopes(f *testing.F) [][]byte {
 // (gob into LSTM weights, n-gram count tables, HMM parameters). Decode
 // of attacker-controlled bytes must never panic and never hand back a
 // half-valid model: on success the scorer must have a registered tag, a
-// sane vocabulary, and a usable stream. The nn load-dimension bound
-// (maxLoadDim) exists because this target surfaced that a 30-byte file
-// declaring billion-unit layers forced gigabyte allocations before any
-// weight check.
+// sane vocabulary (at most actionlog.MaxVocabSize, the bound every
+// loader keeps), and a usable stream. The nn load-dimension bounds exist
+// because this target surfaced that a 30-byte file declaring
+// billion-unit layers forced gigabyte allocations before any weight
+// check.
 func FuzzEnvelopeDecode(f *testing.F) {
 	for _, env := range seedEnvelopes(f) {
 		f.Add(env)
@@ -77,6 +80,18 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	var big [8]byte
 	binary.BigEndian.PutUint16(big[:2], scorer.FormatVersion)
 	f.Add(append([]byte(scorer.Magic), append(big[:2], 0xff, 0xff)...))
+	// A well-formed n-gram payload over a vocabulary above the bound.
+	var ng bytes.Buffer
+	if err := gob.NewEncoder(&ng).Encode(struct {
+		Vocab      int
+		Grams      []uint64
+		GramCounts []float64
+	}{2_000_000, []uint64{1}, []float64{1}}); err != nil {
+		f.Fatal(err)
+	}
+	tag := baseline.BackendNGram
+	ngHeader := append([]byte(scorer.Magic), 0, scorer.FormatVersion, 0, byte(len(tag)))
+	f.Add(append(append(ngHeader, tag...), ng.Bytes()...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return // bound the per-exec cost, not the coverage
@@ -94,7 +109,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		if !found {
 			t.Fatalf("decoded scorer has unregistered backend %q", s.Backend())
 		}
-		if v := s.VocabSize(); v < 1 || v > 1<<20 {
+		if v := s.VocabSize(); v < 1 || v > actionlog.MaxVocabSize {
 			t.Fatalf("decoded scorer has vocabulary %d", v)
 		}
 		// The decoded model must be servable, not just parseable: one

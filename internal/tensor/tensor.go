@@ -101,8 +101,8 @@ func Softmax(dst, src Vector) {
 // one wanted exp is scaled by 1/sum. Only the first len(bias) columns of
 // logits are read; they are overwritten with the exps. Rows run four at
 // a time so four independent max and sum chains overlap, each in its
-// row's own order. It panics on a shape mismatch or an at[i] outside
-// bias.
+// row's own order; two or three rows left over run as a pair, then one.
+// It panics on a shape mismatch or an at[i] outside bias.
 func SoftmaxAt(dst []float64, logits *Matrix, bias Vector, at []int) {
 	v, rows := len(bias), logits.Rows
 	if len(dst) != rows || len(at) != rows || v == 0 || v > logits.Cols {
@@ -162,7 +162,41 @@ func SoftmaxAt(dst []float64, logits *Matrix, bias Vector, at []int) {
 		dst[i+2] = r2[at[i+2]] * (1 / s2)
 		dst[i+3] = r3[at[i+3]] * (1 / s3)
 	}
-	for ; i < rows; i++ {
+	// Two rows left over run as a pair, so two max and two sum chains
+	// overlap; each row still keeps its own ascending order.
+	if i+2 <= rows {
+		r0, r1 := row(i), row(i+1)
+		r0, r1 = r0[:v], r1[:v] // for the prover
+		b := bias[0]
+		m0, m1 := r0[0]+b, r1[0]+b
+		r0[0], r1[0] = m0, m1
+		for j := 1; j < v; j++ {
+			b := bias[j]
+			x0, x1 := r0[j]+b, r1[j]+b
+			r0[j], r1[j] = x0, x1
+			if x0 > m0 {
+				m0 = x0
+			}
+			if x1 > m1 {
+				m1 = x1
+			}
+		}
+		for j := range r0 {
+			r0[j] -= m0
+			r1[j] -= m1
+		}
+		ExpInto(r0, r0)
+		ExpInto(r1, r1)
+		var s0, s1 float64
+		for j := range r0 {
+			s0 += r0[j]
+			s1 += r1[j]
+		}
+		dst[i] = r0[at[i]] * (1 / s0)
+		dst[i+1] = r1[at[i+1]] * (1 / s1)
+		i += 2
+	}
+	if i < rows {
 		r := row(i)
 		m := r[0] + bias[0]
 		r[0] = m
