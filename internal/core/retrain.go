@@ -90,39 +90,53 @@ func RetrainDetector(old *Detector, cfg Config, vocab *actionlog.Vocabulary, clu
 	if minPerCluster < 1 {
 		minPerCluster = 1
 	}
-	clusters := make([]ClusterModel, 0, len(clusterTrain))
+	// Sort the clusters into retrained, reused and distilled first:
+	// trainable[ci] stays set only for a retrained cluster, and a
+	// distilled one's slot stays empty. The training then runs in
+	// parallel through LargestFirst, each job writing its own slot, so
+	// the stats stay in cluster order and the error returned is the
+	// lowest-index cluster's.
+	clusters := make([]ClusterModel, len(clusterTrain))
+	trainable := make([][][]int, len(clusterTrain))
+	sizes := make([]int, len(clusterTrain))
 	for ci, sessions := range clusterTrain {
-		var trainable [][]int
 		for _, s := range sessions {
 			if len(s.Actions) >= cfg.MinSessionLength {
-				trainable = append(trainable, s.Actions)
+				trainable[ci] = append(trainable[ci], s.Actions)
+				sizes[ci] += len(s.Actions)
 			}
 		}
 		switch {
-		case len(trainable) >= minPerCluster:
-			cm, err := trainClusterEncoded(&cfg, vocab, feat, trainable, ci, nil)
-			if err != nil {
-				return nil, stats, fmt.Errorf("core: retrain: %w", err)
-			}
-			clusters = append(clusters, cm)
+		case len(trainable[ci]) >= minPerCluster:
 			stats.Retrained = append(stats.Retrained, ci)
 		case reusable:
 			// Keep the old generation's models for this cluster:
 			// ClusterModel is immutable after training, so sharing it
 			// across detectors is safe.
-			clusters = append(clusters, old.clusters[ci])
+			clusters[ci], trainable[ci], sizes[ci] = old.clusters[ci], nil, 0
 			stats.Reused = append(stats.Reused, ci)
 		default:
-			cm, err := distillCluster(&cfg, old, vocab, feat, ci)
-			if err != nil {
-				return nil, stats, err
-			}
-			clusters = append(clusters, cm)
+			trainable[ci] = nil
+			sizes[ci] = distillSessions * (distillMinLen + distillMaxLen) / 2
 			stats.Distilled = append(stats.Distilled, ci)
 		}
 	}
 	if len(stats.Retrained) == 0 {
 		return nil, stats, fmt.Errorf("core: retrain: no cluster reached %d trainable sessions", minPerCluster)
+	}
+	if err := LargestFirst(sizes, func(ci int) error {
+		var err error
+		switch {
+		case trainable[ci] != nil:
+			if clusters[ci], err = trainClusterEncoded(&cfg, vocab, feat, trainable[ci], ci, nil); err != nil {
+				return fmt.Errorf("core: retrain: %w", err)
+			}
+		case clusters[ci].Model == nil:
+			clusters[ci], err = distillCluster(&cfg, old, vocab, feat, ci)
+		}
+		return err
+	}); err != nil {
+		return nil, stats, err
 	}
 	d, err := newDetector(cfg, vocab, feat, clusters)
 	if err != nil {

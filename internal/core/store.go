@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 
@@ -91,7 +92,10 @@ func (d *Detector) Save(dir string) error {
 
 // writeArtifact writes the full model artifact into dir: cluster files
 // first, the checksum-carrying manifest last, so a directory with a
-// manifest is by construction complete.
+// manifest is by construction complete. The clusters are encoded and
+// hashed in parallel through LargestFirst, each into its own partial
+// manifest, and the partials are merged in cluster order, so the
+// directory's bytes do not depend on GOMAXPROCS.
 func (d *Detector) writeArtifact(dir string) error {
 	man := storeManifest{
 		FormatVersion:    storeFormatVersion,
@@ -102,11 +106,19 @@ func (d *Detector) writeArtifact(dir string) error {
 		RouteVoteActions: d.cfg.RouteVoteActions,
 		Checksums:        make(map[string]string, 2*len(d.clusters)),
 	}
+	parts := make([]storeManifest, len(d.clusters))
 	for i := range d.clusters {
 		man.ClusterSizes = append(man.ClusterSizes, d.clusters[i].TrainSize)
-		if err := saveCluster(dir, i, &d.clusters[i], &man); err != nil {
-			return err
-		}
+	}
+	if err := LargestFirst(man.ClusterSizes, func(i int) error {
+		parts[i].Checksums = make(map[string]string, 2)
+		return saveCluster(dir, i, &d.clusters[i], &parts[i])
+	}); err != nil {
+		return err
+	}
+	for _, part := range parts {
+		maps.Copy(man.Checksums, part.Checksums)
+		man.TotalBytes += part.TotalBytes
 	}
 	data, err := json.MarshalIndent(&man, "", "  ")
 	if err != nil {
@@ -133,7 +145,7 @@ func saveCluster(dir string, i int, c *ClusterModel, man *storeManifest) error {
 }
 
 // writeHashed writes one artifact file while hashing the bytes as they
-// go out, recording digest and size in the manifest.
+// go out, recording digest and size in the (partial) manifest man.
 func writeHashed(dir, name string, man *storeManifest, write func(io.Writer) error) error {
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {

@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -122,6 +125,119 @@ func TestTrainDetectorParallelBitIdentical(t *testing.T) {
 		_, _, err := trainAtProcs(t, procs, cfg, vocab, broken)
 		if err == nil || !strings.Contains(err.Error(), "cluster 2 has no trainable sessions") {
 			t.Fatalf("GOMAXPROCS %d: error = %v, want cluster 2's", procs, err)
+		}
+	}
+}
+
+// retrainAtProcs retrains old with GOMAXPROCS set to procs.
+func retrainAtProcs(procs int, old *Detector, cfg Config, vocab *actionlog.Vocabulary, groups [][]EncodedSession) (*Detector, RetrainStats, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return RetrainDetector(old, cfg, vocab, groups, 2)
+}
+
+// TestRetrainDetectorParallelBitIdentical retrains an LSTM detector of
+// six uneven clusters at GOMAXPROCS 1 and 4, with fresh sessions for
+// four clusters and none for two: under the old vocabulary the two
+// starved clusters are reused, under a grown one they are distilled.
+// Both runs must report the same clusters in cluster order and train
+// the same bits. With two clusters holding an action outside the
+// vocabulary, the error must name the lower one, although the other is
+// the largest job and fails first.
+func TestRetrainDetectorParallelBitIdentical(t *testing.T) {
+	vocab, clusters := unevenClusters(t)
+	old, _, err := trainAtProcs(t, 2, testConfig(vocab.Size()), vocab, clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := actionlog.NewVocabulary(append(vocab.Actions(), "zz-new"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*actionlog.Vocabulary{vocab, grown} {
+		cfg := testConfig(v.Size())
+		fresh := encodeGroups(t, v, clusters[0], nil, clusters[2], clusters[3], nil, clusters[5])
+		serial, serialStats, err := retrainAtProcs(1, old, cfg, v, fresh)
+		if err != nil {
+			t.Fatalf("vocabulary %d: %v", v.Size(), err)
+		}
+		parallel, parallelStats, err := retrainAtProcs(4, old, cfg, v, fresh)
+		if err != nil {
+			t.Fatalf("vocabulary %d: %v", v.Size(), err)
+		}
+		want := RetrainStats{Retrained: []int{0, 2, 3, 5}, Reused: []int{1, 4}}
+		if v != vocab {
+			want = RetrainStats{Retrained: []int{0, 2, 3, 5}, Distilled: []int{1, 4}}
+		}
+		for _, got := range []RetrainStats{serialStats, parallelStats} {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("vocabulary %d: stats %+v, want %+v", v.Size(), got, want)
+			}
+		}
+		for ci := range clusters {
+			a, b := serial.Clusters()[ci], parallel.Clusters()[ci]
+			if a.TrainSize != b.TrainSize {
+				t.Errorf("vocabulary %d: cluster %d TrainSize %d vs %d", v.Size(), ci, a.TrainSize, b.TrainSize)
+			}
+			if !bytes.Equal(saved(t, a.Model), saved(t, b.Model)) {
+				t.Errorf("vocabulary %d: cluster %d sequence model differs between GOMAXPROCS 1 and 4", v.Size(), ci)
+			}
+			if !bytes.Equal(saved(t, a.Router), saved(t, b.Router)) {
+				t.Errorf("vocabulary %d: cluster %d OC-SVM differs between GOMAXPROCS 1 and 4", v.Size(), ci)
+			}
+		}
+	}
+
+	fresh := encodeGroups(t, vocab, clusters...)
+	bad := func(n int) EncodedSession {
+		actions := make([]int, n)
+		actions[n/2] = vocab.Size()
+		return EncodedSession{ID: "bad", Actions: actions}
+	}
+	fresh[2] = append(fresh[2], bad(10))
+	fresh[4] = append(fresh[4], bad(5000))
+	for _, procs := range []int{1, 4} {
+		_, _, err := retrainAtProcs(procs, old, testConfig(vocab.Size()), vocab, fresh)
+		if err == nil || !strings.Contains(err.Error(), "cluster 2") {
+			t.Fatalf("GOMAXPROCS %d: error = %v, want cluster 2's", procs, err)
+		}
+	}
+}
+
+// TestSaveParallelByteIdentical saves one LSTM detector of six clusters
+// at GOMAXPROCS 1 and 2: the two directories must hold the same files
+// with the same bytes, the manifest and its checksums included.
+func TestSaveParallelByteIdentical(t *testing.T) {
+	vocab, clusters := unevenClusters(t)
+	det, _, err := trainAtProcs(t, 2, testConfig(vocab.Size()), vocab, clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trees [2]map[string][]byte
+	for i, procs := range []int{1, 2} {
+		dir := filepath.Join(t.TempDir(), "model")
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			if err := det.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[i] = make(map[string][]byte, len(entries))
+		for _, e := range entries {
+			if trees[i][e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(trees[0]) != 1+2*len(clusters) || len(trees[0]) != len(trees[1]) {
+		t.Fatalf("saved %d and %d files, want %d", len(trees[0]), len(trees[1]), 1+2*len(clusters))
+	}
+	for name, data := range trees[0] {
+		if !bytes.Equal(data, trees[1][name]) {
+			t.Errorf("%s differs between saves at GOMAXPROCS 1 and 2", name)
 		}
 	}
 }

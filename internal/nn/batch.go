@@ -20,9 +20,9 @@ import (
 // distribution is normalized.
 //
 // The batched path is bit-identical to the reference kernels: the GEMM
-// kernels accumulate each output element in a single scalar over
-// ascending k (tensor.MatMulNT's contract, which MatMulWS keeps), the
-// gate pre-activation is assembled in the same (bias + wx) + dot order
+// kernel accumulates each output element in a single scalar over
+// ascending k (tensor.MatMulWS's contract, the serial matvec's chain),
+// the gate pre-activation is assembled in the same (bias + wx) + dot order
 // as LSTM.preactivate, the logits are dot + bias where Dense.Forward has
 // bias + dot (one commutative add), the likelihood is Softmax's max,
 // shift, exp and ascending sum followed by its scale of the one wanted

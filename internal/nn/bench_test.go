@@ -135,8 +135,18 @@ func BenchmarkObserveBatch(b *testing.B) {
 // BPTT segments of 2 to 100 actions from a fixed seed, dropout 0.4,
 // forward, backward and the Adam step. steps/s counts predicted actions
 // (BPTT time steps) per second.
-func BenchmarkTrainBatchPaperSize(b *testing.B) {
-	net, err := NewLanguageNetwork(NetworkConfig{InputSize: 300, HiddenSize: 256, DropoutRate: 0.4, Seed: 1})
+func BenchmarkTrainBatchPaperSize(b *testing.B) { benchTrainBatch(b, 0.4, 32, 100) }
+
+// BenchmarkTrainBatchSmallCluster is BenchmarkTrainBatchPaperSize at
+// the shape a small behavior cluster trains at in the bench set-up: one
+// minibatch of 12 ragged segments of 2 to 30 actions, dropout 0, so
+// most steps have only a few live rows.
+func BenchmarkTrainBatchSmallCluster(b *testing.B) { benchTrainBatch(b, 0, 12, 30) }
+
+// benchTrainBatch times trainBatch and the Adam step at H 256, V 300 on
+// one minibatch of segments ragged segments of 2 to maxLen actions.
+func benchTrainBatch(b *testing.B, dropout float64, segments, maxLen int) {
+	net, err := NewLanguageNetwork(NetworkConfig{InputSize: 300, HiddenSize: 256, DropoutRate: dropout, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -145,10 +155,10 @@ func BenchmarkTrainBatchPaperSize(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	batch := make([]example, 32)
+	batch := make([]example, segments)
 	steps := 0
 	for i := range batch {
-		seg := randomSeq(2+rng.Intn(99), 300, rng.Int63())
+		seg := randomSeq(2+rng.Intn(maxLen-1), 300, rng.Int63())
 		batch[i] = example{in: seg[:len(seg)-1], out: seg[1:]}
 		steps += len(seg) - 1
 	}

@@ -7,12 +7,13 @@
 // hyperparameters (256 units, dropout 0.4, minibatch 32, learning rate
 // 0.001) available as defaults.
 //
-// Everything is float64 and CPU-bound. Training runs each minibatch in
-// lockstep (trainbatch.go): the examples advance one time step at a
-// time, so every weight product is a tensor.MatMulNT over many rows.
-// Serving's batched step (batch.go) runs the same gate math, with both
-// of its weight products weight-stationary (tensor.MatMulWS against the
-// recurrent and dense weights, each packed once per write). Both are
+// Everything is float64 and CPU-bound, and every weight product runs on
+// one kernel, tensor.MatMulWS, against a packed operand. Training runs
+// each minibatch in lockstep (trainbatch.go): the examples advance one
+// time step at a time, so every product is a GEMM over many rows, on
+// weights the trainer packs once per minibatch into its own storage.
+// Serving's batched step (batch.go) runs the same gate math against the
+// recurrent and dense weights packed once per write. Both are
 // bit-identical to the scalar per-step reference: LSTM.Step and
 // ForwardAll for inference, and for training the per-example scalar
 // path the tests keep as an oracle. Finite-difference gradient checks

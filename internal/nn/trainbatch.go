@@ -17,15 +17,27 @@ import (
 //     rows, then StepBatch's gate math (stepRow) on each row, which keeps
 //     the activations, c, tanh c and h of every (example, step) row;
 //   - the output layer, once over every output row of the minibatch:
-//     the logits, dX against a transposed copy of the dense weights, and
-//     the dense weight gradient;
+//     the logits, dX against the dense weights transposed, and the
+//     dense weight gradient;
 //   - backward, per time step: one dz·Wh product over the live rows;
 //   - the recurrent weight gradient, once over every row.
+//
+// All five run on the one kernel, tensor.MatMulWS, whose lanes are over
+// the rows of the packed operand: the 4H gates, the V outputs or the H
+// hidden units, so a step's few live rows use whole vectors. The
+// weights change only at Adam.Step, so each is packed once per
+// minibatch, as is and transposed (PackT packs Wᵀ straight from W),
+// into trainer-owned storage; a weight gradient packs its x operand per
+// call. The gate and logit rows are laid out at the packed stride, as
+// StepBatch's are. Where such a row is the K of the next product (dz
+// into dz·Wh, dL into dX), its pad lanes are zeroed and the transposed
+// weights are packed with zero columns to match, so the extra terms
+// are +0·+0 = +0 at the end of each chain and change no bit.
 //
 // Every trained bit equals what the per-example scalar path (Step, the
 // dense layer's matvecs and rank-1 updates, one example after another;
 // trainbatch_test.go keeps it as the oracle) accumulates into gradients
-// that Adam.Step has just zeroed. tensor.MatMulNT reduces each output
+// that Adam.Step has just zeroed. tensor.MatMulWS reduces each output
 // element in one +0-seeded scalar over ascending k, which is the chain
 // MulVecAdd, MulVecTAdd and AddOuter run, provided the K order is the
 // serial one:
@@ -77,6 +89,10 @@ const wgradChunk = 64
 // every step a prefix, so each step's rows are contiguous and the h rows
 // of step t-1 that step t reads are a prefix of that step's block.
 type trainScratch struct {
+	// wh, wd, whT and wdT are the recurrent and dense weights packed for
+	// this minibatch, as is and transposed; xT is a weight gradient's x
+	// operand, packed transposed.
+	wh, wd, whT, wdT, xT tensor.PackedNT
 	// order lists the minibatch's examples by descending length (stable);
 	// pos is its inverse.
 	order, pos []int
@@ -84,27 +100,25 @@ type trainScratch struct {
 	// base[t] the first row of step t.
 	live, base []int
 	// gates holds each row's pre-activations, then its activations [i;
-	// f; o; g], then its dz (R × 4H).
+	// f; o; g], then its dz (R × 4H, at wh's stride, pad lanes zero).
 	gates *tensor.Matrix
 	// c, tc and h hold each row's cell state, tanh c and hidden state.
 	c, tc, h *tensor.Matrix
 	// outRow maps each output row, in the serial (example, t) order, to
 	// its cache row; outAt[e] is example e's first output row.
 	outRow, outAt []int
-	// hd holds the output rows' dropped-out h, then their dX (O × H);
-	// mask holds their dropout masks.
+	// hd holds the output rows' dropped-out h (O × H), then their dX
+	// (O × H at wdT's stride); mask holds their dropout masks.
 	hd, mask *tensor.Matrix
 	// logits holds the output rows' logits, then probabilities, then
-	// dLogits (O × V).
+	// dLogits (O × V, at wd's stride, pad lanes zero).
 	logits *tensor.Matrix
 	// dH and dC are the gradients flowing into each example's hidden and
-	// cell state, by sorted position.
+	// cell state, by sorted position (dH at whT's stride).
 	dH, dC *tensor.Matrix
-	// wdT and whT are the transposed dense and recurrent weights.
-	wdT, whT *tensor.Matrix
-	// ta and tb are the transposed operands of a weight gradient, and
+	// ta is a chunk of a weight gradient's transposed dy operand, and
 	// grad its product before it is added to the gradient.
-	ta, tb, grad *tensor.Matrix
+	ta, grad *tensor.Matrix
 	// kRows and kPrev list the rows of the Wh gradient's K order and the
 	// rows holding their previous hidden state.
 	kRows, kPrev []int
@@ -115,8 +129,8 @@ type trainScratch struct {
 	wxCols []int
 	wxSeen []bool
 	// zero is the zero cell state before an example's first step, e a
-	// row's exp scratch, pack the GEMM packing buffer.
-	zero, e, pack []float64
+	// row's exp scratch.
+	zero, e []float64
 }
 
 // rowView returns rows [lo, hi) of m as a matrix sharing its storage.
@@ -171,8 +185,16 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 	}
 	s.live[steps], s.base[steps] = 0, rows
 
+	// Pack the weights for this minibatch: Adam.Step writes them next.
+	// The transposed ones take zero columns up to the stride of the
+	// rows they multiply.
+	s.wh.Pack(l.Wh.W)
+	s.wd.Pack(d.W.W)
+	s.whT.PackT(l.Wh.W, nil, s.wh.Stride())
+	s.wdT.PackT(d.W.W, nil, s.wd.Stride())
+
 	// Forward, one step at a time over the live rows.
-	gates := grow(&s.gates, rows, 4*hs)
+	gates := grow(&s.gates, rows, s.wh.Stride())
 	c, tc, h := grow(&s.c, rows, hs), grow(&s.tc, rows, hs), grow(&s.h, rows, hs)
 	if len(s.zero) < hs {
 		s.zero = make([]float64, hs)
@@ -186,7 +208,7 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 			clear(z.Data) // Wh·h of the zero state
 		} else {
 			prev := s.base[tt-1]
-			tensor.MatMulNTBuf(z, rowView(h, prev, prev+s.live[tt]), l.Wh.W, &s.pack)
+			tensor.MatMulWS(z, rowView(h, prev, prev+s.live[tt]), &s.wh)
 		}
 		for i := 0; i < s.live[tt]; i++ {
 			cPrev := zero
@@ -194,7 +216,9 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 				cPrev = c.Row(s.base[tt-1] + i)
 			}
 			r := lo + i
-			l.stepRow(gates.Row(r), e, batch[s.order[i]].in[tt], cPrev, c.Row(r), tc.Row(r), h.Row(r))
+			zr := gates.Row(r)
+			clear(zr[4*hs:])
+			l.stepRow(zr[:4*hs], e, batch[s.order[i]].in[tt], cPrev, c.Row(r), tc.Row(r), h.Row(r))
 		}
 	}
 
@@ -228,8 +252,8 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 			copy(hd.Row(o), h.Row(r))
 		}
 	}
-	logits := grow(&s.logits, outs, vocab)
-	tensor.MatMulNTBuf(logits, hd, d.W.W, &s.pack)
+	logits := grow(&s.logits, outs, s.wd.Stride())
+	tensor.MatMulWS(logits, hd, &s.wd)
 	tensor.AddBiasRows(logits, tensor.Vector(d.B.W.Data))
 
 	// Softmax cross-entropy per output row; each row becomes the
@@ -239,7 +263,8 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 		inv := 1 / float64(len(ex.out))
 		var total float64
 		for _, y := range ex.out {
-			row := logits.Row(o)
+			row := logits.Row(o)[:vocab]
+			clear(logits.Row(o)[vocab:])
 			tensor.Softmax(row, row)
 			p := row[y]
 			if p < 1e-300 {
@@ -254,26 +279,27 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 	}
 
 	// Output layer gradients: dense W.G = Σ dL hdᵀ over output rows in
-	// serial order, the bias in the same order, then dX = dL·W into hd.
+	// serial order, the bias in the same order, then dX = dL·W into hd's
+	// storage, at wdT's stride.
 	t.weightGrad(d.W.G, logits, nil, hd, nil)
 	for o := 0; o < outs; o++ {
-		for v, g := range logits.Row(o) {
+		for v, g := range logits.Row(o)[:vocab] {
 			d.B.G.Data[v] += g
 		}
 	}
-	wdT := grow(&s.wdT, hs, vocab)
-	tensor.TransposeRows(wdT, d.W.W, nil, 0)
-	tensor.MatMulNTBuf(hd, logits, wdT, &s.pack)
+	dx := grow(&s.hd, outs, s.wdT.Stride())
+	tensor.MatMulWS(dx, logits, &s.wdT)
 	if rate > 0 {
-		for i, m := range s.mask.Data[:outs*hs] {
-			hd.Data[i] *= m
+		for o := 0; o < outs; o++ {
+			row := dx.Row(o)
+			for k, m := range s.mask.Row(o) {
+				row[k] *= m
+			}
 		}
 	}
 
 	// Backward through time, one step at a time over the live rows.
-	whT := grow(&s.whT, hs, 4*hs)
-	tensor.TransposeRows(whT, l.Wh.W, nil, 0)
-	dH, dC := grow(&s.dH, len(batch), hs), grow(&s.dC, len(batch), hs)
+	dH, dC := grow(&s.dH, len(batch), s.whT.Stride()), grow(&s.dC, len(batch), hs)
 	for tt := steps - 1; tt >= 0; tt-- {
 		for i := s.live[tt+1]; i < s.live[tt]; i++ { // examples whose last step is tt
 			clear(dH.Row(i))
@@ -283,9 +309,9 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 		for i := 0; i < s.live[tt]; i++ {
 			ei := s.order[i]
 			ex := batch[ei]
-			dh := dH.Row(i)
+			dh := dH.Row(i)[:hs]
 			if first := len(ex.in) - len(ex.out); tt >= first {
-				for k, g := range hd.Row(s.outAt[ei] + tt - first) {
+				for k, g := range dx.Row(s.outAt[ei] + tt - first)[:hs] {
 					dh[k] += g
 				}
 			}
@@ -293,10 +319,11 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 			if tt > 0 {
 				cPrev = c.Row(s.base[tt-1] + i)
 			}
-			gateBackward(gates.Row(lo+i), dh, dC.Row(i), cPrev, tc.Row(lo+i))
+			r := lo + i
+			gateBackward(gates.Row(r)[:4*hs], dh, dC.Row(i), cPrev, tc.Row(r))
 		}
 		if tt > 0 {
-			tensor.MatMulNTBuf(rowView(dH, 0, s.live[tt]), rowView(gates, lo, lo+s.live[tt]), whT, &s.pack)
+			tensor.MatMulWS(rowView(dH, 0, s.live[tt]), rowView(gates, lo, lo+s.live[tt]), &s.whT)
 		}
 	}
 
@@ -315,7 +342,7 @@ func (t *Trainer) trainBatch(batch []example, lossSum *float64) {
 		pi := s.pos[ei]
 		for tt := len(ex.in) - 1; tt >= 0; tt-- {
 			r := s.base[tt] + pi
-			dz := gates.Row(r)
+			dz := gates.Row(r)[:4*hs]
 			if x := ex.in[tt]; x >= 0 {
 				col := wxT.Row(x)
 				if !s.wxSeen[x] {
@@ -372,24 +399,26 @@ func gateBackward(a, dh, dc, cPrev, tc []float64) {
 }
 
 // weightGrad adds Σ_k dy[ky[k]] x[kx[k]]ᵀ to the gradient g, one
-// wgradChunk of g's rows per GEMM. nil index lists take every row of
-// dy or x in order; the lists fix the K order of every element's sum.
+// wgradChunk of g's rows per GEMM, g's columns (x's) in the lanes. nil
+// index lists take every row of dy or x in order; the lists fix the K
+// order of every element's sum. Only dy's first g.Rows columns are read.
 func (t *Trainer) weightGrad(g *tensor.Matrix, dy *tensor.Matrix, ky []int, x *tensor.Matrix, kx []int) {
 	s := &t.s
 	k := dy.Rows
 	if ky != nil {
 		k = len(ky)
 	}
-	xT := grow(&s.tb, x.Cols, k)
-	tensor.TransposeRows(xT, x, kx, 0)
+	s.xT.PackT(x, kx, k)
 	for r0 := 0; r0 < g.Rows; r0 += wgradChunk {
 		m := min(wgradChunk, g.Rows-r0)
 		dyT := grow(&s.ta, m, k)
 		tensor.TransposeRows(dyT, dy, ky, r0)
-		prod := grow(&s.grad, m, g.Cols)
-		tensor.MatMulNTBuf(prod, dyT, xT, &s.pack)
-		for i, v := range prod.Data {
-			g.Data[r0*g.Cols+i] += v
+		prod := grow(&s.grad, m, s.xT.Stride())
+		tensor.MatMulWS(prod, dyT, &s.xT)
+		for i := 0; i < m; i++ {
+			for j, v := range prod.Row(i)[:g.Cols] {
+				g.Data[(r0+i)*g.Cols+j] += v
+			}
 		}
 	}
 }

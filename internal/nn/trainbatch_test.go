@@ -307,8 +307,11 @@ func raggedSessions(rng *rand.Rand, count, maxLen, vocab int) [][]int {
 // weight, every Adam moment and every epoch loss to be equal bit for
 // bit. Sessions are ragged, include two-action sessions and sessions
 // longer than the window (split into several BPTT segments), and batch
-// sizes 1, 5 and 32 run the recurrent GEMMs on one live row (the Go
-// kernel) and on many (the AVX2 kernel, where available).
+// sizes 1, 5 and 32 run the recurrent GEMMs on one live row and on
+// many. H = 9 and V = 23 pad every packed stride (the gate rows' 36
+// lanes to 48, the logit rows' 23 to 32, the hidden rows' 9 to 16), so
+// the zeroed pad lanes of the gate and logit rows run through the
+// backward products' K.
 func TestTrainBatchMatchesSerial(t *testing.T) {
 	const vocab, hidden = 23, 9
 	sessions := raggedSessions(rand.New(rand.NewSource(5)), 45, 17, vocab)

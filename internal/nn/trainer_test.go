@@ -61,3 +61,29 @@ func TestMinOptimizerStepsImprovesSmallCorpus(t *testing.T) {
 		t.Fatalf("budgeted training loss %v >= plain %v", budgeted, plain)
 	}
 }
+
+// TestFitLeavesWeightsAlone checks what a trained network keeps after
+// Fit: no gradient buffer and no packed copy of any weight (the trainer
+// packs into its own storage), so serving packs the trained weights
+// fresh on first use.
+func TestFitLeavesWeightsAlone(t *testing.T) {
+	net, err := NewLanguageNetwork(NetworkConfig{InputSize: 11, HiddenSize: 6, DropoutRate: 0.4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTrainer(net, TrainerConfig{Epochs: 2, BatchSize: 3, LearningRate: 0.01, WindowSize: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Fit([][]int{randomSeq(9, 11, 1), randomSeq(4, 11, 2), randomSeq(13, 11, 3)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range net.Params() {
+		if p.G != nil {
+			t.Errorf("after Fit, %s holds a gradient buffer", p.Name)
+		}
+		if p.pack.Load() != nil {
+			t.Errorf("after Fit, %s holds a packed copy", p.Name)
+		}
+	}
+}

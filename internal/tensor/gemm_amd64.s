@@ -21,10 +21,11 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// MAC3 accumulates one k step of three b rows into the 16 x 3 tile:
-// for each b row c, broadcast its k-th weight and add weight*lane to
-// the four accumulators of column c. Multiply and add are separate
-// instructions so every lane rounds exactly like the scalar s += a*b.
+// MAC3 accumulates one k step of three a rows into the 16 x 3 tile:
+// for each a row c, broadcast its k-th value and add value*lane to the
+// four accumulators of row c, the lanes being the 16 packed b rows at
+// (AX). Multiply and add are separate instructions so every lane rounds
+// exactly like the scalar s += a*b.
 #define MAC3 \
 	VBROADCASTSD (BX), Y12          \
 	VMULPD       (AX), Y12, Y13     \
@@ -54,7 +55,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMULPD       96(AX), Y12, Y15   \
 	VADDPD       Y15, Y11, Y11
 
-// MAC1 is MAC3 for one b row: the four accumulators Y0-Y3.
+// MAC1 is MAC3 for one a row: the four accumulators Y0-Y3.
 #define MAC1 \
 	VBROADCASTSD (BX), Y12          \
 	VMULPD       (AX), Y12, Y13     \
@@ -66,132 +67,11 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMULPD       96(AX), Y12, Y13   \
 	VADDPD       Y13, Y3, Y3
 
-// func matMulNT16(dst []float64, ldd, rows int, pack, b []float64, k, n int)
-//
-// Register use: DI dst column cursor, R8 dst row stride in bytes, R9
-// rows, SI packed lanes, DX b row cursor, CX k, R10 columns left, R11 b
-// row stride in bytes, R12 tile, AX/BX inner cursors, R13 counters.
-TEXT ·matMulNT16(SB), NOSPLIT, $0-104
-	MOVQ dst_base+0(FP), DI
-	MOVQ ldd+24(FP), R8
-	SHLQ $3, R8
-	MOVQ rows+32(FP), R9
-	MOVQ pack_base+40(FP), SI
-	MOVQ b_base+64(FP), DX
-	MOVQ k+88(FP), CX
-	MOVQ n+96(FP), R10
-	MOVQ CX, R11
-	SHLQ $3, R11
-	MOVQ R11, R12
-	SHLQ $4, R12
-	ADDQ SI, R12
-
-cols3:
-	CMPQ R10, $3
-	JLT  cols1
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-	MOVQ SI, AX
-	MOVQ DX, BX
-	MOVQ CX, R13
-
-k3:
-	MAC3
-	ADDQ $128, AX
-	ADDQ $8, BX
-	DECQ R13
-	JNZ  k3
-
-	VMOVUPD Y0, 0(R12)
-	VMOVUPD Y1, 32(R12)
-	VMOVUPD Y2, 64(R12)
-	VMOVUPD Y3, 96(R12)
-	VMOVUPD Y4, 128(R12)
-	VMOVUPD Y5, 160(R12)
-	VMOVUPD Y6, 192(R12)
-	VMOVUPD Y7, 224(R12)
-	VMOVUPD Y8, 256(R12)
-	VMOVUPD Y9, 288(R12)
-	VMOVUPD Y10, 320(R12)
-	VMOVUPD Y11, 352(R12)
-	MOVQ DI, AX
-	XORQ R13, R13
-
-store3:
-	VMOVSD (R12)(R13*8), X12
-	VMOVSD X12, (AX)
-	VMOVSD 128(R12)(R13*8), X13
-	VMOVSD X13, 8(AX)
-	VMOVSD 256(R12)(R13*8), X14
-	VMOVSD X14, 16(AX)
-	ADDQ   R8, AX
-	INCQ   R13
-	CMPQ   R13, R9
-	JLT    store3
-
-	ADDQ $24, DI
-	LEAQ (DX)(R11*2), DX
-	ADDQ R11, DX
-	SUBQ $3, R10
-	JMP  cols3
-
-cols1:
-	TESTQ R10, R10
-	JZ    done
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ SI, AX
-	MOVQ DX, BX
-	MOVQ CX, R13
-
-k1:
-	MAC1
-	ADDQ $128, AX
-	ADDQ $8, BX
-	DECQ R13
-	JNZ  k1
-
-	VMOVUPD Y0, 0(R12)
-	VMOVUPD Y1, 32(R12)
-	VMOVUPD Y2, 64(R12)
-	VMOVUPD Y3, 96(R12)
-	MOVQ DI, AX
-	XORQ R13, R13
-
-store1:
-	VMOVSD (R12)(R13*8), X12
-	VMOVSD X12, (AX)
-	ADDQ   R8, AX
-	INCQ   R13
-	CMPQ   R13, R9
-	JLT    store1
-
-	ADDQ $8, DI
-	ADDQ R11, DX
-	DECQ R10
-	JMP  cols1
-
-done:
-	VZEROUPPER
-	RET
-
 // func matMulWS16(dst []float64, ldd int, pack, a []float64, k, m, blocks int)
 //
 // The lanes hold 16 rows of b (one packed block) and MAC3's three
-// broadcast columns are three rows of a, so the accumulators of a row
-// are 16 adjacent elements of its dst row and are stored in place.
+// broadcasts are three rows of a, so the accumulators of a row are 16
+// adjacent elements of its dst row and are stored in place.
 //
 // Register use: SI packed block, DI dst block column, R8 dst row stride
 // in bytes, R9 a, DX a row cursor, R12 dst row cursor, R10 rows left,

@@ -52,61 +52,66 @@ func sameBits(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want)
 }
 
-// matMulNTKernels lists every way a caller can reach an f64 a·bᵀ
-// kernel: the dispatched entry points and both implementations called
-// directly, the AVX2 one (where the CPU has it) at every row count —
-// including the small ones the dispatcher keeps on the Go kernel — and
-// the weight-stationary product from a packed b, dispatched and through
-// its Go kernel.
-func matMulNTKernels() []matMulNTKernel {
-	var pack []float64
-	kernels := []matMulNTKernel{
+// matMulKernels lists every way a caller can reach the f64 a·bᵀ
+// kernel: the one-shot MatMulNT, and MatMulWS on b packed by PackNT,
+// on b packed by PackT from its transpose, and through the Go kernel
+// called directly (the one off AVX2).
+func matMulKernels() []matMulKernel {
+	return []matMulKernel{
 		{"MatMulNT", MatMulNT},
-		{"MatMulNTBuf", func(dst, a, b *Matrix) { MatMulNTBuf(dst, a, b, &pack) }},
-		{"go", matMulNTGo},
-		{"MatMulWS", func(dst, a, b *Matrix) { matMulWSInto(dst, a, b, MatMulWS) }},
-		{"ws-go", func(dst, a, b *Matrix) {
-			matMulWSInto(dst, a, b, func(dst, a *Matrix, p *PackedNT) {
-				matMulWSGo(dst.Data, dst.Cols, p.data, a.Data, a.Cols, a.Rows, p.stride/matMulNTLanes)
-			})
+		{"MatMulWS", func(dst, a, b *Matrix) { matMulWSInto(dst, a, PackNT(b), MatMulWS) }},
+		{"PackT", func(dst, a, b *Matrix) {
+			var p PackedNT
+			p.PackT(transpose(b), nil, b.Cols)
+			matMulWSInto(dst, a, &p, MatMulWS)
 		}},
+		{"ws-go", func(dst, a, b *Matrix) { matMulWSInto(dst, a, PackNT(b), wsGo) }},
 	}
-	if hasAVX2 {
-		kernels = append(kernels, matMulNTKernel{"avx2", func(dst, a, b *Matrix) { matMulNTAVX2(dst, a, b, &pack) }})
-	}
-	return kernels
+}
+
+// wsGo is MatMulWS run through the Go kernel whatever the CPU.
+func wsGo(dst, a *Matrix, p *PackedNT) {
+	matMulWSGo(dst.Data, dst.Cols, p.data, a.Data, a.Cols, a.Rows, p.stride/packLanes)
 }
 
 // matMulWSInto computes dst = a·bᵀ with a weight-stationary kernel on
-// b packed by PackNT, copying the first b.Rows columns of its padded
+// b packed in p, copying the first dst.Cols columns of its padded
 // product into dst.
-func matMulWSInto(dst, a, b *Matrix, ws func(dst, a *Matrix, p *PackedNT)) {
-	p := PackNT(b)
+func matMulWSInto(dst, a *Matrix, p *PackedNT, ws func(dst, a *Matrix, p *PackedNT)) {
 	wide := GrowMatrix(nil, a.Rows, p.Stride())
 	ws(wide, a, p)
 	for i := 0; i < a.Rows; i++ {
-		copy(dst.Row(i), wide.Row(i)[:b.Rows])
+		copy(dst.Row(i), wide.Row(i))
 	}
 }
 
-type matMulNTKernel struct {
+// transpose returns mᵀ.
+func transpose(m *Matrix) *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			t.Set(j, i, v)
+		}
+	}
+	return t
+}
+
+type matMulKernel struct {
 	name string
 	run  func(dst, a, b *Matrix)
 }
 
-// TestMatMulMatchesMatVecRows pins the batched kernels against the
-// serial per-row matvec they replace: every element of MatMulNT(dst, a,
-// b) must be bit-identical to b.MulVecAdd over a's row into a -0 seed
+// TestMatMulMatchesMatVecRows pins the batched kernel against the
+// serial per-row matvec it replaces: every element of a·bᵀ must be
+// bit-identical to b.MulVecAdd over a's row into a -0 seed
 // (x + -0 is x for every x, so the seed adds nothing), and adding the
 // bias afterwards must match a bias-seeded matvec, because the
 // deterministic-replay guarantee of the engine depends on batched and
 // serial scoring producing the same bytes. Shapes cross every edge of
-// both kernels: M over 1..40 and 64 (the Go kernel's 4-row unroll, the
-// AVX2 kernel's 16-lane blocks and its small-M crossover), K over
-// {1, 16, 255, 256}, and N cycling through every residue mod 12 — so
-// every residue mod the AVX2 kernel's 3-row block and mod the Go
-// kernel's 4-row single-row tail — both within one 32-row block of b
-// and across blocks.
+// the kernels: M over 1..40 and 64 (every residue of the AVX2 kernel's
+// 3-row unroll), K over {1, 16, 255, 256}, and N cycling through every
+// residue mod 12, plus 0, 12 or 32 more, so b fills one to four 16-lane
+// blocks, most of them partly.
 func TestMatMulMatchesMatVecRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ms := []int{64}
@@ -115,7 +120,7 @@ func TestMatMulMatchesMatVecRows(t *testing.T) {
 	}
 	negZero := math.Copysign(0, -1)
 	cycle := 0
-	for _, kernel := range matMulNTKernels() {
+	for _, kernel := range matMulKernels() {
 		name := kernel.name
 		for _, m := range ms {
 			for _, k := range []int{1, 16, 255, 256} {
@@ -163,10 +168,10 @@ func TestMatMulMatchesMatVecRows(t *testing.T) {
 // FuzzMatMulWSMatchesGo checks the weight-stationary product and the
 // likelihood head on arbitrary float64 bit patterns (the fuzzed bytes
 // fill a, b and the bias in order; seeded normal draws fill the rest):
-// MatMulWS must give the Go MatMulNT kernel's bits in b's N columns and
-// the Go weight-stationary kernel's bits in every column, padding
-// included, and SoftmaxAt on its product must give Softmax(row +
-// bias)[at]. N runs over 1..64, so most shapes leave a partial block of
+// MatMulWS must give the serial matvec's bits (MulVecAdd into a -0
+// seed) in b's N columns and the Go kernel's bits in every column,
+// padding included, and SoftmaxAt on its product must give Softmax(row
+// + bias)[at]. N runs over 1..64, so most shapes leave a partial block of
 // 16; K over 1..40; M over 0..7 rows.
 func FuzzMatMulWSMatchesGo(f *testing.F) {
 	var specials []byte
@@ -194,17 +199,23 @@ func FuzzMatMulWSMatchesGo(f *testing.F) {
 			}
 		}
 		want := NewMatrix(m, n)
-		matMulNTGo(want, a, b)
+		for i := 0; i < m; i++ {
+			row := want.Row(i)
+			for j := range row {
+				row[j] = math.Copysign(0, -1)
+			}
+			b.MulVecAdd(row, a.Row(i))
+		}
 		p := PackNT(b)
 		got, twin := NewMatrix(m, p.Stride()), NewMatrix(m, p.Stride())
 		MatMulWS(got, a, p)
-		matMulWSGo(twin.Data, twin.Cols, p.data, a.Data, k, m, p.Stride()/matMulNTLanes)
+		wsGo(twin, a, p)
 		at := make([]int, m)
 		for i := range at {
 			at[i] = rng.Intn(n)
 			for j, x := range got.Row(i) {
 				if j < n && !sameBits(x, want.At(i, j)) {
-					t.Fatalf("m=%d n=%d k=%d: MatMulWS[%d][%d] = %v, Go MatMulNT %v", m, n, k, i, j, x, want.At(i, j))
+					t.Fatalf("m=%d n=%d k=%d: MatMulWS[%d][%d] = %v, serial matvec %v", m, n, k, i, j, x, want.At(i, j))
 				}
 				if !sameBits(x, twin.At(i, j)) {
 					t.Fatalf("m=%d n=%d k=%d: MatMulWS[%d][%d] = %v, Go kernel %v", m, n, k, i, j, x, twin.At(i, j))
@@ -222,25 +233,6 @@ func FuzzMatMulWSMatchesGo(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestMatMulNTDispatchesToAVX2 checks that the dispatcher really takes
-// the assembly kernel at and above the crossover when the CPU has AVX2,
-// so the bit-exactness test above is not silently pinning two copies of
-// the Go kernel. It watches the packing buffer the AVX2 kernel grows.
-func TestMatMulNTDispatchesToAVX2(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("CPU without AVX2: MatMulNT always runs the Go kernel")
-	}
-	rng := rand.New(rand.NewSource(5))
-	for _, m := range []int{matMulNTMinRows - 1, matMulNTMinRows, 17, 64} {
-		a, b := randomMatrix(rng, m, 8), randomMatrix(rng, 5, 8)
-		var pack []float64
-		MatMulNTBuf(GrowMatrix(nil, m, 5), a, b, &pack)
-		if used := pack != nil; used != (m >= matMulNTMinRows) {
-			t.Errorf("M=%d: AVX2 kernel used = %v, crossover is %d", m, used, matMulNTMinRows)
-		}
-	}
 }
 
 func TestGrowMatrixReusesStorage(t *testing.T) {
@@ -262,58 +254,165 @@ func TestGrowMatrixReusesStorage(t *testing.T) {
 	}
 }
 
-func TestMatMulNTZeroAllocSteadyState(t *testing.T) {
+// TestMatMulWSZeroAllocSteadyState checks that repacking into a
+// PackedNT that has held the shape before, and multiplying into a grown
+// scratch, allocate nothing.
+func TestMatMulWSZeroAllocSteadyState(t *testing.T) {
 	a := randomMatrix(rand.New(rand.NewSource(1)), 16, 24)
 	b := randomMatrix(rand.New(rand.NewSource(2)), 48, 24)
-	dst := GrowMatrix(nil, 16, 48)
+	var p, pt PackedNT
+	p.Pack(b)
+	pt.PackT(b, nil, 48)
+	dst := GrowMatrix(nil, 16, p.Stride())
 	allocs := testing.AllocsPerRun(50, func() {
-		dst = GrowMatrix(dst, 16, 48)
-		MatMulNT(dst, a, b)
+		p.Pack(b)
+		pt.PackT(b, []int{3, 1, 4}, 5)
+		dst = GrowMatrix(dst, 16, p.Stride())
+		MatMulWS(dst, a, &p)
 		AddBiasRows(dst, Vector(b.Data[:48]))
 	})
 	if allocs != 0 {
-		t.Fatalf("MatMulNT steady state allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("MatMulWS steady state allocated %.1f times per run, want 0", allocs)
 	}
 }
 
-// BenchmarkMatMulNT times the f64 kernels at the serving shapes (M x K
-// times N x K): the LSTM-256 recurrent GEMM of a 64-stream wave, the
-// LSTM-256 output GEMM of a 32-stream wave over a 300-action vocabulary,
-// and the LSTM-16 recurrent GEMM of a 32-stream wave; then M = 1..4 at
-// each K (16, 256) and N (64 or 300, 300 or 1024) a small wave gives,
-// the measurement behind matMulNTMinRows. "avx2" is the assembly kernel
-// called directly, below the crossover too; "ws" is MatMulWS on b
-// packed once, timed at the output-layer shapes (N = 300). It reports
+// TestPackTMatchesPackNT checks the transpose pack byte for byte
+// against PackNT of the transpose built explicitly, pad lanes and all:
+// every row of x in order and a reordered subset with repeats, at K
+// equal to the row count and past it (zero columns), with x's column
+// count (b's N) below, at and across a 16-lane block. PackT and Pack
+// repack into storage left full of NaNs, so a lane either fails to
+// write shows.
+func TestPackTMatchesPackNT(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	dirty := func() PackedNT {
+		data := make([]float64, 4096)
+		for i := range data {
+			data[i] = math.NaN()
+		}
+		return PackedNT{data: data}
+	}
+	same := func(got, want *PackedNT) bool {
+		if got.rows != want.rows || got.cols != want.cols || got.stride != want.stride || len(got.data) != len(want.data) {
+			return false
+		}
+		for i := range want.data {
+			if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range []int{1, 15, 16, 17, 40} {
+		x := specialMatrix(rng, 9, n, true)
+		for _, rows := range [][]int{nil, {8, 0, 3, 3, 5}} {
+			picked := x
+			if rows != nil {
+				picked = NewMatrix(len(rows), n)
+				for kk, r := range rows {
+					copy(picked.Row(kk), x.Row(r))
+				}
+			}
+			for _, extra := range []int{0, 3} {
+				k := picked.Rows + extra
+				bt := NewMatrix(n, k)
+				for j := 0; j < n; j++ {
+					for kk := 0; kk < picked.Rows; kk++ {
+						bt.Set(j, kk, picked.At(kk, j))
+					}
+				}
+				want := PackNT(bt)
+				got, re := dirty(), dirty()
+				got.PackT(x, rows, k)
+				re.Pack(bt)
+				if !same(&got, want) {
+					t.Fatalf("n=%d rows=%v k=%d: PackT differs from PackNT of the transpose", n, rows, k)
+				}
+				if !same(&re, want) {
+					t.Fatalf("n=%d rows=%v k=%d: Pack into used storage differs from PackNT", n, rows, k)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PackT into fewer columns than rows must panic")
+		}
+	}()
+	new(PackedNT).PackT(NewMatrix(4, 2), nil, 3)
+}
+
+// TestMatMulNTCopiesOut checks the one-shot wrapper at N that is not a
+// multiple of 16: dst is exactly M x N, its elements are the serial
+// matvec's, and it writes nothing past its own rows.
+func TestMatMulNTCopiesOut(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{1, 5, 17, 300} {
+		a, b := randomMatrix(rng, 3, 7), randomMatrix(rng, n, 7)
+		buf := NewMatrix(4, n)
+		sentinel := math.Float64frombits(0x7ff8dead)
+		for i := range buf.Data {
+			buf.Data[i] = sentinel
+		}
+		dst := &Matrix{Rows: 3, Cols: n, Data: buf.Data[:3*n]}
+		MatMulNT(dst, a, b)
+		want := NewVector(n)
+		for i := 0; i < 3; i++ {
+			clear(want)
+			b.MulVecAdd(want, a.Row(i))
+			for j := range want {
+				if got := dst.At(i, j); !sameBits(got, want[j]) {
+					t.Fatalf("n=%d: dst[%d][%d] = %v, serial matvec %v", n, i, j, got, want[j])
+				}
+			}
+		}
+		for _, v := range buf.Data[3*n:] {
+			if math.Float64bits(v) != math.Float64bits(sentinel) {
+				t.Fatalf("n=%d: MatMulNT wrote past dst", n)
+			}
+		}
+	}
+}
+
+// BenchmarkMatMulWS times MatMulWS (M x K times N x K) on b packed
+// once ("ws") and on b repacked into reused storage before every call
+// ("pack+ws", what a product whose b changes between calls pays). The
+// shapes: M = 1..32 rows of a serving wave at the LSTM-256 recurrent
+// (K 256, N 1024) and output (K 256, N 300) products and at LSTM-16's
+// recurrent one (K 16, N 64); the lockstep trainer's forward and
+// backward recurrent products over 5, 13 and 32 live rows (256 x 1024
+// and 1024 x 256), its output product over 1,600 rows; and its weight
+// gradients at M = 4H and M = V over K = 1,600 rows, N = H (computed
+// 64 rows of M per call in the trainer, whole here). It reports
 // multiply-adds per nanosecond and allocations per call.
-func BenchmarkMatMulNT(b *testing.B) {
+func BenchmarkMatMulWS(b *testing.B) {
 	type shape struct{ m, k, n int }
-	shapes := []shape{{64, 256, 1024}, {32, 256, 300}, {32, 16, 64}}
-	for _, kn := range []struct{ k, n int }{{16, 64}, {16, 300}, {256, 300}, {256, 1024}} {
-		for m := 1; m <= 4; m++ {
+	var shapes []shape
+	for _, kn := range []struct{ k, n int }{{256, 1024}, {256, 300}, {16, 64}} {
+		for _, m := range []int{1, 2, 3, 4, 8, 16, 32} {
 			shapes = append(shapes, shape{m, kn.k, kn.n})
 		}
 	}
-	var pack []float64
+	shapes = append(shapes, shape{5, 256, 1024}, shape{13, 256, 1024},
+		shape{5, 1024, 256}, shape{13, 1024, 256}, shape{32, 1024, 256},
+		shape{1600, 256, 300}, shape{1024, 1600, 256}, shape{300, 1600, 256})
 	for _, s := range shapes {
 		rng := rand.New(rand.NewSource(1))
 		a, w := randomMatrix(rng, s.m, s.k), randomMatrix(rng, s.n, s.k)
-		dst := GrowMatrix(nil, s.m, s.n)
-		kernels := []matMulNTKernel{{"go", matMulNTGo}}
-		if hasAVX2 {
-			kernels = append(kernels, matMulNTKernel{"avx2", func(dst, a, w *Matrix) { matMulNTAVX2(dst, a, w, &pack) }})
-		}
-		if s.n == 300 {
-			p := PackNT(w)
-			wide := GrowMatrix(nil, s.m, p.Stride())
-			kernels = append(kernels, matMulNTKernel{"ws", func(_, a, _ *Matrix) { MatMulWS(wide, a, p) }})
-		}
-		for _, kernel := range kernels {
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.m, s.k, s.n, kernel.name), func(b *testing.B) {
-				kernel.run(dst, a, w) // grow the packing buffer
+		p := PackNT(w)
+		dst := GrowMatrix(nil, s.m, p.Stride())
+		for _, perCall := range []bool{false, true} {
+			name := "ws"
+			if perCall {
+				name = "pack+ws"
+			}
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.m, s.k, s.n, name), func(b *testing.B) {
 				b.ReportAllocs()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					kernel.run(dst, a, w)
+					if perCall {
+						p.Pack(w)
+					}
+					MatMulWS(dst, a, p)
 				}
 				b.ReportMetric(float64(s.m*s.k*s.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
 			})
