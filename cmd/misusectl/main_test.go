@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
 	"net"
 	"os"
@@ -95,6 +96,37 @@ func TestCLIEndToEnd(t *testing.T) {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "SHA-256 mismatch") {
 			t.Fatalf("%s on a tampered model directory: err = %v, want a checksum refusal", args[0], err)
 		}
+	}
+
+	// A manifest that stops checksumming cluster 1, whose model is
+	// swapped for cluster 0's, is refused too: every cluster's files must
+	// be listed before any is read.
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(bin, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ngModel, "cluster-01-model.bin"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(ngModel, "manifest.json")
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	delete(man["checksums"].(map[string]any), "cluster-01-router.gob")
+	delete(man["checksums"].(map[string]any), "cluster-01-model.bin")
+	if raw, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"inspect", "-model", ngModel}); err == nil || !strings.Contains(err.Error(), "no checksum for cluster-01-router.gob") {
+		t.Fatalf("inspect on a directory with an unchecksummed cluster: err = %v, want a refusal naming the file", err)
 	}
 }
 

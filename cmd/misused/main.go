@@ -36,9 +36,11 @@
 // model may use any registered scorer backend (LSTM, n-gram, HMM); the
 // backend is recorded in the model directory and restored on load.
 //
-// Model directories are verified before any weight is decoded — at
-// startup and on every reload (core.LoadGeneration): the manifest
-// carries per-file SHA-256 checksums, so torn, truncated, or tampered
+// Model directories are read in one pass, at startup and on every
+// reload (core.LoadGeneration): the manifest is read once and must
+// checksum every cluster's router and model file, and each file is
+// opened once, its SHA-256 checked against the manifest, and decoded
+// only after it matched. Torn, truncated, tampered or unchecksummed
 // artifacts are refused with a descriptive error. Startup reads the
 // directory's thresholds.json like a reload does; an explicit -monitor
 // fragment takes precedence over it.
@@ -123,9 +125,9 @@ func main() {
 // canary controller (ccfg.Fraction > 0) and adaptation pipeline (adapt)
 // into scfg, and serves until SIGINT or SIGTERM.
 func run(scfg ServerConfig, monitorPath string, adapt bool, acfg pipeline.Config, ccfg rollout.Config) error {
-	// LoadGeneration is the integrity gate before any weight is decoded:
-	// a torn, truncated, tampered, or checksum-less model directory is
-	// refused at startup exactly like at reload.
+	// LoadGeneration verifies each file before it is decoded: a torn,
+	// truncated, tampered, or checksum-less model directory is refused at
+	// startup exactly like at reload.
 	det, fragment, err := core.LoadGeneration(scfg.ModelDir)
 	if err != nil {
 		return fmt.Errorf("load model: %w", err)

@@ -446,9 +446,9 @@ func (s *Server) handleAdapt() any {
 }
 
 // handleReload re-reads the model directory through core.LoadGeneration
-// — which verifies its manifest checksums first, so torn, truncated, or
-// tampered directories are refused before any weight is touched — and
-// installs the new generation together with the directory's calibrated
+// — which verifies each file against its manifest checksum before
+// decoding it, so torn, truncated, or tampered directories are refused
+// — and installs the new generation together with the directory's calibrated
 // thresholds.json when present: as a canary candidate serving a
 // fraction of new sessions when a rollout controller is wired in (the
 // comparator decides promotion or quarantine later), else directly into

@@ -15,7 +15,7 @@ import (
 
 // testCorpus builds a tiny two-behavior corpus with an 8-action
 // vocabulary: behavior A cycles actions 0-3, behavior B cycles 4-7.
-func testCorpus(t *testing.T, perCluster int) (*actionlog.Vocabulary, []*actionlog.Session) {
+func testCorpus(t testing.TB, perCluster int) (*actionlog.Vocabulary, []*actionlog.Session) {
 	t.Helper()
 	names := []string{"a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3"}
 	vocab, err := actionlog.NewVocabulary(names)

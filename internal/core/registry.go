@@ -186,16 +186,13 @@ func (r *Registry) newGenerationLocked(det *Detector, monitor *MonitorConfig, so
 	}, nil
 }
 
-// LoadGeneration verifies and reads one saved generation — the detector
+// LoadGeneration reads one saved generation — LoadDetector's detector
 // plus its optional calibrated thresholds fragment — without installing
 // anything. A missing thresholds file is simply absence (nil monitor);
 // any other thresholds read error (permissions, a directory in the way,
 // corrupt JSON) is surfaced instead of silently discarding calibrated
 // floors.
 func LoadGeneration(dir string) (*Detector, *MonitorConfig, error) {
-	if _, err := VerifyArtifact(dir); err != nil {
-		return nil, nil, fmt.Errorf("core: registry reload: %w", err)
-	}
 	det, err := LoadDetector(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: registry reload: %w", err)

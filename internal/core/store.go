@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"misusedetect/internal/actionlog"
 	"misusedetect/internal/lm"
 	"misusedetect/internal/ocsvm"
 	"misusedetect/internal/scorer"
@@ -38,19 +37,17 @@ type storeManifest struct {
 	RouteVoteActions int      `json:"route_vote_actions"`
 	// Checksums maps every artifact file of the directory (relative
 	// name, manifest.json excluded) to its SHA-256 hex digest, and
-	// TotalBytes sums their sizes. Save fills both; VerifyArtifact
-	// refuses a directory whose files do not match, and one whose
-	// manifest carries no checksums (written before they existed).
+	// TotalBytes sums their sizes. Save fills both; openArtifact refuses
+	// a manifest without them (written before they existed) or without
+	// a cluster's file, and walk a directory that does not match them.
 	Checksums  map[string]string `json:"checksums,omitempty"`
 	TotalBytes int64             `json:"total_bytes,omitempty"`
 }
 
-func routerPath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("cluster-%02d-router.gob", i))
-}
-
-func modelPath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("cluster-%02d-model.bin", i))
+// clusterFiles names cluster i's OC-SVM router file and its
+// backend-tagged scorer envelope, in that order.
+func clusterFiles(i int) [2]string {
+	return [2]string{fmt.Sprintf("cluster-%02d-router.gob", i), fmt.Sprintf("cluster-%02d-model.bin", i)}
 }
 
 // Save writes the detector to a directory: a JSON manifest plus, per
@@ -131,12 +128,11 @@ func (d *Detector) writeArtifact(dir string) error {
 }
 
 func saveCluster(dir string, i int, c *ClusterModel, man *storeManifest) error {
-	if err := writeHashed(dir, filepath.Base(routerPath(dir, i)), man, func(w io.Writer) error {
-		return c.Router.Save(w)
-	}); err != nil {
+	names := clusterFiles(i)
+	if err := writeHashed(dir, names[0], man, c.Router.Save); err != nil {
 		return fmt.Errorf("core: save router %d: %w", i, err)
 	}
-	if err := writeHashed(dir, filepath.Base(modelPath(dir, i)), man, func(w io.Writer) error {
+	if err := writeHashed(dir, names[1], man, func(w io.Writer) error {
 		return scorer.Encode(w, c.Model)
 	}); err != nil {
 		return fmt.Errorf("core: save model %d: %w", i, err)
@@ -151,117 +147,58 @@ func writeHashed(dir, name string, man *storeManifest, write func(io.Writer) err
 	if err != nil {
 		return err
 	}
+	defer f.Close()
 	h := sha256.New()
-	n := &countingWriter{w: io.MultiWriter(f, h)}
-	if err := write(n); err != nil {
-		f.Close()
+	if err := write(io.MultiWriter(f, h)); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
+	size, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
 		return err
 	}
 	man.Checksums[name] = hex.EncodeToString(h.Sum(nil))
-	man.TotalBytes += n.n
-	return nil
+	man.TotalBytes += size
+	return f.Close()
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// LoadDetector reads a detector saved by Save. The loaded detector
-// scores and monitors; it cannot be trained further. Every cluster model
-// is decoded through the backend-tagged scorer envelope, so a directory
-// written by an unknown backend or an incompatible format version fails
-// with a descriptive error instead of mis-decoding.
+// LoadDetector reads a detector saved by Save in one pass: the manifest
+// is read and validated once, then each file it checksums is opened
+// once and decoded only after its digest matched, models through the
+// backend-tagged scorer envelope. The loaded detector scores and
+// monitors; it cannot be trained further.
 func LoadDetector(dir string) (*Detector, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	a, err := openArtifact(dir)
 	if err != nil {
-		return nil, fmt.Errorf("core: read manifest: %w", err)
+		return nil, err
 	}
-	var man storeManifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("core: parse manifest: %w", err)
-	}
-	if man.FormatVersion != storeFormatVersion {
-		return nil, fmt.Errorf("core: model directory has format version %d; this build reads version %d (retrain or convert the model)",
-			man.FormatVersion, storeFormatVersion)
-	}
-	vocab, err := actionlog.NewVocabulary(man.Actions)
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuild vocabulary: %w", err)
-	}
-	if man.FeatureMode != 0 && man.FeatureMode != featureModeCounts {
-		return nil, fmt.Errorf("core: manifest feature_mode %d: only count features (feature_mode %d) are supported; retrain the model",
-			man.FeatureMode, featureModeCounts)
-	}
-	feat, err := ocsvm.NewFeaturizer(vocab.Size())
+	feat, err := ocsvm.NewFeaturizer(a.vocab.Size())
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuild featurizer: %w", err)
 	}
-	if man.Backend == "" {
-		man.Backend = lm.BackendLSTM
+	clusters := make([]ClusterModel, len(a.ClusterSizes))
+	if _, err := a.walk(clusters); err != nil {
+		return nil, err
 	}
-	cfg := PaperConfig(vocab.Size(), 0)
-	cfg.Backend = man.Backend
-	if err := cfg.validate(); err != nil {
-		return nil, fmt.Errorf("core: manifest: %w", err)
-	}
-	if man.MinSessionLength >= 2 {
-		cfg.MinSessionLength = man.MinSessionLength
-	}
-	if man.RouteVoteActions >= 1 {
-		cfg.RouteVoteActions = man.RouteVoteActions
-	}
-	if len(man.ClusterSizes) == 0 {
-		return nil, fmt.Errorf("core: saved detector has no clusters")
-	}
-	clusters := make([]ClusterModel, 0, len(man.ClusterSizes))
-	for i := range man.ClusterSizes {
-		cm, err := loadCluster(dir, i, &man, vocab.Size())
-		if err != nil {
-			return nil, err
-		}
-		clusters = append(clusters, cm)
-	}
-	return newDetector(cfg, vocab, feat, clusters)
+	return newDetector(a.cfg, a.vocab, feat, clusters)
 }
 
-func loadCluster(dir string, i int, man *storeManifest, vocabSize int) (ClusterModel, error) {
-	rf, err := os.Open(routerPath(dir, i))
-	if err != nil {
-		return ClusterModel{}, fmt.Errorf("core: open router %d: %w", i, err)
+// decode reads cluster i's verified router or model file into clusters[i].
+func (a *artifact) decode(clusters []ClusterModel, i int, model bool, r io.Reader) (err error) {
+	c := &clusters[i]
+	c.TrainSize = a.ClusterSizes[i]
+	if !model {
+		c.Router, err = ocsvm.Load(r)
+		return err
 	}
-	router, err := ocsvm.Load(rf)
-	rf.Close()
-	if err != nil {
-		return ClusterModel{}, fmt.Errorf("core: load router %d: %w", i, err)
+	if c.Model, err = scorer.Decode(r); err != nil {
+		return err
 	}
-	mf, err := os.Open(modelPath(dir, i))
-	if err != nil {
-		return ClusterModel{}, fmt.Errorf("core: open model %d: %w", i, err)
+	if got := c.Model.Backend(); got != a.cfg.Backend {
+		return fmt.Errorf("model has backend %q, manifest says %q", got, a.cfg.Backend)
 	}
-	model, err := scorer.Decode(mf)
-	mf.Close()
-	if err != nil {
-		return ClusterModel{}, fmt.Errorf("core: load model %d: %w", i, err)
+	if got := c.Model.VocabSize(); got != a.vocab.Size() {
+		return fmt.Errorf("model vocabulary %d does not match manifest vocabulary %d", got, a.vocab.Size())
 	}
-	if got := model.Backend(); got != man.Backend {
-		return ClusterModel{}, fmt.Errorf("core: cluster %d model has backend %q, manifest says %q", i, got, man.Backend)
-	}
-	if got := model.VocabSize(); got != vocabSize {
-		return ClusterModel{}, fmt.Errorf("core: cluster %d model vocabulary %d does not match manifest vocabulary %d", i, got, vocabSize)
-	}
-	cm := ClusterModel{Router: router, Model: model, TrainSize: man.ClusterSizes[i]}
-	if lmModel, ok := model.(*lm.Model); ok {
-		cm.LM = lmModel
-	}
-	return cm, nil
+	c.LM, _ = c.Model.(*lm.Model)
+	return nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -120,7 +122,7 @@ func TestDetectorSaveLoadNGramRoundTrip(t *testing.T) {
 }
 
 // saveTestModel saves a fresh small ngram detector into dir.
-func saveTestModel(t *testing.T, dir string) {
+func saveTestModel(t testing.TB, dir string) {
 	t.Helper()
 	vocab, sessions := testCorpus(t, 15)
 	clusters, err := GroundTruthClustering(sessions, 2)
@@ -160,6 +162,29 @@ func rewriteManifest(t *testing.T, dir string, mutate func(map[string]any)) {
 	}
 }
 
+// routerPath and modelPath locate cluster i's two files in dir.
+func routerPath(dir string, i int) string { return filepath.Join(dir, clusterFiles(i)[0]) }
+func modelPath(dir string, i int) string  { return filepath.Join(dir, clusterFiles(i)[1]) }
+
+// replaceArtifactFile overwrites a listed file of a saved directory and
+// rewrites its checksum and the manifest's total_bytes to match, so the
+// new bytes pass verification and reach the decoder.
+func replaceArtifactFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	old, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	rewriteManifest(t, filepath.Dir(path), func(man map[string]any) {
+		man["checksums"].(map[string]any)[filepath.Base(path)] = hex.EncodeToString(sum[:])
+		man["total_bytes"] = man["total_bytes"].(float64) + float64(len(data)) - float64(old.Size())
+	})
+}
+
 // rawEnvelope builds a scorer envelope header by hand, so the tests can
 // produce tags and versions no writer in this build would emit.
 func rawEnvelope(version uint16, tag string, payload []byte) []byte {
@@ -172,7 +197,9 @@ func rawEnvelope(version uint16, tag string, payload []byte) []byte {
 
 // TestLoadDetectorEnvelopeErrors covers the failure modes of the tagged
 // model store: every broken directory must fail with an error naming
-// the problem, never a silent mis-load.
+// the problem, never a silent mis-load. A case that replaces a model
+// file re-checksums it, so the file passes verification and the
+// decoder's own refusal is what gets asserted.
 func TestLoadDetectorEnvelopeErrors(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -196,27 +223,21 @@ func TestLoadDetectorEnvelopeErrors(t *testing.T) {
 		{
 			name: "unknown backend tag",
 			corrupt: func(t *testing.T, dir string) {
-				if err := os.WriteFile(modelPath(dir, 0), rawEnvelope(scorer.FormatVersion, "alien", nil), 0o644); err != nil {
-					t.Fatal(err)
-				}
+				replaceArtifactFile(t, modelPath(dir, 0), rawEnvelope(scorer.FormatVersion, "alien", nil))
 			},
 			want: `unknown backend "alien"`,
 		},
 		{
 			name: "envelope version mismatch",
 			corrupt: func(t *testing.T, dir string) {
-				if err := os.WriteFile(modelPath(dir, 0), rawEnvelope(9, "ngram", nil), 0o644); err != nil {
-					t.Fatal(err)
-				}
+				replaceArtifactFile(t, modelPath(dir, 0), rawEnvelope(9, "ngram", nil))
 			},
 			want: "format version 9",
 		},
 		{
 			name: "corrupted model file",
 			corrupt: func(t *testing.T, dir string) {
-				if err := os.WriteFile(modelPath(dir, 0), []byte("not a model at all"), 0o644); err != nil {
-					t.Fatal(err)
-				}
+				replaceArtifactFile(t, modelPath(dir, 0), []byte("not a model at all"))
 			},
 			want: "bad magic",
 		},
@@ -227,9 +248,7 @@ func TestLoadDetectorEnvelopeErrors(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(modelPath(dir, 1), data[:len(data)/2], 0o644); err != nil {
-					t.Fatal(err)
-				}
+				replaceArtifactFile(t, modelPath(dir, 1), data[:len(data)/2])
 			},
 			want: "payload",
 		},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -30,8 +31,9 @@ func TestVerifyArtifactHappyPath(t *testing.T) {
 // TestVerifyArtifactRefusesTornDirectories is the torn-directory matrix
 // of the verified-artifact path: a missing manifest, a manifest with its
 // checksums stripped, a missing cluster file, a truncated envelope, a
-// flipped byte, a padded file, a lying byte total, and a path-traversing
-// manifest entry must each be refused by VerifyArtifact AND by
+// flipped byte, a padded file, a lying byte total, a path-traversing
+// manifest entry, and a cluster whose files the manifest leaves
+// unchecksummed must each be refused by VerifyArtifact AND by
 // LoadGeneration, the reader in front of every registry install — with
 // an error naming the problem.
 func TestVerifyArtifactRefusesTornDirectories(t *testing.T) {
@@ -138,6 +140,36 @@ func TestVerifyArtifactRefusesTornDirectories(t *testing.T) {
 			},
 			want: "suspicious",
 		},
+		{
+			// The checksums are consistent with the files they list, but
+			// cluster 1's are not listed: its model, swapped for cluster
+			// 0's, would otherwise serve unverified.
+			name: "cluster files missing from the checksums",
+			corrupt: func(t *testing.T, dir string) {
+				var dropped int64
+				for _, path := range []string{routerPath(dir, 1), modelPath(dir, 1)} {
+					fi, err := os.Stat(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dropped += fi.Size()
+				}
+				data, err := os.ReadFile(modelPath(dir, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(modelPath(dir, 1), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				rewriteManifest(t, dir, func(man map[string]any) {
+					sums := man["checksums"].(map[string]any)
+					delete(sums, filepath.Base(routerPath(dir, 1)))
+					delete(sums, filepath.Base(modelPath(dir, 1)))
+					man["total_bytes"] = man["total_bytes"].(float64) - float64(dropped)
+				})
+			},
+			want: "no checksum for cluster-01-router.gob",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,4 +275,75 @@ func TestSaveAtomicity(t *testing.T) {
 	if _, err := LoadDetector(dir); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzLoadManifest feeds arbitrary manifest.json bytes to LoadGeneration
+// over a saved two-cluster n-gram directory, the trust boundary in front
+// of every registry install. The load must never panic. A manifest whose
+// cluster_sizes names a cluster the checksums do not cover, however many
+// clusters it claims, must be refused by openArtifact, the manifest pass
+// LoadDetector runs before it allocates any per-cluster state. And a
+// load that succeeds must have decoded only files the manifest lists.
+func FuzzLoadManifest(f *testing.F) {
+	dir := filepath.Join(f.TempDir(), "model")
+	saveTestModel(f, dir)
+	path := filepath.Join(dir, "manifest.json")
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	edit := func(mutate func(man map[string]any)) []byte {
+		var man map[string]any
+		if err := json.Unmarshal(saved, &man); err != nil {
+			f.Fatal(err)
+		}
+		mutate(man)
+		out, err := json.Marshal(man)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return out
+	}
+	f.Add(saved)
+	f.Add(edit(func(man map[string]any) { man["cluster_sizes"] = make([]int, 1<<16) }))
+	f.Add(edit(func(man map[string]any) { man["cluster_sizes"] = []int{15} }))
+	f.Add(edit(func(man map[string]any) {
+		delete(man["checksums"].(map[string]any), "cluster-01-model.bin")
+	}))
+	f.Add(edit(func(man map[string]any) { man["backend"] = "" }))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		det, _, loadErr := LoadGeneration(dir)
+		var man storeManifest
+		if err := json.Unmarshal(data, &man); err != nil {
+			if loadErr == nil {
+				t.Fatalf("loaded a directory whose manifest does not parse: %v", err)
+			}
+			return
+		}
+		unlisted := ""
+		for i := 0; i < len(man.ClusterSizes) && unlisted == ""; i++ {
+			for _, name := range clusterFiles(i) {
+				if _, ok := man.Checksums[name]; !ok && unlisted == "" {
+					unlisted = name
+				}
+			}
+		}
+		if loadErr == nil && det.ClusterCount() != len(man.ClusterSizes) {
+			t.Fatalf("loaded %d clusters from a manifest of %d", det.ClusterCount(), len(man.ClusterSizes))
+		}
+		if unlisted == "" {
+			return
+		}
+		// Loading would have decoded the unlisted file; refusing it
+		// anywhere but the manifest pass would have allocated for every
+		// claimed cluster first.
+		_, openErr := openArtifact(dir)
+		if loadErr == nil || openErr == nil || !strings.Contains(loadErr.Error(), openErr.Error()) {
+			t.Fatalf("%d clusters, %s unlisted: load error %v, manifest-pass error %v; want the load refused by the manifest pass",
+				len(man.ClusterSizes), unlisted, loadErr, openErr)
+		}
+	})
 }

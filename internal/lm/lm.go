@@ -112,28 +112,16 @@ func Load(r io.Reader) (*Model, error) {
 // batched step (one output GEMM + one recurrent GEMM for the whole
 // batch), bit-identical to observing each stream serially. Safe for
 // concurrent use by multiple shards; the streams themselves must be
-// disjoint across concurrent calls.
+// disjoint across concurrent calls. scorer.AdvanceBatch checks the
+// lengths; every stream must be one this model's NewStream returned.
 func (m *Model) AdvanceBatch(streams []scorer.Stream, actions []int, liks []float64) error {
-	if len(streams) != len(actions) || len(streams) != len(liks) {
-		return fmt.Errorf("lm: AdvanceBatch length mismatch streams=%d actions=%d liks=%d",
-			len(streams), len(actions), len(liks))
-	}
 	// Engine waves default to 64 streams, so the gather stays on the stack.
 	var buf [64]*nn.StreamState
 	ns := buf[:0]
-	for _, st := range streams {
+	for i, st := range streams {
 		s, ok := st.(*nn.StreamState)
 		if !ok {
-			// A wrapped or foreign stream type cannot be packed; advance
-			// the whole batch serially instead.
-			for i, st := range streams {
-				lik, err := st.ObserveLikelihood(actions[i])
-				if err != nil {
-					return err
-				}
-				liks[i] = lik
-			}
-			return nil
+			return fmt.Errorf("lm: AdvanceBatch stream %d is a %T, not an LSTM stream", i, st)
 		}
 		ns = append(ns, s)
 	}

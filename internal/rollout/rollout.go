@@ -4,11 +4,15 @@
 // smoothed-likelihood and alarm-rate samples per arm, and after a
 // minimum sample count the candidate is either promoted to serving or
 // automatically rolled back with its directory quarantined (Controller).
-// A candidate arrives verified: core.VerifyArtifact checks a saved model
-// directory against its manifest checksums before any loader touches
-// weights.
+// A candidate arrives verified: core.LoadGeneration (reload) and
+// core.VerifyArtifact (the pipeline's staging check) make one pass over
+// a saved model directory, refusing a manifest that leaves any
+// cluster's file unchecksummed and verifying each file's SHA-256 before
+// it is decoded.
 //
-//	Detector.Save ──checksummed artifact──► core.VerifyArtifact ──► Registry / reload / pipeline
+//	Detector.Save ──checksummed artifact──► core.LoadGeneration ──► Registry / reload / pipeline
+//	                                        manifest once, then per file:
+//	                                        open ─► SHA-256 ─► decode
 //
 //	publish candidate ──► Registry canary slot ──► Assign splits new sessions
 //	        │                                        │
