@@ -24,10 +24,10 @@
 // both paths. See ARCHITECTURE.md for the design.
 //
 // Scoring is backend-pluggable: the per-cluster sequence model is any
-// internal/scorer.Scorer — the paper's LSTM (internal/lm), or the
-// streaming n-gram and HMM adapters (internal/baseline) — selected by
-// core.Config.Backend and persisted through a backend-tagged
-// serialization envelope. A versioned model registry (core.Registry)
+// internal/scorer.Scorer — the paper's LSTM (internal/nn), or the
+// streaming n-gram and HMM models (internal/baseline) — selected by
+// core.Config.Backend from one table of backends in internal/core and
+// persisted through a backend-tagged serialization envelope. A versioned model registry (core.Registry)
 // hot-swaps whole model generations behind an atomic pointer with
 // in-flight sessions pinned to the generation they started on; the
 // misused daemon exposes it as the {"cmd":"reload"} wire command

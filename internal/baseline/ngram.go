@@ -1,7 +1,7 @@
 // Package baseline implements the comparison models of the evaluation:
 // the paper's own two baselines are LSTM language models trained on the
 // whole dataset and on arbitrary size-matched subsets (built from package
-// lm by the core pipeline); this package adds two classical baselines the
+// nn by the core pipeline); this package adds two classical baselines the
 // paper cites — an interpolated n-gram language model (Chen & Goodman
 // 1996) and a handcrafted-feature anomaly detector in the style of
 // Kruegel & Vigna (2003), using session length and action-distribution

@@ -9,17 +9,12 @@ import (
 	"slices"
 
 	"misusedetect/internal/actionlog"
-	"misusedetect/internal/scorer"
 	"misusedetect/internal/tensor"
 )
 
-// The classical backends register their loaders with the scorer
-// registry, so any model file written through scorer.Encode names the
-// code that reads it back.
-func init() {
-	scorer.Register(BackendNGram, func(r io.Reader) (scorer.Scorer, error) { return LoadNGram(r) })
-	scorer.Register(BackendHMM, func(r io.Reader) (scorer.Scorer, error) { return LoadHMM(r) })
-}
+// LoadNGram and LoadHMM read the payloads Save writes. They are the
+// classical backends' loaders in internal/core's backends table, which
+// dispatches to them on the backend tag of a model file's envelope.
 
 // ngramPayload is the gob wire form of an NGram: every counted gram's
 // key in ascending order, with its count. A context's totals follow from

@@ -237,46 +237,6 @@ func TestLikelihoodFastPathMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestScorerRoundTrips saves both classical backends through the tagged
-// envelope and checks the loaded models score identically.
-func TestScorerRoundTrips(t *testing.T) {
-	sessions := cycleSessions(10, 16, 6)
-	session := []int{0, 1, 2, 3, 4, 5, 0, 1}
-
-	ng, err := TrainNGram(sessions, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hm, err := TrainHMM(sessions, 6, HMMConfig{States: 3, Iterations: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []scorer.Scorer{ng, hm} {
-		var buf bytes.Buffer
-		if err := scorer.Encode(&buf, m); err != nil {
-			t.Fatalf("%s: %v", m.Backend(), err)
-		}
-		back, err := scorer.Decode(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Backend(), err)
-		}
-		if back.Backend() != m.Backend() || back.VocabSize() != m.VocabSize() {
-			t.Fatalf("%s: loaded as %s vocab %d", m.Backend(), back.Backend(), back.VocabSize())
-		}
-		a, err := scorer.ScoreStream(m, session)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := scorer.ScoreStream(back, session)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("%s: loaded model scores differently:\n%+v\n%+v", m.Backend(), a, b)
-		}
-	}
-}
-
 // TestLoadHMMRefusesVocabAboveBound: an HMM file that is consistent in
 // every other respect is refused once its vocabulary passes the bound
 // every model loader keeps.

@@ -33,7 +33,12 @@ func ParseByteSize(s string) (int64, error) {
 	if v < 0 {
 		return 0, fmt.Errorf("core: byte size %q is negative", s)
 	}
-	return int64(v * float64(mult)), nil
+	// NaN fails the comparison too; 1<<63 itself does not fit an int64.
+	n := v * float64(mult)
+	if !(n < 1<<63) {
+		return 0, fmt.Errorf("core: byte size %q is not a finite size below 2^63 bytes", s)
+	}
+	return int64(n), nil
 }
 
 // FormatByteSize renders bytes in the notation ParseByteSize accepts,

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"misusedetect/internal/scorer"
-)
+import "fmt"
 
 // Idle-session compaction: once the routing vote has frozen (position >=
 // RouteVoteActions), a SessionMonitor holds only what the session still
@@ -30,7 +26,10 @@ const voteStructOverhead = 128
 // the shared detector. The engine sums this per shard and compares the
 // total against EngineConfig.MemBudget.
 func (m *SessionMonitor) MemSize() int {
-	n := monitorStructOverhead + cap(m.recent)*8 + scorer.StreamMemSize(m.stream)
+	n := monitorStructOverhead + cap(m.recent)*8
+	if m.stream != nil {
+		n += m.stream.MemSize()
+	}
 	if v := m.vote; v != nil {
 		n += voteStructOverhead + (cap(v.route)+cap(v.prefix)+cap(v.votes))*4
 	}

@@ -14,7 +14,7 @@ import (
 	"misusedetect/internal/baseline"
 	"misusedetect/internal/expert"
 	"misusedetect/internal/lda"
-	"misusedetect/internal/lm"
+	"misusedetect/internal/nn"
 	"misusedetect/internal/ocsvm"
 )
 
@@ -26,13 +26,13 @@ type Config struct {
 	Expert expert.Options
 	// OCSVM configures the per-cluster one-class SVMs.
 	OCSVM ocsvm.Config
-	// Backend selects the per-cluster sequence-model family:
-	// lm.BackendLSTM (the paper's model, the default when empty),
-	// baseline.BackendNGram, or baseline.BackendHMM.
+	// Backend selects the per-cluster sequence-model family, a tag of
+	// the backends table: nn.BackendLSTM (the paper's model, the default
+	// when empty), baseline.BackendNGram, or baseline.BackendHMM.
 	Backend string
 	// LM configures the per-cluster language models. Network.InputSize
 	// is overwritten with the vocabulary size at training time.
-	LM lm.Config
+	LM nn.Config
 	// HMM configures the per-cluster HMMs when Backend is
 	// baseline.BackendHMM.
 	HMM baseline.HMMConfig
@@ -54,8 +54,8 @@ func PaperConfig(vocab int, seed int64) Config {
 		Ensemble:         lda.DefaultEnsembleConfig(seed),
 		Expert:           expert.DefaultOptions(seed + 1),
 		OCSVM:            ocsvm.DefaultConfig(seed + 2),
-		Backend:          lm.BackendLSTM,
-		LM:               lm.PaperConfig(vocab, seed+3),
+		Backend:          nn.BackendLSTM,
+		LM:               nn.PaperConfig(vocab, seed+3),
 		HMM:              baseline.DefaultHMMConfig(seed + 4),
 		MinSessionLength: 2,
 		RouteVoteActions: 15,
@@ -68,7 +68,7 @@ func PaperConfig(vocab int, seed int64) Config {
 func ScaledConfig(vocab, clusters, hidden, epochs int, seed int64) Config {
 	cfg := PaperConfig(vocab, seed)
 	cfg.Expert.TargetClusters = clusters
-	cfg.LM = lm.ScaledConfig(vocab, hidden, epochs, seed+3)
+	cfg.LM = nn.ScaledConfig(vocab, hidden, epochs, seed+3)
 	cfg.Ensemble.Iterations = 60
 	cfg.Ensemble.TopicCounts = []int{clusters, clusters + clusters/2 + 1}
 	cfg.Ensemble.RunsPerCount = 1
@@ -78,7 +78,7 @@ func ScaledConfig(vocab, clusters, hidden, epochs int, seed int64) Config {
 // backend returns the configured backend tag, defaulting to the LSTM.
 func (c *Config) backend() string {
 	if c.Backend == "" {
-		return lm.BackendLSTM
+		return backends[0].tag
 	}
 	return c.Backend
 }
@@ -90,11 +90,8 @@ func (c *Config) validate() error {
 	if c.RouteVoteActions < 1 {
 		return fmt.Errorf("core: RouteVoteActions must be >= 1, got %d", c.RouteVoteActions)
 	}
-	switch c.backend() {
-	case lm.BackendLSTM, baseline.BackendNGram, baseline.BackendHMM:
-	default:
-		return fmt.Errorf("core: unknown backend %q (want %q, %q, or %q)",
-			c.Backend, lm.BackendLSTM, baseline.BackendNGram, baseline.BackendHMM)
+	if lookupBackend(c.backend()) == nil {
+		return fmt.Errorf("core: unknown backend %q (want one of %s)", c.Backend, backendTags())
 	}
 	return nil
 }

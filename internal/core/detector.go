@@ -7,8 +7,6 @@ import (
 	"sync"
 
 	"misusedetect/internal/actionlog"
-	"misusedetect/internal/baseline"
-	"misusedetect/internal/lm"
 	"misusedetect/internal/nn"
 	"misusedetect/internal/ocsvm"
 	"misusedetect/internal/scorer"
@@ -25,10 +23,10 @@ type ClusterModel struct {
 	// selected by Config.Backend. Every scoring path goes through this
 	// interface.
 	Model scorer.Scorer
-	// LM is the typed handle to Model when the backend is the LSTM
-	// (nil otherwise). Only the benchmark's LSTM micro rows read it;
-	// everything else scores through Model.
-	LM *lm.Model
+	// LM is Model itself when the backend is the LSTM, as its concrete
+	// type, and nil for the n-gram and the HMM. Only the benchmark's
+	// LSTM micro rows read it; everything else scores through Model.
+	LM *nn.LanguageNetwork
 	// TrainSize is the number of training sessions, used for reporting
 	// (the paper orders clusters by size).
 	TrainSize int
@@ -199,42 +197,25 @@ func trainClusterEncoded(cfg *Config, vocab *actionlog.Vocabulary, feat *ocsvm.F
 	return cm, nil
 }
 
-// train fits the cluster's sequence model with the configured backend,
-// offsetting seeds by the cluster index so clusters differ.
+// train fits the cluster's sequence model with the configured backend.
 func (cm *ClusterModel) train(cfg *Config, vocab *actionlog.Vocabulary, encoded [][]int, ci int, progress func(int, nn.EpochStats)) error {
-	switch cfg.Backend {
-	case lm.BackendLSTM:
-		lmCfg := cfg.LM
-		lmCfg.Network.InputSize = vocab.Size()
-		lmCfg.Network.Seed = cfg.LM.Network.Seed + int64(ci)
-		lmCfg.Trainer.Seed = cfg.LM.Trainer.Seed + int64(ci)
-		var cb func(nn.EpochStats)
-		if progress != nil {
-			cb = func(st nn.EpochStats) { progress(ci, st) }
-		}
-		model, err := lm.Train(lmCfg, encoded, cb)
-		if err != nil {
-			return fmt.Errorf("core: train LM %d: %w", ci, err)
-		}
-		cm.Model, cm.LM = model, model
-	case baseline.BackendNGram:
-		model, err := baseline.TrainNGram(encoded, vocab.Size())
-		if err != nil {
-			return fmt.Errorf("core: train ngram %d: %w", ci, err)
-		}
-		cm.Model = model
-	case baseline.BackendHMM:
-		hCfg := cfg.HMM
-		hCfg.Seed = cfg.HMM.Seed + int64(ci)
-		model, err := baseline.TrainHMM(encoded, vocab.Size(), hCfg)
-		if err != nil {
-			return fmt.Errorf("core: train hmm %d: %w", ci, err)
-		}
-		cm.Model = model
-	default:
+	b := lookupBackend(cfg.Backend)
+	if b == nil {
 		return fmt.Errorf("core: unknown backend %q", cfg.Backend)
 	}
+	model, err := b.train(cfg, vocab.Size(), encoded, ci, progress)
+	if err != nil {
+		return fmt.Errorf("core: train %s %d: %w", b.tag, ci, err)
+	}
+	cm.setModel(model)
 	return nil
+}
+
+// setModel installs the cluster's sequence model and its typed LSTM
+// handle.
+func (cm *ClusterModel) setModel(model scorer.Scorer) {
+	cm.Model = model
+	cm.LM, _ = model.(*nn.LanguageNetwork)
 }
 
 // Config returns the detector's configuration.

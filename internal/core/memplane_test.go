@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -486,10 +487,18 @@ func TestParseByteSize(t *testing.T) {
 			t.Fatalf("ParseByteSize(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "x", "-1k", "12q", "1.2.3m"} {
-		if _, err := ParseByteSize(bad); err == nil {
+	// Non-finite sizes and sizes of 2^63 bytes or more do not fit an int64.
+	for _, bad := range []string{"", "x", "-1k", "12q", "1.2.3m", "nan", "inf", "1e30g", "8589934592g"} {
+		_, err := ParseByteSize(bad)
+		if err == nil {
 			t.Fatalf("ParseByteSize(%q) accepted, want error", bad)
 		}
+		if bad != "" && !strings.Contains(err.Error(), bad) {
+			t.Fatalf("ParseByteSize(%q) error %q does not name the input", bad, err)
+		}
+	}
+	if got, err := ParseByteSize("8589934591g"); err != nil || got != 8589934591<<30 {
+		t.Fatalf("ParseByteSize(%q) = %d, %v; want the largest whole-GiB size", "8589934591g", got, err)
 	}
 	for _, n := range []int64{0, 512, 1 << 10, 3 << 29, 2 << 30} {
 		s := FormatByteSize(n)

@@ -10,9 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"misusedetect/internal/lm"
 	"misusedetect/internal/ocsvm"
-	"misusedetect/internal/scorer"
 )
 
 // storeFormatVersion is the model-directory layout version. Version 2
@@ -133,7 +131,7 @@ func saveCluster(dir string, i int, c *ClusterModel, man *storeManifest) error {
 		return fmt.Errorf("core: save router %d: %w", i, err)
 	}
 	if err := writeHashed(dir, names[1], man, func(w io.Writer) error {
-		return scorer.Encode(w, c.Model)
+		return encodeModel(w, c.Model)
 	}); err != nil {
 		return fmt.Errorf("core: save model %d: %w", i, err)
 	}
@@ -190,15 +188,16 @@ func (a *artifact) decode(clusters []ClusterModel, i int, model bool, r io.Reade
 		c.Router, err = ocsvm.Load(r)
 		return err
 	}
-	if c.Model, err = scorer.Decode(r); err != nil {
+	s, err := decodeModel(r)
+	if err != nil {
 		return err
 	}
-	if got := c.Model.Backend(); got != a.cfg.Backend {
+	if got := s.Backend(); got != a.cfg.Backend {
 		return fmt.Errorf("model has backend %q, manifest says %q", got, a.cfg.Backend)
 	}
-	if got := c.Model.VocabSize(); got != a.vocab.Size() {
+	if got := s.VocabSize(); got != a.vocab.Size() {
 		return fmt.Errorf("model vocabulary %d does not match manifest vocabulary %d", got, a.vocab.Size())
 	}
-	c.LM, _ = c.Model.(*lm.Model)
+	c.setModel(s)
 	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"os"
@@ -12,7 +11,6 @@ import (
 
 	"misusedetect/internal/baseline"
 	"misusedetect/internal/logsim"
-	"misusedetect/internal/scorer"
 )
 
 func TestTrainDetectorClassicalBackends(t *testing.T) {
@@ -185,16 +183,6 @@ func replaceArtifactFile(t *testing.T, path string, data []byte) {
 	})
 }
 
-// rawEnvelope builds a scorer envelope header by hand, so the tests can
-// produce tags and versions no writer in this build would emit.
-func rawEnvelope(version uint16, tag string, payload []byte) []byte {
-	b := []byte(scorer.Magic)
-	b = binary.BigEndian.AppendUint16(b, version)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(tag)))
-	b = append(b, tag...)
-	return append(b, payload...)
-}
-
 // TestLoadDetectorEnvelopeErrors covers the failure modes of the tagged
 // model store: every broken directory must fail with an error naming
 // the problem, never a silent mis-load. A case that replaces a model
@@ -223,14 +211,14 @@ func TestLoadDetectorEnvelopeErrors(t *testing.T) {
 		{
 			name: "unknown backend tag",
 			corrupt: func(t *testing.T, dir string) {
-				replaceArtifactFile(t, modelPath(dir, 0), rawEnvelope(scorer.FormatVersion, "alien", nil))
+				replaceArtifactFile(t, modelPath(dir, 0), envelope(envelopeMagic, envelopeVersion, "alien", nil))
 			},
 			want: `unknown backend "alien"`,
 		},
 		{
 			name: "envelope version mismatch",
 			corrupt: func(t *testing.T, dir string) {
-				replaceArtifactFile(t, modelPath(dir, 0), rawEnvelope(9, "ngram", nil))
+				replaceArtifactFile(t, modelPath(dir, 0), envelope(envelopeMagic, 9, "ngram", nil))
 			},
 			want: "format version 9",
 		},

@@ -13,7 +13,6 @@ import (
 
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/baseline"
-	"misusedetect/internal/lm"
 	"misusedetect/internal/nn"
 )
 
@@ -72,7 +71,7 @@ func saved(t *testing.T, m interface{ Save(io.Writer) error }) []byte {
 
 func TestTrainDetectorParallelBitIdentical(t *testing.T) {
 	vocab, clusters := unevenClusters(t)
-	for _, backend := range []string{lm.BackendLSTM, baseline.BackendNGram, baseline.BackendHMM} {
+	for _, backend := range []string{nn.BackendLSTM, baseline.BackendNGram, baseline.BackendHMM} {
 		cfg := testConfig(vocab.Size())
 		cfg.Backend = backend
 		serial, serialEpochs, err := trainAtProcs(t, 1, cfg, vocab, clusters)
@@ -95,7 +94,7 @@ func TestTrainDetectorParallelBitIdentical(t *testing.T) {
 				t.Errorf("%s: cluster %d OC-SVM differs between GOMAXPROCS 1 and 4", backend, ci)
 			}
 			wantEpochs := 0
-			if backend == lm.BackendLSTM {
+			if backend == nn.BackendLSTM {
 				wantEpochs = cfg.LM.Trainer.Epochs
 			}
 			if len(serialEpochs[ci]) != wantEpochs || len(parallelEpochs[ci]) != wantEpochs {

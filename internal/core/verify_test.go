@@ -194,7 +194,7 @@ func TestVerifyArtifactRefusesTornDirectories(t *testing.T) {
 	}
 }
 
-// failingScorer is a save-failure injection point: scorer.Encode refuses
+// failingScorer is a save-failure injection point: encodeModel refuses
 // its empty backend tag, so any artifact write that reaches this model
 // errors out mid-save — simulating a crash between cluster files.
 type failingScorer struct{}

@@ -6,9 +6,9 @@ import (
 
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/baseline"
-	"misusedetect/internal/lm"
 	"misusedetect/internal/logsim"
 	"misusedetect/internal/metrics"
+	"misusedetect/internal/nn"
 	"misusedetect/internal/scorer"
 )
 
@@ -205,7 +205,7 @@ func ExtensionTrainingMode(s *Setup) (*Result, error) {
 		cfg.Trainer.MinOptimizerSteps = 0
 		cfg.Trainer.Epochs = 2
 		start := time.Now()
-		model, err := lm.Train(cfg, encTrain, nil)
+		model, err := nn.Train(cfg, encTrain, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: training-mode %s: %w", mode.name, err)
 		}

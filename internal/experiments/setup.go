@@ -15,8 +15,8 @@ import (
 
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/core"
-	"misusedetect/internal/lm"
 	"misusedetect/internal/logsim"
+	"misusedetect/internal/nn"
 )
 
 // Scale selects the compute budget of an experiment run. Shapes hold at
@@ -112,10 +112,10 @@ type Setup struct {
 	// trained on the cluster training splits.
 	Detector *core.Detector
 	// GlobalLM is the strong baseline: one model on all training data.
-	GlobalLM *lm.Model
+	GlobalLM *nn.LanguageNetwork
 	// SubsetLMs are the weak baselines: for each cluster, a model
 	// trained on an arbitrary training subset of the same size.
-	SubsetLMs []*lm.Model
+	SubsetLMs []*nn.LanguageNetwork
 
 	cfg    core.Config
 	scaleP params
@@ -217,7 +217,7 @@ func (s *Setup) TrainBaselines() error {
 	// Each job has its own seed, so they train in parallel (through
 	// core.LargestFirst) without moving a bit.
 	sets := [][][]int{encodedAll}
-	cfgs := []lm.Config{lmCfg}
+	cfgs := []nn.Config{lmCfg}
 	for ci := range s.Clusters {
 		size := len(s.Splits[ci].Train)
 		if size > len(encodedAll) {
@@ -242,9 +242,9 @@ func (s *Setup) TrainBaselines() error {
 			sizes[j] += len(enc)
 		}
 	}
-	models := make([]*lm.Model, len(sets))
+	models := make([]*nn.LanguageNetwork, len(sets))
 	if err := core.LargestFirst(sizes, func(j int) error {
-		m, err := lm.Train(cfgs[j], sets[j], nil)
+		m, err := nn.Train(cfgs[j], sets[j], nil)
 		switch {
 		case err != nil && j == 0:
 			return fmt.Errorf("experiments: train global model: %w", err)

@@ -8,8 +8,8 @@ import (
 	"misusedetect/internal/baseline"
 	"misusedetect/internal/core"
 	"misusedetect/internal/corpus"
-	"misusedetect/internal/lm"
 	"misusedetect/internal/logsim"
+	"misusedetect/internal/nn"
 )
 
 func TestCorpusTrafficShape(t *testing.T) {
@@ -230,7 +230,7 @@ func TestEvalCorpusLSTM(t *testing.T) {
 		t.Fatal(err)
 	}
 	report, err := Eval(tr, EvalOptions{
-		Backends: []string{lm.BackendLSTM},
+		Backends: []string{nn.BackendLSTM},
 		Hidden:   8,
 		Epochs:   2,
 		Seed:     11,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"misusedetect/internal/scorer"
 	"misusedetect/internal/tensor"
 )
 
@@ -54,7 +55,7 @@ type BatchScratch struct {
 	liks   []float64
 	// e holds one stream's 4H exp arguments, then their exps.
 	e []float64
-	// states is the *State gather buffer used by ObserveBatch.
+	// states is the *State gather buffer used by AdvanceBatch.
 	states []*State
 }
 
@@ -221,32 +222,35 @@ func tanhFromExp(x, e float64) float64 {
 	return z
 }
 
-// ObserveBatch advances N distinct streams of this network by one action
-// each, writing into liks[i] the probability stream i's model assigned
-// to actions[i] before consuming it (-1 for a stream's first action).
-// The likelihood is Softmax(dense(H))[action] of the pre-step hidden
-// state, bit for bit, read without building the distribution: one
-// weight-stationary product of the dense weights (packed once per write
-// to them, see Param.packed) against the primed streams' H rows, then
-// tensor.SoftmaxAt's bias, max, exp and sum passes per row. Then one
-// weight-stationary recurrent product steps every stream (StepBatch).
-// A batch of one is the serial path (StreamState.ObserveLikelihood).
-// Transient buffers come from the network's scratch pool, so several
-// goroutines may observe disjoint streams of one network at once.
-func (n *LanguageNetwork) ObserveBatch(streams []*StreamState, actions []int, liks []float64) error {
+// AdvanceBatch implements scorer.BatchStream: it advances N distinct
+// streams of this network by one action each, writing into liks[i] the
+// probability stream i's model assigned to actions[i] before consuming
+// it (-1 for a stream's first action). Every stream must be a
+// *StreamState of this network. The likelihood is
+// Softmax(dense(H))[action] of the pre-step hidden state, bit for bit,
+// read without building the distribution: one weight-stationary product
+// of the dense weights (packed once per write to them, see Param.packed)
+// against the primed streams' H rows, then tensor.SoftmaxAt's bias, max,
+// exp and sum passes per row. Then one weight-stationary recurrent
+// product steps every stream (StepBatch). A batch of one is the serial
+// path (StreamState.ObserveLikelihood). Transient buffers come from the
+// network's scratch pool, so several goroutines may observe disjoint
+// streams of one network at once.
+func (n *LanguageNetwork) AdvanceBatch(streams []scorer.Stream, actions []int, liks []float64) error {
 	if len(streams) != len(actions) || len(streams) != len(liks) {
-		return fmt.Errorf("nn: ObserveBatch length mismatch streams=%d actions=%d liks=%d",
+		return fmt.Errorf("nn: AdvanceBatch length mismatch streams=%d actions=%d liks=%d",
 			len(streams), len(actions), len(liks))
 	}
 	primed := 0
 	for i, st := range streams {
-		if st.net != n {
-			return fmt.Errorf("nn: ObserveBatch stream %d belongs to a different network", i)
+		ss, ok := st.(*StreamState)
+		if !ok || ss.net != n {
+			return fmt.Errorf("nn: AdvanceBatch stream %d (%T) is not a stream of this network", i, st)
 		}
 		if a := actions[i]; a < 0 || a >= n.cfg.InputSize {
 			return fmt.Errorf("nn: stream action %d outside vocab %d", a, n.cfg.InputSize)
 		}
-		if st.primed {
+		if ss.primed {
 			primed++
 		}
 	}
@@ -257,7 +261,7 @@ func (n *LanguageNetwork) ObserveBatch(streams []*StreamState, actions []int, li
 		s.h = tensor.GrowMatrix(s.h, primed, n.cfg.HiddenSize)
 		s.at, s.liks = s.at[:0], s.liks[:0]
 		for i, st := range streams {
-			if st.primed {
+			if st := st.(*StreamState); st.primed {
 				copy(s.h.Row(len(s.at)), st.state.H)
 				s.at = append(s.at, actions[i])
 				s.liks = append(s.liks, 0)
@@ -270,6 +274,7 @@ func (n *LanguageNetwork) ObserveBatch(streams []*StreamState, actions []int, li
 	s.states = s.states[:0]
 	r := 0
 	for i, st := range streams {
+		st := st.(*StreamState)
 		liks[i] = -1
 		if st.primed {
 			liks[i] = s.liks[r]

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"misusedetect/internal/scorer"
 	"misusedetect/internal/tensor"
 )
 
@@ -157,7 +158,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 			refs := make([]*eagerRef, batch)
 			streams := make([]*StreamState, batch)
 			fresh := func(i int) {
-				streams[i] = net.NewStream()
+				streams[i] = net.NewStream().(*StreamState)
 				refs[i] = &eagerRef{net: net, st: net.lstm.NewState()}
 			}
 			for i := range streams {
@@ -177,7 +178,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 						streams[i], restored[i] = restore(streams[i]), true
 					}
 				}
-				var sub []*StreamState
+				var sub []scorer.Stream
 				var subActions, subIdx []int
 				var unprimed, primed, rest int
 				for i, st := range streams {
@@ -211,7 +212,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 				}
 				mixed = mixed || unprimed > 0 && primed > 0 && rest > 0
 				subLiks := make([]float64, len(sub))
-				if err := net.ObserveBatch(sub, subActions, subLiks); err != nil {
+				if err := net.AdvanceBatch(sub, subActions, subLiks); err != nil {
 					t.Fatal(err)
 				}
 				for k, i := range subIdx {
@@ -231,7 +232,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 			}
 		}
 		if !mixed {
-			t.Fatal("no ObserveBatch call mixed unprimed, primed and restored streams")
+			t.Fatal("no AdvanceBatch call mixed unprimed, primed and restored streams")
 		}
 	})
 }
@@ -239,10 +240,13 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 func TestObserveBatchRejectsForeignStream(t *testing.T) {
 	a := batchNet(t, 11, 5)
 	b := batchNet(t, 11, 5)
-	streams := []*StreamState{a.NewStream(), b.NewStream()}
-	err := a.ObserveBatch(streams, []int{1, 2}, make([]float64, 2))
-	if err == nil {
-		t.Fatal("ObserveBatch accepted a stream from a different network")
+	streams := []scorer.Stream{a.NewStream(), b.NewStream()}
+	if err := a.AdvanceBatch(streams, []int{1, 2}, make([]float64, 2)); err == nil {
+		t.Fatal("AdvanceBatch accepted a stream from a different network")
+	}
+	streams[1] = nil
+	if err := a.AdvanceBatch(streams, []int{1, 2}, make([]float64, 2)); err == nil {
+		t.Fatal("AdvanceBatch accepted a stream that is not an LSTM stream")
 	}
 }
 
@@ -252,7 +256,7 @@ func TestObserveBatchSteadyStateAllocs(t *testing.T) {
 	}
 	net := batchNet(t, 41, 23)
 	const batch = 16
-	streams := make([]*StreamState, batch)
+	streams := make([]scorer.Stream, batch)
 	for i := range streams {
 		streams[i] = net.NewStream()
 	}
@@ -260,7 +264,7 @@ func TestObserveBatchSteadyStateAllocs(t *testing.T) {
 	liks := make([]float64, batch)
 	// Warm the network's pooled scratch first (AllocsPerRun's own warm-up
 	// run then grows the output rows, once every stream is primed).
-	if err := net.ObserveBatch(streams, actions, liks); err != nil {
+	if err := net.AdvanceBatch(streams, actions, liks); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
@@ -269,12 +273,12 @@ func TestObserveBatchSteadyStateAllocs(t *testing.T) {
 			actions[j] = (i + j) % 41
 		}
 		i++
-		if err := net.ObserveBatch(streams, actions, liks); err != nil {
+		if err := net.AdvanceBatch(streams, actions, liks); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ObserveBatch allocated %.1f times per tick in steady state, want 0", allocs)
+		t.Fatalf("AdvanceBatch allocated %.1f times per tick in steady state, want 0", allocs)
 	}
 }
 

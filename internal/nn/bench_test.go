@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"misusedetect/internal/scorer"
 )
 
 // paperSizedNet builds a network at the paper's published size: 256 LSTM
@@ -106,12 +108,12 @@ func BenchmarkObserveBatch(b *testing.B) {
 		}
 		for _, rows := range []int{1, 2, 3, 4, 14, 64} {
 			b.Run(fmt.Sprintf("H%d/rows%d", hidden, rows), func(b *testing.B) {
-				streams := make([]*StreamState, rows)
+				streams := make([]scorer.Stream, rows)
 				for i := range streams {
 					streams[i] = net.NewStream()
 				}
 				actions, liks := make([]int, rows), make([]float64, rows)
-				if err := net.ObserveBatch(streams, actions, liks); err != nil {
+				if err := net.AdvanceBatch(streams, actions, liks); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
@@ -120,7 +122,7 @@ func BenchmarkObserveBatch(b *testing.B) {
 					for j := range actions {
 						actions[j] = (i*7 + j) % 300
 					}
-					if err := net.ObserveBatch(streams, actions, liks); err != nil {
+					if err := net.AdvanceBatch(streams, actions, liks); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -150,7 +152,7 @@ func benchTrainBatch(b *testing.B, dropout float64, segments, maxLen int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := NewTrainer(net, PaperTrainerConfig(1))
+	tr, err := NewTrainer(net, PaperConfig(300, 0).Trainer)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -187,5 +189,27 @@ func BenchmarkAdamStepPaperSize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		adam.Step(params)
+	}
+}
+
+// BenchmarkScoreStreamAvgSession measures scoring one average-length
+// session (15 actions) at the paper's model size (256 LSTM units, 300
+// actions) through scorer.ScoreStream, the offline scoring path.
+func BenchmarkScoreStreamAvgSession(b *testing.B) {
+	net, err := NewLanguageNetwork(PaperConfig(300, 1).Network)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	session := make([]int, 15)
+	for i := range session {
+		session[i] = rng.Intn(300)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scorer.ScoreStream(net, session); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package lm
+package nn
 
 import (
 	"bytes"
@@ -6,12 +6,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"misusedetect/internal/nn"
 	"misusedetect/internal/scorer"
 )
 
 // trainCycleModel trains a small model on a deterministic cycle corpus.
-func trainCycleModel(t *testing.T) *Model {
+func trainCycleModel(t *testing.T) *LanguageNetwork {
 	t.Helper()
 	seq := make([]int, 30)
 	for i := range seq {
@@ -48,7 +47,7 @@ func TestTrainProgressCallback(t *testing.T) {
 	cfg := ScaledConfig(4, 4, 3, 2)
 	cfg.Network.DropoutRate = 0
 	calls := 0
-	_, err := Train(cfg, [][]int{{0, 1, 2, 3}}, func(st nn.EpochStats) { calls++ })
+	_, err := Train(cfg, [][]int{{0, 1, 2, 3}}, func(st EpochStats) { calls++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestTrainProgressCallback(t *testing.T) {
 
 // stepScores replays a session through the model's stream and returns
 // the likelihood of every action after the first.
-func stepScores(t *testing.T, m *Model, session []int) []float64 {
+func stepScores(t *testing.T, m *LanguageNetwork, session []int) []float64 {
 	t.Helper()
 	st := m.NewStream()
 	var out []float64
@@ -193,7 +192,7 @@ func TestCorpusAccuracyAndLoss(t *testing.T) {
 	correct, total := 0, 0
 	var lossSum float64
 	for _, s := range sessions[:2] {
-		probs, err := m.net.ForwardAll(s[:len(s)-1])
+		probs, err := m.ForwardAll(s[:len(s)-1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +227,7 @@ func TestModelSaveLoad(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	back, err := LoadLanguageNetwork(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +240,7 @@ func TestModelSaveLoad(t *testing.T) {
 	if a != b {
 		t.Fatalf("loaded model scores differently: %+v vs %+v", a, b)
 	}
-	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := LoadLanguageNetwork(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("junk must fail to load")
 	}
 }
@@ -257,7 +256,7 @@ func TestStreamScoring(t *testing.T) {
 		for i := range session {
 			session[i] = rng.Intn(m.VocabSize())
 		}
-		probs, err := m.net.ForwardAll(session)
+		probs, err := m.ForwardAll(session)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,4 +293,44 @@ func TestPaperConfigDefaults(t *testing.T) {
 	if cfg.Trainer.WindowSize != 100 {
 		t.Fatalf("window = %d, want 100", cfg.Trainer.WindowSize)
 	}
+}
+
+// TestModelAdvanceBatchMatchesSerial pins the scorer.BatchStream
+// implementation to the serial stream path bit for bit: the property
+// the engine's deterministic-replay anchors stand on.
+func TestModelAdvanceBatchMatchesSerial(t *testing.T) {
+	t.Run("f64", func(t *testing.T) {
+		const vocab, hidden, streams = 23, 11, 8
+		net, err := NewLanguageNetwork(NetworkConfig{InputSize: vocab, HiddenSize: hidden, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batched := make([]scorer.Stream, streams)
+		serial := make([]scorer.Stream, streams)
+		for i := range batched {
+			batched[i] = net.NewStream()
+			serial[i] = net.NewStream()
+		}
+		rng := rand.New(rand.NewSource(31))
+		actions := make([]int, streams)
+		liks := make([]float64, streams)
+		for tick := 0; tick < 12; tick++ {
+			for i := range actions {
+				actions[i] = rng.Intn(vocab)
+			}
+			if err := scorer.AdvanceBatch(net, batched, actions, liks); err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range serial {
+				want, err := st.ObserveLikelihood(actions[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if liks[i] != want {
+					t.Fatalf("tick %d stream %d: batched likelihood %v, serial %v",
+						tick, i, liks[i], want)
+				}
+			}
+		}
+	})
 }

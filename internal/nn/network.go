@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"misusedetect/internal/actionlog"
+	"misusedetect/internal/scorer"
 	"misusedetect/internal/tensor"
 )
 
@@ -21,12 +22,6 @@ type NetworkConfig struct {
 	DropoutRate float64
 	// Seed drives weight initialization and dropout masks.
 	Seed int64
-}
-
-// PaperNetworkConfig returns the hyperparameters selected in the paper's
-// preparatory evaluation: 256 LSTM units, dropout 0.4.
-func PaperNetworkConfig(vocab int, seed int64) NetworkConfig {
-	return NetworkConfig{InputSize: vocab, HiddenSize: 256, DropoutRate: 0.4, Seed: seed}
 }
 
 func (c *NetworkConfig) validate() error {
@@ -49,7 +44,7 @@ type LanguageNetwork struct {
 	lstm  *LSTM
 	dense *Dense
 	rng   *rand.Rand
-	// scratch recycles ObserveBatch's packed matrices: one network is
+	// scratch recycles AdvanceBatch's packed matrices: one network is
 	// served by several engine shards at once, so the transient buffers
 	// cannot hang off the network itself.
 	scratch sync.Pool
@@ -126,11 +121,8 @@ func (n *LanguageNetwork) ForwardAll(seq []int) ([]tensor.Vector, error) {
 // state (H, C) and whether it has consumed an action: the prediction for
 // the next action is softmax(dense(H)), a pure function of H, computed
 // when that action arrives by the same kernels on the serial and batched
-// paths, so a stream carries no scratch and no cached distribution. Its
-// methods deliberately match the scorer.Stream contract — the neural
-// network side of the pluggable backend seam — so lm can hand it to
-// internal/core unwrapped (lm asserts the conformance; nn stays below
-// the seam and does not import it).
+// paths, so a stream carries no scratch and no cached distribution. It
+// is the network's scorer.Stream.
 type StreamState struct {
 	net   *LanguageNetwork
 	state State
@@ -143,9 +135,8 @@ type StreamState struct {
 // the network pointer, the H and C slice headers and the primed flag.
 const streamStructOverhead = 64
 
-// NewStream returns a fresh incremental scorer; H and C share one
-// allocation.
-func (n *LanguageNetwork) NewStream() *StreamState {
+// NewStream returns a fresh *StreamState; H and C share one allocation.
+func (n *LanguageNetwork) NewStream() scorer.Stream {
 	hs := n.cfg.HiddenSize
 	hc := tensor.NewVector(2 * hs)
 	return &StreamState{net: n, state: State{H: hc[:hs:hs], C: hc[hs:]}}
@@ -153,11 +144,11 @@ func (n *LanguageNetwork) NewStream() *StreamState {
 
 // ObserveLikelihood consumes one action and returns the probability the
 // model assigned to it, -1 for the stream's first action. It is a batch
-// of one through ObserveBatch, so a stream may move freely between
+// of one through AdvanceBatch, so a stream may move freely between
 // serial and batched observation.
 func (s *StreamState) ObserveLikelihood(action int) (float64, error) {
-	streams, actions, liks := [1]*StreamState{s}, [1]int{action}, [1]float64{}
-	err := s.net.ObserveBatch(streams[:], actions[:], liks[:])
+	streams, actions, liks := [1]scorer.Stream{s}, [1]int{action}, [1]float64{}
+	err := s.net.AdvanceBatch(streams[:], actions[:], liks[:])
 	return liks[0], err
 }
 

@@ -23,6 +23,10 @@
 // while Trainer.Fit runs, and LoadLanguageNetwork adopts the decoded
 // weights rather than copying them over a fresh initialization. Beside
 // them it keeps the two packed copies serving reads.
+//
+// The LanguageNetwork is the LSTM backend of the detection pipeline: it
+// implements scorer.Scorer and scorer.BatchStream itself (model.go),
+// and Train fits one on a behavior cluster's sessions.
 package nn
 
 import (

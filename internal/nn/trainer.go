@@ -40,19 +40,6 @@ type TrainerConfig struct {
 	MaxEpochs int
 }
 
-// PaperTrainerConfig returns the paper's published settings.
-func PaperTrainerConfig(seed int64) TrainerConfig {
-	return TrainerConfig{
-		Epochs:       10,
-		BatchSize:    32,
-		LearningRate: 0.001,
-		ClipNorm:     5,
-		Seed:         seed,
-		Windowed:     false,
-		WindowSize:   100,
-	}
-}
-
 func (c *TrainerConfig) validate() error {
 	if c.Epochs < 1 {
 		return fmt.Errorf("nn: Epochs must be >= 1, got %d", c.Epochs)

@@ -6,7 +6,6 @@ import (
 
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/baseline"
-	"misusedetect/internal/lm"
 	"misusedetect/internal/logsim"
 	"misusedetect/internal/nn"
 	"misusedetect/internal/scorer"
@@ -36,7 +35,7 @@ func trainAllBackends(t *testing.T) ([]scorer.Scorer, *nn.LanguageNetwork, *acti
 	if err != nil {
 		t.Fatal(err)
 	}
-	lmCfg := lm.ScaledConfig(corpus.Vocabulary.Size(), 8, 1, 9)
+	lmCfg := nn.ScaledConfig(corpus.Vocabulary.Size(), 8, 1, 9)
 	lmCfg.Network.DropoutRate = 0
 	net, err := nn.NewLanguageNetwork(lmCfg.Network)
 	if err != nil {
@@ -49,7 +48,7 @@ func trainAllBackends(t *testing.T) ([]scorer.Scorer, *nn.LanguageNetwork, *acti
 	if _, err := trainer.Fit(encoded[:20], nil); err != nil {
 		t.Fatal(err)
 	}
-	return []scorer.Scorer{lm.New(net), ng, hm}, net, corpus.Vocabulary
+	return []scorer.Scorer{net, ng, hm}, net, corpus.Vocabulary
 }
 
 // TestStreamBatchEquivalenceProperty is the main stream-vs-batch
@@ -100,7 +99,7 @@ func checkReference(t *testing.T, m scorer.Scorer, net *nn.LanguageNetwork, pref
 	t.Helper()
 	pos, a := len(prefix)-1, prefix[len(prefix)-1]
 	switch m := m.(type) {
-	case *lm.Model:
+	case *nn.LanguageNetwork:
 		probs, err := net.ForwardAll(prefix[:pos])
 		if err != nil {
 			t.Fatal(err)

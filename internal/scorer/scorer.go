@@ -1,9 +1,9 @@
 // Package scorer defines the backend-agnostic contract between sequence
 // models and the serving stack. Every model family in the repository —
-// the paper's LSTM language models (internal/lm), the interpolated
-// n-gram model, and the discrete HMM (internal/baseline) — implements
-// Scorer, so the detector, the session monitor, and the sharded engine
-// in internal/core can score sessions with any backend per cluster.
+// the paper's LSTM language model (internal/nn), the interpolated n-gram
+// model, and the discrete HMM (internal/baseline) — implements Scorer,
+// so the detector, the session monitor, and the sharded engine in
+// internal/core can score sessions with any backend per cluster.
 //
 // The contract has two halves:
 //
@@ -12,9 +12,10 @@
 //     next action out. Streams are single-goroutine state machines; a
 //     session keeps one, its routed cluster's.
 //   - Scorer is the model half: identity (Backend, VocabSize), stream
-//     construction, and serialization into the backend-tagged envelope
-//     of this package (Encode/Decode), which is what makes saved models
-//     self-describing on disk.
+//     construction, and the model's payload serialization. Which
+//     backends exist, and how their files are framed on disk, is
+//     internal/core's business: one table there holds each backend's
+//     tag, trainer and loader.
 //
 // Offline scoring has one path for every backend: ScoreCorpus (and its
 // one-session case ScoreStream) replays sessions through fresh streams,
@@ -25,8 +26,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"sync"
 
 	"misusedetect/internal/tensor"
 )
@@ -80,15 +79,15 @@ type Score struct {
 // Scorer is a trained sequence model over a fixed action vocabulary,
 // usable as the per-cluster model of the detection pipeline.
 type Scorer interface {
-	// Backend returns the registered backend tag ("lstm", "ngram", ...).
+	// Backend returns the backend tag ("lstm", "ngram", "hmm").
 	Backend() string
 	// VocabSize returns the action-vocabulary size the model was
 	// trained on.
 	VocabSize() int
 	// NewStream returns a fresh incremental scorer for one session.
 	NewStream() Stream
-	// Save writes the model payload to w (without the envelope; use
-	// Encode to write a self-describing file).
+	// Save writes the model payload to w (internal/core frames it in a
+	// backend-tagged envelope to make a self-describing file).
 	Save(w io.Writer) error
 }
 
@@ -157,47 +156,4 @@ func argMaxOrNeg(v tensor.Vector) int {
 		return -1
 	}
 	return v.ArgMax()
-}
-
-// registry maps backend tags to payload loaders. Backends register in
-// their package init, so importing a backend package is what makes its
-// saved models loadable.
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]func(io.Reader) (Scorer, error){}
-)
-
-// Register installs the payload loader for a backend tag. It panics on
-// an empty tag or a duplicate registration: both are programmer errors
-// at package-init time.
-func Register(backend string, load func(io.Reader) (Scorer, error)) {
-	if backend == "" || load == nil {
-		panic("scorer: Register with empty backend tag or nil loader")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[backend]; dup {
-		panic(fmt.Sprintf("scorer: backend %q registered twice", backend))
-	}
-	registry[backend] = load
-}
-
-// Backends returns the registered backend tags, sorted.
-func Backends() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for b := range registry {
-		out = append(out, b)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// lookup returns the loader for a backend tag.
-func lookup(backend string) (func(io.Reader) (Scorer, error), bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	load, ok := registry[backend]
-	return load, ok
 }

@@ -1,13 +1,10 @@
 package scorer
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"testing"
 
 	"misusedetect/internal/tensor"
@@ -54,16 +51,6 @@ func (s *fakeStream) ObserveLikelihood(action int) (float64, error) {
 }
 
 func (s *fakeStream) MemSize() int { return len(s.dist)*8 + 32 }
-
-func init() {
-	Register("fake", func(r io.Reader) (Scorer, error) {
-		f := &fakeScorer{Tag: "fake"}
-		if err := gob.NewDecoder(r).Decode(&f.Table); err != nil {
-			return nil, err
-		}
-		return f, nil
-	})
-}
 
 func testFake() *fakeScorer {
 	return &fakeScorer{Tag: "fake", Table: [][]float64{
@@ -149,95 +136,4 @@ func TestScoreStreamValidation(t *testing.T) {
 	if _, err := ScoreStream(f, []int{0, 7}); err == nil {
 		t.Fatal("out-of-vocab action must fail")
 	}
-}
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	f := testFake()
-	var buf bytes.Buffer
-	if err := Encode(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Backend() != "fake" || back.VocabSize() != 2 {
-		t.Fatalf("loaded backend %q vocab %d", back.Backend(), back.VocabSize())
-	}
-	a, err := ScoreStream(f, []int{0, 1, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ScoreStream(back, []int{0, 1, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("loaded scorer scores differently: %+v vs %+v", a, b)
-	}
-}
-
-// envelope crafts a raw header for error-path tests.
-func envelope(magic string, version uint16, tag string, payload []byte) []byte {
-	b := []byte(magic)
-	b = binary.BigEndian.AppendUint16(b, version)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(tag)))
-	b = append(b, tag...)
-	return append(b, payload...)
-}
-
-func TestDecodeErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"empty", nil, "truncated"},
-		{"short header", []byte("MD"), "truncated"},
-		{"bad magic", envelope("XXXX", FormatVersion, "fake", nil), "bad magic"},
-		{"future version", envelope(Magic, 99, "fake", nil), "format version 99"},
-		{"zero tag length", envelope(Magic, FormatVersion, "", nil), "tag length"},
-		{"truncated tag", append(envelope(Magic, FormatVersion, "", nil)[:6], 0, 8), "truncated"},
-		{"unknown backend", envelope(Magic, FormatVersion, "alien", nil), `unknown backend "alien"`},
-		{"corrupt payload", envelope(Magic, FormatVersion, "fake", []byte{0xff, 0x00}), "payload"},
-	}
-	for _, tc := range cases {
-		_, err := Decode(bytes.NewReader(tc.data))
-		if err == nil {
-			t.Fatalf("%s: Decode succeeded", tc.name)
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-func TestEncodeRejectsInvalidTag(t *testing.T) {
-	if err := Encode(io.Discard, &fakeScorer{Tag: ""}); err == nil {
-		t.Fatal("empty backend tag must fail")
-	}
-	if err := Encode(io.Discard, &fakeScorer{Tag: strings.Repeat("x", 200)}); err == nil {
-		t.Fatal("oversized backend tag must fail")
-	}
-}
-
-func TestRegistryLists(t *testing.T) {
-	found := false
-	for _, b := range Backends() {
-		if b == "fake" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Backends() = %v, missing %q", Backends(), "fake")
-	}
-}
-
-func TestRegisterPanicsOnDuplicate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration must panic")
-		}
-	}()
-	Register("fake", func(io.Reader) (Scorer, error) { return nil, nil })
 }
